@@ -1,52 +1,18 @@
-//! Micro-benchmarks of the framework's hot paths: model construction, the
-//! consumption-centric derivation, subgraph statistics (cold and cached),
-//! partition repair, full partition evaluation and the evaluation engine's
-//! serial-vs-parallel batch path.
+//! Hot-path micro-benchmarks plus the engine smoke checks CI runs.
 //!
-//! Timed with a small std-only harness (the offline toolchain has no
-//! criterion): each case is warmed up, then sampled until ~0.25 s of
-//! wall-clock or 50 samples, whichever comes first, reporting the median
-//! and minimum per-iteration time.
+//! Each case is warmed up, then sampled until ~0.25 s or 50 samples and
+//! reported as median (min) per iteration. These single-run numbers locate
+//! hot spots; end-to-end performance evidence comes from `perfbench/`
+//! (workloads and bounds in `BENCHMARK.json`).
 //!
-//! Modes:
-//!
-//! * `cargo run --release -p cocco-bench --bin micro` — the full suite,
-//!   ending with the stepped-vs-monolithic parity check, the engine
-//!   benchmark (the same seeded GA on `resnet50` through the
-//!   full-evaluation reference, the incremental serial path and the
-//!   incremental parallel path under both pool lifecycles), the
-//!   interleaved-vs-sequential two-step comparison, the arena-vs-reference
-//!   comparison (`--arena on|off` selects the arm the other benchmarks
-//!   run under), a cache-capacity sweep, the key-build and pool-overhead
-//!   micro-measurements, and a `BENCH_engine.json` summary at the
-//!   repository root recording wall times, the subgraph-level hit rate,
-//!   the incremental scoring reduction, key-build cost, evictions, the
-//!   persistent-vs-scoped pool comparison, the arena arm's cached-batch
-//!   wall time, scratch footprint and batch-latency percentiles against
-//!   the reference arm's, the two-step arms' cross-candidate stats-cache
-//!   hit rates, the telemetry arm's per-batch dispatch-latency
-//!   percentiles (p50/p90/p99) and the facade's per-phase wall profile;
-//! * `cargo run --release -p cocco-bench --bin micro -- --smoke
-//!   [--threads <n>] [--pool scoped|persistent] [--chunk <n>|auto]` —
-//!   the CI smoke mode: a
-//!   scaled-down run of the same arms that asserts bit-identical results
-//!   across {full, incremental} × {serial, scoped, persistent} and the
-//!   {1, 2, 8} threads × {persistent, scoped} × {arena, reference}
-//!   determinism matrix, the ≥30% subgraph-scoring reduction, zero
-//!   hot-path allocations (per-probe keys and canonicalize fallbacks) on
-//!   the arena path, the fault-injection matrix (seeded fault schedules ×
-//!   threads × pool lifecycles: bit-identical completion or a structured
-//!   error with salvage — never a hang, a stranded budget sample or a
-//!   leaked temp file), stepped-vs-monolithic parity (driver loop +
-//!   JSON-resume == `run()`), the interleaved two-step's strictly
-//!   higher cross-candidate subgraph hit rate, telemetry's
-//!   zero-perturbation guarantee (a live sink leaves the seeded GA
-//!   bit-identical) and its bounded cost on the cached-score leaf (an L0
-//!   hit and a shared-shard hit), at the requested worker count — plus
-//!   the scale-out grid ({prefilter, L0, adaptive} on/off × thread
-//!   counts, under the `--chunk` size): bit-identical everywhere, with
-//!   the warm prefiltered arm dispatching strictly fewer pool jobs than
-//!   it scores candidates.
+//! * `cargo run --release -p cocco-bench --bin micro [-- --threads <n>]` —
+//!   the microbenchmarks, then the checks below at full size;
+//! * `... micro -- --smoke [--threads <n>]` — the CI smoke: thread parity
+//!   of a seeded GA (serial, `n` threads, live telemetry sink: identical
+//!   results and engine counters, zero hot-path allocations), the fault
+//!   matrix, stepped (JSON-resumed) vs monolithic parity, the interleaved
+//!   two-step's higher cross-candidate hit rate, the telemetry overhead
+//!   ceiling on a cached probe, and the audit gate.
 
 use cocco::prelude::*;
 use cocco::telemetry::Stopwatch;
@@ -111,7 +77,7 @@ fn ga_run(
     engine: EngineConfig,
     telemetry: Option<&Telemetry>,
 ) -> (Duration, f64, Option<Genome>, EngineStats) {
-    // A fresh evaluator per run so every arm starts with cold caches.
+    // A fresh evaluator per run so every run starts with cold caches.
     let evaluator = Evaluator::new(model, AcceleratorConfig::default());
     let ctx = SearchContext::new(
         model,
@@ -135,666 +101,116 @@ fn ga_run(
     )
 }
 
-/// The engine benchmark: the same seeded GA on a ≥ 50-node model through
-/// the full-path serial reference, the incremental serial path, and the
-/// incremental parallel path under **both** pool lifecycles (persistent
-/// and scoped) at `threads` workers. Asserts bit-identical results across
-/// every arm (every host), a ≥ 30 % reduction in full subgraph scorings on
-/// the incremental path, zero per-probe key allocations, and the ≥ 2×
-/// batch-path speedup (hosts with ≥ 4 CPUs — a single-core container
-/// cannot physically speed up, so there the number is informational).
-/// `pool` selects which parallel arm the headline speedup is reported
-/// against; `arena` selects which allocation arm every run uses (results
-/// are bit-identical either way). Returns the JSON summary document.
-fn engine_bench(
-    smoke: bool,
-    threads: u32,
-    pool: PoolMode,
-    arena: bool,
-    chunk: ChunkSize,
-) -> serde_json::Value {
-    let arm = |config: EngineConfig| {
-        let config = config.with_chunk(chunk);
-        if arena {
-            config
-        } else {
-            config.without_arena()
-        }
-    };
+/// Thread parity on the seeded GA: `resnet50` serial, at `threads`
+/// workers, and at `threads` workers under a live telemetry sink. Asserts
+/// bit-identical best cost and genome across the three runs, identical
+/// engine counters serial vs parallel (every batch job sees only the
+/// cache state from before its batch), cache hits and memo reuse, and
+/// zero hot-path allocations.
+fn engine_bench(smoke: bool, threads: u32) {
     let model = cocco::graph::models::resnet50();
     let (budget, population) = if smoke { (600, 50) } else { (3_000, 100) };
-    let host_cpus = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
     println!(
-        "\n== engine: GA on {} ({} nodes), budget {budget}, population {population}, host CPUs {} ==\n",
+        "\n== engine: GA on {} ({} nodes), budget {budget}, population {population}, \
+         {} available CPUs ==\n",
         model.name(),
         model.len(),
-        host_cpus(),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
-
-    let (full_wall, full_cost, full_best, full_stats) = ga_run(
-        &model,
-        budget,
-        population,
-        arm(EngineConfig::serial().without_incremental()),
-        None,
-    );
-    let (serial_wall, serial_cost, serial_best, serial_stats) = ga_run(
-        &model,
-        budget,
-        population,
-        arm(EngineConfig::serial()),
-        None,
-    );
-    // Each pool arm is its own timed run, and each stamps the CPU count
-    // it actually ran with — container CPU quotas can change between
-    // arms, and a shared stamp would misattribute one arm's wall time to
-    // the other's parallelism budget.
-    let persistent_cpus = host_cpus();
-    let (persistent_wall, persistent_cost, persistent_best, persistent_stats) = ga_run(
-        &model,
-        budget,
-        population,
-        arm(EngineConfig::with_threads(threads)),
-        None,
-    );
-    let scoped_cpus = host_cpus();
-    let (scoped_wall, scoped_cost, scoped_best, scoped_stats) = ga_run(
-        &model,
-        budget,
-        population,
-        arm(EngineConfig::with_threads(threads).with_pool(PoolMode::Scoped)),
-        None,
-    );
-    // Telemetry arm: the same seeded parallel GA with a live sink.
-    // Observation only — results must stay bit-identical — and the sink
-    // yields the per-batch dispatch latency histogram for the summary.
+    let serial = EngineConfig::serial();
+    let parallel = EngineConfig::with_threads(threads);
+    let (serial_wall, serial_cost, serial_best, serial_stats) =
+        ga_run(&model, budget, population, serial, None);
+    let (parallel_wall, parallel_cost, parallel_best, parallel_stats) =
+        ga_run(&model, budget, population, parallel, None);
+    // Telemetry is observation only: a live sink must leave the run
+    // bit-identical, and it yields the per-batch latency histogram.
     let telemetry = Telemetry::enabled();
-    let (telemetry_wall, telemetry_cost, telemetry_best, _) = ga_run(
-        &model,
-        budget,
-        population,
-        arm(EngineConfig::with_threads(threads)),
-        Some(&telemetry),
-    );
+    let (telemetry_wall, telemetry_cost, telemetry_best, _) =
+        ga_run(&model, budget, population, parallel, Some(&telemetry));
+    for (arm, cost, best) in [
+        ("parallel", parallel_cost, &parallel_best),
+        ("telemetry", telemetry_cost, &telemetry_best),
+    ] {
+        assert_eq!(serial_cost, cost, "determinism: {arm} best cost differs");
+        assert_eq!(&serial_best, best, "determinism: {arm} best genome differs");
+    }
+    // Every counter but the thread count and wall time must match.
+    let counters = |s: EngineStats| EngineStats {
+        threads: 0,
+        wall_ms: 0.0,
+        ..s
+    };
+    let same = counters(serial_stats) == counters(parallel_stats);
+    assert!(same, "engine counters differ at {threads} threads");
+    assert!(serial_stats.cache_hits > 0, "GA run never hit the cache");
+    assert!(serial_stats.subgraph_reused > 0, "no memoized term reused");
     assert_eq!(
-        serial_cost, telemetry_cost,
-        "telemetry perturbed the engine: best costs differ with a live sink"
+        serial_stats.hot_allocs, 0,
+        "the warmed scoring hot path must stay allocation-free \
+         ({} per-probe key builds, {} canonicalize fallbacks)",
+        serial_stats.key_allocs, serial_stats.stats_canonicalize_fallbacks,
     );
-    assert_eq!(
-        serial_best, telemetry_best,
-        "telemetry perturbed the engine: best genomes differ with a live sink"
-    );
-    let batch_latency = telemetry
+    let latency = telemetry
         .snapshot()
         .histogram("engine.batch.latency_ns")
         .cloned()
         .expect("a GA run dispatches batches");
-
-    assert_eq!(
-        full_cost, serial_cost,
-        "engine determinism violated: full and incremental best costs differ"
-    );
-    assert_eq!(
-        full_best, serial_best,
-        "engine determinism violated: full and incremental best genomes differ"
-    );
-    assert_eq!(
-        serial_cost, persistent_cost,
-        "engine determinism violated: serial and persistent-pool best costs differ"
-    );
-    assert_eq!(
-        serial_best, persistent_best,
-        "engine determinism violated: serial and persistent-pool best genomes differ"
-    );
-    assert_eq!(
-        serial_cost, scoped_cost,
-        "engine determinism violated: serial and scoped-pool best costs differ"
-    );
-    assert_eq!(
-        serial_best, scoped_best,
-        "engine determinism violated: serial and scoped-pool best genomes differ"
-    );
-    let stats = match pool {
-        PoolMode::Persistent => persistent_stats,
-        PoolMode::Scoped => scoped_stats,
-    };
-    assert!(stats.cache_hits > 0, "GA run never hit the eval cache");
-    assert!(
-        stats.subgraph_reused > 0,
-        "GA offspring never reused a memoized subgraph term"
-    );
-    for (arm, arm_stats) in [
-        ("incremental serial", &serial_stats),
-        ("incremental persistent", &persistent_stats),
-        ("incremental scoped", &scoped_stats),
-    ] {
-        assert_eq!(
-            arm_stats.key_allocs, 0,
-            "{arm}: the incremental path must build zero per-probe keys \
-             ({} allocations recorded)",
-            arm_stats.key_allocs,
-        );
-        assert_eq!(
-            arm_stats.stats_canonicalize_fallbacks, 0,
-            "{arm}: engine-fed member lists must already be sorted \
-             ({} canonicalize fallbacks recorded)",
-            arm_stats.stats_canonicalize_fallbacks,
-        );
-        assert_eq!(
-            arm_stats.hot_allocs, 0,
-            "{arm}: the warmed scoring hot path must stay allocation-free \
-             ({} instrumented allocations recorded)",
-            arm_stats.hot_allocs,
-        );
-    }
-    let scoring_reduction =
-        1.0 - serial_stats.subgraph_scorings as f64 / full_stats.subgraph_scorings.max(1) as f64;
-    assert!(
-        scoring_reduction >= 0.30,
-        "incremental path must avoid >= 30% of full subgraph scorings \
-         (full {} vs incremental {}, reduction {:.0}%)",
-        full_stats.subgraph_scorings,
-        serial_stats.subgraph_scorings,
-        scoring_reduction * 100.0,
-    );
-
-    let full_ms = full_wall.as_secs_f64() * 1e3;
-    let serial_ms = serial_wall.as_secs_f64() * 1e3;
-    let persistent_ms = persistent_wall.as_secs_f64() * 1e3;
-    let scoped_ms = scoped_wall.as_secs_f64() * 1e3;
-    // The headline speedup reports the selected pool arm's own run — the
-    // summary below records both arms' measurements separately, never one
-    // number under two names.
-    let headline_ms = match pool {
-        PoolMode::Persistent => persistent_ms,
-        PoolMode::Scoped => scoped_ms,
-    };
-    let speedup = serial_ms / headline_ms;
     println!(
-        "full path (1 thread) : {:>10}  ({} subgraph scorings)",
-        fmt_time(full_wall.as_secs_f64()),
-        full_stats.subgraph_scorings,
-    );
-    println!(
-        "incremental (1 thr)  : {:>10}  ({} scorings, {} cached, {} reused)",
+        "serial / {threads} threads   : {:>10} / {:>10}  ({} scorings, {} cached, {} reused)",
         fmt_time(serial_wall.as_secs_f64()),
+        fmt_time(parallel_wall.as_secs_f64()),
         serial_stats.subgraph_scorings,
         serial_stats.subgraph_hits,
         serial_stats.subgraph_reused,
     );
     println!(
-        "persistent ({threads} thr)   : {:>10}",
-        fmt_time(persistent_wall.as_secs_f64())
-    );
-    println!(
-        "scoped ({threads} thr)       : {:>10}",
-        fmt_time(scoped_wall.as_secs_f64())
-    );
-    println!(
-        "telemetry ({threads} thr)    : {:>10}  ({} batches, p50 {}, p99 {})",
+        "telemetry ({threads} thr)   : {:>10}  ({} batches, p50 {}, p99 {})",
         fmt_time(telemetry_wall.as_secs_f64()),
-        batch_latency.count,
-        fmt_time(batch_latency.p50() as f64 / 1e9),
-        fmt_time(batch_latency.p99() as f64 / 1e9),
-    );
-    println!("speedup (threads)    : {speedup:.2}x ({pool:?} pool)");
-    println!(
-        "scoring reduction    : {:.0}% fewer full subgraph scorings",
-        scoring_reduction * 100.0
+        latency.count,
+        fmt_time(latency.p50() as f64 / 1e9),
+        fmt_time(latency.p99() as f64 / 1e9),
     );
     println!(
-        "subgraph hit rate    : {:.0}%",
-        serial_stats.subgraph_hit_rate() * 100.0
+        "cache                : {} evals, {} hits ({:.0}%), {} roll-ups + {} terms",
+        serial_stats.evals,
+        serial_stats.cache_hits,
+        serial_stats.hit_rate() * 100.0,
+        serial_stats.cache_entries,
+        serial_stats.subgraph_entries,
     );
     println!(
-        "cache                : {} evals, {} hits ({:.0}%), {} roll-ups + {} terms, {} evicted",
-        stats.evals,
-        stats.cache_hits,
-        stats.hit_rate() * 100.0,
-        stats.cache_entries,
-        stats.subgraph_entries,
-        stats.evictions(),
-    );
-    println!(
-        "results              : bit-identical full vs incremental vs persistent vs scoped ✓ \
-         (0 per-probe key allocations)"
-    );
-    let cpus_now = host_cpus();
-    if cpus_now >= 4 && !smoke {
-        assert!(
-            speedup >= 2.0,
-            "batched path must be >= 2x faster than serial at {threads} threads \
-             on a {cpus_now}-CPU host (measured {speedup:.2}x)"
-        );
-    } else if cpus_now < 2 {
-        println!(
-            "note                 : host has {cpus_now} CPU — {threads} workers timeslice one core, \
-             so the speedup above measures overhead, not parallelism"
-        );
-    }
-
-    let doc = vec![
-        ("model".to_string(), serde_json::to_value(&model.name())),
-        (
-            "nodes".to_string(),
-            serde_json::to_value(&(model.len() as u64)),
-        ),
-        ("budget".to_string(), serde_json::to_value(&budget)),
-        (
-            "population".to_string(),
-            serde_json::to_value(&(population as u64)),
-        ),
-        (
-            "threads".to_string(),
-            serde_json::to_value(&u64::from(threads)),
-        ),
-        (
-            "host_cpus".to_string(),
-            serde_json::to_value(&(cpus_now as u64)),
-        ),
-        ("full_ms".to_string(), serde_json::to_value(&full_ms)),
-        ("serial_ms".to_string(), serde_json::to_value(&serial_ms)),
-        (
-            "parallel_persistent".to_string(),
-            serde_json::Value::Object(vec![
-                ("wall_ms".to_string(), serde_json::to_value(&persistent_ms)),
-                (
-                    "host_cpus".to_string(),
-                    serde_json::to_value(&(persistent_cpus as u64)),
-                ),
-                (
-                    "speedup".to_string(),
-                    serde_json::to_value(&(serial_ms / persistent_ms)),
-                ),
-            ]),
-        ),
-        (
-            "parallel_scoped".to_string(),
-            serde_json::Value::Object(vec![
-                ("wall_ms".to_string(), serde_json::to_value(&scoped_ms)),
-                (
-                    "host_cpus".to_string(),
-                    serde_json::to_value(&(scoped_cpus as u64)),
-                ),
-                (
-                    "speedup".to_string(),
-                    serde_json::to_value(&(serial_ms / scoped_ms)),
-                ),
-            ]),
-        ),
-        (
-            "pool".to_string(),
-            serde_json::to_value(&format!("{pool:?}").to_lowercase()),
-        ),
-        ("speedup".to_string(), serde_json::to_value(&speedup)),
-        (
-            "incremental_speedup".to_string(),
-            serde_json::to_value(&(full_ms / serial_ms)),
-        ),
-        ("evals".to_string(), serde_json::to_value(&stats.evals)),
-        (
-            "cache_hits".to_string(),
-            serde_json::to_value(&stats.cache_hits),
-        ),
-        (
-            "cache_hit_rate".to_string(),
-            serde_json::to_value(&stats.hit_rate()),
-        ),
-        (
-            "subgraph_scorings_full".to_string(),
-            serde_json::to_value(&full_stats.subgraph_scorings),
-        ),
-        (
-            "subgraph_scorings_incremental".to_string(),
-            serde_json::to_value(&serial_stats.subgraph_scorings),
-        ),
-        (
-            "subgraph_scoring_reduction".to_string(),
-            serde_json::to_value(&scoring_reduction),
-        ),
-        (
-            "subgraph_hit_rate".to_string(),
-            serde_json::to_value(&serial_stats.subgraph_hit_rate()),
-        ),
-        (
-            "subgraph_reused".to_string(),
-            serde_json::to_value(&serial_stats.subgraph_reused),
-        ),
-        (
-            "key_allocs".to_string(),
-            serde_json::to_value(&serial_stats.key_allocs),
-        ),
-        (
-            "hot_allocs".to_string(),
-            serde_json::to_value(&serial_stats.hot_allocs),
-        ),
-        (
-            "cache_evictions".to_string(),
-            serde_json::to_value(&stats.evictions()),
-        ),
-        (
-            "telemetry_ms".to_string(),
-            serde_json::to_value(&(telemetry_wall.as_secs_f64() * 1e3)),
-        ),
-        (
-            "batch_latency".to_string(),
-            serde_json::Value::Object(vec![
-                (
-                    "count".to_string(),
-                    serde_json::to_value(&batch_latency.count),
-                ),
-                (
-                    "p50_ns".to_string(),
-                    serde_json::to_value(&batch_latency.p50()),
-                ),
-                (
-                    "p90_ns".to_string(),
-                    serde_json::to_value(&batch_latency.p90()),
-                ),
-                (
-                    "p99_ns".to_string(),
-                    serde_json::to_value(&batch_latency.p99()),
-                ),
-            ]),
-        ),
-        ("deterministic".to_string(), serde_json::to_value(&true)),
-    ];
-    serde_json::Value::Object(doc)
-}
-
-/// The warmed cached-batch latency distribution of one arena arm:
-/// p50/p90/p99 nanoseconds per batch.
-struct CachedBatch {
-    p50: f64,
-    p90: f64,
-    p99: f64,
-}
-
-/// Measures the warmed cached-batch latency of one arena arm: a fixed
-/// set of repaired resnet50 partitions scored through
-/// `Engine::score_partition` until every roll-up is a cache hit, then
-/// per-batch wall-time samples of re-scoring the whole batch (pure hits
-/// — what a converged search population pays per generation). Both arms
-/// run identical work in identical order, so the distributions differ
-/// only by the reference arm's per-candidate member-list allocations.
-fn cached_batch(arena: bool) -> CachedBatch {
-    let model = cocco::graph::models::resnet50();
-    let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
-    let mut config = EngineConfig::serial();
-    if !arena {
-        config = config.without_arena();
-    }
-    let engine = cocco::engine::Engine::new(config);
-    let buffer = BufferConfig::shared(2 << 20);
-    let partitions: Vec<Partition> = (2..=9)
-        .map(|depth| repair(&model, Partition::depth_groups(&model, depth), &|_| true))
-        .collect();
-    // Warm: every partition's roll-up lands in the cache, and the arena
-    // arm's layout buffers reach their steady-state capacity.
-    for _ in 0..8 {
-        for partition in &partitions {
-            engine.score_partition(&evaluator, partition, &buffer, EvalOptions::default(), None);
-        }
-    }
-    let mut samples = Vec::with_capacity(256);
-    for _ in 0..256 {
-        let start = Stopwatch::start();
-        for partition in &partitions {
-            std::hint::black_box(engine.score_partition(
-                &evaluator,
-                partition,
-                &buffer,
-                EvalOptions::default(),
-                None,
-            ));
-        }
-        samples.push(start.elapsed().as_secs_f64() * 1e9);
-    }
-    samples.sort_by(f64::total_cmp);
-    CachedBatch {
-        p50: samples[samples.len() / 2],
-        p90: samples[samples.len() * 9 / 10],
-        p99: samples[samples.len() * 99 / 100],
-    }
-}
-
-/// The arena-vs-reference comparison: the same seeded GA with the flat
-/// layout arenas on (the default) and off (`without_arena`), plus the
-/// warmed cached-batch microbench for both arms. Asserts bit-identical
-/// results, the zero-allocation tripwire on the arena arm, and that the
-/// arena arm's cached-batch wall time and batch-latency p50 are no worse
-/// than the reference arm's. Returns the JSON summary section.
-fn arena_bench(smoke: bool, threads: u32) -> serde_json::Value {
-    let model = cocco::graph::models::resnet50();
-    let (budget, population) = if smoke { (600, 50) } else { (3_000, 100) };
-    println!(
-        "\n== arena: GA on {} ({} nodes), budget {budget}, arena on vs off ==\n",
-        model.name(),
-        model.len()
-    );
-    // Arena arm: run with a live sink (for the latency histogram) and
-    // keep the context alive long enough to pull the arena metrics.
-    let run_arm = |arena: bool| {
-        let mut config = EngineConfig::with_threads(threads);
-        if !arena {
-            config = config.without_arena();
-        }
-        let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
-        let telemetry = Telemetry::enabled();
-        let ctx = SearchContext::new(
-            &model,
-            &evaluator,
-            BufferSpace::paper_shared(),
-            Objective::paper_energy_capacity(),
-            budget,
-        )
-        .with_engine_telemetry(config, &telemetry);
-        let ga = CoccoGa::default().with_population(population).with_seed(42);
-        let start = Stopwatch::start();
-        let outcome = ga.run(&ctx);
-        let wall = start.elapsed();
-        let metrics = ctx.engine().metrics();
-        let latency = metrics
-            .histogram("engine.batch.latency_ns")
-            .cloned()
-            .expect("a GA run dispatches batches");
-        (wall, outcome.best_cost, outcome.best, metrics, latency)
-    };
-    let (arena_wall, arena_cost, arena_best, arena_metrics, arena_latency) = run_arm(true);
-    let (ref_wall, ref_cost, ref_best, ref_metrics, ref_latency) = run_arm(false);
-    assert_eq!(
-        arena_cost, ref_cost,
-        "arena determinism violated: arena and reference best costs differ"
-    );
-    assert_eq!(
-        arena_best, ref_best,
-        "arena determinism violated: arena and reference best genomes differ"
-    );
-    for (name, metrics) in [("arena", &arena_metrics), ("reference", &ref_metrics)] {
-        assert_eq!(
-            metrics.counter("engine.hot_allocs"),
-            0,
-            "{name} arm: the warmed scoring hot path must stay allocation-free"
-        );
-    }
-    assert!(
-        arena_metrics.counter("engine.arena.reuses") > 0,
-        "the arena arm never reused a warmed layout buffer"
-    );
-    let arena_batch = cached_batch(true);
-    let ref_batch = cached_batch(false);
-    assert!(
-        arena_batch.p50 <= ref_batch.p50,
-        "arena regression: warmed cached-batch latency p50 {:.0} ns exceeds \
-         the reference arm's {:.0} ns",
-        arena_batch.p50,
-        ref_batch.p50,
-    );
-    let arena_ms = arena_wall.as_secs_f64() * 1e3;
-    let ref_ms = ref_wall.as_secs_f64() * 1e3;
-    println!(
-        "arena ({threads} thr)        : {:>10}  ({} B scratch, {} reuses, {} grows)",
-        fmt_time(arena_wall.as_secs_f64()),
-        arena_metrics.gauge("engine.arena.bytes"),
-        arena_metrics.counter("engine.arena.reuses"),
-        arena_metrics.counter("engine.arena.grows"),
-    );
-    println!(
-        "reference ({threads} thr)    : {:>10}",
-        fmt_time(ref_wall.as_secs_f64())
-    );
-    println!(
-        "cached batch p50     : arena {:>10}   reference {:>10}",
-        fmt_time(arena_batch.p50 / 1e9),
-        fmt_time(ref_batch.p50 / 1e9),
-    );
-    println!(
-        "ga batch p50 (noisy) : arena {:>10}   reference {:>10}",
-        fmt_time(arena_latency.p50() as f64 / 1e9),
-        fmt_time(ref_latency.p50() as f64 / 1e9),
-    );
-    println!("results              : bit-identical arena vs reference ✓ (0 hot-path allocations)");
-    let latency_doc = |h: &cocco::telemetry::HistogramSnapshot| {
-        serde_json::Value::Object(vec![
-            ("count".to_string(), serde_json::to_value(&h.count)),
-            ("p50_ns".to_string(), serde_json::to_value(&h.p50())),
-            ("p90_ns".to_string(), serde_json::to_value(&h.p90())),
-            ("p99_ns".to_string(), serde_json::to_value(&h.p99())),
-        ])
-    };
-    serde_json::Value::Object(vec![
-        ("arena_ms".to_string(), serde_json::to_value(&arena_ms)),
-        ("reference_ms".to_string(), serde_json::to_value(&ref_ms)),
-        (
-            "hot_allocs".to_string(),
-            serde_json::to_value(&arena_metrics.counter("engine.hot_allocs")),
-        ),
-        (
-            "arena_bytes".to_string(),
-            serde_json::to_value(&arena_metrics.gauge("engine.arena.bytes")),
-        ),
-        (
-            "arena_reuses".to_string(),
-            serde_json::to_value(&arena_metrics.counter("engine.arena.reuses")),
-        ),
-        (
-            "arena_grows".to_string(),
-            serde_json::to_value(&arena_metrics.counter("engine.arena.grows")),
-        ),
-        (
-            "batch_latency_arena".to_string(),
-            serde_json::Value::Object(vec![
-                ("p50_ns".to_string(), serde_json::to_value(&arena_batch.p50)),
-                ("p90_ns".to_string(), serde_json::to_value(&arena_batch.p90)),
-                ("p99_ns".to_string(), serde_json::to_value(&arena_batch.p99)),
-            ]),
-        ),
-        (
-            "batch_latency_reference".to_string(),
-            serde_json::Value::Object(vec![
-                ("p50_ns".to_string(), serde_json::to_value(&ref_batch.p50)),
-                ("p90_ns".to_string(), serde_json::to_value(&ref_batch.p90)),
-                ("p99_ns".to_string(), serde_json::to_value(&ref_batch.p99)),
-            ]),
-        ),
-        (
-            "ga_batch_latency_arena".to_string(),
-            latency_doc(&arena_latency),
-        ),
-        (
-            "ga_batch_latency_reference".to_string(),
-            latency_doc(&ref_latency),
-        ),
-        ("deterministic".to_string(), serde_json::to_value(&true)),
-    ])
-}
-
-/// The determinism smoke matrix: the same seeded GA across {1, 2, 8}
-/// worker threads × both pool lifecycles × both arena arms — every cell
-/// must be bit-identical to the first, and the arena cells must record
-/// zero hot-path allocations.
-fn arena_matrix_check() {
-    let model = cocco::graph::models::googlenet();
-    let (budget, population) = (240, 24);
-    let mut reference: Option<(f64, Option<Genome>)> = None;
-    for threads in [1u32, 2, 8] {
-        for pool in [PoolMode::Persistent, PoolMode::Scoped] {
-            for arena in [true, false] {
-                let mut config = EngineConfig::with_threads(threads).with_pool(pool);
-                if !arena {
-                    config = config.without_arena();
-                }
-                let (_, cost, best, stats) = ga_run(&model, budget, population, config, None);
-                let cell = format!(
-                    "{threads} threads, {pool:?} pool, {} arm",
-                    if arena { "arena" } else { "reference" }
-                );
-                match &reference {
-                    Some((ref_cost, ref_best)) => {
-                        assert_eq!(
-                            *ref_cost, cost,
-                            "matrix determinism violated: cost ({cell})"
-                        );
-                        assert_eq!(
-                            *ref_best, best,
-                            "matrix determinism violated: genome ({cell})"
-                        );
-                    }
-                    None => reference = Some((cost, best)),
-                }
-                if arena {
-                    assert_eq!(
-                        stats.hot_allocs, 0,
-                        "{cell}: the warmed scoring hot path must stay allocation-free"
-                    );
-                    assert_eq!(
-                        stats.key_allocs, 0,
-                        "{cell}: cache probes must build zero per-probe keys"
-                    );
-                }
-            }
-        }
-    }
-    println!(
-        "arena matrix         : bit-identical across {{1,2,8}} threads × \
-         {{persistent,scoped}} × {{arena,reference}} ✓ (0 hot-path allocations)"
+        "results              : bit-identical serial vs {threads} threads vs telemetry ✓ \
+         (identical counters, 0 hot-path allocations)"
     );
 }
 
-/// The fault-injection matrix: seeded fault schedules × {1, n} workers ×
-/// both pool lifecycles, driven through the facade with cache and
-/// checkpoint files. Transparent schedules (save-path faults, evaluator
-/// transients) must complete bit-identically to the fault-free baseline;
-/// the worker-panic schedule must degrade to a structured error carrying
-/// a salvaged best-so-far plus a resumable checkpoint; the
-/// budget-revocation schedule must complete degraded with a conserved
-/// trace. No cell may hang, abort the process, strand a budget sample,
-/// or leak a `*.tmp.*` file.
+/// The fault-injection matrix: seeded fault schedules × {1, n} workers,
+/// driven through the facade with cache and checkpoint files. Transparent
+/// schedules (save-path faults, evaluator transients) must complete
+/// bit-identically to the fault-free baseline; the worker-panic schedule
+/// must degrade to a structured error carrying a salvaged best-so-far plus
+/// a resumable checkpoint; the budget-revocation schedule must complete
+/// degraded with a conserved trace. No cell may hang, abort the process,
+/// strand a budget sample, or leak a `*.tmp.*` file.
 fn fault_matrix_check(threads: u32) {
     let dir = std::env::temp_dir().join(format!("cocco-fault-matrix-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("fault-matrix scratch dir");
     let model = cocco::graph::models::googlenet();
-    let cells: Vec<(u32, PoolMode)> = [1, threads.max(2)]
-        .iter()
-        .flat_map(|&t| [(t, PoolMode::Persistent), (t, PoolMode::Scoped)])
-        .collect();
-    let explore = |t: u32, pool: PoolMode, faults: FaultPlan, tag: &str| {
+    let cells = [1, threads.max(2)];
+    let explore = |t: u32, faults: FaultPlan, tag: &str| {
         Cocco::new()
             .with_budget(300)
             .with_seed(5)
-            .with_engine(EngineConfig::with_threads(t).with_pool(pool))
+            .with_engine(EngineConfig::with_threads(t))
             .with_cache_file(dir.join(format!("{tag}.cache.json")))
             .with_checkpoint_file(dir.join(format!("{tag}.ckpt.json")))
             .with_checkpoint_every(1)
             .with_faults(faults)
             .explore(&model)
     };
-    let baseline = explore(1, PoolMode::Persistent, FaultPlan::disabled(), "baseline")
-        .expect("the fault-free baseline completes");
+    let baseline =
+        explore(1, FaultPlan::disabled(), "baseline").expect("the fault-free baseline completes");
 
     // Transparent schedules: injected save failures retry, torn writes
     // get cleaned up, evaluator transients re-score. Fault draws happen
@@ -806,34 +222,18 @@ fn fault_matrix_check(threads: u32) {
         .with(FaultSite::SaveTorn, 0.2);
     let eval_rates = FaultRates::none().with(FaultSite::EvalError, 0.2);
     for (schedule, rates) in [("io_faults", io_rates), ("eval_transients", eval_rates)] {
-        for &(t, pool) in &cells {
-            let cell = format!("{schedule}, {t} threads, {pool:?} pool");
-            let tag = format!("{schedule}-{t}-{pool:?}").to_lowercase();
+        for t in cells {
+            let cell = format!("{schedule}, {t} threads");
             let plan = FaultPlan::seeded(11, rates);
-            let result = explore(t, pool, plan.clone(), &tag)
+            let result = explore(t, plan.clone(), &format!("{schedule}-{t}"))
                 .unwrap_or_else(|e| panic!("{cell}: transparent schedule failed: {e}"));
-            assert_eq!(
-                baseline.cost, result.cost,
-                "fault matrix: cost drifted ({cell})"
-            );
-            assert_eq!(
-                baseline.genome, result.genome,
-                "fault matrix: genome drifted ({cell})"
-            );
-            assert_eq!(
-                baseline.trace, result.trace,
-                "fault matrix: trace drifted ({cell})"
-            );
-            assert_eq!(
-                result.trace.len() as u64,
-                result.samples,
-                "fault matrix: stranded budget samples ({cell})"
-            );
+            assert_eq!(baseline.cost, result.cost, "cost drifted ({cell})");
+            assert_eq!(baseline.genome, result.genome, "genome drifted ({cell})");
+            assert_eq!(baseline.trace, result.trace, "trace drifted ({cell})");
+            let conserved = result.trace.len() as u64 == result.samples;
+            assert!(conserved, "stranded budget samples ({cell})");
             if schedule == "eval_transients" {
-                assert!(
-                    plan.health().eval_rescores > 0,
-                    "fault matrix: the eval-transient schedule never fired ({cell})"
-                );
+                assert!(plan.health().eval_rescores > 0, "never fired ({cell})");
             }
         }
     }
@@ -841,79 +241,51 @@ fn fault_matrix_check(threads: u32) {
     // Worker-panic schedule: a deterministic mid-run panic. Every cell
     // must return the same structured error with the same salvaged
     // best-so-far, keep its last periodic checkpoint, refund the
-    // quarantined batch, and resume to completion once disarmed.
+    // quarantined batch, and resume to completion once disarmed. The
+    // facade saves at most one checkpoint per 100 ms, so the fault must
+    // strike well after that on a fast host: a large model and a low rate.
+    let big = cocco::graph::models::gpt();
     let mut panic_reference: Option<(f64, u64)> = None;
-    for &(t, pool) in &cells {
-        let cell = format!("worker_panic, {t} threads, {pool:?} pool");
-        let tag = format!("worker_panic-{t}-{pool:?}").to_lowercase();
-        let ckpt = dir.join(format!("{tag}.ckpt.json"));
-        let plan = FaultPlan::seeded(2, FaultRates::none().with(FaultSite::WorkerPanic, 0.002));
+    for t in cells {
+        let cell = format!("worker_panic, {t} threads");
+        let ckpt = dir.join(format!("worker_panic-{t}.ckpt.json"));
+        let plan = FaultPlan::seeded(2, FaultRates::none().with(FaultSite::WorkerPanic, 0.0005));
+        let session = Cocco::new()
+            .with_budget(8_000)
+            .with_seed(9)
+            .with_engine(EngineConfig::with_threads(t))
+            .with_checkpoint_file(&ckpt);
         // The injected panic is caught and quarantined by the engine, but
         // the default hook would still spew a backtrace into the CI log;
         // silence it for just this call, then restore so genuine
         // assertion failures stay loud.
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let result = Cocco::new()
-            .with_budget(2_000)
-            .with_seed(9)
-            .with_engine(EngineConfig::with_threads(t).with_pool(pool))
-            .with_checkpoint_file(&ckpt)
+        let result = session
+            .clone()
             .with_checkpoint_every(1)
             .with_faults(plan.clone())
-            .explore(&model);
+            .explore(&big);
         std::panic::set_hook(hook);
         let err = result.expect_err("an injected worker panic must surface as an error");
         let Error::WorkerPanic { salvage, .. } = err else {
             panic!("{cell}: expected WorkerPanic, got {err}");
         };
         let salvage = salvage.expect("generations before the fault leave a best-so-far");
-        match &panic_reference {
-            Some((cost, samples)) => {
-                assert_eq!(
-                    *cost, salvage.cost,
-                    "fault matrix: salvage cost drifted ({cell})"
-                );
-                assert_eq!(
-                    *samples, salvage.samples,
-                    "fault matrix: salvage samples drifted ({cell})"
-                );
-            }
-            None => panic_reference = Some((salvage.cost, salvage.samples)),
-        }
+        let observed = (salvage.cost, salvage.samples);
+        let reference = *panic_reference.get_or_insert(observed);
+        assert_eq!(reference, observed, "salvage drifted ({cell})");
         let health = plan.health();
-        assert_eq!(
-            health.quarantined_batches, 1,
-            "fault matrix: the panicked batch must be quarantined ({cell})"
-        );
-        assert!(
-            health.refunded_samples > 0,
-            "fault matrix: quarantined funding must be refunded ({cell})"
-        );
-        assert!(
-            ckpt.exists(),
-            "fault matrix: aborted run lost its checkpoint ({cell})"
-        );
-        let resumed = Cocco::new()
-            .with_budget(2_000)
-            .with_seed(9)
-            .with_engine(EngineConfig::with_threads(t).with_pool(pool))
-            .with_checkpoint_file(&ckpt)
-            .explore(&model)
+        assert_eq!(health.quarantined_batches, 1, "not quarantined ({cell})");
+        assert!(health.refunded_samples > 0, "funding not refunded ({cell})");
+        assert!(ckpt.exists(), "aborted run lost its checkpoint ({cell})");
+        let resumed = session
+            .explore(&big)
             .unwrap_or_else(|e| panic!("{cell}: disarmed resume failed: {e}"));
-        assert!(
-            resumed.cost <= salvage.cost,
-            "fault matrix: resume regressed past the salvage ({cell})"
-        );
-        assert_eq!(
-            resumed.trace.len() as u64,
-            resumed.samples,
-            "fault matrix: stranded budget samples after resume ({cell})"
-        );
-        assert!(
-            !ckpt.exists(),
-            "fault matrix: completed resume left its checkpoint behind ({cell})"
-        );
+        assert!(resumed.cost <= salvage.cost, "resume regressed ({cell})");
+        let conserved = resumed.trace.len() as u64 == resumed.samples;
+        assert!(conserved, "stranded samples after resume ({cell})");
+        assert!(!ckpt.exists(), "resume kept its checkpoint ({cell})");
     }
 
     // Budget-revocation schedule: the run is cut short but completes
@@ -921,46 +293,24 @@ fn fault_matrix_check(threads: u32) {
     // cell.
     let small = cocco::graph::models::diamond();
     let mut revoke_reference: Option<(f64, u64)> = None;
-    for &(t, pool) in &cells {
-        let cell = format!("budget_revoke, {t} threads, {pool:?} pool");
+    for t in cells {
+        let cell = format!("budget_revoke, {t} threads");
         let plan = FaultPlan::seeded(4, FaultRates::none().with(FaultSite::BudgetRevoke, 0.05));
         let result = Cocco::new()
             .with_budget(5_000)
             .with_seed(3)
-            .with_engine(EngineConfig::with_threads(t).with_pool(pool))
+            .with_engine(EngineConfig::with_threads(t))
             .with_faults(plan.clone())
             .explore(&small)
             .unwrap_or_else(|e| panic!("{cell}: revocation must degrade, not fail: {e}"));
-        assert!(
-            result.samples < 5_000,
-            "fault matrix: revoked budget must cut the run short ({cell})"
-        );
-        assert_eq!(
-            result.trace.len() as u64,
-            result.samples,
-            "fault matrix: stranded budget samples ({cell})"
-        );
-        assert!(
-            result.is_degraded(),
-            "fault matrix: revocation must degrade ({cell})"
-        );
-        assert_eq!(
-            result.health.budget_revocations, 1,
-            "fault matrix: the revocation must be accounted ({cell})"
-        );
-        match &revoke_reference {
-            Some((cost, samples)) => {
-                assert_eq!(
-                    *cost, result.cost,
-                    "fault matrix: revoked cost drifted ({cell})"
-                );
-                assert_eq!(
-                    *samples, result.samples,
-                    "fault matrix: revoked samples drifted ({cell})"
-                );
-            }
-            None => revoke_reference = Some((result.cost, result.samples)),
-        }
+        assert!(result.samples < 5_000, "revocation did not cut ({cell})");
+        let conserved = result.trace.len() as u64 == result.samples;
+        assert!(conserved, "stranded budget samples ({cell})");
+        assert!(result.is_degraded(), "revocation must degrade ({cell})");
+        assert_eq!(result.health.budget_revocations, 1, "unaccounted ({cell})");
+        let observed = (result.cost, result.samples);
+        let reference = *revoke_reference.get_or_insert(observed);
+        assert_eq!(reference, observed, "revoked run drifted ({cell})");
     }
 
     let stale: Vec<String> = std::fs::read_dir(&dir)
@@ -969,75 +319,21 @@ fn fault_matrix_check(threads: u32) {
         .map(|e| e.file_name().to_string_lossy().into_owned())
         .filter(|name| name.contains(".tmp."))
         .collect();
-    assert!(
-        stale.is_empty(),
-        "fault matrix leaked temp files: {stale:?}"
-    );
+    assert!(stale.is_empty(), "leaked temp files: {stale:?}");
     // cocco-audit: allow(R2) scratch cleanup; every assertion above already passed
     std::fs::remove_dir_all(&dir).ok();
     println!(
-        "fault matrix         : {{io,eval,panic,revoke}} schedules × {{1,{}}} threads × \
-         {{persistent,scoped}} ✓ (bit-identical or structured+salvaged, 0 stranded samples, \
-         0 temp leaks)",
+        "fault matrix         : {{io,eval,panic,revoke}} schedules × {{1,{}}} threads ✓ \
+         (bit-identical or structured+salvaged, 0 stranded samples, 0 temp leaks)",
         threads.max(2)
     );
 }
 
-/// Measures bare pool batch overhead: the wall time of dispatching a
-/// 64-job batch of trivial work through a `threads`-worker pool, scoped
-/// spawn vs persistent workers. Returns the two medians in nanoseconds;
-/// the persistent pool must not be slower — that is the whole point of
-/// keeping the threads alive.
-fn pool_overhead_bench(threads: u32) -> (f64, f64) {
-    let mut medians = [0.0f64; 2];
-    for (slot, mode) in [PoolMode::Scoped, PoolMode::Persistent]
-        .into_iter()
-        .enumerate()
-    {
-        let pool =
-            cocco::engine::EnginePool::new(&EngineConfig::with_threads(threads).with_pool(mode));
-        let sink = std::sync::atomic::AtomicU64::new(0);
-        // Warm up (spawns the persistent workers).
-        pool.run(64, |i| {
-            sink.fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
-        });
-        let mut samples: Vec<f64> = (0..200)
-            .map(|_| {
-                let start = Stopwatch::start();
-                pool.run(64, |i| {
-                    sink.fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
-                });
-                start.elapsed().as_secs_f64() * 1e9
-            })
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        medians[slot] = samples[samples.len() / 2];
-        std::hint::black_box(sink.load(std::sync::atomic::Ordering::Relaxed));
-    }
-    let (scoped_ns, persistent_ns) = (medians[0], medians[1]);
-    println!(
-        "engine/pool_batch_overhead_64jobs          scoped {:>10}   persistent {:>10}",
-        fmt_time(scoped_ns / 1e9),
-        fmt_time(persistent_ns / 1e9),
-    );
-    // The real gap is ~5-10x (thread spawn/join syscalls vs a channel
-    // send), so require persistent to undercut scoped by at least 1.5x —
-    // strictly below scoped as the acceptance criterion demands, with the
-    // jitter headroom taken out of the large real margin rather than
-    // granted on top of it.
-    assert!(
-        persistent_ns * 1.5 < scoped_ns,
-        "persistent-pool batch overhead ({persistent_ns:.0} ns) must undercut \
-         scoped-spawn overhead ({scoped_ns:.0} ns) by at least 1.5x"
-    );
-    (scoped_ns, persistent_ns)
-}
-
-/// Measures the per-evaluation key-build cost on the incremental path:
-/// folding a resnet50 partition's precomputed subgraph fingerprints into a
-/// partition-level `EvalKey` (what every cache probe pays per evaluation —
-/// no allocation, no member walk). Returns the median in nanoseconds.
-fn key_build_bench() -> f64 {
+/// Measures the per-evaluation key-build cost: folding a resnet50
+/// partition's precomputed subgraph fingerprints into a partition-level
+/// `EvalKey` (what every cache probe pays per evaluation — no allocation,
+/// no member walk).
+fn key_build_bench() {
     let model = cocco::graph::models::resnet50();
     let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
     let partition = repair(&model, Partition::depth_groups(&model, 5), &|_| true);
@@ -1055,236 +351,13 @@ fn key_build_bench() -> f64 {
                 EvalOptions::default(),
             ));
         }
-        samples.push(start.elapsed().as_secs_f64() * 1e9 / 4096.0);
+        samples.push(start.elapsed().as_secs_f64() / 4096.0);
     }
     samples.sort_by(f64::total_cmp);
-    let median = samples[samples.len() / 2];
     println!(
         "engine/eval_key_build_resnet50_depth5      {:>12} (zero allocations)",
-        fmt_time(median / 1e9)
+        fmt_time(samples[samples.len() / 2])
     );
-    median
-}
-
-/// Cache-capacity sweep: the same seeded GA under shrinking entry budgets.
-/// Results must stay bit-identical to the unbounded run; what changes is
-/// eviction pressure (recorded per capacity).
-fn capacity_sweep(threads: u32) -> serde_json::Value {
-    let model = cocco::graph::models::resnet50();
-    let (budget, population) = (1_500, 60);
-    println!("\n== cache-capacity sweep: GA on resnet50, budget {budget} ==\n");
-    let (_, reference_cost, reference_best, _) = ga_run(
-        &model,
-        budget,
-        population,
-        EngineConfig::with_threads(threads),
-        None,
-    );
-    let mut rows = Vec::new();
-    for capacity in [usize::MAX, 16_384, 2_048, 256] {
-        let config = EngineConfig::with_threads(threads).with_cache_capacity(capacity);
-        let (wall, cost, best, stats) = ga_run(&model, budget, population, config, None);
-        assert_eq!(
-            cost, reference_cost,
-            "capacity {capacity}: eviction changed the best cost"
-        );
-        assert_eq!(
-            best, reference_best,
-            "capacity {capacity}: eviction changed the best genome"
-        );
-        let entries = stats.cache_entries + stats.subgraph_entries;
-        if capacity != usize::MAX {
-            assert!(
-                entries <= capacity as u64,
-                "capacity {capacity}: {entries} entries exceed the budget"
-            );
-        }
-        println!(
-            "capacity {:>10} : {:>10}  ({} entries, {} evicted, {:.0}% hits)",
-            if capacity == usize::MAX {
-                "unbounded".to_string()
-            } else {
-                capacity.to_string()
-            },
-            fmt_time(wall.as_secs_f64()),
-            entries,
-            stats.evictions(),
-            stats.hit_rate() * 100.0,
-        );
-        rows.push(serde_json::Value::Object(vec![
-            (
-                "capacity".to_string(),
-                serde_json::to_value(&(capacity.min(u64::MAX as usize) as u64)),
-            ),
-            (
-                "wall_ms".to_string(),
-                serde_json::to_value(&(wall.as_secs_f64() * 1e3)),
-            ),
-            ("entries".to_string(), serde_json::to_value(&entries)),
-            (
-                "evictions".to_string(),
-                serde_json::to_value(&stats.evictions()),
-            ),
-        ]));
-    }
-    println!("results              : bit-identical across every capacity ✓");
-    serde_json::Value::Array(rows)
-}
-
-/// The scale-out grid: the same seeded GA across {1, n} worker threads ×
-/// every contention-free layer ({prefilter, L0, adaptive} on/off, plus
-/// all-off), recording per cell the wall time, the number of jobs the
-/// pool actually dispatched, the chunk/inline scheduling counters and
-/// the worker-local L0 hit rate. Asserts bit-identical results (cost,
-/// genome, trace) across every cell, that the warm prefiltered arm
-/// dispatches **strictly fewer** pool jobs than it scores candidates,
-/// and that its L0 caches absorb probes (`l0_hits > 0`). Returns the
-/// JSON rows for the summary.
-fn scaleout_bench(smoke: bool, threads: u32, chunk: ChunkSize) -> serde_json::Value {
-    let model = cocco::graph::models::resnet50();
-    let (budget, population) = if smoke { (600, 50) } else { (1_500, 60) };
-    println!(
-        "\n== scale-out: GA on {} ({} nodes), budget {budget}, {{prefilter,l0,adaptive}} grid ==\n",
-        model.name(),
-        model.len()
-    );
-    type Shape = fn(EngineConfig) -> EngineConfig;
-    let arms: [(&str, Shape); 5] = [
-        ("all-on", |c| c),
-        ("no-prefilter", |c| c.without_prefilter()),
-        ("no-l0", |c| c.without_l0()),
-        ("no-adaptive", |c| c.with_parallel_threshold(0)),
-        ("all-off", |c| {
-            c.without_prefilter()
-                .without_l0()
-                .with_parallel_threshold(0)
-        }),
-    ];
-    let run_cell = |t: u32, shape: Shape| {
-        let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
-        let ctx = SearchContext::new(
-            &model,
-            &evaluator,
-            BufferSpace::paper_shared(),
-            Objective::paper_energy_capacity(),
-            budget,
-        )
-        .with_engine(shape(EngineConfig::with_threads(t).with_chunk(chunk)));
-        let ga = CoccoGa::default().with_population(population).with_seed(42);
-        let start = Stopwatch::start();
-        let outcome = ga.run(&ctx);
-        let wall = start.elapsed();
-        let metrics = ctx.engine().metrics();
-        let stats = ctx.engine().stats();
-        let trace = ctx.trace().points();
-        (
-            wall,
-            outcome.best_cost,
-            outcome.best,
-            trace,
-            metrics,
-            stats,
-            evaluator.stats_lock_waits(),
-        )
-    };
-    let mut reference: Option<(f64, Option<Genome>, Vec<TracePoint>)> = None;
-    let mut rows = Vec::new();
-    for t in [1u32, threads.max(2)] {
-        for (arm, shape) in arms {
-            let (wall, cost, best, trace, metrics, stats, lock_waits) = run_cell(t, shape);
-            let cell = format!("{arm}, {t} threads");
-            match &reference {
-                Some((ref_cost, ref_best, ref_trace)) => {
-                    assert_eq!(
-                        *ref_cost, cost,
-                        "scale-out determinism violated: cost ({cell})"
-                    );
-                    assert_eq!(
-                        *ref_best, best,
-                        "scale-out determinism violated: genome ({cell})"
-                    );
-                    assert_eq!(
-                        *ref_trace, trace,
-                        "scale-out determinism violated: trace ({cell})"
-                    );
-                }
-                None => reference = Some((cost, best, trace)),
-            }
-            let dispatched = metrics.counter("engine.pool.dispatched");
-            let l0_hits = metrics.counter("engine.cache.l0_hits");
-            let shared_hits = stats.cache_hits + stats.subgraph_hits;
-            let l0_hit_rate = if shared_hits == 0 {
-                0.0
-            } else {
-                l0_hits as f64 / shared_hits as f64
-            };
-            if arm == "all-on" {
-                // The whole point of the prefilter: warmed candidates are
-                // answered serially from the cache and never reach the
-                // pool, so the dispatched-job count must undercut the
-                // candidate count.
-                assert!(
-                    dispatched < stats.evals,
-                    "{cell}: prefiltered dispatch must send strictly fewer jobs \
-                     than candidates on a warm run ({dispatched} jobs vs {} candidates)",
-                    stats.evals,
-                );
-                assert!(
-                    l0_hits > 0,
-                    "{cell}: the worker-local L0 caches never absorbed a probe"
-                );
-            }
-            println!(
-                "{arm:<12} ({t} thr) : {:>10}  ({dispatched}/{} jobs dispatched, \
-                 {} chunks, {} inline, L0 {:.0}% of hits, {lock_waits} lock waits)",
-                fmt_time(wall.as_secs_f64()),
-                stats.evals,
-                metrics.counter("engine.pool.chunks"),
-                metrics.counter("engine.pool.inline_batches"),
-                l0_hit_rate * 100.0,
-            );
-            rows.push(serde_json::Value::Object(vec![
-                ("arm".to_string(), serde_json::to_value(&arm)),
-                ("threads".to_string(), serde_json::to_value(&u64::from(t))),
-                (
-                    "wall_ms".to_string(),
-                    serde_json::to_value(&(wall.as_secs_f64() * 1e3)),
-                ),
-                ("candidates".to_string(), serde_json::to_value(&stats.evals)),
-                (
-                    "dispatched_jobs".to_string(),
-                    serde_json::to_value(&dispatched),
-                ),
-                (
-                    "chunks".to_string(),
-                    serde_json::to_value(&metrics.counter("engine.pool.chunks")),
-                ),
-                (
-                    "inline_batches".to_string(),
-                    serde_json::to_value(&metrics.counter("engine.pool.inline_batches")),
-                ),
-                ("l0_hits".to_string(), serde_json::to_value(&l0_hits)),
-                (
-                    "l0_publishes".to_string(),
-                    serde_json::to_value(&metrics.counter("engine.cache.l0_publishes")),
-                ),
-                (
-                    "l0_hit_rate".to_string(),
-                    serde_json::to_value(&l0_hit_rate),
-                ),
-                (
-                    "stats_lock_waits".to_string(),
-                    serde_json::to_value(&lock_waits),
-                ),
-            ]));
-        }
-    }
-    println!(
-        "results              : bit-identical across {{1,{}}} threads × \
-         {{prefilter,l0,adaptive}} on/off ✓ (warm dispatch < candidates)",
-        threads.max(2)
-    );
-    serde_json::Value::Array(rows)
 }
 
 fn full_suite() {
@@ -1355,6 +428,7 @@ fn full_suite() {
                 .run(&ctx)
         });
     }
+    key_build_bench();
 }
 
 /// Stepped-vs-monolithic parity: the same seeded GA through `run()` (now a
@@ -1409,36 +483,33 @@ fn stepped_parity_check(threads: u32) {
     let stepped = run_driver(&mut *driver, &ctx);
     assert_eq!(
         monolithic.best_cost, stepped.best_cost,
-        "stepped-vs-monolithic parity violated: best cost"
+        "stepped parity: cost"
     );
-    assert_eq!(
-        monolithic.best, stepped.best,
-        "stepped-vs-monolithic parity violated: best genome"
-    );
+    assert_eq!(monolithic.best, stepped.best, "stepped parity: genome");
     assert_eq!(
         monolithic.samples, stepped.samples,
-        "stepped-vs-monolithic parity violated: samples"
+        "stepped parity: samples"
     );
     assert_eq!(
         monolithic_trace,
         ctx.trace().points(),
-        "stepped-vs-monolithic parity violated: trace"
+        "stepped parity: trace"
     );
     println!("stepped parity       : run() == stepped+JSON-resumed GA ✓ ({threads} threads)");
 }
 
 /// One timed two-step run (interleaved or sequential) with a fresh
 /// evaluator, so the evaluator's per-subgraph stats cache measures only
-/// this arm. Returns wall time, the outcome, the evaluator stats-cache hit
-/// rate (the cross-candidate reuse channel: statistics are
+/// this arm. Returns wall time, the best cost, the evaluator stats-cache
+/// hit rate (the cross-candidate reuse channel: statistics are
 /// buffer-independent, so elite partitions migrating between capacity
-/// candidates hit it) and the engine stats.
+/// candidates hit it) and the number of fresh derivations.
 fn twostep_run(
     model: &Graph,
     budget: u64,
     interleave: bool,
     threads: u32,
-) -> (Duration, f64, f64, u64, EngineStats) {
+) -> (Duration, f64, f64, u64) {
     let evaluator = Evaluator::new(model, AcceleratorConfig::default());
     let ctx = SearchContext::new(
         model,
@@ -1473,7 +544,6 @@ fn twostep_run(
         outcome.best_cost,
         evaluator.stats_cache_hit_rate(),
         evaluator.stats_cache_misses(),
-        ctx.engine().stats(),
     )
 }
 
@@ -1481,103 +551,47 @@ fn twostep_run(
 /// candidate count, same seeds. The interleaved scheme batches all inner
 /// GAs into shared engine dispatches and migrates elites across capacity
 /// candidates, so its cross-candidate subgraph (stats-cache) hit rate must
-/// be **strictly higher** than the sequential baseline's. Returns the JSON
-/// summary fields.
-fn twostep_bench(smoke: bool, threads: u32) -> serde_json::Value {
+/// be **strictly higher** than the sequential baseline's, with no more
+/// distinct derivations.
+fn twostep_bench(smoke: bool, threads: u32) {
     let model = cocco::graph::models::resnet50();
     let budget = if smoke { 600 } else { 2_000 };
-    let (seq_wall, seq_cost, seq_hit_rate, seq_misses, seq_stats) =
-        twostep_run(&model, budget, false, threads);
-    let (int_wall, int_cost, int_hit_rate, int_misses, int_stats) =
-        twostep_run(&model, budget, true, threads);
-    assert!(seq_cost.is_finite() && int_cost.is_finite());
+    let sequential = twostep_run(&model, budget, false, threads);
+    let interleaved = twostep_run(&model, budget, true, threads);
+    assert!(sequential.1.is_finite() && interleaved.1.is_finite());
     assert!(
-        int_hit_rate > seq_hit_rate,
+        interleaved.2 > sequential.2,
         "interleaved two-step must show a strictly higher cross-candidate subgraph hit rate \
          than the sequential baseline (interleaved {:.6} vs sequential {:.6})",
-        int_hit_rate,
-        seq_hit_rate,
+        interleaved.2,
+        sequential.2,
     );
     assert!(
-        int_misses <= seq_misses,
+        interleaved.3 <= sequential.3,
         "interleaved two-step must not derive more distinct subgraph statistics \
-         ({int_misses} vs sequential {seq_misses})"
+         ({} vs sequential {})",
+        interleaved.3,
+        sequential.3,
     );
-    println!(
-        "two-step sequential  : {:>10}  (stats-cache hit rate {:.2}%, {} derivations, cost {:.4e})",
-        fmt_time(seq_wall.as_secs_f64()),
-        seq_hit_rate * 100.0,
-        seq_misses,
-        seq_cost,
-    );
-    println!(
-        "two-step interleaved : {:>10}  (stats-cache hit rate {:.2}%, {} derivations, cost {:.4e})",
-        fmt_time(int_wall.as_secs_f64()),
-        int_hit_rate * 100.0,
-        int_misses,
-        int_cost,
-    );
-    println!(
-        "cross-candidate reuse: interleaved +{:.2} pp subgraph-stats hit rate, {} fewer \
-         derivations than sequential ✓",
-        (int_hit_rate - seq_hit_rate) * 100.0,
-        seq_misses - int_misses,
-    );
-    serde_json::Value::Object(vec![
-        ("budget".to_string(), serde_json::to_value(&budget)),
-        (
-            "sequential_ms".to_string(),
-            serde_json::to_value(&(seq_wall.as_secs_f64() * 1e3)),
-        ),
-        (
-            "interleaved_ms".to_string(),
-            serde_json::to_value(&(int_wall.as_secs_f64() * 1e3)),
-        ),
-        (
-            "sequential_cost".to_string(),
-            serde_json::to_value(&seq_cost),
-        ),
-        (
-            "interleaved_cost".to_string(),
-            serde_json::to_value(&int_cost),
-        ),
-        (
-            "sequential_stats_hit_rate".to_string(),
-            serde_json::to_value(&seq_hit_rate),
-        ),
-        (
-            "interleaved_stats_hit_rate".to_string(),
-            serde_json::to_value(&int_hit_rate),
-        ),
-        (
-            "sequential_stats_misses".to_string(),
-            serde_json::to_value(&seq_misses),
-        ),
-        (
-            "interleaved_stats_misses".to_string(),
-            serde_json::to_value(&int_misses),
-        ),
-        (
-            "sequential_engine_hit_rate".to_string(),
-            serde_json::to_value(&seq_stats.hit_rate()),
-        ),
-        (
-            "interleaved_engine_hit_rate".to_string(),
-            serde_json::to_value(&int_stats.hit_rate()),
-        ),
-    ])
+    for (arm, (wall, cost, hit_rate, misses)) in
+        [("sequential", sequential), ("interleaved", interleaved)]
+    {
+        println!(
+            "two-step {arm:<11} : {:>10}  (stats-cache hit rate {:.2}%, {misses} derivations, \
+             cost {cost:.4e})",
+            fmt_time(wall.as_secs_f64()),
+            hit_rate * 100.0,
+        );
+    }
 }
 
 /// Bounds what telemetry may cost on the engine's hottest leaf: a warmed
 /// `score_single` cache hit (tens of nanoseconds). Probes the same cached
 /// subgraph 20 000 times through a disabled handle and through a live
-/// sink — with the worker-local L0 cache answering the probe (the
-/// default) and with L0 off so the probe falls through to the shared
-/// shards. Every arm must stay under the same generous 5 µs/probe
-/// ceiling, which catches a regression that puts a clock read, lock
-/// round-trip or allocation onto the cached path. The cached leaf must
-/// also stay silent: after every probe the live sink's event buffer is
-/// still empty.
+/// sink; both must stay under the same generous 5 µs/probe ceiling, which
+/// catches a regression that puts a clock read, lock round-trip or
+/// allocation onto the cached path. The cached leaf must also stay silent:
+/// after every probe the live sink's event buffer is still empty.
 fn telemetry_overhead_check() {
     let model = cocco::graph::models::resnet50();
     let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
@@ -1586,16 +600,11 @@ fn telemetry_overhead_check() {
     const PROBES: u32 = 20_000;
     const CEILING_NS: f64 = 5_000.0;
     println!();
-    for (arm, telemetry, config) in [
-        ("disabled", Telemetry::disabled(), EngineConfig::serial()),
-        ("enabled", Telemetry::enabled(), EngineConfig::serial()),
-        (
-            "enabled-no-l0",
-            Telemetry::enabled(),
-            EngineConfig::serial().without_l0(),
-        ),
+    for (arm, telemetry) in [
+        ("disabled", Telemetry::disabled()),
+        ("enabled", Telemetry::enabled()),
     ] {
-        let engine = cocco::engine::Engine::with_telemetry(config, telemetry.clone());
+        let engine = Engine::with_telemetry(EngineConfig::serial(), telemetry.clone());
         // Warm the subgraph-term cache so every timed probe is a hit.
         engine.score_single(&evaluator, &members, &buffer, EvalOptions::default());
         let start = Stopwatch::start();
@@ -1618,56 +627,12 @@ fn telemetry_overhead_check() {
             telemetry.events().is_empty(),
             "telemetry ({arm}): the cached score_single leaf must emit no events"
         );
-        // Prove the timed probes exercised the path the arm claims: with
-        // L0 on, every post-warm probe is an L0 hit; with it off, none is.
-        let l0_hits = engine.metrics().counter("engine.cache.l0_hits");
-        if config.l0 {
-            assert_eq!(
-                l0_hits,
-                u64::from(PROBES),
-                "telemetry ({arm}): warmed probes must all be L0 hits"
-            );
-        } else {
-            assert_eq!(
-                l0_hits, 0,
-                "telemetry ({arm}): the L0-off arm must never touch an L0 cache"
-            );
-        }
         println!(
             "telemetry/cached_leaf_{arm:<13}         {:>12} per probe (< {} ceiling)",
             fmt_time(per_probe_ns / 1e9),
             fmt_time(CEILING_NS / 1e9),
         );
     }
-}
-
-/// One seeded facade exploration with a live sink, reported as the
-/// per-phase wall profile (setup / search / eval / cache / serialize).
-/// Eval is nested inside search, so it can never exceed it. Returns the
-/// phase snapshot as JSON for the summary.
-fn phase_profile_bench(threads: u32) -> serde_json::Value {
-    let model = cocco::graph::models::resnet50();
-    let telemetry = Telemetry::enabled();
-    Cocco::new()
-        .with_method(SearchMethod::ga())
-        .with_budget(1_500)
-        .with_seed(7)
-        .with_engine(EngineConfig::with_threads(threads))
-        .with_telemetry(telemetry.clone())
-        .explore(&model)
-        .expect("exploration succeeds");
-    let phases = telemetry.phases();
-    println!("\n== phase profile: GA on resnet50, budget 1500, {threads} threads ==\n");
-    for (name, ms) in phases.rows() {
-        println!("phase/{name:<36} {:>12}", fmt_time(ms / 1e3));
-    }
-    assert!(
-        phases.eval_ms <= phases.search_ms,
-        "phase accounting violated: eval ({:.1} ms) is nested inside search ({:.1} ms)",
-        phases.eval_ms,
-        phases.search_ms,
-    );
-    serde_json::to_value(&phases)
 }
 
 /// Runs the workspace determinism audit in-process and prints its wall
@@ -1693,39 +658,9 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let mut smoke = false;
     let mut threads: u32 = 4;
-    let mut pool = PoolMode::Persistent;
-    let mut arena = true;
-    let mut chunk = ChunkSize::Auto;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--chunk" => {
-                let value = args.next().unwrap_or_else(|| {
-                    eprintln!("--chunk needs a value (<n> | auto)");
-                    std::process::exit(2);
-                });
-                chunk = match value.as_str() {
-                    "auto" => ChunkSize::Auto,
-                    n => ChunkSize::Fixed(n.parse().unwrap_or_else(|e| {
-                        eprintln!("bad --chunk `{n}`: {e} (<n> | auto)");
-                        std::process::exit(2);
-                    })),
-                };
-            }
-            "--arena" => {
-                let value = args.next().unwrap_or_else(|| {
-                    eprintln!("--arena needs a value (on | off)");
-                    std::process::exit(2);
-                });
-                arena = match value.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    bad => {
-                        eprintln!("bad --arena `{bad}` (on | off)");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--threads" => {
                 let value = args.next().unwrap_or_else(|| {
                     eprintln!("--threads needs a value");
@@ -1736,26 +671,8 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--pool" => {
-                let value = args.next().unwrap_or_else(|| {
-                    eprintln!("--pool needs a value (scoped | persistent)");
-                    std::process::exit(2);
-                });
-                pool = match value.as_str() {
-                    "scoped" => PoolMode::Scoped,
-                    "persistent" => PoolMode::Persistent,
-                    bad => {
-                        eprintln!("bad --pool `{bad}` (scoped | persistent)");
-                        std::process::exit(2);
-                    }
-                };
-            }
             bad => {
-                eprintln!(
-                    "unknown argument `{bad}` \
-                     (supported: --smoke, --threads <n>, --pool scoped|persistent, \
-                      --arena on|off, --chunk <n>|auto)"
-                );
+                eprintln!("unknown argument `{bad}` (supported: --smoke, --threads <n>)");
                 std::process::exit(2);
             }
         }
@@ -1763,17 +680,8 @@ fn main() {
     let threads = threads.max(1);
 
     if smoke {
-        // CI smoke: exercise the incremental delta path, both pool
-        // lifecycles, the zero-key-allocation invariant, the determinism
-        // invariant, the fault-injection matrix, stepped-vs-monolithic
-        // parity (driver + JSON-resume) and the interleaved-vs-sequential
-        // two-step arm at the requested worker count; skip the slow
-        // timing loops.
-        engine_bench(true, threads, pool, arena, chunk);
-        arena_bench(true, threads);
-        scaleout_bench(true, threads, chunk);
+        engine_bench(true, threads);
         println!();
-        arena_matrix_check();
         fault_matrix_check(threads);
         stepped_parity_check(threads);
         twostep_bench(true, threads);
@@ -1786,38 +694,7 @@ fn main() {
     full_suite();
     println!();
     stepped_parity_check(threads);
-    let key_build_ns = key_build_bench();
-    let (scoped_overhead_ns, persistent_overhead_ns) = pool_overhead_bench(threads);
-    let mut doc = match engine_bench(false, threads, pool, arena, chunk) {
-        serde_json::Value::Object(fields) => fields,
-        _ => unreachable!("engine_bench returns an object"),
-    };
-    doc.push(("arena".to_string(), arena_bench(false, threads)));
-    doc.push((
-        "scaleout".to_string(),
-        scaleout_bench(false, threads, chunk),
-    ));
-    doc.push(("twostep".to_string(), twostep_bench(false, threads)));
-    doc.push((
-        "key_build_ns".to_string(),
-        serde_json::to_value(&key_build_ns),
-    ));
-    doc.push((
-        "pool_batch_overhead_scoped_ns".to_string(),
-        serde_json::to_value(&scoped_overhead_ns),
-    ));
-    doc.push((
-        "pool_batch_overhead_persistent_ns".to_string(),
-        serde_json::to_value(&persistent_overhead_ns),
-    ));
-    doc.push(("capacity_sweep".to_string(), capacity_sweep(threads)));
-    doc.push(("phases".to_string(), phase_profile_bench(threads)));
+    engine_bench(false, threads);
+    twostep_bench(false, threads);
     telemetry_overhead_check();
-    let doc = serde_json::Value::Object(doc);
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json");
-    let text = serde_json::to_string_pretty(&doc).expect("summary serializes");
-    match std::fs::write(&path, format!("{text}\n")) {
-        Ok(()) => println!("\n(engine summary written to {})", path.display()),
-        Err(e) => eprintln!("\n(could not write {}: {e})", path.display()),
-    }
 }

@@ -16,9 +16,8 @@
 //! | `fig14_alpha` | Fig. 14 — α sensitivity |
 //! | `table3_multicore` | Table 3 — cores × batch |
 //!
-//! The `micro` binary (`src/bin/micro.rs`) times the hot paths and runs
-//! the engine's serial-vs-parallel comparison (writing `BENCH_engine.json`
-//! at the repository root); CI exercises it with
+//! The `micro` binary (`src/bin/micro.rs`) times the hot paths and holds
+//! the engine smoke checks; CI runs them with
 //! `cargo run --release -p cocco-bench --bin micro -- --smoke`.
 //!
 //! Budgets are scaled down by default so `cargo bench` finishes quickly;

@@ -71,9 +71,6 @@ fn usage() -> String {
            --batch <n>        batch size (default 1)\n\
            --threads <n>      evaluation worker threads, or `auto` (default auto);\n\
                               results are identical at any thread count\n\
-           --pool <mode>      worker-pool lifecycle: persistent (default) keeps\n\
-                              threads alive across batches, scoped re-spawns per\n\
-                              batch; results are identical either way\n\
            --chunk <n|auto>   jobs handed to a worker per pool dispatch (default\n\
                               auto: batch size / (threads * 4)); results are\n\
                               identical at any chunk size\n\
@@ -136,7 +133,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
     };
     let mut cores: u32 = 1;
     let mut batch: u32 = 1;
-    let mut pool: Option<PoolMode> = None;
     let mut chunk: Option<ChunkSize> = None;
     let mut cache_capacity: Option<usize> = None;
     let mut portfolio: Option<Vec<SearchMethod>> = None;
@@ -218,13 +214,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
                     other => return Err(format!("unknown metric `{other}`")),
                 };
             }
-            "--pool" => {
-                pool = Some(match next_value(&mut argv, "--pool")?.as_str() {
-                    "persistent" => PoolMode::Persistent,
-                    "scoped" => PoolMode::Scoped,
-                    other => return Err(format!("unknown pool mode `{other}`")),
-                });
-            }
             "--chunk" => {
                 chunk = Some(match next_value(&mut argv, "--chunk")?.as_str() {
                     "auto" => ChunkSize::Auto,
@@ -265,9 +254,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
     }
     args.options =
         EvalOptions::new(cores, batch).map_err(|e| format!("bad --cores/--batch: {e}"))?;
-    if let Some(mode) = pool {
-        args.threads = args.threads.with_pool(mode);
-    }
     if let Some(size) = chunk {
         args.threads = args.threads.with_chunk(size);
     }
@@ -325,6 +311,32 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
+/// Bytes, human-scaled (binary units).
+fn fmt_bytes(bytes: f64) -> String {
+    const KIB: f64 = 1024.0;
+    if bytes >= KIB * KIB * KIB {
+        format!("{:.2}GiB", bytes / (KIB * KIB * KIB))
+    } else if bytes >= KIB * KIB {
+        format!("{:.2}MiB", bytes / (KIB * KIB))
+    } else if bytes >= KIB {
+        format!("{:.1}KiB", bytes / KIB)
+    } else {
+        format!("{bytes:.0}B")
+    }
+}
+
+/// A histogram value in the unit its metric name ends with: `_ns` as a
+/// time, `_bytes` as a size, anything else as a plain number.
+fn fmt_metric(name: &str, value: f64) -> String {
+    if name.ends_with("_ns") {
+        fmt_ns(value)
+    } else if name.ends_with("_bytes") {
+        fmt_bytes(value)
+    } else {
+        format!("{value:.0}")
+    }
+}
+
 /// The `--telemetry-report` summary table.
 fn telemetry_report(telemetry: &Telemetry) -> String {
     use std::fmt::Write as _;
@@ -356,9 +368,9 @@ fn telemetry_report(telemetry: &Telemetry) -> String {
                 "    {:<34} {:>6} {:>9} {:>9} {:>9}",
                 h.name,
                 h.count,
-                fmt_ns(h.p50() as f64),
-                fmt_ns(h.p90() as f64),
-                fmt_ns(h.p99() as f64),
+                fmt_metric(&h.name, h.p50() as f64),
+                fmt_metric(&h.name, h.p90() as f64),
+                fmt_metric(&h.name, h.p99() as f64),
             );
         }
     }

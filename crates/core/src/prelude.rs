@@ -13,7 +13,7 @@
 pub use crate::error::{CoccoError, Error, SalvagedBest};
 pub use crate::framework::{Cocco, Exploration};
 pub use cocco_engine::{
-    CacheSnapshot, ChunkSize, Engine, EngineConfig, EngineStats, EvalMemo, PoolMode, SampleBudget,
+    CacheSnapshot, ChunkSize, Engine, EngineConfig, EngineStats, EvalMemo, SampleBudget,
     SampleReservation, ScoredEval, SubgraphScore, ThreadCount,
 };
 pub use cocco_faults::{FaultPlan, FaultRates, FaultSchedule, FaultSite, HealthReport};

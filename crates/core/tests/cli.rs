@@ -149,3 +149,34 @@ fn unknown_model_reports_the_unified_error() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("unknown model `alexnet`"), "{stderr}");
 }
+
+#[test]
+fn telemetry_report_prints_byte_histograms_in_bytes() {
+    let out = explore(&[
+        "googlenet",
+        "--budget",
+        "60",
+        "--threads",
+        "2",
+        "--telemetry-report",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let row = stdout
+        .lines()
+        .find(|line| line.trim_start().starts_with("engine.batch.alloc_bytes"))
+        .unwrap_or_else(|| panic!("no alloc_bytes row in:\n{stdout}"));
+    // name, count, then p50/p90/p99 — each with a byte unit.
+    let percentiles: Vec<&str> = row.split_whitespace().skip(2).collect();
+    assert_eq!(percentiles.len(), 3, "{row}");
+    for value in percentiles {
+        assert!(
+            value.ends_with('B'),
+            "percentile `{value}` lacks a byte unit: {row}"
+        );
+    }
+}

@@ -1,28 +1,30 @@
 //! Per-worker evaluation scratch: the reusable buffers that make a warmed
-//! scoring dispatch allocation-free.
+//! scoring dispatch allocation-free, plus the cache entries a batch job
+//! computed and has not published yet.
 //!
-//! Every public scoring entry point claims one [`EvalArena`] slot from the
-//! engine's [`ScratchPool`] for the duration of the call. A slot bundles
-//! the flat [`LayoutArena`] a candidate partition is materialized into,
-//! the struct-of-arrays [`SubgraphColumns`] the batch scorer writes, and
-//! the fixed-size composition vectors of the incremental path — all
-//! cleared (capacity kept) between uses and grown monotonically, so the
-//! steady state touches the allocator only for values that escape into
-//! long-lived structures (memo entries, fingerprints, cache inserts).
+//! Every scoring entry point that materializes a partition claims one
+//! [`EvalArena`] slot from the engine's [`ScratchPool`] for the duration of
+//! the call. A slot bundles the flat [`LayoutArena`] a candidate partition
+//! is materialized into, the fixed-size composition vectors of the
+//! incremental path and the [`Staged`] entries awaiting the batch-end
+//! publication — all cleared (capacity kept) between uses and grown
+//! monotonically, so the steady state touches the allocator only for
+//! values that escape into long-lived structures (memo entries,
+//! fingerprints, cache inserts).
 //!
 //! Slots never affect results: scratch contents are fully overwritten
-//! before each read, and which slot a call claims is invisible to the
-//! score. Claiming spins over `try_lock` — with one more slot than worker
-//! threads and the single-claim discipline (only public entry points
-//! claim; internal helpers receive the scratch by reference), a free slot
-//! always exists, so the spin terminates immediately in practice.
+//! before each read, staged entries are published in funding order no
+//! matter which slot holds them, and which slot a call claims is invisible
+//! to the score. Claiming spins over `try_lock` — with one more slot than
+//! worker threads and the single-claim discipline (only public entry
+//! points claim; internal helpers receive the scratch by reference), a
+//! free slot always exists, so the spin terminates immediately in
+//! practice.
 
 use crate::cache::EvalKey;
 use crate::engine::{EvalMemo, MemoEntry, ScoredEval, SubgraphScore};
-use cocco_graph::BuildFpHasher;
 use cocco_partition::LayoutArena;
-use cocco_sim::{SubgraphColumns, SubgraphStats};
-use std::collections::HashMap;
+use cocco_sim::SubgraphStats;
 use std::mem::size_of;
 use std::sync::{Arc, Mutex};
 
@@ -33,112 +35,31 @@ pub(crate) type PendingPartition = (u64, EvalKey, ScoredEval, Option<Arc<EvalMem
 /// A subgraph term staged for funding-order publication.
 pub(crate) type PendingSubgraph = (u64, EvalKey, SubgraphScore);
 
-/// Worker-local L0 cache: the lock-free front of the cache hierarchy.
+/// Cache entries computed inside batch jobs and not yet published.
 ///
-/// Each scratch slot owns one. Because a slot is exclusively held for the
-/// duration of a scoring call, probes and inserts here pay no shard lock
-/// and no atomic counter — just one identity-hashed `HashMap` lookup.
-/// Entries are pure functions of their [`EvalKey`]s, so an L0 hit is
-/// bit-identical to the shared-cache (or recomputed) value; the L0 can
-/// therefore never change a result, only skip contention.
-///
-/// Freshly computed values are *staged* rather than written straight to
-/// the shared cache: `pending_*` queues carry them (tagged with the
-/// funding-order sequence number of the job that computed them) until the
-/// engine drains every slot at the batch-end quiescent point and inserts
-/// them in ascending sequence order — making the shared cache's insertion
-/// history independent of thread count and slot assignment.
-///
-/// The maps never leak iteration order: they are probed by key and, on
-/// overflow, cleared wholesale (capacity kept), so determinism rule D1 is
-/// satisfied structurally.
+/// Batch jobs never write the shared cache: each stages its new entries
+/// here, tagged with the funding-order sequence number of the job that
+/// computed them, and the engine publishes every slot's entries in
+/// sequence order once the batch has finished. Every job therefore sees
+/// exactly the cache state from before its batch, so the shared cache's
+/// contents, its counters and its insertion history are independent of
+/// thread count, chunking and slot assignment.
 #[derive(Debug, Default)]
-pub(crate) struct L0Cache {
-    partition: HashMap<EvalKey, (ScoredEval, Option<Arc<EvalMemo>>), BuildFpHasher>,
-    subgraph: HashMap<EvalKey, SubgraphScore, BuildFpHasher>,
-    pending_partition: Vec<PendingPartition>,
-    pending_subgraph: Vec<PendingSubgraph>,
+pub(crate) struct Staged {
+    pub partitions: Vec<PendingPartition>,
+    pub subgraphs: Vec<PendingSubgraph>,
 }
 
-impl L0Cache {
-    /// Partition-rollup entries kept per slot. Roll-ups carry memos
-    /// (kilobytes each on large models), so the local copy stays small;
-    /// repeat probes within a few batches are what it exists to absorb.
-    const PARTITION_CAP: usize = 256;
-
-    /// Subgraph-term entries kept per slot (a few dozen bytes each).
-    const SUBGRAPH_CAP: usize = 2048;
-
-    /// Lock-free partition roll-up probe.
-    pub fn get_partition(&self, key: &EvalKey) -> Option<(ScoredEval, Option<Arc<EvalMemo>>)> {
-        self.partition
-            .get(key)
-            .map(|(scored, memo)| (*scored, memo.clone()))
-    }
-
-    /// Read-through population after a shared-cache hit (nothing staged:
-    /// the entry is already published).
-    pub fn put_partition(&mut self, key: EvalKey, scored: ScoredEval, memo: Option<Arc<EvalMemo>>) {
-        if self.partition.len() >= Self::PARTITION_CAP {
-            self.partition.clear();
-        }
-        self.partition.insert(key, (scored, memo));
-    }
-
-    /// Records a freshly computed roll-up locally *and* stages it for the
-    /// batch-end funding-order drain into the shared cache.
-    pub fn stage_partition(
-        &mut self,
-        seq: u64,
-        key: EvalKey,
-        scored: ScoredEval,
-        memo: Option<Arc<EvalMemo>>,
-    ) {
-        self.put_partition(key, scored, memo.clone());
-        self.pending_partition.push((seq, key, scored, memo));
-    }
-
-    /// Lock-free subgraph-term probe.
-    pub fn get_subgraph(&self, key: &EvalKey) -> Option<SubgraphScore> {
-        self.subgraph.get(key).copied()
-    }
-
-    /// Read-through population after a shared-cache subgraph hit.
-    pub fn put_subgraph(&mut self, key: EvalKey, value: SubgraphScore) {
-        if self.subgraph.len() >= Self::SUBGRAPH_CAP {
-            self.subgraph.clear();
-        }
-        self.subgraph.insert(key, value);
-    }
-
-    /// Records a freshly computed term locally and stages it for the
-    /// batch-end drain.
-    pub fn stage_subgraph(&mut self, seq: u64, key: EvalKey, value: SubgraphScore) {
-        self.put_subgraph(key, value);
-        self.pending_subgraph.push((seq, key, value));
-    }
-
-    /// Moves the staged entries out (local lookup maps are kept — they
-    /// remain valid, the entries are now also shared).
-    pub fn take_pending(&mut self) -> (Vec<PendingPartition>, Vec<PendingSubgraph>) {
-        (
-            std::mem::take(&mut self.pending_partition),
-            std::mem::take(&mut self.pending_subgraph),
-        )
-    }
-
-    /// Bytes of heap capacity currently owned by the L0 structures
-    /// (map capacities approximated by entry footprint).
+impl Staged {
+    /// Bytes of heap capacity currently owned by the staging queues.
     fn bytes(&self) -> u64 {
-        (self.partition.capacity() * size_of::<(EvalKey, (ScoredEval, Option<Arc<EvalMemo>>))>()
-            + self.subgraph.capacity() * size_of::<(EvalKey, SubgraphScore)>()
-            + self.pending_partition.capacity() * size_of::<PendingPartition>()
-            + self.pending_subgraph.capacity() * size_of::<PendingSubgraph>()) as u64
+        (self.partitions.capacity() * size_of::<PendingPartition>()
+            + self.subgraphs.capacity() * size_of::<PendingSubgraph>()) as u64
     }
 }
 
 /// The composition scratch of one scoring call: per-position memo copies,
-/// statistics, weight footprints, and the batch scorer's output columns.
+/// statistics and weight footprints.
 #[derive(Debug, Default)]
 pub(crate) struct ComposeScratch {
     /// Memoized entry per clean position (`MemoEntry` is `Copy`, so the
@@ -149,8 +70,6 @@ pub(crate) struct ComposeScratch {
     pub stats_of: Vec<Option<SubgraphStats>>,
     /// Weight footprint per position (drives the `next_wgt` chain).
     pub wgts: Vec<u64>,
-    /// Struct-of-arrays output of the non-incremental batch scorer.
-    pub columns: SubgraphColumns,
 }
 
 impl ComposeScratch {
@@ -159,22 +78,21 @@ impl ComposeScratch {
         (self.entries.capacity() * size_of::<Option<MemoEntry>>()
             + self.stats_of.capacity() * size_of::<Option<SubgraphStats>>()
             + self.wgts.capacity() * size_of::<u64>()) as u64
-            + self.columns.bytes() as u64
     }
 }
 
 /// One reusable scratch slot: a layout arena, per-subgraph dirty flags,
-/// and the composition buffers.
+/// the composition buffers and the staged cache entries.
 #[derive(Debug, Default)]
 pub struct EvalArena {
     /// Flat-layout storage the candidate partition is built into.
     pub(crate) layout: LayoutArena,
     /// Per-subgraph dirty flags projected from a `PartitionDelta`.
     pub(crate) dirty: Vec<bool>,
-    /// Composition scratch of the incremental and batch paths.
+    /// Composition scratch of the incremental path.
     pub(crate) compose: ComposeScratch,
-    /// Worker-local L0 cache probed lock-free before the shared shards.
-    pub(crate) l0: L0Cache,
+    /// Entries the slot's batch jobs computed, awaiting publication.
+    pub(crate) staged: Staged,
 }
 
 impl EvalArena {
@@ -183,7 +101,7 @@ impl EvalArena {
         self.layout.bytes()
             + (self.dirty.capacity() * size_of::<bool>()) as u64
             + self.compose.bytes()
-            + self.l0.bytes()
+            + self.staged.bytes()
     }
 
     /// Layout builds served entirely from existing capacity.
@@ -227,19 +145,21 @@ impl ScratchPool {
         }
     }
 
-    /// Collects every slot's staged cache entries (blocking lock; called
-    /// only at the batch-end quiescent point, after the pool has joined).
-    /// Slots are visited in fixed index order, but the caller re-sorts by
-    /// sequence number anyway, so slot order never reaches the cache.
-    pub fn drain_pending(&self) -> (Vec<PendingPartition>, Vec<PendingSubgraph>) {
-        let mut partitions = Vec::new();
-        let mut subgraphs = Vec::new();
+    /// Moves every slot's staged entries out (blocking lock; called only
+    /// at the batch-end quiescent point, after the pool has joined). The
+    /// staging queues keep their capacity. Slots are visited in index
+    /// order, but the caller sorts the entries anyway, so slot assignment
+    /// never reaches the cache.
+    pub fn take_staged(&self) -> Staged {
+        let mut all = Staged::default();
         for slot in &self.slots {
-            let (p, s) = slot.lock().unwrap().l0.take_pending();
-            partitions.extend(p);
-            subgraphs.extend(s);
+            // A poisoned slot still holds whole entries: a push either
+            // happened or it did not.
+            let mut arena = slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            all.partitions.append(&mut arena.staged.partitions);
+            all.subgraphs.append(&mut arena.staged.subgraphs);
         }
-        (partitions, subgraphs)
+        all
     }
 
     /// Sums `per_slot` over every slot (blocking; used at quiescent

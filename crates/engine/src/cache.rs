@@ -859,28 +859,6 @@ impl EvalCache {
         self.key_allocs.load(Ordering::Relaxed)
     }
 
-    /// Records a per-probe key allocation (tripwire; no current caller).
-    pub fn record_key_alloc(&self) {
-        self.key_allocs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a partition lookup answered by a worker-local L0 cache.
-    ///
-    /// Every L0-resident entry is (or will be, via the batch-end drain)
-    /// also present in this shared cache, so an L0 hit is semantically a
-    /// cache hit; crediting it here keeps `evals = hits + misses`
-    /// invariant regardless of where the probe was satisfied.
-    pub(crate) fn record_l0_partition_hit(&self) {
-        self.partition.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a subgraph-term lookup answered by a worker-local L0 cache
-    /// (same accounting rationale as
-    /// [`record_l0_partition_hit`](Self::record_l0_partition_hit)).
-    pub(crate) fn record_l0_subgraph_hit(&self) {
-        self.subgraph.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A serializable image of both levels (entries sorted by key; memos
     /// are process-local and not persisted).
     pub fn snapshot(&self) -> CacheSnapshot {

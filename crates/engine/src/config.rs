@@ -1,5 +1,5 @@
-//! Engine configuration: worker-thread policy, pool lifecycle, incremental
-//! evaluation and cache bounding.
+//! Engine configuration: worker-thread policy, cache bounding and pool
+//! dispatch granularity.
 
 use serde::{Deserialize, Serialize};
 
@@ -24,45 +24,29 @@ pub enum ChunkSize {
     /// (`ceil(jobs / (threads * 4))` — four claims per worker keep the
     /// tail balanced while collapsing per-candidate claims). The default.
     Auto,
-    /// Exactly this many jobs per chunk (`1` = the per-candidate dispatch
-    /// the chunked path is determinism-tested against).
+    /// Exactly this many jobs per chunk (`1` = one claim per candidate).
     Fixed(u32),
-}
-
-/// Worker-pool lifecycle policy. Results are bit-identical either way —
-/// workers claim batch indices from a shared counter and the caller stores
-/// results per index, so the mode is purely a wall-clock knob.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PoolMode {
-    /// Threads live for the whole engine lifetime (spawned lazily on the
-    /// first parallel batch, joined on drop) and batches are fed through a
-    /// channel — no spawn/join syscalls on the per-generation hot path.
-    /// The default.
-    Persistent,
-    /// One `std::thread::scope` spawn per batch — the reference
-    /// implementation the persistent pool is benchmarked and
-    /// determinism-tested against.
-    Scoped,
 }
 
 /// Configuration of the evaluation engine.
 ///
-/// Results are **identical at any thread count, pool mode and cache
-/// capacity** — the engine assigns budget samples and records trace points
-/// in input order regardless of which worker scores which genome, and
-/// evicted cache entries are recomputed to bit-identical values — so every
-/// knob here is purely about wall-clock and memory.
+/// Results are **identical at any thread count, chunk size, inline
+/// threshold and cache capacity** — the engine assigns budget samples and
+/// records trace points in input order regardless of which worker scores
+/// which genome, publishes a batch's new cache entries in funding order,
+/// and recomputes evicted entries to bit-identical values — so every knob
+/// here is purely about wall-clock and memory.
 ///
 /// # Examples
 ///
 /// ```
-/// use cocco_engine::{EngineConfig, PoolMode};
+/// use cocco_engine::{ChunkSize, EngineConfig};
 ///
 /// assert_eq!(EngineConfig::serial().resolved_threads(), 1);
 /// assert_eq!(EngineConfig::with_threads(4).resolved_threads(), 4);
 /// assert!(EngineConfig::auto().resolved_threads() >= 1);
-/// let scoped = EngineConfig::with_threads(4).with_pool(PoolMode::Scoped);
-/// assert_eq!(scoped.pool, PoolMode::Scoped);
+/// let chunked = EngineConfig::with_threads(4).with_chunk(ChunkSize::Fixed(8));
+/// assert_eq!(chunked.resolved_chunk(100), 8);
 /// let bounded = EngineConfig::auto().with_cache_capacity(10_000);
 /// assert_eq!(bounded.cache_capacity, 10_000);
 /// ```
@@ -70,21 +54,6 @@ pub enum PoolMode {
 pub struct EngineConfig {
     /// Worker-thread policy.
     pub threads: ThreadCount,
-    /// Whether partition scores are composed incrementally from memoized
-    /// per-subgraph terms (`true`, the default) or recomputed whole via
-    /// `Evaluator::eval_partition` on every cache miss (`false` — the
-    /// reference "full" path the incremental one is benchmarked and
-    /// property-tested against). Results are **bit-identical** either way;
-    /// this is purely a wall-clock/bookkeeping knob.
-    pub incremental: bool,
-    /// Worker-pool lifecycle ([`PoolMode::Persistent`] by default).
-    pub pool: PoolMode,
-    /// Whether partition scoring materializes member lists into per-worker
-    /// flat layout arenas (`true`, the default) or into freshly allocated
-    /// `Vec<Vec<NodeId>>`s (`false` — the reference arm the arena path is
-    /// benchmarked and property-tested against). Results are
-    /// **bit-identical** either way; this is purely an allocation knob.
-    pub arena: bool,
     /// Upper bound on cached evaluation entries across the two cache
     /// levels (the memo-carrying partition level's share is additionally
     /// capped — see `EvalCache::with_capacity`). When a level fills up, a
@@ -93,27 +62,11 @@ pub struct EngineConfig {
     /// [`DEFAULT_CACHE_CAPACITY`](Self::DEFAULT_CACHE_CAPACITY) — generous
     /// enough that ordinary explorations never evict.
     pub cache_capacity: usize,
-    /// Whether batch evaluation probes the shared roll-up cache serially
-    /// (in funding order) *before* handing jobs to the pool, so cache hits
-    /// never pay dispatch (`true`, the default). Results are
-    /// **bit-identical** either way; this is purely a dispatch-volume knob
-    /// (`engine.pool.dispatched` counts what still reaches the pool).
-    pub prefilter: bool,
-    /// Whether each scratch slot keeps a small worker-local L0 cache
-    /// (partition roll-ups + subgraph terms, probed lock-free before the
-    /// shared shards; new entries publish to the shared cache in a
-    /// funding-order drain at batch end). `true` by default. Results are
-    /// **bit-identical** either way — L0 entries are copies of (or are
-    /// published into) the shared cache, and every value is a pure
-    /// function of its key.
-    pub l0: bool,
-    /// Batches whose post-prefilter job count falls under this threshold
-    /// execute inline on the dispatching thread instead of paying pool
-    /// hand-off (default
-    /// [`DEFAULT_PARALLEL_THRESHOLD`](Self::DEFAULT_PARALLEL_THRESHOLD),
-    /// calibrated from the pool-overhead benchmark). Inline execution
-    /// runs jobs in index (= funding) order, so results are
-    /// **bit-identical** at any threshold.
+    /// Batches with fewer jobs than this threshold execute inline on the
+    /// dispatching thread instead of paying pool hand-off (default
+    /// [`DEFAULT_PARALLEL_THRESHOLD`](Self::DEFAULT_PARALLEL_THRESHOLD)).
+    /// Inline execution runs jobs in index (= funding) order, so results
+    /// are **bit-identical** at any threshold.
     pub parallel_threshold: usize,
     /// Pool dispatch granularity ([`ChunkSize::Auto`] by default).
     pub chunk: ChunkSize,
@@ -129,22 +82,17 @@ impl EngineConfig {
     /// entries, far above what a 50k-sample exploration produces.
     pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 
-    /// Default [`parallel_threshold`](Self::parallel_threshold). The pool
-    /// bench measures ~12 µs of per-batch hand-off against ~7.6 µs per
-    /// warmed cached probe, so batches under about eight jobs lose more
-    /// to dispatch than parallelism returns.
+    /// Default [`parallel_threshold`](Self::parallel_threshold). A pool
+    /// hand-off was measured at ~12 µs per batch against ~7.6 µs per
+    /// warmed cached probe, so batches under about eight jobs lose more to
+    /// dispatch than parallelism returns.
     pub const DEFAULT_PARALLEL_THRESHOLD: usize = 8;
 
     /// Auto-detected thread count.
     pub fn auto() -> Self {
         Self {
             threads: ThreadCount::Auto,
-            incremental: true,
-            pool: PoolMode::Persistent,
-            arena: true,
             cache_capacity: Self::DEFAULT_CACHE_CAPACITY,
-            prefilter: true,
-            l0: true,
             parallel_threshold: Self::DEFAULT_PARALLEL_THRESHOLD,
             chunk: ChunkSize::Auto,
         }
@@ -163,58 +111,11 @@ impl EngineConfig {
         }
     }
 
-    /// Disables subgraph-granular incremental evaluation: every partition
-    /// cache miss re-runs the whole-partition evaluator. Used as the
-    /// reference arm of the incremental-vs-full benchmark and property
-    /// tests; results are identical, only the amount of per-subgraph
-    /// re-scoring differs.
-    pub fn without_incremental(mut self) -> Self {
-        self.incremental = false;
-        self
-    }
-
-    /// Selects the worker-pool lifecycle (wall-clock only; results are
-    /// bit-identical across modes).
-    pub fn with_pool(mut self, pool: PoolMode) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Disables the flat layout arenas on the partition-scoring path:
-    /// `Engine::score_partition` materializes each candidate's member
-    /// lists as a fresh `Vec<Vec<NodeId>>` instead of reusing per-worker
-    /// arena buffers. The reference arm of the arena benchmark and
-    /// equivalence property tests; results are identical, only the
-    /// allocation behavior differs.
-    pub fn without_arena(mut self) -> Self {
-        self.arena = false;
-        self
-    }
-
     /// Bounds the evaluation cache to `capacity` total entries (clamped to
     /// a small minimum so the sharded levels stay functional). Evictions
     /// never change results — evicted entries are recomputed bit-identical.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Disables the serial cache prefilter: every funded candidate is
-    /// dispatched to the pool and probes the shared cache from its worker,
-    /// like the pre-prefilter engine. The reference arm of the scale-out
-    /// determinism grid; results are identical, only dispatch volume
-    /// differs.
-    pub fn without_prefilter(mut self) -> Self {
-        self.prefilter = false;
-        self
-    }
-
-    /// Disables the worker-local L0 caches: every probe goes straight to
-    /// the shared shards and every computed entry is inserted from its
-    /// worker mid-batch. The reference arm of the scale-out determinism
-    /// grid; results are identical, only lock traffic differs.
-    pub fn without_l0(mut self) -> Self {
-        self.l0 = false;
         self
     }
 
@@ -275,31 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_defaults_on_and_toggles_off() {
-        assert!(EngineConfig::auto().incremental);
-        assert!(EngineConfig::with_threads(4).incremental);
-        assert!(!EngineConfig::serial().without_incremental().incremental);
-    }
-
-    #[test]
-    fn arena_defaults_on_and_toggles_off() {
-        assert!(EngineConfig::auto().arena);
-        assert!(EngineConfig::serial().arena);
-        assert!(!EngineConfig::auto().without_arena().arena);
-    }
-
-    #[test]
-    fn pool_defaults_persistent_and_toggles() {
-        assert_eq!(EngineConfig::auto().pool, PoolMode::Persistent);
-        assert_eq!(
-            EngineConfig::with_threads(4)
-                .with_pool(PoolMode::Scoped)
-                .pool,
-            PoolMode::Scoped
-        );
-    }
-
-    #[test]
     fn cache_capacity_defaults_generous() {
         assert_eq!(
             EngineConfig::auto().cache_capacity,
@@ -321,20 +197,14 @@ mod tests {
     #[test]
     fn scaleout_knobs_default_on_and_toggle() {
         let config = EngineConfig::auto();
-        assert!(config.prefilter);
-        assert!(config.l0);
         assert_eq!(
             config.parallel_threshold,
             EngineConfig::DEFAULT_PARALLEL_THRESHOLD
         );
         assert_eq!(config.chunk, ChunkSize::Auto);
         let off = config
-            .without_prefilter()
-            .without_l0()
             .with_parallel_threshold(0)
             .with_chunk(ChunkSize::Fixed(1));
-        assert!(!off.prefilter);
-        assert!(!off.l0);
         assert_eq!(off.parallel_threshold, 0);
         assert_eq!(off.chunk, ChunkSize::Fixed(1));
     }
@@ -364,18 +234,10 @@ mod tests {
             EngineConfig::auto(),
             EngineConfig::serial(),
             EngineConfig::with_threads(6),
-            EngineConfig::with_threads(2).without_incremental(),
-            EngineConfig::with_threads(3).with_pool(PoolMode::Scoped),
             EngineConfig::auto().with_cache_capacity(12_345),
-            EngineConfig::auto().without_arena(),
-            EngineConfig::serial().without_arena().without_incremental(),
-            EngineConfig::auto().without_prefilter(),
-            EngineConfig::with_threads(4).without_l0(),
             EngineConfig::auto().with_parallel_threshold(32),
             EngineConfig::with_threads(2).with_chunk(ChunkSize::Fixed(8)),
             EngineConfig::auto()
-                .without_prefilter()
-                .without_l0()
                 .with_parallel_threshold(0)
                 .with_chunk(ChunkSize::Fixed(1)),
         ] {

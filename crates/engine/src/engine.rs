@@ -6,9 +6,9 @@
 //! touched ([`Engine::score_delta`]) re-derives only those terms — plus the
 //! `next_wgt` predecessors whose prefetch input changed — while every
 //! untouched term is copied from the previous evaluation's [`EvalMemo`].
-//! All three paths (full evaluator, cached composition, memo reuse) are
-//! bit-identical by construction: `Evaluator::eval_subgraph` is a pure
-//! function and the roll-up is an in-order fold.
+//! Every path (cached composition, memo reuse) is bit-identical to
+//! `Evaluator::eval_partition` by construction: `Evaluator::eval_subgraph`
+//! is a pure function and the roll-up is an in-order fold.
 //!
 //! Cache identity is carried by precomputed 128-bit subgraph fingerprints
 //! ([`PartitionFingerprints`]): a memo stores the fingerprints of the
@@ -17,21 +17,18 @@
 //! stable member node in O(1). No evaluation path allocates a key or walks
 //! a member vector to probe the cache.
 
-use crate::arena::{ComposeScratch, EvalArena, L0Cache, ScratchPool};
+use crate::arena::{ComposeScratch, EvalArena, ScratchPool, Staged};
 use crate::cache::{EvalCache, EvalKey};
 use crate::config::EngineConfig;
 use crate::pool::EnginePool;
 use cocco_graph::{BuildFpHasher, NodeId, NodeSetFp};
-use cocco_partition::{
-    Partition, PartitionDelta, PartitionFingerprints, PartitionLayout, SubgraphsView,
-};
-use cocco_sim::{BufferConfig, CostMetric, EvalOptions, Evaluator, SubgraphColumns, SubgraphStats};
+use cocco_partition::{Partition, PartitionDelta, PartitionFingerprints, SubgraphsView};
+use cocco_sim::{BufferConfig, CostMetric, EvalOptions, Evaluator, SubgraphStats};
 use cocco_telemetry::{Histogram, MetricsSnapshot, Stopwatch, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One memoized partition evaluation: everything needed to reproduce the
 /// objective cost under *any* objective (metric × Formula 1/2), so one
@@ -108,30 +105,27 @@ impl std::fmt::Display for DispatchPanic {
 
 impl std::error::Error for DispatchPanic {}
 
-/// How a freshly computed cache entry reaches the shared [`EvalCache`].
-#[derive(Copy, Clone, Debug)]
-enum Publish {
-    /// Insert into the shared cache right away — the policy of every
-    /// direct scoring entry point, so callers outside a batch observe
-    /// their entries immediately.
+/// Where a freshly computed cache entry goes.
+enum Publish<'s> {
+    /// Straight into the shared [`EvalCache`] — the policy of every direct
+    /// scoring entry point, so callers outside a batch observe their
+    /// entries immediately.
     Immediate,
-    /// Stage in the claimed slot's L0 queue, tagged with the funding-order
-    /// sequence number of the job that computed it; the engine publishes
-    /// all staged entries in ascending sequence order at the batch-end
-    /// quiescent point of [`Engine::dispatch`]. Degrades to `Immediate`
-    /// when the L0 layer is disabled ([`EngineConfig::l0`]).
-    Deferred(u64),
+    /// Into the claimed slot's staged entries, tagged with the
+    /// funding-order sequence number of the batch job that computed it;
+    /// [`Engine::dispatch`] publishes them in sequence order once the
+    /// batch is done.
+    Deferred(u64, &'s mut Staged),
 }
 
-/// The outcome of [`Engine::prepare_partition`] — the serial prefilter
-/// half of the two-phase batch scoring protocol.
+/// The outcome of [`Engine::prepare_partition`]: the probe half of scoring
+/// a batch candidate.
 #[derive(Debug)]
 pub enum PartitionProbe {
-    /// The roll-up was already cached (L0 or shared): the score never has
-    /// to pay pool dispatch.
+    /// The roll-up was already cached: the finished score.
     Hit(ScoredEval, Option<Arc<EvalMemo>>),
     /// A genuine miss; hand the carried state to
-    /// [`Engine::score_prepared`] (typically from a pool worker).
+    /// [`Engine::score_prepared`].
     Miss(PreparedEval),
 }
 
@@ -182,68 +176,6 @@ pub(crate) struct MemoEntry {
     wgt_bytes: u64,
     next_wgt: u64,
     score: SubgraphScore,
-}
-
-/// A [`SubgraphsView`] the engine can also evaluate whole on the
-/// non-incremental path: the nested reference representation goes through
-/// `Evaluator::eval_partition`, the flat layout through the
-/// struct-of-arrays batch scorer — the two produce bit-identical totals
-/// (the batch scorer runs the identical pipeline; see `cocco-sim`).
-trait ViewEval: SubgraphsView {
-    /// Evaluates the whole partition, returning
-    /// `(ema_bytes, energy_pj, fits)` or `Err(())` on structurally
-    /// invalid input.
-    fn eval_full(
-        &self,
-        evaluator: &Evaluator<'_>,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        columns: &mut SubgraphColumns,
-    ) -> Result<(u64, f64, bool), ()>;
-}
-
-impl ViewEval for [Vec<NodeId>] {
-    fn eval_full(
-        &self,
-        evaluator: &Evaluator<'_>,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        _columns: &mut SubgraphColumns,
-    ) -> Result<(u64, f64, bool), ()> {
-        match evaluator.eval_partition(self, buffer, options) {
-            Ok(report) => Ok((report.ema_bytes, report.energy_pj, report.fits)),
-            Err(_) => Err(()),
-        }
-    }
-}
-
-impl ViewEval for PartitionLayout<'_> {
-    fn eval_full(
-        &self,
-        evaluator: &Evaluator<'_>,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        columns: &mut SubgraphColumns,
-    ) -> Result<(u64, f64, bool), ()> {
-        if evaluator
-            .eval_subgraph_batch(self.members(), self.offsets(), buffer, options, columns)
-            .is_err()
-        {
-            return Err(());
-        }
-        // The same in-order fold `PartitionReport::from_parts` performs,
-        // as tight loops over the contiguous columns.
-        let mut ema_bytes: u64 = 0;
-        for &bytes in &columns.ema_bytes {
-            ema_bytes += bytes;
-        }
-        let mut energy_pj: f64 = 0.0;
-        for &pj in &columns.energy_pj {
-            energy_pj += pj;
-        }
-        let fits = columns.fits.iter().all(|&fit| fit);
-        Ok((ema_bytes, energy_pj, fits))
-    }
 }
 
 /// The per-subgraph breakdown of one scored partition, kept by searchers
@@ -360,9 +292,7 @@ pub struct EngineStats {
     pub cache_entries: u64,
     /// Partition roll-up entries evicted by generation sweeps.
     pub cache_evictions: u64,
-    /// Full per-subgraph scorings: `eval_subgraph` terms computed fresh
-    /// (on the non-incremental path, every subgraph of every computed
-    /// partition counts here).
+    /// Full per-subgraph scorings: `eval_subgraph` terms computed fresh.
     pub subgraph_scorings: u64,
     /// Subgraph terms answered from the subgraph-level cache.
     pub subgraph_hits: u64,
@@ -474,37 +404,27 @@ pub struct Engine {
     config: EngineConfig,
     pool: EnginePool,
     cache: EvalCache,
-    /// Per-worker scoring scratch (layout arenas + composition buffers);
-    /// one more slot than worker threads, claimed per scoring call.
+    /// Per-worker scoring scratch (layout arenas, composition buffers and
+    /// staged cache entries); one more slot than worker threads, claimed
+    /// per scoring call.
     scratch: ScratchPool,
     wall_nanos: AtomicU64,
     /// Memo reuses on the delta path.
     reused: AtomicU64,
-    /// Terms computed inside whole-partition (non-incremental) evaluations.
-    bulk_scorings: AtomicU64,
     /// High-water mark of any evaluator's canonicalize-fallback count
     /// observed by this engine (see
     /// `Evaluator::stats_canonicalize_fallbacks`); 0 in production,
     /// folded into the `hot_allocs` tripwire.
     stats_fallbacks: AtomicU64,
-    /// Probes answered by a worker-local L0 cache (`engine.cache.l0_hits`;
-    /// both partition and subgraph levels). Engine-local — never a
-    /// registry instrument, so cached probes stay zero-perturbation.
-    l0_hits: AtomicU64,
-    /// Entries staged for the batch-end funding-order drain
-    /// (`engine.cache.l0_publishes`).
-    l0_publishes: AtomicU64,
     /// Jobs handed to [`dispatch`](Self::dispatch)
-    /// (`engine.pool.dispatched`) — on the prefiltered batch path this
-    /// counts post-prefilter misses only, so a warmed run shows strictly
-    /// fewer dispatched jobs than scored candidates.
+    /// (`engine.pool.dispatched`) — one per funded candidate on the batch
+    /// path.
     dispatched: AtomicU64,
     /// Chunked pool hand-offs (`engine.pool.chunks`): index claims the
     /// workers performed instead of one per job.
     chunks: AtomicU64,
     /// Batches the adaptive scheduler ran inline on the caller because
-    /// the post-prefilter job count fell under
-    /// [`EngineConfig::parallel_threshold`]
+    /// the job count fell under [`EngineConfig::parallel_threshold`]
     /// (`engine.pool.inline_batches`).
     inline_batches: AtomicU64,
     /// Observation sink shared with the pool and cache; disabled by
@@ -566,10 +486,7 @@ impl Engine {
             scratch: ScratchPool::new(config.resolved_threads() + 1),
             wall_nanos: AtomicU64::new(0),
             reused: AtomicU64::new(0),
-            bulk_scorings: AtomicU64::new(0),
             stats_fallbacks: AtomicU64::new(0),
-            l0_hits: AtomicU64::new(0),
-            l0_publishes: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
             chunks: AtomicU64::new(0),
             inline_batches: AtomicU64::new(0),
@@ -581,20 +498,10 @@ impl Engine {
         }
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// The telemetry handle this engine records through (disabled unless
     /// constructed via [`with_telemetry`](Self::with_telemetry)).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// The worker pool.
-    pub fn pool(&self) -> &EnginePool {
-        &self.pool
     }
 
     /// The memoization cache.
@@ -621,8 +528,8 @@ impl Engine {
     /// Like [`score`](Self::score), but also returns the per-subgraph
     /// [`EvalMemo`]. Roll-up cache hits hand back the memo stored with the
     /// entry, so even a genome whose score came straight from the cache
-    /// seeds its offspring's incremental hints (`None` only on the
-    /// non-incremental path or for entries restored from a snapshot).
+    /// seeds its offspring's incremental hints (`None` only for entries
+    /// restored from a snapshot).
     pub fn score_composed(
         &self,
         evaluator: &Evaluator<'_>,
@@ -638,8 +545,6 @@ impl Engine {
                 options,
                 None,
                 &mut arena.compose,
-                &mut arena.l0,
-                Publish::Immediate,
             )
         })
     }
@@ -669,8 +574,7 @@ impl Engine {
         memo: &EvalMemo,
         dirty: &[bool],
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let reuse = (self.config.incremental
-            && dirty.len() == subgraphs.len()
+        let reuse = (dirty.len() == subgraphs.len()
             && memo.matches(evaluator.fingerprint(), buffer, options))
         .then_some((memo, dirty));
         self.scratch.with_slot(|arena| {
@@ -681,26 +585,22 @@ impl Engine {
                 options,
                 reuse,
                 &mut arena.compose,
-                &mut arena.l0,
-                Publish::Immediate,
             )
         })
     }
 
     /// Scores a [`Partition`] directly, materializing its member lists
-    /// into this call's scratch slot — on the default arena arm
-    /// ([`EngineConfig::arena`]) as a flat [`PartitionLayout`] built
-    /// without per-candidate allocations; on the reference arm
-    /// (`EngineConfig::without_arena`) as a freshly allocated
-    /// `Vec<Vec<NodeId>>`. Results are bit-identical across arms: both
-    /// views feed the identical fingerprinting, cache probing and
-    /// composition fold through [`SubgraphsView`].
+    /// into this call's scratch slot as a flat
+    /// [`PartitionLayout`](cocco_partition::PartitionLayout) built without
+    /// per-candidate allocations. Fingerprinting, cache probing and the
+    /// composition fold run over it through [`SubgraphsView`], exactly as
+    /// they run over the nested lists [`score`](Self::score) takes.
     ///
     /// `hint` carries the parent's memo plus the [`PartitionDelta`]
-    /// recorded by mutation/repair; when it is usable (incremental
-    /// engine, delta not all-dirty, matching memo coordinates and node
-    /// count) the call takes the delta path — clean subgraphs reuse their
-    /// memoized terms — otherwise it composes from the caches like
+    /// recorded by mutation/repair; when it is usable (delta not
+    /// all-dirty, matching memo coordinates and node count) the call takes
+    /// the delta path — clean subgraphs reuse their memoized terms —
+    /// otherwise it composes from the caches like
     /// [`score_composed`](Self::score_composed).
     pub fn score_partition(
         &self,
@@ -710,111 +610,43 @@ impl Engine {
         options: EvalOptions,
         hint: Option<(&EvalMemo, &PartitionDelta)>,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        self.score_partition_publish(
-            evaluator,
-            partition,
-            buffer,
-            options,
-            hint,
-            Publish::Immediate,
-        )
-    }
-
-    /// Like [`score_partition`](Self::score_partition), but a freshly
-    /// computed entry is *staged* in the claimed slot's L0 queue under
-    /// `seq` — the candidate's funding-order sequence number — instead of
-    /// being inserted into the shared cache mid-batch. The engine
-    /// publishes every staged entry in ascending `seq` order at the end
-    /// of the enclosing [`dispatch`](Self::dispatch), so the shared
-    /// cache's insertion history is independent of thread count, chunking
-    /// and slot assignment. Call this only from jobs running under
-    /// `dispatch`/[`try_dispatch`](Self::try_dispatch); with the L0 layer
-    /// disabled it behaves exactly like `score_partition`.
-    pub fn score_partition_deferred(
-        &self,
-        seq: u64,
-        evaluator: &Evaluator<'_>,
-        partition: &Partition,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        hint: Option<(&EvalMemo, &PartitionDelta)>,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        self.score_partition_publish(
-            evaluator,
-            partition,
-            buffer,
-            options,
-            hint,
-            Publish::Deferred(seq),
-        )
-    }
-
-    fn score_partition_publish(
-        &self,
-        evaluator: &Evaluator<'_>,
-        partition: &Partition,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        hint: Option<(&EvalMemo, &PartitionDelta)>,
-        publish: Publish,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
+        let hint = Self::usable_hint(evaluator, partition, buffer, options, hint);
         self.scratch.with_slot(|arena| {
             let EvalArena {
                 layout,
                 dirty,
                 compose,
-                l0,
+                ..
             } = arena;
-            let usable = hint.filter(|(memo, delta)| {
-                self.config.incremental
-                    && !delta.is_all()
-                    && delta.len() == partition.len()
-                    && memo.matches(evaluator.fingerprint(), buffer, options)
-            });
-            if self.config.arena {
-                let view = layout.build_from_partition(partition);
-                let reuse = match usable {
-                    Some((memo, delta)) => {
-                        Self::project_dirty(&view, delta, dirty);
-                        Some((memo, dirty.as_slice()))
-                    }
-                    None => None,
-                };
-                self.score_inner(
-                    evaluator, &view, buffer, options, reuse, compose, l0, publish,
-                )
-            } else {
-                let subgraphs = partition.subgraphs();
-                let reuse = match usable {
-                    Some((memo, delta)) => {
-                        Self::project_dirty(subgraphs.as_slice(), delta, dirty);
-                        Some((memo, dirty.as_slice()))
-                    }
-                    None => None,
-                };
-                self.score_inner(
-                    evaluator,
-                    subgraphs.as_slice(),
-                    buffer,
-                    options,
-                    reuse,
-                    compose,
-                    l0,
-                    publish,
-                )
-            }
+            let view = layout.build_from_partition(partition);
+            let reuse = Self::project_dirty(&view, hint, dirty);
+            self.score_inner(evaluator, &view, buffer, options, reuse, compose)
         })
     }
 
-    /// The serial prefilter half of two-phase batch scoring: derives the
+    /// `hint` if the delta path can use it: a delta that is not all-dirty,
+    /// sized for `partition`, under the memo's own coordinates.
+    fn usable_hint<'h>(
+        evaluator: &Evaluator<'_>,
+        partition: &Partition,
+        buffer: &BufferConfig,
+        options: EvalOptions,
+        hint: Option<(&'h EvalMemo, &'h PartitionDelta)>,
+    ) -> Option<(&'h EvalMemo, &'h PartitionDelta)> {
+        hint.filter(|(memo, delta)| {
+            !delta.is_all()
+                && delta.len() == partition.len()
+                && memo.matches(evaluator.fingerprint(), buffer, options)
+        })
+    }
+
+    /// The probe half of scoring a batch candidate: derives the
     /// partition's fingerprints and cache key (through the claimed slot's
     /// scratch, exactly as [`score_partition`](Self::score_partition)
-    /// would) and probes the L0 and shared caches. A
-    /// [`PartitionProbe::Hit`] is the finished score — the candidate
-    /// never has to be dispatched at all. A [`PartitionProbe::Miss`]
-    /// carries the derived key material to
-    /// [`score_prepared`](Self::score_prepared), which computes without
-    /// re-probing (the miss was counted here, once).
+    /// would) and probes the shared cache. A [`PartitionProbe::Hit`] is
+    /// the finished score. A [`PartitionProbe::Miss`] carries the derived
+    /// key material to [`score_prepared`](Self::score_prepared), which
+    /// computes without re-probing (the miss was counted here, once).
     ///
     /// `hint` follows the same usability rules as `score_partition`; a
     /// usable hint's per-position dirty flags travel inside the returned
@@ -827,73 +659,35 @@ impl Engine {
         options: EvalOptions,
         hint: Option<(&EvalMemo, &PartitionDelta)>,
     ) -> PartitionProbe {
+        let hint = Self::usable_hint(evaluator, partition, buffer, options, hint);
         self.scratch.with_slot(|arena| {
-            let EvalArena {
-                layout, dirty, l0, ..
-            } = arena;
-            let usable = hint.filter(|(memo, delta)| {
-                self.config.incremental
-                    && !delta.is_all()
-                    && delta.len() == partition.len()
-                    && memo.matches(evaluator.fingerprint(), buffer, options)
-            });
-            let (fps, carried) = if self.config.arena {
-                let view = layout.build_from_partition(partition);
-                match usable {
-                    Some((memo, delta)) => {
-                        Self::project_dirty(&view, delta, dirty);
-                        (
-                            memo.fps.refresh_positions(&view, dirty),
-                            Some(dirty.clone()),
-                        )
-                    }
-                    None => (PartitionFingerprints::from_subgraphs(&view), None),
-                }
-            } else {
-                let subgraphs = partition.subgraphs();
-                match usable {
-                    Some((memo, delta)) => {
-                        Self::project_dirty(subgraphs.as_slice(), delta, dirty);
-                        (
-                            memo.fps.refresh_positions(subgraphs.as_slice(), dirty),
-                            Some(dirty.clone()),
-                        )
-                    }
-                    None => (
-                        PartitionFingerprints::from_subgraphs(subgraphs.as_slice()),
-                        None,
-                    ),
-                }
-            };
-            let key = EvalKey::partition(
-                evaluator.fingerprint(),
-                fps.positions().iter().copied(),
-                buffer,
-                options,
-            );
-            if let Some((cached, memo)) = self.probe_partition(l0, &key) {
+            let EvalArena { layout, dirty, .. } = arena;
+            let view = layout.build_from_partition(partition);
+            let reuse = Self::project_dirty(&view, hint, dirty);
+            let (fps, key) = Self::fingerprint(evaluator, &view, buffer, options, reuse);
+            if let Some((cached, memo)) = self.cache.get_memoized(&key) {
                 self.note_stats_fallbacks(evaluator);
                 return PartitionProbe::Hit(cached, memo);
             }
             PartitionProbe::Miss(PreparedEval {
                 key,
                 fps,
-                dirty: carried,
+                dirty: reuse.map(|(_, flags)| flags.to_vec()),
             })
         })
     }
 
-    /// The compute half of two-phase batch scoring: finishes a
+    /// The compute half of scoring a batch candidate: finishes a
     /// [`PartitionProbe::Miss`] from
-    /// [`prepare_partition`](Self::prepare_partition), reusing its key
-    /// and fingerprints and staging the result under `seq` for the
-    /// batch-end funding-order drain (see
-    /// [`score_partition_deferred`](Self::score_partition_deferred)).
+    /// [`prepare_partition`](Self::prepare_partition), reusing its key and
+    /// fingerprints, and stages every entry it computes under `seq` — the
+    /// candidate's funding-order sequence number — for publication at the
+    /// end of the enclosing [`dispatch`](Self::dispatch). Call it only from
+    /// jobs running under `dispatch`/[`try_dispatch`](Self::try_dispatch).
     ///
     /// `partition` and `hint` must be the values the probe was prepared
     /// from (`hint` may only have been dropped, not substituted); the
-    /// layout is rebuilt into this call's slot — worker-local, so the
-    /// prefilter thread's scratch is never shared across the dispatch.
+    /// layout is rebuilt into this call's slot.
     #[allow(clippy::too_many_arguments)]
     pub fn score_prepared(
         &self,
@@ -906,58 +700,73 @@ impl Engine {
         prepared: PreparedEval,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
         let PreparedEval { key, fps, dirty } = prepared;
-        let publish = Publish::Deferred(seq);
         self.scratch.with_slot(|arena| {
             let EvalArena {
                 layout,
                 compose,
-                l0,
+                staged,
                 ..
             } = arena;
-            if self.config.arena {
-                let view = layout.build_from_partition(partition);
-                let reuse = match (&dirty, hint) {
-                    (Some(flags), Some(memo)) => Some((memo, flags.as_slice())),
-                    _ => None,
-                };
-                self.score_missed(
-                    evaluator, &view, buffer, options, reuse, compose, l0, key, fps, publish,
-                )
-            } else {
-                let subgraphs = partition.subgraphs();
-                let reuse = match (&dirty, hint) {
-                    (Some(flags), Some(memo)) => Some((memo, flags.as_slice())),
-                    _ => None,
-                };
-                self.score_missed(
-                    evaluator,
-                    subgraphs.as_slice(),
-                    buffer,
-                    options,
-                    reuse,
-                    compose,
-                    l0,
-                    key,
-                    fps,
-                    publish,
-                )
-            }
+            let view = layout.build_from_partition(partition);
+            let reuse = match (&dirty, hint) {
+                (Some(flags), Some(memo)) => Some((memo, flags.as_slice())),
+                _ => None,
+            };
+            self.score_missed(
+                evaluator,
+                &view,
+                buffer,
+                options,
+                reuse,
+                compose,
+                key,
+                fps,
+                Publish::Deferred(seq, staged),
+            )
         })
     }
 
-    /// Projects node-level delta dirt onto per-subgraph flags in view
-    /// order — the same flags `PartitionDelta::dirty_subgraphs` produces,
-    /// written into reusable scratch instead of a fresh vector.
-    fn project_dirty<S: SubgraphsView + ?Sized>(
+    /// Pairs a usable hint's memo with per-subgraph dirty flags in view
+    /// order, projected from the node-level delta — the same flags
+    /// `PartitionDelta::dirty_subgraphs` produces, written into reusable
+    /// scratch instead of a fresh vector.
+    fn project_dirty<'m, 'd, S: SubgraphsView + ?Sized>(
         view: &S,
-        delta: &PartitionDelta,
-        out: &mut Vec<bool>,
-    ) {
+        hint: Option<(&'m EvalMemo, &PartitionDelta)>,
+        out: &'d mut Vec<bool>,
+    ) -> Option<(&'m EvalMemo, &'d [bool])> {
+        let (memo, delta) = hint?;
         out.clear();
         out.extend(
             (0..view.num_subgraphs())
                 .map(|i| view.members_of(i).iter().any(|&m| delta.is_dirty(m))),
         );
+        Some((memo, out))
+    }
+
+    /// The partition's subgraph fingerprints and roll-up cache key. Clean
+    /// positions of `reuse` copy the memo's incrementally maintained
+    /// fingerprint in O(1); dirty (or memo-less) positions re-fingerprint
+    /// from their members. This is the only place key material is derived
+    /// — everything downstream folds these fixed-size values.
+    fn fingerprint<S: SubgraphsView + ?Sized>(
+        evaluator: &Evaluator<'_>,
+        subgraphs: &S,
+        buffer: &BufferConfig,
+        options: EvalOptions,
+        reuse: Option<(&EvalMemo, &[bool])>,
+    ) -> (PartitionFingerprints, EvalKey) {
+        let fps = match reuse {
+            Some((memo, dirty)) => memo.fps.refresh_positions(subgraphs, dirty),
+            None => PartitionFingerprints::from_subgraphs(subgraphs),
+        };
+        let key = EvalKey::partition(
+            evaluator.fingerprint(),
+            fps.positions().iter().copied(),
+            buffer,
+            options,
+        );
+        (fps, key)
     }
 
     /// Scores one subgraph as a standalone single-subgraph partition
@@ -976,121 +785,52 @@ impl Engine {
         }
         let fp = NodeSetFp::of_members(members);
         let key = EvalKey::subgraph(evaluator.fingerprint(), fp, 0, buffer, options);
-        self.scratch.with_slot(|arena| {
-            let l0 = &mut arena.l0;
-            let term = match self.probe_subgraph(l0, &key) {
-                Some(term) => term,
-                None => match evaluator.subgraph_stats_keyed(fp, members) {
-                    Ok(stats) => {
-                        let term = self.compute_term(evaluator, &stats, 0, buffer, options);
-                        self.publish_subgraph(l0, Publish::Immediate, key, term);
-                        term
-                    }
-                    Err(_) => return ScoredEval::errored(buffer),
-                },
-            };
-            ScoredEval {
-                ema_bytes: term.ema_bytes,
-                energy_pj: term.energy_pj,
-                buffer_bytes: buffer.total_bytes(),
-                fits: term.fits,
-                error: false,
-            }
-        })
+        let term = match self.cache.get_subgraph(&key) {
+            Some(term) => term,
+            None => match evaluator.subgraph_stats_keyed(fp, members) {
+                Ok(stats) => {
+                    let term = self.compute_term(evaluator, &stats, 0, buffer, options);
+                    self.cache.insert_subgraph(key, term);
+                    term
+                }
+                Err(_) => return ScoredEval::errored(buffer),
+            },
+        };
+        ScoredEval {
+            ema_bytes: term.ema_bytes,
+            energy_pj: term.energy_pj,
+            buffer_bytes: buffer.total_bytes(),
+            fits: term.fits,
+            error: false,
+        }
     }
 
-    /// Probes the partition roll-up hierarchy: the slot's lock-free L0
-    /// first, then the shared shards (read-through: a shared hit is
-    /// copied into the L0 so the next probe from this slot pays no lock).
-    /// An L0 hit is credited to the shared hit counters — see
-    /// `EvalCache::record_l0_partition_hit` — plus the engine-local
-    /// `l0_hits`.
-    fn probe_partition(
-        &self,
-        l0: &mut L0Cache,
-        key: &EvalKey,
-    ) -> Option<(ScoredEval, Option<Arc<EvalMemo>>)> {
-        if self.config.l0 {
-            if let Some((cached, memo)) = l0.get_partition(key) {
-                self.cache.record_l0_partition_hit();
-                self.l0_hits.fetch_add(1, Ordering::Relaxed);
-                return Some((cached, memo));
-            }
-        }
-        let (cached, memo) = self.cache.get_memoized(key)?;
-        if self.config.l0 {
-            l0.put_partition(*key, cached, memo.clone());
-        }
-        Some((cached, memo))
-    }
-
-    /// Probes the subgraph-term hierarchy (L0 before shared, with
-    /// read-through; same accounting as
-    /// [`probe_partition`](Self::probe_partition)).
-    fn probe_subgraph(&self, l0: &mut L0Cache, key: &EvalKey) -> Option<SubgraphScore> {
-        if self.config.l0 {
-            if let Some(term) = l0.get_subgraph(key) {
-                self.cache.record_l0_subgraph_hit();
-                self.l0_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(term);
-            }
-        }
-        let term = self.cache.get_subgraph(key)?;
-        if self.config.l0 {
-            l0.put_subgraph(*key, term);
-        }
-        Some(term)
-    }
-
-    /// Publishes a freshly computed roll-up per `publish` policy
-    /// (deferred staging requires the L0 layer; otherwise the entry goes
-    /// to the shared cache immediately, plus the L0 as read-through).
+    /// Publishes a freshly computed roll-up per `publish` policy.
     fn publish_partition(
         &self,
-        l0: &mut L0Cache,
-        publish: Publish,
+        publish: &mut Publish<'_>,
         key: EvalKey,
         scored: ScoredEval,
         memo: Option<Arc<EvalMemo>>,
     ) {
         match publish {
-            Publish::Deferred(seq) if self.config.l0 => {
-                self.l0_publishes.fetch_add(1, Ordering::Relaxed);
-                l0.stage_partition(seq, key, scored, memo);
-            }
-            _ => {
-                if self.config.l0 {
-                    l0.put_partition(key, scored, memo.clone());
-                }
-                self.cache.insert_memoized(key, scored, memo);
-            }
+            Publish::Immediate => self.cache.insert_memoized(key, scored, memo),
+            Publish::Deferred(seq, staged) => staged.partitions.push((*seq, key, scored, memo)),
         }
     }
 
     /// Publishes a freshly computed subgraph term per `publish` policy.
-    fn publish_subgraph(
-        &self,
-        l0: &mut L0Cache,
-        publish: Publish,
-        key: EvalKey,
-        term: SubgraphScore,
-    ) {
+    fn publish_subgraph(&self, publish: &mut Publish<'_>, key: EvalKey, term: SubgraphScore) {
         match publish {
-            Publish::Deferred(seq) if self.config.l0 => {
-                self.l0_publishes.fetch_add(1, Ordering::Relaxed);
-                l0.stage_subgraph(seq, key, term);
-            }
-            _ => {
-                if self.config.l0 {
-                    l0.put_subgraph(key, term);
-                }
-                self.cache.insert_subgraph(key, term);
-            }
+            Publish::Immediate => self.cache.insert_subgraph(key, term),
+            Publish::Deferred(seq, staged) => staged.subgraphs.push((*seq, key, term)),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn score_inner<S: ViewEval + ?Sized>(
+    /// Fingerprints, keys and probes a partition, composing it on a miss —
+    /// the shared body of the direct scoring entry points, which publish
+    /// immediately.
+    fn score_inner<S: SubgraphsView + ?Sized>(
         &self,
         evaluator: &Evaluator<'_>,
         subgraphs: &S,
@@ -1098,40 +838,31 @@ impl Engine {
         options: EvalOptions,
         reuse: Option<(&EvalMemo, &[bool])>,
         scratch: &mut ComposeScratch,
-        l0: &mut L0Cache,
-        publish: Publish,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        // Subgraph fingerprints: clean positions copy the memo's
-        // incrementally maintained fingerprint in O(1); dirty (or
-        // memo-less) positions re-fingerprint from their members. This is
-        // the only place key material is derived — everything downstream
-        // folds these fixed-size values.
-        let fps = match reuse {
-            Some((memo, dirty)) => memo.fps.refresh_positions(subgraphs, dirty),
-            None => PartitionFingerprints::from_subgraphs(subgraphs),
-        };
-        let key = EvalKey::partition(
-            evaluator.fingerprint(),
-            fps.positions().iter().copied(),
-            buffer,
-            options,
-        );
-        if let Some((cached, memo)) = self.probe_partition(l0, &key) {
+        let (fps, key) = Self::fingerprint(evaluator, subgraphs, buffer, options, reuse);
+        if let Some((cached, memo)) = self.cache.get_memoized(&key) {
             self.note_stats_fallbacks(evaluator);
             return (cached, memo);
         }
         self.score_missed(
-            evaluator, subgraphs, buffer, options, reuse, scratch, l0, key, fps, publish,
+            evaluator,
+            subgraphs,
+            buffer,
+            options,
+            reuse,
+            scratch,
+            key,
+            fps,
+            Publish::Immediate,
         )
     }
 
-    /// The compute tail of a partition-cache miss: compose (incremental)
-    /// or bulk-evaluate, then publish under `key`. Shared by
-    /// [`score_inner`](Self::score_inner) and
+    /// The compute tail of a partition-cache miss: compose, then publish
+    /// under `key`. Shared by [`score_inner`](Self::score_inner) and
     /// [`score_prepared`](Self::score_prepared) — the miss itself was
     /// already counted by whoever probed.
     #[allow(clippy::too_many_arguments)]
-    fn score_missed<S: ViewEval + ?Sized>(
+    fn score_missed<S: SubgraphsView + ?Sized>(
         &self,
         evaluator: &Evaluator<'_>,
         subgraphs: &S,
@@ -1139,34 +870,21 @@ impl Engine {
         options: EvalOptions,
         reuse: Option<(&EvalMemo, &[bool])>,
         scratch: &mut ComposeScratch,
-        l0: &mut L0Cache,
         key: EvalKey,
         fps: PartitionFingerprints,
-        publish: Publish,
+        mut publish: Publish<'_>,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let (scored, memo) = if self.config.incremental {
-            self.compose(
-                evaluator, subgraphs, fps, buffer, options, reuse, scratch, l0, publish,
-            )
-        } else {
-            let scored = match subgraphs.eval_full(evaluator, buffer, options, &mut scratch.columns)
-            {
-                Ok((ema_bytes, energy_pj, fits)) => {
-                    self.bulk_scorings
-                        .fetch_add(subgraphs.num_subgraphs() as u64, Ordering::Relaxed);
-                    ScoredEval {
-                        ema_bytes,
-                        energy_pj,
-                        buffer_bytes: buffer.total_bytes(),
-                        fits,
-                        error: false,
-                    }
-                }
-                Err(()) => ScoredEval::errored(buffer),
-            };
-            (scored, None)
-        };
-        self.publish_partition(l0, publish, key, scored, memo.clone());
+        let (scored, memo) = self.compose(
+            evaluator,
+            subgraphs,
+            fps,
+            buffer,
+            options,
+            reuse,
+            scratch,
+            &mut publish,
+        );
+        self.publish_partition(&mut publish, key, scored, memo.clone());
         self.note_stats_fallbacks(evaluator);
         (scored, memo)
     }
@@ -1214,8 +932,7 @@ impl Engine {
         options: EvalOptions,
         reuse: Option<(&EvalMemo, &[bool])>,
         scratch: &mut ComposeScratch,
-        l0: &mut L0Cache,
-        publish: Publish,
+        publish: &mut Publish<'_>,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
         if subgraphs.no_subgraphs() || subgraphs.any_empty() {
             return (ScoredEval::errored(buffer), None);
@@ -1271,7 +988,7 @@ impl Engine {
                         buffer,
                         options,
                     );
-                    match self.probe_subgraph(l0, &key) {
+                    match self.cache.get_subgraph(&key) {
                         Some(term) => term,
                         None => {
                             let stats = match scratch.stats_of[i] {
@@ -1289,7 +1006,7 @@ impl Engine {
                             };
                             let term =
                                 self.compute_term(evaluator, &stats, next_wgt, buffer, options);
-                            self.publish_subgraph(l0, publish, key, term);
+                            self.publish_subgraph(publish, key, term);
                             term
                         }
                     }
@@ -1315,8 +1032,10 @@ impl Engine {
         (scored, Some(Arc::new(memo)))
     }
 
-    /// Runs `job(i)` for every `i` in `0..jobs` on the worker pool,
-    /// timing the batch: the elapsed wall time accumulates into
+    /// Runs `job(i)` for every `i` in `0..jobs` on the worker pool, then
+    /// publishes the cache entries the jobs staged (see
+    /// [`score_prepared`](Self::score_prepared)) in funding order. The
+    /// batch is timed: the elapsed wall time accumulates into
     /// [`EngineStats::wall_ms`], and — when telemetry is enabled — also
     /// lands in the `engine.batch.latency_ns` histogram plus an
     /// `engine.batch` event. This is the one timed dispatch path; search
@@ -1354,9 +1073,9 @@ impl Engine {
                 });
             }
         }
-        // Batch-end quiescent point: publish every entry the jobs staged
-        // in their slots' L0 queues, in funding order.
-        self.drain_published();
+        // Batch-end quiescent point: publish every staged entry in
+        // funding order.
+        self.publish_staged();
         let nanos = sw.elapsed_nanos();
         self.wall_nanos.fetch_add(nanos, Ordering::Relaxed);
         if let Some(hist) = &self.batch_latency {
@@ -1373,56 +1092,51 @@ impl Engine {
     /// Like [`dispatch`](Self::dispatch), but a panic from any job — a
     /// worker dying on a poisoned invariant, an injected fault — is caught
     /// and returned as a structured [`DispatchPanic`] instead of unwinding
-    /// through the caller. Every pool mode already delivers worker panics
-    /// to the dispatching thread (serial runs inline; scoped scopes
-    /// re-raise on join; persistent workers forward the payload and stay
-    /// alive), so catching here covers all three — and the engine stays
-    /// fully usable afterwards: the pool keeps its threads and the cache
-    /// tolerates poisoned shards.
+    /// through the caller. The pool delivers worker panics to the
+    /// dispatching thread (inline batches panic in place; persistent
+    /// workers forward the payload and stay alive), and the engine stays
+    /// fully usable afterwards: the pool keeps its threads, the cache
+    /// tolerates poisoned shards, and the failed batch's staged entries
+    /// are discarded, so the cache holds exactly what it held before the
+    /// batch, at any thread count.
     pub fn try_dispatch(
         &self,
         jobs: usize,
         job: impl Fn(usize) + Sync,
     ) -> Result<(), DispatchPanic> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.dispatch(jobs, job))).map_err(
-            |payload| DispatchPanic {
-                message: panic_message(payload.as_ref()),
+            |payload| {
+                self.scratch.take_staged();
+                DispatchPanic {
+                    message: panic_message(payload.as_ref()),
+                }
             },
         )
     }
 
-    /// Publishes every staged L0 entry to the shared cache, in ascending
-    /// funding-order sequence (ties — the entries of one job — keep
-    /// their slot-local compute order, which is deterministic). Runs at
-    /// the batch-end quiescent point of [`dispatch`](Self::dispatch);
-    /// entries left staged by a panicked batch are pure values and are
-    /// simply published by the next batch's drain.
-    fn drain_published(&self) {
-        if !self.config.l0 {
-            return;
-        }
-        let (mut partitions, mut subgraphs) = self.scratch.drain_pending();
-        if partitions.is_empty() && subgraphs.is_empty() {
-            return;
-        }
-        // Vec-collected and stable-sorted by sequence number — no map
-        // iteration order reaches the shared cache.
-        subgraphs.sort_by_key(|entry| entry.0);
-        partitions.sort_by_key(|entry| entry.0);
+    /// Publishes every staged entry to the shared cache, ordered by
+    /// funding-order sequence number and then key — an order of the
+    /// entries themselves, so neither slot assignment nor compute order
+    /// reaches the cache. A job that evaluated its candidate twice (an
+    /// injected evaluator-error retry) staged identical entries twice; the
+    /// repeats are dropped. Entries left staged by a batch that panicked
+    /// under a plain [`dispatch`](Self::dispatch) are pure values and are
+    /// published by the next batch.
+    fn publish_staged(&self) {
+        let Staged {
+            mut partitions,
+            mut subgraphs,
+        } = self.scratch.take_staged();
+        subgraphs.sort_unstable_by_key(|entry| (entry.0, entry.1));
+        subgraphs.dedup_by_key(|entry| (entry.0, entry.1));
+        partitions.sort_unstable_by_key(|entry| (entry.0, entry.1));
+        partitions.dedup_by_key(|entry| (entry.0, entry.1));
         for (_, key, term) in subgraphs {
             self.cache.insert_subgraph(key, term);
         }
         for (_, key, scored, memo) in partitions {
             self.cache.insert_memoized(key, scored, memo);
         }
-    }
-
-    /// Adds `elapsed` to the accumulated batch wall time (callers that
-    /// time a region themselves — e.g. via a telemetry `Stopwatch` —
-    /// rather than going through [`dispatch`](Self::dispatch)).
-    pub fn record_wall(&self, elapsed: Duration) {
-        self.wall_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// The authoritative metrics snapshot: everything live telemetry
@@ -1457,10 +1171,7 @@ impl Engine {
             "engine.cache.subgraph.evictions",
             self.cache.subgraph_evictions(),
         );
-        m.set_counter(
-            "engine.subgraph.scorings",
-            self.cache.subgraph_misses() + self.bulk_scorings.load(Ordering::Relaxed),
-        );
+        m.set_counter("engine.subgraph.scorings", self.cache.subgraph_misses());
         m.set_counter(
             "engine.subgraph.reused",
             self.reused.load(Ordering::Relaxed),
@@ -1472,11 +1183,6 @@ impl Engine {
         m.set_gauge("engine.arena.bytes", self.scratch.bytes());
         m.set_counter("engine.arena.reuses", self.scratch.reuses());
         m.set_counter("engine.arena.grows", self.scratch.grows());
-        m.set_counter("engine.cache.l0_hits", self.l0_hits.load(Ordering::Relaxed));
-        m.set_counter(
-            "engine.cache.l0_publishes",
-            self.l0_publishes.load(Ordering::Relaxed),
-        );
         m.set_counter(
             "engine.pool.dispatched",
             self.dispatched.load(Ordering::Relaxed),
@@ -1518,21 +1224,35 @@ mod tests {
         let g = cocco_graph::models::diamond();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let buffer = BufferConfig::shared(1 << 20);
+        let options = EvalOptions::default();
         let subgraphs: Vec<Vec<NodeId>> = g.node_ids().map(|id| vec![id]).collect();
+        let partition = Partition::from_assignment(vec![0, 0, 1, 1, 2]);
         for config in [EngineConfig::serial(), EngineConfig::with_threads(2)] {
             let engine = Engine::new(config);
-            let baseline = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+            let baseline = engine.score(&eval, &subgraphs, &buffer, options);
+            let before = engine.cache().snapshot();
             let err = engine
                 .try_dispatch(4, |i| {
                     if i == 2 {
                         panic!("injected worker panic");
                     }
+                    if let PartitionProbe::Miss(prepared) =
+                        engine.prepare_partition(&eval, &partition, &buffer, options, None)
+                    {
+                        engine.score_prepared(
+                            i as u64, &eval, &partition, &buffer, options, None, prepared,
+                        );
+                    }
                 })
                 .expect_err("job 2 panics");
             assert!(err.message.contains("injected worker panic"), "{err}");
-            // The engine survives: same pool, same cache, same results.
+            // The failed batch's staged entries were discarded, not
+            // published by this or a later batch.
+            assert_eq!(engine.cache().snapshot(), before);
             engine.try_dispatch(4, |_| {}).expect("pool stays usable");
-            let again = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+            assert_eq!(engine.cache().snapshot(), before);
+            // The engine survives: same pool, same cache, same results.
+            let again = engine.score(&eval, &subgraphs, &buffer, options);
             assert_eq!(again, baseline);
         }
     }
@@ -1559,28 +1279,6 @@ mod tests {
             scored.cost(CostMetric::Energy, Some(0.002)),
             report.cost_formula2(CostMetric::Energy, 0.002)
         );
-    }
-
-    #[test]
-    fn incremental_and_full_paths_are_bit_identical() {
-        let g = cocco_graph::models::googlenet();
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let incremental = Engine::new(EngineConfig::serial());
-        let full = Engine::new(EngineConfig::serial().without_incremental());
-        let buffer = BufferConfig::shared(1 << 20);
-        for l in [1usize, 3, 7] {
-            let p = cocco_partition::repair(
-                &g,
-                cocco_partition::Partition::depth_groups(&g, l),
-                &|_| true,
-            );
-            let subgraphs = p.subgraphs();
-            let a = incremental.score(&eval, &subgraphs, &buffer, EvalOptions::default());
-            let b = full.score(&eval, &subgraphs, &buffer, EvalOptions::default());
-            assert_eq!(a, b, "L={l}");
-        }
-        assert!(full.stats().subgraph_scorings > 0);
-        assert_eq!(full.stats().subgraph_hits, 0, "full path bypasses terms");
     }
 
     #[test]
@@ -1710,10 +1408,11 @@ mod tests {
         let engine = Engine::new(EngineConfig::with_threads(2));
         let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
         let buffer = BufferConfig::shared(1 << 20);
-        for _ in 0..3 {
-            engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
-        }
-        engine.record_wall(Duration::from_millis(2));
+        engine.dispatch(1, |_| {
+            for _ in 0..3 {
+                engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+            }
+        });
         let stats = engine.stats();
         assert_eq!(stats.threads, 2);
         assert_eq!(stats.evals, 3);
@@ -1724,7 +1423,7 @@ mod tests {
         assert_eq!(stats.cache_evictions, 0);
         assert_eq!(stats.subgraph_evictions, 0);
         assert_eq!(stats.key_allocs, 0);
-        assert!(stats.wall_ms >= 2.0);
+        assert!(stats.wall_ms > 0.0);
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
@@ -1867,35 +1566,36 @@ mod tests {
 
     #[test]
     fn score_partition_arms_are_bit_identical() {
-        // The flat arena arm and the nested reference arm must agree on
-        // every path: cold compose, cache hit, delta hint, and the
-        // non-incremental batch scorer.
+        // The flat-layout entry point, the nested-slice entry point and
+        // the whole-partition evaluator agree on every path: cold
+        // compose, cache hit and delta hint.
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
+        let engine = Engine::new(EngineConfig::serial());
         let buffer = BufferConfig::shared(1 << 20);
         let options = EvalOptions::default();
-        for incremental in [true, false] {
-            let base_cfg = if incremental {
-                EngineConfig::serial()
-            } else {
-                EngineConfig::serial().without_incremental()
-            };
-            let arena = Engine::new(base_cfg);
-            let reference = Engine::new(base_cfg.without_arena());
-            for l in [1usize, 3, 7] {
-                let p = cocco_partition::repair(
-                    &g,
-                    cocco_partition::Partition::depth_groups(&g, l),
-                    &|_| true,
-                );
-                let (a, memo_a) = arena.score_partition(&eval, &p, &buffer, options, None);
-                let (b, memo_b) = reference.score_partition(&eval, &p, &buffer, options, None);
-                assert_eq!(a, b, "L={l} incremental={incremental}");
-                assert_eq!(memo_a.is_some(), memo_b.is_some());
-                // And both agree with the legacy nested entry point.
-                let via_slices = arena.score(&eval, &p.subgraphs(), &buffer, options);
-                assert_eq!(a, via_slices, "cache-keyed identity across entry points");
-            }
+        for l in [1usize, 3, 7] {
+            let p = cocco_partition::repair(
+                &g,
+                cocco_partition::Partition::depth_groups(&g, l),
+                &|_| true,
+            );
+            let full = eval
+                .eval_partition(&p.subgraphs(), &buffer, options)
+                .unwrap();
+            let (cold, memo) = engine.score_partition(&eval, &p, &buffer, options, None);
+            assert_eq!(cold.ema_bytes, full.ema_bytes, "L={l}");
+            assert_eq!(cold.energy_pj, full.energy_pj, "L={l}");
+            assert_eq!(cold.fits, full.fits, "L={l}");
+            let memo = memo.expect("composed this call");
+            let (hit, _) = engine.score_partition(&eval, &p, &buffer, options, None);
+            assert_eq!(hit, cold, "L={l}");
+            let clean = PartitionDelta::clean(g.len());
+            let (hinted, _) =
+                engine.score_partition(&eval, &p, &buffer, options, Some((&memo, &clean)));
+            assert_eq!(hinted, cold, "L={l}");
+            let via_slices = engine.score(&eval, &p.subgraphs(), &buffer, options);
+            assert_eq!(via_slices, cold, "cache-keyed identity across entry points");
         }
     }
 
@@ -1981,83 +1681,46 @@ mod tests {
     }
 
     #[test]
-    fn l0_probes_hit_after_first_score_and_change_nothing() {
-        let g = cocco_graph::models::googlenet();
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let buffer = BufferConfig::shared(1 << 20);
-        let options = EvalOptions::default();
-        let with_l0 = Engine::new(EngineConfig::serial());
-        let without = Engine::new(EngineConfig::serial().without_l0());
-        let p =
-            cocco_partition::repair(&g, cocco_partition::Partition::depth_groups(&g, 3), &|_| {
-                true
-            });
-        for engine in [&with_l0, &without] {
-            for _ in 0..3 {
-                engine.score_partition(&eval, &p, &buffer, options, None);
-            }
-        }
-        // Scores, counters visible through stats, and snapshots agree.
-        let (a, _) = with_l0.score_partition(&eval, &p, &buffer, options, None);
-        let (b, _) = without.score_partition(&eval, &p, &buffer, options, None);
-        assert_eq!(a, b);
-        assert_eq!(with_l0.stats(), without.stats());
-        assert_eq!(with_l0.cache().snapshot(), without.cache().snapshot());
-        // But only the L0 engine answered repeats locally.
-        assert!(with_l0.metrics().counter("engine.cache.l0_hits") > 0);
-        assert_eq!(without.metrics().counter("engine.cache.l0_hits"), 0);
-    }
-
-    #[test]
     fn prepare_then_score_prepared_matches_one_shot_scoring() {
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let buffer = BufferConfig::shared(1 << 20);
         let options = EvalOptions::default();
-        for arena in [true, false] {
-            let mut config = EngineConfig::with_threads(2);
-            if !arena {
-                config = config.without_arena();
-            }
-            let two_phase = Engine::new(config);
-            let one_shot = Engine::new(config);
-            let p = cocco_partition::repair(
-                &g,
-                cocco_partition::Partition::depth_groups(&g, 4),
-                &|_| true,
-            );
-            let probe = two_phase.prepare_partition(&eval, &p, &buffer, options, None);
-            let prepared = match probe {
-                PartitionProbe::Miss(prepared) => prepared,
-                PartitionProbe::Hit(..) => panic!("cold cache cannot hit"),
-            };
-            let mut slot = std::sync::Mutex::new(Some(prepared));
-            let result = std::sync::Mutex::new(None);
-            two_phase.dispatch(1, |_| {
-                let prepared = slot.lock().unwrap().take().unwrap();
-                *result.lock().unwrap() =
-                    Some(two_phase.score_prepared(0, &eval, &p, &buffer, options, None, prepared));
+        let two_phase = Engine::new(EngineConfig::with_threads(2));
+        let one_shot = Engine::new(EngineConfig::with_threads(2));
+        let p =
+            cocco_partition::repair(&g, cocco_partition::Partition::depth_groups(&g, 4), &|_| {
+                true
             });
-            let (scored, memo) = result.into_inner().unwrap().unwrap();
-            let (direct, direct_memo) = one_shot.score_partition(&eval, &p, &buffer, options, None);
-            assert_eq!(scored, direct, "arena={arena}");
-            assert_eq!(memo.is_some(), direct_memo.is_some());
-            // The dispatch-end drain published the staged entries: the
-            // next prepare is a pure cache hit handing back the memo.
-            assert_eq!(two_phase.cache().snapshot(), one_shot.cache().snapshot());
-            match two_phase.prepare_partition(&eval, &p, &buffer, options, None) {
-                PartitionProbe::Hit(cached, hit_memo) => {
-                    assert_eq!(cached, scored);
-                    assert_eq!(hit_memo.is_some(), memo.is_some());
-                }
-                PartitionProbe::Miss(_) => panic!("drained entry must hit"),
+        let prepared = match two_phase.prepare_partition(&eval, &p, &buffer, options, None) {
+            PartitionProbe::Miss(prepared) => prepared,
+            PartitionProbe::Hit(..) => panic!("cold cache cannot hit"),
+        };
+        let slot = std::sync::Mutex::new(Some(prepared));
+        let result = std::sync::Mutex::new(None);
+        two_phase.dispatch(1, |_| {
+            let prepared = slot.lock().unwrap().take().unwrap();
+            *result.lock().unwrap() =
+                Some(two_phase.score_prepared(0, &eval, &p, &buffer, options, None, prepared));
+        });
+        let (scored, memo) = result.into_inner().unwrap().unwrap();
+        let (direct, direct_memo) = one_shot.score_partition(&eval, &p, &buffer, options, None);
+        assert_eq!(scored, direct);
+        assert_eq!(memo.is_some(), direct_memo.is_some());
+        // The dispatch-end publish made the staged entries visible: the
+        // next prepare is a pure cache hit handing back the memo.
+        assert_eq!(two_phase.cache().snapshot(), one_shot.cache().snapshot());
+        match two_phase.prepare_partition(&eval, &p, &buffer, options, None) {
+            PartitionProbe::Hit(cached, hit_memo) => {
+                assert_eq!(cached, scored);
+                assert_eq!(hit_memo.is_some(), memo.is_some());
             }
-            // Exactly one partition-level probe missed (the prepare);
-            // score_prepared never re-probed.
-            assert_eq!(two_phase.stats().evals, 2, "arena={arena}");
-            assert_eq!(two_phase.stats().cache_hits, 1, "arena={arena}");
-            let _ = slot.get_mut();
+            PartitionProbe::Miss(_) => panic!("published entry must hit"),
         }
+        // Exactly one partition-level probe missed (the first prepare);
+        // score_prepared never re-probed.
+        assert_eq!(two_phase.stats().evals, 2);
+        assert_eq!(two_phase.stats().cache_hits, 1);
     }
 
     #[test]
@@ -2097,10 +1760,11 @@ mod tests {
 
     #[test]
     fn deferred_publication_is_thread_count_invariant() {
-        // Score the same distinct partitions as one deferred batch at 1
-        // and 4 threads (chunked and not): the drained shared cache must
-        // be byte-identical, and nothing may be visible mid-batch that
-        // wasn't published by a previous batch.
+        // Score distinct partitions as one batch at 1 and 4 threads
+        // (chunked and not): every job sees only the cache state from
+        // before its batch, so the published cache and the engine's
+        // counters are identical everywhere.
+        use crate::config::ChunkSize;
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let buffer = BufferConfig::shared(1 << 20);
@@ -2114,31 +1778,31 @@ mod tests {
                 )
             })
             .collect();
-        let snapshot_of = |threads: u32, chunk: crate::config::ChunkSize| {
+        let run = |threads: u32, chunk: ChunkSize| {
             let engine = Engine::new(
                 EngineConfig::with_threads(threads)
                     .with_chunk(chunk)
                     .with_parallel_threshold(0),
             );
             engine.dispatch(partitions.len(), |i| {
-                engine.score_partition_deferred(
-                    i as u64,
-                    &eval,
-                    &partitions[i],
-                    &buffer,
-                    options,
-                    None,
-                );
+                let p = &partitions[i];
+                match engine.prepare_partition(&eval, p, &buffer, options, None) {
+                    PartitionProbe::Miss(prepared) => {
+                        engine.score_prepared(i as u64, &eval, p, &buffer, options, None, prepared);
+                    }
+                    PartitionProbe::Hit(..) => panic!("a job saw an entry staged in its batch"),
+                }
             });
-            engine.cache().snapshot()
+            let s = engine.stats();
+            (
+                engine.cache().snapshot(),
+                (s.evals, s.cache_hits, s.subgraph_scorings, s.subgraph_hits),
+            )
         };
-        let reference = snapshot_of(1, crate::config::ChunkSize::Fixed(1));
-        assert_eq!(
-            reference,
-            snapshot_of(4, crate::config::ChunkSize::Fixed(1))
-        );
-        assert_eq!(reference, snapshot_of(4, crate::config::ChunkSize::Auto));
-        assert_eq!(reference, snapshot_of(1, crate::config::ChunkSize::Auto));
+        let reference = run(1, ChunkSize::Fixed(1));
+        assert_eq!(reference, run(4, ChunkSize::Fixed(1)));
+        assert_eq!(reference, run(4, ChunkSize::Auto));
+        assert_eq!(reference, run(1, ChunkSize::Auto));
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! parallel at the batch level. This crate factors that hot path out of the
 //! individual searchers into one engine:
 //!
-//! * [`EnginePool`] — a worker pool with a **persistent** thread set (the
-//!   default: spawned lazily, channel-fed, joined on drop) or per-batch
-//!   scoped spawns ([`EngineConfig`]: `auto` or a fixed count; `1` ⇒ fully
-//!   serial; [`PoolMode`] selects the lifecycle);
+//! * [`EnginePool`] — a worker pool with a **persistent** thread set
+//!   (spawned lazily, channel-fed, joined on drop; [`EngineConfig`]:
+//!   `auto` or a fixed count, `1` ⇒ fully serial);
 //! * [`EvalCache`] — a sharded, **bounded** two-level memoization cache:
 //!   per-subgraph terms ([`SubgraphScore`], keyed by
 //!   `(evaluator fingerprint, members, next_wgt, buffer, options)`) below
@@ -71,7 +70,7 @@ mod trace;
 
 pub use budget::{SampleBudget, SampleReservation};
 pub use cache::{eval_key, subgraph_key, CacheSnapshot, EvalCache, EvalKey, SNAPSHOT_VERSION};
-pub use config::{ChunkSize, EngineConfig, PoolMode, ThreadCount};
+pub use config::{ChunkSize, EngineConfig, ThreadCount};
 pub use engine::{
     DispatchPanic, Engine, EngineStats, EvalMemo, PartitionProbe, PreparedEval, ScoredEval,
     SubgraphScore,

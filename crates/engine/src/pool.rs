@@ -1,15 +1,15 @@
-//! The worker pool: deterministic order-preserving parallel map, with a
-//! **persistent** thread set (the default) or per-batch scoped spawns.
+//! The worker pool: a deterministic order-preserving parallel map over a
+//! persistent thread set.
 //!
-//! Both modes run the same claim loop — workers take indices from a shared
-//! atomic counter and the caller stores results per index — so the set of
-//! executed jobs, and anything the caller records per index, is identical
-//! regardless of mode, thread count or scheduling. The persistent mode
-//! exists purely to take thread spawn/join syscalls off the per-batch hot
-//! path: a GA evaluates one batch per generation, and re-spawning workers
-//! hundreds of times per exploration is measurable overhead.
+//! Workers take job indices from a shared atomic counter and the caller
+//! stores results per index, so the set of executed jobs, and anything the
+//! caller records per index, is identical regardless of thread count or
+//! scheduling. The threads live as long as the pool, which keeps thread
+//! spawn/join syscalls off the per-batch hot path: a GA evaluates one batch
+//! per generation, and re-spawning workers hundreds of times per
+//! exploration is measurable overhead.
 
-use crate::config::{EngineConfig, PoolMode};
+use crate::config::EngineConfig;
 use cocco_telemetry::{Histogram, Stopwatch, Telemetry};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -86,12 +86,9 @@ struct Workers {
 /// inline on the caller's thread: the serial fallback is the same code
 /// path minus the hand-off.
 ///
-/// In [`PoolMode::Persistent`] (the default) worker threads are spawned
-/// lazily on the first parallel batch, fed through a channel, kept alive
-/// across batches, and joined when the pool drops. In [`PoolMode::Scoped`]
-/// each batch spawns scoped threads — the reference implementation the
-/// persistent pool is determinism-tested and benchmarked against. Jobs
-/// must not re-enter the pool.
+/// Worker threads are spawned lazily on the first parallel batch, fed
+/// through a channel, kept alive across batches, and joined when the pool
+/// drops. Jobs must not re-enter the pool.
 ///
 /// # Examples
 ///
@@ -109,7 +106,6 @@ struct Workers {
 #[derive(Debug)]
 pub struct EnginePool {
     threads: usize,
-    mode: PoolMode,
     workers: OnceLock<Workers>,
     /// Submit-to-first-claim latency histogram
     /// (`engine.pool.queue_wait_ns`); `None` when telemetry is disabled,
@@ -118,8 +114,8 @@ pub struct EnginePool {
 }
 
 impl EnginePool {
-    /// Creates a pool with the configuration's resolved worker count and
-    /// pool mode. No threads are spawned until the first parallel batch.
+    /// Creates a pool with the configuration's resolved worker count. No
+    /// threads are spawned until the first parallel batch.
     pub fn new(config: &EngineConfig) -> Self {
         Self::with_telemetry(config, &Telemetry::disabled())
     }
@@ -131,7 +127,6 @@ impl EnginePool {
     pub fn with_telemetry(config: &EngineConfig, telemetry: &Telemetry) -> Self {
         Self {
             threads: config.resolved_threads(),
-            mode: config.pool,
             workers: OnceLock::new(),
             queue_wait: telemetry.latency_histogram("engine.pool.queue_wait_ns"),
         }
@@ -140,11 +135,6 @@ impl EnginePool {
     /// The worker count used for sufficiently large batches.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The pool lifecycle mode.
-    pub fn mode(&self) -> PoolMode {
-        self.mode
     }
 
     /// `true` once persistent workers have been spawned.
@@ -164,7 +154,7 @@ impl EnginePool {
             return;
         }
         match &self.queue_wait {
-            None => self.run_parallel(jobs, workers, &job),
+            None => self.run_persistent(jobs, workers, &job),
             Some(hist) => {
                 // Queue wait = submit to first index claim, recorded by
                 // whichever worker claims first. One relaxed swap per job
@@ -173,7 +163,7 @@ impl EnginePool {
                 // when it is off).
                 let submitted = Stopwatch::start();
                 let claimed = AtomicBool::new(false);
-                self.run_parallel(jobs, workers, &|i| {
+                self.run_persistent(jobs, workers, &|i| {
                     if !claimed.swap(true, Ordering::Relaxed) {
                         hist.record(submitted.elapsed_nanos());
                     }
@@ -183,30 +173,7 @@ impl EnginePool {
         }
     }
 
-    fn run_parallel(&self, jobs: usize, workers: usize, job: &(dyn Fn(usize) + Sync)) {
-        match self.mode {
-            PoolMode::Scoped => Self::run_scoped(jobs, workers, job),
-            PoolMode::Persistent => self.run_persistent(jobs, workers, job),
-        }
-    }
-
-    /// The per-batch scoped-spawn reference path.
-    fn run_scoped(jobs: usize, workers: usize, job: &(dyn Fn(usize) + Sync)) {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs {
-                        break;
-                    }
-                    job(i);
-                });
-            }
-        });
-    }
-
-    /// The persistent path: hand the batch to the long-lived workers and
+    /// Hands the batch to the long-lived workers and
     /// block until all of them signalled completion.
     fn run_persistent(&self, jobs: usize, workers: usize, job: &(dyn Fn(usize) + Sync)) {
         let pool = self.workers.get_or_init(|| Self::spawn(self.threads));
@@ -296,27 +263,18 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    fn pools(threads: u32) -> [EnginePool; 2] {
-        [
-            EnginePool::new(&EngineConfig::with_threads(threads)),
-            EnginePool::new(&EngineConfig::with_threads(threads).with_pool(PoolMode::Scoped)),
-        ]
-    }
-
     #[test]
     fn covers_every_index_exactly_once() {
         for threads in [1, 2, 4, 7] {
-            for pool in pools(threads) {
-                let hits: Vec<AtomicU64> = (0..257).map(|_| AtomicU64::new(0)).collect();
-                pool.run(hits.len(), |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "threads={threads} mode={:?}",
-                    pool.mode()
-                );
-            }
+            let pool = EnginePool::new(&EngineConfig::with_threads(threads));
+            let hits: Vec<AtomicU64> = (0..257).map(|_| AtomicU64::new(0)).collect();
+            pool.run(hits.len(), |i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "threads={threads}"
+            );
         }
     }
 
@@ -336,9 +294,8 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_a_no_op() {
-        for pool in pools(4) {
-            pool.run(0, |_| panic!("no job should run"));
-        }
+        let pool = EnginePool::new(&EngineConfig::with_threads(4));
+        pool.run(0, |_| panic!("no job should run"));
     }
 
     #[test]

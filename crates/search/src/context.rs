@@ -5,14 +5,14 @@ use crate::driver::EvalBatch;
 use crate::genome::Genome;
 use crate::objective::{BufferSpace, Objective};
 use cocco_engine::{
-    Engine, EngineConfig, EvalMemo, PartitionProbe, PreparedEval, SampleBudget, SampleReservation,
-    ScoredEval, Trace, TracePoint,
+    Engine, EngineConfig, EvalMemo, PartitionProbe, SampleBudget, SampleReservation, ScoredEval,
+    Trace, TracePoint,
 };
 use cocco_faults::{FaultPlan, FaultSite};
 use cocco_graph::{Graph, NodeId};
 use cocco_partition::{repair, repair_with_delta, Partition, PartitionDelta};
 use cocco_sim::{BufferConfig, EvalOptions, Evaluator};
-use cocco_telemetry::{Stopwatch, Telemetry};
+use cocco_telemetry::Telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -111,10 +111,12 @@ struct EvalGroup<'g> {
 ///
 /// # Parallelism and determinism
 ///
-/// [`evaluate_batch`](SearchContext::evaluate_batch) spreads a batch over
-/// the engine's worker pool. Budget samples are drawn and trace points
-/// recorded in **input order** before/after the parallel section, and each
-/// genome's repair + scoring is a pure function of the genome — so a
+/// [`evaluate_batch`](SearchContext::evaluate_batch) hands every funded
+/// genome to the engine's worker pool as one job: repair, cache probe and
+/// scoring. Budget samples are drawn and trace points recorded in **input
+/// order** before/after the parallel section, each genome's repair +
+/// scoring is a pure function of the genome, and the cache entries a batch
+/// computes are published in that same order once it finishes — so a
 /// seeded search produces bit-identical results at any thread count.
 #[derive(Debug)]
 pub struct SearchContext<'a> {
@@ -517,154 +519,45 @@ impl<'a> SearchContext<'a> {
         // section, so injection points are a pure function of the plan's
         // seed and the funding sequence — bit-identical at any thread
         // count. The disabled-plan hot path allocates nothing.
-        let injections: Option<Vec<(bool, bool)>> = if self.faults.is_enabled() {
-            Some(
-                (0..jobs.len())
-                    .map(|_| {
-                        (
-                            self.faults.should_inject(FaultSite::EvalError),
-                            self.faults.should_inject(FaultSite::WorkerPanic),
-                        )
-                    })
-                    .collect(),
-            )
+        let injections: Vec<(bool, bool)> = if self.faults.is_enabled() {
+            (0..jobs.len())
+                .map(|_| {
+                    (
+                        self.faults.should_inject(FaultSite::EvalError),
+                        self.faults.should_inject(FaultSite::WorkerPanic),
+                    )
+                })
+                .collect()
         } else {
-            None
+            Vec::new()
         };
         let results: Vec<Mutex<Option<TracePoint>>> =
             (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-        let dispatched = if let Some(injections) = injections {
-            // Fault-injection arm: the one-phase dispatch shape the fault
-            // matrix was validated against — every funded job (repair,
-            // optional injected failure, scoring with immediate cache
-            // publication) runs on the pool.
-            self.engine.try_dispatch(jobs.len(), |i| {
-                let (eval_error, worker_panic) = injections[i];
-                if worker_panic {
-                    panic!("cocco-faults: injected worker panic");
-                }
-                let (slot, objective, sample) = &jobs[i];
-                let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
-                let (parent_memo, delta, buffer) = self.take_hint_and_repair(candidate);
-                if eval_error {
-                    // Injected transient evaluator failure: the first
-                    // attempt's result is discarded and the job re-scores.
-                    // Scoring is a pure function of its inputs, so the retry
-                    // below is bit-identical to the fault-free run.
-                    let _ = self.engine.score_partition(
-                        self.evaluator,
-                        &candidate.genome.partition,
-                        &buffer,
-                        self.options,
-                        parent_memo.as_deref().map(|memo| (memo, &delta)),
-                    );
-                    self.faults.log().note_eval_rescore();
-                }
-                // score_partition materializes the member lists into the
-                // worker's scratch slot (a flat layout arena on the default
-                // arm) — no per-candidate `subgraphs()` allocation — and
-                // takes the delta path itself whenever the hint is usable.
-                let (scored, memo) = self.engine.score_partition(
-                    self.evaluator,
-                    &candidate.genome.partition,
-                    &buffer,
-                    self.options,
-                    parent_memo.as_deref().map(|memo| (memo, &delta)),
-                );
-                self.finish_scored(&results, i, *objective, *sample, candidate, scored, memo);
-            })
-        } else if self.engine.config().prefilter {
-            // Hit prefilter, phase A — serial, in funding order: repair
-            // and probe the L0/shared cache hierarchy before any pool
-            // hand-off, so cache hits never pay dispatch. Timed into the
-            // engine's batch wall clock: this is work that used to run
-            // inside `dispatch`.
-            struct PendingJob {
-                idx: usize,
-                prepared: PreparedEval,
-                memo: Option<Arc<EvalMemo>>,
+        // One pool job per funded candidate: repair, probe, score on a
+        // miss, record. Fault injection wraps this same job: a drawn
+        // worker panic fires before the body runs, and a drawn evaluator
+        // error evaluates the candidate once more, discarding the first
+        // result.
+        let dispatched = self.engine.try_dispatch(jobs.len(), |i| {
+            let (eval_error, worker_panic) = injections.get(i).copied().unwrap_or_default();
+            if worker_panic {
+                panic!("cocco-faults: injected worker panic");
             }
-            let sw = Stopwatch::start();
-            let mut misses: Vec<Mutex<Option<PendingJob>>> = Vec::new();
-            for (i, (slot, objective, sample)) in jobs.iter().enumerate() {
-                let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
-                let (parent_memo, delta, buffer) = self.take_hint_and_repair(candidate);
-                match self.engine.prepare_partition(
-                    self.evaluator,
-                    &candidate.genome.partition,
-                    &buffer,
-                    self.options,
-                    parent_memo.as_deref().map(|memo| (memo, &delta)),
-                ) {
-                    PartitionProbe::Hit(scored, memo) => {
-                        self.finish_scored(
-                            &results, i, *objective, *sample, candidate, scored, memo,
-                        );
-                    }
-                    PartitionProbe::Miss(prepared) => misses.push(Mutex::new(Some(PendingJob {
-                        idx: i,
-                        prepared,
-                        memo: parent_memo,
-                    }))),
-                }
+            let (slot, objective, sample) = &jobs[i];
+            let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
+            let (parent_memo, delta) = self.take_hint_and_repair(candidate);
+            let hint = parent_memo.as_deref().map(|memo| (memo, &delta));
+            if eval_error {
+                // Injected transient evaluator failure: the first attempt's
+                // result is discarded. Scoring is a pure function of its
+                // inputs, so the retry is bit-identical to the fault-free
+                // run.
+                let _ = self.score_candidate(i, &candidate.genome, hint);
+                self.faults.log().note_eval_rescore();
             }
-            self.engine.record_wall(sw.elapsed());
-            if misses.is_empty() {
-                Ok(())
-            } else {
-                // Phase B: only genuine misses reach the pool (chunked
-                // and adaptively scheduled by the engine). Results and
-                // staged cache entries key on the funding-order index
-                // `idx`, so worker scheduling stays invisible.
-                self.engine.try_dispatch(misses.len(), |j| {
-                    let pending = misses[j]
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .take();
-                    // cocco-audit: allow(R1) each pending job is taken exactly once, by its own dispatch index
-                    let pending = pending.expect("each miss dispatched once");
-                    let PendingJob {
-                        idx,
-                        prepared,
-                        memo,
-                    } = pending;
-                    let (slot, objective, sample) = &jobs[idx];
-                    let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
-                    let buffer = candidate.genome.buffer;
-                    let (scored, memo_out) = self.engine.score_prepared(
-                        idx as u64,
-                        self.evaluator,
-                        &candidate.genome.partition,
-                        &buffer,
-                        self.options,
-                        memo.as_deref(),
-                        prepared,
-                    );
-                    self.finish_scored(
-                        &results, idx, *objective, *sample, candidate, scored, memo_out,
-                    );
-                })
-            }
-        } else {
-            // Prefilter disabled (reference arm): one-phase dispatch like
-            // the fault arm, but with funding-order deferred publication,
-            // so the shared cache's insertion history still matches the
-            // prefiltered pipeline's.
-            self.engine.try_dispatch(jobs.len(), |i| {
-                let (slot, objective, sample) = &jobs[i];
-                let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
-                let (parent_memo, delta, buffer) = self.take_hint_and_repair(candidate);
-                let (scored, memo) = self.engine.score_partition_deferred(
-                    i as u64,
-                    self.evaluator,
-                    &candidate.genome.partition,
-                    &buffer,
-                    self.options,
-                    parent_memo.as_deref().map(|memo| (memo, &delta)),
-                );
-                self.finish_scored(&results, i, *objective, *sample, candidate, scored, memo);
-            })
-        };
+            let (scored, memo) = self.score_candidate(i, &candidate.genome, hint);
+            self.finish_scored(&results, i, *objective, *sample, candidate, scored, memo);
+        });
         if let Err(panic) = dispatched {
             // Discard every funded candidate uniformly (some may have
             // finished scoring, but keeping them would make results
@@ -691,12 +584,12 @@ impl<'a> SearchContext<'a> {
 
     /// The per-candidate evaluation prologue: consume the incremental
     /// hint, extend its delta with repair-induced changes, and repair the
-    /// genome in place. Pure per candidate — safe both in the serial
-    /// prefilter section and inside pool workers.
+    /// genome in place. Pure per candidate, so it runs inside the
+    /// candidate's pool job.
     fn take_hint_and_repair(
         &self,
         candidate: &mut EvalCandidate,
-    ) -> (Option<Arc<EvalMemo>>, PartitionDelta, BufferConfig) {
+    ) -> (Option<Arc<EvalMemo>>, PartitionDelta) {
         let buffer = candidate.genome.buffer;
         let (parent_memo, mut delta) = match candidate.hint.take() {
             Some(hint) => (Some(hint.memo), hint.delta),
@@ -707,7 +600,34 @@ impl<'a> SearchContext<'a> {
             &buffer,
             &mut delta,
         );
-        (parent_memo, delta, buffer)
+        (parent_memo, delta)
+    }
+
+    /// Scores one repaired candidate as batch job `seq`: probe the cache,
+    /// and on a miss compute from the probe's key material, staging the
+    /// new entries for the engine's batch-end funding-order publication.
+    fn score_candidate(
+        &self,
+        seq: usize,
+        genome: &Genome,
+        hint: Option<(&EvalMemo, &PartitionDelta)>,
+    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
+        let (partition, buffer) = (&genome.partition, &genome.buffer);
+        match self
+            .engine
+            .prepare_partition(self.evaluator, partition, buffer, self.options, hint)
+        {
+            PartitionProbe::Hit(scored, memo) => (scored, memo),
+            PartitionProbe::Miss(prepared) => self.engine.score_prepared(
+                seq as u64,
+                self.evaluator,
+                partition,
+                buffer,
+                self.options,
+                hint.map(|(memo, _)| memo),
+                prepared,
+            ),
+        }
     }
 
     /// The per-candidate evaluation epilogue: store the memo and cost on
@@ -1060,6 +980,37 @@ mod tests {
         assert_eq!(plain_genomes, faulty_genomes);
         assert!(faulty_ctx.faults().log().eval_rescores() > 0);
         assert!(faulty_ctx.fault_abort().is_none());
+    }
+
+    #[test]
+    fn injected_eval_errors_dispatch_like_production() {
+        // The fault seam wraps the production job: a transparent
+        // evaluator-error schedule hands the pool exactly the jobs the
+        // fault-free run does, including on a warm second batch.
+        let g = cocco_graph::models::googlenet();
+        let eval = Evaluator::new(&g, AcceleratorConfig::default());
+        let dispatched = |faults: FaultPlan| {
+            let ctx = context(&g, &eval, 48)
+                .with_engine(EngineConfig::with_threads(2))
+                .with_faults(faults);
+            for _ in 0..2 {
+                let mut genomes: Vec<Genome> = (0..24)
+                    .map(|i| {
+                        Genome::new(
+                            Partition::connected_groups(&g, 2 + i % 5),
+                            BufferConfig::shared(1 << 20),
+                        )
+                    })
+                    .collect();
+                ctx.evaluate_batch(&mut genomes);
+            }
+            ctx.engine().metrics().counter("engine.pool.dispatched")
+        };
+        let rates = cocco_faults::FaultRates::none().with(FaultSite::EvalError, 0.5);
+        assert_eq!(
+            dispatched(FaultPlan::disabled()),
+            dispatched(FaultPlan::seeded(7, rates))
+        );
     }
 
     #[test]

@@ -79,7 +79,7 @@ mod twostep;
 // working.
 pub use cocco_engine::EvalMemo;
 pub use cocco_engine::{
-    Engine, EngineConfig, EngineStats, PoolMode, SampleBudget, SampleReservation, ThreadCount,
+    Engine, EngineConfig, EngineStats, SampleBudget, SampleReservation, ThreadCount,
 };
 pub use cocco_engine::{Trace, TracePoint};
 pub use cocco_partition::PartitionDelta;

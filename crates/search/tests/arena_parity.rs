@@ -1,19 +1,20 @@
-//! Arena-path parity property test.
+//! Batch-evaluation parity property test.
 //!
 //! Drives seeded random mutation / repair / crossover walks through
 //! `SearchContext::evaluate_candidates` — the same operator shapes the GA
-//! uses, including incremental [`EvalHint`]s — and asserts the flat-arena
-//! hot path ([`EngineConfig::auto`]) is **bit-identical** to the reference
-//! `Vec<Vec<NodeId>>` path ([`EngineConfig::without_arena`]) on every
-//! observable output: the full cost stream, the final (repaired) genomes,
-//! the recorded trace and the persisted cache snapshot — at 1 and 4
-//! worker threads, on `resnet50` and `randwire-a`.
+//! uses, including incremental [`EvalHint`]s — and asserts that every
+//! dispatch shape the engine can take ({1, 4} worker threads × {chunk 1,
+//! auto} × {inline threshold 0, default}) is **bit-identical** to serial
+//! evaluation on every observable output: the full cost stream, the final
+//! (repaired) genomes, the recorded trace and the persisted cache
+//! snapshot. Every cost must also equal `Evaluator::eval_partition` of the
+//! repaired genome. Runs on `resnet50` and `randwire-a`.
 
-use cocco_engine::{CacheSnapshot, ChunkSize, EngineConfig, EvalMemo, PoolMode, TracePoint};
+use cocco_engine::{CacheSnapshot, ChunkSize, EngineConfig, EvalMemo, TracePoint};
 use cocco_graph::{Graph, NodeId};
 use cocco_partition::{Partition, PartitionDelta};
 use cocco_search::{BufferSpace, EvalCandidate, EvalHint, Genome, Objective, SearchContext};
-use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
+use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, EvalOptions, Evaluator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -33,8 +34,9 @@ struct WalkResult {
 }
 
 /// One seeded mutation/repair/crossover walk under an explicit engine
-/// arm. The RNG drives genome construction only — it is consumed
-/// identically on every arm, so any divergence comes from evaluation.
+/// configuration. The RNG drives genome construction only — it is consumed
+/// identically under every configuration, so any divergence comes from
+/// evaluation.
 fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
     let evaluator = Evaluator::new(model, AcceleratorConfig::default());
     let ctx = SearchContext::new(
@@ -98,28 +100,37 @@ fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
                 _ => EvalCandidate::new(genomes[i].clone()),
             })
             .collect();
-        costs.extend(ctx.evaluate_candidates(&mut candidates));
+        let round = ctx.evaluate_candidates(&mut candidates);
+        for (candidate, cost) in candidates.iter().zip(&round) {
+            // The test oracle: the whole-partition evaluator on the
+            // repaired genome.
+            let full = evaluator
+                .eval_partition(
+                    &candidate.genome.partition.subgraphs(),
+                    &BUFFER,
+                    EvalOptions::default(),
+                )
+                .expect("repaired genomes evaluate");
+            assert_eq!(
+                *cost,
+                Some(full.cost_formula1(CostMetric::Ema)),
+                "{}: cost disagrees with eval_partition at {} threads",
+                model.name(),
+                config.resolved_threads()
+            );
+        }
+        costs.extend(round);
         for (i, candidate) in candidates.into_iter().enumerate() {
             genomes[i] = candidate.genome;
             memos[i] = candidate.memo;
         }
     }
     let stats = ctx.engine().stats();
-    if config.arena {
-        assert_eq!(
-            stats.hot_allocs,
-            0,
-            "arena arm recorded hot-path allocations at {} threads",
-            config.resolved_threads()
-        );
-    }
     assert_eq!(
-        stats.key_allocs, 0,
-        "cache probes must build zero per-probe keys"
-    );
-    assert_eq!(
-        stats.stats_canonicalize_fallbacks, 0,
-        "engine-fed member lists must already be sorted"
+        stats.hot_allocs,
+        0,
+        "recorded hot-path allocations (key builds or canonicalize fallbacks) at {} threads",
+        config.resolved_threads()
     );
     WalkResult {
         costs,
@@ -129,78 +140,57 @@ fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
     }
 }
 
-/// The scale-out arm grid at one thread count: every layer of the
-/// contention-free pipeline — hit prefilter, worker-local L0 caches,
-/// adaptive inline scheduling, chunked dispatch — toggled off one at a
-/// time (and all at once), plus both pool lifecycles and the
-/// reference-view arm. Seeded walks must be bit-identical across all of
-/// them.
-fn arm_grid(threads: u32) -> Vec<(&'static str, EngineConfig)> {
-    let base = EngineConfig::with_threads(threads);
-    vec![
-        ("default", base),
-        ("reference-view", base.without_arena()),
-        ("no-prefilter", base.without_prefilter()),
-        ("no-l0", base.without_l0()),
-        ("no-adaptive", base.with_parallel_threshold(0)),
-        ("chunk-1", base.with_chunk(ChunkSize::Fixed(1))),
-        ("scoped-pool", base.with_pool(PoolMode::Scoped)),
-        (
-            "all-off",
-            base.without_prefilter()
-                .without_l0()
-                .with_parallel_threshold(0)
-                .with_chunk(ChunkSize::Fixed(1))
-                .with_pool(PoolMode::Scoped),
-        ),
-    ]
+/// Every dispatch shape: worker count × chunk size × inline threshold.
+fn dispatch_grid() -> Vec<(String, EngineConfig)> {
+    let mut cells = Vec::new();
+    for threads in [1u32, 4] {
+        for chunk in [ChunkSize::Fixed(1), ChunkSize::Auto] {
+            for threshold in [0, EngineConfig::DEFAULT_PARALLEL_THRESHOLD] {
+                cells.push((
+                    format!("{threads} threads, chunk {chunk:?}, threshold {threshold}"),
+                    EngineConfig::with_threads(threads)
+                        .with_chunk(chunk)
+                        .with_parallel_threshold(threshold),
+                ));
+            }
+        }
+    }
+    cells
 }
 
 fn assert_walks_identical(model: &Graph) {
-    // The reference arm: serial, nested-view, every scale-out layer off —
-    // the plainest possible evaluation pipeline.
-    let reference = walk(
-        model,
-        EngineConfig::serial()
-            .without_arena()
-            .without_prefilter()
-            .without_l0()
-            .with_parallel_threshold(0)
-            .with_chunk(ChunkSize::Fixed(1)),
-    );
+    let reference = walk(model, EngineConfig::serial());
     assert_eq!(
         reference.costs.len(),
         POP * ROUNDS,
         "budget must never run out in this walk"
     );
-    for threads in [1u32, 4] {
-        for (arm, config) in arm_grid(threads) {
-            let other = walk(model, config);
-            assert_eq!(
-                reference.costs,
-                other.costs,
-                "{}: cost stream diverged ({arm}, {threads} threads)",
-                model.name()
-            );
-            assert_eq!(
-                reference.genomes,
-                other.genomes,
-                "{}: repaired genomes diverged ({arm}, {threads} threads)",
-                model.name()
-            );
-            assert_eq!(
-                reference.trace,
-                other.trace,
-                "{}: traces diverged ({arm}, {threads} threads)",
-                model.name()
-            );
-            assert_eq!(
-                reference.snapshot,
-                other.snapshot,
-                "{}: persisted cache snapshots diverged ({arm}, {threads} threads)",
-                model.name()
-            );
-        }
+    for (cell, config) in dispatch_grid() {
+        let other = walk(model, config);
+        assert_eq!(
+            reference.costs,
+            other.costs,
+            "{}: cost stream diverged ({cell})",
+            model.name()
+        );
+        assert_eq!(
+            reference.genomes,
+            other.genomes,
+            "{}: repaired genomes diverged ({cell})",
+            model.name()
+        );
+        assert_eq!(
+            reference.trace,
+            other.trace,
+            "{}: traces diverged ({cell})",
+            model.name()
+        );
+        assert_eq!(
+            reference.snapshot,
+            other.snapshot,
+            "{}: persisted cache snapshots diverged ({cell})",
+            model.name()
+        );
     }
 }
 

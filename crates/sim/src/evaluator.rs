@@ -1,7 +1,6 @@
 //! The partition evaluator: cached per-subgraph statistics plus the
 //! energy/latency/bandwidth roll-up.
 
-use crate::columns::SubgraphColumns;
 use crate::config::{AcceleratorConfig, BufferConfig, EvalOptions};
 use crate::cost::SubgraphStats;
 use crate::error::SimError;
@@ -92,12 +91,6 @@ pub struct Evaluator<'g> {
     /// members by construction, so this counts a slow path the smoke
     /// benchmark asserts never fires; debug builds additionally assert.
     stats_canon_fallbacks: AtomicU64,
-    /// Shard-lock acquisitions that found the lock already held and had to
-    /// block. Observation-only contention tripwire: results are identical
-    /// either way, but the engine's scale-out layers (hit prefilter,
-    /// worker-local L0 caches) exist to keep warm-path probes off these
-    /// locks, and the scaleout benchmark reports this counter to show it.
-    stats_lock_waits: AtomicU64,
     /// Fresh-derivation latency (`sim.subgraph_stats_ns`), recorded only
     /// on the miss path — the cached hit path (the engine's 47 ns leaf)
     /// never touches telemetry. `None` when telemetry is disabled.
@@ -155,7 +148,6 @@ impl<'g> Evaluator<'g> {
             stats_misses: AtomicU64::new(0),
             stats_evictions: AtomicU64::new(0),
             stats_canon_fallbacks: AtomicU64::new(0),
-            stats_lock_waits: AtomicU64::new(0),
             stats_latency: None,
         }
     }
@@ -235,14 +227,6 @@ impl<'g> Evaluator<'g> {
         self.stats_canon_fallbacks.load(Ordering::Relaxed)
     }
 
-    /// Statistics-cache shard-lock acquisitions that blocked on another
-    /// thread. Purely observational — blocking changes wall-clock, never
-    /// results — and expected to stay near 0 once the engine's prefilter
-    /// and L0 layers absorb warm probes before they reach this cache.
-    pub fn stats_lock_waits(&self) -> u64 {
-        self.stats_lock_waits.load(Ordering::Relaxed)
-    }
-
     /// Fraction of statistics lookups answered from the cache.
     pub fn stats_cache_hit_rate(&self) -> f64 {
         let hits = self.stats_cache_hits();
@@ -278,15 +262,7 @@ impl<'g> Evaluator<'g> {
         debug_assert_eq!(fp, NodeSetFp::of_members(members), "stale fingerprint");
         let shard = &self.cache[stats_shard(fp)];
         {
-            // Uncontended probes take the lock without waiting; a busy
-            // shard is counted, then acquired blocking as before.
-            let shard = match shard.try_read() {
-                Ok(guard) => guard,
-                Err(_) => {
-                    self.stats_lock_waits.fetch_add(1, Ordering::Relaxed);
-                    shard.read().unwrap()
-                }
-            };
+            let shard = shard.read().unwrap();
             if let Some(slot) = shard.map.get(&fp) {
                 // Touch: mark the entry live in the current generation so
                 // the next sweep keeps it.
@@ -318,13 +294,7 @@ impl<'g> Evaluator<'g> {
         if let (Some(hist), Some(sw)) = (&self.stats_latency, derivation) {
             hist.record(sw.elapsed_nanos());
         }
-        let mut shard = match shard.try_write() {
-            Ok(guard) => guard,
-            Err(_) => {
-                self.stats_lock_waits.fetch_add(1, Ordering::Relaxed);
-                shard.write().unwrap()
-            }
-        };
+        let mut shard = shard.write().unwrap();
         let gen = shard.gen;
         shard.map.insert(
             fp,
@@ -583,59 +553,6 @@ impl<'g> Evaluator<'g> {
             self.config.freq_ghz,
         ))
     }
-
-    /// Batch scorer over a flat partition layout: `members` is one
-    /// contiguous buffer of node ids and `offsets` delimits subgraph `i`
-    /// as `members[offsets[i]..offsets[i + 1]]` (execution order, members
-    /// ascending within each subgraph). Per-subgraph terms are written
-    /// column-wise into `out`, which is cleared first and whose capacity
-    /// is reused across calls — a warmed caller refills it without heap
-    /// allocation.
-    ///
-    /// The scoring pipeline is exactly
-    /// [`eval_partition`](Self::eval_partition)'s — a statistics pass,
-    /// then an [`eval_subgraph`](Self::eval_subgraph) pass chaining each
-    /// successor's weight prefetch — so
-    /// [`PartitionReport::from_columns`] over `out` is bit-identical to
-    /// the nested path.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for structurally invalid inputs (no subgraphs,
-    /// empty subgraphs, duplicate nodes, unknown ids), like
-    /// [`eval_partition`](Self::eval_partition).
-    pub fn eval_subgraph_batch(
-        &self,
-        members: &[NodeId],
-        offsets: &[u32],
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        out: &mut SubgraphColumns,
-    ) -> Result<(), SimError> {
-        out.clear();
-        let count = offsets.len().saturating_sub(1);
-        if count == 0 {
-            return Err(SimError::EmptySubgraph { index: 0 });
-        }
-        out.reserve(count);
-        for index in 0..count {
-            let sub = &members[offsets[index] as usize..offsets[index + 1] as usize];
-            if sub.is_empty() {
-                return Err(SimError::EmptySubgraph { index });
-            }
-            out.stats.push(self.subgraph_stats(sub)?);
-        }
-        for index in 0..count {
-            let next_wgt = out.stats.get(index + 1).map_or(0, |s| s.ema_wgt_bytes);
-            let part = self.eval_subgraph(&out.stats[index], next_wgt, buffer, options);
-            out.ema_bytes.push(part.ema_bytes);
-            out.energy_pj.push(part.energy_pj);
-            out.latency_cycles.push(part.latency_cycles);
-            out.bw_bytes_per_cycle.push(part.bw_bytes_per_cycle);
-            out.fits.push(part.fits);
-        }
-        Ok(())
-    }
 }
 
 /// PE-array utilization of one layer on the configured core.
@@ -811,20 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_probes_never_wait_on_shard_locks() {
-        let g = cocco_graph::models::diamond();
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let members: Vec<NodeId> = g.node_ids().collect();
-        for _ in 0..100 {
-            eval.subgraph_stats(&members).unwrap();
-        }
-        // A single thread can never find a shard lock held: the counter is
-        // a pure contention tripwire, not a code-path counter.
-        assert_eq!(eval.stats_lock_waits(), 0);
-        assert_eq!(eval.stats_cache_hits(), 99);
-    }
-
-    #[test]
     fn oversized_subgraphs_flagged() {
         let g = cocco_graph::models::chain(5);
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
@@ -947,72 +850,6 @@ mod tests {
             .unwrap();
         assert!(r.avg_bw_gbps > 0.0);
         assert!(r.peak_bw_gbps >= r.avg_bw_gbps * 0.99);
-    }
-
-    /// Flattens nested subgraphs into the (members, offsets) layout the
-    /// batch scorer consumes.
-    fn flatten(subgraphs: &[Vec<NodeId>]) -> (Vec<NodeId>, Vec<u32>) {
-        let mut members = Vec::new();
-        let mut offsets = vec![0u32];
-        for sub in subgraphs {
-            members.extend_from_slice(sub);
-            offsets.push(members.len() as u32);
-        }
-        (members, offsets)
-    }
-
-    #[test]
-    fn batch_scorer_is_bit_identical_to_eval_partition() {
-        for g in [
-            cocco_graph::models::googlenet(),
-            cocco_graph::models::resnet50(),
-        ] {
-            let eval = Evaluator::new(&g, AcceleratorConfig::default());
-            let buf = BufferConfig::shared(2 << 20);
-            for options in [EvalOptions::default(), EvalOptions::with_cores(2)] {
-                let parts = depth_pairs(&g);
-                let nested = eval.eval_partition(&parts, &buf, options).unwrap();
-                let (members, offsets) = flatten(&parts);
-                let mut columns = SubgraphColumns::new();
-                eval.eval_subgraph_batch(&members, &offsets, &buf, options, &mut columns)
-                    .unwrap();
-                let flat = PartitionReport::from_columns(&columns, buf, eval.config().freq_ghz);
-                assert_eq!(nested, flat, "SoA roll-up must be bit-identical");
-                // Warmed reuse: clearing keeps capacity, refilling keeps
-                // the result.
-                let before = columns.bytes();
-                eval.eval_subgraph_batch(&members, &offsets, &buf, options, &mut columns)
-                    .unwrap();
-                assert_eq!(columns.bytes(), before, "reuse must not grow columns");
-                assert_eq!(
-                    PartitionReport::from_columns(&columns, buf, eval.config().freq_ghz),
-                    flat
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_scorer_rejects_empty_layouts() {
-        let g = cocco_graph::models::diamond();
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let buf = BufferConfig::shared(1 << 20);
-        let mut columns = SubgraphColumns::new();
-        let err = eval
-            .eval_subgraph_batch(&[], &[0], &buf, EvalOptions::default(), &mut columns)
-            .unwrap_err();
-        assert!(matches!(err, SimError::EmptySubgraph { index: 0 }));
-        let ids: Vec<NodeId> = g.node_ids().collect();
-        let err = eval
-            .eval_subgraph_batch(
-                &ids,
-                &[0, 2, 2, ids.len() as u32],
-                &buf,
-                EvalOptions::default(),
-                &mut columns,
-            )
-            .unwrap_err();
-        assert!(matches!(err, SimError::EmptySubgraph { index: 1 }));
     }
 
     #[test]

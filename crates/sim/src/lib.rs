@@ -30,7 +30,6 @@
 //! assert!(report.ema_bytes > 0);
 //! ```
 
-mod columns;
 mod config;
 mod cost;
 mod energy;
@@ -38,7 +37,6 @@ mod error;
 mod evaluator;
 mod report;
 
-pub use columns::SubgraphColumns;
 pub use config::{AcceleratorConfig, BufferConfig, CapacityRange, EvalOptions};
 pub use cost::{CostMetric, SubgraphStats};
 pub use energy::EnergyModel;

@@ -1,6 +1,5 @@
 //! Whole-partition evaluation reports.
 
-use crate::columns::SubgraphColumns;
 use crate::config::BufferConfig;
 use crate::cost::{CostMetric, SubgraphStats};
 use serde::{Deserialize, Serialize};
@@ -94,52 +93,6 @@ impl PartitionReport {
         report.avg_bw_gbps = report.ema_bytes as f64 / report.latency_cycles * freq_ghz;
         report.per_subgraph = parts;
         report
-    }
-
-    /// Composes a whole-partition report from struct-of-arrays columns
-    /// (the batch-scoring output of
-    /// [`Evaluator::eval_subgraph_batch`](crate::Evaluator::eval_subgraph_batch)).
-    ///
-    /// Each column folds in index order, exactly the order
-    /// [`from_parts`](Self::from_parts) visits rows — the `f64` summation
-    /// order is unchanged, only the traversal is column-major over
-    /// contiguous buffers — so the two roll-ups are bit-identical.
-    pub fn from_columns(columns: &SubgraphColumns, buffer: BufferConfig, freq_ghz: f64) -> Self {
-        let mut ema_bytes = 0u64;
-        for &bytes in &columns.ema_bytes {
-            ema_bytes += bytes;
-        }
-        let mut energy_pj = 0.0f64;
-        for &pj in &columns.energy_pj {
-            energy_pj += pj;
-        }
-        let mut latency_cycles = 0.0f64;
-        for &cycles in &columns.latency_cycles {
-            latency_cycles += cycles;
-        }
-        let mut peak_bw_gbps = 0.0f64;
-        for &bw in &columns.bw_bytes_per_cycle {
-            peak_bw_gbps = peak_bw_gbps.max(bw * freq_ghz);
-        }
-        let mut fits = true;
-        let mut oversized = Vec::new();
-        for (index, &fit) in columns.fits.iter().enumerate() {
-            if !fit {
-                fits = false;
-                oversized.push(index);
-            }
-        }
-        PartitionReport {
-            ema_bytes,
-            energy_pj,
-            latency_cycles,
-            avg_bw_gbps: ema_bytes as f64 / latency_cycles * freq_ghz,
-            peak_bw_gbps,
-            fits,
-            oversized,
-            per_subgraph: (0..columns.len()).map(|i| columns.report(i)).collect(),
-            buffer,
-        }
     }
 
     /// The metric value used by the cost functions.

@@ -28,15 +28,17 @@
 //! Metric and event names are dot-separated `subsystem.object.metric`
 //! paths, lower-case, with histograms suffixed by their unit:
 //!
-//! - `engine.batch.latency_ns`, `engine.pool.queue_wait_ns`
+//! - `engine.batch.latency_ns` (one batch dispatch: every candidate's
+//!   repair, cache probe and scoring plus the funding-order publish of
+//!   the entries it computed), `engine.pool.queue_wait_ns`
+//! - `engine.batch.wall_ns` (gauge: summed batch wall time, repair
+//!   included — the facade's `eval` phase) and `engine.batch.alloc_bytes`
+//!   (scratch growth per batch)
 //! - `engine.pool.dispatched` / `.chunks` / `.inline_batches` (jobs
-//!   reaching the pool after the hit prefilter, chunked hand-off
-//!   units, and batches the adaptive scheduler ran inline)
+//!   handed to the pool — one per funded candidate — chunked hand-off
+//!   units, and batches run inline on the caller)
 //! - `engine.cache.partition.hits` / `.misses` / `.evictions` (and
 //!   `…cache.subgraph.*` for the second level)
-//! - `engine.cache.l0_hits` / `.l0_publishes` (probes answered by a
-//!   worker-local L0 cache, and entries staged for the deterministic
-//!   funding-order drain at batch end)
 //! - `search.step_ns` (span), `search.improvement` (event),
 //!   `search.budget.used` (gauge)
 //! - `sim.subgraph_stats_ns` (derivation latency on stats-cache misses)

@@ -333,15 +333,26 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
+                _ if b.is_ascii() => out.push(b as char),
                 _ => {
-                    // Re-scan from the byte position to keep UTF-8 intact.
+                    // Decode just this character's bytes (the lead byte
+                    // gives the width), so a string costs time linear in
+                    // its own length rather than in the rest of the
+                    // document.
                     let start = self.pos - 1;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
+                    let width = match b {
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let c = self
+                        .bytes
+                        .get(start..start + width)
+                        .and_then(|bytes| std::str::from_utf8(bytes).ok())
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| Error::custom("invalid UTF-8 in string"))?;
                     out.push(c);
-                    self.pos = start + c.len_utf8();
+                    self.pos = start + width;
                 }
             }
         }

@@ -180,3 +180,39 @@ fn roll_up_cache_hits_seed_offspring_memos() {
         result.stats.subgraph_hit_rate() * 100.0
     );
 }
+
+#[test]
+fn engine_counters_are_thread_count_invariant() {
+    // Every batch job sees only the cache state from before its batch, so
+    // the engine's hit, miss and scoring counters — not just the results —
+    // are the same at any thread count.
+    let g = cocco::graph::models::randwire_a();
+    let counters = |threads: u32| {
+        let evaluator = Evaluator::new(&g, AcceleratorConfig::default());
+        let ctx = SearchContext::new(
+            &g,
+            &evaluator,
+            BufferSpace::paper_shared(),
+            Objective::paper_energy_capacity(),
+            600,
+        )
+        .with_engine(EngineConfig::with_threads(threads));
+        SearchMethod::ga().with_seed(21).run(&ctx);
+        let s = ctx.engine().stats();
+        (
+            s.evals,
+            s.cache_hits,
+            s.subgraph_scorings,
+            s.subgraph_hits,
+            s.subgraph_reused,
+        )
+    };
+    let serial = counters(1);
+    for threads in [2, 4] {
+        assert_eq!(
+            serial,
+            counters(threads),
+            "engine counters at {threads} threads"
+        );
+    }
+}

@@ -5,10 +5,9 @@
 use cocco::prelude::*;
 
 /// Serializes an exploration with its volatile engine statistics zeroed:
-/// wall time and thread count differ run to run by construction, and the
-/// cache-hit counters are scheduling-dependent at >1 threads. Everything
-/// else — genome, report, cost, samples, trace, error counter — must be
-/// bit-identical.
+/// wall time and thread count differ run to run by construction.
+/// Everything else — genome, report, cost, samples, trace, error counter —
+/// must be bit-identical.
 fn normalized_json(mut exploration: Exploration) -> String {
     exploration.stats = EngineStats::default();
     serde_json::to_string(&exploration).expect("exploration serializes")
