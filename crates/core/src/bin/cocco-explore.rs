@@ -74,8 +74,9 @@ fn usage() -> String {
            --chunk <n|auto>   jobs handed to a worker per pool dispatch (default\n\
                               auto: batch size / (threads * 4)); results are\n\
                               identical at any chunk size\n\
-           --cache-capacity <n>  bound the evaluation cache to <n> entries\n\
-                              (generation-sweep eviction; results unchanged)\n\
+           --cache-capacity <n>  bound the evaluation cache to <n> partition\n\
+                              roll-ups (default 16384; generation-sweep\n\
+                              eviction; results unchanged)\n\
            --cache-file <p>   persist the evaluation cache at <p>: repeated\n\
                               explorations warm-start from it (results are\n\
                               unchanged; entries of other models/accelerator\n\
@@ -553,16 +554,15 @@ fn main() -> ExitCode {
         result.stats.wall_ms,
     );
     println!(
-        "subgraph terms     : {} scored, {} cached, {} reused ({:.0}% avoided)",
+        "subgraph terms     : {} scored, {} reused ({:.0}% avoided)",
         result.stats.subgraph_scorings,
-        result.stats.subgraph_hits,
         result.stats.subgraph_reused,
         result.stats.subgraph_hit_rate() * 100.0,
     );
-    if result.stats.evictions() > 0 {
+    if result.stats.cache_evictions > 0 {
         println!(
-            "cache evictions    : {} roll-ups + {} terms (bounded cache)",
-            result.stats.cache_evictions, result.stats.subgraph_evictions,
+            "cache evictions    : {} roll-ups (bounded cache)",
+            result.stats.cache_evictions,
         );
     }
     if let Some(save_error) = &result.cache_save_error {

@@ -15,48 +15,31 @@
 //! Slots never affect results: scratch contents are fully overwritten
 //! before each read, staged entries are published in funding order no
 //! matter which slot holds them, and which slot a call claims is invisible
-//! to the score. Claiming spins over `try_lock` — with one more slot than
-//! worker threads and the single-claim discipline (only public entry
-//! points claim; internal helpers receive the scratch by reference), a
-//! free slot always exists, so the spin terminates immediately in
+//! to the score. For the same reasons a slot stays claimable after a
+//! panic poisoned its lock. Claiming spins over `try_lock` — with one more
+//! slot than worker threads and the single-claim discipline (only public
+//! entry points claim; internal helpers receive the scratch by reference),
+//! a free slot always exists, so the spin terminates immediately in
 //! practice.
 
 use crate::cache::EvalKey;
-use crate::engine::{EvalMemo, MemoEntry, ScoredEval, SubgraphScore};
+use crate::engine::{EvalMemo, MemoEntry, ScoredEval};
 use cocco_partition::LayoutArena;
 use cocco_sim::SubgraphStats;
 use std::mem::size_of;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
-/// A partition roll-up staged for funding-order publication: the batch
-/// sequence number it was computed under, plus the shared-cache payload.
-pub(crate) type PendingPartition = (u64, EvalKey, ScoredEval, Option<Arc<EvalMemo>>);
-
-/// A subgraph term staged for funding-order publication.
-pub(crate) type PendingSubgraph = (u64, EvalKey, SubgraphScore);
-
-/// Cache entries computed inside batch jobs and not yet published.
+/// A partition roll-up computed inside a batch job and not yet published:
+/// the funding-order sequence number of the job that computed it, plus the
+/// shared-cache payload.
 ///
 /// Batch jobs never write the shared cache: each stages its new entries
-/// here, tagged with the funding-order sequence number of the job that
-/// computed them, and the engine publishes every slot's entries in
-/// sequence order once the batch has finished. Every job therefore sees
-/// exactly the cache state from before its batch, so the shared cache's
-/// contents, its counters and its insertion history are independent of
-/// thread count, chunking and slot assignment.
-#[derive(Debug, Default)]
-pub(crate) struct Staged {
-    pub partitions: Vec<PendingPartition>,
-    pub subgraphs: Vec<PendingSubgraph>,
-}
-
-impl Staged {
-    /// Bytes of heap capacity currently owned by the staging queues.
-    fn bytes(&self) -> u64 {
-        (self.partitions.capacity() * size_of::<PendingPartition>()
-            + self.subgraphs.capacity() * size_of::<PendingSubgraph>()) as u64
-    }
-}
+/// in its slot, and the engine publishes every slot's entries in sequence
+/// order once the batch has finished. Every job therefore sees exactly the
+/// cache state from before its batch, so the shared cache's contents, its
+/// counters and its insertion history are independent of thread count,
+/// chunking and slot assignment.
+pub(crate) type Staged = (u64, EvalKey, ScoredEval, Option<Arc<EvalMemo>>);
 
 /// The composition scratch of one scoring call: per-position memo copies,
 /// statistics and weight footprints.
@@ -92,7 +75,7 @@ pub struct EvalArena {
     /// Composition scratch of the incremental path.
     pub(crate) compose: ComposeScratch,
     /// Entries the slot's batch jobs computed, awaiting publication.
-    pub(crate) staged: Staged,
+    pub(crate) staged: Vec<Staged>,
 }
 
 impl EvalArena {
@@ -101,7 +84,7 @@ impl EvalArena {
         self.layout.bytes()
             + (self.dirty.capacity() * size_of::<bool>()) as u64
             + self.compose.bytes()
-            + self.staged.bytes()
+            + (self.staged.capacity() * size_of::<Staged>()) as u64
     }
 
     /// Layout builds served entirely from existing capacity.
@@ -122,6 +105,11 @@ pub(crate) struct ScratchPool {
     slots: Vec<Mutex<EvalArena>>,
 }
 
+/// Locks a slot, tolerating poisoning (see the module docs).
+fn lock(slot: &Mutex<EvalArena>) -> MutexGuard<'_, EvalArena> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl ScratchPool {
     /// A pool of `slots` empty arenas (`slots >= 1`).
     pub fn new(slots: usize) -> Self {
@@ -133,12 +121,15 @@ impl ScratchPool {
     /// Runs `f` with an exclusive scratch slot. Spins over the slots
     /// until one is free — callers never nest claims and the pool holds
     /// one more slot than there are worker threads, so the first pass
-    /// succeeds in the steady state.
+    /// succeeds in the steady state. A slot whose last claimant panicked
+    /// is claimed like any other.
     pub fn with_slot<R>(&self, f: impl FnOnce(&mut EvalArena) -> R) -> R {
         loop {
             for slot in &self.slots {
-                if let Ok(mut arena) = slot.try_lock() {
-                    return f(&mut arena);
+                match slot.try_lock() {
+                    Ok(mut arena) => return f(&mut arena),
+                    Err(TryLockError::Poisoned(poisoned)) => return f(&mut poisoned.into_inner()),
+                    Err(TryLockError::WouldBlock) => {}
                 }
             }
             std::thread::yield_now();
@@ -150,14 +141,10 @@ impl ScratchPool {
     /// staging queues keep their capacity. Slots are visited in index
     /// order, but the caller sorts the entries anyway, so slot assignment
     /// never reaches the cache.
-    pub fn take_staged(&self) -> Staged {
-        let mut all = Staged::default();
+    pub fn take_staged(&self) -> Vec<Staged> {
+        let mut all = Vec::new();
         for slot in &self.slots {
-            // A poisoned slot still holds whole entries: a push either
-            // happened or it did not.
-            let mut arena = slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            all.partitions.append(&mut arena.staged.partitions);
-            all.subgraphs.append(&mut arena.staged.subgraphs);
+            all.append(&mut lock(slot).staged);
         }
         all
     }
@@ -165,10 +152,7 @@ impl ScratchPool {
     /// Sums `per_slot` over every slot (blocking; used at quiescent
     /// points — metrics collection and dispatch boundaries).
     fn sum(&self, per_slot: impl Fn(&EvalArena) -> u64) -> u64 {
-        self.slots
-            .iter()
-            .map(|slot| per_slot(&slot.lock().unwrap()))
-            .sum()
+        self.slots.iter().map(|slot| per_slot(&lock(slot))).sum()
     }
 
     /// Total bytes of heap capacity owned by all slots.
@@ -214,6 +198,22 @@ mod tests {
             arena.bytes()
         });
         assert_eq!(pool.bytes(), inside);
+    }
+
+    #[test]
+    fn a_panicked_claim_leaves_its_slot_claimable_and_countable() {
+        let pool = ScratchPool::new(2);
+        // The first claim takes slot 0; its panic poisons that slot.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.with_slot(|_| panic!("a job died holding its slot"))
+        }));
+        assert!(caught.is_err());
+        // Slot 0 is free again, so the next claim takes it.
+        pool.with_slot(|arena| arena.dirty.push(true));
+        assert_eq!(lock(&pool.slots[0]).dirty, [true]);
+        // The quiescent sums behind the engine metrics still work.
+        assert!(pool.bytes() > 0);
+        assert_eq!(pool.reuses() + pool.grows(), 0);
     }
 
     #[test]

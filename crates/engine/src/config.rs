@@ -54,13 +54,10 @@ pub enum ChunkSize {
 pub struct EngineConfig {
     /// Worker-thread policy.
     pub threads: ThreadCount,
-    /// Upper bound on cached evaluation entries across the two cache
-    /// levels (the memo-carrying partition level's share is additionally
-    /// capped — see `EvalCache::with_capacity`). When a level fills up, a
-    /// generation sweep evicts the entries not touched since the previous
-    /// sweep (evictions are counted in `EngineStats`). Defaults to
-    /// [`DEFAULT_CACHE_CAPACITY`](Self::DEFAULT_CACHE_CAPACITY) — generous
-    /// enough that ordinary explorations never evict.
+    /// Upper bound on cached partition roll-ups. When the cache fills up,
+    /// a generation sweep evicts the entries not touched since the
+    /// previous sweep (evictions are counted in `EngineStats`). Defaults
+    /// to [`DEFAULT_CACHE_CAPACITY`](Self::DEFAULT_CACHE_CAPACITY).
     pub cache_capacity: usize,
     /// Batches with fewer jobs than this threshold execute inline on the
     /// dispatching thread instead of paying pool hand-off (default
@@ -78,9 +75,12 @@ impl EngineConfig {
     /// scheduling overhead.
     pub const AUTO_CAP: usize = 8;
 
-    /// Default [`cache_capacity`](Self::cache_capacity): one million
-    /// entries, far above what a 50k-sample exploration produces.
-    pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
+    /// Default [`cache_capacity`](Self::cache_capacity): 16,384 roll-ups.
+    /// Each entry pins an `EvalMemo` (O(#subgraphs) fingerprints and
+    /// terms, kilobytes on large models), and roll-ups pay off only for
+    /// recently re-proposed genomes, so this budget keeps their hit rate
+    /// while capping memo residency at tens of megabytes.
+    pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 14;
 
     /// Default [`parallel_threshold`](Self::parallel_threshold). A pool
     /// hand-off was measured at ~12 µs per batch against ~7.6 µs per
@@ -111,9 +111,9 @@ impl EngineConfig {
         }
     }
 
-    /// Bounds the evaluation cache to `capacity` total entries (clamped to
-    /// a small minimum so the sharded levels stay functional). Evictions
-    /// never change results — evicted entries are recomputed bit-identical.
+    /// Bounds the evaluation cache to `capacity` entries (clamped to a
+    /// small minimum so every shard stays functional). Evictions never
+    /// change results — evicted entries are recomputed bit-identical.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self

@@ -1,12 +1,14 @@
 //! The engine core: memoized scoring plus run statistics.
 //!
 //! Scoring is **subgraph-granular**: a partition's objective terms are
-//! composed from per-subgraph scores that are memoized individually (see
-//! [`EvalCache`]), and a caller that knows *which* subgraphs a mutation
+//! composed from per-subgraph scores, each computed from the subgraph's
+//! statistics (memoized by the evaluator's stats cache) and its
+//! successor's weight footprint. Whole-partition roll-ups are memoized in
+//! the [`EvalCache`], and a caller that knows *which* subgraphs a mutation
 //! touched ([`Engine::score_delta`]) re-derives only those terms — plus the
 //! `next_wgt` predecessors whose prefetch input changed — while every
 //! untouched term is copied from the previous evaluation's [`EvalMemo`].
-//! Every path (cached composition, memo reuse) is bit-identical to
+//! Every path (fresh composition, memo reuse) is bit-identical to
 //! `Evaluator::eval_partition` by construction: `Evaluator::eval_subgraph`
 //! is a pure function and the roll-up is an in-order fold.
 //!
@@ -115,7 +117,7 @@ enum Publish<'s> {
     /// funding-order sequence number of the batch job that computed it;
     /// [`Engine::dispatch`] publishes them in sequence order once the
     /// batch is done.
-    Deferred(u64, &'s mut Staged),
+    Deferred(u64, &'s mut Vec<Staged>),
 }
 
 /// The outcome of [`Engine::prepare_partition`]: the probe half of scoring
@@ -154,11 +156,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The additive objective terms of one subgraph — the cached unit of the
-/// incremental evaluation path. A partition's [`ScoredEval`] is the
-/// in-order sum (`ema_bytes`, `energy_pj`) and conjunction (`fits`) of its
-/// subgraphs' scores.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// The additive objective terms of one subgraph — the unit an [`EvalMemo`]
+/// records. A partition's [`ScoredEval`] is the in-order sum (`ema_bytes`,
+/// `energy_pj`) and conjunction (`fits`) of its subgraphs' scores.
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct SubgraphScore {
     /// DRAM traffic of this subgraph in bytes.
     pub ema_bytes: u64,
@@ -294,29 +295,20 @@ pub struct EngineStats {
     pub cache_evictions: u64,
     /// Full per-subgraph scorings: `eval_subgraph` terms computed fresh.
     pub subgraph_scorings: u64,
-    /// Subgraph terms answered from the subgraph-level cache.
+    /// Always 0: the engine no longer caches subgraph terms (their
+    /// statistics are cached by the evaluator). Kept so existing readers
+    /// of this snapshot keep compiling.
     pub subgraph_hits: u64,
     /// Subgraph terms copied straight from a caller's [`EvalMemo`] on the
-    /// delta path (no key built, no cache queried).
+    /// delta path (no term computed).
     pub subgraph_reused: u64,
-    /// Distinct cached subgraph terms at snapshot time.
-    pub subgraph_entries: u64,
-    /// Subgraph term entries evicted by generation sweeps.
-    pub subgraph_evictions: u64,
-    /// Per-probe key-material heap allocations — 0 on the fingerprint
-    /// path; a regression tripwire asserted by the CI smoke benchmark.
-    pub key_allocs: u64,
     /// Statistics misses that had to sort a copy of an out-of-order
-    /// member list (see `Evaluator::stats_canonicalize_fallbacks`) — 0 on
-    /// every production path, asserted by the CI smoke benchmark.
+    /// member list (see `Evaluator::stats_canonicalize_fallbacks`) — the
+    /// hot-path allocation tripwire: 0 on every production path, asserted
+    /// by the CI smoke benchmark. (Values that *escape* the dispatch —
+    /// memo entries, fingerprints, cache inserts — are inherent and not
+    /// counted.)
     pub stats_canonicalize_fallbacks: u64,
-    /// The general hot-path allocation tripwire:
-    /// `key_allocs + stats_canonicalize_fallbacks` — every instrumented
-    /// way a warmed scoring dispatch could touch the allocator for
-    /// per-probe material. 0 on the arena path, asserted by the CI smoke
-    /// benchmark. (Values that *escape* the dispatch — memo entries,
-    /// fingerprints, cache inserts — are inherent and not counted.)
-    pub hot_allocs: u64,
     /// Wall-clock milliseconds spent inside batch evaluation.
     pub wall_ms: f64,
 }
@@ -332,13 +324,9 @@ impl EngineStats {
             cache_entries: m.gauge("engine.cache.partition.entries"),
             cache_evictions: m.counter("engine.cache.partition.evictions"),
             subgraph_scorings: m.counter("engine.subgraph.scorings"),
-            subgraph_hits: m.counter("engine.cache.subgraph.hits"),
+            subgraph_hits: 0,
             subgraph_reused: m.counter("engine.subgraph.reused"),
-            subgraph_entries: m.gauge("engine.cache.subgraph.entries"),
-            subgraph_evictions: m.counter("engine.cache.subgraph.evictions"),
-            key_allocs: m.counter("engine.key_allocs"),
             stats_canonicalize_fallbacks: m.counter("engine.stats_canonicalize_fallbacks"),
-            hot_allocs: m.counter("engine.hot_allocs"),
             wall_ms: m.gauge("engine.batch.wall_ns") as f64 / 1e6,
         }
     }
@@ -353,35 +341,29 @@ impl EngineStats {
         }
     }
 
-    /// Total subgraph-term requests (scorings + cache hits + memo reuses).
+    /// Total subgraph-term requests (scorings + memo reuses).
     pub fn subgraph_requests(&self) -> u64 {
-        self.subgraph_scorings + self.subgraph_hits + self.subgraph_reused
+        self.subgraph_scorings + self.subgraph_reused
     }
 
-    /// Fraction of subgraph-term requests that avoided a full scoring
-    /// (cache hit or memo reuse).
+    /// Fraction of subgraph-term requests answered by memo reuse instead
+    /// of a fresh scoring.
     pub fn subgraph_hit_rate(&self) -> f64 {
         let requests = self.subgraph_requests();
         if requests == 0 {
             0.0
         } else {
-            (self.subgraph_hits + self.subgraph_reused) as f64 / requests as f64
+            self.subgraph_reused as f64 / requests as f64
         }
-    }
-
-    /// Total entries evicted across both cache levels.
-    pub fn evictions(&self) -> u64 {
-        self.cache_evictions + self.subgraph_evictions
     }
 }
 
 /// The parallel, memoized evaluation engine.
 ///
 /// One engine is shared (via `Arc`) by every context derived from a search:
-/// the worker pool parallelizes batch evaluation, the two-level cache
-/// memoizes per-subgraph terms and whole-partition roll-ups across
-/// searchers, generations and two-step inner runs, and the statistics feed
-/// the exploration report.
+/// the worker pool parallelizes batch evaluation, the cache memoizes
+/// whole-partition roll-ups across searchers, generations and two-step
+/// inner runs, and the statistics feed the exploration report.
 ///
 /// # Examples
 ///
@@ -409,12 +391,13 @@ pub struct Engine {
     /// per scoring call.
     scratch: ScratchPool,
     wall_nanos: AtomicU64,
+    /// Subgraph terms computed fresh (`engine.subgraph.scorings`).
+    scorings: AtomicU64,
     /// Memo reuses on the delta path.
     reused: AtomicU64,
     /// High-water mark of any evaluator's canonicalize-fallback count
     /// observed by this engine (see
-    /// `Evaluator::stats_canonicalize_fallbacks`); 0 in production,
-    /// folded into the `hot_allocs` tripwire.
+    /// `Evaluator::stats_canonicalize_fallbacks`); 0 in production.
     stats_fallbacks: AtomicU64,
     /// Jobs handed to [`dispatch`](Self::dispatch)
     /// (`engine.pool.dispatched`) — one per funded candidate on the batch
@@ -485,6 +468,7 @@ impl Engine {
             cache: EvalCache::with_capacity_telemetry(config.cache_capacity, telemetry.clone()),
             scratch: ScratchPool::new(config.resolved_threads() + 1),
             wall_nanos: AtomicU64::new(0),
+            scorings: AtomicU64::new(0),
             reused: AtomicU64::new(0),
             stats_fallbacks: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
@@ -770,7 +754,7 @@ impl Engine {
     }
 
     /// Scores one subgraph as a standalone single-subgraph partition
-    /// (`next_wgt = 0`) through the subgraph-term cache, without
+    /// (`next_wgt = 0`) from its evaluator-cached statistics, without
     /// allocating an owned partition — the additive Formula-1 term used by
     /// the greedy/DP/enumeration hot loops.
     pub fn score_single(
@@ -780,50 +764,16 @@ impl Engine {
         buffer: &BufferConfig,
         options: EvalOptions,
     ) -> ScoredEval {
-        if members.is_empty() {
+        let Ok(stats) = evaluator.subgraph_stats(members) else {
             return ScoredEval::errored(buffer);
-        }
-        let fp = NodeSetFp::of_members(members);
-        let key = EvalKey::subgraph(evaluator.fingerprint(), fp, 0, buffer, options);
-        let term = match self.cache.get_subgraph(&key) {
-            Some(term) => term,
-            None => match evaluator.subgraph_stats_keyed(fp, members) {
-                Ok(stats) => {
-                    let term = self.compute_term(evaluator, &stats, 0, buffer, options);
-                    self.cache.insert_subgraph(key, term);
-                    term
-                }
-                Err(_) => return ScoredEval::errored(buffer),
-            },
         };
+        let term = self.compute_term(evaluator, &stats, 0, buffer, options);
         ScoredEval {
             ema_bytes: term.ema_bytes,
             energy_pj: term.energy_pj,
             buffer_bytes: buffer.total_bytes(),
             fits: term.fits,
             error: false,
-        }
-    }
-
-    /// Publishes a freshly computed roll-up per `publish` policy.
-    fn publish_partition(
-        &self,
-        publish: &mut Publish<'_>,
-        key: EvalKey,
-        scored: ScoredEval,
-        memo: Option<Arc<EvalMemo>>,
-    ) {
-        match publish {
-            Publish::Immediate => self.cache.insert_memoized(key, scored, memo),
-            Publish::Deferred(seq, staged) => staged.partitions.push((*seq, key, scored, memo)),
-        }
-    }
-
-    /// Publishes a freshly computed subgraph term per `publish` policy.
-    fn publish_subgraph(&self, publish: &mut Publish<'_>, key: EvalKey, term: SubgraphScore) {
-        match publish {
-            Publish::Immediate => self.cache.insert_subgraph(key, term),
-            Publish::Deferred(seq, staged) => staged.subgraphs.push((*seq, key, term)),
         }
     }
 
@@ -858,7 +808,7 @@ impl Engine {
     }
 
     /// The compute tail of a partition-cache miss: compose, then publish
-    /// under `key`. Shared by [`score_inner`](Self::score_inner) and
+    /// under `key` per the `publish` policy. Shared by [`score_inner`](Self::score_inner) and
     /// [`score_prepared`](Self::score_prepared) — the miss itself was
     /// already counted by whoever probed.
     #[allow(clippy::too_many_arguments)]
@@ -872,27 +822,22 @@ impl Engine {
         scratch: &mut ComposeScratch,
         key: EvalKey,
         fps: PartitionFingerprints,
-        mut publish: Publish<'_>,
+        publish: Publish<'_>,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let (scored, memo) = self.compose(
-            evaluator,
-            subgraphs,
-            fps,
-            buffer,
-            options,
-            reuse,
-            scratch,
-            &mut publish,
-        );
-        self.publish_partition(&mut publish, key, scored, memo.clone());
+        let (scored, memo) =
+            self.compose(evaluator, subgraphs, fps, buffer, options, reuse, scratch);
+        match publish {
+            Publish::Immediate => self.cache.insert_memoized(key, scored, memo.clone()),
+            Publish::Deferred(seq, staged) => staged.push((seq, key, scored, memo.clone())),
+        }
         self.note_stats_fallbacks(evaluator);
         (scored, memo)
     }
 
     /// Folds the evaluator's canonicalize-fallback count into the
-    /// engine's `hot_allocs` tripwire (high-water mark across the
-    /// evaluators this engine has scored with; free while the count stays
-    /// 0, the production invariant).
+    /// engine's tripwire (high-water mark across the evaluators this
+    /// engine has scored with; free while the count stays 0, the
+    /// production invariant).
     fn note_stats_fallbacks(&self, evaluator: &Evaluator<'_>) {
         let fallbacks = evaluator.stats_canonicalize_fallbacks();
         if fallbacks != 0 {
@@ -900,8 +845,7 @@ impl Engine {
         }
     }
 
-    /// Computes one fresh `eval_subgraph` term, counted as a full scoring
-    /// via the subgraph cache's miss counter (the caller just missed).
+    /// Computes one fresh `eval_subgraph` term, counted as a full scoring.
     fn compute_term(
         &self,
         evaluator: &Evaluator<'_>,
@@ -910,6 +854,7 @@ impl Engine {
         buffer: &BufferConfig,
         options: EvalOptions,
     ) -> SubgraphScore {
+        self.scorings.fetch_add(1, Ordering::Relaxed);
         let part = evaluator.eval_subgraph(stats, next_wgt, buffer, options);
         SubgraphScore {
             ema_bytes: part.ema_bytes,
@@ -919,9 +864,9 @@ impl Engine {
     }
 
     /// Composes a partition score from per-subgraph terms, reusing the
-    /// caller's memo for clean positions and the subgraph-term cache for
-    /// everything else. The fold runs in execution order, so the sums are
-    /// bit-identical to `Evaluator::eval_partition`.
+    /// caller's memo for clean positions and computing every other term
+    /// from the evaluator-cached statistics. The fold runs in execution
+    /// order, so the sums are bit-identical to `Evaluator::eval_partition`.
     #[allow(clippy::too_many_arguments)]
     fn compose<S: SubgraphsView + ?Sized>(
         &self,
@@ -932,7 +877,6 @@ impl Engine {
         options: EvalOptions,
         reuse: Option<(&EvalMemo, &[bool])>,
         scratch: &mut ComposeScratch,
-        publish: &mut Publish<'_>,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
         if subgraphs.no_subgraphs() || subgraphs.any_empty() {
             return (ScoredEval::errored(buffer), None);
@@ -981,35 +925,19 @@ impl Engine {
                     entry.score
                 }
                 _ => {
-                    let key = EvalKey::subgraph(
-                        evaluator.fingerprint(),
-                        fps.positions()[i],
-                        next_wgt,
-                        buffer,
-                        options,
-                    );
-                    match self.cache.get_subgraph(&key) {
-                        Some(term) => term,
-                        None => {
-                            let stats = match scratch.stats_of[i] {
-                                Some(stats) => stats,
-                                // A clean entry whose next_wgt changed: its
-                                // statistics were computed before, so this
-                                // is an evaluator-cache hit.
-                                None => match evaluator.subgraph_stats_keyed(
-                                    fps.positions()[i],
-                                    subgraphs.members_of(i),
-                                ) {
-                                    Ok(stats) => stats,
-                                    Err(_) => return (ScoredEval::errored(buffer), None),
-                                },
-                            };
-                            let term =
-                                self.compute_term(evaluator, &stats, next_wgt, buffer, options);
-                            self.publish_subgraph(publish, key, term);
-                            term
-                        }
-                    }
+                    let stats = match scratch.stats_of[i] {
+                        Some(stats) => stats,
+                        // A clean entry whose next_wgt changed: its
+                        // statistics were computed before, so this is an
+                        // evaluator-cache hit.
+                        None => match evaluator
+                            .subgraph_stats_keyed(fps.positions()[i], subgraphs.members_of(i))
+                        {
+                            Ok(stats) => stats,
+                            Err(_) => return (ScoredEval::errored(buffer), None),
+                        },
+                    };
+                    self.compute_term(evaluator, &stats, next_wgt, buffer, options)
                 }
             };
             ema_bytes += score.ema_bytes;
@@ -1123,18 +1051,10 @@ impl Engine {
     /// under a plain [`dispatch`](Self::dispatch) are pure values and are
     /// published by the next batch.
     fn publish_staged(&self) {
-        let Staged {
-            mut partitions,
-            mut subgraphs,
-        } = self.scratch.take_staged();
-        subgraphs.sort_unstable_by_key(|entry| (entry.0, entry.1));
-        subgraphs.dedup_by_key(|entry| (entry.0, entry.1));
-        partitions.sort_unstable_by_key(|entry| (entry.0, entry.1));
-        partitions.dedup_by_key(|entry| (entry.0, entry.1));
-        for (_, key, term) in subgraphs {
-            self.cache.insert_subgraph(key, term);
-        }
-        for (_, key, scored, memo) in partitions {
+        let mut staged = self.scratch.take_staged();
+        staged.sort_unstable_by_key(|entry| (entry.0, entry.1));
+        staged.dedup_by_key(|entry| (entry.0, entry.1));
+        for (_, key, scored, memo) in staged {
             self.cache.insert_memoized(key, scored, memo);
         }
     }
@@ -1142,12 +1062,11 @@ impl Engine {
     /// The authoritative metrics snapshot: everything live telemetry
     /// recorded (batch/queue histograms, sweep events' counters) plus
     /// the engine's own counters absorbed under their metric names —
-    /// `engine.evals`, `engine.cache.{partition,subgraph}.*`,
-    /// `engine.subgraph.*`, `engine.key_allocs`,
-    /// `engine.stats_canonicalize_fallbacks`, `engine.hot_allocs`,
-    /// `engine.arena.{bytes,reuses,grows}`, `engine.threads`,
-    /// `engine.batch.wall_ns`. Works with telemetry disabled (the
-    /// absorbed names are always present).
+    /// `engine.evals`, `engine.cache.partition.*`, `engine.subgraph.*`,
+    /// `engine.stats_canonicalize_fallbacks`,
+    /// `engine.arena.{bytes,reuses,grows}`, `engine.pool.*`,
+    /// `engine.threads`, `engine.batch.wall_ns`. Works with telemetry
+    /// disabled (the absorbed names are always present).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut m = self.telemetry.snapshot();
         let hits = self.cache.hits();
@@ -1156,30 +1075,20 @@ impl Engine {
         m.set_counter("engine.evals", hits + misses);
         m.set_counter("engine.cache.partition.hits", hits);
         m.set_counter("engine.cache.partition.misses", misses);
-        m.set_gauge(
-            "engine.cache.partition.entries",
-            self.cache.partition_entries() as u64,
-        );
+        m.set_gauge("engine.cache.partition.entries", self.cache.len() as u64);
         m.set_counter("engine.cache.partition.evictions", self.cache.evictions());
-        m.set_counter("engine.cache.subgraph.hits", self.cache.subgraph_hits());
-        m.set_counter("engine.cache.subgraph.misses", self.cache.subgraph_misses());
-        m.set_gauge(
-            "engine.cache.subgraph.entries",
-            self.cache.subgraph_entries() as u64,
-        );
         m.set_counter(
-            "engine.cache.subgraph.evictions",
-            self.cache.subgraph_evictions(),
+            "engine.subgraph.scorings",
+            self.scorings.load(Ordering::Relaxed),
         );
-        m.set_counter("engine.subgraph.scorings", self.cache.subgraph_misses());
         m.set_counter(
             "engine.subgraph.reused",
             self.reused.load(Ordering::Relaxed),
         );
-        m.set_counter("engine.key_allocs", self.cache.key_allocs());
-        let fallbacks = self.stats_fallbacks.load(Ordering::Relaxed);
-        m.set_counter("engine.stats_canonicalize_fallbacks", fallbacks);
-        m.set_counter("engine.hot_allocs", self.cache.key_allocs() + fallbacks);
+        m.set_counter(
+            "engine.stats_canonicalize_fallbacks",
+            self.stats_fallbacks.load(Ordering::Relaxed),
+        );
         m.set_gauge("engine.arena.bytes", self.scratch.bytes());
         m.set_counter("engine.arena.reuses", self.scratch.reuses());
         m.set_counter("engine.arena.grows", self.scratch.grows());
@@ -1313,7 +1222,8 @@ mod tests {
         assert_eq!(inc.ema_bytes, direct.ema_bytes);
         assert_eq!(inc.energy_pj, direct.energy_pj);
         assert_eq!(inc.fits, direct.fits);
-        assert_eq!(after.key_allocs, 0, "the delta path must not build keys");
+        // Three terms computed fresh: the two dirty ones and subgraph 2.
+        assert_eq!(after.subgraph_scorings - before.subgraph_scorings, 3);
     }
 
     #[test]
@@ -1375,8 +1285,9 @@ mod tests {
             EvalOptions::default(),
         );
         assert_eq!(single, via_partition);
-        // And the second route reused the first's cached term.
-        assert_eq!(engine.stats().subgraph_hits, 1);
+        // Each route computed its term fresh from the cached statistics.
+        assert_eq!(engine.stats().subgraph_scorings, 2);
+        assert_eq!(eval.stats_cache_misses(), 1);
         assert!(
             engine
                 .score_single(&eval, &[], &buffer, EvalOptions::default())
@@ -1419,10 +1330,9 @@ mod tests {
         assert_eq!(stats.cache_hits, 2);
         assert_eq!(stats.cache_entries, 1);
         assert_eq!(stats.subgraph_scorings, 1);
-        assert_eq!(stats.subgraph_entries, 1);
+        assert_eq!(stats.subgraph_hits, 0);
         assert_eq!(stats.cache_evictions, 0);
-        assert_eq!(stats.subgraph_evictions, 0);
-        assert_eq!(stats.key_allocs, 0);
+        assert_eq!(stats.stats_canonicalize_fallbacks, 0);
         assert!(stats.wall_ms > 0.0);
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
@@ -1434,7 +1344,7 @@ mod tests {
         // A tiny budget forces sweeps while scoring many distinct
         // partitions; every re-score after an eviction must still be
         // bit-identical to an unbounded engine's answer.
-        let bounded = Engine::new(EngineConfig::serial().with_cache_capacity(64));
+        let bounded = Engine::new(EngineConfig::serial().with_cache_capacity(16));
         let unbounded = Engine::new(EngineConfig::serial());
         let buffer = BufferConfig::shared(1 << 20);
         for l in 1..=12usize {
@@ -1450,12 +1360,14 @@ mod tests {
         }
         let stats = bounded.stats();
         assert!(
-            stats.subgraph_entries + stats.cache_entries <= 64,
-            "entry budget exceeded: {} roll-ups + {} terms",
-            stats.cache_entries,
-            stats.subgraph_entries
+            stats.cache_entries <= 16,
+            "entry budget exceeded: {} roll-ups",
+            stats.cache_entries
         );
-        assert!(stats.evictions() > 0, "the tiny budget must have evicted");
+        assert!(
+            stats.cache_evictions > 0,
+            "the tiny budget must have evicted"
+        );
     }
 
     #[test]
@@ -1485,8 +1397,7 @@ mod tests {
         assert_eq!(via_engine_diamond.ema_bytes, direct_diamond.ema_bytes);
         assert_ne!(chain_eval.fingerprint(), diamond_eval.fingerprint());
         assert_eq!(engine.stats().cache_hits, 0, "distinct keys, no false hits");
-        assert_eq!(engine.cache().partition_entries(), 2);
-        assert_eq!(engine.stats().subgraph_hits, 0);
+        assert_eq!(engine.cache().len(), 2);
     }
 
     #[test]
@@ -1507,8 +1418,8 @@ mod tests {
         assert_eq!(m.counter("engine.evals"), stats.evals);
         assert_eq!(m.counter("engine.cache.partition.hits"), stats.cache_hits);
         assert_eq!(
-            m.gauge("engine.cache.subgraph.entries"),
-            stats.subgraph_entries
+            m.counter("engine.subgraph.scorings"),
+            stats.subgraph_scorings
         );
         // The dispatch was timed into both wall_ms and the histogram.
         assert!(stats.wall_ms > 0.0);
@@ -1544,8 +1455,8 @@ mod tests {
 
     #[test]
     fn cached_leaf_probes_record_no_telemetry() {
-        // The zero-perturbation contract on the hot leaf: a cached
-        // `score_single` probe must not emit events, bump histograms, or
+        // The zero-perturbation contract on the hot leaf: `score_single`
+        // on cached statistics must not emit events, bump histograms, or
         // touch the registry even with telemetry ENABLED — so the
         // disabled path is trivially free too.
         let g = cocco_graph::models::chain(3);
@@ -1626,7 +1537,10 @@ mod tests {
             .unwrap();
         assert_eq!(inc.ema_bytes, direct.ema_bytes);
         assert_eq!(inc.energy_pj, direct.energy_pj);
-        assert_eq!(after.hot_allocs, 0, "arena delta path must stay clean");
+        assert_eq!(
+            after.stats_canonicalize_fallbacks, 0,
+            "arena delta path must stay clean"
+        );
     }
 
     #[test]
@@ -1652,11 +1566,8 @@ mod tests {
             m.counter("engine.arena.reuses"),
             m.counter("engine.arena.grows")
         );
-        assert_eq!(m.counter("engine.hot_allocs"), 0);
         assert_eq!(m.counter("engine.stats_canonicalize_fallbacks"), 0);
-        let stats = engine.stats();
-        assert_eq!(stats.hot_allocs, 0);
-        assert_eq!(stats.stats_canonicalize_fallbacks, 0);
+        assert_eq!(engine.stats().stats_canonicalize_fallbacks, 0);
     }
 
     #[test]
@@ -1796,7 +1707,12 @@ mod tests {
             let s = engine.stats();
             (
                 engine.cache().snapshot(),
-                (s.evals, s.cache_hits, s.subgraph_scorings, s.subgraph_hits),
+                (
+                    s.evals,
+                    s.cache_hits,
+                    s.subgraph_scorings,
+                    s.subgraph_reused,
+                ),
             )
         };
         let reference = run(1, ChunkSize::Fixed(1));

@@ -9,9 +9,7 @@
 //! * [`EnginePool`] — a worker pool with a **persistent** thread set
 //!   (spawned lazily, channel-fed, joined on drop; [`EngineConfig`]:
 //!   `auto` or a fixed count, `1` ⇒ fully serial);
-//! * [`EvalCache`] — a sharded, **bounded** two-level memoization cache:
-//!   per-subgraph terms ([`SubgraphScore`], keyed by
-//!   `(evaluator fingerprint, members, next_wgt, buffer, options)`) below
+//! * [`EvalCache`] — a sharded, **bounded** memoization cache of
 //!   whole-partition roll-ups ([`ScoredEval`] plus the entry's
 //!   [`EvalMemo`], so even cache *hits* hand a breakdown to offspring).
 //!   Keys are fixed-size [`EvalKey`] fingerprints folded from precomputed
@@ -19,7 +17,9 @@
 //!   re-hashing — the cache is objective-agnostic so one entry serves
 //!   Formula 1 and Formula 2 searches alike, growth is bounded by a
 //!   generation-sweep eviction policy (`EngineConfig::cache_capacity`),
-//!   and both levels persist across runs via [`CacheSnapshot`];
+//!   and entries persist across runs via [`CacheSnapshot`]. Per-subgraph
+//!   terms ([`SubgraphScore`]) are not cached: each is computed from the
+//!   subgraph's statistics, which the evaluator's own stats cache holds;
 //! * [`Engine`] — pool + cache + [`EngineStats`], the object a search
 //!   context shares across threads, with a subgraph-granular delta path
 //!   ([`Engine::score_delta`] + [`EvalMemo`]) that re-scores only the
@@ -69,7 +69,7 @@ mod pool;
 mod trace;
 
 pub use budget::{SampleBudget, SampleReservation};
-pub use cache::{eval_key, subgraph_key, CacheSnapshot, EvalCache, EvalKey, SNAPSHOT_VERSION};
+pub use cache::{eval_key, CacheSnapshot, EvalCache, EvalKey, SNAPSHOT_VERSION};
 pub use config::{ChunkSize, EngineConfig, ThreadCount};
 pub use engine::{
     DispatchPanic, Engine, EngineStats, EvalMemo, PartitionProbe, PreparedEval, ScoredEval,

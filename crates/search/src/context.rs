@@ -721,34 +721,10 @@ impl<'a> SearchContext<'a> {
         self.trace.record(point);
     }
 
-    /// Evaluates an already-valid genome (no repair), consuming one budget
-    /// sample.
-    pub fn evaluate_valid(&self, genome: &Genome) -> Option<f64> {
-        let sample = self.budget.try_consume()?;
-        let (scored, _) = self.engine.score_partition(
-            self.evaluator,
-            &genome.partition,
-            &genome.buffer,
-            self.options,
-            None,
-        );
-        if scored.error {
-            self.trace.record_infeasible_error();
-        }
-        let cost = scored.cost(self.objective.metric, self.objective.alpha);
-        self.record_traced(TracePoint {
-            sample,
-            cost,
-            buffer_bytes: genome.buffer.total_bytes(),
-            metric_value: scored.metric(self.objective.metric),
-        });
-        Some(cost)
-    }
-
     /// The additive Formula-1 term of a single subgraph under `buffer`
     /// (`None` when it does not fit). Used by the greedy, DP and
     /// enumeration baselines; does not consume budget, but shares the
-    /// engine's memoization cache.
+    /// evaluator's statistics cache.
     pub fn subgraph_cost(&self, members: &[NodeId], buffer: &BufferConfig) -> Option<f64> {
         if !self.fits(members, buffer) {
             return None;

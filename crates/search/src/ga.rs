@@ -318,7 +318,7 @@ impl GaDriver {
                 // subgraph fingerprints against dad's: exactly the
                 // nodes whose member set changed are marked. (When the
                 // blended buffer differs from dad's the engine drops
-                // the memo and the term cache takes over.)
+                // the memo and computes every term fresh.)
                 let mut delta = match &self.population[dad_idx].memo {
                     Some(memo) => memo.fingerprints().delta_against(&child.partition),
                     None => PartitionDelta::all(graph.len()),

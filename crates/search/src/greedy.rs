@@ -95,8 +95,9 @@ pub struct GreedyState {
 
 /// Greedy fusion as a step-driven state machine: each step applies the one
 /// feasible merge with the greatest benefit (a full scan, as before —
-/// shared with the engine's term cache, so re-scans are cheap); the final
-/// step scores the converged partition. Analytic: no step consumes budget.
+/// backed by the evaluator's statistics cache, so re-scans are cheap); the
+/// final step scores the converged partition. Analytic: no step consumes
+/// budget.
 #[derive(Debug)]
 pub struct GreedyDriver {
     partition: Option<Partition>,

@@ -127,9 +127,9 @@ fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
     }
     let stats = ctx.engine().stats();
     assert_eq!(
-        stats.hot_allocs,
+        stats.stats_canonicalize_fallbacks,
         0,
-        "recorded hot-path allocations (key builds or canonicalize fallbacks) at {} threads",
+        "recorded hot-path canonicalize fallbacks at {} threads",
         config.resolved_threads()
     );
     WalkResult {

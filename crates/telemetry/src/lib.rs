@@ -37,8 +37,9 @@
 //! - `engine.pool.dispatched` / `.chunks` / `.inline_batches` (jobs
 //!   handed to the pool — one per funded candidate — chunked hand-off
 //!   units, and batches run inline on the caller)
-//! - `engine.cache.partition.hits` / `.misses` / `.evictions` (and
-//!   `…cache.subgraph.*` for the second level)
+//! - `engine.cache.partition.hits` / `.misses` / `.evictions`, and
+//!   `engine.subgraph.scorings` / `.reused` (terms computed fresh vs.
+//!   copied from a parent's memo)
 //! - `search.step_ns` (span), `search.improvement` (event),
 //!   `search.budget.used` (gauge)
 //! - `sim.subgraph_stats_ns` (derivation latency on stats-cache misses)

