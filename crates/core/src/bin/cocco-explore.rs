@@ -381,6 +381,21 @@ fn telemetry_report(telemetry: &Telemetry) -> String {
         .map(|(name, ms)| format!("{name} {ms:.1}"))
         .collect();
     let _ = writeln!(out, "  phases (ms): {}", rows.join(" | "));
+    // Repair runs inside the pool jobs: its time, summed over workers, is
+    // a share of the `eval` phase's wall time times the worker count.
+    let repair_ns = snap.counter("search.repair_ns") as f64;
+    let workers = snap.gauge("engine.threads").max(1);
+    let eval_ns = phases.eval_ms * 1e6 * workers as f64;
+    let share = if eval_ns > 0.0 {
+        100.0 * repair_ns / eval_ns
+    } else {
+        0.0
+    };
+    let _ = writeln!(
+        out,
+        "  repair: {} on {workers} workers, {share:.1}% of the eval phase",
+        fmt_ns(repair_ns)
+    );
     let _ = writeln!(
         out,
         "  events: {} recorded, {} dropped",

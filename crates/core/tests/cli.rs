@@ -180,3 +180,25 @@ fn telemetry_report_prints_byte_histograms_in_bytes() {
         );
     }
 }
+
+#[test]
+fn telemetry_report_shows_repair_as_a_share_of_eval() {
+    let out = explore(&["googlenet", "--budget", "60", "--telemetry-report"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let row = stdout
+        .lines()
+        .find(|line| line.trim_start().starts_with("repair:"))
+        .unwrap_or_else(|| panic!("no repair row in:\n{stdout}"));
+    assert!(row.contains("% of the eval phase"), "{row}");
+    let counter = stdout
+        .lines()
+        .find(|line| line.trim_start().starts_with("search.repair_ns"))
+        .unwrap_or_else(|| panic!("no search.repair_ns counter in:\n{stdout}"));
+    let value: u64 = counter.split_whitespace().nth(1).unwrap().parse().unwrap();
+    assert!(value > 0, "{counter}");
+}

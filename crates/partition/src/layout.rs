@@ -206,7 +206,12 @@ impl LayoutArena {
     /// valid until the next build. Alloc-free once the arena has grown
     /// to the partition's size.
     pub fn build_from_partition(&mut self, partition: &Partition) -> PartitionLayout<'_> {
-        let assignment = partition.assignment();
+        self.build_from_assignment(partition.assignment())
+    }
+
+    /// [`build_from_partition`](Self::build_from_partition) over a raw
+    /// assignment (subgraph id per node).
+    pub(crate) fn build_from_assignment(&mut self, assignment: &[u32]) -> PartitionLayout<'_> {
         let n = assignment.len();
         let max = assignment.iter().copied().max().map_or(0, |m| m as usize);
         self.begin(n, max + 2, max + 1);

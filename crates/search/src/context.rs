@@ -12,7 +12,7 @@ use cocco_faults::{FaultPlan, FaultSite};
 use cocco_graph::{Graph, NodeId};
 use cocco_partition::{repair, repair_with_delta, Partition, PartitionDelta};
 use cocco_sim::{BufferConfig, EvalOptions, Evaluator};
-use cocco_telemetry::Telemetry;
+use cocco_telemetry::{Stopwatch, Telemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -533,6 +533,14 @@ impl<'a> SearchContext<'a> {
         };
         let results: Vec<Mutex<Option<TracePoint>>> =
             (0..jobs.len()).map(|_| Mutex::new(None)).collect();
+        // `search.repair_ns`: with telemetry on, each job times its own
+        // repair into its slot and the batch publishes the sum once; with
+        // it off there are no slots and no clock reads.
+        let repair_counter = self.engine.telemetry().counter("search.repair_ns");
+        let repair_ns: Vec<AtomicU64> = match repair_counter {
+            Some(_) => (0..jobs.len()).map(|_| AtomicU64::new(0)).collect(),
+            None => Vec::new(),
+        };
         // One pool job per funded candidate: repair, probe, score on a
         // miss, record. Fault injection wraps this same job: a drawn
         // worker panic fires before the body runs, and a drawn evaluator
@@ -545,7 +553,11 @@ impl<'a> SearchContext<'a> {
             }
             let (slot, objective, sample) = &jobs[i];
             let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
+            let timer = repair_ns.get(i).map(|slot| (slot, Stopwatch::start()));
             let (parent_memo, delta) = self.take_hint_and_repair(candidate);
+            if let Some((slot, sw)) = timer {
+                slot.store(sw.elapsed_nanos(), Ordering::Relaxed);
+            }
             let hint = parent_memo.as_deref().map(|memo| (memo, &delta));
             if eval_error {
                 // Injected transient evaluator failure: the first attempt's
@@ -558,6 +570,9 @@ impl<'a> SearchContext<'a> {
             let (scored, memo) = self.score_candidate(i, &candidate.genome, hint);
             self.finish_scored(&results, i, *objective, *sample, candidate, scored, memo);
         });
+        if let Some(counter) = repair_counter {
+            counter.add(repair_ns.iter().map(|ns| ns.load(Ordering::Relaxed)).sum());
+        }
         if let Err(panic) = dispatched {
             // Discard every funded candidate uniformly (some may have
             // finished scoring, but keeping them would make results
@@ -906,6 +921,8 @@ mod tests {
         assert_eq!(snap.gauge("search.budget.used"), 32);
         let batches = snap.histogram("engine.batch.latency_ns").unwrap();
         assert!(batches.count >= 1);
+        // Every job timed its repair; the batches published the sums.
+        assert!(snap.counter("search.repair_ns") > 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::genome::Genome;
 use crate::outcome::{SearchOutcome, Searcher};
 use cocco_engine::EvalMemo;
 use cocco_graph::Graph;
-use cocco_partition::{Partition, PartitionDelta};
+use cocco_partition::{LayoutArena, Partition, PartitionDelta, Quotient};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -475,13 +475,23 @@ pub(crate) fn crossover(
     rng: &mut StdRng,
 ) -> Partition {
     let n = graph.len();
-    // Precompute member lists per parent subgraph id.
-    let members_of = |p: &Partition| -> std::collections::HashMap<u32, Vec<usize>> {
-        let mut m: std::collections::HashMap<u32, Vec<usize>> = std::collections::HashMap::new();
-        for (i, &a) in p.assignment().iter().enumerate() {
-            m.entry(a).or_default().push(i);
+    // Member lists per parent subgraph id, flat: id `s` owns
+    // `members[offsets[s]..offsets[s + 1]]` (a counting sort by id).
+    let members_of = |p: &Partition| -> (Vec<usize>, Vec<usize>) {
+        let ids = p.assignment();
+        let mut offsets = vec![0usize; ids.iter().max().map_or(0, |&m| m as usize) + 3];
+        for &a in ids {
+            offsets[a as usize + 2] += 1;
         }
-        m
+        for s in 2..offsets.len() {
+            offsets[s] += offsets[s - 1];
+        }
+        let mut members = vec![0usize; ids.len()];
+        for (i, &a) in ids.iter().enumerate() {
+            members[offsets[a as usize + 1]] = i;
+            offsets[a as usize + 1] += 1;
+        }
+        (offsets, members)
     };
     let dad_members = members_of(dad);
     let mom_members = members_of(mom);
@@ -498,14 +508,11 @@ pub(crate) fn crossover(
         } else {
             (mom, &mom_members)
         };
-        let sg = parent.subgraph_of(cocco_graph::NodeId::from_index(v));
-        let group = &members[&sg];
-        let decided: Vec<usize> = group
-            .iter()
-            .copied()
-            .filter(|&u| child[u] != UNDECIDED)
-            .collect();
-        if decided.is_empty() {
+        let sg = parent.subgraph_of(cocco_graph::NodeId::from_index(v)) as usize;
+        let (offsets, members) = members;
+        let group = &members[offsets[sg]..offsets[sg + 1]];
+        let decided = group.iter().filter(|&&u| child[u] != UNDECIDED).count();
+        if decided == 0 {
             for &u in group {
                 child[u] = next_id;
             }
@@ -520,7 +527,9 @@ pub(crate) fn crossover(
             next_id += 1;
         } else {
             // Child-2: merge the remainder into a decided member's subgraph.
-            let target = child[decided[rng.gen_range(0..decided.len())]];
+            let pick = rng.gen_range(0..decided);
+            let mut decided = group.iter().filter(|&&u| child[u] != UNDECIDED);
+            let target = decided.nth(pick).map_or(UNDECIDED, |&u| child[u]);
             for &u in group {
                 if child[u] == UNDECIDED {
                     child[u] = target;
@@ -572,35 +581,52 @@ pub(crate) fn mutate_with_delta(
         delta.touch(node);
         genome.partition.assign(node, target);
     }
+    // One flat member layout serves both structural operators; subgraph
+    // `i` of the layout is compact quotient id `i` (both ascend by id).
+    let mut arena = LayoutArena::new();
     if rng.gen_bool(rates.split_subgraph.clamp(0.0, 1.0)) {
         // split-subgraph: cut one subgraph at a random topological point.
-        let groups = genome.partition.subgraphs();
-        let splittable: Vec<_> = groups.iter().filter(|g| g.len() >= 2).collect();
-        if !splittable.is_empty() {
-            let group = splittable[rng.gen_range(0..splittable.len())];
-            let cut = rng.gen_range(1..group.len());
-            let fresh = genome.partition.fresh_id();
-            delta.touch_members(group);
-            for &m in &group[cut..] {
-                genome.partition.assign(m, fresh);
+        let layout = arena.build_from_partition(&genome.partition);
+        let splittable = || layout.iter().filter(|g| g.len() >= 2);
+        let count = splittable().count();
+        if count > 0 {
+            if let Some(group) = splittable().nth(rng.gen_range(0..count)) {
+                let cut = rng.gen_range(1..group.len());
+                let fresh = genome.partition.fresh_id();
+                delta.touch_members(group);
+                for &m in &group[cut..] {
+                    genome.partition.assign(m, fresh);
+                }
             }
         }
     }
     if rng.gen_bool(rates.merge_subgraph.clamp(0.0, 1.0)) {
         // merge-subgraph: merge across a random quotient edge (merging
         // non-adjacent subgraphs would only trigger a bigger SCC repair).
-        let quotient = cocco_partition::Quotient::build(graph, &genome.partition);
-        let groups = genome.partition.subgraphs();
-        let edges: Vec<(u32, u32)> = (0..quotient.num_subgraphs() as u32)
-            .flat_map(|a| quotient.succs(a).iter().map(move |&b| (a, b)))
-            .collect();
-        if !edges.is_empty() {
-            let (a, b) = edges[rng.gen_range(0..edges.len())];
-            let target = genome.partition.subgraph_of(groups[a as usize][0]);
-            delta.touch_members(&groups[a as usize]);
-            delta.touch_members(&groups[b as usize]);
-            for &m in &groups[b as usize] {
-                genome.partition.assign(m, target);
+        // Edges are numbered source-major, targets ascending.
+        let quotient = Quotient::build(graph, &genome.partition);
+        let sources = 0..quotient.num_subgraphs() as u32;
+        let edges: usize = sources.clone().map(|a| quotient.succs(a).len()).sum();
+        if edges > 0 {
+            let mut pick = rng.gen_range(0..edges);
+            let layout = arena.build_from_partition(&genome.partition);
+            for a in sources {
+                let succs = quotient.succs(a);
+                if pick >= succs.len() {
+                    pick -= succs.len();
+                    continue;
+                }
+                let (from, into) = (
+                    layout.subgraph(succs[pick] as usize),
+                    layout.subgraph(a as usize),
+                );
+                let target = genome.partition.subgraph_of(into[0]);
+                delta.touch_members(into);
+                delta.touch_members(from);
+                for &m in from {
+                    genome.partition.assign(m, target);
+                }
+                break;
             }
         }
     }
