@@ -392,37 +392,37 @@ fn full_suite() {
     }
 
     {
-        // Production traffic: a seeded walk of GA-style edits (modify-node,
-        // split-subgraph, merge-subgraph) on randwire-a, each applied to the
-        // last repaired partition, so most passes find no quotient cycle.
+        // Production traffic: GA-style edits (modify-node, split-subgraph,
+        // merge-subgraph) of the last repaired randwire-a partition, repaired
+        // as a hinted offspring is: seeded by the parent, with the delta.
+        use cocco::partition::{repair_seeded, ParentSeed};
         let model = cocco::graph::models::randwire_a();
         let fits = |m: &[NodeId]| m.len() <= 16;
         let mut rng = StdRng::seed_from_u64(42);
-        let mut walk = vec![Partition::connected_groups(&model, 8)];
+        let mut parent = repair(&model, Partition::connected_groups(&model, 8), &fits);
+        let mut walk = Vec::new();
         while walk.len() < 64 {
-            let mut p = repair(&model, walk[walk.len() - 1].clone(), &fits);
+            let mut p = parent.clone();
             let node = NodeId::from_index(rng.gen_range(0..model.len()));
             let (groups, fresh) = (p.subgraphs(), p.fresh_id());
             let near = model.producers(node).iter().chain(model.consumers(node));
             let near: Vec<u32> = near.map(|&v| p.subgraph_of(v)).chain([fresh]).collect();
-            let own = &groups[p.subgraph_of(node) as usize];
+            let (own, one) = (&groups[p.subgraph_of(node) as usize], [node]);
             let (moved, into) = match rng.gen_range(0..3) {
-                0 => (
-                    std::slice::from_ref(&node),
-                    near[rng.gen_range(0..near.len())],
-                ),
+                0 => (&one[..], near[rng.gen_range(0..near.len())]),
                 1 if own.len() >= 2 => (&own[rng.gen_range(1..own.len())..], fresh),
                 _ => (&own[..], near[rng.gen_range(0..near.len() - 1)]),
             };
-            for &m in moved {
-                p.assign(m, into);
-            }
-            walk.push(p);
+            moved.iter().for_each(|&m| p.assign(m, into));
+            let delta = PartitionFingerprints::compute(&parent).delta_against(&p);
+            parent = repair(&model, p.clone(), &fits);
+            walk.push((p, delta));
         }
-        let mut i = 0;
+        let (mut i, seed) = (0, Some(ParentSeed::Fitted));
         bench("repair/ga_walk_randwire_a", || {
             i += 1;
-            repair(&model, walk[i % walk.len()].clone(), &fits)
+            let (p, mut delta) = walk[i % walk.len()].clone();
+            repair_seeded(&model, p, &fits, &mut delta, seed)
         });
     }
 

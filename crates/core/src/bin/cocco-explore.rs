@@ -393,8 +393,9 @@ fn telemetry_report(telemetry: &Telemetry) -> String {
     };
     let _ = writeln!(
         out,
-        "  repair: {} on {workers} workers, {share:.1}% of the eval phase",
-        fmt_ns(repair_ns)
+        "  repair: {} on {workers} workers, {share:.1}% of the eval phase, {} fits calls",
+        fmt_ns(repair_ns),
+        snap.counter("sim.fits_calls")
     );
     let _ = writeln!(
         out,

@@ -195,6 +195,12 @@ fn telemetry_report_shows_repair_as_a_share_of_eval() {
         .find(|line| line.trim_start().starts_with("repair:"))
         .unwrap_or_else(|| panic!("no repair row in:\n{stdout}"));
     assert!(row.contains("% of the eval phase"), "{row}");
+    let fits_calls: u64 = row
+        .strip_suffix(" fits calls")
+        .and_then(|rest| rest.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no fits call count in {row}"));
+    assert!(fits_calls > 0, "{row}");
     let counter = stdout
         .lines()
         .find(|line| line.trim_start().starts_with("search.repair_ns"))

@@ -256,6 +256,12 @@ impl EvalMemo {
         index.get(&fp).map(|&i| &self.entries[i as usize])
     }
 
+    /// The coordinates the memo was scored under: evaluator fingerprint,
+    /// buffer and options.
+    pub fn coordinates(&self) -> (u64, BufferConfig, EvalOptions) {
+        (self.fingerprint, self.buffer, self.options)
+    }
+
     /// The scored partition's subgraph fingerprints.
     pub fn fingerprints(&self) -> &PartitionFingerprints {
         &self.fps

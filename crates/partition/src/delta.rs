@@ -107,6 +107,11 @@ impl PartitionDelta {
         self.dirty[node.index()]
     }
 
+    /// The dirty flag of every node, indexed by node id.
+    pub(crate) fn flags(&self) -> &[bool] {
+        &self.dirty
+    }
+
     /// Number of dirty nodes.
     pub fn dirty_count(&self) -> usize {
         self.dirty.iter().filter(|&&d| d).count()

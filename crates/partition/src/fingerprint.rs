@@ -177,11 +177,15 @@ impl PartitionFingerprints {
             acc[a as usize].insert(NodeId::from_index(i));
             anchor_of[a as usize].get_or_insert(NodeId::from_index(i));
         }
+        // One anchor lookup per subgraph, then one flag read per node.
+        let unchanged: Vec<bool> = anchor_of
+            .iter()
+            .zip(&acc)
+            .map(|(anchor, &fp)| anchor.is_some_and(|a| self.anchored(a) == Some(fp)))
+            .collect();
         let mut delta = PartitionDelta::clean(partition.len());
         for (i, &a) in assignment.iter().enumerate() {
-            let unchanged = anchor_of[a as usize]
-                .is_some_and(|anchor| self.anchored(anchor) == Some(acc[a as usize]));
-            if !unchanged {
+            if !unchanged[a as usize] {
                 delta.touch(NodeId::from_index(i));
             }
         }

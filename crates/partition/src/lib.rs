@@ -29,8 +29,8 @@ pub use error::PartitionError;
 pub use fingerprint::PartitionFingerprints;
 pub use layout::{LayoutArena, PartitionLayout, SubgraphsView};
 pub use partition::Partition;
-pub use quotient::Quotient;
+pub use quotient::{Quotient, QuotientSuccessors};
 pub use repair::{
-    repair, repair_connectivity, repair_connectivity_with_delta, repair_with_delta,
-    split_oversized, split_oversized_with_delta,
+    repair, repair_connectivity, repair_connectivity_with_delta, repair_seeded, repair_with_delta,
+    split_oversized, split_oversized_with_delta, ParentSeed,
 };

@@ -47,6 +47,11 @@ impl Partition {
         Self { assignment }
     }
 
+    /// Consumes the partition, returning its assignment buffer.
+    pub(crate) fn into_assignment(self) -> Vec<u32> {
+        self.assignment
+    }
+
     /// Groups layers by `⌊depth_rank / l⌋` over the topological order — the
     /// fixed-`L` fusion of paper Figure 3 (run [`repair`](crate::repair)
     /// afterwards to restore connectivity on branchy graphs).

@@ -43,25 +43,22 @@ impl Quotient {
     ///
     /// Panics if the partition length does not match the graph.
     pub fn build(graph: &Graph, partition: &Partition) -> Self {
-        assert_eq!(
-            partition.len(),
-            graph.len(),
-            "partition does not cover the graph"
-        );
-        let mut compact = partition.assignment().to_vec();
-        let originals = compact_ids(&mut compact);
-        let k = originals.len();
+        let mut successors = QuotientSuccessors::default();
+        successors.build(graph, partition);
+        let QuotientSuccessors {
+            compact,
+            originals,
+            succs,
+            ..
+        } = successors;
         // Node ids ascend, so the first node seen per compact id is its
         // smallest member.
-        let mut min_member = vec![u32::MAX; k];
+        let mut min_member = vec![u32::MAX; originals.len()];
         for (i, &c) in compact.iter().enumerate() {
             if min_member[c as usize] == u32::MAX {
                 min_member[c as usize] = i as u32;
             }
         }
-        let mut succs = Csr::default();
-        succs.build_quotient(graph, &compact, k);
-        succs.sort_dedup_rows();
         let mut preds = Csr::default();
         succs.transpose_into(&mut preds);
         Self {
@@ -139,26 +136,35 @@ impl Quotient {
 }
 
 /// Rewrites `ids` in place to compact ids — each id's rank among the
-/// distinct ids, ascending — and returns the distinct ids. Ids up to a few
-/// times the length (what every producer in the workspace emits) compact
-/// through a direct-indexed table; sparser ids through a sorted copy.
+/// distinct ids, ascending — and returns the distinct ids.
 pub(crate) fn compact_ids(ids: &mut [u32]) -> Vec<u32> {
+    let mut originals = Vec::new();
+    compact_ids_into(ids, &mut originals, &mut Vec::new());
+    originals
+}
+
+/// [`compact_ids`] into reusable buffers: the distinct ids go to
+/// `originals`, and `table` is scratch. Ids up to a few times the length
+/// (what every producer in the workspace emits) compact through a
+/// direct-indexed table; sparser ids through a sorted copy.
+pub(crate) fn compact_ids_into(ids: &mut [u32], originals: &mut Vec<u32>, table: &mut Vec<u32>) {
+    originals.clear();
     let max = ids.iter().copied().max().map_or(0, |m| m as usize);
     if max > 4 * ids.len() + 64 {
-        let mut originals = ids.to_vec();
+        originals.extend_from_slice(ids);
         originals.sort_unstable();
         originals.dedup();
         for id in ids.iter_mut() {
             // `originals` holds every id, so the search always succeeds.
             *id = originals.binary_search(&*id).unwrap_or_default() as u32;
         }
-        return originals;
+        return;
     }
-    let mut table = vec![u32::MAX; max + 1];
+    table.clear();
+    table.resize(max + 1, u32::MAX);
     for &id in ids.iter() {
         table[id as usize] = 0;
     }
-    let mut originals = Vec::new();
     for (id, slot) in table.iter_mut().enumerate() {
         if *slot == 0 {
             *slot = originals.len() as u32;
@@ -168,7 +174,69 @@ pub(crate) fn compact_ids(ids: &mut [u32]) -> Vec<u32> {
     for id in ids.iter_mut() {
         *id = table[*id as usize];
     }
-    originals
+}
+
+/// The successor rows of a partition's quotient alone — what an operator
+/// walking quotient edges needs, without the predecessor rows and member
+/// minima of a full [`Quotient`]. Compact ids and rows match
+/// [`Quotient::build`]'s (ascending, no duplicates). Each build clears the
+/// buffers and keeps their capacity, so a warmed value builds without
+/// allocating.
+///
+/// # Examples
+///
+/// ```
+/// use cocco_partition::{Partition, QuotientSuccessors};
+///
+/// let g = cocco_graph::models::chain(3);
+/// let mut q = QuotientSuccessors::default();
+/// q.build(&g, &Partition::from_assignment(vec![4, 4, 9, 9]));
+/// assert_eq!(q.num_subgraphs(), 2);
+/// assert_eq!(q.succs(0), &[1]);
+/// assert_eq!(q.num_edges(), 1);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct QuotientSuccessors {
+    compact: Vec<u32>,
+    originals: Vec<u32>,
+    table: Vec<u32>,
+    succs: Csr,
+}
+
+impl QuotientSuccessors {
+    /// Contracts `partition` over `graph` into this value's buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the partition length does not match the graph.
+    pub fn build(&mut self, graph: &Graph, partition: &Partition) {
+        assert_eq!(
+            partition.len(),
+            graph.len(),
+            "partition does not cover the graph"
+        );
+        self.compact.clear();
+        self.compact.extend_from_slice(partition.assignment());
+        compact_ids_into(&mut self.compact, &mut self.originals, &mut self.table);
+        self.succs
+            .build_quotient(graph, &self.compact, self.originals.len());
+        self.succs.sort_dedup_rows();
+    }
+
+    /// Number of subgraphs (quotient vertices) of the last build.
+    pub fn num_subgraphs(&self) -> usize {
+        self.originals.len()
+    }
+
+    /// Successor subgraphs of compact id `id`.
+    pub fn succs(&self, id: u32) -> &[u32] {
+        self.succs.row(id)
+    }
+
+    /// Number of quotient edges.
+    pub fn num_edges(&self) -> usize {
+        self.succs.targets().len()
+    }
 }
 
 /// Compressed sparse rows over vertices `0..rows()`: row `r` is
@@ -430,6 +498,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
+        let mut succs = QuotientSuccessors::default();
         for (name, build) in cocco_graph::models::registry() {
             let g = build();
             for _ in 0..8 {
@@ -448,6 +517,11 @@ mod tests {
                     assert_eq!(q.compact_id(id), r.compact_id(id), "{name}");
                 }
                 assert_eq!(q.topo_order(), r.topo_order(), "{name}");
+                succs.build(&g, &p);
+                assert_eq!(succs.num_subgraphs(), q.num_subgraphs(), "{name}");
+                for c in 0..q.num_subgraphs() as u32 {
+                    assert_eq!(succs.succs(c), q.succs(c), "{name}: successors of {c}");
+                }
                 assert_eq!(q.sccs(), r.sccs(), "{name}");
             }
         }

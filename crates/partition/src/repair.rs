@@ -9,14 +9,26 @@
 //! re-score only touched subgraphs. Renumbering alone (canonicalization)
 //! emits no dirt: node-level deltas survive id remapping by construction.
 //!
-//! All passes of one call share one dense scratch ([`Repair`]): per-node
-//! labels, a union-find, one compressed-sparse-row quotient and a flat
-//! member layout, allocated once and reused. A connectivity pass labels
-//! weakly connected components in first-node order, builds one quotient
-//! over them and runs Kahn with ties broken by label — which is the
-//! smallest-member rule of [`Quotient::topo_order`](crate::Quotient::topo_order),
-//! so Kahn's order *is* the canonical renumbering. Only a cyclic quotient
-//! pays for an SCC merge and another pass.
+//! All passes of one call share one dense scratch: per-node labels, a
+//! union-find, one compressed-sparse-row quotient and a flat member
+//! layout, allocated once per call. A connectivity pass labels weakly connected components in
+//! first-node order, builds one quotient over them and runs Kahn with ties
+//! broken by label — which is the smallest-member rule of
+//! [`Quotient::topo_order`](crate::Quotient::topo_order), so Kahn's order
+//! *is* the canonical renumbering. Only a cyclic quotient pays for an SCC
+//! merge and another pass.
+//!
+//! Capacity splits run without rounds: a set that fails `fits` is halved,
+//! and the weakly connected components of each half are checked the same
+//! way, recursively. A piece's fate depends only on its own member set, so
+//! the final sets and the recorded dirt are those the paper's
+//! round-by-round splitting reaches; only the order of the `fits` calls
+//! differs, and `fits` is pure. The result is relabelled and ranked once.
+//!
+//! A candidate derived from a valid parent states what the parent proved
+//! through a [`ParentSeed`]: its clean subgraphs are connected, and may be
+//! known to fit. The seeded passes skip that work and return the same
+//! partition and delta.
 
 use crate::delta::PartitionDelta;
 use crate::layout::LayoutArena;
@@ -60,18 +72,24 @@ pub fn repair_connectivity_with_delta(
     partition: Partition,
     delta: &mut PartitionDelta,
 ) -> Partition {
-    let mut repair = Repair::new(graph, &partition);
-    repair.connectivity(delta);
+    let mut repair = Repair::new(graph, partition);
+    repair.connectivity(delta, false);
     repair.finish()
 }
 
 /// Splits every subgraph whose footprint check fails, using the paper's
 /// in-situ `split-subgraph`: the subgraph is halved along the topological
-/// order (never creating quotient cycles), components are re-split, and the
-/// process repeats until every subgraph fits or is a single node.
+/// order (never creating quotient cycles) and each half is split into its
+/// weakly connected components, which are checked in turn, until every
+/// piece fits or is a single node.
+///
+/// The input may be invalid. A partition with nothing to split comes back
+/// untouched; otherwise the first halving is followed by a full
+/// connectivity pass, and the remaining splits run on the valid result.
 ///
 /// `fits` receives the (ascending) member list of one subgraph. It must be
-/// pure: a member set that already fitted is not asked again.
+/// pure: calls may come in any order, and a member set whose answer is
+/// already known is not asked again.
 pub fn split_oversized(
     graph: &Graph,
     partition: Partition,
@@ -88,14 +106,13 @@ pub fn split_oversized_with_delta(
     fits: &dyn Fn(&[NodeId]) -> bool,
     delta: &mut PartitionDelta,
 ) -> Partition {
-    let mut repair = Repair::new(graph, &partition);
-    // The input may be invalid: a partition nothing had to split comes
-    // back untouched, anything else goes through a full connectivity pass.
-    if repair.capacity(fits, delta, false) {
-        repair.finish()
-    } else {
-        partition
+    let mut repair = Repair::new(graph, partition.clone());
+    if !repair.halve_raw(fits, delta) {
+        return partition;
     }
+    repair.connectivity(delta, false);
+    repair.capacity(fits, delta, false);
+    repair.finish()
 }
 
 /// Full repair pipeline: connectivity + acyclicity, then capacity splits.
@@ -115,28 +132,63 @@ pub fn repair_with_delta(
     fits: &dyn Fn(&[NodeId]) -> bool,
     delta: &mut PartitionDelta,
 ) -> Partition {
-    let mut repair = Repair::new(graph, &partition);
-    repair.connectivity(delta);
-    repair.capacity(fits, delta, true);
+    repair_seeded(graph, partition, fits, delta, None)
+}
+
+/// What the repair of a candidate may take from the valid parent it was
+/// derived from.
+///
+/// A seed is sound only together with a `delta` that satisfies the
+/// member-set invariant of [`PartitionDelta`] relative to that parent:
+/// every subgraph with no dirty node is then one of the parent's
+/// subgraphs.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum ParentSeed {
+    /// Every clean subgraph is a parent subgraph, hence connected, so the
+    /// connectivity pass looks for components inside dirty subgraphs only.
+    Connected,
+    /// As [`Connected`](Self::Connected), and every clean multi-node
+    /// subgraph is known to satisfy `fits` (say, the parent's sets fitted a
+    /// buffer no larger than this candidate's), so capacity does not ask
+    /// about it again.
+    Fitted,
+}
+
+/// [`repair_with_delta`] for a candidate derived from a valid parent.
+/// `seed` states what the parent proved (`None` repairs from scratch).
+/// The partition and the recorded delta equal [`repair_with_delta`]'s; a
+/// seed only skips `fits` calls and union work whose outcome it already
+/// knows.
+///
+/// # Panics
+///
+/// Panics if the partition or the delta does not cover the graph.
+pub fn repair_seeded(
+    graph: &Graph,
+    partition: Partition,
+    fits: &dyn Fn(&[NodeId]) -> bool,
+    delta: &mut PartitionDelta,
+    seed: Option<ParentSeed>,
+) -> Partition {
+    assert_eq!(delta.len(), graph.len(), "delta does not cover the graph");
+    let mut repair = Repair::new(graph, partition);
+    repair.connectivity(delta, seed.is_some());
+    repair.capacity(fits, delta, seed == Some(ParentSeed::Fitted));
     repair.finish()
 }
 
-/// The dense scratch of one repair call. Labels are always dense
-/// (`0..k`); every buffer is sized once and reused by every pass.
-struct Repair<'g> {
-    graph: &'g Graph,
-    /// Current subgraph label per node.
-    ids: Vec<u32>,
-    /// Number of labels in `ids`.
-    k: usize,
+/// The buffers of one repair call. Every pass overwrites what it reads.
+#[derive(Debug, Default)]
+struct Scratch {
     /// A pass's new label per node (components, before renumbering).
     comp: Vec<u32>,
     /// Union-find forest; every root is its component's smallest node.
     parent: Vec<u32>,
-    /// Per-label scratch: first component seen, label map or SCC size.
+    /// Per-label scratch: first component or node seen, label map, SCC
+    /// size, or a half's component sizes.
     first: Vec<u32>,
-    /// Per-label flag: the subgraph split into several components.
-    split: Vec<bool>,
+    /// Per-label flag: the subgraph split, or holds a dirty node.
+    flag: Vec<bool>,
     quotient: Csr,
     indegree: Vec<u32>,
     ready: BinaryHeap<Reverse<u32>>,
@@ -144,90 +196,80 @@ struct Repair<'g> {
     rank: Vec<u32>,
     tarjan: Tarjan,
     scc: Vec<u32>,
-    /// Flat member layout of `ids` (labels are dense, so subgraph `s` of
-    /// the layout is label `s`).
+    /// Flat member layout of the labels (labels are dense, so subgraph `s`
+    /// of the layout is label `s`).
     layout: LayoutArena,
-    /// Per label: the member set is new since `fits` last saw it.
-    fresh: Vec<bool>,
-    /// Per node: its subgraph was halved in the current round.
-    halved: Vec<bool>,
+    /// Member lists of the pieces one capacity split is working on.
+    pieces: Vec<NodeId>,
+    /// Counting-sort buffer of one half's components.
+    sorted: Vec<NodeId>,
+    /// `(start, end)` ranges of `pieces` that failed `fits`.
+    failed: Vec<(u32, u32)>,
+}
+
+/// Root of `x`'s union-find tree (with path compression).
+fn find(parent: &mut [u32], x: u32) -> u32 {
+    let mut root = x;
+    while parent[root as usize] != root {
+        root = parent[root as usize];
+    }
+    let mut cur = x;
+    while parent[cur as usize] != root {
+        let next = parent[cur as usize];
+        parent[cur as usize] = root;
+        cur = next;
+    }
+    root
+}
+
+/// Joins the trees of `a` and `b`, keeping the smaller root.
+fn union(parent: &mut [u32], a: u32, b: u32) {
+    let (ra, rb) = (find(parent, a), find(parent, b));
+    if ra != rb {
+        parent[ra.max(rb) as usize] = ra.min(rb);
+    }
+}
+
+/// One repair call: the labels being repaired and the scratch every pass
+/// shares. Labels are always dense (`0..k`).
+struct Repair<'g> {
+    graph: &'g Graph,
+    /// Current subgraph label per node.
+    ids: Vec<u32>,
+    /// Number of labels in `ids`.
+    k: usize,
+    s: Scratch,
 }
 
 impl<'g> Repair<'g> {
-    fn new(graph: &'g Graph, partition: &Partition) -> Self {
+    fn new(graph: &'g Graph, partition: Partition) -> Self {
         assert_eq!(
             partition.len(),
             graph.len(),
             "partition does not cover the graph"
         );
         let n = graph.len();
-        let mut ids = partition.assignment().to_vec();
+        let mut ids = partition.into_assignment();
         let k = compact_ids(&mut ids).len();
-        Self {
-            graph,
-            ids,
-            k,
+        let s = Scratch {
             comp: vec![0; n],
             parent: vec![0; n],
-            first: Vec::with_capacity(2 * n),
-            split: Vec::with_capacity(n),
-            quotient: Csr::default(),
-            indegree: Vec::with_capacity(n),
-            ready: BinaryHeap::with_capacity(n),
-            rank: Vec::with_capacity(n),
-            tarjan: Tarjan::default(),
-            scc: Vec::new(),
-            layout: LayoutArena::new(),
-            fresh: Vec::with_capacity(n),
-            halved: vec![false; n],
-        }
+            ..Scratch::default()
+        };
+        Self { graph, ids, k, s }
     }
 
     fn finish(self) -> Partition {
         Partition::from_assignment(self.ids)
     }
 
-    /// Root of `x`'s union-find tree (with path compression).
-    fn find(&mut self, x: u32) -> u32 {
-        let mut root = x;
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
-        }
-        let mut cur = x;
-        while self.parent[cur as usize] != root {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = root;
-            cur = next;
-        }
-        root
-    }
-
-    /// Joins the trees of `a` and `b`, keeping the smaller root.
-    fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra.max(rb) as usize] = ra.min(rb);
-        }
-    }
-
-    /// Component label of node `i` once every smaller node is labelled:
-    /// a root opens label `*next`, any other node copies its root's.
-    fn label_component(&mut self, i: u32, next: &mut u32) -> u32 {
-        let root = self.find(i);
-        if root == i {
-            *next += 1;
-            *next - 1
-        } else {
-            self.comp[root as usize]
-        }
-    }
-
     /// Restores connectivity and acyclicity, leaving `ids` canonical.
     /// At most two passes: an SCC merge yields connected subgraphs whose
-    /// quotient is the (acyclic) condensation.
-    fn connectivity(&mut self, delta: &mut PartitionDelta) {
+    /// quotient is the (acyclic) condensation. `seeded` says every label
+    /// with no dirty node is connected.
+    fn connectivity(&mut self, delta: &mut PartitionDelta, seeded: bool) {
         loop {
-            let k = self.split_components(delta);
+            let k = self.split_components(delta, seeded);
             if self.renumber(k) {
                 return;
             }
@@ -238,42 +280,74 @@ impl<'g> Repair<'g> {
     /// Labels the weakly connected components of every subgraph into
     /// `comp`, numbered in first-node order, so a component's smallest
     /// member grows with its label. Marks the members of every subgraph
-    /// that split; returns the component count.
-    fn split_components(&mut self, delta: &mut PartitionDelta) -> usize {
-        let graph = self.graph;
-        let n = graph.len() as u32;
-        for i in 0..n {
-            self.parent[i as usize] = i;
+    /// that split; returns the component count. `seeded` says every label
+    /// with no dirty node is connected: it becomes a star on its first
+    /// node, and only labels holding a dirty node union along their edges.
+    fn split_components(&mut self, delta: &mut PartitionDelta, seeded: bool) -> usize {
+        let s = &mut self.s;
+        let ids = &self.ids;
+        if seeded {
+            s.first.clear();
+            s.first.resize(self.k, u32::MAX);
+            s.flag.clear();
+            s.flag.resize(self.k, false);
+            for (i, (&label, &dirty)) in ids.iter().zip(delta.flags()).enumerate() {
+                s.flag[label as usize] |= dirty;
+                let first = &mut s.first[label as usize];
+                if *first == u32::MAX {
+                    *first = i as u32;
+                }
+            }
+            for (i, (p, &label)) in s.parent.iter_mut().zip(ids).enumerate() {
+                *p = if s.flag[label as usize] {
+                    i as u32
+                } else {
+                    s.first[label as usize]
+                };
+            }
+        } else {
+            for (i, p) in s.parent.iter_mut().enumerate() {
+                *p = i as u32;
+            }
         }
-        for u in graph.node_ids() {
-            let label = self.ids[u.index()];
-            for &c in graph.consumers(u) {
-                if self.ids[c.index()] == label {
-                    self.union(u.index() as u32, c.index() as u32);
+        for (u, &label) in ids.iter().enumerate() {
+            if seeded && !s.flag[label as usize] {
+                continue;
+            }
+            for &c in self.graph.consumers(NodeId::from_index(u)) {
+                if ids[c.index()] == label {
+                    union(&mut s.parent, u as u32, c.index() as u32);
                 }
             }
         }
+        // A root opens the next label, any other node copies its root's.
         let mut k = 0u32;
-        for i in 0..n {
-            self.comp[i as usize] = self.label_component(i, &mut k);
+        for i in 0..ids.len() {
+            let root = find(&mut s.parent, i as u32);
+            s.comp[i] = if root == i as u32 {
+                k += 1;
+                k - 1
+            } else {
+                s.comp[root as usize]
+            };
         }
         // Every subgraph holds at least one component, so equal counts
         // mean nothing split.
         if k as usize > self.k {
-            self.first.clear();
-            self.first.resize(self.k, u32::MAX);
-            self.split.clear();
-            self.split.resize(self.k, false);
-            for (&old, &c) in self.ids.iter().zip(&self.comp) {
-                let first = &mut self.first[old as usize];
+            s.first.clear();
+            s.first.resize(self.k, u32::MAX);
+            s.flag.clear();
+            s.flag.resize(self.k, false);
+            for (&old, &c) in ids.iter().zip(&s.comp) {
+                let first = &mut s.first[old as usize];
                 if *first == u32::MAX {
                     *first = c;
                 } else if *first != c {
-                    self.split[old as usize] = true;
+                    s.flag[old as usize] = true;
                 }
             }
-            for (i, &old) in self.ids.iter().enumerate() {
-                if self.split[old as usize] {
+            for (i, &old) in ids.iter().enumerate() {
+                if s.flag[old as usize] {
                     delta.touch(NodeId::from_index(i));
                 }
             }
@@ -285,36 +359,37 @@ impl<'g> Repair<'g> {
     /// smallest label first. When acyclic, writes the execution position
     /// of every node's label into `ids` and returns `true`.
     fn renumber(&mut self, k: usize) -> bool {
-        self.quotient.build_quotient(self.graph, &self.comp, k);
-        self.indegree.clear();
-        self.indegree.resize(k, 0);
-        for &t in self.quotient.targets() {
-            self.indegree[t as usize] += 1;
+        let s = &mut self.s;
+        s.quotient.build_quotient(self.graph, &s.comp, k);
+        s.indegree.clear();
+        s.indegree.resize(k, 0);
+        for &t in s.quotient.targets() {
+            s.indegree[t as usize] += 1;
         }
-        self.ready.clear();
-        for (c, &d) in self.indegree.iter().enumerate() {
+        s.ready.clear();
+        for (c, &d) in s.indegree.iter().enumerate() {
             if d == 0 {
-                self.ready.push(Reverse(c as u32));
+                s.ready.push(Reverse(c as u32));
             }
         }
-        self.rank.clear();
-        self.rank.resize(k, 0);
+        s.rank.clear();
+        s.rank.resize(k, 0);
         let mut position = 0u32;
-        while let Some(Reverse(c)) = self.ready.pop() {
-            self.rank[c as usize] = position;
+        while let Some(Reverse(c)) = s.ready.pop() {
+            s.rank[c as usize] = position;
             position += 1;
-            for &s in self.quotient.row(c) {
-                self.indegree[s as usize] -= 1;
-                if self.indegree[s as usize] == 0 {
-                    self.ready.push(Reverse(s));
+            for &t in s.quotient.row(c) {
+                s.indegree[t as usize] -= 1;
+                if s.indegree[t as usize] == 0 {
+                    s.ready.push(Reverse(t));
                 }
             }
         }
         if position as usize != k {
             return false;
         }
-        for (id, &c) in self.ids.iter_mut().zip(&self.comp) {
-            *id = self.rank[c as usize];
+        for (id, &c) in self.ids.iter_mut().zip(&s.comp) {
+            *id = s.rank[c as usize];
         }
         self.k = k;
         true
@@ -324,120 +399,161 @@ impl<'g> Repair<'g> {
     /// quotient [`renumber`](Self::renumber) just built) into one
     /// subgraph, marking the members of every non-trivial SCC.
     fn merge_sccs(&mut self, k: usize, delta: &mut PartitionDelta) {
-        let count = self.tarjan.run(&self.quotient, &mut self.scc);
-        debug_assert_eq!(self.scc.len(), k);
-        self.first.clear();
-        self.first.resize(count, 0);
-        for &s in &self.scc {
-            self.first[s as usize] += 1;
+        let s = &mut self.s;
+        let count = s.tarjan.run(&s.quotient, &mut s.scc);
+        debug_assert_eq!(s.scc.len(), k);
+        s.first.clear();
+        s.first.resize(count, 0);
+        for &c in &s.scc {
+            s.first[c as usize] += 1;
         }
-        for (i, &c) in self.comp.iter().enumerate() {
-            let s = self.scc[c as usize];
-            if self.first[s as usize] > 1 {
+        for (i, &c) in s.comp.iter().enumerate() {
+            let scc = s.scc[c as usize];
+            if s.first[scc as usize] > 1 {
                 delta.touch(NodeId::from_index(i));
             }
-            self.ids[i] = s;
+            self.ids[i] = scc;
         }
         self.k = count;
     }
 
-    /// The in-situ capacity splits, in rounds: every fresh multi-node
-    /// subgraph that fails `fits` is halved along the topological order,
-    /// then validity is restored. `valid` says the labels are canonical
-    /// and valid, so a halving can only disconnect the halved subgraphs
-    /// and never closes a quotient cycle; otherwise the first restore is a
-    /// full connectivity pass. Only member sets that changed in the last
-    /// round are asked again — `fits` is pure, and an unchanged set fitted
-    /// already. Returns whether anything was halved.
+    /// [`split_oversized`]'s first halving, on raw labels: every
+    /// multi-node subgraph that fails `fits` moves its second half to a
+    /// new label. Returns whether anything was halved.
+    fn halve_raw(&mut self, fits: &dyn Fn(&[NodeId]) -> bool, delta: &mut PartitionDelta) -> bool {
+        let layout = self.s.layout.build_from_assignment(&self.ids);
+        let mut next = self.k as u32;
+        for label in 0..self.k {
+            let members = layout.subgraph(label);
+            if members.len() <= 1 || fits(members) {
+                continue;
+            }
+            delta.touch_members(members);
+            for &m in &members[members.len() / 2..] {
+                self.ids[m.index()] = next;
+            }
+            next += 1;
+        }
+        let halved = next as usize > self.k;
+        self.k = next as usize;
+        halved
+    }
+
+    /// The in-situ capacity splits on canonical valid labels: every
+    /// multi-node subgraph that fails `fits` is halved along the
+    /// topological order (members ascend, so every internal edge flows
+    /// first half -> second half and no quotient cycle can close), and
+    /// each half's weakly connected components are checked in turn, down
+    /// to pieces that fit or are single nodes. `skip_clean` takes every
+    /// subgraph with no dirty node as fitting. When anything was halved,
+    /// relabels the final sets in first-node order and ranks them once.
     fn capacity(
         &mut self,
         fits: &dyn Fn(&[NodeId]) -> bool,
         delta: &mut PartitionDelta,
-        mut valid: bool,
-    ) -> bool {
-        self.fresh.clear();
-        self.fresh.resize(self.k, true);
-        let mut changed = false;
-        loop {
-            let layout = self.layout.build_from_assignment(&self.ids);
-            self.halved.fill(false);
-            let mut next = self.k as u32;
-            for s in 0..self.k {
-                let members = layout.subgraph(s);
-                if !self.fresh[s] || members.len() <= 1 || fits(members) {
-                    continue;
-                }
-                // Halve: members ascend, so every internal edge flows
-                // first half -> second half.
-                delta.touch_members(members);
-                for &m in members {
-                    self.halved[m.index()] = true;
-                }
-                for &m in &members[members.len() / 2..] {
-                    self.ids[m.index()] = next;
-                }
-                next += 1;
-            }
-            if next as usize == self.k {
-                return changed;
-            }
-            changed = true;
-            if valid {
-                self.resplit_halved(next as usize);
-                self.fresh.clear();
-                self.fresh.resize(self.k, false);
-                for (&id, &halved) in self.ids.iter().zip(&self.halved) {
-                    self.fresh[id as usize] |= halved;
-                }
-            } else {
-                self.k = next as usize;
-                self.connectivity(delta);
-                valid = true;
-                self.fresh.clear();
-                self.fresh.resize(self.k, true);
-            }
-        }
-    }
-
-    /// Restores a canonical valid partition after halving (`labels`
-    /// labels in `ids`): splits only the halved subgraphs into components,
-    /// keeps every other subgraph whole, and renumbers. Halves of an
-    /// acyclic quotient's vertices along the topological order stay
-    /// acyclic, and the pieces' dirt was marked by the halving itself.
-    fn resplit_halved(&mut self, labels: usize) {
-        let graph = self.graph;
-        for i in 0..graph.len() {
-            if self.halved[i] {
-                self.parent[i] = i as u32;
-            }
-        }
-        for u in graph.node_ids() {
-            let i = u.index();
-            if !self.halved[i] {
+        skip_clean: bool,
+    ) {
+        let s = &mut self.s;
+        let ids = &mut self.ids;
+        let layout = s.layout.build_from_assignment(ids);
+        // Halves and final pieces take fresh labels from `k` up.
+        let mut next = self.k as u32;
+        for label in 0..self.k {
+            let members = layout.subgraph(label);
+            if members.len() <= 1
+                || (skip_clean && !members.iter().any(|&m| delta.is_dirty(m)))
+                || fits(members)
+            {
                 continue;
             }
-            // Pieces carry labels no whole subgraph has, so an equal
-            // label keeps the edge inside the piece.
-            for &c in graph.consumers(u) {
-                if self.ids[c.index()] == self.ids[i] {
-                    self.union(i as u32, c.index() as u32);
+            s.pieces.clear();
+            s.pieces.extend_from_slice(members);
+            s.failed.clear();
+            s.failed.push((0, members.len() as u32));
+            while let Some((start, end)) = s.failed.pop() {
+                let (start, end) = (start as usize, end as usize);
+                delta.touch_members(&s.pieces[start..end]);
+                let mid = start + (end - start) / 2;
+                for (lo, hi) in [(start, mid), (mid, end)] {
+                    // The half's own label keeps its edges apart from
+                    // every other set's.
+                    let half = next;
+                    next += 1;
+                    for &m in &s.pieces[lo..hi] {
+                        ids[m.index()] = half;
+                        s.parent[m.index()] = m.index() as u32;
+                    }
+                    for &u in &s.pieces[lo..hi] {
+                        for &c in self.graph.consumers(u) {
+                            if ids[c.index()] == half {
+                                union(&mut s.parent, u.index() as u32, c.index() as u32);
+                            }
+                        }
+                    }
+                    // Components in first-node order, their sizes in
+                    // `first`.
+                    s.first.clear();
+                    for &m in &s.pieces[lo..hi] {
+                        let i = m.index();
+                        let root = find(&mut s.parent, i as u32) as usize;
+                        let c = if root == i {
+                            s.first.push(0);
+                            s.first.len() as u32 - 1
+                        } else {
+                            s.comp[root]
+                        };
+                        s.comp[i] = c;
+                        s.first[c as usize] += 1;
+                    }
+                    // Make each component a contiguous, still ascending
+                    // run (a stable counting sort); afterwards `first[c]`
+                    // is where component `c` ends.
+                    if s.first.len() > 1 {
+                        let mut total = 0;
+                        for size in s.first.iter_mut() {
+                            total += *size;
+                            *size = total - *size;
+                        }
+                        s.sorted.clear();
+                        s.sorted.resize(hi - lo, NodeId::from_index(0));
+                        for &m in &s.pieces[lo..hi] {
+                            let cursor = &mut s.first[s.comp[m.index()] as usize];
+                            s.sorted[*cursor as usize] = m;
+                            *cursor += 1;
+                        }
+                        s.pieces[lo..hi].copy_from_slice(&s.sorted);
+                    }
+                    let mut at = lo;
+                    for c in 0..s.first.len() {
+                        let end = lo + s.first[c] as usize;
+                        let piece = &s.pieces[at..end];
+                        if piece.len() > 1 && !fits(piece) {
+                            s.failed.push((at as u32, end as u32));
+                        } else {
+                            for &m in piece {
+                                ids[m.index()] = next;
+                            }
+                            next += 1;
+                        }
+                        at = end;
+                    }
                 }
             }
         }
-        self.first.clear();
-        self.first.resize(labels, u32::MAX);
+        if next as usize == self.k {
+            return;
+        }
+        // Relabel the final sets in first-node order, then rank them.
+        s.first.clear();
+        s.first.resize(next as usize, u32::MAX);
         let mut k = 0u32;
-        for i in 0..graph.len() {
-            self.comp[i] = if self.halved[i] {
-                self.label_component(i as u32, &mut k)
-            } else {
-                let first = &mut self.first[self.ids[i] as usize];
-                if *first == u32::MAX {
-                    *first = k;
-                    k += 1;
-                }
-                *first
-            };
+        for (c, &label) in s.comp.iter_mut().zip(ids.iter()) {
+            let first = &mut s.first[label as usize];
+            if *first == u32::MAX {
+                *first = k;
+                k += 1;
+            }
+            *c = *first;
         }
         let acyclic = self.renumber(k as usize);
         debug_assert!(
@@ -759,9 +875,11 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::PartitionFingerprints;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::cell::RefCell;
+    use std::collections::BTreeMap;
 
     #[test]
     fn repairs_random_assignments() {
@@ -957,25 +1075,36 @@ mod tests {
         members.len() <= 2 || h % 3 != 0
     }
 
-    /// Asserts `calls` is a subsequence of `reference` and that every
-    /// reference call it skips repeats an earlier reference call.
-    fn assert_fits_subsequence(calls: &[Vec<NodeId>], reference: &[Vec<NodeId>], context: &str) {
-        let mut next = 0;
-        for (j, asked) in reference.iter().enumerate() {
-            if calls.get(next) == Some(asked) {
-                next += 1;
-            } else {
-                assert!(
-                    reference[..j].contains(asked),
-                    "{context}: skipped fits call {asked:?} was never asked before"
-                );
-            }
+    /// How often each member set was asked.
+    fn tally(calls: &[Vec<NodeId>]) -> BTreeMap<&[NodeId], usize> {
+        let mut counts = BTreeMap::new();
+        for set in calls {
+            *counts.entry(set.as_slice()).or_insert(0) += 1;
         }
-        assert_eq!(
-            next,
-            calls.len(),
-            "{context}: fits calls are not a subsequence"
-        );
+        counts
+    }
+
+    /// Asserts `calls` asks no member set more often than `reference`
+    /// does, and returns the reference's sets `calls` never asked. `fits`
+    /// is pure, so the order of the calls is unobservable.
+    fn unasked(
+        calls: &[Vec<NodeId>],
+        reference: &[Vec<NodeId>],
+        context: &str,
+    ) -> Vec<Vec<NodeId>> {
+        let want = tally(reference);
+        for (set, n) in tally(calls) {
+            let allowed = want.get(set).copied().unwrap_or(0);
+            assert!(
+                n <= allowed,
+                "{context}: fits asked {set:?} {n} times, the reference {allowed}"
+            );
+        }
+        let got = tally(calls);
+        want.into_keys()
+            .filter(|set| !got.contains_key(set))
+            .map(<[NodeId]>::to_vec)
+            .collect()
     }
 
     #[test]
@@ -1011,7 +1140,8 @@ mod tests {
                     let want = reference::repair_with_delta(&g, p.clone(), &fits_ref, &mut d_ref);
                     assert_eq!(got, want, "{context}: partitions differ");
                     assert_eq!(d_new, d_ref, "{context}: deltas differ");
-                    assert_fits_subsequence(&calls.borrow(), &ref_calls.borrow(), &context);
+                    let unasked = unasked(&calls.borrow(), &ref_calls.borrow(), &context);
+                    assert!(unasked.is_empty(), "{context}: never asked {unasked:?}");
                     skipped += ref_calls.borrow().len() - calls.borrow().len();
 
                     let (mut c_new, mut c_ref) = (
@@ -1050,5 +1180,79 @@ mod tests {
             skipped > 0,
             "no fits call on an unchanged member set was skipped"
         );
+    }
+
+    #[test]
+    fn seeded_repair_matches_the_reference_on_parent_walks() {
+        type Fits<'a> = &'a dyn Fn(&[NodeId]) -> bool;
+        // (case, the parent's predicate, the child's predicate, the seed):
+        // an equal or looser predicate may skip clean sets, a stricter one
+        // may only trust their connectivity.
+        let cases: [(&str, Fits, Fits, ParentSeed); 5] = [
+            ("hashed", &hashed_fits, &hashed_fits, ParentSeed::Fitted),
+            (
+                "cap6",
+                &|m| m.len() <= 6,
+                &|m| m.len() <= 6,
+                ParentSeed::Fitted,
+            ),
+            (
+                "grow",
+                &|m| m.len() <= 4,
+                &|m| m.len() <= 9,
+                ParentSeed::Fitted,
+            ),
+            (
+                "shrink",
+                &|m| m.len() <= 9,
+                &|m| m.len() <= 4,
+                ParentSeed::Connected,
+            ),
+            ("always", &|_| true, &|_| true, ParentSeed::Fitted),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x005e_eded);
+        let mut skipped = 0;
+        for (name, build) in cocco_graph::models::registry() {
+            let g = build();
+            for (case, parent_fits, child_fits, seed) in cases {
+                let mut parent = repair(&g, Partition::connected_groups(&g, 4), parent_fits);
+                for step in 0..12 {
+                    let context = format!("{name}/{case}/step {step}");
+                    let mut child = parent.clone();
+                    edit(&g, &mut child, &mut rng);
+                    // The exact member-set delta, sometimes with extra dirt:
+                    // an over-marked delta must still give the same result.
+                    let mut delta = PartitionFingerprints::compute(&parent).delta_against(&child);
+                    if rng.gen_bool(0.3) {
+                        delta.touch(NodeId::from_index(rng.gen_range(0..g.len())));
+                    }
+                    let (mut d_new, mut d_ref) = (delta.clone(), delta);
+                    let (calls, ref_calls) = (RefCell::new(Vec::new()), RefCell::new(Vec::new()));
+                    let fits_new = |m: &[NodeId]| {
+                        calls.borrow_mut().push(m.to_vec());
+                        child_fits(m)
+                    };
+                    let fits_ref = |m: &[NodeId]| {
+                        ref_calls.borrow_mut().push(m.to_vec());
+                        child_fits(m)
+                    };
+                    let got = repair_seeded(&g, child.clone(), &fits_new, &mut d_new, Some(seed));
+                    let want = reference::repair_with_delta(&g, child, &fits_ref, &mut d_ref);
+                    assert_eq!(got, want, "{context}: partitions differ");
+                    assert_eq!(d_new, d_ref, "{context}: deltas differ");
+                    let unasked = unasked(&calls.borrow(), &ref_calls.borrow(), &context);
+                    for set in &unasked {
+                        assert!(
+                            seed == ParentSeed::Fitted && child_fits(set),
+                            "{context}: skipped {set:?}, which does not fit"
+                        );
+                    }
+                    skipped += unasked.len();
+                    // The next parent is valid under its own predicate.
+                    parent = repair(&g, got, parent_fits);
+                }
+            }
+        }
+        assert!(skipped > 0, "no clean set's fits call was skipped");
     }
 }

@@ -10,9 +10,12 @@ use cocco_engine::{
 };
 use cocco_faults::{FaultPlan, FaultSite};
 use cocco_graph::{Graph, NodeId};
-use cocco_partition::{repair, repair_with_delta, Partition, PartitionDelta};
+use cocco_partition::{
+    repair, repair_seeded, repair_with_delta, ParentSeed, Partition, PartitionDelta,
+};
 use cocco_sim::{BufferConfig, EvalOptions, Evaluator};
 use cocco_telemetry::{Stopwatch, Telemetry};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -26,7 +29,9 @@ use std::sync::{Arc, Mutex};
 ///
 /// The delta **must** satisfy the member-set invariant documented on
 /// [`PartitionDelta`] relative to the memo's partition — the
-/// fingerprint-keyed cache derives key identity from it. Operators of
+/// fingerprint-keyed cache derives key identity from it, and repair takes
+/// every clean subgraph for one of the parent's (connected, and fitting
+/// when the buffer did not shrink; see `ParentSeed`). Operators of
 /// unknown extent derive an honest delta by diffing fingerprints
 /// (`PartitionFingerprints::delta_against`) instead of guessing.
 #[derive(Debug)]
@@ -533,12 +538,16 @@ impl<'a> SearchContext<'a> {
         };
         let results: Vec<Mutex<Option<TracePoint>>> =
             (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-        // `search.repair_ns`: with telemetry on, each job times its own
-        // repair into its slot and the batch publishes the sum once; with
-        // it off there are no slots and no clock reads.
-        let repair_counter = self.engine.telemetry().counter("search.repair_ns");
-        let repair_ns: Vec<AtomicU64> = match repair_counter {
-            Some(_) => (0..jobs.len()).map(|_| AtomicU64::new(0)).collect(),
+        // `search.repair_ns` and `sim.fits_calls`: with telemetry on, each
+        // job records its repair's time and `fits` calls into its slot and
+        // the batch publishes the sums once; with it off there are no
+        // slots and no clock reads.
+        let telemetry = self.engine.telemetry();
+        let counters = telemetry
+            .counter("search.repair_ns")
+            .zip(telemetry.counter("sim.fits_calls"));
+        let tallies: Vec<[AtomicU64; 2]> = match counters {
+            Some(_) => (0..jobs.len()).map(|_| Default::default()).collect(),
             None => Vec::new(),
         };
         // One pool job per funded candidate: repair, probe, score on a
@@ -553,10 +562,11 @@ impl<'a> SearchContext<'a> {
             }
             let (slot, objective, sample) = &jobs[i];
             let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
-            let timer = repair_ns.get(i).map(|slot| (slot, Stopwatch::start()));
-            let (parent_memo, delta) = self.take_hint_and_repair(candidate);
-            if let Some((slot, sw)) = timer {
-                slot.store(sw.elapsed_nanos(), Ordering::Relaxed);
+            let timer = tallies.get(i).map(|slot| (slot, Stopwatch::start()));
+            let (parent_memo, delta, fits_calls) = self.take_hint_and_repair(candidate);
+            if let Some(([ns, calls], sw)) = timer {
+                ns.store(sw.elapsed_nanos(), Ordering::Relaxed);
+                calls.store(fits_calls, Ordering::Relaxed);
             }
             let hint = parent_memo.as_deref().map(|memo| (memo, &delta));
             if eval_error {
@@ -570,8 +580,10 @@ impl<'a> SearchContext<'a> {
             let (scored, memo) = self.score_candidate(i, &candidate.genome, hint);
             self.finish_scored(&results, i, *objective, *sample, candidate, scored, memo);
         });
-        if let Some(counter) = repair_counter {
-            counter.add(repair_ns.iter().map(|ns| ns.load(Ordering::Relaxed)).sum());
+        if let Some((repair_ns, fits_calls)) = counters {
+            let sum = |k: usize| tallies.iter().map(|t| t[k].load(Ordering::Relaxed)).sum();
+            repair_ns.add(sum(0));
+            fits_calls.add(sum(1));
         }
         if let Err(panic) = dispatched {
             // Discard every funded candidate uniformly (some may have
@@ -599,23 +611,54 @@ impl<'a> SearchContext<'a> {
 
     /// The per-candidate evaluation prologue: consume the incremental
     /// hint, extend its delta with repair-induced changes, and repair the
-    /// genome in place. Pure per candidate, so it runs inside the
-    /// candidate's pool job.
+    /// genome in place, seeded with what the parent proved. Pure per
+    /// candidate, so it runs inside the candidate's pool job. Also returns
+    /// how many `fits` calls the repair made.
     fn take_hint_and_repair(
         &self,
         candidate: &mut EvalCandidate,
-    ) -> (Option<Arc<EvalMemo>>, PartitionDelta) {
+    ) -> (Option<Arc<EvalMemo>>, PartitionDelta, u64) {
         let buffer = candidate.genome.buffer;
         let (parent_memo, mut delta) = match candidate.hint.take() {
             Some(hint) => (Some(hint.memo), hint.delta),
             None => (None, PartitionDelta::all(self.graph.len())),
         };
-        candidate.genome.partition = self.repair_with_delta(
-            std::mem::replace(&mut candidate.genome.partition, Partition::singletons(0)),
-            &buffer,
-            &mut delta,
-        );
-        (parent_memo, delta)
+        let seed = self.parent_seed(parent_memo.as_deref(), &buffer);
+        let calls = Cell::new(0);
+        let fits = |members: &[NodeId]| {
+            calls.set(calls.get() + 1);
+            self.fits(members, &buffer)
+        };
+        let partition =
+            std::mem::replace(&mut candidate.genome.partition, Partition::singletons(0));
+        candidate.genome.partition = repair_seeded(self.graph, partition, &fits, &mut delta, seed);
+        (parent_memo, delta, calls.get())
+    }
+
+    /// What a hinted candidate's repair may take from the parent behind
+    /// `memo` (`None` without a hint). The hint's delta marks every
+    /// subgraph that is not one of the parent's, and the parent was
+    /// repaired, so its clean subgraphs are connected. [`fits`](Self::fits)
+    /// depends only on the evaluator, the options and the buffer, and is
+    /// monotone in each buffer capacity. So when the parent was scored
+    /// under this evaluator and these options and no buffer component
+    /// shrank, its multi-node subgraphs fit this buffer as well.
+    fn parent_seed(&self, memo: Option<&EvalMemo>, buffer: &BufferConfig) -> Option<ParentSeed> {
+        let (fingerprint, parent, options) = memo?.coordinates();
+        let no_smaller = match (parent, *buffer) {
+            (BufferConfig::Shared { total: was }, BufferConfig::Shared { total }) => total >= was,
+            (BufferConfig::Separate { glb: g, wgt: w }, BufferConfig::Separate { glb, wgt }) => {
+                glb >= g && wgt >= w
+            }
+            _ => false,
+        };
+        let fitted =
+            no_smaller && fingerprint == self.evaluator.fingerprint() && options == self.options;
+        Some(if fitted {
+            ParentSeed::Fitted
+        } else {
+            ParentSeed::Connected
+        })
     }
 
     /// Scores one repaired candidate as batch job `seq`: probe the cache,
@@ -921,8 +964,71 @@ mod tests {
         assert_eq!(snap.gauge("search.budget.used"), 32);
         let batches = snap.histogram("engine.batch.latency_ns").unwrap();
         assert!(batches.count >= 1);
-        // Every job timed its repair; the batches published the sums.
+        // Every job timed its repair and counted its fits calls; the
+        // batches published the sums.
         assert!(snap.counter("search.repair_ns") > 0);
+        assert!(snap.counter("sim.fits_calls") > 0);
+    }
+
+    #[test]
+    fn parent_seed_trusts_fits_only_under_the_same_coordinates_and_no_smaller_buffer() {
+        use ParentSeed::{Connected, Fitted};
+        let g = cocco_graph::models::googlenet();
+        let eval = Evaluator::new(&g, AcceleratorConfig::default());
+        let ctx = context(&g, &eval, 10);
+        let p = ctx.repair(
+            Partition::connected_groups(&g, 3),
+            &BufferConfig::shared(1 << 20),
+        );
+        let memo_for = |ctx: &SearchContext<'_>, buffer: BufferConfig| {
+            ctx.engine()
+                .score_partition(ctx.evaluator(), &p, &buffer, ctx.options, None)
+                .1
+                .expect("a fresh score records a memo")
+        };
+        let (shared, separate) = (
+            BufferConfig::shared(1 << 20),
+            BufferConfig::separate(1 << 19, 1 << 19),
+        );
+        let seed = |memo: &EvalMemo, buffer: BufferConfig| ctx.parent_seed(Some(memo), &buffer);
+        // One shared buffer: larger or equal seeds, smaller does not.
+        let parent = memo_for(&ctx, shared);
+        assert_eq!(seed(&parent, shared), Some(Fitted));
+        assert_eq!(seed(&parent, BufferConfig::shared(2 << 20)), Some(Fitted));
+        assert_eq!(
+            seed(&parent, BufferConfig::shared(1 << 19)),
+            Some(Connected)
+        );
+        // Separate buffers: either component smaller does not seed.
+        let parent_separate = memo_for(&ctx, separate);
+        assert_eq!(seed(&parent_separate, separate), Some(Fitted));
+        let bigger = BufferConfig::separate(1 << 20, 1 << 20);
+        assert_eq!(seed(&parent_separate, bigger), Some(Fitted));
+        for smaller in [
+            BufferConfig::separate(1 << 18, 1 << 20),
+            BufferConfig::separate(1 << 20, 1 << 18),
+        ] {
+            assert_eq!(seed(&parent_separate, smaller), Some(Connected));
+        }
+        // Shared against separate, either way round, does not seed.
+        assert_eq!(seed(&parent, bigger), Some(Connected));
+        assert_eq!(
+            seed(&parent_separate, BufferConfig::shared(4 << 20)),
+            Some(Connected)
+        );
+        // Other options (cores) or another evaluator do not seed.
+        let multicore = context(&g, &eval, 10).with_options(EvalOptions::with_cores(2));
+        assert_eq!(seed(&memo_for(&multicore, shared), shared), Some(Connected));
+        let config = AcceleratorConfig {
+            max_regions: AcceleratorConfig::default().max_regions + 1,
+            ..AcceleratorConfig::default()
+        };
+        let other_eval = Evaluator::new(&g, config);
+        assert_ne!(other_eval.fingerprint(), eval.fingerprint());
+        let other = context(&g, &other_eval, 10);
+        assert_eq!(seed(&memo_for(&other, shared), shared), Some(Connected));
+        // No hint, no seed.
+        assert_eq!(ctx.parent_seed(None, &shared), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::genome::Genome;
 use crate::outcome::{SearchOutcome, Searcher};
 use cocco_engine::EvalMemo;
 use cocco_graph::Graph;
-use cocco_partition::{LayoutArena, Partition, PartitionDelta, Quotient};
+use cocco_partition::{LayoutArena, Partition, PartitionDelta, QuotientSuccessors};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -208,6 +208,7 @@ pub struct GaDriver {
     population: Vec<Member>,
     pending: Vec<Partition>,
     outcome: SearchOutcome,
+    scratch: MutationScratch,
 }
 
 impl GaDriver {
@@ -221,6 +222,7 @@ impl GaDriver {
             population: Vec::new(),
             pending: Vec::new(),
             outcome: SearchOutcome::empty(),
+            scratch: MutationScratch::default(),
         }
     }
 
@@ -242,6 +244,7 @@ impl GaDriver {
                 .collect(),
             pending: state.pending,
             outcome: state.outcome,
+            scratch: MutationScratch::default(),
         }
     }
 
@@ -330,6 +333,7 @@ impl GaDriver {
                     &cfg.mutation,
                     &mut self.rng,
                     &mut delta,
+                    &mut self.scratch,
                 );
                 let hint = self.population[dad_idx]
                     .memo
@@ -347,6 +351,7 @@ impl GaDriver {
                     &cfg.mutation,
                     &mut self.rng,
                     &mut delta,
+                    &mut self.scratch,
                 );
                 let hint = self.population[parent]
                     .memo
@@ -540,6 +545,14 @@ pub(crate) fn crossover(
     Partition::from_assignment(child)
 }
 
+/// The reusable buffers of the mutation operators: one flat member layout
+/// and the quotient's successor rows. Their contents never reach a result.
+#[derive(Debug, Default)]
+pub(crate) struct MutationScratch {
+    layout: LayoutArena,
+    succs: QuotientSuccessors,
+}
+
 /// Applies the four customized mutations, each with its own probability
 /// (shared with the simulated-annealing baseline, paper §4.2.4), recording
 /// into `delta` every node whose subgraph membership changes.
@@ -557,6 +570,7 @@ pub(crate) fn mutate_with_delta(
     rates: &MutationRates,
     rng: &mut StdRng,
     delta: &mut PartitionDelta,
+    scratch: &mut MutationScratch,
 ) {
     let n = graph.len();
     if rng.gen_bool(rates.modify_node.clamp(0.0, 1.0)) {
@@ -583,7 +597,10 @@ pub(crate) fn mutate_with_delta(
     }
     // One flat member layout serves both structural operators; subgraph
     // `i` of the layout is compact quotient id `i` (both ascend by id).
-    let mut arena = LayoutArena::new();
+    let MutationScratch {
+        layout: arena,
+        succs,
+    } = scratch;
     if rng.gen_bool(rates.split_subgraph.clamp(0.0, 1.0)) {
         // split-subgraph: cut one subgraph at a random topological point.
         let layout = arena.build_from_partition(&genome.partition);
@@ -604,14 +621,13 @@ pub(crate) fn mutate_with_delta(
         // merge-subgraph: merge across a random quotient edge (merging
         // non-adjacent subgraphs would only trigger a bigger SCC repair).
         // Edges are numbered source-major, targets ascending.
-        let quotient = Quotient::build(graph, &genome.partition);
-        let sources = 0..quotient.num_subgraphs() as u32;
-        let edges: usize = sources.clone().map(|a| quotient.succs(a).len()).sum();
+        succs.build(graph, &genome.partition);
+        let edges = succs.num_edges();
         if edges > 0 {
             let mut pick = rng.gen_range(0..edges);
             let layout = arena.build_from_partition(&genome.partition);
-            for a in sources {
-                let succs = quotient.succs(a);
+            for a in 0..succs.num_subgraphs() as u32 {
+                let succs = succs.succs(a);
                 if pick >= succs.len() {
                     pick -= succs.len();
                     continue;

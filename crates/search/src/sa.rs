@@ -4,7 +4,7 @@ use crate::context::{EvalCandidate, EvalHint, SearchContext};
 use crate::driver::{
     rng_from_state, rng_state, run_driver, DriverState, EvalBatch, SearchDriver, Step,
 };
-use crate::ga::{mutate_with_delta, MutationRates};
+use crate::ga::{mutate_with_delta, MutationRates, MutationScratch};
 use crate::genome::Genome;
 use crate::outcome::{SearchOutcome, Searcher};
 use cocco_engine::EvalMemo;
@@ -156,6 +156,7 @@ pub struct SaDriver {
     temperature: f64,
     rejected: u64,
     outcome: SearchOutcome,
+    scratch: MutationScratch,
 }
 
 impl SaDriver {
@@ -173,6 +174,7 @@ impl SaDriver {
             temperature: 0.0,
             rejected: 0,
             outcome: SearchOutcome::empty(),
+            scratch: MutationScratch::default(),
         }
     }
 
@@ -189,6 +191,7 @@ impl SaDriver {
             temperature: state.temperature,
             rejected: state.rejected,
             outcome: state.outcome,
+            scratch: MutationScratch::default(),
         }
     }
 }
@@ -225,6 +228,7 @@ impl SearchDriver for SaDriver {
                             &self.config.mutation,
                             &mut self.rng,
                             &mut delta,
+                            &mut self.scratch,
                         );
                         let hint = self
                             .current_memo

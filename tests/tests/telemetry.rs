@@ -54,6 +54,11 @@ fn seeded_runs_are_byte_identical_with_telemetry_on_off_across_threads() {
                 "{name}: telemetry recorded nothing at {threads} threads"
             );
             assert!(snap.histogram("search.step_ns").is_some());
+            // Every repair's fits calls reached the production counter.
+            assert!(
+                snap.counter("sim.fits_calls") > 0,
+                "{name}: no fits calls counted at {threads} threads"
+            );
         }
     }
 }
