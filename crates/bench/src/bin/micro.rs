@@ -105,8 +105,8 @@ fn ga_run(
 /// workers, and at `threads` workers under a live telemetry sink. Asserts
 /// bit-identical best cost and genome across the three runs, identical
 /// engine counters serial vs parallel (every batch job sees only the
-/// cache state from before its batch), cache hits and memo reuse, and
-/// zero hot-path allocations.
+/// cache state from before its batch), cache hits and fresh subgraph
+/// scorings, and zero hot-path allocations.
 fn engine_bench(smoke: bool, threads: u32) {
     let model = cocco::graph::models::resnet50();
     let (budget, population) = if smoke { (600, 50) } else { (3_000, 100) };
@@ -144,7 +144,10 @@ fn engine_bench(smoke: bool, threads: u32) {
     let same = counters(serial_stats) == counters(parallel_stats);
     assert!(same, "engine counters differ at {threads} threads");
     assert!(serial_stats.cache_hits > 0, "GA run never hit the cache");
-    assert!(serial_stats.subgraph_reused > 0, "no memoized term reused");
+    assert!(
+        serial_stats.subgraph_scorings > 0,
+        "no subgraph term scored"
+    );
     assert_eq!(
         serial_stats.stats_canonicalize_fallbacks, 0,
         "the warmed scoring hot path must stay allocation-free"
@@ -155,11 +158,10 @@ fn engine_bench(smoke: bool, threads: u32) {
         .cloned()
         .expect("a GA run dispatches batches");
     println!(
-        "serial / {threads} threads   : {:>10} / {:>10}  ({} scorings, {} reused)",
+        "serial / {threads} threads   : {:>10} / {:>10}  ({} scorings)",
         fmt_time(serial_wall.as_secs_f64()),
         fmt_time(parallel_wall.as_secs_f64()),
         serial_stats.subgraph_scorings,
-        serial_stats.subgraph_reused,
     );
     println!(
         "telemetry ({threads} thr)   : {:>10}  ({} batches, p50 {}, p99 {})",
@@ -326,24 +328,23 @@ fn fault_matrix_check(threads: u32) {
     );
 }
 
-/// Measures the per-evaluation key-build cost: folding a resnet50
-/// partition's precomputed subgraph fingerprints into a partition-level
-/// `EvalKey` (what every cache probe pays per evaluation — no allocation,
-/// no member walk).
+/// Measures the per-probe key cost: fingerprinting a resnet50 partition's
+/// subgraphs and folding them into a partition-level `EvalKey` (what every
+/// cache probe pays — no allocation).
 fn key_build_bench() {
     let model = cocco::graph::models::resnet50();
     let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
     let partition = repair(&model, Partition::depth_groups(&model, 5), &|_| true);
-    let fps = PartitionFingerprints::compute(&partition);
+    let subgraphs = partition.subgraphs();
     let buffer = BufferConfig::shared(2 << 20);
     let fingerprint = evaluator.fingerprint();
     let mut samples = Vec::with_capacity(64);
     for _ in 0..64 {
         let start = Stopwatch::start();
         for _ in 0..4096 {
-            std::hint::black_box(cocco::engine::EvalKey::partition(
+            std::hint::black_box(cocco::engine::eval_key(
                 fingerprint,
-                fps.positions().iter().copied(),
+                &subgraphs,
                 &buffer,
                 EvalOptions::default(),
             ));
@@ -414,7 +415,7 @@ fn full_suite() {
                 _ => (&own[..], near[rng.gen_range(0..near.len() - 1)]),
             };
             moved.iter().for_each(|&m| p.assign(m, into));
-            let delta = PartitionFingerprints::compute(&parent).delta_against(&p);
+            let delta = PartitionDelta::between(&parent, &p);
             parent = repair(&model, p.clone(), &fits);
             walk.push((p, delta));
         }

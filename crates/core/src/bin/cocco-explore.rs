@@ -570,10 +570,8 @@ fn main() -> ExitCode {
         result.stats.wall_ms,
     );
     println!(
-        "subgraph terms     : {} scored, {} reused ({:.0}% avoided)",
+        "subgraph terms     : {} scored",
         result.stats.subgraph_scorings,
-        result.stats.subgraph_reused,
-        result.stats.subgraph_hit_rate() * 100.0,
     );
     if result.stats.cache_evictions > 0 {
         println!(

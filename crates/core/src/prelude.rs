@@ -14,15 +14,13 @@ pub use crate::error::{CoccoError, Error, SalvagedBest};
 pub use crate::framework::{Cocco, Exploration};
 pub use cocco_engine::{
     CacheSnapshot, ChunkSize, Engine, EngineConfig, EngineStats, EvalMemo, SampleBudget,
-    SampleReservation, ScoredEval, SubgraphScore, ThreadCount,
+    SampleReservation, ScoredEval, ThreadCount,
 };
 pub use cocco_faults::{FaultPlan, FaultRates, FaultSchedule, FaultSite, HealthReport};
 pub use cocco_graph::{
     Dims2, Graph, GraphBuilder, Kernel, LayerOp, NodeId, NodeSetFp, TensorShape,
 };
-pub use cocco_partition::{
-    repair, repair_with_delta, Partition, PartitionDelta, PartitionFingerprints, Quotient,
-};
+pub use cocco_partition::{repair, repair_with_delta, Partition, PartitionDelta, Quotient};
 pub use cocco_search::{
     run_driver, BufferSpace, CapacitySampling, CoccoGa, DepthDp, DriverState, EvalBatch, EvalChunk,
     Exhaustive, GaConfig, Genome, GreedyFusion, Objective, Portfolio, PortfolioPolicy,

@@ -5,12 +5,12 @@
 //! Every scoring entry point that materializes a partition claims one
 //! [`EvalArena`] slot from the engine's [`ScratchPool`] for the duration of
 //! the call. A slot bundles the flat [`LayoutArena`] a candidate partition
-//! is materialized into, the fixed-size composition vectors of the
-//! incremental path and the [`Staged`] entries awaiting the batch-end
-//! publication — all cleared (capacity kept) between uses and grown
-//! monotonically, so the steady state touches the allocator only for
-//! values that escape into long-lived structures (memo entries,
-//! fingerprints, cache inserts).
+//! is materialized into, the per-position subgraph fingerprints of the
+//! probe and the [`Staged`] entries awaiting the batch-end publication —
+//! all cleared (capacity kept) between uses and grown monotonically, so
+//! the steady state touches the allocator only for values that escape
+//! into long-lived structures (memos, a miss's fingerprints, cache
+//! inserts).
 //!
 //! Slots never affect results: scratch contents are fully overwritten
 //! before each read, staged entries are published in funding order no
@@ -23,11 +23,11 @@
 //! practice.
 
 use crate::cache::EvalKey;
-use crate::engine::{EvalMemo, MemoEntry, ScoredEval};
+use crate::engine::ScoredEval;
+use cocco_graph::NodeSetFp;
 use cocco_partition::LayoutArena;
-use cocco_sim::SubgraphStats;
 use std::mem::size_of;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// A partition roll-up computed inside a batch job and not yet published:
 /// the funding-order sequence number of the job that computed it, plus the
@@ -39,41 +39,16 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 /// cache state from before its batch, so the shared cache's contents, its
 /// counters and its insertion history are independent of thread count,
 /// chunking and slot assignment.
-pub(crate) type Staged = (u64, EvalKey, ScoredEval, Option<Arc<EvalMemo>>);
+pub(crate) type Staged = (u64, EvalKey, ScoredEval);
 
-/// The composition scratch of one scoring call: per-position memo copies,
-/// statistics and weight footprints.
-#[derive(Debug, Default)]
-pub(crate) struct ComposeScratch {
-    /// Memoized entry per clean position (`MemoEntry` is `Copy`, so the
-    /// memo's borrow ends before the fold starts).
-    pub entries: Vec<Option<MemoEntry>>,
-    /// Statistics of freshly derived positions (`None` where the memo
-    /// entry was copied instead).
-    pub stats_of: Vec<Option<SubgraphStats>>,
-    /// Weight footprint per position (drives the `next_wgt` chain).
-    pub wgts: Vec<u64>,
-}
-
-impl ComposeScratch {
-    /// Bytes of heap capacity currently owned by the scratch buffers.
-    fn bytes(&self) -> u64 {
-        (self.entries.capacity() * size_of::<Option<MemoEntry>>()
-            + self.stats_of.capacity() * size_of::<Option<SubgraphStats>>()
-            + self.wgts.capacity() * size_of::<u64>()) as u64
-    }
-}
-
-/// One reusable scratch slot: a layout arena, per-subgraph dirty flags,
-/// the composition buffers and the staged cache entries.
+/// One reusable scratch slot: a layout arena, the probe's subgraph
+/// fingerprints and the staged cache entries.
 #[derive(Debug, Default)]
 pub struct EvalArena {
     /// Flat-layout storage the candidate partition is built into.
     pub(crate) layout: LayoutArena,
-    /// Per-subgraph dirty flags projected from a `PartitionDelta`.
-    pub(crate) dirty: Vec<bool>,
-    /// Composition scratch of the incremental path.
-    pub(crate) compose: ComposeScratch,
+    /// Subgraph fingerprint per layout position (the cache key material).
+    pub(crate) fps: Vec<NodeSetFp>,
     /// Entries the slot's batch jobs computed, awaiting publication.
     pub(crate) staged: Vec<Staged>,
 }
@@ -82,8 +57,7 @@ impl EvalArena {
     /// Bytes of heap capacity currently owned by this slot.
     pub fn bytes(&self) -> u64 {
         self.layout.bytes()
-            + (self.dirty.capacity() * size_of::<bool>()) as u64
-            + self.compose.bytes()
+            + (self.fps.capacity() * size_of::<NodeSetFp>()) as u64
             + (self.staged.capacity() * size_of::<Staged>()) as u64
     }
 
@@ -179,10 +153,10 @@ mod tests {
     fn slots_are_exclusive_and_reusable() {
         let pool = ScratchPool::new(2);
         pool.with_slot(|a| {
-            a.dirty.push(true);
+            a.fps.push(NodeSetFp::EMPTY);
             // A nested claim from another logical task still succeeds:
             // the second slot is free.
-            pool.with_slot(|b| b.dirty.push(false));
+            pool.with_slot(|b| b.fps.push(NodeSetFp::EMPTY));
         });
         // Scratch persists across claims (capacity reuse is the point).
         let total: u64 = pool.bytes();
@@ -194,7 +168,7 @@ mod tests {
     fn empty_pool_clamps_to_one_slot() {
         let pool = ScratchPool::new(0);
         let inside = pool.with_slot(|arena| {
-            arena.dirty.reserve(8);
+            arena.fps.reserve(8);
             arena.bytes()
         });
         assert_eq!(pool.bytes(), inside);
@@ -209,8 +183,8 @@ mod tests {
         }));
         assert!(caught.is_err());
         // Slot 0 is free again, so the next claim takes it.
-        pool.with_slot(|arena| arena.dirty.push(true));
-        assert_eq!(lock(&pool.slots[0]).dirty, [true]);
+        pool.with_slot(|arena| arena.fps.push(NodeSetFp::EMPTY));
+        assert_eq!(lock(&pool.slots[0]).fps, [NodeSetFp::EMPTY]);
         // The quiescent sums behind the engine metrics still work.
         assert!(pool.bytes() > 0);
         assert_eq!(pool.reuses() + pool.grows(), 0);
@@ -238,19 +212,21 @@ mod tests {
                     for _ in 0..CLAIMS_PER_BATCH {
                         let token = next_token.fetch_add(1, Ordering::Relaxed);
                         pool.with_slot(|arena| {
-                            arena.dirty.clear();
-                            for bit in 0..64 {
-                                arena.dirty.push(token >> bit & 1 == 1);
-                            }
+                            arena.fps.clear();
+                            arena.fps.push(NodeSetFp {
+                                lo: token,
+                                hi: !token,
+                            });
                             arena.layout.build_from_partition(&partition);
                             std::thread::yield_now();
-                            let read: u64 = arena
-                                .dirty
-                                .iter()
-                                .enumerate()
-                                .map(|(bit, &set)| u64::from(set) << bit)
-                                .sum();
-                            assert_eq!(read, token, "slot aliased across claims");
+                            assert_eq!(
+                                arena.fps,
+                                [NodeSetFp {
+                                    lo: token,
+                                    hi: !token
+                                }],
+                                "slot aliased across claims"
+                            );
                         });
                     }
                 });

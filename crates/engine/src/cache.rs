@@ -1,23 +1,20 @@
 //! The sharded, bounded memoization cache of partition evaluations.
 //!
-//! Each entry is a whole-partition [`ScoredEval`] roll-up together with the
-//! evaluation's per-subgraph [`EvalMemo`], so a genome whose score comes
-//! from a cache hit still hands a memo to its offspring. Per-subgraph terms
-//! are not cached here: their expensive input, the subgraph's statistics,
-//! lives in the evaluator's own stats cache, and the rest of a term
-//! (`Evaluator::eval_subgraph`) costs less than building a key for it.
+//! Each entry is a plain whole-partition [`ScoredEval`] roll-up.
+//! Per-subgraph terms are not cached here: their expensive input, the
+//! subgraph's statistics, lives in the evaluator's own stats cache, and the
+//! rest of a term (`Evaluator::eval_subgraph`) costs less than building a
+//! key for it.
 //!
-//! # Zero-rehash keys
+//! # Fixed-size keys
 //!
-//! Cache identity is **incremental state, not recomputed work**: every key
-//! is a fixed-size [`EvalKey`] — the evaluator fingerprint plus a 128-bit
-//! content hash folded from precomputed per-subgraph
-//! [`NodeSetFp`] fingerprints and the `(buffer, options)` coordinates.
-//! Building a key allocates nothing and never walks a member vector, shard
-//! selection reads one precomputed word, and the maps use a pass-through
-//! hasher ([`BuildFpHasher`]) instead of re-hashing the key per probe. Key
-//! equality is fingerprint equality; see [`NodeSetFp`] for the
-//! (negligible) collision model.
+//! Every key is a fixed-size [`EvalKey`] — the evaluator fingerprint plus a
+//! 128-bit content hash folded from per-subgraph [`NodeSetFp`]
+//! fingerprints and the `(buffer, options)` coordinates. Folding a key
+//! allocates nothing, shard selection reads one precomputed word, and the
+//! maps use a pass-through hasher ([`BuildFpHasher`]) instead of
+//! re-hashing the key per probe. Key equality is fingerprint equality; see
+//! [`NodeSetFp`] for the (negligible) collision model.
 //!
 //! # Bounded growth
 //!
@@ -41,7 +38,7 @@
 //! re-keying. Older files may also carry a `subgraph` array of
 //! per-subgraph terms; loading ignores it.
 
-use crate::engine::{EvalMemo, ScoredEval};
+use crate::engine::ScoredEval;
 use cocco_faults::{atomic_save, FaultPlan};
 use cocco_graph::{mix64, BuildFpHasher, NodeId, NodeSetFp};
 use cocco_sim::{BufferConfig, EvalOptions};
@@ -50,7 +47,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of independent shards; keys spread by their precomputed hash, so
 /// concurrent workers rarely contend on the same lock.
@@ -148,15 +145,11 @@ pub fn eval_key(
     )
 }
 
-/// A cached partition roll-up: the score plus the memo recorded with it
-/// (`None` for entries restored from a snapshot).
-type Entry = (ScoredEval, Option<Arc<EvalMemo>>);
-
 /// One cached value plus its last-touched generation (updated on hits
 /// under the shard's read lock, hence atomic).
 #[derive(Debug)]
 struct Slot {
-    value: Entry,
+    value: ScoredEval,
     gen: AtomicU64,
 }
 
@@ -189,9 +182,7 @@ fn write_shard(shard: &RwLock<ShardMap>) -> RwLockWriteGuard<'_, ShardMap> {
 /// Entries are plain `(key, value)` pairs sorted by key; the `f64` fields
 /// inside the values survive the JSON round-trip exactly, so a
 /// warm-started exploration is bit-identical to a cold one — the snapshot
-/// only changes which lookups hit. (The in-memory memos attached to
-/// entries are *not* persisted: a restored entry answers with its score
-/// and no memo.)
+/// only changes which lookups hit.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CacheSnapshot {
     /// Snapshot format version (bumped on incompatible key changes).
@@ -524,20 +515,13 @@ impl EvalCache {
 
     /// Looks a partition roll-up key up, counting a hit or miss.
     pub fn get(&self, key: &EvalKey) -> Option<ScoredEval> {
-        self.get_memoized(key).map(|(scored, _)| scored)
-    }
-
-    /// Looks a partition roll-up key up, returning the score *and* the
-    /// per-subgraph memo recorded with it (if any), counting a hit or
-    /// miss.
-    pub fn get_memoized(&self, key: &EvalKey) -> Option<(ScoredEval, Option<Arc<EvalMemo>>)> {
         let found = {
             let shard = read_shard(&self.shards[key.shard()]);
             shard.map.get(key).map(|slot| {
                 // Touch: mark the entry live in the current generation so
                 // the next sweep keeps it.
                 slot.gen.store(shard.gen, Ordering::Relaxed);
-                slot.value.clone()
+                slot.value
             })
         };
         match found {
@@ -547,20 +531,14 @@ impl EvalCache {
         found
     }
 
-    /// Inserts a computed partition evaluation without a memo.
+    /// Inserts a computed partition evaluation.
     pub fn insert(&self, key: EvalKey, value: ScoredEval) {
-        self.insert_memoized(key, value, None);
-    }
-
-    /// Inserts a computed partition evaluation together with its
-    /// per-subgraph memo, so later hits can hand the memo to offspring.
-    pub fn insert_memoized(&self, key: EvalKey, value: ScoredEval, memo: Option<Arc<EvalMemo>>) {
         let mut shard = write_shard(&self.shards[key.shard()]);
         let gen = shard.gen;
         shard.map.insert(
             key,
             Slot {
-                value: (value, memo),
+                value,
                 gen: AtomicU64::new(gen),
             },
         );
@@ -625,14 +603,13 @@ impl EvalCache {
     }
 
     /// A serializable image of the cache (entries sorted by key, so
-    /// snapshots are stable and diffable; memos are process-local and not
-    /// persisted).
+    /// snapshots are stable and diffable).
     pub fn snapshot(&self) -> CacheSnapshot {
         let mut partition = Vec::with_capacity(self.len());
         for shard in &self.shards {
             // cocco-audit: allow(D1) the collected entries are sorted by key below, so map order never escapes
             for (key, slot) in read_shard(shard).map.iter() {
-                partition.push((*key, slot.value.0));
+                partition.push((*key, slot.value));
             }
         }
         partition.sort_by_key(|entry: &(EvalKey, ScoredEval)| entry.0);
@@ -815,21 +792,6 @@ mod tests {
             assert!(cache.get(&hot).is_some(), "hot entry evicted at {i}");
             cache.insert(key(100_000 + i), scored(2));
         }
-    }
-
-    #[test]
-    fn memo_rides_along_partition_entries() {
-        let cache = EvalCache::new();
-        let key = eval_key(
-            7,
-            &sg(&[&[0, 1]]),
-            &BufferConfig::shared(64),
-            EvalOptions::default(),
-        );
-        cache.insert_memoized(key, scored(5), None);
-        let (value, memo) = cache.get_memoized(&key).unwrap();
-        assert_eq!(value, scored(5));
-        assert!(memo.is_none());
     }
 
     #[test]

@@ -76,10 +76,9 @@ impl EngineConfig {
     pub const AUTO_CAP: usize = 8;
 
     /// Default [`cache_capacity`](Self::cache_capacity): 16,384 roll-ups.
-    /// Each entry pins an `EvalMemo` (O(#subgraphs) fingerprints and
-    /// terms, kilobytes on large models), and roll-ups pay off only for
-    /// recently re-proposed genomes, so this budget keeps their hit rate
-    /// while capping memo residency at tens of megabytes.
+    /// An entry is a fixed-size key and score (under a hundred bytes), so
+    /// the budget costs about a megabyte at most; roll-ups pay off only for
+    /// recently re-proposed genomes, and this budget keeps their hit rate.
     pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 14;
 
     /// Default [`parallel_threshold`](Self::parallel_threshold). A pool

@@ -1,34 +1,23 @@
 //! The engine core: memoized scoring plus run statistics.
 //!
-//! Scoring is **subgraph-granular**: a partition's objective terms are
-//! composed from per-subgraph scores, each computed from the subgraph's
-//! statistics (memoized by the evaluator's stats cache) and its
-//! successor's weight footprint. Whole-partition roll-ups are memoized in
-//! the [`EvalCache`], and a caller that knows *which* subgraphs a mutation
-//! touched ([`Engine::score_delta`]) re-derives only those terms — plus the
-//! `next_wgt` predecessors whose prefetch input changed — while every
-//! untouched term is copied from the previous evaluation's [`EvalMemo`].
-//! Every path (fresh composition, memo reuse) is bit-identical to
-//! `Evaluator::eval_partition` by construction: `Evaluator::eval_subgraph`
-//! is a pure function and the roll-up is an in-order fold.
-//!
-//! Cache identity is carried by precomputed 128-bit subgraph fingerprints
-//! ([`PartitionFingerprints`]): a memo stores the fingerprints of the
-//! partition it scored, and scoring a mutated offspring re-fingerprints
-//! only the dirty subgraphs — clean ones copy their fingerprint through a
-//! stable member node in O(1). No evaluation path allocates a key or walks
-//! a member vector to probe the cache.
+//! A partition is scored by one fold over its flat layout: each
+//! subgraph's statistics come from the evaluator's stats cache, its
+//! successor's weight footprint is its `next_wgt`, and
+//! `Evaluator::eval_subgraph` gives its term. The fold runs in execution
+//! order, so every score is bit-identical to `Evaluator::eval_partition`.
+//! Whole-partition roll-ups are memoized in the [`EvalCache`] under a key
+//! folded from each subgraph's 128-bit [`NodeSetFp`], derived from scratch
+//! per probe without allocating a key or re-hashing it.
 
-use crate::arena::{ComposeScratch, EvalArena, ScratchPool, Staged};
+use crate::arena::{EvalArena, ScratchPool};
 use crate::cache::{EvalCache, EvalKey};
 use crate::config::EngineConfig;
 use crate::pool::EnginePool;
-use cocco_graph::{BuildFpHasher, NodeId, NodeSetFp};
-use cocco_partition::{Partition, PartitionDelta, PartitionFingerprints, SubgraphsView};
-use cocco_sim::{BufferConfig, CostMetric, EvalOptions, Evaluator, SubgraphStats};
+use cocco_graph::{NodeId, NodeSetFp};
+use cocco_partition::{Partition, PartitionDelta, PartitionLayout};
+use cocco_sim::{BufferConfig, CostMetric, EvalOptions, Evaluator, SubgraphReport, SubgraphStats};
 use cocco_telemetry::{Histogram, MetricsSnapshot, Stopwatch, Telemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -107,19 +96,6 @@ impl std::fmt::Display for DispatchPanic {
 
 impl std::error::Error for DispatchPanic {}
 
-/// Where a freshly computed cache entry goes.
-enum Publish<'s> {
-    /// Straight into the shared [`EvalCache`] — the policy of every direct
-    /// scoring entry point, so callers outside a batch observe their
-    /// entries immediately.
-    Immediate,
-    /// Into the claimed slot's staged entries, tagged with the
-    /// funding-order sequence number of the batch job that computed it;
-    /// [`Engine::dispatch`] publishes them in sequence order once the
-    /// batch is done.
-    Deferred(u64, &'s mut Vec<Staged>),
-}
-
 /// The outcome of [`Engine::prepare_partition`]: the probe half of scoring
 /// a batch candidate.
 #[derive(Debug)]
@@ -132,17 +108,14 @@ pub enum PartitionProbe {
 }
 
 /// Key material carried from a [`Engine::prepare_partition`] miss to the
-/// [`Engine::score_prepared`] call that computes it: the cache key and
-/// fingerprints are derived exactly once, and the shared-cache miss was
-/// counted exactly once (`score_prepared` recomputes without re-probing).
+/// [`Engine::score_prepared`] call that computes it: the cache key and the
+/// per-position subgraph fingerprints (the stats-cache keys of the fold)
+/// are derived exactly once, and the shared-cache miss was counted exactly
+/// once (`score_prepared` recomputes without re-probing).
 #[derive(Debug)]
 pub struct PreparedEval {
     key: EvalKey,
-    fps: PartitionFingerprints,
-    /// Per-position dirty flags of a usable incremental hint (`None` when
-    /// the hint was absent or unusable — `score_prepared` then composes
-    /// from the caches without memo reuse).
-    dirty: Option<Vec<bool>>,
+    fps: Vec<NodeSetFp>,
 }
 
 /// Renders a panic payload as text (the same downcasts the std hook uses).
@@ -156,125 +129,45 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The additive objective terms of one subgraph — the unit an [`EvalMemo`]
-/// records. A partition's [`ScoredEval`] is the in-order sum (`ema_bytes`,
-/// `energy_pj`) and conjunction (`fits`) of its subgraphs' scores.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct SubgraphScore {
-    /// DRAM traffic of this subgraph in bytes.
-    pub ema_bytes: u64,
-    /// Energy of this subgraph in picojoules.
-    pub energy_pj: f64,
-    /// Whether this subgraph fits the buffer configuration.
-    pub fits: bool,
-}
-
-/// One position of an [`EvalMemo`]: the subgraph's weight footprint (the
-/// `next_wgt` its *predecessor* sees), the `next_wgt` this term was scored
-/// under, and the term itself.
-#[derive(Copy, Clone, Debug)]
-pub(crate) struct MemoEntry {
-    wgt_bytes: u64,
-    next_wgt: u64,
-    score: SubgraphScore,
-}
-
-/// The per-subgraph breakdown of one scored partition, kept by searchers
-/// (and stored with partition-level cache entries) so that scoring a
-/// *mutated* copy of the genome re-derives only the subgraphs the mutation
-/// (and its repair) touched.
+/// The coordinates a partition was scored under — evaluator fingerprint,
+/// buffer and options — handed to searchers with every successful score
+/// (cache hit or fresh composition) and carried into its offspring's
+/// `EvalHint`.
 ///
-/// A memo is pinned to its `(evaluator fingerprint, buffer, options)`
-/// coordinates; [`Engine::score_delta`] silently falls back to the full
-/// composition path when they do not match (e.g. after a DSE mutation
-/// changed the buffer), so a memo recorded under *different coordinates*
-/// can cost time but never correctness. Reuse of an individual term
-/// additionally requires the term's recorded `next_wgt` to equal the new
-/// successor's weight footprint — the one cross-subgraph coupling of the
-/// cost model. The memo also carries the scored partition's
-/// [`PartitionFingerprints`], the incremental state offspring
-/// fingerprints are refreshed from.
-///
-/// The `dirty` flags handed to [`Engine::score_delta`], by contrast, are
-/// a **trusted input**: a subgraph wrongly marked clean would copy a
-/// stale fingerprint and thereby a stale cached score. Every in-tree
-/// delta producer upholds the member-set invariant documented on
-/// [`PartitionDelta`](cocco_partition::PartitionDelta) (mutation
-/// operators and repair mark whole changed subgraphs; crossover diffs
-/// fingerprints via `PartitionFingerprints::delta_against`), debug builds
-/// assert each copied fingerprint against a from-scratch recomputation,
-/// and the property suite walks random mutation/repair sequences — but a
-/// new operator that under-reports dirt would be a correctness bug in
-/// release builds, not a slowdown.
+/// Repair reads them to seed an offspring from its parent: when the
+/// parent was scored under this evaluator and these options and no buffer
+/// component shrank, the parent's multi-node subgraphs are known to fit.
+/// An errored score hands out no memo, so such a parent never seeds a
+/// repair that skips `fits` calls.
 #[derive(Debug)]
 pub struct EvalMemo {
     fingerprint: u64,
     buffer: BufferConfig,
     options: EvalOptions,
-    /// Subgraph fingerprints of the scored partition (by position and by
-    /// anchor node — the latter is what offspring copy clean fingerprints
-    /// from).
-    fps: PartitionFingerprints,
-    entries: Vec<MemoEntry>,
-    /// Subgraph fingerprint → position in `entries`; built lazily on the
-    /// first lookup, because most scored genomes never become parents and
-    /// their memos are never consulted.
-    index: std::sync::OnceLock<HashMap<NodeSetFp, u32, BuildFpHasher>>,
 }
 
 impl EvalMemo {
-    fn new(
-        fingerprint: u64,
-        buffer: BufferConfig,
+    /// The memo of a score under these coordinates; `None` for an errored
+    /// score.
+    fn of(
+        evaluator: &Evaluator<'_>,
+        buffer: &BufferConfig,
         options: EvalOptions,
-        fps: PartitionFingerprints,
-        entries: Vec<MemoEntry>,
-    ) -> Self {
-        Self {
-            fingerprint,
-            buffer,
-            options,
-            fps,
-            entries,
-            index: std::sync::OnceLock::new(),
-        }
-    }
-
-    fn matches(&self, fingerprint: u64, buffer: &BufferConfig, options: EvalOptions) -> bool {
-        self.fingerprint == fingerprint && self.buffer == *buffer && self.options == options
-    }
-
-    fn lookup(&self, fp: NodeSetFp) -> Option<&MemoEntry> {
-        let index = self.index.get_or_init(|| {
-            self.fps
-                .positions()
-                .iter()
-                .enumerate()
-                .map(|(i, &fp)| (fp, i as u32))
-                .collect()
-        });
-        index.get(&fp).map(|&i| &self.entries[i as usize])
+        scored: &ScoredEval,
+    ) -> Option<Arc<Self>> {
+        (!scored.error).then(|| {
+            Arc::new(Self {
+                fingerprint: evaluator.fingerprint(),
+                buffer: *buffer,
+                options,
+            })
+        })
     }
 
     /// The coordinates the memo was scored under: evaluator fingerprint,
     /// buffer and options.
     pub fn coordinates(&self) -> (u64, BufferConfig, EvalOptions) {
         (self.fingerprint, self.buffer, self.options)
-    }
-
-    /// The scored partition's subgraph fingerprints.
-    pub fn fingerprints(&self) -> &PartitionFingerprints {
-        &self.fps
-    }
-
-    /// Number of memoized subgraph terms.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the memo holds no terms.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -305,14 +198,13 @@ pub struct EngineStats {
     /// statistics are cached by the evaluator). Kept so existing readers
     /// of this snapshot keep compiling.
     pub subgraph_hits: u64,
-    /// Subgraph terms copied straight from a caller's [`EvalMemo`] on the
-    /// delta path (no term computed).
+    /// Always 0; read by perfbench's replica.
     pub subgraph_reused: u64,
     /// Statistics misses that had to sort a copy of an out-of-order
     /// member list (see `Evaluator::stats_canonicalize_fallbacks`) — the
     /// hot-path allocation tripwire: 0 on every production path, asserted
     /// by the CI smoke benchmark. (Values that *escape* the dispatch —
-    /// memo entries, fingerprints, cache inserts — are inherent and not
+    /// memos, a miss's fingerprints, cache inserts — are inherent and not
     /// counted.)
     pub stats_canonicalize_fallbacks: u64,
     /// Wall-clock milliseconds spent inside batch evaluation.
@@ -331,7 +223,7 @@ impl EngineStats {
             cache_evictions: m.counter("engine.cache.partition.evictions"),
             subgraph_scorings: m.counter("engine.subgraph.scorings"),
             subgraph_hits: 0,
-            subgraph_reused: m.counter("engine.subgraph.reused"),
+            subgraph_reused: 0,
             stats_canonicalize_fallbacks: m.counter("engine.stats_canonicalize_fallbacks"),
             wall_ms: m.gauge("engine.batch.wall_ns") as f64 / 1e6,
         }
@@ -347,20 +239,10 @@ impl EngineStats {
         }
     }
 
-    /// Total subgraph-term requests (scorings + memo reuses).
+    /// Total subgraph-term requests: `subgraph_scorings`, since
+    /// `subgraph_reused` is always 0.
     pub fn subgraph_requests(&self) -> u64 {
         self.subgraph_scorings + self.subgraph_reused
-    }
-
-    /// Fraction of subgraph-term requests answered by memo reuse instead
-    /// of a fresh scoring.
-    pub fn subgraph_hit_rate(&self) -> f64 {
-        let requests = self.subgraph_requests();
-        if requests == 0 {
-            0.0
-        } else {
-            self.subgraph_reused as f64 / requests as f64
-        }
     }
 }
 
@@ -375,15 +257,16 @@ impl EngineStats {
 ///
 /// ```
 /// use cocco_engine::{Engine, EngineConfig};
-/// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, EvalOptions, Evaluator};
+/// use cocco_partition::Partition;
+/// use cocco_sim::{AcceleratorConfig, BufferConfig, EvalOptions, Evaluator};
 ///
 /// let g = cocco_graph::models::chain(4);
 /// let eval = Evaluator::new(&g, AcceleratorConfig::default());
 /// let engine = Engine::new(EngineConfig::serial());
-/// let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
+/// let whole = Partition::from_assignment(vec![0; g.len()]);
 /// let buffer = BufferConfig::shared(1 << 20);
-/// let a = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
-/// let b = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+/// let (a, _) = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default());
+/// let (b, _) = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default());
 /// assert_eq!(a, b);
 /// assert_eq!(engine.stats().cache_hits, 1);
 /// ```
@@ -392,15 +275,13 @@ pub struct Engine {
     config: EngineConfig,
     pool: EnginePool,
     cache: EvalCache,
-    /// Per-worker scoring scratch (layout arenas, composition buffers and
+    /// Per-worker scoring scratch (layout arenas, fingerprint buffers and
     /// staged cache entries); one more slot than worker threads, claimed
     /// per scoring call.
     scratch: ScratchPool,
     wall_nanos: AtomicU64,
     /// Subgraph terms computed fresh (`engine.subgraph.scorings`).
     scorings: AtomicU64,
-    /// Memo reuses on the delta path.
-    reused: AtomicU64,
     /// High-water mark of any evaluator's canonicalize-fallback count
     /// observed by this engine (see
     /// `Evaluator::stats_canonicalize_fallbacks`); 0 in production.
@@ -475,7 +356,6 @@ impl Engine {
             scratch: ScratchPool::new(config.resolved_threads() + 1),
             wall_nanos: AtomicU64::new(0),
             scorings: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
             stats_fallbacks: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
             chunks: AtomicU64::new(0),
@@ -499,185 +379,85 @@ impl Engine {
         &self.cache
     }
 
-    /// Scores an ordered partition under `buffer`/`options`, memoized.
+    /// Scores a [`Partition`] under `buffer`/`options`, memoized, and
+    /// publishes a fresh result to the cache at once. The member lists are
+    /// materialized into this call's scratch slot as a flat
+    /// [`PartitionLayout`] built without per-candidate allocations.
     ///
     /// Evaluator errors are folded into the result (`error = true`, so
     /// [`ScoredEval::cost`] is infinite) and memoized like any other
     /// evaluation — re-scoring a broken configuration is as cheap and as
-    /// deterministic as re-scoring a good one.
-    pub fn score(
-        &self,
-        evaluator: &Evaluator<'_>,
-        subgraphs: &[Vec<NodeId>],
-        buffer: &BufferConfig,
-        options: EvalOptions,
-    ) -> ScoredEval {
-        self.score_composed(evaluator, subgraphs, buffer, options).0
-    }
-
-    /// Like [`score`](Self::score), but also returns the per-subgraph
-    /// [`EvalMemo`]. Roll-up cache hits hand back the memo stored with the
-    /// entry, so even a genome whose score came straight from the cache
-    /// seeds its offspring's incremental hints (`None` only for entries
-    /// restored from a snapshot).
-    pub fn score_composed(
-        &self,
-        evaluator: &Evaluator<'_>,
-        subgraphs: &[Vec<NodeId>],
-        buffer: &BufferConfig,
-        options: EvalOptions,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        self.scratch.with_slot(|arena| {
-            self.score_inner(
-                evaluator,
-                subgraphs,
-                buffer,
-                options,
-                None,
-                &mut arena.compose,
-            )
-        })
-    }
-
-    /// Scores a partition that differs from a previously scored one (whose
-    /// breakdown is `memo`) only in the subgraphs flagged by `dirty`
-    /// (aligned with `subgraphs`; a flag per execution position).
-    ///
-    /// Clean subgraphs reuse their memoized term directly — provided the
-    /// recorded `next_wgt` still matches the new successor, which the
-    /// engine verifies itself — so the evaluator-facing work is
-    /// `O(|dirty|)` instead of `O(|partition|)`, and only dirty subgraphs
-    /// are re-fingerprinted for the cache keys. Falls back to the full
-    /// composition path (bit-identical results) when the memo's
-    /// coordinates do not match or `dirty` is misaligned.
-    ///
-    /// `dirty` must satisfy the member-set invariant documented on
-    /// [`PartitionDelta`](cocco_partition::PartitionDelta): a subgraph
-    /// containing no dirty node must have exactly the member set it had in
-    /// the memo's partition (debug builds assert this).
-    pub fn score_delta(
-        &self,
-        evaluator: &Evaluator<'_>,
-        subgraphs: &[Vec<NodeId>],
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        memo: &EvalMemo,
-        dirty: &[bool],
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let reuse = (dirty.len() == subgraphs.len()
-            && memo.matches(evaluator.fingerprint(), buffer, options))
-        .then_some((memo, dirty));
-        self.scratch.with_slot(|arena| {
-            self.score_inner(
-                evaluator,
-                subgraphs,
-                buffer,
-                options,
-                reuse,
-                &mut arena.compose,
-            )
-        })
-    }
-
-    /// Scores a [`Partition`] directly, materializing its member lists
-    /// into this call's scratch slot as a flat
-    /// [`PartitionLayout`](cocco_partition::PartitionLayout) built without
-    /// per-candidate allocations. Fingerprinting, cache probing and the
-    /// composition fold run over it through [`SubgraphsView`], exactly as
-    /// they run over the nested lists [`score`](Self::score) takes.
-    ///
-    /// `hint` carries the parent's memo plus the [`PartitionDelta`]
-    /// recorded by mutation/repair; when it is usable (delta not
-    /// all-dirty, matching memo coordinates and node count) the call takes
-    /// the delta path — clean subgraphs reuse their memoized terms —
-    /// otherwise it composes from the caches like
-    /// [`score_composed`](Self::score_composed).
+    /// deterministic as re-scoring a good one. The returned [`EvalMemo`]
+    /// is `None` exactly for errored scores.
     pub fn score_partition(
         &self,
         evaluator: &Evaluator<'_>,
         partition: &Partition,
         buffer: &BufferConfig,
         options: EvalOptions,
-        hint: Option<(&EvalMemo, &PartitionDelta)>,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let hint = Self::usable_hint(evaluator, partition, buffer, options, hint);
         self.scratch.with_slot(|arena| {
-            let EvalArena {
-                layout,
-                dirty,
-                compose,
-                ..
-            } = arena;
-            let view = layout.build_from_partition(partition);
-            let reuse = Self::project_dirty(&view, hint, dirty);
-            self.score_inner(evaluator, &view, buffer, options, reuse, compose)
-        })
-    }
-
-    /// `hint` if the delta path can use it: a delta that is not all-dirty,
-    /// sized for `partition`, under the memo's own coordinates.
-    fn usable_hint<'h>(
-        evaluator: &Evaluator<'_>,
-        partition: &Partition,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        hint: Option<(&'h EvalMemo, &'h PartitionDelta)>,
-    ) -> Option<(&'h EvalMemo, &'h PartitionDelta)> {
-        hint.filter(|(memo, delta)| {
-            !delta.is_all()
-                && delta.len() == partition.len()
-                && memo.matches(evaluator.fingerprint(), buffer, options)
+            let EvalArena { layout, fps, .. } = arena;
+            let layout = layout.build_from_partition(partition);
+            let key = Self::fingerprint(evaluator, &layout, buffer, options, fps);
+            let scored = match self.cache.get(&key) {
+                Some(cached) => cached,
+                None => {
+                    let scored = self.compose(evaluator, &layout, fps, buffer, options);
+                    self.cache.insert(key, scored);
+                    scored
+                }
+            };
+            self.note_stats_fallbacks(evaluator);
+            (scored, EvalMemo::of(evaluator, buffer, options, &scored))
         })
     }
 
     /// The probe half of scoring a batch candidate: derives the
-    /// partition's fingerprints and cache key (through the claimed slot's
-    /// scratch, exactly as [`score_partition`](Self::score_partition)
-    /// would) and probes the shared cache. A [`PartitionProbe::Hit`] is
-    /// the finished score. A [`PartitionProbe::Miss`] carries the derived
-    /// key material to [`score_prepared`](Self::score_prepared), which
-    /// computes without re-probing (the miss was counted here, once).
+    /// partition's subgraph fingerprints and cache key and probes the
+    /// shared cache. A [`PartitionProbe::Hit`] is the finished score. A
+    /// [`PartitionProbe::Miss`] carries the derived key material to
+    /// [`score_prepared`](Self::score_prepared), which computes without
+    /// re-probing (the miss was counted here, once).
     ///
-    /// `hint` follows the same usability rules as `score_partition`; a
-    /// usable hint's per-position dirty flags travel inside the returned
-    /// [`PreparedEval`].
+    /// `hint` is ignored: every key is derived from scratch. The parameter
+    /// stays for existing callers; production passes `None`.
     pub fn prepare_partition(
         &self,
         evaluator: &Evaluator<'_>,
         partition: &Partition,
         buffer: &BufferConfig,
         options: EvalOptions,
-        hint: Option<(&EvalMemo, &PartitionDelta)>,
+        _hint: Option<(&EvalMemo, &PartitionDelta)>,
     ) -> PartitionProbe {
-        let hint = Self::usable_hint(evaluator, partition, buffer, options, hint);
         self.scratch.with_slot(|arena| {
-            let EvalArena { layout, dirty, .. } = arena;
-            let view = layout.build_from_partition(partition);
-            let reuse = Self::project_dirty(&view, hint, dirty);
-            let (fps, key) = Self::fingerprint(evaluator, &view, buffer, options, reuse);
-            if let Some((cached, memo)) = self.cache.get_memoized(&key) {
-                self.note_stats_fallbacks(evaluator);
-                return PartitionProbe::Hit(cached, memo);
+            let EvalArena { layout, fps, .. } = arena;
+            let layout = layout.build_from_partition(partition);
+            let key = Self::fingerprint(evaluator, &layout, buffer, options, fps);
+            match self.cache.get(&key) {
+                Some(cached) => {
+                    self.note_stats_fallbacks(evaluator);
+                    PartitionProbe::Hit(cached, EvalMemo::of(evaluator, buffer, options, &cached))
+                }
+                None => PartitionProbe::Miss(PreparedEval {
+                    key,
+                    fps: fps.clone(),
+                }),
             }
-            PartitionProbe::Miss(PreparedEval {
-                key,
-                fps,
-                dirty: reuse.map(|(_, flags)| flags.to_vec()),
-            })
         })
     }
 
     /// The compute half of scoring a batch candidate: finishes a
     /// [`PartitionProbe::Miss`] from
     /// [`prepare_partition`](Self::prepare_partition), reusing its key and
-    /// fingerprints, and stages every entry it computes under `seq` — the
+    /// fingerprints, and stages the entry it computes under `seq` — the
     /// candidate's funding-order sequence number — for publication at the
     /// end of the enclosing [`dispatch`](Self::dispatch). Call it only from
     /// jobs running under `dispatch`/[`try_dispatch`](Self::try_dispatch).
     ///
-    /// `partition` and `hint` must be the values the probe was prepared
-    /// from (`hint` may only have been dropped, not substituted); the
-    /// layout is rebuilt into this call's slot.
+    /// `partition` must be the value the probe was prepared from; the
+    /// layout is rebuilt into this call's slot. `hint` is ignored, like
+    /// `prepare_partition`'s; production passes `None`.
     #[allow(clippy::too_many_arguments)]
     pub fn score_prepared(
         &self,
@@ -686,77 +466,37 @@ impl Engine {
         partition: &Partition,
         buffer: &BufferConfig,
         options: EvalOptions,
-        hint: Option<&EvalMemo>,
+        _hint: Option<&EvalMemo>,
         prepared: PreparedEval,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let PreparedEval { key, fps, dirty } = prepared;
+        let PreparedEval { key, fps } = prepared;
         self.scratch.with_slot(|arena| {
-            let EvalArena {
-                layout,
-                compose,
-                staged,
-                ..
-            } = arena;
-            let view = layout.build_from_partition(partition);
-            let reuse = match (&dirty, hint) {
-                (Some(flags), Some(memo)) => Some((memo, flags.as_slice())),
-                _ => None,
-            };
-            self.score_missed(
-                evaluator,
-                &view,
-                buffer,
-                options,
-                reuse,
-                compose,
-                key,
-                fps,
-                Publish::Deferred(seq, staged),
-            )
+            let layout = arena.layout.build_from_partition(partition);
+            let scored = self.compose(evaluator, &layout, &fps, buffer, options);
+            arena.staged.push((seq, key, scored));
+            self.note_stats_fallbacks(evaluator);
+            (scored, EvalMemo::of(evaluator, buffer, options, &scored))
         })
     }
 
-    /// Pairs a usable hint's memo with per-subgraph dirty flags in view
-    /// order, projected from the node-level delta — the same flags
-    /// `PartitionDelta::dirty_subgraphs` produces, written into reusable
-    /// scratch instead of a fresh vector.
-    fn project_dirty<'m, 'd, S: SubgraphsView + ?Sized>(
-        view: &S,
-        hint: Option<(&'m EvalMemo, &PartitionDelta)>,
-        out: &'d mut Vec<bool>,
-    ) -> Option<(&'m EvalMemo, &'d [bool])> {
-        let (memo, delta) = hint?;
-        out.clear();
-        out.extend(
-            (0..view.num_subgraphs())
-                .map(|i| view.members_of(i).iter().any(|&m| delta.is_dirty(m))),
-        );
-        Some((memo, out))
-    }
-
-    /// The partition's subgraph fingerprints and roll-up cache key. Clean
-    /// positions of `reuse` copy the memo's incrementally maintained
-    /// fingerprint in O(1); dirty (or memo-less) positions re-fingerprint
-    /// from their members. This is the only place key material is derived
-    /// — everything downstream folds these fixed-size values.
-    fn fingerprint<S: SubgraphsView + ?Sized>(
+    /// Fingerprints every subgraph of `layout` into `fps` (aligned with
+    /// its positions) and folds them into the roll-up cache key. This is
+    /// the only place key material is derived.
+    fn fingerprint(
         evaluator: &Evaluator<'_>,
-        subgraphs: &S,
+        layout: &PartitionLayout<'_>,
         buffer: &BufferConfig,
         options: EvalOptions,
-        reuse: Option<(&EvalMemo, &[bool])>,
-    ) -> (PartitionFingerprints, EvalKey) {
-        let fps = match reuse {
-            Some((memo, dirty)) => memo.fps.refresh_positions(subgraphs, dirty),
-            None => PartitionFingerprints::from_subgraphs(subgraphs),
-        };
-        let key = EvalKey::partition(
+        fps: &mut Vec<NodeSetFp>,
+    ) -> EvalKey {
+        fps.clear();
+        fps.extend(layout.iter().map(NodeSetFp::of_members));
+        EvalKey::partition(
             evaluator.fingerprint(),
-            fps.positions().iter().copied(),
+            fps.iter().copied(),
             buffer,
             options,
-        );
-        (fps, key)
+        )
     }
 
     /// Scores one subgraph as a standalone single-subgraph partition
@@ -773,71 +513,14 @@ impl Engine {
         let Ok(stats) = evaluator.subgraph_stats(members) else {
             return ScoredEval::errored(buffer);
         };
-        let term = self.compute_term(evaluator, &stats, 0, buffer, options);
+        let part = self.eval_term(evaluator, &stats, 0, buffer, options);
         ScoredEval {
-            ema_bytes: term.ema_bytes,
-            energy_pj: term.energy_pj,
+            ema_bytes: part.ema_bytes,
+            energy_pj: part.energy_pj,
             buffer_bytes: buffer.total_bytes(),
-            fits: term.fits,
+            fits: part.fits,
             error: false,
         }
-    }
-
-    /// Fingerprints, keys and probes a partition, composing it on a miss —
-    /// the shared body of the direct scoring entry points, which publish
-    /// immediately.
-    fn score_inner<S: SubgraphsView + ?Sized>(
-        &self,
-        evaluator: &Evaluator<'_>,
-        subgraphs: &S,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        reuse: Option<(&EvalMemo, &[bool])>,
-        scratch: &mut ComposeScratch,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let (fps, key) = Self::fingerprint(evaluator, subgraphs, buffer, options, reuse);
-        if let Some((cached, memo)) = self.cache.get_memoized(&key) {
-            self.note_stats_fallbacks(evaluator);
-            return (cached, memo);
-        }
-        self.score_missed(
-            evaluator,
-            subgraphs,
-            buffer,
-            options,
-            reuse,
-            scratch,
-            key,
-            fps,
-            Publish::Immediate,
-        )
-    }
-
-    /// The compute tail of a partition-cache miss: compose, then publish
-    /// under `key` per the `publish` policy. Shared by [`score_inner`](Self::score_inner) and
-    /// [`score_prepared`](Self::score_prepared) — the miss itself was
-    /// already counted by whoever probed.
-    #[allow(clippy::too_many_arguments)]
-    fn score_missed<S: SubgraphsView + ?Sized>(
-        &self,
-        evaluator: &Evaluator<'_>,
-        subgraphs: &S,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        reuse: Option<(&EvalMemo, &[bool])>,
-        scratch: &mut ComposeScratch,
-        key: EvalKey,
-        fps: PartitionFingerprints,
-        publish: Publish<'_>,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let (scored, memo) =
-            self.compose(evaluator, subgraphs, fps, buffer, options, reuse, scratch);
-        match publish {
-            Publish::Immediate => self.cache.insert_memoized(key, scored, memo.clone()),
-            Publish::Deferred(seq, staged) => staged.push((seq, key, scored, memo.clone())),
-        }
-        self.note_stats_fallbacks(evaluator);
-        (scored, memo)
     }
 
     /// Folds the evaluator's canonicalize-fallback count into the
@@ -851,119 +534,66 @@ impl Engine {
         }
     }
 
-    /// Computes one fresh `eval_subgraph` term, counted as a full scoring.
-    fn compute_term(
+    /// Computes one `eval_subgraph` term, counted as a subgraph scoring.
+    fn eval_term(
         &self,
         evaluator: &Evaluator<'_>,
         stats: &SubgraphStats,
         next_wgt: u64,
         buffer: &BufferConfig,
         options: EvalOptions,
-    ) -> SubgraphScore {
+    ) -> SubgraphReport {
         self.scorings.fetch_add(1, Ordering::Relaxed);
-        let part = evaluator.eval_subgraph(stats, next_wgt, buffer, options);
-        SubgraphScore {
-            ema_bytes: part.ema_bytes,
-            energy_pj: part.energy_pj,
-            fits: part.fits,
-        }
+        evaluator.eval_subgraph(stats, next_wgt, buffer, options)
     }
 
-    /// Composes a partition score from per-subgraph terms, reusing the
-    /// caller's memo for clean positions and computing every other term
-    /// from the evaluator-cached statistics. The fold runs in execution
-    /// order, so the sums are bit-identical to `Evaluator::eval_partition`.
-    #[allow(clippy::too_many_arguments)]
-    fn compose<S: SubgraphsView + ?Sized>(
+    /// Composes a partition score in one walk over `layout`: each
+    /// position's statistics come from the evaluator's stats cache (keyed
+    /// by its fingerprint in `fps`), its `next_wgt` is the next position's
+    /// weight footprint, and its term comes from `eval_subgraph`. The fold
+    /// runs in execution order, so the sums are bit-identical to
+    /// `Evaluator::eval_partition`.
+    fn compose(
         &self,
         evaluator: &Evaluator<'_>,
-        subgraphs: &S,
-        fps: PartitionFingerprints,
+        layout: &PartitionLayout<'_>,
+        fps: &[NodeSetFp],
         buffer: &BufferConfig,
         options: EvalOptions,
-        reuse: Option<(&EvalMemo, &[bool])>,
-        scratch: &mut ComposeScratch,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        if subgraphs.no_subgraphs() || subgraphs.any_empty() {
-            return (ScoredEval::errored(buffer), None);
+    ) -> ScoredEval {
+        let n = layout.num_subgraphs();
+        let stats_at = |i: usize| evaluator.subgraph_stats_keyed(fps[i], layout.subgraph(i));
+        if n == 0 {
+            return ScoredEval::errored(buffer);
         }
-        let n = subgraphs.num_subgraphs();
-        // Memoized entry per clean position (fingerprint present in the
-        // memo); `MemoEntry` is `Copy`, so the scratch holds copies and
-        // the memo borrow ends here.
-        scratch.entries.clear();
-        scratch.entries.extend((0..n).map(|i| match reuse {
-            Some((memo, dirty)) if !dirty[i] => memo.lookup(fps.positions()[i]).copied(),
-            _ => None,
-        }));
-        // Weight footprints drive the next_wgt chain; dirty positions need
-        // their (evaluator-cached) statistics, clean ones read the memo.
-        scratch.stats_of.clear();
-        scratch.stats_of.resize(n, None);
-        scratch.wgts.clear();
-        for i in 0..n {
-            match scratch.entries[i] {
-                Some(entry) => scratch.wgts.push(entry.wgt_bytes),
-                None => {
-                    match evaluator
-                        .subgraph_stats_keyed(fps.positions()[i], subgraphs.members_of(i))
-                    {
-                        Ok(stats) => {
-                            scratch.wgts.push(stats.ema_wgt_bytes);
-                            scratch.stats_of[i] = Some(stats);
-                        }
-                        Err(_) => return (ScoredEval::errored(buffer), None),
-                    }
-                }
-            }
-        }
+        let Ok(mut stats) = stats_at(0) else {
+            return ScoredEval::errored(buffer);
+        };
         let mut ema_bytes: u64 = 0;
         let mut energy_pj: f64 = 0.0;
         let mut fits = true;
-        // The one hot-path vector that escapes: it becomes the memo's
-        // entry list inside the returned `Arc<EvalMemo>`.
-        let mut memo_entries = Vec::with_capacity(n);
         for i in 0..n {
-            let next_wgt = if i + 1 < n { scratch.wgts[i + 1] } else { 0 };
-            let score = match scratch.entries[i] {
-                Some(entry) if entry.next_wgt == next_wgt => {
-                    self.reused.fetch_add(1, Ordering::Relaxed);
-                    entry.score
-                }
-                _ => {
-                    let stats = match scratch.stats_of[i] {
-                        Some(stats) => stats,
-                        // A clean entry whose next_wgt changed: its
-                        // statistics were computed before, so this is an
-                        // evaluator-cache hit.
-                        None => match evaluator
-                            .subgraph_stats_keyed(fps.positions()[i], subgraphs.members_of(i))
-                        {
-                            Ok(stats) => stats,
-                            Err(_) => return (ScoredEval::errored(buffer), None),
-                        },
-                    };
-                    self.compute_term(evaluator, &stats, next_wgt, buffer, options)
-                }
+            let next = match (i + 1 < n).then(|| stats_at(i + 1)) {
+                Some(Ok(next)) => Some(next),
+                Some(Err(_)) => return ScoredEval::errored(buffer),
+                None => None,
             };
-            ema_bytes += score.ema_bytes;
-            energy_pj += score.energy_pj;
-            fits &= score.fits;
-            memo_entries.push(MemoEntry {
-                wgt_bytes: scratch.wgts[i],
-                next_wgt,
-                score,
-            });
+            let next_wgt = next.map_or(0, |s| s.ema_wgt_bytes);
+            let part = self.eval_term(evaluator, &stats, next_wgt, buffer, options);
+            ema_bytes += part.ema_bytes;
+            energy_pj += part.energy_pj;
+            fits &= part.fits;
+            if let Some(next) = next {
+                stats = next;
+            }
         }
-        let scored = ScoredEval {
+        ScoredEval {
             ema_bytes,
             energy_pj,
             buffer_bytes: buffer.total_bytes(),
             fits,
             error: false,
-        };
-        let memo = EvalMemo::new(evaluator.fingerprint(), *buffer, options, fps, memo_entries);
-        (scored, Some(Arc::new(memo)))
+        }
     }
 
     /// Runs `job(i)` for every `i` in `0..jobs` on the worker pool, then
@@ -1060,15 +690,15 @@ impl Engine {
         let mut staged = self.scratch.take_staged();
         staged.sort_unstable_by_key(|entry| (entry.0, entry.1));
         staged.dedup_by_key(|entry| (entry.0, entry.1));
-        for (_, key, scored, memo) in staged {
-            self.cache.insert_memoized(key, scored, memo);
+        for (_, key, scored) in staged {
+            self.cache.insert(key, scored);
         }
     }
 
     /// The authoritative metrics snapshot: everything live telemetry
     /// recorded (batch/queue histograms, sweep events' counters) plus
     /// the engine's own counters absorbed under their metric names —
-    /// `engine.evals`, `engine.cache.partition.*`, `engine.subgraph.*`,
+    /// `engine.evals`, `engine.cache.partition.*`, `engine.subgraph.scorings`,
     /// `engine.stats_canonicalize_fallbacks`,
     /// `engine.arena.{bytes,reuses,grows}`, `engine.pool.*`,
     /// `engine.threads`, `engine.batch.wall_ns`. Works with telemetry
@@ -1086,10 +716,6 @@ impl Engine {
         m.set_counter(
             "engine.subgraph.scorings",
             self.scorings.load(Ordering::Relaxed),
-        );
-        m.set_counter(
-            "engine.subgraph.reused",
-            self.reused.load(Ordering::Relaxed),
         );
         m.set_counter(
             "engine.stats_canonicalize_fallbacks",
@@ -1140,11 +766,11 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let buffer = BufferConfig::shared(1 << 20);
         let options = EvalOptions::default();
-        let subgraphs: Vec<Vec<NodeId>> = g.node_ids().map(|id| vec![id]).collect();
+        let singletons = Partition::singletons(g.len());
         let partition = Partition::from_assignment(vec![0, 0, 1, 1, 2]);
         for config in [EngineConfig::serial(), EngineConfig::with_threads(2)] {
             let engine = Engine::new(config);
-            let baseline = engine.score(&eval, &subgraphs, &buffer, options);
+            let baseline = engine.score_partition(&eval, &singletons, &buffer, options);
             let before = engine.cache().snapshot();
             let err = engine
                 .try_dispatch(4, |i| {
@@ -1167,8 +793,8 @@ mod tests {
             engine.try_dispatch(4, |_| {}).expect("pool stays usable");
             assert_eq!(engine.cache().snapshot(), before);
             // The engine survives: same pool, same cache, same results.
-            let again = engine.score(&eval, &subgraphs, &buffer, options);
-            assert_eq!(again, baseline);
+            let again = engine.score_partition(&eval, &singletons, &buffer, options);
+            assert_eq!(again.0, baseline.0);
         }
     }
 
@@ -1177,11 +803,12 @@ mod tests {
         let g = cocco_graph::models::diamond();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
-        let subgraphs: Vec<Vec<NodeId>> = g.node_ids().map(|id| vec![id]).collect();
+        let singletons = Partition::singletons(g.len());
         let buffer = BufferConfig::shared(1 << 20);
-        let scored = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+        let (scored, _) =
+            engine.score_partition(&eval, &singletons, &buffer, EvalOptions::default());
         let report = eval
-            .eval_partition(&subgraphs, &buffer, EvalOptions::default())
+            .eval_partition(&singletons.subgraphs(), &buffer, EvalOptions::default())
             .unwrap();
         assert_eq!(scored.ema_bytes, report.ema_bytes);
         assert_eq!(scored.energy_pj, report.energy_pj);
@@ -1197,83 +824,58 @@ mod tests {
     }
 
     #[test]
-    fn score_delta_reuses_untouched_terms() {
-        let g = cocco_graph::models::chain(7); // 8 nodes, one path
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let engine = Engine::new(EngineConfig::serial());
-        let buffer = BufferConfig::shared(1 << 20);
-        let options = EvalOptions::default();
-        // Pairs: {0,1} {2,3} {4,5} {6,7}.
-        let ids: Vec<NodeId> = g.node_ids().collect();
-        let base: Vec<Vec<NodeId>> = ids.chunks(2).map(|c| c.to_vec()).collect();
-        let (scored, memo) = engine.score_composed(&eval, &base, &buffer, options);
-        let memo = memo.expect("composed this call");
-        assert_eq!(memo.len(), 4);
-        assert!(!scored.error);
-
-        // Mutate the last subgraph only: split {6,7} into {6} {7}.
-        let mut mutated = base[..3].to_vec();
-        mutated.push(vec![ids[6]]);
-        mutated.push(vec![ids[7]]);
-        let dirty = [false, false, false, true, true];
-        let before = engine.stats();
-        let (inc, new_memo) = engine.score_delta(&eval, &mutated, &buffer, options, &memo, &dirty);
-        let after = engine.stats();
-        assert!(new_memo.is_some());
-        // Subgraphs 0 and 1 reuse their terms; subgraph 2's next_wgt
-        // changed ({6,7} -> {6}), so it re-scores along with the two dirty
-        // ones.
-        assert_eq!(after.subgraph_reused - before.subgraph_reused, 2);
-        let direct = eval.eval_partition(&mutated, &buffer, options).unwrap();
-        assert_eq!(inc.ema_bytes, direct.ema_bytes);
-        assert_eq!(inc.energy_pj, direct.energy_pj);
-        assert_eq!(inc.fits, direct.fits);
-        // Three terms computed fresh: the two dirty ones and subgraph 2.
-        assert_eq!(after.subgraph_scorings - before.subgraph_scorings, 3);
-    }
-
-    #[test]
-    fn score_delta_with_stale_memo_falls_back() {
-        let g = cocco_graph::models::chain(3);
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let engine = Engine::new(EngineConfig::serial());
-        let subgraphs: Vec<Vec<NodeId>> = g.node_ids().map(|id| vec![id]).collect();
-        let small = BufferConfig::shared(1 << 20);
-        let big = BufferConfig::shared(2 << 20);
-        let options = EvalOptions::default();
-        let (_, memo) = engine.score_composed(&eval, &subgraphs, &small, options);
-        let memo = memo.unwrap();
-        let dirty = vec![false; subgraphs.len()];
-        // Different buffer: the memo must not be trusted.
-        let (scored, _) = engine.score_delta(&eval, &subgraphs, &big, options, &memo, &dirty);
-        let direct = eval.eval_partition(&subgraphs, &big, options).unwrap();
-        assert_eq!(scored.energy_pj, direct.energy_pj);
-        assert_eq!(engine.stats().subgraph_reused, 0);
-    }
-
-    #[test]
     fn roll_up_hits_hand_back_memos() {
-        // The memo-on-hit path: a genome whose score comes from the
-        // partition cache still receives the breakdown recorded with the
-        // entry, so its offspring can take the delta path.
+        // A genome whose score comes from the partition cache still
+        // receives a memo, so its offspring's repair can be seeded.
         let g = cocco_graph::models::chain(5);
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
         let buffer = BufferConfig::shared(1 << 20);
         let options = EvalOptions::default();
-        let ids: Vec<NodeId> = g.node_ids().collect();
-        let parts: Vec<Vec<NodeId>> = ids.chunks(2).map(|c| c.to_vec()).collect();
-        let (first, first_memo) = engine.score_composed(&eval, &parts, &buffer, options);
-        assert!(first_memo.is_some());
-        let (second, second_memo) = engine.score_composed(&eval, &parts, &buffer, options);
+        let pairs = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2]);
+        let (first, first_memo) = engine.score_partition(&eval, &pairs, &buffer, options);
+        let coordinates = (eval.fingerprint(), buffer, options);
+        assert_eq!(first_memo.expect("composed").coordinates(), coordinates);
+        let (second, second_memo) = engine.score_partition(&eval, &pairs, &buffer, options);
         assert_eq!(first, second);
         assert_eq!(engine.stats().cache_hits, 1);
-        let memo = second_memo.expect("roll-up hit must hand back the stored memo");
-        assert_eq!(memo.len(), parts.len());
-        // And the handed-back memo drives a working delta path.
-        let dirty = vec![false; parts.len()];
-        let (third, _) = engine.score_delta(&eval, &parts, &buffer, options, &memo, &dirty);
-        assert_eq!(third, first);
+        let memo = second_memo.expect("roll-up hit must hand back a memo");
+        assert_eq!(memo.coordinates(), coordinates);
+    }
+
+    #[test]
+    fn restored_hits_hand_out_memos_with_the_probe_coordinates() {
+        // Entries restored from a snapshot carry no memo of their own, so
+        // a hit builds one from the probe's coordinates. An errored entry
+        // hands out none, hit or miss.
+        let g = cocco_graph::models::chain(5);
+        let eval = Evaluator::new(&g, AcceleratorConfig::default());
+        let buffer = BufferConfig::shared(1 << 20);
+        let options = EvalOptions::with_batch(2);
+        let pairs = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2]);
+        let empty = Partition::singletons(0);
+        let filled = Engine::new(EngineConfig::serial());
+        let (scored, _) = filled.score_partition(&eval, &pairs, &buffer, options);
+        let (errored, none) = filled.score_partition(&eval, &empty, &buffer, options);
+        assert!(errored.error && none.is_none());
+        let warm = Engine::new(EngineConfig::serial());
+        warm.cache().restore(&filled.cache().snapshot());
+        match warm.prepare_partition(&eval, &pairs, &buffer, options, None) {
+            PartitionProbe::Hit(cached, memo) => {
+                assert_eq!(cached, scored);
+                let memo = memo.expect("a restored hit hands out a memo");
+                assert_eq!(memo.coordinates(), (eval.fingerprint(), buffer, options));
+            }
+            PartitionProbe::Miss(_) => panic!("the restored entry must hit"),
+        }
+        match warm.prepare_partition(&eval, &empty, &buffer, options, None) {
+            PartitionProbe::Hit(cached, memo) => {
+                assert!(cached.error);
+                assert!(memo.is_none(), "an errored hit hands out no memo");
+            }
+            PartitionProbe::Miss(_) => panic!("the restored errored entry must hit"),
+        }
+        assert_eq!(warm.stats().cache_hits, 2);
     }
 
     #[test]
@@ -1284,12 +886,9 @@ mod tests {
         let members: Vec<NodeId> = g.node_ids().collect();
         let buffer = BufferConfig::shared(1 << 20);
         let single = engine.score_single(&eval, &members, &buffer, EvalOptions::default());
-        let via_partition = engine.score(
-            &eval,
-            std::slice::from_ref(&members),
-            &buffer,
-            EvalOptions::default(),
-        );
+        let whole = Partition::from_assignment(vec![0; g.len()]);
+        let (via_partition, _) =
+            engine.score_partition(&eval, &whole, &buffer, EvalOptions::default());
         assert_eq!(single, via_partition);
         // Each route computed its term fresh from the cached statistics.
         assert_eq!(engine.stats().subgraph_scorings, 2);
@@ -1306,14 +905,16 @@ mod tests {
         let g = cocco_graph::models::chain(2);
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
-        // Empty subgraph: a structural evaluator error.
-        let broken: Vec<Vec<NodeId>> = vec![Vec::new()];
+        // No subgraph at all: a structural evaluator error.
+        let broken = Partition::singletons(0);
         let buffer = BufferConfig::shared(1 << 20);
-        let scored = engine.score(&eval, &broken, &buffer, EvalOptions::default());
+        let (scored, memo) =
+            engine.score_partition(&eval, &broken, &buffer, EvalOptions::default());
         assert!(scored.error);
+        assert!(memo.is_none(), "an errored score hands out no memo");
         assert!(scored.cost(CostMetric::Ema, None).is_infinite());
         assert!(scored.metric(CostMetric::Ema).is_infinite());
-        let again = engine.score(&eval, &broken, &buffer, EvalOptions::default());
+        let (again, _) = engine.score_partition(&eval, &broken, &buffer, EvalOptions::default());
         assert_eq!(scored, again);
         assert_eq!(engine.stats().cache_hits, 1);
     }
@@ -1323,11 +924,11 @@ mod tests {
         let g = cocco_graph::models::chain(3);
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::with_threads(2));
-        let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
+        let whole = Partition::from_assignment(vec![0; g.len()]);
         let buffer = BufferConfig::shared(1 << 20);
         engine.dispatch(1, |_| {
             for _ in 0..3 {
-                engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+                engine.score_partition(&eval, &whole, &buffer, EvalOptions::default());
             }
         });
         let stats = engine.stats();
@@ -1359,9 +960,8 @@ mod tests {
                 cocco_partition::Partition::depth_groups(&g, l),
                 &|_| true,
             );
-            let subgraphs = p.subgraphs();
-            let a = bounded.score(&eval, &subgraphs, &buffer, EvalOptions::default());
-            let b = unbounded.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+            let (a, _) = bounded.score_partition(&eval, &p, &buffer, EvalOptions::default());
+            let (b, _) = unbounded.score_partition(&eval, &p, &buffer, EvalOptions::default());
             assert_eq!(a, b, "L={l}");
         }
         let stats = bounded.stats();
@@ -1388,16 +988,16 @@ mod tests {
         let engine = Engine::new(EngineConfig::serial());
         let buffer = BufferConfig::shared(1 << 20);
         let options = EvalOptions::default();
-        let chain_parts = vec![chain.node_ids().collect::<Vec<_>>()];
-        // diamond has 5 nodes; take its first 5-node whole partition too.
-        let diamond_parts = vec![diamond.node_ids().collect::<Vec<_>>()];
-        let via_engine_chain = engine.score(&chain_eval, &chain_parts, &buffer, options);
-        let via_engine_diamond = engine.score(&diamond_eval, &diamond_parts, &buffer, options);
+        // Both graphs have 5 nodes; score each as one whole subgraph.
+        let whole = Partition::from_assignment(vec![0; 5]);
+        let (via_engine_chain, _) = engine.score_partition(&chain_eval, &whole, &buffer, options);
+        let (via_engine_diamond, _) =
+            engine.score_partition(&diamond_eval, &whole, &buffer, options);
         let direct_chain = chain_eval
-            .eval_partition(&chain_parts, &buffer, options)
+            .eval_partition(&whole.subgraphs(), &buffer, options)
             .unwrap();
         let direct_diamond = diamond_eval
-            .eval_partition(&diamond_parts, &buffer, options)
+            .eval_partition(&whole.subgraphs(), &buffer, options)
             .unwrap();
         assert_eq!(via_engine_chain.ema_bytes, direct_chain.ema_bytes);
         assert_eq!(via_engine_diamond.ema_bytes, direct_diamond.ema_bytes);
@@ -1412,10 +1012,10 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let telemetry = Telemetry::enabled();
         let engine = Engine::with_telemetry(EngineConfig::serial(), telemetry.clone());
-        let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
+        let whole = Partition::from_assignment(vec![0; g.len()]);
         let buffer = BufferConfig::shared(1 << 20);
         engine.dispatch(2, |_| {
-            engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+            engine.score_partition(&eval, &whole, &buffer, EvalOptions::default());
         });
         let m = engine.metrics();
         // The compatibility snapshot and the absorbed names agree.
@@ -1442,10 +1042,10 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
         assert!(!engine.telemetry().is_enabled());
-        let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
+        let whole = Partition::from_assignment(vec![0; g.len()]);
         let buffer = BufferConfig::shared(1 << 20);
         engine.dispatch(1, |_| {
-            engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+            engine.score_partition(&eval, &whole, &buffer, EvalOptions::default());
         });
         let stats = engine.stats();
         assert_eq!(stats.evals, 1);
@@ -1483,12 +1083,13 @@ mod tests {
 
     #[test]
     fn score_partition_arms_are_bit_identical() {
-        // The flat-layout entry point, the nested-slice entry point and
-        // the whole-partition evaluator agree on every path: cold
-        // compose, cache hit and delta hint.
+        // The direct entry point, the two-phase batch entry points and the
+        // whole-partition evaluator agree on every path: cold compose,
+        // cache hit, and a probe whose (ignored) hint names a parent.
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
+        let two_phase = Engine::new(EngineConfig::serial());
         let buffer = BufferConfig::shared(1 << 20);
         let options = EvalOptions::default();
         for l in [1usize, 3, 7] {
@@ -1500,53 +1101,28 @@ mod tests {
             let full = eval
                 .eval_partition(&p.subgraphs(), &buffer, options)
                 .unwrap();
-            let (cold, memo) = engine.score_partition(&eval, &p, &buffer, options, None);
+            let (cold, memo) = engine.score_partition(&eval, &p, &buffer, options);
             assert_eq!(cold.ema_bytes, full.ema_bytes, "L={l}");
             assert_eq!(cold.energy_pj, full.energy_pj, "L={l}");
             assert_eq!(cold.fits, full.fits, "L={l}");
-            let memo = memo.expect("composed this call");
-            let (hit, _) = engine.score_partition(&eval, &p, &buffer, options, None);
+            let (hit, _) = engine.score_partition(&eval, &p, &buffer, options);
             assert_eq!(hit, cold, "L={l}");
+            let memo = memo.expect("composed this call");
             let clean = PartitionDelta::clean(g.len());
-            let (hinted, _) =
-                engine.score_partition(&eval, &p, &buffer, options, Some((&memo, &clean)));
-            assert_eq!(hinted, cold, "L={l}");
-            let via_slices = engine.score(&eval, &p.subgraphs(), &buffer, options);
-            assert_eq!(via_slices, cold, "cache-keyed identity across entry points");
+            let PartitionProbe::Miss(prepared) =
+                two_phase.prepare_partition(&eval, &p, &buffer, options, Some((&memo, &clean)))
+            else {
+                panic!("L={l}: the second engine's cache is cold");
+            };
+            let staged = std::sync::Mutex::new(Some(prepared));
+            two_phase.dispatch(1, |_| {
+                let prepared = staged.lock().unwrap().take().unwrap();
+                let (scored, _) =
+                    two_phase.score_prepared(0, &eval, &p, &buffer, options, Some(&memo), prepared);
+                assert_eq!(scored, cold, "L={l}: two-phase scoring diverged");
+            });
         }
-    }
-
-    #[test]
-    fn score_partition_delta_hint_reuses_terms() {
-        let g = cocco_graph::models::chain(7);
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let engine = Engine::new(EngineConfig::serial());
-        let buffer = BufferConfig::shared(1 << 20);
-        let options = EvalOptions::default();
-        let ids: Vec<NodeId> = g.node_ids().collect();
-        // Pairs {0,1} {2,3} {4,5} {6,7} as a partition assignment.
-        let p = cocco_partition::Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3, 3]);
-        let (scored, memo) = engine.score_partition(&eval, &p, &buffer, options, None);
-        let memo = memo.expect("composed this call");
-        assert!(!scored.error);
-        // Split the last pair; mark exactly its members dirty.
-        let mutated = cocco_partition::Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3, 4]);
-        let mut delta = PartitionDelta::clean(8);
-        delta.touch_members(&[ids[6], ids[7]]);
-        let before = engine.stats();
-        let (inc, _) =
-            engine.score_partition(&eval, &mutated, &buffer, options, Some((&memo, &delta)));
-        let after = engine.stats();
-        assert_eq!(after.subgraph_reused - before.subgraph_reused, 2);
-        let direct = eval
-            .eval_partition(&mutated.subgraphs(), &buffer, options)
-            .unwrap();
-        assert_eq!(inc.ema_bytes, direct.ema_bytes);
-        assert_eq!(inc.energy_pj, direct.energy_pj);
-        assert_eq!(
-            after.stats_canonicalize_fallbacks, 0,
-            "arena delta path must stay clean"
-        );
+        assert_eq!(engine.cache().snapshot(), two_phase.cache().snapshot());
     }
 
     #[test]
@@ -1562,7 +1138,7 @@ mod tests {
         // Distinct options defeat the partition cache so every call
         // rebuilds the layout into the warmed arena.
         for batch in 1..=8u32 {
-            engine.score_partition(&eval, &p, &buffer, EvalOptions::with_batch(batch), None);
+            engine.score_partition(&eval, &p, &buffer, EvalOptions::with_batch(batch));
         }
         let m = engine.metrics();
         assert!(m.gauge("engine.arena.bytes") > 0);
@@ -1586,7 +1162,7 @@ mod tests {
         let p = cocco_partition::Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3]);
         for _ in 0..3 {
             engine.dispatch(1, |_| {
-                engine.score_partition(&eval, &p, &buffer, EvalOptions::default(), None);
+                engine.score_partition(&eval, &p, &buffer, EvalOptions::default());
             });
         }
         let m = engine.metrics();
@@ -1621,11 +1197,11 @@ mod tests {
                 Some(two_phase.score_prepared(0, &eval, &p, &buffer, options, None, prepared));
         });
         let (scored, memo) = result.into_inner().unwrap().unwrap();
-        let (direct, direct_memo) = one_shot.score_partition(&eval, &p, &buffer, options, None);
+        let (direct, direct_memo) = one_shot.score_partition(&eval, &p, &buffer, options);
         assert_eq!(scored, direct);
         assert_eq!(memo.is_some(), direct_memo.is_some());
-        // The dispatch-end publish made the staged entries visible: the
-        // next prepare is a pure cache hit handing back the memo.
+        // The dispatch-end publish made the staged entry visible: the next
+        // prepare is a pure cache hit handing back a memo.
         assert_eq!(two_phase.cache().snapshot(), one_shot.cache().snapshot());
         match two_phase.prepare_partition(&eval, &p, &buffer, options, None) {
             PartitionProbe::Hit(cached, hit_memo) => {
@@ -1713,12 +1289,7 @@ mod tests {
             let s = engine.stats();
             (
                 engine.cache().snapshot(),
-                (
-                    s.evals,
-                    s.cache_hits,
-                    s.subgraph_scorings,
-                    s.subgraph_reused,
-                ),
+                (s.evals, s.cache_hits, s.subgraph_scorings),
             )
         };
         let reference = run(1, ChunkSize::Fixed(1));
@@ -1732,9 +1303,9 @@ mod tests {
         let g = cocco_graph::models::chain(5);
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
-        let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
+        let whole = Partition::from_assignment(vec![0; g.len()]);
         let tiny = BufferConfig::shared(256);
-        let scored = engine.score(&eval, &subgraphs, &tiny, EvalOptions::default());
+        let (scored, _) = engine.score_partition(&eval, &whole, &tiny, EvalOptions::default());
         assert!(!scored.fits);
         assert!(!scored.error);
         assert!(scored.cost(CostMetric::Ema, None).is_infinite());

@@ -9,21 +9,23 @@
 //! * [`EnginePool`] — a worker pool with a **persistent** thread set
 //!   (spawned lazily, channel-fed, joined on drop; [`EngineConfig`]:
 //!   `auto` or a fixed count, `1` ⇒ fully serial);
-//! * [`EvalCache`] — a sharded, **bounded** memoization cache of
-//!   whole-partition roll-ups ([`ScoredEval`] plus the entry's
-//!   [`EvalMemo`], so even cache *hits* hand a breakdown to offspring).
-//!   Keys are fixed-size [`EvalKey`] fingerprints folded from precomputed
-//!   128-bit subgraph content hashes — no per-probe allocation or member
-//!   re-hashing — the cache is objective-agnostic so one entry serves
-//!   Formula 1 and Formula 2 searches alike, growth is bounded by a
-//!   generation-sweep eviction policy (`EngineConfig::cache_capacity`),
-//!   and entries persist across runs via [`CacheSnapshot`]. Per-subgraph
-//!   terms ([`SubgraphScore`]) are not cached: each is computed from the
-//!   subgraph's statistics, which the evaluator's own stats cache holds;
+//! * [`EvalCache`] — a sharded, **bounded** memoization cache of plain
+//!   whole-partition [`ScoredEval`] roll-ups. Keys are fixed-size
+//!   [`EvalKey`] fingerprints folded from 128-bit subgraph content hashes;
+//!   the cache is objective-agnostic so one entry serves Formula 1 and
+//!   Formula 2 searches alike, growth is bounded by a generation-sweep
+//!   eviction policy (`EngineConfig::cache_capacity`), and entries persist
+//!   across runs via [`CacheSnapshot`]. Per-subgraph terms are not cached:
+//!   each is computed from the subgraph's statistics, which the
+//!   evaluator's own stats cache holds;
 //! * [`Engine`] — pool + cache + [`EngineStats`], the object a search
-//!   context shares across threads, with a subgraph-granular delta path
-//!   ([`Engine::score_delta`] + [`EvalMemo`]) that re-scores only the
-//!   subgraphs a mutation touched;
+//!   context shares across threads. It scores a partition directly
+//!   ([`Engine::score_partition`]), a single subgraph
+//!   ([`Engine::score_single`]), or a batch candidate in two halves
+//!   ([`Engine::prepare_partition`] then [`Engine::score_prepared`]). Every
+//!   successful score, hit or miss, comes with an [`EvalMemo`] — the
+//!   coordinates it was scored under, which repair reads to seed the
+//!   genome's offspring;
 //! * [`SampleBudget`] — the thread-safe evaluation budget drawn on by every
 //!   searcher: sliceable for two-step inner runs, and reservable
 //!   ([`SampleBudget::reserve`] → [`SampleReservation`]) for interleaved
@@ -47,15 +49,16 @@
 //!
 //! ```
 //! use cocco_engine::{Engine, EngineConfig};
+//! use cocco_partition::Partition;
 //! use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, EvalOptions, Evaluator};
 //!
 //! let g = cocco_graph::models::chain(4);
 //! let eval = Evaluator::new(&g, AcceleratorConfig::default());
 //! let engine = Engine::new(EngineConfig::auto());
-//! let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
+//! let whole = Partition::from_assignment(vec![0; g.len()]);
 //! let buffer = BufferConfig::shared(1 << 20);
-//! let first = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
-//! let second = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+//! let (first, _) = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default());
+//! let (second, _) = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default());
 //! assert_eq!(first.cost(CostMetric::Ema, None), second.cost(CostMetric::Ema, None));
 //! assert_eq!(engine.stats().cache_hits, 1);
 //! ```
@@ -73,7 +76,6 @@ pub use cache::{eval_key, CacheSnapshot, EvalCache, EvalKey, SNAPSHOT_VERSION};
 pub use config::{ChunkSize, EngineConfig, ThreadCount};
 pub use engine::{
     DispatchPanic, Engine, EngineStats, EvalMemo, PartitionProbe, PreparedEval, ScoredEval,
-    SubgraphScore,
 };
 pub use pool::EnginePool;
 pub use trace::{Trace, TracePoint};

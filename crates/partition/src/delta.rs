@@ -1,8 +1,8 @@
-//! Dirty-node tracking across mutation and repair — the change record the
-//! incremental evaluation path consumes.
+//! Dirty-node tracking across mutation and repair — the change record that
+//! seeds an offspring's repair from its parent.
 
 use crate::partition::Partition;
-use cocco_graph::NodeId;
+use cocco_graph::{NodeId, NodeSetFp};
 
 /// Records which **nodes** of a partition had their subgraph membership
 /// changed by a sequence of edits (mutations, repair passes).
@@ -19,11 +19,11 @@ use cocco_graph::NodeId;
 /// Operators therefore mark whole affected subgraphs (source and target of
 /// a node move, both sides of a merge, every piece of a split), not just
 /// the moved node. A subgraph containing no dirty node is guaranteed to be
-/// bit-for-bit the same member set as before, so its cached evaluation
-/// terms can be reused. The consumer (`cocco-engine`) additionally
-/// re-checks the one cross-subgraph coupling (the successor's weight
-/// prefetch) itself, so an over-conservative delta costs time and an
-/// emitter bug is bounded by that check plus the property tests.
+/// bit-for-bit the same member set as before, so repair may take it for
+/// one of the parent's subgraphs (see `ParentSeed`). An over-conservative
+/// delta costs time; an under-reporting one is a correctness bug, which
+/// the property tests walk for. Edits of unknown extent derive an honest
+/// delta with [`between`](Self::between).
 ///
 /// # Examples
 ///
@@ -51,11 +51,61 @@ impl PartitionDelta {
     }
 
     /// A delta over `n` nodes with everything marked dirty (the
-    /// conservative record for edits of unknown extent, e.g. crossover).
+    /// conservative record when no parent is known).
     pub fn all(n: usize) -> Self {
         Self {
             dirty: vec![true; n],
         }
+    }
+
+    /// The delta from `before` to `after`, two partitions of the same
+    /// nodes: a node is dirty iff its subgraph's member set in `after` is
+    /// not a member set of `before`. One pass fingerprints every label's
+    /// set in each assignment; each `after` label is then checked once,
+    /// against the `before` set holding the label's first node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the partitions cover different node counts.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cocco_partition::{Partition, PartitionDelta};
+    /// use cocco_graph::NodeId;
+    ///
+    /// let before = Partition::from_assignment(vec![0, 0, 1, 1]);
+    /// // Node 3 moves into subgraph 0: both member sets change.
+    /// let after = Partition::from_assignment(vec![0, 0, 1, 0]);
+    /// assert!(PartitionDelta::between(&before, &after).is_all());
+    /// // Renumbering alone changes no member set.
+    /// let renumbered = Partition::from_assignment(vec![5, 5, 2, 2]);
+    /// assert!(PartitionDelta::between(&before, &renumbered).is_clean());
+    /// let split = Partition::from_assignment(vec![0, 0, 1, 2]);
+    /// let delta = PartitionDelta::between(&before, &split);
+    /// assert!(!delta.is_dirty(NodeId::from_index(1)));
+    /// assert!(delta.is_dirty(NodeId::from_index(2)));
+    /// ```
+    pub fn between(before: &Partition, after: &Partition) -> Self {
+        assert_eq!(
+            before.len(),
+            after.len(),
+            "partitions cover different graphs"
+        );
+        let before_fps = label_fingerprints(before.assignment());
+        let after_fps = label_fingerprints(after.assignment());
+        // Nodes ascend, so a label's first visit is at its first node.
+        let mut changed: Vec<Option<bool>> = vec![None; after_fps.len()];
+        let dirty = after
+            .assignment()
+            .iter()
+            .zip(before.assignment())
+            .map(|(&a, &b)| {
+                *changed[a as usize]
+                    .get_or_insert_with(|| after_fps[a as usize] != before_fps[b as usize])
+            })
+            .collect();
+        Self { dirty }
     }
 
     /// Number of nodes covered.
@@ -171,6 +221,17 @@ impl PartitionDelta {
     }
 }
 
+/// The member-set fingerprint of every label of `assignment`, indexed by
+/// label (unused labels hold the empty set's).
+fn label_fingerprints(assignment: &[u32]) -> Vec<NodeSetFp> {
+    let max = assignment.iter().copied().max().map_or(0, |m| m as usize);
+    let mut fps = vec![NodeSetFp::EMPTY; max + 1];
+    for (i, &a) in assignment.iter().enumerate() {
+        fps[a as usize].insert(NodeId::from_index(i));
+    }
+    fps
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,5 +282,34 @@ mod tests {
         assert_eq!(delta.dirty_subgraphs(&p), vec![false, true]);
         delta.touch(NodeId::from_index(1)); // member of subgraph 2
         assert_eq!(delta.dirty_subgraphs(&p), vec![true, true]);
+    }
+
+    #[test]
+    fn between_marks_exactly_changed_member_sets() {
+        let before = Partition::from_assignment(vec![0, 0, 1, 1, 2]);
+        // Move node 3 from subgraph 1 to subgraph 2: subgraphs 1 and 2
+        // change, subgraph 0 does not.
+        let after = Partition::from_assignment(vec![0, 0, 1, 2, 2]);
+        let delta = PartitionDelta::between(&before, &after);
+        assert!(!delta.is_dirty(NodeId::from_index(0)));
+        assert!(!delta.is_dirty(NodeId::from_index(1)));
+        assert!(delta.is_dirty(NodeId::from_index(2)));
+        assert!(delta.is_dirty(NodeId::from_index(3)));
+        assert!(delta.is_dirty(NodeId::from_index(4)));
+        // Identical partitions produce a clean delta even under different
+        // subgraph ids.
+        let renumbered = Partition::from_assignment(vec![7, 7, 3, 3, 5]);
+        assert!(PartitionDelta::between(&before, &renumbered).is_clean());
+    }
+
+    #[test]
+    fn between_catches_same_anchor_different_members() {
+        // {0,1,2} keeps its first node when it shrinks to {0,1}: the first
+        // node alone must not make it look clean — the fingerprint does
+        // the discriminating.
+        let before = Partition::from_assignment(vec![0, 0, 0, 1]);
+        let after = Partition::from_assignment(vec![0, 0, 1, 1]);
+        let delta = PartitionDelta::between(&before, &after);
+        assert!(delta.is_all(), "both member sets changed");
     }
 }

@@ -18,7 +18,6 @@
 
 mod delta;
 mod error;
-mod fingerprint;
 mod layout;
 mod partition;
 mod quotient;
@@ -26,8 +25,7 @@ mod repair;
 
 pub use delta::PartitionDelta;
 pub use error::PartitionError;
-pub use fingerprint::PartitionFingerprints;
-pub use layout::{LayoutArena, PartitionLayout, SubgraphsView};
+pub use layout::{LayoutArena, PartitionLayout};
 pub use partition::Partition;
 pub use quotient::{Quotient, QuotientSuccessors};
 pub use repair::{

@@ -5,8 +5,8 @@
 //! ([`repair`], [`repair_connectivity`], [`split_oversized`]) and
 //! `*_with_delta` variants that additionally record, into a
 //! [`PartitionDelta`], every node whose subgraph *membership set* the pass
-//! changed — the change record the incremental evaluation path uses to
-//! re-score only touched subgraphs. Renumbering alone (canonicalization)
+//! changed — the change record a hinted offspring's repair is seeded
+//! from (see [`ParentSeed`]). Renumbering alone (canonicalization)
 //! emits no dirt: node-level deltas survive id remapping by construction.
 //!
 //! All passes of one call share one dense scratch: per-node labels, a
@@ -875,7 +875,6 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::PartitionFingerprints;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::cell::RefCell;
@@ -1222,7 +1221,7 @@ mod tests {
                     edit(&g, &mut child, &mut rng);
                     // The exact member-set delta, sometimes with extra dirt:
                     // an over-marked delta must still give the same result.
-                    let mut delta = PartitionFingerprints::compute(&parent).delta_against(&child);
+                    let mut delta = PartitionDelta::between(&parent, &child);
                     if rng.gen_bool(0.3) {
                         delta.touch(NodeId::from_index(rng.gen_range(0..g.len())));
                     }

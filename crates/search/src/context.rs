@@ -20,50 +20,46 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// What a mutation operator knows about the genome it produced: the
-/// scored parent's per-subgraph breakdown ([`EvalMemo`]) plus the
-/// [`PartitionDelta`] naming which nodes the operator moved. The
-/// evaluation path extends the delta with repair-induced changes,
-/// re-fingerprints only the dirty subgraphs (clean ones copy the memo's
-/// incrementally maintained fingerprint) and re-scores only dirty terms
-/// (plus `next_wgt` predecessors, which the engine re-checks itself).
+/// coordinates its parent was scored under ([`EvalMemo`]) plus the
+/// [`PartitionDelta`] naming which nodes the operator moved. Hints seed
+/// repair only; scoring derives every key from scratch.
 ///
 /// The delta **must** satisfy the member-set invariant documented on
-/// [`PartitionDelta`] relative to the memo's partition — the
-/// fingerprint-keyed cache derives key identity from it, and repair takes
+/// [`PartitionDelta`] relative to the parent's partition: repair takes
 /// every clean subgraph for one of the parent's (connected, and fitting
-/// when the buffer did not shrink; see `ParentSeed`). Operators of
-/// unknown extent derive an honest delta by diffing fingerprints
-/// (`PartitionFingerprints::delta_against`) instead of guessing.
+/// when the parent was scored under this evaluator and these options and
+/// the buffer did not shrink; see `ParentSeed`). Operators of unknown
+/// extent derive an honest delta with [`PartitionDelta::between`] instead
+/// of guessing.
 #[derive(Debug)]
 pub struct EvalHint {
-    /// Per-subgraph terms of the parent genome's evaluation.
+    /// The coordinates the parent genome was scored under.
     pub memo: Arc<EvalMemo>,
     /// Nodes whose subgraph membership the mutation changed.
     pub delta: PartitionDelta,
 }
 
-/// One genome queued for (incremental) batch evaluation.
+/// One genome queued for batch evaluation.
 ///
 /// Inputs: the genome and an optional [`EvalHint`]. Outputs, filled in by
 /// [`SearchContext::evaluate_candidates`]: the repaired genome, its
-/// objective `cost` (`None` iff the budget ran out first) and the fresh
-/// `memo` to hand to this genome's own offspring (`None` when the score
-/// came straight from the roll-up cache).
+/// objective `cost` (`None` iff the budget ran out first) and the `memo`
+/// to hand to this genome's own offspring (`None` when the evaluator
+/// errored).
 #[derive(Debug)]
 pub struct EvalCandidate {
     /// The genome; repaired in place by evaluation.
     pub genome: Genome,
-    /// Incremental-evaluation hint, consumed by evaluation.
+    /// Repair-seeding hint, consumed by evaluation.
     pub hint: Option<EvalHint>,
-    /// The evaluation's per-subgraph breakdown (output).
+    /// The coordinates the genome was scored under (output).
     pub memo: Option<Arc<EvalMemo>>,
     /// The objective cost (output).
     pub cost: Option<f64>,
 }
 
 impl EvalCandidate {
-    /// A candidate with no incremental hint (scored through the cache
-    /// composition path).
+    /// A candidate with no hint (repaired unseeded).
     pub fn new(genome: Genome) -> Self {
         Self {
             genome,
@@ -73,8 +69,7 @@ impl EvalCandidate {
         }
     }
 
-    /// A candidate carrying its parent's breakdown and the mutation's
-    /// delta.
+    /// A candidate carrying its parent's memo and the mutation's delta.
     pub fn with_hint(genome: Genome, hint: Option<EvalHint>) -> Self {
         Self {
             genome,
@@ -401,18 +396,15 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Repairs and evaluates a batch of [`EvalCandidate`]s in place on the
-    /// engine's worker pool — the incremental-evaluation entry point used
-    /// by the GA and SA.
+    /// engine's worker pool — the entry point used by the GA and SA.
     ///
-    /// A candidate carrying an [`EvalHint`] is scored through the engine's
-    /// delta path: the hint's [`PartitionDelta`] (extended with whatever
-    /// the repair pipeline touches) names the dirty subgraphs, everything
-    /// else reuses the parent memo's terms. Candidates without a hint go
-    /// through the cache-composition path. Either way each candidate's
-    /// `memo` output is its own breakdown, ready to seed its offspring's
-    /// hints. Results are bit-identical across paths and thread counts
-    /// (sample indices and trace points follow input order, and every
-    /// scoring path computes the exact same pure per-subgraph terms).
+    /// A candidate carrying an [`EvalHint`] is repaired seeded from its
+    /// parent (see `ParentSeed`); every candidate is then scored the same
+    /// way. Each candidate's `memo` output is its own, ready to seed its
+    /// offspring's hints. Results are bit-identical with and without hints
+    /// and across thread counts (sample indices and trace points follow
+    /// input order, and a seed only skips `fits` calls whose answer is
+    /// known).
     pub fn evaluate_candidates(&self, candidates: &mut [EvalCandidate]) -> Vec<Option<f64>> {
         let mut groups = [EvalGroup {
             candidates,
@@ -563,21 +555,20 @@ impl<'a> SearchContext<'a> {
             let (slot, objective, sample) = &jobs[i];
             let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
             let timer = tallies.get(i).map(|slot| (slot, Stopwatch::start()));
-            let (parent_memo, delta, fits_calls) = self.take_hint_and_repair(candidate);
+            let fits_calls = self.take_hint_and_repair(candidate);
             if let Some(([ns, calls], sw)) = timer {
                 ns.store(sw.elapsed_nanos(), Ordering::Relaxed);
                 calls.store(fits_calls, Ordering::Relaxed);
             }
-            let hint = parent_memo.as_deref().map(|memo| (memo, &delta));
             if eval_error {
                 // Injected transient evaluator failure: the first attempt's
                 // result is discarded. Scoring is a pure function of its
                 // inputs, so the retry is bit-identical to the fault-free
                 // run.
-                let _ = self.score_candidate(i, &candidate.genome, hint);
+                let _ = self.score_candidate(i, &candidate.genome);
                 self.faults.log().note_eval_rescore();
             }
-            let (scored, memo) = self.score_candidate(i, &candidate.genome, hint);
+            let (scored, memo) = self.score_candidate(i, &candidate.genome);
             self.finish_scored(&results, i, *objective, *sample, candidate, scored, memo);
         });
         if let Some((repair_ns, fits_calls)) = counters {
@@ -609,15 +600,11 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// The per-candidate evaluation prologue: consume the incremental
-    /// hint, extend its delta with repair-induced changes, and repair the
-    /// genome in place, seeded with what the parent proved. Pure per
-    /// candidate, so it runs inside the candidate's pool job. Also returns
-    /// how many `fits` calls the repair made.
-    fn take_hint_and_repair(
-        &self,
-        candidate: &mut EvalCandidate,
-    ) -> (Option<Arc<EvalMemo>>, PartitionDelta, u64) {
+    /// The per-candidate evaluation prologue: consume the hint and repair
+    /// the genome in place, seeded with what the parent proved. Pure per
+    /// candidate, so it runs inside the candidate's pool job. Returns how
+    /// many `fits` calls the repair made.
+    fn take_hint_and_repair(&self, candidate: &mut EvalCandidate) -> u64 {
         let buffer = candidate.genome.buffer;
         let (parent_memo, mut delta) = match candidate.hint.take() {
             Some(hint) => (Some(hint.memo), hint.delta),
@@ -632,7 +619,7 @@ impl<'a> SearchContext<'a> {
         let partition =
             std::mem::replace(&mut candidate.genome.partition, Partition::singletons(0));
         candidate.genome.partition = repair_seeded(self.graph, partition, &fits, &mut delta, seed);
-        (parent_memo, delta, calls.get())
+        calls.get()
     }
 
     /// What a hinted candidate's repair may take from the parent behind
@@ -663,17 +650,12 @@ impl<'a> SearchContext<'a> {
 
     /// Scores one repaired candidate as batch job `seq`: probe the cache,
     /// and on a miss compute from the probe's key material, staging the
-    /// new entries for the engine's batch-end funding-order publication.
-    fn score_candidate(
-        &self,
-        seq: usize,
-        genome: &Genome,
-        hint: Option<(&EvalMemo, &PartitionDelta)>,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
+    /// new entry for the engine's batch-end funding-order publication.
+    fn score_candidate(&self, seq: usize, genome: &Genome) -> (ScoredEval, Option<Arc<EvalMemo>>) {
         let (partition, buffer) = (&genome.partition, &genome.buffer);
         match self
             .engine
-            .prepare_partition(self.evaluator, partition, buffer, self.options, hint)
+            .prepare_partition(self.evaluator, partition, buffer, self.options, None)
         {
             PartitionProbe::Hit(scored, memo) => (scored, memo),
             PartitionProbe::Miss(prepared) => self.engine.score_prepared(
@@ -682,7 +664,7 @@ impl<'a> SearchContext<'a> {
                 partition,
                 buffer,
                 self.options,
-                hint.map(|(memo, _)| memo),
+                None,
                 prepared,
             ),
         }
@@ -804,7 +786,7 @@ impl<'a> SearchContext<'a> {
     pub fn partition_cost(&self, partition: &Partition, buffer: &BufferConfig) -> f64 {
         let (scored, _) =
             self.engine
-                .score_partition(self.evaluator, partition, buffer, self.options, None);
+                .score_partition(self.evaluator, partition, buffer, self.options);
         if scored.error {
             self.trace.record_infeasible_error();
         }
@@ -982,7 +964,7 @@ mod tests {
         );
         let memo_for = |ctx: &SearchContext<'_>, buffer: BufferConfig| {
             ctx.engine()
-                .score_partition(ctx.evaluator(), &p, &buffer, ctx.options, None)
+                .score_partition(ctx.evaluator(), &p, &buffer, ctx.options)
                 .1
                 .expect("a fresh score records a memo")
         };

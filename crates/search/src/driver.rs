@@ -19,9 +19,9 @@
 //! JSON and resuming with `SearchMethod::driver_from_state` continues the
 //! run **bit-identically** (best cost, genome and trace equal to the
 //! uninterrupted seeded run, at any thread count). Snapshots deliberately
-//! drop in-memory [`EvalMemo`](cocco_engine::EvalMemo)s — memos are a
-//! wall-clock optimization, so a resumed run recomputes a little more but
-//! never scores differently.
+//! drop in-memory [`EvalMemo`](cocco_engine::EvalMemo)s — memos only seed
+//! repair, so a resumed run asks `fits` a little more but never scores
+//! differently.
 //!
 //! [`run_driver`] is the thin default loop every [`Searcher`] now runs
 //! through; on top of the same uniform step surface sit the interleaved

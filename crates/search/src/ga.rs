@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One scored population member: the genome, its cost and the evaluation's
-/// per-subgraph breakdown (seed for its offspring's incremental hints).
+/// memo (the coordinates that seed its offspring's repair).
 #[derive(Clone, Debug)]
 struct Member {
     genome: Genome,
@@ -175,7 +175,7 @@ enum GaPhase {
 }
 
 /// One serialized population member (the in-memory memo is dropped — a
-/// resumed run re-derives breakdowns lazily, bit-identically).
+/// resumed run's first offspring repair unseeded, bit-identically).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 struct GaMember {
     genome: Genome,
@@ -226,8 +226,8 @@ impl GaDriver {
         }
     }
 
-    /// Resumes a driver from a serialized state (memos start empty; the
-    /// first resumed generation recomputes them, results unchanged).
+    /// Resumes a driver from a serialized state (memos start empty, so the
+    /// first resumed generation repairs unseeded; results unchanged).
     pub fn from_state(config: GaConfig, state: GaState) -> Self {
         Self {
             config,
@@ -314,16 +314,12 @@ impl GaDriver {
                     ctx.space.blend(dad.buffer, mom.buffer),
                 );
                 // A crossover child reproduces whole parent subgraphs,
-                // so dad's memo still covers many of its member sets —
-                // but crossover edits are of unknown extent, so the
-                // honest delta (required by the fingerprint-keyed
-                // incremental path) is derived by diffing the child's
-                // subgraph fingerprints against dad's: exactly the
-                // nodes whose member set changed are marked. (When the
-                // blended buffer differs from dad's the engine drops
-                // the memo and computes every term fresh.)
+                // but its edits are of unknown extent, so the honest
+                // delta against dad (required by repair's parent seed)
+                // is a direct diff: exactly the nodes whose member set
+                // changed are marked.
                 let mut delta = match &self.population[dad_idx].memo {
-                    Some(memo) => memo.fingerprints().delta_against(&child.partition),
+                    Some(_) => PartitionDelta::between(&dad.partition, &child.partition),
                     None => PartitionDelta::all(graph.len()),
                 };
                 mutate_with_delta(
@@ -559,10 +555,10 @@ pub(crate) struct MutationScratch {
 ///
 /// The delta invariant is member-set based: an operator that changes a
 /// subgraph's member set marks **all** of that subgraph's (old and new)
-/// members, so an unmarked subgraph is guaranteed untouched and its cached
-/// evaluation terms can be reused. A DSE (buffer) perturbation marks no
-/// nodes — the buffer is part of every term's cache key, so the engine
-/// detects the change itself and drops the memo.
+/// members, so an unmarked subgraph is guaranteed untouched and repair may
+/// take it for the parent's. A DSE (buffer) perturbation marks no nodes —
+/// repair compares the buffer against the parent memo's itself and asks
+/// `fits` again when any component shrank.
 pub(crate) fn mutate_with_delta(
     ctx: &SearchContext<'_>,
     graph: &Graph,

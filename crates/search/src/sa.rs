@@ -148,9 +148,9 @@ pub struct SaDriver {
     phase: SaPhase,
     current: Option<Genome>,
     current_cost: f64,
-    /// The current state's breakdown (seeds each neighbor's incremental
-    /// hint); the best state's breakdown restores it on restarts. Both are
-    /// in-memory only — a resumed run re-derives them lazily.
+    /// The current state's memo (seeds each neighbor's repair through its
+    /// hint); the best state's memo restores it on restarts. Both are
+    /// in-memory only — a resumed run's first neighbors repair unseeded.
     current_memo: Option<Arc<EvalMemo>>,
     best_memo: Option<Arc<EvalMemo>>,
     temperature: f64,

@@ -2,7 +2,7 @@
 //!
 //! Drives seeded random mutation / repair / crossover walks through
 //! `SearchContext::evaluate_candidates` — the same operator shapes the GA
-//! uses, including incremental [`EvalHint`]s — and asserts that every
+//! uses, including repair-seeding [`EvalHint`]s — and asserts that every
 //! dispatch shape the engine can take ({1, 4} worker threads × {chunk 1,
 //! auto} × {inline threshold 0, default}) is **bit-identical** to serial
 //! evaluation on every observable output: the full cost stream, the final
@@ -63,7 +63,7 @@ fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
                 0 => {
                     // Move-node mutation with the GA's member-set delta
                     // discipline: donor and receiver subgraphs are fully
-                    // touched, so unmarked terms are reusable.
+                    // touched, so unmarked subgraphs are the parent's.
                     let mut child = genomes[i].clone();
                     let mut delta = PartitionDelta::clean(model.len());
                     for _ in 0..rng.gen_range(1..4u32) {
@@ -81,7 +81,7 @@ fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
                 }
                 1 => {
                     // Single-point assignment crossover; the delta is the
-                    // honest fingerprint diff against the parent memo.
+                    // honest member-set diff against the parent.
                     let j = rng.gen_range(0..POP);
                     let cut = rng.gen_range(0..=model.len());
                     let a = genomes[i].partition.assignment();
@@ -90,13 +90,14 @@ fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
                     assignment.extend_from_slice(&b[cut..]);
                     let child = Genome::new(Partition::from_assignment(assignment), BUFFER);
                     let hint = memos[i].clone().map(|memo| {
-                        let delta = memo.fingerprints().delta_against(&child.partition);
+                        let delta =
+                            PartitionDelta::between(&genomes[i].partition, &child.partition);
                         EvalHint { memo, delta }
                     });
                     EvalCandidate::with_hint(child, hint)
                 }
-                // Re-evaluation without a hint: the cache-composition
-                // path (an exact roll-up hit after round one).
+                // Re-evaluation without a hint: unseeded repair, then an
+                // exact roll-up hit after round one.
                 _ => EvalCandidate::new(genomes[i].clone()),
             })
             .collect();

@@ -509,8 +509,8 @@ impl<'g> Evaluator<'g> {
     /// Each subgraph is scored by [`eval_subgraph`](Self::eval_subgraph)
     /// (its `next_wgt` input taken from the successor's statistics) and the
     /// terms are rolled up with [`PartitionReport::from_parts`] — the same
-    /// composition the incremental evaluation path performs from cached
-    /// terms, so both paths are bit-identical by construction.
+    /// in-order fold the engine performs from cached statistics, so both
+    /// paths are bit-identical by construction.
     ///
     /// Subgraphs whose footprints exceed the buffers (or whose region count
     /// exceeds the region manager) are flagged in

@@ -58,8 +58,8 @@ pub struct PartitionReport {
 
 impl PartitionReport {
     /// Composes a whole-partition report from per-subgraph parts in
-    /// execution order — the associative roll-up of the incremental
-    /// evaluation path.
+    /// execution order — the same roll-up the engine's composition fold
+    /// performs.
     ///
     /// The only cross-subgraph coupling of the cost model is the
     /// successor's weight prefetch, and it is already folded into each

@@ -38,8 +38,7 @@
 //!   handed to the pool — one per funded candidate — chunked hand-off
 //!   units, and batches run inline on the caller)
 //! - `engine.cache.partition.hits` / `.misses` / `.evictions`, and
-//!   `engine.subgraph.scorings` / `.reused` (terms computed fresh vs.
-//!   copied from a parent's memo)
+//!   `engine.subgraph.scorings` (subgraph terms computed)
 //! - `search.step_ns` (span), `search.improvement` (event),
 //!   `search.budget.used` (gauge)
 //! - `sim.subgraph_stats_ns` (derivation latency on stats-cache misses)

@@ -156,21 +156,40 @@ fn eviction_victims_are_deterministic_across_identical_runs() {
 
 #[test]
 fn roll_up_cache_hits_seed_offspring_memos() {
-    // Memo-on-hit (ROADMAP item): genomes scored from the partition
-    // roll-up cache still hand breakdowns to their offspring, so the
-    // fraction of terms answered without a fresh scoring rises. Observable
-    // signal: a GA run reuses memo terms even when many evaluations are
-    // cache hits, and memo reuse answers a sizeable share of term requests
-    // (about a fifth on this run; every other term is computed from the
-    // evaluator's cached statistics).
-    let result = explore(SearchMethod::ga(), 1, 800);
-    assert!(result.stats.cache_hits > 0);
-    assert!(result.stats.subgraph_reused > 0);
-    assert!(
-        result.stats.subgraph_hit_rate() > 0.1,
-        "memo reuse must answer a sizeable share of term requests \
-         (got {:.0}%)",
-        result.stats.subgraph_hit_rate() * 100.0
+    // Every successful score hands out a memo, cache hits included — even
+    // hits on entries restored from a cache file, which carry none of
+    // their own. So a GA warm-started from the file a cold run filled
+    // (every probe hits) seeds its offspring's repair exactly as the cold
+    // run did: same results, same `fits` calls.
+    let dir = std::env::temp_dir().join(format!("cocco-warm-seeds-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cache.json");
+    let run = || {
+        let telemetry = Telemetry::enabled();
+        let result = Cocco::new()
+            .with_budget(600)
+            .with_seed(21)
+            .with_engine(EngineConfig::serial())
+            .with_telemetry(telemetry.clone())
+            .with_cache_file(&path)
+            .explore(&cocco::graph::models::googlenet())
+            .unwrap();
+        (result, telemetry.snapshot().counter("sim.fits_calls"))
+    };
+    let (cold, cold_fits) = run();
+    let (warm, warm_fits) = run();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(cold.cost, warm.cost);
+    assert_eq!(cold.genome, warm.genome);
+    assert_eq!(cold.trace, warm.trace);
+    assert_eq!(
+        warm.stats.cache_hits, warm.stats.evals,
+        "every warm probe hits"
+    );
+    assert!(cold_fits > 0);
+    assert_eq!(
+        warm_fits, cold_fits,
+        "warm offspring must take the parent seeds the cold run took"
     );
 }
 
@@ -192,12 +211,7 @@ fn engine_counters_are_thread_count_invariant() {
         .with_engine(EngineConfig::with_threads(threads));
         SearchMethod::ga().with_seed(21).run(&ctx);
         let s = ctx.engine().stats();
-        (
-            s.evals,
-            s.cache_hits,
-            s.subgraph_scorings,
-            s.subgraph_reused,
-        )
+        (s.evals, s.cache_hits, s.subgraph_scorings)
     };
     let serial = counters(1);
     for threads in [2, 4] {

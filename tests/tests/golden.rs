@@ -25,7 +25,7 @@ const HEADER: &str = "# model method seed cost_bits genome_hash trace_hash snaps
 
 fn methods() -> [(&'static str, SearchMethod); 5] {
     // A small population, so the budget covers several generations and
-    // offspring carry incremental hints.
+    // offspring carry parent hints.
     let ga = GaConfig {
         population: 20,
         ..GaConfig::default()

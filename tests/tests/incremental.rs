@@ -1,12 +1,12 @@
-//! Incremental (subgraph-granular) evaluation: bit-identity with the
-//! whole-partition evaluator over random mutation sequences, across thread
-//! counts, and for every stochastic searcher — the acceptance tests of the
-//! delta pipeline.
+//! Mutation walks and hinted evaluation: exact deltas over random
+//! mutation sequences, and bit-identity with the whole-partition evaluator
+//! over those walks, across thread counts and for every stochastic
+//! searcher.
 
 use cocco::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
 /// One random partition edit in the style of the GA operators, recording
 /// the touched subgraphs into `delta` under the member-set invariant
@@ -67,31 +67,30 @@ fn random_edit(g: &Graph, p: &mut Partition, delta: &mut PartitionDelta, rng: &m
 }
 
 #[test]
-fn incrementally_maintained_fingerprints_equal_from_scratch_fingerprints() {
-    // The fingerprint property test of the zero-rehash cache identity:
-    // over random mutation + repair sequences, refreshing only the dirty
-    // subgraphs' fingerprints must reproduce a from-scratch recomputation,
-    // bit for bit, on every step.
+fn between_marks_exactly_the_changed_member_sets_over_mutation_walks() {
+    // The crossover delta's oracle: over random mutation + repair walks, a
+    // node is dirty in `PartitionDelta::between` iff its member set (from
+    // `Partition::subgraphs`) is not one of the previous partition's. The
+    // walk's own delta, recorded by the edits and repair, covers it.
     for model in ["randwire-a", "resnet50"] {
         let g = cocco::graph::models::by_name(model).unwrap();
         let mut rng = StdRng::seed_from_u64(0xF19E5);
         let mut partition = repair(&g, Partition::connected_groups(&g, 4), &|m| m.len() <= 12);
-        let mut fps = PartitionFingerprints::compute(&partition);
         for step in 0..80 {
+            let before = partition.clone();
             let mut delta = PartitionDelta::clean(g.len());
             for _ in 0..rng.gen_range(1..=3u32) {
                 random_edit(&g, &mut partition, &mut delta, &mut rng);
             }
             partition = repair_with_delta(&g, partition, &|m| m.len() <= 12, &mut delta);
-            fps = fps.refresh(&partition, &delta);
-            assert_eq!(
-                fps,
-                PartitionFingerprints::compute(&partition),
-                "{model} step {step}: incremental fingerprints diverged from recompute"
-            );
-            // And the by-position view matches the member lists.
-            for (members, &fp) in partition.subgraphs().iter().zip(fps.positions()) {
-                assert_eq!(fp, NodeSetFp::of_members(members), "{model} step {step}");
+            let between = PartitionDelta::between(&before, &partition);
+            let old_sets: BTreeSet<Vec<NodeId>> = before.subgraphs().into_iter().collect();
+            for members in partition.subgraphs() {
+                let changed = !old_sets.contains(&members);
+                for &m in &members {
+                    assert_eq!(between.is_dirty(m), changed, "{model} step {step}: {m:?}");
+                    assert!(!changed || delta.is_dirty(m), "{model} step {step}: {m:?}");
+                }
             }
         }
     }
@@ -113,50 +112,32 @@ fn incremental_scoring_is_bit_identical_over_random_mutation_sequences() {
 
         let mut rng = StdRng::seed_from_u64(0xDE17A);
         let mut partition = repair(&g, Partition::connected_groups(&g, 4), &fits);
-        let (scored, memo) =
-            engine.score_composed(&evaluator, &partition.subgraphs(), &buffer, options);
-        assert!(!scored.error, "{model}: seed partition must score");
-        let mut memo: Arc<EvalMemo> = memo.expect("first composition returns a memo");
-
-        let mut reused_total = 0u64;
         for step in 0..60 {
-            // Mutate (1-3 edits), repair, then score through the delta path
-            // and compare against the whole-partition evaluator, bit for
-            // bit.
+            // Mutate (1-3 edits), repair, then score and compare against
+            // the whole-partition evaluator, bit for bit.
             let mut delta = PartitionDelta::clean(g.len());
             for _ in 0..rng.gen_range(1..=3u32) {
                 random_edit(&g, &mut partition, &mut delta, &mut rng);
             }
             partition = repair_with_delta(&g, partition, &fits, &mut delta);
-            let subgraphs = partition.subgraphs();
-            let dirty = delta.dirty_subgraphs(&partition);
-            let before = engine.stats().subgraph_reused;
-            let (incremental, next_memo) =
-                engine.score_delta(&evaluator, &subgraphs, &buffer, options, &memo, &dirty);
-            reused_total += engine.stats().subgraph_reused - before;
+            let (scored, memo) = engine.score_partition(&evaluator, &partition, &buffer, options);
             let full = evaluator
-                .eval_partition(&subgraphs, &buffer, options)
+                .eval_partition(&partition.subgraphs(), &buffer, options)
                 .unwrap();
             assert_eq!(
-                incremental.ema_bytes, full.ema_bytes,
+                scored.ema_bytes, full.ema_bytes,
                 "{model} step {step}: EMA diverged"
             );
             assert_eq!(
-                incremental.energy_pj, full.energy_pj,
+                scored.energy_pj, full.energy_pj,
                 "{model} step {step}: energy diverged (must be bit-identical)"
             );
-            assert_eq!(
-                incremental.fits, full.fits,
-                "{model} step {step}: fits diverged"
+            assert_eq!(scored.fits, full.fits, "{model} step {step}: fits diverged");
+            assert!(
+                memo.is_some(),
+                "{model} step {step}: a good score has a memo"
             );
-            if let Some(next) = next_memo {
-                memo = next;
-            }
         }
-        assert!(
-            reused_total > 0,
-            "{model}: the walk never reused a term — the delta path is dead"
-        );
     }
 }
 
@@ -189,8 +170,8 @@ fn resnet_run(
 fn ga_sa_twostep_incremental_matches_full_path_at_any_thread_count() {
     // The acceptance criterion: seeded GA/SA/two-step runs on resnet50
     // produce bit-identical best cost, genome and trace serial and
-    // parallel, reuse memoized subgraph terms, and report exactly the cost
-    // the whole-partition evaluator (the full path) gives the best genome.
+    // parallel, and report exactly the cost the whole-partition evaluator
+    // (the full path) gives the best genome.
     let g = cocco::graph::models::resnet50();
     let evaluator = Evaluator::new(&g, AcceleratorConfig::default());
     let objective = Objective::paper_energy_capacity();
@@ -220,10 +201,6 @@ fn ga_sa_twostep_incremental_matches_full_path_at_any_thread_count() {
                 "{name}: trace diverged at {threads} threads"
             );
         }
-        assert!(
-            reference.3.subgraph_reused > 0,
-            "{name}: the incremental path never reused a memoized term"
-        );
         let best = reference.1.as_ref().expect("the search found a design");
         let full = evaluator
             .eval_partition(
@@ -267,36 +244,8 @@ fn persistent_and_serial_pools_are_bit_identical() {
             );
             assert_eq!(
                 run.3.stats_canonicalize_fallbacks, 0,
-                "{name}: incremental path sorted member copies at {threads} threads"
+                "{name}: scoring sorted member copies at {threads} threads"
             );
         }
     }
-}
-
-#[test]
-fn delta_reuse_survives_dse_buffer_changes() {
-    // A DSE mutation changes the buffer without touching the partition;
-    // the engine must detect the stale memo itself and still be exact.
-    let g = cocco::graph::models::googlenet();
-    let evaluator = Evaluator::new(&g, AcceleratorConfig::default());
-    let engine = Engine::new(EngineConfig::serial());
-    let options = EvalOptions::default();
-    let partition = repair(&g, Partition::connected_groups(&g, 3), &|_| true);
-    let subgraphs = partition.subgraphs();
-    let small = BufferConfig::shared(1 << 20);
-    let large = BufferConfig::shared(2 << 20);
-    let (_, memo) = engine.score_composed(&evaluator, &subgraphs, &small, options);
-    let memo = memo.unwrap();
-    let dirty = vec![false; subgraphs.len()];
-    let (scored, _) = engine.score_delta(&evaluator, &subgraphs, &large, options, &memo, &dirty);
-    let full = evaluator
-        .eval_partition(&subgraphs, &large, options)
-        .unwrap();
-    assert_eq!(scored.energy_pj, full.energy_pj);
-    assert_eq!(scored.ema_bytes, full.ema_bytes);
-    assert_eq!(
-        engine.stats().subgraph_reused,
-        0,
-        "terms under another buffer must never be reused"
-    );
 }
