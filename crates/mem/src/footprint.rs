@@ -1,7 +1,13 @@
 //! Subgraph memory footprints derived from an execution scheme.
+//!
+//! The footprint formula exists once, per node: [`node_footprint`] sizes
+//! the MAIN and SIDE regions of one covered node. [`subgraph_footprint`]
+//! folds it into totals plus a per-node breakdown, and the evaluator's
+//! statistics pass sums the same function without building the
+//! breakdown.
 
 use cocco_graph::{Graph, NodeId};
-use cocco_tiling::ExecutionScheme;
+use cocco_tiling::{ExecutionScheme, NodeScheme};
 use serde::{Deserialize, Serialize};
 
 /// Byte footprint of one node's regions.
@@ -18,6 +24,43 @@ impl NodeFootprint {
     /// Total bytes of both regions.
     pub fn total(&self) -> u64 {
         self.main_bytes + self.side_bytes
+    }
+
+    /// Logical regions: one MAIN region, plus a SIDE region when it is
+    /// non-empty.
+    pub fn regions(&self) -> usize {
+        1 + usize::from(self.side_bytes > 0)
+    }
+}
+
+/// The regions of node `id`, covered by a subgraph's scheme as `s`, with
+/// `elem_bytes`-wide tensor elements.
+///
+/// # Examples
+///
+/// ```
+/// use cocco_mem::footprint::node_footprint;
+/// use cocco_tiling::{derive_scheme, Mapper};
+///
+/// let g = cocco_graph::models::chain(2);
+/// let members: Vec<_> = g.node_ids().collect();
+/// let scheme = derive_scheme(&g, &members, &Mapper::default()).unwrap();
+/// for (id, s) in scheme.iter() {
+///     assert!(node_footprint(&g, id, s, 1).main_bytes > 0);
+/// }
+/// ```
+pub fn node_footprint(graph: &Graph, id: NodeId, s: &NodeScheme, elem_bytes: u64) -> NodeFootprint {
+    let shape = graph.node(id).out_shape();
+    let c = u64::from(shape.c);
+    let main = u64::from(s.tile.h) * u64::from(s.tile.w) * c * elem_bytes;
+    let side = if s.interior_consumed {
+        u64::from(s.overlap_rows()) * u64::from(shape.w.saturating_sub(s.tile.w)) * c * elem_bytes
+    } else {
+        0
+    };
+    NodeFootprint {
+        main_bytes: main,
+        side_bytes: side,
     }
 }
 
@@ -74,26 +117,10 @@ pub fn subgraph_footprint(
     let mut regions = 0usize;
     let mut per_node = Vec::with_capacity(scheme.len());
     for (id, s) in scheme.iter() {
-        let shape = graph.node(id).out_shape();
-        let c = u64::from(shape.c);
-        let main = u64::from(s.tile.h) * u64::from(s.tile.w) * c * elem_bytes;
-        let side = if s.interior_consumed {
-            u64::from(s.overlap_rows())
-                * u64::from(shape.w.saturating_sub(s.tile.w))
-                * c
-                * elem_bytes
-        } else {
-            0
-        };
-        regions += 1 + usize::from(side > 0);
-        activation += main + side;
-        per_node.push((
-            id,
-            NodeFootprint {
-                main_bytes: main,
-                side_bytes: side,
-            },
-        ));
+        let node = node_footprint(graph, id, s, elem_bytes);
+        regions += node.regions();
+        activation += node.total();
+        per_node.push((id, node));
     }
     let weight_bytes: u64 = members
         .iter()

@@ -229,7 +229,7 @@ impl SearchDriver for DpDriver {
         let mut partition = Partition::from_assignment(assignment);
         partition.canonicalize(graph);
         let cost = ctx.partition_cost(&partition, &buffer);
-        self.outcome.consider(Genome::new(partition, buffer), cost);
+        self.outcome.consider(&Genome::new(partition, buffer), cost);
         Step::Done
     }
 

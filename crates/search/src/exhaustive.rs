@@ -262,7 +262,7 @@ impl ExhaustiveDriver {
         let mut partition = Partition::from_assignment(assignment);
         partition.canonicalize(graph);
         let cost = ctx.partition_cost(&partition, &buffer);
-        self.outcome.consider(Genome::new(partition, buffer), cost);
+        self.outcome.consider(&Genome::new(partition, buffer), cost);
         Step::Done
     }
 }

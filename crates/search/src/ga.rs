@@ -388,7 +388,7 @@ impl SearchDriver for GaDriver {
                 for candidate in evaluated {
                     let Some(cost) = candidate.cost else { break };
                     self.outcome.samples += 1;
-                    self.outcome.consider(candidate.genome.clone(), cost);
+                    self.outcome.consider(&candidate.genome, cost);
                     self.population.push(Member {
                         genome: candidate.genome,
                         cost,
@@ -404,7 +404,7 @@ impl SearchDriver for GaDriver {
                 for candidate in evaluated {
                     let Some(cost) = candidate.cost else { break };
                     self.outcome.samples += 1;
-                    self.outcome.consider(candidate.genome.clone(), cost);
+                    self.outcome.consider(&candidate.genome, cost);
                     pool.push(Member {
                         genome: candidate.genome,
                         cost,

@@ -177,7 +177,7 @@ impl SearchDriver for GreedyDriver {
                 // Converged: score the result.
                 partition.canonicalize(graph);
                 let cost = ctx.partition_cost(&partition, &buffer);
-                self.outcome.consider(Genome::new(partition, buffer), cost);
+                self.outcome.consider(&Genome::new(partition, buffer), cost);
                 self.done = true;
                 Step::Done
             }

@@ -35,11 +35,12 @@ impl SearchOutcome {
         }
     }
 
-    /// Folds another candidate into this outcome, keeping the lower cost.
-    pub fn consider(&mut self, genome: Genome, cost: f64) {
+    /// Folds another candidate into this outcome, keeping the lower cost;
+    /// `genome` is cloned only when it improves on the best.
+    pub fn consider(&mut self, genome: &Genome, cost: f64) {
         if cost < self.best_cost {
             self.best_cost = cost;
-            self.best = Some(genome);
+            self.best = Some(genome.clone());
         }
     }
 }
@@ -64,11 +65,11 @@ mod tests {
     fn consider_keeps_minimum() {
         let mut o = SearchOutcome::empty();
         let g = |c| Genome::new(Partition::singletons(3), BufferConfig::shared(c));
-        o.consider(g(1), 5.0);
-        o.consider(g(2), 9.0);
+        o.consider(&g(1), 5.0);
+        o.consider(&g(2), 9.0);
         assert_eq!(o.best_cost, 5.0);
         assert_eq!(o.best.as_ref().unwrap().buffer.total_bytes(), 1);
-        o.consider(g(3), 2.0);
+        o.consider(&g(3), 2.0);
         assert_eq!(o.best_cost, 2.0);
     }
 }

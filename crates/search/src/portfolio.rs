@@ -191,7 +191,7 @@ impl PortfolioDriver {
                 completed &= sub.completed;
             }
             if let Some(best) = sub.best {
-                self.outcome.consider(best, sub.best_cost);
+                self.outcome.consider(&best, sub.best_cost);
             }
         }
         self.outcome.samples = samples;

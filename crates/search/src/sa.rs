@@ -257,11 +257,11 @@ impl SearchDriver for SaDriver {
                     return;
                 };
                 self.outcome.samples += 1;
-                self.current = Some(candidate.genome.clone());
+                self.outcome.consider(&candidate.genome, cost);
+                self.current = Some(candidate.genome);
                 self.current_cost = cost;
                 self.current_memo = candidate.memo;
                 self.best_memo = self.current_memo.clone();
-                self.outcome.consider(candidate.genome, cost);
                 // Temperature in absolute cost units.
                 let scale = if cost.is_finite() { cost } else { 1.0 };
                 self.temperature = cfg.initial_temperature * scale;
@@ -276,7 +276,7 @@ impl SearchDriver for SaDriver {
                     };
                     self.outcome.samples += 1;
                     let improved = cost < self.outcome.best_cost;
-                    self.outcome.consider(candidate.genome.clone(), cost);
+                    self.outcome.consider(&candidate.genome, cost);
                     if improved {
                         self.best_memo = candidate.memo.clone();
                     }

@@ -348,7 +348,7 @@ impl TwoStepDriver {
         if let Some(best) = sub.best {
             let cost = slot.buffer.total_bytes() as f64 + alpha * sub.best_cost;
             self.outcome
-                .consider(Genome::new(best.partition, slot.buffer), cost);
+                .consider(&Genome::new(best.partition, slot.buffer), cost);
         }
     }
 
@@ -529,7 +529,7 @@ impl SearchDriver for TwoStepDriver {
                 outcome.samples += sub.samples;
                 if let Some(best) = sub.best {
                     let cost = slot.buffer.total_bytes() as f64 + alpha * sub.best_cost;
-                    outcome.consider(Genome::new(best.partition, slot.buffer), cost);
+                    outcome.consider(&Genome::new(best.partition, slot.buffer), cost);
                 }
             }
         }

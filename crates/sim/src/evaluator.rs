@@ -6,7 +6,7 @@ use crate::cost::SubgraphStats;
 use crate::error::SimError;
 use crate::report::{PartitionReport, SubgraphReport};
 use cocco_graph::{BuildFpHasher, EdgeReq, Graph, LayerOp, NodeId, NodeSetFp};
-use cocco_mem::footprint::subgraph_footprint;
+use cocco_mem::footprint::node_footprint;
 use cocco_telemetry::{Histogram, Stopwatch, Telemetry};
 use cocco_tiling::derive_scheme;
 use std::collections::HashMap;
@@ -333,23 +333,81 @@ impl<'g> Evaluator<'g> {
         Ok(stats)
     }
 
+    /// Derives the statistics of the ascending member list `members` from
+    /// its execution scheme, which already lists the distinct boundary
+    /// producers; membership is a binary search over `members`, so nothing
+    /// graph-sized is allocated.
     fn compute_stats(&self, members: &[NodeId]) -> Result<SubgraphStats, SimError> {
         let graph = self.graph;
         let elem = self.config.elem_bytes;
         let scheme = derive_scheme(graph, members, &self.config.mapper)?;
-        let fp = subgraph_footprint(graph, members, &scheme, elem);
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
+        let is_member = |id: NodeId| members.binary_search(&id).is_ok();
 
-        let mut member = vec![false; graph.len()];
+        let mut stats = SubgraphStats::default();
+        // Members: weights, compute (the f64 sum in member order),
+        // model-input loads, boundary outputs, and the window reads of
+        // each distinct producer's tensor.
+        let mut producers: Vec<NodeId> = Vec::new();
         for &m in members {
-            member[m.index()] = true;
+            let i = m.index();
+            stats.ema_wgt_bytes += self.weight_bytes[i];
+            stats.macs += self.macs[i];
+            stats.compute_cycles += self.cycles[i];
+            if self.is_input[i] {
+                stats.ema_in_bytes += self.out_bytes[i];
+            }
+            let consumers = graph.consumers(m);
+            if consumers.is_empty() || consumers.iter().any(|&c| !is_member(c)) {
+                stats.ema_out_bytes += self.out_bytes[i];
+            }
+            producers.clear();
+            producers.extend_from_slice(graph.producers(m));
+            producers.sort_unstable();
+            producers.dedup();
+            for &p in &producers {
+                let reuse = match graph.edge_req(p, m) {
+                    EdgeReq::Sliding(k) => {
+                        let rh = f64::from(k.size.h) / f64::from(k.stride.h.max(1));
+                        let rw = f64::from(k.size.w) / f64::from(k.stride.w.max(1));
+                        (rh * rw).max(1.0)
+                    }
+                    EdgeReq::Full => f64::from(graph.node(m).out_shape().h).max(1.0),
+                };
+                stats.glb_access_bytes += (self.out_bytes[p.index()] as f64 * reuse) as u64;
+            }
+        }
+        // The weight footprint is exactly the members' weights.
+        stats.wgt_footprint_bytes = stats.ema_wgt_bytes;
+
+        // Covered nodes: buffer regions, boundary-input loads, on-chip
+        // traffic and multi-core halo, from the execution scheme.
+        for (id, s) in scheme.iter() {
+            let i = id.index();
+            let footprint = node_footprint(graph, id, s, elem);
+            stats.act_footprint_bytes += footprint.total();
+            stats.regions += footprint.regions();
+            // Boundary inputs are exactly the distinct outside producers.
+            if s.boundary_input {
+                stats.ema_in_bytes += self.out_bytes[i];
+            }
+            // Every covered tensor streams through the global buffer once.
+            stats.glb_access_bytes += self.out_bytes[i];
+            if s.interior_consumed {
+                let shape = graph.node(id).out_shape();
+                stats.halo_bytes_per_cut +=
+                    u64::from(s.overlap_rows()) * u64::from(shape.w) * u64::from(shape.c) * elem;
+            }
+            // Weight-stationary tiling re-reads a layer's weights once per
+            // tile of its own output.
+            if !s.boundary_input && self.weight_bytes[i] > 0 {
+                let shape = graph.node(id).out_shape();
+                let tiles = u64::from(shape.h.div_ceil(s.delta.h.max(1)))
+                    * u64::from(shape.w.div_ceil(s.delta.w.max(1)));
+                stats.wgt_access_bytes += self.weight_bytes[i].saturating_mul(tiles.max(1));
+            }
         }
 
-        let mut stats = SubgraphStats {
-            act_footprint_bytes: fp.activation_bytes,
-            wgt_footprint_bytes: fp.weight_bytes,
-            regions: fp.regions,
-            ..Default::default()
-        };
         // Minimal weight residency: a lone layer streams weights one
         // output-channel slice (mac_cols wide) at a time.
         stats.wgt_resident_bytes = if members.len() == 1 {
@@ -364,70 +422,8 @@ impl<'g> Evaluator<'g> {
             };
             slice.min(self.weight_bytes[m.index()])
         } else {
-            fp.weight_bytes
+            stats.wgt_footprint_bytes
         };
-
-        // Members: weights, compute, model-input loads, boundary outputs.
-        for &m in members {
-            let i = m.index();
-            stats.ema_wgt_bytes += self.weight_bytes[i];
-            stats.macs += self.macs[i];
-            stats.compute_cycles += self.cycles[i];
-            if self.is_input[i] {
-                stats.ema_in_bytes += self.out_bytes[i];
-            }
-            let consumers = graph.consumers(m);
-            if consumers.is_empty() || consumers.iter().any(|c| !member[c.index()]) {
-                stats.ema_out_bytes += self.out_bytes[i];
-            }
-        }
-
-        // Boundary inputs: distinct producers outside the member set.
-        let mut counted = vec![false; graph.len()];
-        for &m in members {
-            for &p in graph.producers(m) {
-                if !member[p.index()] && !counted[p.index()] {
-                    counted[p.index()] = true;
-                    stats.ema_in_bytes += self.out_bytes[p.index()];
-                }
-            }
-        }
-
-        // On-chip traffic and multi-core halo, from the execution scheme.
-        for (id, s) in scheme.iter() {
-            // Every covered tensor streams through the global buffer once.
-            stats.glb_access_bytes += self.out_bytes[id.index()];
-            if s.interior_consumed {
-                let shape = graph.node(id).out_shape();
-                stats.halo_bytes_per_cut +=
-                    u64::from(s.overlap_rows()) * u64::from(shape.w) * u64::from(shape.c) * elem;
-            }
-            // Weight-stationary tiling re-reads a layer's weights once per
-            // tile of its own output.
-            if member[id.index()] && self.weight_bytes[id.index()] > 0 {
-                let shape = graph.node(id).out_shape();
-                let tiles = u64::from(shape.h.div_ceil(s.delta.h.max(1)))
-                    * u64::from(shape.w.div_ceil(s.delta.w.max(1)));
-                stats.wgt_access_bytes +=
-                    self.weight_bytes[id.index()].saturating_mul(tiles.max(1));
-            }
-        }
-        for &v in members {
-            let mut producers: Vec<NodeId> = graph.producers(v).to_vec();
-            producers.sort_unstable();
-            producers.dedup();
-            for p in producers {
-                let reuse = match graph.edge_req(p, v) {
-                    EdgeReq::Sliding(k) => {
-                        let rh = f64::from(k.size.h) / f64::from(k.stride.h.max(1));
-                        let rw = f64::from(k.size.w) / f64::from(k.stride.w.max(1));
-                        (rh * rw).max(1.0)
-                    }
-                    EdgeReq::Full => f64::from(graph.node(v).out_shape().h).max(1.0),
-                };
-                stats.glb_access_bytes += (self.out_bytes[p.index()] as f64 * reuse) as u64;
-            }
-        }
         Ok(stats)
     }
 
@@ -608,6 +604,7 @@ fn utilization(graph: &Graph, id: NodeId, config: &AcceleratorConfig) -> f64 {
 mod tests {
     use super::*;
     use crate::cost::CostMetric;
+    use cocco_mem::footprint::subgraph_footprint;
 
     fn per_layer(g: &Graph) -> Vec<Vec<NodeId>> {
         g.node_ids().map(|id| vec![id]).collect()
@@ -615,6 +612,203 @@ mod tests {
 
     fn whole(g: &Graph) -> Vec<Vec<NodeId>> {
         vec![g.node_ids().collect()]
+    }
+
+    /// The statistics pass the scheme-driven `compute_stats` replaced, kept
+    /// verbatim (graph-sized membership vectors, a `Vec` per member) as the
+    /// oracle the property test compares against.
+    fn reference_stats(
+        eval: &Evaluator<'_>,
+        members: &[NodeId],
+    ) -> Result<SubgraphStats, SimError> {
+        let graph = eval.graph;
+        let elem = eval.config.elem_bytes;
+        let scheme = derive_scheme(graph, members, &eval.config.mapper)?;
+        let fp = subgraph_footprint(graph, members, &scheme, elem);
+
+        let mut member = vec![false; graph.len()];
+        for &m in members {
+            member[m.index()] = true;
+        }
+
+        let mut stats = SubgraphStats {
+            act_footprint_bytes: fp.activation_bytes,
+            wgt_footprint_bytes: fp.weight_bytes,
+            regions: fp.regions,
+            ..Default::default()
+        };
+        // Minimal weight residency: a lone layer streams weights one
+        // output-channel slice (mac_cols wide) at a time.
+        stats.wgt_resident_bytes = if members.len() == 1 {
+            let m = members[0];
+            let slice = match graph.node(m).op() {
+                LayerOp::Conv { kernel, c_out } => {
+                    let c_in = graph.in_shapes(m).first().map_or(0, |s| u64::from(s.c));
+                    let per_out = kernel.size.area() * c_in * elem;
+                    per_out * u64::from((*c_out).min(eval.config.mac_cols))
+                }
+                _ => eval.weight_bytes[m.index()],
+            };
+            slice.min(eval.weight_bytes[m.index()])
+        } else {
+            fp.weight_bytes
+        };
+
+        // Members: weights, compute, model-input loads, boundary outputs.
+        for &m in members {
+            let i = m.index();
+            stats.ema_wgt_bytes += eval.weight_bytes[i];
+            stats.macs += eval.macs[i];
+            stats.compute_cycles += eval.cycles[i];
+            if eval.is_input[i] {
+                stats.ema_in_bytes += eval.out_bytes[i];
+            }
+            let consumers = graph.consumers(m);
+            if consumers.is_empty() || consumers.iter().any(|c| !member[c.index()]) {
+                stats.ema_out_bytes += eval.out_bytes[i];
+            }
+        }
+
+        // Boundary inputs: distinct producers outside the member set.
+        let mut counted = vec![false; graph.len()];
+        for &m in members {
+            for &p in graph.producers(m) {
+                if !member[p.index()] && !counted[p.index()] {
+                    counted[p.index()] = true;
+                    stats.ema_in_bytes += eval.out_bytes[p.index()];
+                }
+            }
+        }
+
+        // On-chip traffic and multi-core halo, from the execution scheme.
+        for (id, s) in scheme.iter() {
+            // Every covered tensor streams through the global buffer once.
+            stats.glb_access_bytes += eval.out_bytes[id.index()];
+            if s.interior_consumed {
+                let shape = graph.node(id).out_shape();
+                stats.halo_bytes_per_cut +=
+                    u64::from(s.overlap_rows()) * u64::from(shape.w) * u64::from(shape.c) * elem;
+            }
+            // Weight-stationary tiling re-reads a layer's weights once per
+            // tile of its own output.
+            if member[id.index()] && eval.weight_bytes[id.index()] > 0 {
+                let shape = graph.node(id).out_shape();
+                let tiles = u64::from(shape.h.div_ceil(s.delta.h.max(1)))
+                    * u64::from(shape.w.div_ceil(s.delta.w.max(1)));
+                stats.wgt_access_bytes +=
+                    eval.weight_bytes[id.index()].saturating_mul(tiles.max(1));
+            }
+        }
+        for &v in members {
+            let mut producers: Vec<NodeId> = graph.producers(v).to_vec();
+            producers.sort_unstable();
+            producers.dedup();
+            for p in producers {
+                let reuse = match graph.edge_req(p, v) {
+                    EdgeReq::Sliding(k) => {
+                        let rh = f64::from(k.size.h) / f64::from(k.stride.h.max(1));
+                        let rw = f64::from(k.size.w) / f64::from(k.stride.w.max(1));
+                        (rh * rw).max(1.0)
+                    }
+                    EdgeReq::Full => f64::from(graph.node(v).out_shape().h).max(1.0),
+                };
+                stats.glb_access_bytes += (eval.out_bytes[p.index()] as f64 * reuse) as u64;
+            }
+        }
+        Ok(stats)
+    }
+
+    /// Member lists on `g`: connected and depth groups at several `L`,
+    /// seeded random subsets (sorted and shuffled), each with a duplicate
+    /// and with an out-of-range id, plus the empty list.
+    fn member_families(g: &Graph, seed: u64) -> Vec<Vec<NodeId>> {
+        use cocco_partition::Partition;
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let n = g.len();
+        let mut sets: Vec<Vec<NodeId>> = vec![Vec::new(), g.node_ids().collect()];
+        for l in [1, 2, 3, 5, 8, 13, 21, 1000] {
+            sets.extend(Partition::connected_groups(g, l).subgraphs());
+            sets.extend(Partition::depth_groups(g, l).subgraphs());
+        }
+        for round in 0..40 {
+            let size = 1 + (next() % (n as u64).min(40)) as usize;
+            let mut set: Vec<NodeId> = (0..size)
+                .map(|_| NodeId::from_index((next() % n as u64) as usize))
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+            sets.push(set.clone());
+            for i in (1..set.len()).rev() {
+                set.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            sets.push(set.clone());
+            let at = (next() % (set.len() as u64 + 1)) as usize;
+            let mut dup = set.clone();
+            dup.insert(at, set[round % set.len()]);
+            sets.push(dup);
+            set.insert(at, NodeId::from_index(n + round));
+            sets.push(set);
+        }
+        sets
+    }
+
+    #[test]
+    fn scheme_driven_stats_match_the_reference() {
+        let mut checked = 0usize;
+        for (name, build) in cocco_graph::models::registry() {
+            let g = build();
+            let eval = Evaluator::new(&g, AcceleratorConfig::default());
+            for members in member_families(&g, name.len() as u64) {
+                let mut sorted = members.clone();
+                sorted.sort_unstable();
+                let want = reference_stats(&eval, &sorted);
+                // Duplicates never reach `subgraph_stats` (debug builds
+                // assert it), so they go straight to the pass.
+                let distinct = sorted.windows(2).all(|w| w[0] < w[1]);
+                let got = if distinct {
+                    eval.subgraph_stats(&members)
+                } else {
+                    eval.compute_stats(&sorted)
+                };
+                assert_eq!(got, want, "{name}: members {members:?}");
+                if let (Ok(got), Ok(want)) = (got, want) {
+                    assert_eq!(
+                        got.compute_cycles.to_bits(),
+                        want.compute_cycles.to_bits(),
+                        "{name}: members {members:?}"
+                    );
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 5_000, "only {checked} member sets checked");
+    }
+
+    #[test]
+    fn subgraph_footprint_totals_equal_the_stats_footprint() {
+        // One footprint formula: the per-node breakdown and the
+        // evaluator's sum agree on every valid member set.
+        for (name, build) in cocco_graph::models::registry() {
+            let g = build();
+            let config = AcceleratorConfig::default();
+            let eval = Evaluator::new(&g, config.clone());
+            for members in member_families(&g, 7) {
+                let Ok(scheme) = derive_scheme(&g, &members, &config.mapper) else {
+                    continue;
+                };
+                let stats = eval.subgraph_stats(&members).unwrap();
+                let fp = subgraph_footprint(&g, &members, &scheme, config.elem_bytes);
+                assert_eq!(fp.activation_bytes, stats.act_footprint_bytes, "{name}");
+                assert_eq!(fp.weight_bytes, stats.wgt_footprint_bytes, "{name}");
+                assert_eq!(fp.regions, stats.regions, "{name}");
+            }
+        }
     }
 
     #[test]

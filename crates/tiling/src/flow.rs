@@ -1,11 +1,29 @@
 //! The three-stage consumption-centric derivation (paper §3.1, Fig. 5).
+//!
+//! [`derive_scheme`] works over dense *positions* in the subgraph's
+//! extended node set, the members plus their boundary producers:
+//!
+//! * the extended set is one ascending array of scheme entries, so
+//!   position order is topological order; one per-call `u32` map takes a
+//!   node id to its position (it also validates the member list, in the
+//!   reference's error precedence);
+//! * the member consumers of every position form one CSR whose rows are
+//!   ascending and deduplicated, each edge carrying its consumption
+//!   requirement;
+//! * stages 1–2 fill the entries in reverse position order, and stage 3
+//!   propagates `Option<Ratio>` rates by position with one reused DFS
+//!   stack, in the traversal order of the `BTreeMap` derivation it
+//!   replaced (so a strict run reports the same inconsistent node).
+//!
+//! That `BTreeMap` derivation survives verbatim as the test-only
+//! `reference` module, the oracle the property tests hold the dense one
+//! to, schemes and errors alike.
 
 use crate::error::TilingError;
 use crate::mapper::Mapper;
 use crate::ratio::{gcd, lcm, Ratio};
 use crate::scheme::{ExecutionScheme, NodeScheme};
 use cocco_graph::{Dims2, EdgeReq, Graph, NodeId};
-use std::collections::BTreeMap;
 
 /// Per-dimension view of an [`EdgeReq`] used by the backward derivation.
 #[derive(Copy, Clone, Debug)]
@@ -68,55 +86,15 @@ pub fn derive_scheme(
     members: &[NodeId],
     mapper: &Mapper,
 ) -> Result<ExecutionScheme, TilingError> {
-    if members.is_empty() {
-        return Err(TilingError::EmptySubgraph);
-    }
-    let n = graph.len();
-    let mut is_member = vec![false; n];
-    for &m in members {
-        if m.index() >= n {
-            return Err(TilingError::UnknownNode { node: m });
-        }
-        if is_member[m.index()] {
-            return Err(TilingError::DuplicateMember { node: m });
-        }
-        is_member[m.index()] = true;
-    }
+    let mut ext = Extended::build(graph, members)?;
 
-    // Extended set: members plus boundary producers, ascending (= topological).
-    let mut in_ext = vec![false; n];
-    for &m in members {
-        in_ext[m.index()] = true;
-        for &p in graph.producers(m) {
-            in_ext[p.index()] = true;
-        }
-    }
-    let ext: Vec<NodeId> = (0..n)
-        .map(NodeId::from_index)
-        .filter(|id| in_ext[id.index()])
-        .collect();
-
-    // Member consumers of each extended node (deduplicated).
-    let mut cons_in: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-    for &u in &ext {
-        let mut cs: Vec<NodeId> = graph
-            .consumers(u)
-            .iter()
-            .copied()
-            .filter(|c| is_member[c.index()])
-            .collect();
-        cs.sort_unstable();
-        cs.dedup();
-        cons_in.insert(u, cs);
-    }
-
-    // Stages 1-2: backward pass in reverse topological order.
-    let mut schemes: BTreeMap<NodeId, NodeScheme> = BTreeMap::new();
+    // Stages 1-2: backward pass in reverse topological (= position) order.
     let mut exact = true;
-    for &u in ext.iter().rev() {
-        let shape = graph.node(u).out_shape();
+    for u in (0..ext.entries.len()).rev() {
+        let id = ext.entries[u].0;
+        let shape = graph.node(id).out_shape();
         let extent = Dims2::new(shape.h, shape.w);
-        let consumers = &cons_in[&u];
+        let consumers = ext.consumers(u);
         let (delta, tile) = if consumers.is_empty() {
             let t = mapper.output_tile(shape);
             (t, t)
@@ -125,9 +103,9 @@ pub fn derive_scheme(
             // `Full` consumption edge demands the whole extent.
             let mut d = (1u64, 1u64);
             let mut full_edge = (false, false);
-            for &v in consumers {
-                let (rh, rw) = dim_reqs(graph.edge_req(u, v));
-                let vs = schemes[&v];
+            for &(v, req) in consumers {
+                let (rh, rw) = dim_reqs(req);
+                let vs = ext.entries[v as usize].1;
                 match rh {
                     DimReq::Full => full_edge.0 = true,
                     DimReq::Sliding { s, .. } => {
@@ -162,8 +140,8 @@ pub fn derive_scheme(
             };
             let d = Dims2::new(dh.max(1), dw.max(1));
             let mut t = d;
-            for &v in consumers {
-                let (rh, rw) = dim_reqs(graph.edge_req(u, v));
+            for &(_, req) in consumers {
+                let (rh, rw) = dim_reqs(req);
                 match rh {
                     DimReq::Full => t.h = extent.h,
                     DimReq::Sliding { f, s } => {
@@ -182,52 +160,148 @@ pub fn derive_scheme(
             }
             (d, t)
         };
+        let interior_consumed = !consumers.is_empty();
         // Reaching the tensor extent means "fully buffered" in that dim.
-        let full_h = delta.h >= extent.h;
-        let full_w = delta.w >= extent.w;
-        let delta = Dims2::new(delta.h.min(extent.h), delta.w.min(extent.w));
-        let tile = Dims2::new(
-            tile.h.min(extent.h).max(delta.h),
-            tile.w.min(extent.w).max(delta.w),
+        let s = &mut ext.entries[u].1;
+        s.full_h = delta.h >= extent.h;
+        s.full_w = delta.w >= extent.w;
+        s.delta = Dims2::new(delta.h.min(extent.h), delta.w.min(extent.w));
+        s.tile = Dims2::new(
+            tile.h.min(extent.h).max(s.delta.h),
+            tile.w.min(extent.w).max(s.delta.w),
         );
-        schemes.insert(
-            u,
-            NodeScheme {
-                delta,
-                tile,
-                upd_num: Dims2::new(1, 1),
-                full_h,
-                full_w,
-                boundary_input: !is_member[u.index()],
-                interior_consumed: !consumers.is_empty(),
-            },
-        );
+        s.interior_consumed = interior_consumed;
     }
 
     // Stage 3: co-prime upd_num per dimension via rational propagation.
     let strict = exact;
+    let mut scratch = UpdScratch::default();
     for dim in [Dim::H, Dim::W] {
-        match solve_upd(graph, &ext, &cons_in, &schemes, dim, strict) {
-            Ok(upd) => {
-                for (&id, value) in &upd {
-                    // cocco-audit: allow(R1) solve_upd returns one entry per ext node, and schemes covers ext
-                    let s = schemes.get_mut(&id).expect("scheme exists");
-                    match dim {
-                        Dim::H => s.upd_num.h = *value,
-                        Dim::W => s.upd_num.w = *value,
-                    }
-                }
+        if let Err(e) = solve_upd(graph, &mut ext, dim, strict, &mut scratch) {
+            if strict {
+                return Err(e);
             }
-            Err(e) => {
-                if strict {
-                    return Err(e);
-                }
-                exact = false;
-            }
+            exact = false;
         }
     }
 
-    Ok(ExecutionScheme::new(schemes.into_iter().collect(), exact))
+    Ok(ExecutionScheme::new(ext.entries, exact))
+}
+
+/// A scheme entry before stages 1–3 fill it in.
+const UNDERIVED: NodeScheme = NodeScheme {
+    delta: Dims2 { h: 1, w: 1 },
+    tile: Dims2 { h: 1, w: 1 },
+    upd_num: Dims2 { h: 1, w: 1 },
+    full_h: false,
+    full_w: false,
+    boundary_input: false,
+    interior_consumed: false,
+};
+
+/// [`Extended::pos`] value of a node outside the extended set.
+const ABSENT: u32 = u32::MAX;
+/// Build-time marks in [`Extended::pos`], replaced by positions once the
+/// set is sorted.
+const MEMBER: u32 = u32::MAX - 1;
+const BOUNDARY: u32 = u32::MAX - 2;
+
+/// The extended node set of one subgraph, by position.
+struct Extended {
+    /// Members and boundary producers, ascending by id; each entry's
+    /// `boundary_input` is set from the start, the rest by stages 1–3.
+    entries: Vec<(NodeId, NodeScheme)>,
+    /// Position of every graph node in `entries`, or [`ABSENT`].
+    pos: Vec<u32>,
+    /// CSR row offsets into `consumers`, one row per position.
+    row_start: Vec<u32>,
+    /// Member consumers of each position: `(consumer position, edge
+    /// requirement)`, each row ascending and deduplicated.
+    consumers: Vec<(u32, EdgeReq)>,
+}
+
+impl Extended {
+    /// Validates `members` (same errors, same precedence as the reference)
+    /// and lays out their extended set and member-consumer rows.
+    fn build(graph: &Graph, members: &[NodeId]) -> Result<Self, TilingError> {
+        if members.is_empty() {
+            return Err(TilingError::EmptySubgraph);
+        }
+        let n = graph.len();
+        let mut pos = vec![ABSENT; n];
+        let mut ids: Vec<NodeId> = Vec::with_capacity(2 * members.len());
+        for &m in members {
+            if m.index() >= n {
+                return Err(TilingError::UnknownNode { node: m });
+            }
+            if pos[m.index()] == MEMBER {
+                return Err(TilingError::DuplicateMember { node: m });
+            }
+            pos[m.index()] = MEMBER;
+            ids.push(m);
+        }
+        for &m in members {
+            for &p in graph.producers(m) {
+                if pos[p.index()] == ABSENT {
+                    pos[p.index()] = BOUNDARY;
+                    ids.push(p);
+                }
+            }
+        }
+        // Ascending ids are topological order.
+        ids.sort_unstable();
+        let entries: Vec<(NodeId, NodeScheme)> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| {
+                let boundary_input = pos[id.index()] == BOUNDARY;
+                pos[id.index()] = i as u32;
+                (
+                    id,
+                    NodeScheme {
+                        boundary_input,
+                        ..UNDERIVED
+                    },
+                )
+            })
+            .collect();
+
+        let mut ext = Self {
+            row_start: Vec::with_capacity(entries.len() + 1),
+            entries,
+            pos,
+            consumers: Vec::new(),
+        };
+        ext.row_start.push(0);
+        let mut row: Vec<(u32, EdgeReq)> = Vec::new();
+        for &u in &ids {
+            row.clear();
+            for &c in graph.consumers(u) {
+                match ext.position(c) {
+                    Some(q) if !ext.entries[q].1.boundary_input => {
+                        row.push((q as u32, graph.edge_req(u, c)));
+                    }
+                    _ => {}
+                }
+            }
+            row.sort_unstable_by_key(|&(q, _)| q);
+            row.dedup_by_key(|&mut (q, _)| q);
+            ext.consumers.extend_from_slice(&row);
+            ext.row_start.push(ext.consumers.len() as u32);
+        }
+        Ok(ext)
+    }
+
+    /// Position of node `id`, if the extended set covers it.
+    fn position(&self, id: NodeId) -> Option<usize> {
+        let p = self.pos[id.index()];
+        (p != ABSENT).then_some(p as usize)
+    }
+
+    /// The member consumers of position `u`.
+    fn consumers(&self, u: usize) -> &[(u32, EdgeReq)] {
+        &self.consumers[self.row_start[u] as usize..self.row_start[u + 1] as usize]
+    }
 }
 
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -251,6 +325,20 @@ impl Dim {
         }
     }
 
+    fn upd(self, s: &NodeScheme) -> u32 {
+        match self {
+            Dim::H => s.upd_num.h,
+            Dim::W => s.upd_num.w,
+        }
+    }
+
+    fn set_upd(self, s: &mut NodeScheme, value: u32) {
+        match self {
+            Dim::H => s.upd_num.h = value,
+            Dim::W => s.upd_num.w = value,
+        }
+    }
+
     fn stride(self, req: EdgeReq) -> Option<u32> {
         match req {
             EdgeReq::Full => None,
@@ -262,64 +350,85 @@ impl Dim {
     }
 }
 
+/// Stage-3 buffers, reused across both dimensions.
+#[derive(Default)]
+struct UpdScratch {
+    /// `rate(u)` by position; `None` until the traversal reaches `u`.
+    rate: Vec<Option<Ratio>>,
+    /// The DFS stack of positions.
+    stack: Vec<u32>,
+    /// `upd(u) = rate(u) / Δ(u)` by position.
+    upd: Vec<Ratio>,
+}
+
 /// Solves `upd(u)·Δ(u) = upd(v)·Δ(v)·s(v)` for every internal edge `u → v`
-/// of one dimension, returning the unique co-prime positive solution.
+/// of one dimension and writes the unique co-prime positive solution into
+/// `ext`'s `upd_num` (nothing is written on an error).
 fn solve_upd(
     graph: &Graph,
-    ext: &[NodeId],
-    cons_in: &BTreeMap<NodeId, Vec<NodeId>>,
-    schemes: &BTreeMap<NodeId, NodeScheme>,
+    ext: &mut Extended,
     dim: Dim,
     strict: bool,
-) -> Result<BTreeMap<NodeId, u32>, TilingError> {
+    scratch: &mut UpdScratch,
+) -> Result<(), TilingError> {
+    let UpdScratch { rate, stack, upd } = scratch;
+    let len = ext.entries.len();
     // rate(u) = upd(u)·Δ(u), determined up to one scalar per weakly
     // connected component. Edges touching fully-buffered nodes are skipped
     // (their update pattern is "once per elementary op").
-    let mut rate: BTreeMap<NodeId, Ratio> = BTreeMap::new();
-    for &start in ext {
-        if rate.contains_key(&start) {
+    rate.clear();
+    rate.resize(len, None);
+    for start in 0..len {
+        if rate[start].is_some() {
             continue;
         }
-        rate.insert(start, Ratio::from_int(1));
-        let mut stack = vec![start];
+        rate[start] = Some(Ratio::from_int(1));
+        stack.push(start as u32);
         while let Some(u) = stack.pop() {
-            let ru = rate[&u];
+            let u = u as usize;
+            let Some(ru) = rate[u] else { continue }; // stacked positions have rates
+            let (id, us) = ext.entries[u];
             // Forward edges u -> v (v consumes u): rate(v) = rate(u) / s(v).
-            for &v in &cons_in[&u] {
-                if dim.full(&schemes[&u]) || dim.full(&schemes[&v]) {
+            for &(v, req) in ext.consumers(u) {
+                let v = v as usize;
+                if dim.full(&us) || dim.full(&ext.entries[v].1) {
                     continue;
                 }
-                let Some(s) = dim.stride(graph.edge_req(u, v)) else {
+                let Some(s) = dim.stride(req) else {
                     continue;
                 };
                 let rv = ru.div_int(u64::from(s.max(1)));
-                match rate.get(&v) {
+                match rate[v] {
                     None => {
-                        rate.insert(v, rv);
-                        stack.push(v);
+                        rate[v] = Some(rv);
+                        stack.push(v as u32);
                     }
-                    Some(existing) if *existing != rv && strict => {
-                        return Err(TilingError::InconsistentRates { node: v });
+                    Some(existing) if existing != rv && strict => {
+                        return Err(TilingError::InconsistentRates {
+                            node: ext.entries[v].0,
+                        });
                     }
                     _ => {}
                 }
             }
             // Backward edges p -> u (u consumes p): rate(p) = rate(u) · s(u-edge).
-            for &p in graph.producers(u) {
-                let Some(ps) = schemes.get(&p) else { continue };
-                if dim.full(ps) || dim.full(&schemes[&u]) {
+            for &p in graph.producers(id) {
+                let Some(pp) = ext.position(p) else {
+                    continue;
+                };
+                if dim.full(&ext.entries[pp].1) || dim.full(&us) {
                     continue;
                 }
-                let Some(s) = dim.stride(graph.edge_req(p, u)) else {
+                let Some(s) = dim.stride(graph.edge_req(p, id)) else {
                     continue;
                 };
                 let rp = ru.mul_int(u64::from(s.max(1)));
-                match rate.get(&p) {
+                match rate[pp] {
                     None => {
-                        rate.insert(p, rp);
-                        stack.push(p);
+                        rate[pp] = Some(rp);
+                        stack.push(pp as u32);
                     }
-                    Some(existing) if *existing != rp && strict => {
+                    Some(existing) if existing != rp && strict => {
                         return Err(TilingError::InconsistentRates { node: p });
                     }
                     _ => {}
@@ -329,30 +438,304 @@ fn solve_upd(
     }
 
     // upd(u) = rate(u) / Δ(u); scale to the least common integer solution.
-    let mut upd_ratio: Vec<(NodeId, Ratio)> = Vec::with_capacity(ext.len());
+    // Every position started a traversal if none reached it, so every
+    // rate is set.
+    upd.clear();
     let mut scale = 1u64;
-    for &u in ext {
-        let s = &schemes[&u];
-        if dim.full(s) {
-            upd_ratio.push((u, Ratio::from_int(1)));
-            continue;
+    for (&r, (_, s)) in rate.iter().zip(&ext.entries) {
+        match r {
+            Some(r) if !dim.full(s) => {
+                let r = r.div_int(u64::from(dim.delta(s).max(1)));
+                scale = lcm(scale, r.den);
+                upd.push(r);
+            }
+            _ => upd.push(Ratio::from_int(1)),
         }
-        let r = rate[&u].div_int(u64::from(dim.delta(s).max(1)));
-        scale = lcm(scale, r.den);
-        upd_ratio.push((u, r));
     }
-    let mut upd: BTreeMap<NodeId, u32> = BTreeMap::new();
     let mut all_gcd = 0u64;
-    for (u, r) in &upd_ratio {
+    for (r, (_, s)) in upd.iter().zip(&mut ext.entries) {
         let v = r.num.saturating_mul(scale / r.den);
         all_gcd = gcd(all_gcd, v);
-        upd.insert(*u, v as u32);
+        dim.set_upd(s, v as u32);
     }
     let g = all_gcd.max(1);
-    for v in upd.values_mut() {
-        *v = ((u64::from(*v)) / g).max(1) as u32;
+    for (_, s) in &mut ext.entries {
+        dim.set_upd(s, (u64::from(dim.upd(s)) / g).max(1) as u32);
     }
-    Ok(upd)
+    Ok(())
+}
+
+/// The `BTreeMap`-keyed derivation the dense [`derive_scheme`] replaced,
+/// kept verbatim as the oracle the property tests compare against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{dim_reqs, Dim, DimReq};
+    use crate::error::TilingError;
+    use crate::mapper::Mapper;
+    use crate::ratio::{gcd, lcm, Ratio};
+    use crate::scheme::{ExecutionScheme, NodeScheme};
+    use cocco_graph::{Dims2, Graph, NodeId};
+    use std::collections::BTreeMap;
+
+    /// The `BTreeMap`-keyed derivation, verbatim.
+    pub(crate) fn derive_scheme(
+        graph: &Graph,
+        members: &[NodeId],
+        mapper: &Mapper,
+    ) -> Result<ExecutionScheme, TilingError> {
+        if members.is_empty() {
+            return Err(TilingError::EmptySubgraph);
+        }
+        let n = graph.len();
+        let mut is_member = vec![false; n];
+        for &m in members {
+            if m.index() >= n {
+                return Err(TilingError::UnknownNode { node: m });
+            }
+            if is_member[m.index()] {
+                return Err(TilingError::DuplicateMember { node: m });
+            }
+            is_member[m.index()] = true;
+        }
+
+        // Extended set: members plus boundary producers, ascending (= topological).
+        let mut in_ext = vec![false; n];
+        for &m in members {
+            in_ext[m.index()] = true;
+            for &p in graph.producers(m) {
+                in_ext[p.index()] = true;
+            }
+        }
+        let ext: Vec<NodeId> = (0..n)
+            .map(NodeId::from_index)
+            .filter(|id| in_ext[id.index()])
+            .collect();
+
+        // Member consumers of each extended node (deduplicated).
+        let mut cons_in: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+        for &u in &ext {
+            let mut cs: Vec<NodeId> = graph
+                .consumers(u)
+                .iter()
+                .copied()
+                .filter(|c| is_member[c.index()])
+                .collect();
+            cs.sort_unstable();
+            cs.dedup();
+            cons_in.insert(u, cs);
+        }
+
+        // Stages 1-2: backward pass in reverse topological order.
+        let mut schemes: BTreeMap<NodeId, NodeScheme> = BTreeMap::new();
+        let mut exact = true;
+        for &u in ext.iter().rev() {
+            let shape = graph.node(u).out_shape();
+            let extent = Dims2::new(shape.h, shape.w);
+            let consumers = &cons_in[&u];
+            let (delta, tile) = if consumers.is_empty() {
+                let t = mapper.output_tile(shape);
+                (t, t)
+            } else {
+                // Accumulate the unclamped LCM requirement per dimension; a
+                // `Full` consumption edge demands the whole extent.
+                let mut d = (1u64, 1u64);
+                let mut full_edge = (false, false);
+                for &v in consumers {
+                    let (rh, rw) = dim_reqs(graph.edge_req(u, v));
+                    let vs = schemes[&v];
+                    match rh {
+                        DimReq::Full => full_edge.0 = true,
+                        DimReq::Sliding { s, .. } => {
+                            d.0 = lcm(d.0, u64::from(vs.delta.h).saturating_mul(u64::from(s)));
+                        }
+                    }
+                    match rw {
+                        DimReq::Full => full_edge.1 = true,
+                        DimReq::Sliding { s, .. } => {
+                            d.1 = lcm(d.1, u64::from(vs.delta.w).saturating_mul(u64::from(s)));
+                        }
+                    }
+                }
+                // Truncation (LCM overshooting the tensor) and full-consumption
+                // edges break the exact `upd_num` relation (paper footnote on
+                // the co-prime solution); natural Δ = extent does not.
+                if d.0 > u64::from(extent.h) || d.1 > u64::from(extent.w) {
+                    exact = false;
+                }
+                if full_edge.0 || full_edge.1 {
+                    exact = false;
+                }
+                let dh = if full_edge.0 {
+                    extent.h
+                } else {
+                    d.0.min(u64::from(extent.h)) as u32
+                };
+                let dw = if full_edge.1 {
+                    extent.w
+                } else {
+                    d.1.min(u64::from(extent.w)) as u32
+                };
+                let d = Dims2::new(dh.max(1), dw.max(1));
+                let mut t = d;
+                for &v in consumers {
+                    let (rh, rw) = dim_reqs(graph.edge_req(u, v));
+                    match rh {
+                        DimReq::Full => t.h = extent.h,
+                        DimReq::Sliding { f, s } => {
+                            // χ = f_v(Δ(u)/s) = F + (Δ(u)/s − 1)·s = F − s + Δ(u)
+                            let chi = f.saturating_sub(s).saturating_add(d.h);
+                            t.h = t.h.max(chi.min(extent.h));
+                        }
+                    }
+                    match rw {
+                        DimReq::Full => t.w = extent.w,
+                        DimReq::Sliding { f, s } => {
+                            let chi = f.saturating_sub(s).saturating_add(d.w);
+                            t.w = t.w.max(chi.min(extent.w));
+                        }
+                    }
+                }
+                (d, t)
+            };
+            // Reaching the tensor extent means "fully buffered" in that dim.
+            let full_h = delta.h >= extent.h;
+            let full_w = delta.w >= extent.w;
+            let delta = Dims2::new(delta.h.min(extent.h), delta.w.min(extent.w));
+            let tile = Dims2::new(
+                tile.h.min(extent.h).max(delta.h),
+                tile.w.min(extent.w).max(delta.w),
+            );
+            schemes.insert(
+                u,
+                NodeScheme {
+                    delta,
+                    tile,
+                    upd_num: Dims2::new(1, 1),
+                    full_h,
+                    full_w,
+                    boundary_input: !is_member[u.index()],
+                    interior_consumed: !consumers.is_empty(),
+                },
+            );
+        }
+
+        // Stage 3: co-prime upd_num per dimension via rational propagation.
+        let strict = exact;
+        for dim in [Dim::H, Dim::W] {
+            match solve_upd(graph, &ext, &cons_in, &schemes, dim, strict) {
+                Ok(upd) => {
+                    for (&id, value) in &upd {
+                        let s = schemes.get_mut(&id).expect("scheme exists");
+                        match dim {
+                            Dim::H => s.upd_num.h = *value,
+                            Dim::W => s.upd_num.w = *value,
+                        }
+                    }
+                }
+                Err(e) => {
+                    if strict {
+                        return Err(e);
+                    }
+                    exact = false;
+                }
+            }
+        }
+
+        Ok(ExecutionScheme::new(schemes.into_iter().collect(), exact))
+    }
+
+    /// Solves `upd(u)·Δ(u) = upd(v)·Δ(v)·s(v)` for every internal edge `u → v`
+    /// of one dimension, returning the unique co-prime positive solution.
+    fn solve_upd(
+        graph: &Graph,
+        ext: &[NodeId],
+        cons_in: &BTreeMap<NodeId, Vec<NodeId>>,
+        schemes: &BTreeMap<NodeId, NodeScheme>,
+        dim: Dim,
+        strict: bool,
+    ) -> Result<BTreeMap<NodeId, u32>, TilingError> {
+        // rate(u) = upd(u)·Δ(u), determined up to one scalar per weakly
+        // connected component. Edges touching fully-buffered nodes are skipped
+        // (their update pattern is "once per elementary op").
+        let mut rate: BTreeMap<NodeId, Ratio> = BTreeMap::new();
+        for &start in ext {
+            if rate.contains_key(&start) {
+                continue;
+            }
+            rate.insert(start, Ratio::from_int(1));
+            let mut stack = vec![start];
+            while let Some(u) = stack.pop() {
+                let ru = rate[&u];
+                // Forward edges u -> v (v consumes u): rate(v) = rate(u) / s(v).
+                for &v in &cons_in[&u] {
+                    if dim.full(&schemes[&u]) || dim.full(&schemes[&v]) {
+                        continue;
+                    }
+                    let Some(s) = dim.stride(graph.edge_req(u, v)) else {
+                        continue;
+                    };
+                    let rv = ru.div_int(u64::from(s.max(1)));
+                    match rate.get(&v) {
+                        None => {
+                            rate.insert(v, rv);
+                            stack.push(v);
+                        }
+                        Some(existing) if *existing != rv && strict => {
+                            return Err(TilingError::InconsistentRates { node: v });
+                        }
+                        _ => {}
+                    }
+                }
+                // Backward edges p -> u (u consumes p): rate(p) = rate(u) · s(u-edge).
+                for &p in graph.producers(u) {
+                    let Some(ps) = schemes.get(&p) else { continue };
+                    if dim.full(ps) || dim.full(&schemes[&u]) {
+                        continue;
+                    }
+                    let Some(s) = dim.stride(graph.edge_req(p, u)) else {
+                        continue;
+                    };
+                    let rp = ru.mul_int(u64::from(s.max(1)));
+                    match rate.get(&p) {
+                        None => {
+                            rate.insert(p, rp);
+                            stack.push(p);
+                        }
+                        Some(existing) if *existing != rp && strict => {
+                            return Err(TilingError::InconsistentRates { node: p });
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+
+        // upd(u) = rate(u) / Δ(u); scale to the least common integer solution.
+        let mut upd_ratio: Vec<(NodeId, Ratio)> = Vec::with_capacity(ext.len());
+        let mut scale = 1u64;
+        for &u in ext {
+            let s = &schemes[&u];
+            if dim.full(s) {
+                upd_ratio.push((u, Ratio::from_int(1)));
+                continue;
+            }
+            let r = rate[&u].div_int(u64::from(dim.delta(s).max(1)));
+            scale = lcm(scale, r.den);
+            upd_ratio.push((u, r));
+        }
+        let mut upd: BTreeMap<NodeId, u32> = BTreeMap::new();
+        let mut all_gcd = 0u64;
+        for (u, r) in &upd_ratio {
+            let v = r.num.saturating_mul(scale / r.den);
+            all_gcd = gcd(all_gcd, v);
+            upd.insert(*u, v as u32);
+        }
+        let g = all_gcd.max(1);
+        for v in upd.values_mut() {
+            *v = ((u64::from(*v)) / g).max(1) as u32;
+        }
+        Ok(upd)
+    }
 }
 
 #[cfg(test)]
@@ -549,6 +932,105 @@ mod tests {
                 s.overlap_rows()
             );
         }
+    }
+
+    /// SplitMix64: a seeded, dependency-free stream for the property tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Member lists of every family the oracle test covers on `g`:
+    /// connected and depth groups at several `L`, seeded random subsets
+    /// (sorted and shuffled), duplicates, out-of-range ids and the empty
+    /// list.
+    fn member_families(g: &Graph, seed: u64) -> Vec<Vec<NodeId>> {
+        use cocco_partition::Partition;
+        let n = g.len();
+        let mut sets: Vec<Vec<NodeId>> = vec![Vec::new(), g.node_ids().collect()];
+        for l in [1, 2, 3, 5, 8, 13, 21, 1000] {
+            sets.extend(Partition::connected_groups(g, l).subgraphs());
+            sets.extend(Partition::depth_groups(g, l).subgraphs());
+        }
+        let mut state = seed;
+        for round in 0..60 {
+            let size = 1 + (splitmix(&mut state) % (n as u64).min(40)) as usize;
+            let mut set: Vec<NodeId> = (0..size)
+                .map(|_| NodeId::from_index((splitmix(&mut state) % n as u64) as usize))
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+            sets.push(set.clone());
+            // Shuffled copy (Fisher-Yates).
+            for i in (1..set.len()).rev() {
+                set.swap(i, (splitmix(&mut state) % (i as u64 + 1)) as usize);
+            }
+            sets.push(set.clone());
+            // A duplicate, and an out-of-range id, at seeded positions.
+            let at = (splitmix(&mut state) % (set.len() as u64 + 1)) as usize;
+            let mut dup = set.clone();
+            dup.insert(at, set[(round * 7) % set.len()]);
+            sets.push(dup.clone());
+            let mut unknown = set.clone();
+            unknown.insert(at, NodeId::from_index(n + round));
+            sets.push(unknown);
+            // Both faults: the first one in member order must win.
+            dup.insert(at.min(dup.len()), NodeId::from_index(n));
+            sets.push(dup);
+        }
+        sets
+    }
+
+    #[test]
+    fn dense_derivation_matches_the_reference() {
+        let mappers = [
+            Mapper::default(),
+            Mapper::new(MapperPolicy::Tile { rows: 2, cols: 4 }),
+        ];
+        let mut checked = 0usize;
+        let mut errors = 0usize;
+        for (k, (name, build)) in cocco_graph::models::registry().iter().enumerate() {
+            let g = build();
+            for members in member_families(&g, 0x5eed ^ k as u64) {
+                for mapper in &mappers {
+                    let got = derive_scheme(&g, &members, mapper);
+                    let want = reference::derive_scheme(&g, &members, mapper);
+                    assert_eq!(got, want, "{name}: members {members:?}");
+                    checked += 1;
+                    errors += usize::from(want.is_err());
+                }
+            }
+        }
+        assert!(checked > 10_000, "only {checked} member sets checked");
+        assert!(errors > 0 && errors < checked);
+    }
+
+    #[test]
+    fn inconsistent_rates_match_the_reference() {
+        // Two paths from one input into an eltwise whose stride products
+        // differ (1 vs 2) while their output extents agree: no consistent
+        // update rate exists, and both derivations blame the same node.
+        let mut b = GraphBuilder::new("skew");
+        let i = b.input(TensorShape::new(32, 32, 4));
+        let wide = cocco_graph::LayerOp::Conv {
+            kernel: Kernel::new(Dims2::square(17), Dims2::square(1), Dims2::square(0)),
+            c_out: 4,
+        };
+        let a = b.add("a", wide, &[i]).unwrap();
+        let s2 = b.conv("s2", i, 4, Kernel::square_same(3, 2)).unwrap();
+        let _ = b.eltwise("e", &[a, s2]).unwrap();
+        let g = b.finish().unwrap();
+        let members: Vec<_> = g.node_ids().collect();
+        let mapper = Mapper::new(MapperPolicy::Tile { rows: 1, cols: 1 });
+        let got = derive_scheme(&g, &members, &mapper);
+        assert!(
+            matches!(got, Err(TilingError::InconsistentRates { .. })),
+            "{got:?}"
+        );
+        assert_eq!(got, reference::derive_scheme(&g, &members, &mapper));
     }
 
     #[test]

@@ -64,8 +64,12 @@ pub struct ExecutionScheme {
 }
 
 impl ExecutionScheme {
-    pub(crate) fn new(mut entries: Vec<(NodeId, NodeScheme)>, exact: bool) -> Self {
-        entries.sort_by_key(|(id, _)| *id);
+    /// Wraps `entries`, which must be strictly ascending by node id.
+    pub(crate) fn new(entries: Vec<(NodeId, NodeScheme)>, exact: bool) -> Self {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "scheme entries must be strictly ascending"
+        );
         Self { entries, exact }
     }
 
@@ -138,8 +142,8 @@ mod tests {
     fn get_uses_binary_search() {
         let scheme = ExecutionScheme::new(
             vec![
-                (NodeId::from_index(5), dummy(1, 3)),
                 (NodeId::from_index(2), dummy(2, 4)),
+                (NodeId::from_index(5), dummy(1, 3)),
             ],
             true,
         );
