@@ -11,23 +11,21 @@
 //! Every key is a fixed-size [`EvalKey`] — the evaluator fingerprint plus a
 //! 128-bit content hash folded from per-subgraph [`NodeSetFp`]
 //! fingerprints and the `(buffer, options)` coordinates. Folding a key
-//! allocates nothing, shard selection reads one precomputed word, and the
-//! maps use a pass-through hasher ([`BuildFpHasher`]) instead of
-//! re-hashing the key per probe. Key equality is fingerprint equality; see
-//! [`NodeSetFp`] for the (negligible) collision model.
+//! allocates nothing, and the key's `lo` lane selects the shard. Key
+//! equality is fingerprint equality; see [`NodeSetFp`] for the
+//! (negligible) collision model.
 //!
 //! # Bounded growth
 //!
-//! The cache is bounded by a configurable entry budget
-//! (`EngineConfig::cache_capacity`). A shard that fills up runs a
-//! **generation sweep**: entries not touched since the previous sweep are
-//! evicted (counted in [`EvalCache::evictions`]), so a long exploration
+//! The entries live in an [`FpCache`], bounded by a configurable entry
+//! budget (`EngineConfig::cache_capacity`) through its generation sweeps
+//! (evictions counted in [`FpCache::evictions`]), so a long exploration
 //! keeps its working set and sheds stale genomes. Eviction never changes
 //! results — a re-miss recomputes the bit-identical value.
 //!
 //! The cache also persists: [`EvalCache::snapshot`]/[`EvalCache::restore`]
-//! move its entries through a serde-serializable [`CacheSnapshot`], and
-//! [`EvalCache::save`]/[`CacheSnapshot::load`] write/read it as JSON so
+//! move its entries through a serde-serializable [`CacheSnapshot`], which
+//! [`CacheSnapshot::save`]/[`CacheSnapshot::load`] write/read as JSON so
 //! repeated explorations of the same model warm-start. Keys embed the
 //! evaluator fingerprint, so entries recorded under a different
 //! accelerator configuration (or model) can never produce a false hit;
@@ -40,18 +38,11 @@
 
 use crate::engine::ScoredEval;
 use cocco_faults::{atomic_save, FaultPlan};
-use cocco_graph::{mix64, BuildFpHasher, NodeId, NodeSetFp};
+use cocco_graph::{mix64, FpCache, FpKey, NodeId, NodeSetFp};
 use cocco_sim::{BufferConfig, EvalOptions};
 use cocco_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Number of independent shards; keys spread by their precomputed hash, so
-/// concurrent workers rarely contend on the same lock.
-const SHARDS: usize = 16;
 
 /// Folds one word into a 128-bit chain state (order-sensitive; the two
 /// lanes stay independent through different salts).
@@ -119,11 +110,11 @@ impl EvalKey {
             hi,
         }
     }
+}
 
-    /// Deterministic shard selection from the precomputed hash.
-    #[inline]
-    fn shard(&self) -> usize {
-        (self.lo % SHARDS as u64) as usize
+impl FpKey for EvalKey {
+    fn shard_word(&self) -> u64 {
+        self.lo
     }
 }
 
@@ -143,38 +134,6 @@ pub fn eval_key(
         buffer,
         options,
     )
-}
-
-/// One cached value plus its last-touched generation (updated on hits
-/// under the shard's read lock, hence atomic).
-#[derive(Debug)]
-struct Slot {
-    value: ScoredEval,
-    gen: AtomicU64,
-}
-
-/// One shard: the map plus the shard's sweep generation.
-#[derive(Debug)]
-struct ShardMap {
-    map: HashMap<EvalKey, Slot, BuildFpHasher>,
-    gen: u64,
-}
-
-/// Takes a shard's read lock, tolerating poisoning: every value in the map
-/// was inserted whole under the write lock, so a panic elsewhere (a worker
-/// job dying mid-batch) never leaves a torn entry behind — the data is
-/// valid and the engine must stay usable after the panic is caught.
-fn read_shard(shard: &RwLock<ShardMap>) -> RwLockReadGuard<'_, ShardMap> {
-    shard
-        .read()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Takes a shard's write lock, tolerating poisoning (see [`read_shard`]).
-fn write_shard(shard: &RwLock<ShardMap>) -> RwLockWriteGuard<'_, ShardMap> {
-    shard
-        .write()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A serializable image of the cache, for cross-run persistence.
@@ -462,160 +421,53 @@ fn extract_array_elements<'a>(text: &'a str, field: &str) -> Vec<&'a str> {
     elements
 }
 
-/// The sharded, bounded cache of partition roll-ups.
-///
-/// Lookups take a shard read lock; inserts a shard write lock. Two workers
-/// racing on the same missing key may both compute it — the computation is
-/// deterministic, so the duplicate insert is idempotent and results never
-/// depend on the race.
+/// The bounded cache of partition roll-ups: an [`FpCache`] (its lookups and
+/// counters are reached through `Deref`) whose sweeps report to telemetry
+/// and whose entries persist through [`CacheSnapshot`]s.
 #[derive(Debug)]
 pub struct EvalCache {
-    shards: [RwLock<ShardMap>; SHARDS],
-    /// Entry budget per shard.
-    shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    entries: FpCache<EvalKey, ScoredEval>,
     /// Sweep events land here; disabled handles cost one branch per
     /// sweep (sweeps are rare — at most one per `capacity/2` inserts).
     telemetry: Telemetry,
 }
 
+impl std::ops::Deref for EvalCache {
+    type Target = FpCache<EvalKey, ScoredEval>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.entries
+    }
+}
+
 impl EvalCache {
-    /// Creates an empty cache with the default entry budget.
-    pub fn new() -> Self {
-        Self::with_capacity(crate::config::EngineConfig::DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Creates an empty cache bounded to `capacity` entries. Tiny
-    /// capacities are clamped so every shard can hold at least one entry.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_telemetry(capacity, Telemetry::disabled())
-    }
-
-    /// Like [`with_capacity`](Self::with_capacity), but an enabled
+    /// Creates an empty cache bounded to `capacity` entries; an enabled
     /// `telemetry` handle receives an `engine.cache.sweep` event (evicted,
-    /// remaining) whenever a generation sweep fires.
-    /// Observation-only: the sweep policy and its victims are unchanged.
+    /// remaining) whenever a generation sweep fires. Observation-only: the
+    /// sweep policy and its victims are unchanged.
     pub fn with_capacity_telemetry(capacity: usize, telemetry: Telemetry) -> Self {
         Self {
-            shards: std::array::from_fn(|_| {
-                RwLock::new(ShardMap {
-                    map: HashMap::default(),
-                    gen: 0,
-                })
-            }),
-            shard_capacity: (capacity / SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            entries: FpCache::with_capacity(capacity),
             telemetry,
         }
     }
 
-    /// Looks a partition roll-up key up, counting a hit or miss.
-    pub fn get(&self, key: &EvalKey) -> Option<ScoredEval> {
-        let found = {
-            let shard = read_shard(&self.shards[key.shard()]);
-            shard.map.get(key).map(|slot| {
-                // Touch: mark the entry live in the current generation so
-                // the next sweep keeps it.
-                slot.gen.store(shard.gen, Ordering::Relaxed);
-                slot.value
-            })
-        };
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Inserts a computed partition evaluation.
+    /// Inserts a computed partition evaluation, reporting any sweep it ran
+    /// to telemetry (this shadows [`FpCache::insert`]).
     pub fn insert(&self, key: EvalKey, value: ScoredEval) {
-        let mut shard = write_shard(&self.shards[key.shard()]);
-        let gen = shard.gen;
-        shard.map.insert(
-            key,
-            Slot {
-                value,
-                gen: AtomicU64::new(gen),
-            },
-        );
-        if shard.map.len() > self.shard_capacity {
-            // Generation sweep: evict everything not touched since the
-            // previous sweep; if the live working set alone overflows the
-            // budget, shed down to *half* the budget (not just the
-            // surplus) so the next full-shard sweep is amortized over
-            // `capacity/2` inserts instead of firing on every one.
-            let before = shard.map.len();
-            shard
-                .map
-                .retain(|_, slot| slot.gen.load(Ordering::Relaxed) >= gen);
-            if shard.map.len() > self.shard_capacity {
-                let target = (self.shard_capacity / 2).max(1);
-                let surplus = shard.map.len() - target;
-                // Victim selection must not depend on HashMap iteration
-                // order: two identical runs have to shed the *same*
-                // entries, or their persisted snapshots diverge. Sort the
-                // candidate keys and evict the smallest — any total order
-                // works, as long as it is a property of the keys alone.
-                // cocco-audit: allow(D1) victims are sorted before use, so map order never escapes
-                let mut victims: Vec<EvalKey> = shard.map.keys().copied().collect();
-                victims.sort_unstable();
-                for victim in victims.iter().take(surplus) {
-                    shard.map.remove(victim);
-                }
-            }
-            shard.gen += 1;
-            let evicted = (before - shard.map.len()) as u64;
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            let remaining = shard.map.len();
+        if let Some((evicted, remaining)) = self.entries.insert(key, value) {
             self.telemetry.emit("engine.cache.sweep", || {
                 vec![("evicted", evicted.into()), ("remaining", remaining.into())]
             });
         }
     }
 
-    /// Distinct cached partition roll-ups.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| read_shard(s).map.len()).sum()
-    }
-
-    /// `true` when nothing has been cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that required composing or evaluating.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted by generation sweeps.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
     /// A serializable image of the cache (entries sorted by key, so
     /// snapshots are stable and diffable).
     pub fn snapshot(&self) -> CacheSnapshot {
-        let mut partition = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            // cocco-audit: allow(D1) the collected entries are sorted by key below, so map order never escapes
-            for (key, slot) in read_shard(shard).map.iter() {
-                partition.push((*key, slot.value));
-            }
-        }
-        partition.sort_by_key(|entry: &(EvalKey, ScoredEval)| entry.0);
         CacheSnapshot {
             version: SNAPSHOT_VERSION,
-            partition,
+            partition: self.entries.entries(),
         }
     }
 
@@ -629,37 +481,16 @@ impl EvalCache {
             self.insert(*key, *value);
         }
     }
-
-    /// Saves a snapshot of the cache to `path` as JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; see [`CacheSnapshot::save`].
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        self.snapshot().save(path)
-    }
-
-    /// Loads a snapshot from `path` and restores every entry.
-    ///
-    /// # Errors
-    ///
-    /// See [`CacheSnapshot::load`].
-    pub fn load(&self, path: &Path) -> std::io::Result<usize> {
-        let snap = CacheSnapshot::load(path)?;
-        self.restore(&snap);
-        Ok(snap.len())
-    }
-}
-
-impl Default for EvalCache {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn empty() -> EvalCache {
+        let capacity = crate::config::EngineConfig::DEFAULT_CACHE_CAPACITY;
+        EvalCache::with_capacity_telemetry(capacity, Telemetry::disabled())
+    }
 
     fn sg(groups: &[&[usize]]) -> Vec<Vec<NodeId>> {
         groups
@@ -758,7 +589,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_counters_per_level() {
-        let cache = EvalCache::new();
+        let cache = empty();
         let key = eval_key(
             7,
             &sg(&[&[0]]),
@@ -774,29 +605,8 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_entries_with_generation_sweeps() {
-        // 32 entries -> 2 per shard; flooding far past the budget must
-        // stay bounded and count evictions.
-        let cache = EvalCache::with_capacity(32);
-        let buf = BufferConfig::shared(64);
-        let key = |i: usize| eval_key(7, &sg(&[&[i]]), &buf, EvalOptions::default());
-        for i in 0..4096usize {
-            cache.insert(key(i), scored(i as u64));
-        }
-        assert!(cache.len() <= 32, "budget exceeded: {}", cache.len());
-        assert!(cache.evictions() > 0);
-        // A hot entry that is touched between sweeps survives them.
-        let hot = key(9999);
-        cache.insert(hot, scored(1));
-        for i in 0..512usize {
-            assert!(cache.get(&hot).is_some(), "hot entry evicted at {i}");
-            cache.insert(key(100_000 + i), scored(2));
-        }
-    }
-
-    #[test]
     fn snapshot_round_trips() {
-        let cache = EvalCache::new();
+        let cache = empty();
         let key = |i: usize| {
             eval_key(
                 7,
@@ -810,7 +620,7 @@ mod tests {
         }
         let snap = cache.snapshot();
         assert_eq!(snap.len(), 3);
-        let other = EvalCache::new();
+        let other = empty();
         other.restore(&snap);
         for i in 2..5usize {
             assert_eq!(other.get(&key(i)).unwrap(), scored(i as u64 + 10));
@@ -820,7 +630,7 @@ mod tests {
 
     #[test]
     fn snapshot_split_by_fingerprint() {
-        let cache = EvalCache::new();
+        let cache = empty();
         for fp in [1u64, 2] {
             cache.insert(
                 eval_key(
@@ -850,7 +660,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cocco-cache-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
-        let cache = EvalCache::new();
+        let cache = empty();
         cache.insert(
             eval_key(
                 9,
@@ -866,9 +676,11 @@ mod tests {
                 error: false,
             },
         );
-        cache.save(&path).unwrap();
-        let restored = EvalCache::new();
-        assert_eq!(restored.load(&path).unwrap(), 1);
+        cache.snapshot().save(&path).unwrap();
+        let snap = CacheSnapshot::load(&path).unwrap();
+        assert_eq!(snap.len(), 1);
+        let restored = empty();
+        restored.restore(&snap);
         assert_eq!(restored.snapshot(), cache.snapshot());
 
         // Malformed files surface as InvalidData, not a panic.
@@ -928,7 +740,7 @@ mod tests {
         assert_eq!(snap.partition[0].0, expected_pkey);
         assert_eq!(snap.partition[0].1, scored(21));
         // Restoring serves hits under the re-derived keys.
-        let cache = EvalCache::new();
+        let cache = empty();
         cache.restore(&snap);
         assert_eq!(cache.get(&expected_pkey).unwrap(), scored(21));
         std::fs::remove_dir_all(&dir).ok();
@@ -936,7 +748,7 @@ mod tests {
 
     /// Builds a twelve-entry cache and returns it with its snapshot text.
     fn populated_snapshot_text() -> (EvalCache, String) {
-        let cache = EvalCache::new();
+        let cache = empty();
         let buf = BufferConfig::shared(1 << 20);
         for i in 0..12usize {
             cache.insert(
@@ -1108,7 +920,7 @@ mod tests {
         let snap = CacheSnapshot::load(&path).expect("an intact v2 document loads");
         assert_eq!(snap.version, SNAPSHOT_VERSION);
         assert_eq!(snap.len(), 2);
-        let cache = EvalCache::new();
+        let cache = empty();
         cache.restore(&snap);
         assert_eq!(cache.get(&keys[0]).unwrap(), scored(21));
         assert_eq!(cache.get(&keys[1]).unwrap().ema_bytes, 22);
@@ -1160,7 +972,7 @@ mod tests {
 
     #[test]
     fn concurrent_use_is_consistent() {
-        let cache = std::sync::Arc::new(EvalCache::new());
+        let cache = std::sync::Arc::new(empty());
         let keys: Vec<EvalKey> = (0..64)
             .map(|i| {
                 eval_key(

@@ -37,8 +37,8 @@
 //!
 //! # Determinism
 //!
-//! Parallelism never changes results. Batch evaluation (exposed as
-//! `SearchContext::evaluate_batch` in `cocco-search`) pins the
+//! Parallelism never changes results. Batch evaluation (every driver step
+//! runs through `SearchContext::evaluate_chunks` in `cocco-search`) pins the
 //! budget-sample indices and the trace-recording order to the *input*
 //! order of the batch before any worker runs, and each genome's evaluation
 //! is a pure function of the genome itself — so a seeded search is

@@ -105,7 +105,7 @@ impl NodeSetFp {
 /// it as a `HashMap` build-hasher removes the per-probe hash walk that a
 /// default-hashed map would pay.
 #[derive(Clone, Default)]
-pub struct FpHasher {
+pub(crate) struct FpHasher {
     state: u64,
 }
 
@@ -130,7 +130,7 @@ impl Hasher for FpHasher {
 }
 
 /// The `BuildHasher` for fingerprint-keyed maps.
-pub type BuildFpHasher = BuildHasherDefault<FpHasher>;
+pub(crate) type BuildFpHasher = BuildHasherDefault<FpHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -37,6 +37,7 @@ mod builder;
 mod dot;
 mod error;
 mod fingerprint;
+mod fpcache;
 mod graph;
 mod layer;
 pub mod models;
@@ -45,7 +46,8 @@ mod shape;
 
 pub use builder::GraphBuilder;
 pub use error::GraphError;
-pub use fingerprint::{mix64, BuildFpHasher, FpHasher, NodeSetFp};
+pub use fingerprint::{mix64, NodeSetFp};
+pub use fpcache::{FpCache, FpKey};
 pub use graph::{Graph, NodeId, NodeIter};
 pub use layer::{EdgeReq, Kernel, LayerOp, Node};
 pub use randgraph::{WattsStrogatz, WsEdge};

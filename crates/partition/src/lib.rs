@@ -28,7 +28,4 @@ pub use error::PartitionError;
 pub use layout::{LayoutArena, PartitionLayout};
 pub use partition::Partition;
 pub use quotient::{Quotient, QuotientSuccessors};
-pub use repair::{
-    repair, repair_connectivity, repair_connectivity_with_delta, repair_seeded, repair_with_delta,
-    split_oversized, split_oversized_with_delta, ParentSeed,
-};
+pub use repair::{repair, repair_seeded, repair_with_delta, ParentSeed};

@@ -1,13 +1,11 @@
 //! Validity repair: connectivity splits, SCC merges and in-situ capacity
 //! splits (paper §4.4.4).
 //!
-//! Every pass exists in two flavours: the plain entry points
-//! ([`repair`], [`repair_connectivity`], [`split_oversized`]) and
-//! `*_with_delta` variants that additionally record, into a
-//! [`PartitionDelta`], every node whose subgraph *membership set* the pass
-//! changed — the change record a hinted offspring's repair is seeded
-//! from (see [`ParentSeed`]). Renumbering alone (canonicalization)
-//! emits no dirt: node-level deltas survive id remapping by construction.
+//! [`repair_with_delta`] and [`repair_seeded`] record, into a
+//! [`PartitionDelta`], every node whose subgraph *membership set* repair
+//! changed — the change record a hinted offspring's repair is seeded from
+//! (see [`ParentSeed`]). Renumbering alone (canonicalization) emits no
+//! dirt: node-level deltas survive id remapping by construction.
 //!
 //! All passes of one call share one dense scratch: per-node labels, a
 //! union-find, one compressed-sparse-row quotient and a flat member
@@ -38,7 +36,7 @@ use cocco_graph::{Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Restores connectivity and acyclicity after arbitrary assignment edits:
+/// Restores validity after arbitrary assignment edits:
 ///
 /// 1. split every subgraph into its weakly-connected components;
 /// 2. merge each quotient SCC into one subgraph — the SCC's members are
@@ -46,77 +44,29 @@ use std::collections::BinaryHeap;
 ///    stays connected while the quotient becomes acyclic;
 /// 3. iterate (an SCC merge can join components that a later split leaves
 ///    untouched, so one extra pass settles the fixpoint);
-/// 4. canonicalize ids into execution order.
+/// 4. canonicalize ids into execution order;
+/// 5. split every subgraph whose footprint check fails, using the paper's
+///    in-situ `split-subgraph`: the subgraph is halved along the
+///    topological order (never creating quotient cycles) and each half is
+///    split into its weakly connected components, which are checked in
+///    turn, until every piece fits or is a single node.
 ///
-/// The result always satisfies [`Partition::validate`].
+/// The result satisfies [`Partition::validate`] and every multi-node
+/// subgraph satisfies `fits`. `fits` receives the (ascending) member list
+/// of one subgraph. It must be pure: calls may come in any order, and a
+/// member set whose answer is already known is not asked again.
 ///
 /// # Examples
 ///
 /// ```
-/// use cocco_partition::{repair_connectivity, Partition};
+/// use cocco_partition::{repair, Partition};
 ///
 /// let g = cocco_graph::models::diamond();
 /// // Invalid: quotient cycle between subgraphs 0 and 1.
 /// let broken = Partition::from_assignment(vec![0, 0, 0, 1, 0]);
-/// let fixed = repair_connectivity(&g, broken);
+/// let fixed = repair(&g, broken, &|_| true);
 /// assert!(fixed.validate(&g).is_ok());
 /// ```
-pub fn repair_connectivity(graph: &Graph, partition: Partition) -> Partition {
-    let mut delta = PartitionDelta::clean(graph.len());
-    repair_connectivity_with_delta(graph, partition, &mut delta)
-}
-
-/// [`repair_connectivity`], recording every membership change into `delta`.
-pub fn repair_connectivity_with_delta(
-    graph: &Graph,
-    partition: Partition,
-    delta: &mut PartitionDelta,
-) -> Partition {
-    let mut repair = Repair::new(graph, partition);
-    repair.connectivity(delta, false);
-    repair.finish()
-}
-
-/// Splits every subgraph whose footprint check fails, using the paper's
-/// in-situ `split-subgraph`: the subgraph is halved along the topological
-/// order (never creating quotient cycles) and each half is split into its
-/// weakly connected components, which are checked in turn, until every
-/// piece fits or is a single node.
-///
-/// The input may be invalid. A partition with nothing to split comes back
-/// untouched; otherwise the first halving is followed by a full
-/// connectivity pass, and the remaining splits run on the valid result.
-///
-/// `fits` receives the (ascending) member list of one subgraph. It must be
-/// pure: calls may come in any order, and a member set whose answer is
-/// already known is not asked again.
-pub fn split_oversized(
-    graph: &Graph,
-    partition: Partition,
-    fits: &dyn Fn(&[NodeId]) -> bool,
-) -> Partition {
-    let mut delta = PartitionDelta::clean(graph.len());
-    split_oversized_with_delta(graph, partition, fits, &mut delta)
-}
-
-/// [`split_oversized`], recording every membership change into `delta`.
-pub fn split_oversized_with_delta(
-    graph: &Graph,
-    partition: Partition,
-    fits: &dyn Fn(&[NodeId]) -> bool,
-    delta: &mut PartitionDelta,
-) -> Partition {
-    let mut repair = Repair::new(graph, partition.clone());
-    if !repair.halve_raw(fits, delta) {
-        return partition;
-    }
-    repair.connectivity(delta, false);
-    repair.capacity(fits, delta, false);
-    repair.finish()
-}
-
-/// Full repair pipeline: connectivity + acyclicity, then capacity splits.
-/// The result is valid and every multi-node subgraph satisfies `fits`.
 pub fn repair(graph: &Graph, partition: Partition, fits: &dyn Fn(&[NodeId]) -> bool) -> Partition {
     let mut delta = PartitionDelta::clean(graph.len());
     repair_with_delta(graph, partition, fits, &mut delta)
@@ -415,28 +365,6 @@ impl<'g> Repair<'g> {
             self.ids[i] = scc;
         }
         self.k = count;
-    }
-
-    /// [`split_oversized`]'s first halving, on raw labels: every
-    /// multi-node subgraph that fails `fits` moves its second half to a
-    /// new label. Returns whether anything was halved.
-    fn halve_raw(&mut self, fits: &dyn Fn(&[NodeId]) -> bool, delta: &mut PartitionDelta) -> bool {
-        let layout = self.s.layout.build_from_assignment(&self.ids);
-        let mut next = self.k as u32;
-        for label in 0..self.k {
-            let members = layout.subgraph(label);
-            if members.len() <= 1 || fits(members) {
-                continue;
-            }
-            delta.touch_members(members);
-            for &m in &members[members.len() / 2..] {
-                self.ids[m.index()] = next;
-            }
-            next += 1;
-        }
-        let halved = next as usize > self.k;
-        self.k = next as usize;
-        halved
     }
 
     /// The in-situ capacity splits on canonical valid labels: every
@@ -887,7 +815,7 @@ mod tests {
         for _ in 0..25 {
             let k = rng.gen_range(1..=20u32);
             let assignment: Vec<u32> = (0..g.len()).map(|_| rng.gen_range(0..k)).collect();
-            let p = repair_connectivity(&g, Partition::from_assignment(assignment));
+            let p = repair(&g, Partition::from_assignment(assignment), &|_| true);
             assert!(p.validate(&g).is_ok());
         }
     }
@@ -896,7 +824,7 @@ mod tests {
     fn valid_partitions_pass_through_stably() {
         let g = cocco_graph::models::chain(5);
         let p = Partition::from_assignment(vec![0, 0, 0, 1, 1, 1]);
-        let repaired = repair_connectivity(&g, p.clone());
+        let repaired = repair(&g, p.clone(), &|_| true);
         assert_eq!(repaired, p);
     }
 
@@ -905,7 +833,7 @@ mod tests {
         let g = cocco_graph::models::diamond();
         // Cycle: {input,a,l,add} vs {r}.
         let p = Partition::from_assignment(vec![0, 0, 0, 1, 0]);
-        let fixed = repair_connectivity(&g, p);
+        let fixed = repair(&g, p, &|_| true);
         assert!(fixed.validate(&g).is_ok());
         // The cycle can only be fixed by merging: one subgraph remains.
         assert_eq!(fixed.num_subgraphs(), 1);
@@ -916,7 +844,7 @@ mod tests {
         let g = cocco_graph::models::chain(7);
         let p = Partition::whole(g.len());
         // Nothing fits: must end fully split.
-        let fixed = split_oversized(&g, p, &|_| false);
+        let fixed = repair(&g, p, &|_| false);
         assert!(fixed.validate(&g).is_ok());
         assert_eq!(fixed.num_subgraphs(), g.len());
     }
@@ -926,7 +854,7 @@ mod tests {
         let g = cocco_graph::models::chain(7);
         let p = Partition::whole(g.len());
         // Subgraphs of <= 3 nodes "fit".
-        let fixed = split_oversized(&g, p, &|m| m.len() <= 3);
+        let fixed = repair(&g, p, &|m| m.len() <= 3);
         assert!(fixed.validate(&g).is_ok());
         assert!(fixed.subgraphs().iter().all(|m| m.len() <= 3));
         // Should not have split all the way down.
@@ -949,7 +877,7 @@ mod tests {
         // Cycle: {input,a,l,add} vs {r} — repair merges everything.
         let p = Partition::from_assignment(vec![0, 0, 0, 1, 0]);
         let mut delta = PartitionDelta::clean(g.len());
-        let fixed = repair_connectivity_with_delta(&g, p, &mut delta);
+        let fixed = repair_with_delta(&g, p, &|_| true, &mut delta);
         assert_eq!(fixed.num_subgraphs(), 1);
         assert!(
             delta.is_all(),
@@ -964,8 +892,7 @@ mod tests {
         let mut delta = PartitionDelta::clean(g.len());
         // Only the second subgraph is "too big".
         let first = cocco_graph::NodeId::from_index(0);
-        let fixed =
-            split_oversized_with_delta(&g, p, &|m| m.len() <= 2 || m.contains(&first), &mut delta);
+        let fixed = repair_with_delta(&g, p, &|m| m.len() <= 2 || m.contains(&first), &mut delta);
         assert!(fixed.validate(&g).is_ok());
         for i in 0..4 {
             assert!(
@@ -1148,24 +1075,11 @@ mod tests {
                         PartitionDelta::clean(g.len()),
                     );
                     assert_eq!(
-                        repair_connectivity_with_delta(&g, p.clone(), &mut c_new),
+                        repair_with_delta(&g, p.clone(), &|_| true, &mut c_new),
                         reference::repair_connectivity_with_delta(&g, p.clone(), &mut c_ref),
                         "{context}: connectivity repair differs"
                     );
                     assert_eq!(c_new, c_ref, "{context}: connectivity deltas differ");
-
-                    // The capacity pass alone, on the raw (possibly invalid)
-                    // partition.
-                    let (mut s_new, mut s_ref) = (
-                        PartitionDelta::clean(g.len()),
-                        PartitionDelta::clean(g.len()),
-                    );
-                    assert_eq!(
-                        split_oversized_with_delta(&g, p.clone(), pred, &mut s_new),
-                        reference::split_oversized_with_delta(&g, p.clone(), pred, &mut s_ref),
-                        "{context}: capacity splits differ"
-                    );
-                    assert_eq!(s_new, s_ref, "{context}: capacity-split deltas differ");
 
                     // Walk on from the repaired partition, as the GA does,
                     // but occasionally keep the broken one.

@@ -102,16 +102,16 @@ struct EvalGroup<'g> {
 /// evaluator, the buffer space, the objective, evaluation options, a sample
 /// budget, a trace and the evaluation [`Engine`].
 ///
-/// Genome-level evaluations ([`evaluate`](SearchContext::evaluate),
-/// [`evaluate_batch`](SearchContext::evaluate_batch)) consume budget and
-/// are traced; the analytic helpers used inside deterministic baselines
+/// Evaluations ([`evaluate_chunks`](SearchContext::evaluate_chunks), which
+/// every driver step runs through, and its genome-level wrappers) consume
+/// budget and are traced; the analytic helpers used inside deterministic baselines
 /// ([`subgraph_cost`](SearchContext::subgraph_cost),
 /// [`fits`](SearchContext::fits)) do not consume budget but still share the
 /// engine's memoization cache.
 ///
 /// # Parallelism and determinism
 ///
-/// [`evaluate_batch`](SearchContext::evaluate_batch) hands every funded
+/// [`evaluate_chunks`](SearchContext::evaluate_chunks) hands every funded
 /// genome to the engine's worker pool as one job: repair, cache probe and
 /// scoring. Budget samples are drawn and trace points recorded in **input
 /// order** before/after the parallel section, each genome's repair +
@@ -396,7 +396,8 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Repairs and evaluates a batch of [`EvalCandidate`]s in place on the
-    /// engine's worker pool — the entry point used by the GA and SA.
+    /// engine's worker pool: a one-chunk
+    /// [`evaluate_chunks`](Self::evaluate_chunks), which drivers call directly.
     ///
     /// A candidate carrying an [`EvalHint`] is repaired seeded from its
     /// parent (see `ParentSeed`); every candidate is then scored the same

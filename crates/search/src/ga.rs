@@ -88,9 +88,9 @@ impl Default for GaConfig {
 /// configurations with the paper's customized crossover and mutations,
 /// in-situ capacity repair and tournament selection.
 ///
-/// Each generation is scored as one
-/// [`evaluate_batch`](SearchContext::evaluate_batch) call, so the fitness
-/// evaluation spreads over the context's engine pool (DiGamma-style
+/// Each generation is one driver step, scored by one
+/// [`evaluate_chunks`](SearchContext::evaluate_chunks) dispatch, so the
+/// fitness evaluation spreads over the context's engine pool (DiGamma-style
 /// population parallelism) while staying bit-identical to a serial run.
 ///
 /// # Examples

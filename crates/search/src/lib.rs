@@ -25,7 +25,7 @@
 //! scoring funnels through the `cocco-engine` evaluation engine: batches
 //! run on a worker pool and repeat evaluations hit a shared memoization
 //! cache, with results bit-identical at any thread count (see
-//! [`SearchContext::evaluate_batch`]).
+//! [`SearchContext::evaluate_chunks`]).
 //!
 //! [`SearchMethod`] is the method registry: one serializable, seedable
 //! selector carrying each method's typed configuration, itself a

@@ -5,41 +5,11 @@ use crate::config::{AcceleratorConfig, BufferConfig, EvalOptions};
 use crate::cost::SubgraphStats;
 use crate::error::SimError;
 use crate::report::{PartitionReport, SubgraphReport};
-use cocco_graph::{BuildFpHasher, EdgeReq, Graph, LayerOp, NodeId, NodeSetFp};
+use cocco_graph::{EdgeReq, FpCache, Graph, LayerOp, NodeId, NodeSetFp};
 use cocco_mem::footprint::node_footprint;
 use cocco_telemetry::{Histogram, Stopwatch, Telemetry};
 use cocco_tiling::derive_scheme;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
-
-/// Shards of the subgraph-statistics cache: parallel batch evaluation has
-/// every worker reading and occasionally writing this map, so spreading
-/// keys over independent locks keeps them off each other's critical
-/// sections.
-const STATS_SHARDS: usize = 16;
-
-/// Shard selection from a member-set fingerprint — the fingerprint is
-/// already uniform, so one lane picks the shard directly.
-fn stats_shard(fp: NodeSetFp) -> usize {
-    (fp.lo % STATS_SHARDS as u64) as usize
-}
-
-/// One cached statistics entry plus its last-touched generation (updated on
-/// hits under the shard's read lock, hence atomic) — the same
-/// generation-sweep bookkeeping the engine's `EvalCache` uses.
-#[derive(Debug)]
-struct StatsSlot {
-    stats: SubgraphStats,
-    gen: AtomicU64,
-}
-
-/// One shard of the stats cache: the map plus the shard's sweep generation.
-#[derive(Debug, Default)]
-struct StatsShard {
-    map: HashMap<NodeSetFp, StatsSlot, BuildFpHasher>,
-    gen: u64,
-}
 
 /// Evaluates partitions of one computation graph on one accelerator
 /// configuration, caching the buffer-independent per-subgraph statistics.
@@ -74,17 +44,11 @@ pub struct Evaluator<'g> {
     fingerprint: u64,
     /// Member-set fingerprint → statistics. Keyed by the same 128-bit
     /// [`NodeSetFp`] the engine caches key on, so a probe neither
-    /// allocates a key vector nor re-hashes the member list. Bounded by
-    /// [`stats_capacity`](Self::with_stats_capacity): a full shard runs a
-    /// generation sweep evicting entries untouched since the previous
-    /// sweep, so a long exploration keeps its working set while stale
-    /// subgraphs are shed.
-    cache: [RwLock<StatsShard>; STATS_SHARDS],
-    /// Entry budget per cache shard.
-    stats_shard_capacity: usize,
-    stats_hits: AtomicU64,
-    stats_misses: AtomicU64,
-    stats_evictions: AtomicU64,
+    /// allocates a key vector nor re-hashes the member list. Bounded to
+    /// [`DEFAULT_STATS_CAPACITY`](Self::DEFAULT_STATS_CAPACITY) entries by
+    /// the cache's generation sweeps, so a long exploration keeps its
+    /// working set while stale subgraphs are shed.
+    cache: FpCache<NodeSetFp, SubgraphStats>,
     /// Misses whose member list arrived out of ascending order and had to
     /// be sorted into a temporary before derivation. Every production
     /// path (arena layouts, `Partition::subgraphs`) produces ascending
@@ -142,11 +106,7 @@ impl<'g> Evaluator<'g> {
             cycles,
             is_input,
             fingerprint: h,
-            cache: Default::default(),
-            stats_shard_capacity: (Self::DEFAULT_STATS_CAPACITY / STATS_SHARDS).max(1),
-            stats_hits: AtomicU64::new(0),
-            stats_misses: AtomicU64::new(0),
-            stats_evictions: AtomicU64::new(0),
+            cache: FpCache::with_capacity(Self::DEFAULT_STATS_CAPACITY),
             stats_canon_fallbacks: AtomicU64::new(0),
             stats_latency: None,
         }
@@ -169,18 +129,6 @@ impl<'g> Evaluator<'g> {
     /// one model touches.
     pub const DEFAULT_STATS_CAPACITY: usize = 1 << 18;
 
-    /// Bounds the per-subgraph statistics cache to `capacity` entries
-    /// (clamped so every shard holds at least one). A full shard runs a
-    /// generation sweep — entries untouched since the previous sweep are
-    /// evicted and counted — exactly the engine cache's eviction policy.
-    /// Eviction never changes results; a re-miss recomputes the
-    /// bit-identical statistics.
-    #[must_use]
-    pub fn with_stats_capacity(mut self, capacity: usize) -> Self {
-        self.stats_shard_capacity = (capacity / STATS_SHARDS).max(1);
-        self
-    }
-
     /// A stable identity of this evaluator's `(graph, accelerator config)`
     /// pair, for callers that memoize evaluations across evaluators (two
     /// different models or platforms virtually never collide).
@@ -198,25 +146,14 @@ impl<'g> Evaluator<'g> {
         &self.config
     }
 
-    /// Number of distinct subgraphs currently cached (bounded by the stats
-    /// capacity; see [`with_stats_capacity`](Self::with_stats_capacity)).
-    pub fn cached_subgraphs(&self) -> usize {
-        self.cache.iter().map(|s| s.read().unwrap().map.len()).sum()
-    }
-
     /// Statistics-cache lookups answered from the cache.
     pub fn stats_cache_hits(&self) -> u64 {
-        self.stats_hits.load(Ordering::Relaxed)
+        self.cache.hits()
     }
 
     /// Statistics-cache lookups that required a fresh derivation.
     pub fn stats_cache_misses(&self) -> u64 {
-        self.stats_misses.load(Ordering::Relaxed)
-    }
-
-    /// Statistics entries evicted by generation sweeps.
-    pub fn stats_cache_evictions(&self) -> u64 {
-        self.stats_evictions.load(Ordering::Relaxed)
+        self.cache.misses()
     }
 
     /// Statistics misses that had to canonicalize (sort a copy of) an
@@ -260,18 +197,9 @@ impl<'g> Evaluator<'g> {
         members: &[NodeId],
     ) -> Result<SubgraphStats, SimError> {
         debug_assert_eq!(fp, NodeSetFp::of_members(members), "stale fingerprint");
-        let shard = &self.cache[stats_shard(fp)];
-        {
-            let shard = shard.read().unwrap();
-            if let Some(slot) = shard.map.get(&fp) {
-                // Touch: mark the entry live in the current generation so
-                // the next sweep keeps it.
-                slot.gen.store(shard.gen, Ordering::Relaxed);
-                self.stats_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(slot.stats);
-            }
+        if let Some(stats) = self.cache.get(&fp) {
+            return Ok(stats);
         }
-        self.stats_misses.fetch_add(1, Ordering::Relaxed);
         let derivation = self.stats_latency.as_ref().map(|_| Stopwatch::start());
         // Miss: the derivation expects members in ascending (topological)
         // order. Every production caller guarantees it by construction —
@@ -294,42 +222,7 @@ impl<'g> Evaluator<'g> {
         if let (Some(hist), Some(sw)) = (&self.stats_latency, derivation) {
             hist.record(sw.elapsed_nanos());
         }
-        let mut shard = shard.write().unwrap();
-        let gen = shard.gen;
-        shard.map.insert(
-            fp,
-            StatsSlot {
-                stats,
-                gen: AtomicU64::new(gen),
-            },
-        );
-        if shard.map.len() > self.stats_shard_capacity {
-            // Generation sweep (the engine cache's policy): evict
-            // everything not touched since the previous sweep; if the live
-            // working set alone overflows, shed down to half the budget so
-            // the next full-shard sweep is amortized.
-            let before = shard.map.len();
-            shard
-                .map
-                .retain(|_, slot| slot.gen.load(Ordering::Relaxed) >= gen);
-            if shard.map.len() > self.stats_shard_capacity {
-                let target = (self.stats_shard_capacity / 2).max(1);
-                let surplus = shard.map.len() - target;
-                // Deterministic victim selection (mirrors the engine
-                // cache): never let HashMap iteration order decide which
-                // entries survive, or identical runs diverge in what they
-                // keep warm.
-                // cocco-audit: allow(D1) victims are sorted before use, so map order never escapes
-                let mut victims: Vec<NodeSetFp> = shard.map.keys().copied().collect();
-                victims.sort_unstable();
-                for victim in victims.iter().take(surplus) {
-                    shard.map.remove(victim);
-                }
-            }
-            shard.gen += 1;
-            self.stats_evictions
-                .fetch_add((before - shard.map.len()) as u64, Ordering::Relaxed);
-        }
+        self.cache.insert(fp, stats);
         Ok(stats)
     }
 
@@ -864,19 +757,20 @@ mod tests {
         let a = eval.subgraph_stats(&members).unwrap();
         let b = eval.subgraph_stats(&members).unwrap();
         assert_eq!(a, b);
-        assert_eq!(eval.cached_subgraphs(), 1);
+        assert_eq!(eval.cache.len(), 1);
         // Different order, same set: still one cache entry.
         let mut rev = members.clone();
         rev.reverse();
         let c = eval.subgraph_stats(&rev).unwrap();
         assert_eq!(a, c);
-        assert_eq!(eval.cached_subgraphs(), 1);
+        assert_eq!(eval.cache.len(), 1);
     }
 
     #[test]
     fn stats_cache_is_bounded_and_exact() {
         let g = cocco_graph::models::googlenet();
-        let bounded = Evaluator::new(&g, AcceleratorConfig::default()).with_stats_capacity(64);
+        let mut bounded = Evaluator::new(&g, AcceleratorConfig::default());
+        bounded.cache = FpCache::with_capacity(64);
         let unbounded = Evaluator::new(&g, AcceleratorConfig::default());
         let ids: Vec<NodeId> = g.node_ids().collect();
         // Flood with many distinct member sets (singletons, pairs,
@@ -895,12 +789,12 @@ mod tests {
             }
         }
         assert!(
-            bounded.cached_subgraphs() <= 64,
+            bounded.cache.len() <= 64,
             "stats cache exceeded its budget: {}",
-            bounded.cached_subgraphs()
+            bounded.cache.len()
         );
         assert!(
-            bounded.stats_cache_evictions() > 0,
+            bounded.cache.evictions() > 0,
             "the tiny budget must have swept"
         );
         assert!(bounded.stats_cache_hits() > 0 || bounded.stats_cache_misses() > 0);
