@@ -62,7 +62,7 @@ fn main() {
                 );
                 let mut cfg = cfg.clone();
                 cfg.seed = seed;
-                let out = CoccoGa::new(cfg).run(&ctx);
+                let out = SearchMethod::Ga(cfg).run(&ctx);
                 costs.push(out.best_cost);
             }
             let mean = costs.iter().sum::<f64>() / costs.len() as f64;

@@ -11,7 +11,6 @@
 //! (`COCCO_FULL=1` for paper-scale budgets)
 
 use cocco::prelude::*;
-use cocco::search::ExhaustiveLimits;
 use cocco_bench::{Scale, Table};
 
 fn main() {
@@ -58,7 +57,7 @@ fn main() {
         };
 
         // Halide greedy is the normalization baseline.
-        let greedy = GreedyFusion::default().run(&ctx());
+        let greedy = SearchMethod::greedy().run(&ctx());
         let (ema0, bw0, sg0) = measure(&greedy.best.as_ref().unwrap().partition);
 
         let mut emit = |method: &str, result: Option<(f64, f64, usize)>| match result {
@@ -81,18 +80,21 @@ fn main() {
                 "-".into(),
             ]),
         };
-        emit("Halide (greedy)", Some((ema0, bw0, sg0)));
+        emit(SearchMethod::greedy().name(), Some((ema0, bw0, sg0)));
 
-        let dp = DepthDp::default().run(&ctx());
+        let dp_method = SearchMethod::depth_dp();
+        let dp = dp_method.run(&ctx());
         emit(
-            "Irregular-NN (DP)",
+            dp_method.name(),
             dp.best.as_ref().map(|b| measure(&b.partition)),
         );
 
-        let ga = CoccoGa::default()
-            .with_population(scale.population)
-            .with_seed(0xC0CC0)
-            .run(&ctx());
+        let ga = SearchMethod::Ga(GaConfig {
+            population: scale.population,
+            ..GaConfig::default()
+        })
+        .with_seed(0xC0CC0)
+        .run(&ctx());
         emit("Cocco", ga.best.as_ref().map(|b| measure(&b.partition)));
 
         let limits = ExhaustiveLimits {
@@ -103,9 +105,10 @@ fn main() {
                 2_000_000
             },
         };
-        let exhaustive = Exhaustive::new(limits).run(&ctx());
+        let exhaustive_method = SearchMethod::Exhaustive(limits);
+        let exhaustive = exhaustive_method.run(&ctx());
         emit(
-            "Enumeration",
+            exhaustive_method.name(),
             if exhaustive.completed {
                 exhaustive.best.as_ref().map(|b| measure(&b.partition))
             } else {

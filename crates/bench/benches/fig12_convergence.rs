@@ -68,10 +68,12 @@ fn main() {
                 Objective::partition_only(CostMetric::Energy),
                 budget,
             );
-            CoccoGa::default()
-                .with_population(scale.population)
-                .with_seed(1)
-                .run(&ctx);
+            SearchMethod::Ga(GaConfig {
+                population: scale.population,
+                ..GaConfig::default()
+            })
+            .with_seed(1)
+            .run(&ctx);
             runs.push((
                 match label {
                     "Buf(S)" => "Buf(S)+GA",
@@ -82,7 +84,7 @@ fn main() {
             ));
         }
         // Two-step schemes.
-        for (label, method) in [("RS+GA", TwoStep::random()), ("GS+GA", TwoStep::grid())] {
+        for config in [TwoStep::random(), TwoStep::grid()] {
             let ctx = SearchContext::new(
                 &model,
                 &evaluator,
@@ -90,11 +92,10 @@ fn main() {
                 objective,
                 budget,
             );
-            method
-                .with_per_candidate((budget / 10).max(1))
-                .with_seed(2)
-                .run(&ctx);
-            runs.push((label, ctx));
+            let method =
+                SearchMethod::TwoStep(config.with_per_candidate((budget / 10).max(1))).with_seed(2);
+            method.run(&ctx);
+            runs.push((method.name(), ctx));
         }
         // Co-optimization.
         {
@@ -105,8 +106,9 @@ fn main() {
                 objective,
                 budget,
             );
-            SimulatedAnnealing::default().with_seed(3).run(&ctx);
-            runs.push(("SA", ctx));
+            let method = SearchMethod::sa().with_seed(3);
+            method.run(&ctx);
+            runs.push((method.name(), ctx));
         }
         let cocco_ctx = SearchContext::new(
             &model,
@@ -115,10 +117,12 @@ fn main() {
             objective,
             budget,
         );
-        CoccoGa::default()
-            .with_population(scale.population)
-            .with_seed(4)
-            .run(&cocco_ctx);
+        SearchMethod::Ga(GaConfig {
+            population: scale.population,
+            ..GaConfig::default()
+        })
+        .with_seed(4)
+        .run(&cocco_ctx);
         runs.push(("Cocco", cocco_ctx));
 
         // Emit curves and the 12(d) threshold table.

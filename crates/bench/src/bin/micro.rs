@@ -10,9 +10,10 @@
 //! * `... micro -- --smoke [--threads <n>]` — the CI smoke: thread parity
 //!   of a seeded GA (serial, `n` threads, live telemetry sink: identical
 //!   results and engine counters, zero hot-path allocations), the fault
-//!   matrix, stepped (JSON-resumed) vs monolithic parity, the interleaved
-//!   two-step's higher cross-candidate hit rate, the telemetry overhead
-//!   ceiling on a cached probe, and the audit gate.
+//!   matrix, no roll-up cache sweep on the cold 20k-sample GA, stepped
+//!   (JSON-resumed) vs monolithic parity, the interleaved two-step's
+//!   higher cross-candidate hit rate, the telemetry overhead ceiling on a
+//!   cached probe, and the audit gate.
 
 use cocco::prelude::*;
 use cocco::telemetry::Stopwatch;
@@ -90,7 +91,11 @@ fn ga_run(
         Some(t) => ctx.with_engine_telemetry(engine, t),
         None => ctx.with_engine(engine),
     };
-    let ga = CoccoGa::default().with_population(population).with_seed(42);
+    let ga = SearchMethod::Ga(GaConfig {
+        population,
+        ..GaConfig::default()
+    })
+    .with_seed(42);
     let start = Stopwatch::start();
     let outcome = ga.run(&ctx);
     (
@@ -240,10 +245,8 @@ fn fault_matrix_check(threads: u32) {
     // must return the same structured error with the same salvaged
     // best-so-far, keep its last periodic checkpoint, refund the
     // quarantined batch, and resume to completion once disarmed. The
-    // facade saves at most one checkpoint per 100 ms, so the fault must
-    // strike well after that on a fast host: a low rate and the largest
-    // model (the seeded fault lands at sample 2800, about 0.5 s in).
-    let big = cocco::graph::models::nasnet();
+    // facade saves a checkpoint after every step here, and the seeded
+    // fault lands at sample 2800, many generations in.
     let mut panic_reference: Option<(f64, u64)> = None;
     for t in cells {
         let cell = format!("worker_panic, {t} threads");
@@ -264,7 +267,7 @@ fn fault_matrix_check(threads: u32) {
             .clone()
             .with_checkpoint_every(1)
             .with_faults(plan.clone())
-            .explore(&big);
+            .explore(&model);
         std::panic::set_hook(hook);
         let err = result.expect_err("an injected worker panic must surface as an error");
         let Error::WorkerPanic { salvage, .. } = err else {
@@ -279,7 +282,7 @@ fn fault_matrix_check(threads: u32) {
         assert!(health.refunded_samples > 0, "funding not refunded ({cell})");
         assert!(ckpt.exists(), "aborted run lost its checkpoint ({cell})");
         let resumed = session
-            .explore(&big)
+            .explore(&model)
             .unwrap_or_else(|e| panic!("{cell}: disarmed resume failed: {e}"));
         assert!(resumed.cost <= salvage.cost, "resume regressed ({cell})");
         let conserved = resumed.trace.len() as u64 == resumed.samples;
@@ -526,16 +529,13 @@ fn twostep_run(
         population: 24,
         ..GaConfig::default()
     };
-    let mut method = TwoStep {
+    let method = SearchMethod::TwoStep(TwoStep {
         sampling: CapacitySampling::Random,
         per_candidate: (budget / 4).max(1),
         ga,
         seed: 29,
-        interleave: true,
-    };
-    if !interleave {
-        method = method.sequential();
-    }
+        interleave,
+    });
     let start = Stopwatch::start();
     let outcome = method.run(&ctx);
     (
@@ -635,6 +635,30 @@ fn telemetry_overhead_check() {
     }
 }
 
+/// The cold workload at default cache capacities: a default-config GA on
+/// `randwire-a`, 20 000 samples, seed 1. A roll-up cache sweep that finds
+/// more live entries than its budget sheds touched entries as readily as
+/// stale ones; this pins that no sweep fires at all on this run.
+fn cache_sweep_check(threads: u32) {
+    let model = cocco::graph::models::randwire_a();
+    let result = Cocco::new()
+        .with_budget(20_000)
+        .with_seed(1)
+        .with_engine(EngineConfig::with_threads(threads))
+        .explore(&model)
+        .expect("the cold GA run completes");
+    let stats = result.stats;
+    assert_eq!(
+        stats.cache_evictions, 0,
+        "the roll-up cache swept at default capacity ({} entries)",
+        stats.cache_entries
+    );
+    println!(
+        "cache sweep          : 0 evictions at default capacity ({} roll-ups, {threads} threads)",
+        stats.cache_entries
+    );
+}
+
 /// Runs the workspace determinism audit in-process and prints its wall
 /// time — the smoke's cheap proof that the gate stays both green and
 /// fast enough to run on every CI push.
@@ -683,6 +707,7 @@ fn main() {
         engine_bench(true, threads);
         println!();
         fault_matrix_check(threads);
+        cache_sweep_check(threads);
         stepped_parity_check(threads);
         twostep_bench(true, threads);
         telemetry_overhead_check();

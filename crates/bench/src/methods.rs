@@ -56,6 +56,15 @@ impl ExperimentCfg<'_> {
         Objective::co_exploration(self.metric, self.alpha)
     }
 
+    /// The GA at the experiment's population and base seed.
+    fn ga(&self) -> SearchMethod {
+        SearchMethod::Ga(GaConfig {
+            population: self.population,
+            ..GaConfig::default()
+        })
+        .with_seed(self.seed)
+    }
+
     /// Runs the partition-only refinement at `buffer` (optionally warm-
     /// started) and returns the Formula-2 cost.
     fn refine(&self, buffer: BufferConfig, warm: Option<Partition>) -> MethodResult {
@@ -67,13 +76,13 @@ impl ExperimentCfg<'_> {
             self.refine_budget,
         )
         .with_options(self.options);
-        let mut ga = CoccoGa::default()
-            .with_population(self.population)
-            .with_seed(self.seed ^ 0x5eed);
-        if let Some(p) = warm {
-            ga = ga.with_initial(vec![p]);
-        }
-        let outcome = ga.run(&ctx);
+        let outcome = SearchMethod::Ga(GaConfig {
+            population: self.population,
+            initial: warm.into_iter().collect(),
+            ..GaConfig::default()
+        })
+        .with_seed(self.seed ^ 0x5eed)
+        .run(&ctx);
         MethodResult {
             buffer,
             cost: buffer.total_bytes() as f64 + self.alpha * outcome.best_cost,
@@ -92,10 +101,7 @@ impl ExperimentCfg<'_> {
             self.budget,
         )
         .with_options(self.options);
-        let outcome = CoccoGa::default()
-            .with_population(self.population)
-            .with_seed(self.seed)
-            .run(&ctx);
+        let outcome = self.ga().run(&ctx);
         let mut refined = self.refine(buffer, outcome.best.map(|g| g.partition));
         refined.samples += outcome.samples;
         refined
@@ -112,11 +118,8 @@ impl ExperimentCfg<'_> {
         )
         .with_options(self.options);
         let outcome = match engine {
-            CoOptEngine::Sa => SimulatedAnnealing::default().with_seed(self.seed).run(&ctx),
-            CoOptEngine::Cocco => CoccoGa::default()
-                .with_population(self.population)
-                .with_seed(self.seed)
-                .run(&ctx),
+            CoOptEngine::Sa => SearchMethod::sa().with_seed(self.seed).run(&ctx),
+            CoOptEngine::Cocco => self.ga().run(&ctx),
         };
         match outcome.best {
             Some(genome) => {
@@ -143,13 +146,12 @@ impl ExperimentCfg<'_> {
             self.budget,
         )
         .with_options(self.options);
-        let method = match sampling {
+        let config = match sampling {
             CapacitySampling::Random => TwoStep::random(),
             CapacitySampling::Grid => TwoStep::grid(),
         }
-        .with_per_candidate((self.budget / 10).max(1))
-        .with_seed(self.seed);
-        let outcome = method.run(&ctx);
+        .with_per_candidate((self.budget / 10).max(1));
+        let outcome = SearchMethod::TwoStep(config).with_seed(self.seed).run(&ctx);
         match outcome.best {
             Some(genome) => {
                 let mut refined = self.refine(genome.buffer, Some(genome.partition));

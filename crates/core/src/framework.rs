@@ -6,10 +6,10 @@ use cocco_faults::{FaultPlan, FaultSite, HealthReport};
 use cocco_graph::Graph;
 use cocco_search::{
     drive_step, BufferSpace, GaConfig, Objective, SearchContext, SearchMethod, SearchOutcome,
-    SearchSnapshot, Searcher, Trace, CHECKPOINT_VERSION,
+    SearchSnapshot, Trace, CHECKPOINT_VERSION,
 };
 use cocco_sim::{AcceleratorConfig, EvalOptions, Evaluator, PartitionReport};
-use cocco_telemetry::{Phase, Stopwatch, Telemetry};
+use cocco_telemetry::{Phase, Telemetry};
 use serde::{Deserialize, Serialize};
 
 pub use cocco_search::Genome;
@@ -79,11 +79,12 @@ impl Exploration {
 /// High-level driver: model + hardware description + memory design space +
 /// search method in, recommended configuration + schedule + evaluation out.
 ///
-/// Any search method of the registry runs through the same [`Searcher`]
-/// path ([`with_method`](Cocco::with_method)); the defaults reproduce the
-/// paper's headline setup (genetic co-exploration, shared-buffer space,
-/// energy-capacity objective). Drop down to [`SearchContext`] and the
-/// individual searchers for custom experiment harnesses.
+/// Any search method of the registry ([`with_method`](Cocco::with_method))
+/// runs through the same path: its [`SearchMethod::driver`] stepped by
+/// [`drive_step`]. The defaults reproduce the paper's headline setup
+/// (genetic co-exploration, shared-buffer space, energy-capacity
+/// objective). Drop down to [`SearchContext`] and [`SearchMethod::run`]
+/// for custom experiment harnesses.
 ///
 /// # Examples
 ///
@@ -252,10 +253,8 @@ impl Cocco {
 
     /// Sets how many driver steps elapse between checkpoint saves
     /// (default 16; clamped to at least 1). A GA step is one generation,
-    /// so the default saves every ~16 generations. Saves are additionally
-    /// floored by a small wall-clock interval, so fast analytic steps
-    /// (greedy merges, DP rows, enumeration levels) never spend a
-    /// meaningful fraction of the run serializing snapshots.
+    /// so the default saves every ~16 generations. The cadence depends on
+    /// the step count alone, never on the clock.
     pub fn with_checkpoint_every(mut self, steps: u64) -> Self {
         self.checkpoint_every = steps.max(1);
         self
@@ -527,27 +526,15 @@ impl Cocco {
             method.driver()
         };
         let mut steps = 0u64;
-        // Snapshot serialization can be expensive for state-heavy drivers
-        // (the enumeration's downset tables), and analytic methods step
-        // very fast — so the step cadence is additionally floored by a
-        // wall-clock interval, bounding checkpoint overhead to a small
-        // fraction of the run regardless of step granularity.
-        const MIN_SAVE_INTERVAL: std::time::Duration = std::time::Duration::from_millis(100);
-        // The throttle gates how often snapshots hit disk, never what the
-        // search does; `Stopwatch` is the sanctioned timing authority.
-        let mut last_save = Stopwatch::start();
         while drive_step(&mut *driver, ctx) {
             steps += 1;
-            if steps.is_multiple_of(self.checkpoint_every)
-                && last_save.elapsed() >= MIN_SAVE_INTERVAL
-            {
+            if steps.is_multiple_of(self.checkpoint_every) {
                 let serialize_phase = self.telemetry.phase(Phase::Serialize);
                 let snapshot = SearchSnapshot::capture(method, &*driver, ctx);
                 if let Err(e) = save_checkpoint(&snapshot, path, &self.faults) {
                     *save_error = Some(format!("{}: {e}", path.display()));
                 }
                 drop(serialize_phase);
-                last_save = Stopwatch::start();
             }
         }
         if ctx.fault_abort().is_some() {

@@ -821,14 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn valid_partitions_pass_through_stably() {
-        let g = cocco_graph::models::chain(5);
-        let p = Partition::from_assignment(vec![0, 0, 0, 1, 1, 1]);
-        let repaired = repair(&g, p.clone(), &|_| true);
-        assert_eq!(repaired, p);
-    }
-
-    #[test]
     fn scc_merge_preserves_connectivity() {
         let g = cocco_graph::models::diamond();
         // Cycle: {input,a,l,add} vs {r}.

@@ -10,9 +10,7 @@ use cocco_engine::{
 };
 use cocco_faults::{FaultPlan, FaultSite};
 use cocco_graph::{Graph, NodeId};
-use cocco_partition::{
-    repair, repair_seeded, repair_with_delta, ParentSeed, Partition, PartitionDelta,
-};
+use cocco_partition::{repair_seeded, ParentSeed, Partition, PartitionDelta};
 use cocco_sim::{BufferConfig, EvalOptions, Evaluator};
 use cocco_telemetry::{Stopwatch, Telemetry};
 use std::cell::Cell;
@@ -42,7 +40,7 @@ pub struct EvalHint {
 /// One genome queued for batch evaluation.
 ///
 /// Inputs: the genome and an optional [`EvalHint`]. Outputs, filled in by
-/// [`SearchContext::evaluate_candidates`]: the repaired genome, its
+/// [`SearchContext::evaluate_chunks`]: the repaired genome, its
 /// objective `cost` (`None` iff the budget ran out first) and the `memo`
 /// to hand to this genome's own offspring (`None` when the evaluator
 /// errored).
@@ -80,7 +78,7 @@ impl EvalCandidate {
     }
 }
 
-/// Where a group's funding comes from (see `evaluate_groups`).
+/// Where a chunk's funding comes from (see `evaluate_chunks`).
 enum Funding<'f> {
     /// The context's own budget.
     Context,
@@ -98,13 +96,13 @@ struct EvalGroup<'g> {
     funding: Funding<'g>,
 }
 
-/// Everything a [`Searcher`](crate::Searcher) needs: the graph, the shared
-/// evaluator, the buffer space, the objective, evaluation options, a sample
-/// budget, a trace and the evaluation [`Engine`].
+/// Everything a [`SearchDriver`](crate::SearchDriver) needs: the graph, the
+/// shared evaluator, the buffer space, the objective, evaluation options, a
+/// sample budget, a trace and the evaluation [`Engine`].
 ///
 /// Evaluations ([`evaluate_chunks`](SearchContext::evaluate_chunks), which
-/// every driver step runs through, and its genome-level wrappers) consume
-/// budget and are traced; the analytic helpers used inside deterministic baselines
+/// every driver step runs through) consume budget and are traced; the
+/// analytic helpers used inside deterministic baselines
 /// ([`subgraph_cost`](SearchContext::subgraph_cost),
 /// [`fits`](SearchContext::fits)) do not consume budget but still share the
 /// engine's memoization cache.
@@ -133,8 +131,9 @@ pub struct SearchContext<'a> {
     engine: Arc<Engine>,
     /// Best cost any evaluation of this context family has produced, as
     /// `f64` bits — telemetry only (`search.improvement` events), never
-    /// consulted by a search decision. Shared by [`derive`](Self::derive)d
-    /// contexts so an improvement is "new best of the whole run".
+    /// consulted by a search decision. Shared by
+    /// [`derive_with_budget`](Self::derive_with_budget)d contexts so an
+    /// improvement is "new best of the whole run".
     best_seen: Arc<AtomicU64>,
     /// Seeded fault-injection plan (disabled by default). Draws happen in
     /// the serial funding-order sections only, so an enabled plan is
@@ -229,40 +228,11 @@ impl<'a> SearchContext<'a> {
         self.engine.telemetry()
     }
 
-    /// Derives a context with a different space/objective that shares this
-    /// context's budget, trace, options, evaluator and engine — used by the
-    /// two-step scheme to run partition-only inner searches against the
-    /// common sample pool (and the common memoization cache).
-    pub fn derive(&self, space: BufferSpace, objective: Objective) -> SearchContext<'a> {
-        SearchContext {
-            graph: self.graph,
-            evaluator: self.evaluator,
-            space,
-            objective,
-            options: self.options,
-            budget: Arc::clone(&self.budget),
-            trace: Arc::clone(&self.trace),
-            engine: Arc::clone(&self.engine),
-            best_seen: Arc::clone(&self.best_seen),
-            faults: self.faults.clone(),
-            abort: Arc::clone(&self.abort),
-        }
-    }
-
-    /// Derives a context whose budget is capped at `cap` additional samples
-    /// while still drawing from (and counting against) this context's pool.
-    pub fn slice_budget(&self, cap: u64) -> SearchContext<'a> {
-        self.derive_with_budget(
-            self.space,
-            self.objective,
-            Arc::new(SampleBudget::slice(Arc::clone(&self.budget), cap)),
-        )
-    }
-
-    /// [`derive`](Self::derive) with an explicit budget handle — how a
-    /// stepped sub-search (a two-step inner GA, a portfolio member) keeps
-    /// drawing from **its own persistent slice** across driver steps while
-    /// sharing this context's trace, engine and evaluator.
+    /// Derives a context with a different space, objective and budget
+    /// handle that shares this context's trace, options, evaluator and
+    /// engine — how a stepped sub-search (a two-step inner GA) keeps
+    /// drawing from **its own persistent slice** across driver steps
+    /// while sharing the common memoization cache.
     pub fn derive_with_budget(
         &self,
         space: BufferSpace,
@@ -337,88 +307,15 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// Runs the full repair pipeline on `partition` for `buffer`
-    /// (connectivity, acyclicity, in-situ capacity splits).
-    pub fn repair(&self, partition: Partition, buffer: &BufferConfig) -> Partition {
-        repair(self.graph, partition, &|members| self.fits(members, buffer))
-    }
-
-    /// [`repair`](Self::repair), recording every membership change the
-    /// pipeline makes into `delta` (on top of whatever the caller already
-    /// marked).
-    pub fn repair_with_delta(
-        &self,
-        partition: Partition,
-        buffer: &BufferConfig,
-        delta: &mut PartitionDelta,
-    ) -> Partition {
-        repair_with_delta(
-            self.graph,
-            partition,
-            &|members| self.fits(members, buffer),
-            delta,
-        )
-    }
-
-    /// Repairs and evaluates `genome` in place, consuming one budget
-    /// sample. Returns the objective cost, or `None` when the budget is
-    /// exhausted (the genome is then left unmodified).
-    pub fn evaluate(&self, genome: &mut Genome) -> Option<f64> {
-        self.evaluate_batch(std::slice::from_mut(genome))
-            .pop()
-            .flatten()
-    }
-
-    /// Repairs and evaluates a batch of genomes in place on the engine's
-    /// worker pool, consuming one budget sample per evaluated genome.
-    ///
-    /// The result vector preserves input order; entry `i` is `None` iff the
-    /// budget ran out before genome `i` (un-funded genomes are left
-    /// unmodified). Sample indices and trace points follow input order
-    /// regardless of the thread count, so seeded searches are bit-identical
-    /// serial and parallel.
-    pub fn evaluate_batch(&self, genomes: &mut [Genome]) -> Vec<Option<f64>> {
-        let mut candidates: Vec<EvalCandidate> = genomes
-            .iter_mut()
-            .map(|g| {
-                let buffer = g.buffer;
-                EvalCandidate::new(std::mem::replace(
-                    g,
-                    Genome::new(Partition::singletons(0), buffer),
-                ))
-            })
-            .collect();
-        let costs = self.evaluate_candidates(&mut candidates);
-        for (g, candidate) in genomes.iter_mut().zip(candidates) {
-            *g = candidate.genome;
-        }
-        costs
-    }
-
-    /// Repairs and evaluates a batch of [`EvalCandidate`]s in place on the
-    /// engine's worker pool: a one-chunk
-    /// [`evaluate_chunks`](Self::evaluate_chunks), which drivers call directly.
+    /// Evaluates a driver's [`EvalBatch`] — every chunk of every candidate
+    /// — as **one** engine dispatch, honoring each chunk's objective and
+    /// funding overrides.
     ///
     /// A candidate carrying an [`EvalHint`] is repaired seeded from its
     /// parent (see `ParentSeed`); every candidate is then scored the same
     /// way. Each candidate's `memo` output is its own, ready to seed its
     /// offspring's hints. Results are bit-identical with and without hints
-    /// and across thread counts (sample indices and trace points follow
-    /// input order, and a seed only skips `fits` calls whose answer is
-    /// known).
-    pub fn evaluate_candidates(&self, candidates: &mut [EvalCandidate]) -> Vec<Option<f64>> {
-        let mut groups = [EvalGroup {
-            candidates,
-            objective: self.objective,
-            funding: Funding::Context,
-        }];
-        self.evaluate_groups(&mut groups);
-        groups[0].candidates.iter().map(|c| c.cost).collect()
-    }
-
-    /// Evaluates a driver's [`EvalBatch`] — every chunk of every candidate
-    /// — as **one** engine dispatch, honoring each chunk's objective and
-    /// funding overrides.
+    /// (a seed only skips `fits` calls whose answer is known).
     ///
     /// Funding is drawn in chunk order, candidate order (a chunk whose
     /// budget runs dry leaves its remaining candidates unfunded and moves
@@ -427,6 +324,12 @@ impl<'a> SearchContext<'a> {
     /// sub-searches sharing one dispatch stay bit-identical at any thread
     /// count.
     pub fn evaluate_chunks(&self, batch: &mut EvalBatch) {
+        // A quarantined batch aborts the step family: once a worker panic
+        // was caught, refuse further funding so the caller unwinds with
+        // budget accounting and trace still consistent.
+        if self.fault_abort().is_some() {
+            return;
+        }
         let mut groups: Vec<EvalGroup<'_>> = batch
             .chunks
             .iter_mut()
@@ -448,19 +351,6 @@ impl<'a> SearchContext<'a> {
                 }
             })
             .collect();
-        self.evaluate_groups(&mut groups);
-    }
-
-    /// The shared grouped evaluation core: fund in group/input order, run
-    /// every funded candidate in one pool dispatch, record trace points in
-    /// funding order.
-    fn evaluate_groups(&self, groups: &mut [EvalGroup<'_>]) {
-        // A quarantined batch aborts the step family: once a worker panic
-        // was caught, refuse further funding so the caller unwinds with
-        // budget accounting and trace still consistent.
-        if self.fault_abort().is_some() {
-            return;
-        }
         // Injected budget exhaustion: revoke the pool *before* funding,
         // so this batch degrades exactly like a naturally dry budget
         // (unfunded candidates, no trace points, no stranded samples).
@@ -590,7 +480,7 @@ impl<'a> SearchContext<'a> {
                 candidate.memo = None;
                 candidate.hint = None;
             }
-            self.quarantine_batch(panic.message, groups, &funded_per_group);
+            self.quarantine_batch(panic.message, &mut groups, &funded_per_group);
             return;
         }
         // Record trace points in funding (= sample) order.
@@ -820,18 +710,35 @@ mod tests {
         )
     }
 
+    /// Evaluates `genomes` as one plain chunk, writes the repaired genomes
+    /// back and returns their costs in input order.
+    fn evaluate_plain(ctx: &SearchContext<'_>, genomes: &mut [Genome]) -> Vec<Option<f64>> {
+        let candidates = genomes.iter().cloned().map(EvalCandidate::new).collect();
+        let mut batch = EvalBatch::single(candidates);
+        ctx.evaluate_chunks(&mut batch);
+        let evaluated = batch.chunks.remove(0).candidates;
+        genomes
+            .iter_mut()
+            .zip(evaluated)
+            .map(|(genome, candidate)| {
+                *genome = candidate.genome;
+                candidate.cost
+            })
+            .collect()
+    }
+
     #[test]
     fn evaluate_consumes_budget_and_traces() {
         let g = cocco_graph::models::diamond();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let ctx = context(&g, &eval, 2);
-        let mut genome = Genome::new(
+        let mut genome = [Genome::new(
             Partition::singletons(g.len()),
             BufferConfig::shared(1 << 20),
-        );
-        assert!(ctx.evaluate(&mut genome).is_some());
-        assert!(ctx.evaluate(&mut genome).is_some());
-        assert!(ctx.evaluate(&mut genome).is_none());
+        )];
+        assert!(evaluate_plain(&ctx, &mut genome)[0].is_some());
+        assert!(evaluate_plain(&ctx, &mut genome)[0].is_some());
+        assert!(evaluate_plain(&ctx, &mut genome)[0].is_none());
         assert_eq!(ctx.trace().len(), 2);
         assert_eq!(ctx.budget().used(), 2);
         // The repeated evaluation hit the engine cache.
@@ -844,13 +751,13 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let ctx = context(&g, &eval, 10);
         // Cyclic quotient assignment.
-        let mut genome = Genome::new(
+        let mut genome = [Genome::new(
             Partition::from_assignment(vec![0, 0, 0, 1, 0]),
             BufferConfig::shared(1 << 20),
-        );
-        let cost = ctx.evaluate(&mut genome).unwrap();
+        )];
+        let cost = evaluate_plain(&ctx, &mut genome)[0].unwrap();
         assert!(cost.is_finite());
-        assert!(genome.partition.validate(&g).is_ok());
+        assert!(genome[0].partition.validate(&g).is_ok());
     }
 
     #[test]
@@ -866,7 +773,7 @@ mod tests {
                 )
             })
             .collect();
-        let costs = ctx.evaluate_batch(&mut genomes);
+        let costs = evaluate_plain(&ctx, &mut genomes);
         assert_eq!(costs.len(), 5);
         assert!(costs[..3].iter().all(Option::is_some));
         assert!(costs[3..].iter().all(Option::is_none));
@@ -891,7 +798,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let costs = ctx.evaluate_batch(&mut genomes);
+            let costs = evaluate_plain(&ctx, &mut genomes);
             (costs, genomes, ctx.trace().points())
         };
         let serial = run(1);
@@ -921,7 +828,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let costs = ctx.evaluate_batch(&mut genomes);
+            let costs = evaluate_plain(&ctx, &mut genomes);
             (costs, ctx.trace().points())
         };
         let telemetry = cocco_telemetry::Telemetry::enabled();
@@ -959,10 +866,9 @@ mod tests {
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let ctx = context(&g, &eval, 10);
-        let p = ctx.repair(
-            Partition::connected_groups(&g, 3),
-            &BufferConfig::shared(1 << 20),
-        );
+        let p = cocco_partition::repair(&g, Partition::connected_groups(&g, 3), &|members| {
+            ctx.fits(members, &BufferConfig::shared(1 << 20))
+        });
         let memo_for = |ctx: &SearchContext<'_>, buffer: BufferConfig| {
             ctx.engine()
                 .score_partition(ctx.evaluator(), &p, &buffer, ctx.options)
@@ -1045,14 +951,14 @@ mod tests {
         let plain_ctx = context(&g, &eval, 24);
         let mut plain_genomes = genomes();
         let plain = (
-            plain_ctx.evaluate_batch(&mut plain_genomes),
+            evaluate_plain(&plain_ctx, &mut plain_genomes),
             plain_ctx.trace().points(),
         );
         let rates = cocco_faults::FaultRates::none().with(FaultSite::EvalError, 0.5);
         let faulty_ctx = context(&g, &eval, 24).with_faults(FaultPlan::seeded(7, rates));
         let mut faulty_genomes = genomes();
         let faulty = (
-            faulty_ctx.evaluate_batch(&mut faulty_genomes),
+            evaluate_plain(&faulty_ctx, &mut faulty_genomes),
             faulty_ctx.trace().points(),
         );
         assert_eq!(
@@ -1084,7 +990,7 @@ mod tests {
                         )
                     })
                     .collect();
-                ctx.evaluate_batch(&mut genomes);
+                evaluate_plain(&ctx, &mut genomes);
             }
             ctx.engine().metrics().counter("engine.pool.dispatched")
         };
@@ -1112,7 +1018,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let costs = ctx.evaluate_batch(&mut genomes);
+            let costs = evaluate_plain(&ctx, &mut genomes);
             assert!(
                 costs.iter().all(Option::is_none),
                 "quarantine discards uniformly"
@@ -1128,7 +1034,7 @@ mod tests {
             assert!(message.contains("injected worker panic"), "{message}");
             // Aborted contexts refuse further funding instead of running.
             let mut more = genomes.clone();
-            assert!(ctx.evaluate_batch(&mut more).iter().all(Option::is_none));
+            assert!(evaluate_plain(&ctx, &mut more).iter().all(Option::is_none));
             assert_eq!(ctx.budget().used(), 0);
         }
     }
@@ -1147,7 +1053,7 @@ mod tests {
                 )
             })
             .collect();
-        let costs = ctx.evaluate_batch(&mut genomes);
+        let costs = evaluate_plain(&ctx, &mut genomes);
         assert!(
             costs.iter().all(Option::is_none),
             "revoked budget funds nothing"

@@ -1,12 +1,11 @@
 //! Depth-ordered dynamic-programming baseline (Irregular-NN, paper §4.2.3).
 
 use crate::context::SearchContext;
-use crate::driver::{run_driver, DriverState, EvalBatch, SearchDriver, Step};
+use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
 use crate::genome::Genome;
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::outcome::SearchOutcome;
 use cocco_graph::NodeId;
 use cocco_partition::Partition;
-use cocco_sim::BufferConfig;
 use serde::{Deserialize, Serialize};
 
 /// The DP baseline of Zheng et al.: layers are arranged by depth and a
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use cocco_search::{BufferSpace, DepthDp, Objective, SearchContext, Searcher};
+/// use cocco_search::{BufferSpace, Objective, SearchContext, SearchMethod};
 /// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
 ///
 /// let g = cocco_graph::models::chain(5);
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 ///     Objective::partition_only(CostMetric::Ema),
 ///     0,
 /// );
-/// let outcome = DepthDp::default().run(&ctx);
+/// let outcome = SearchMethod::depth_dp().run(&ctx);
 /// // On a plain chain with a large buffer the DP is optimal: one subgraph.
 /// assert_eq!(outcome.best.unwrap().partition.num_subgraphs(), 1);
 /// ```
@@ -50,61 +49,14 @@ impl Default for DepthDp {
     }
 }
 
-impl DepthDp {
-    /// Creates the searcher with a custom run cap.
-    pub fn new(max_run: usize) -> Self {
-        Self {
-            max_run: max_run.max(1),
-        }
-    }
-}
-
-impl DepthDp {
-    /// The DP as a resumable [`SearchDriver`] (one table row per step).
-    pub fn driver(&self) -> DpDriver {
-        DpDriver {
-            config: self.clone(),
-            dp: Vec::new(),
-            back: Vec::new(),
-            row: 0,
-            order: Vec::new(),
-            done: false,
-            outcome: SearchOutcome::empty(),
-        }
-    }
-
-    /// The depth order (ties by id) — the "arrange the layers based on
-    /// their depth" step. Recomputed deterministically from the graph, so
-    /// it never travels in a snapshot.
-    fn depth_order(graph: &cocco_graph::Graph) -> Vec<usize> {
-        let depths = graph.depths();
-        let mut order: Vec<usize> = (0..graph.len()).collect();
-        order.sort_by_key(|&i| (depths[i], i));
-        order
-    }
-
-    /// The fixed buffer the DP runs under.
-    fn buffer(ctx: &SearchContext<'_>) -> BufferConfig {
-        match ctx.space {
-            crate::objective::BufferSpace::Fixed(c) => c,
-            _ => *ctx
-                .space
-                .grid()
-                .last()
-                // cocco-audit: allow(R1) CapacityRange is non-empty by construction, so every grid() has entries
-                .expect("buffer space has at least one configuration"),
-        }
-    }
-}
-
-impl Searcher for DepthDp {
-    fn name(&self) -> &'static str {
-        "Irregular-NN (DP)"
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut self.driver(), ctx)
-    }
+/// The depth order (ties by id) — the "arrange the layers based on their
+/// depth" step. Recomputed deterministically from the graph, so it never
+/// travels in a snapshot.
+fn depth_order(graph: &cocco_graph::Graph) -> Vec<usize> {
+    let depths = graph.depths();
+    let mut order: Vec<usize> = (0..graph.len()).collect();
+    order.sort_by_key(|&i| (depths[i], i));
+    order
 }
 
 /// Serializable state of a [`DpDriver`]: the DP table so far (infinite
@@ -138,6 +90,19 @@ pub struct DpDriver {
 }
 
 impl DpDriver {
+    /// A fresh driver under `config`.
+    pub fn new(config: DepthDp) -> Self {
+        Self {
+            config,
+            dp: Vec::new(),
+            back: Vec::new(),
+            row: 0,
+            order: Vec::new(),
+            done: false,
+            outcome: SearchOutcome::empty(),
+        }
+    }
+
     /// Resumes a driver from a serialized state.
     pub fn from_state(config: DepthDp, state: DpState) -> Self {
         Self {
@@ -166,7 +131,7 @@ impl SearchDriver for DpDriver {
             return Step::Done;
         }
         let graph = ctx.graph();
-        let buffer = DepthDp::buffer(ctx);
+        let buffer = ctx.space.baseline_buffer();
         let n = graph.len();
         if self.row == 0 {
             // dp[i]: best cost covering the first i nodes of the order.
@@ -177,7 +142,7 @@ impl SearchDriver for DpDriver {
             return Step::Continue;
         }
         if self.order.is_empty() {
-            self.order = DepthDp::depth_order(graph);
+            self.order = depth_order(graph);
         }
         let order = &self.order;
         if self.row <= n {
@@ -254,6 +219,7 @@ impl SearchDriver for DpDriver {
 mod tests {
     use super::*;
     use crate::objective::{BufferSpace, Objective};
+    use crate::SearchMethod;
     use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
 
     fn run_on(graph: &cocco_graph::Graph, buffer: BufferConfig) -> SearchOutcome {
@@ -265,7 +231,7 @@ mod tests {
             Objective::partition_only(CostMetric::Ema),
             0,
         );
-        DepthDp::default().run(&ctx)
+        SearchMethod::depth_dp().run(&ctx)
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Step-driven, resumable search: the [`SearchDriver`] state machine that
-//! sits under every method of the crate.
+//! Step-driven, resumable search: every method of the crate is a
+//! [`SearchDriver`] state machine.
 //!
 //! A driver replaces the monolithic run-to-completion loop with an
 //! explicit protocol:
@@ -23,10 +23,10 @@
 //! repair, so a resumed run asks `fits` a little more but never scores
 //! differently.
 //!
-//! [`run_driver`] is the thin default loop every [`Searcher`] now runs
-//! through; on top of the same uniform step surface sit the interleaved
-//! two-step scheme ([`TwoStep`](crate::TwoStep)) and the
-//! [`Portfolio`](crate::Portfolio) meta-driver.
+//! [`run_driver`] is the loop `SearchMethod::run` steps a driver with; on
+//! top of the same uniform step surface sit the interleaved two-step
+//! scheme ([`TwoStepDriver`](crate::TwoStepDriver)) and the
+//! [`PortfolioDriver`](crate::PortfolioDriver) meta-driver.
 
 use crate::context::{EvalCandidate, SearchContext};
 use crate::dp::DpState;
@@ -120,7 +120,7 @@ pub enum Step {
 
 /// A search method as a resumable state machine. See the module docs for
 /// the protocol; every method of the registry implements it, and
-/// `Searcher::run` is now a thin [`run_driver`] loop.
+/// `SearchMethod::run` is a thin [`run_driver`] loop.
 pub trait SearchDriver: Send {
     /// The method's display name.
     fn name(&self) -> &'static str;
@@ -194,9 +194,9 @@ pub fn drive_step(driver: &mut dyn SearchDriver, ctx: &SearchContext<'_>) -> boo
     }
 }
 
-/// The default run loop: [`drive_step`] until done. Every `Searcher::run`
-/// in the crate is this loop over the method's driver, so the stepped and
-/// "monolithic" paths are one code path and bit-identical by construction.
+/// The default run loop: [`drive_step`] until done. `SearchMethod::run` is
+/// this loop over the method's driver, so the stepped and run-to-completion
+/// paths are one code path and bit-identical by construction.
 pub fn run_driver(driver: &mut dyn SearchDriver, ctx: &SearchContext<'_>) -> SearchOutcome {
     while drive_step(driver, ctx) {}
     driver.outcome()

@@ -11,9 +11,9 @@
 //! reportable outcome ([`SearchOutcome::completed`]).
 
 use crate::context::SearchContext;
-use crate::driver::{run_driver, DriverState, EvalBatch, SearchDriver, Step};
+use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
 use crate::genome::Genome;
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::outcome::SearchOutcome;
 use cocco_graph::{Graph, NodeId};
 use cocco_partition::Partition;
 use cocco_sim::BufferConfig;
@@ -35,40 +35,6 @@ impl Default for ExhaustiveLimits {
             max_states: 200_000,
             max_expansions: 50_000_000,
         }
-    }
-}
-
-/// The exact enumeration baseline. Deterministic, fixed hardware only.
-///
-/// # Examples
-///
-/// ```
-/// use cocco_search::{BufferSpace, Exhaustive, Objective, SearchContext, Searcher};
-/// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
-///
-/// let g = cocco_graph::models::chain(4);
-/// let eval = Evaluator::new(&g, AcceleratorConfig::default());
-/// let ctx = SearchContext::new(
-///     &g,
-///     &eval,
-///     BufferSpace::fixed(BufferConfig::shared(8 << 20)),
-///     Objective::partition_only(CostMetric::Ema),
-///     0,
-/// );
-/// let outcome = Exhaustive::default().run(&ctx);
-/// assert!(outcome.completed);
-/// assert_eq!(outcome.best.unwrap().partition.num_subgraphs(), 1);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Exhaustive {
-    /// Abort thresholds.
-    pub limits: ExhaustiveLimits,
-}
-
-impl Exhaustive {
-    /// Creates the searcher with custom limits.
-    pub fn new(limits: ExhaustiveLimits) -> Self {
-        Self { limits }
     }
 }
 
@@ -100,45 +66,6 @@ struct StateInfo {
     back: Option<(Bits, Vec<u32>)>,
 }
 
-impl Exhaustive {
-    /// The enumeration as a resumable [`SearchDriver`] (one popcount level
-    /// per step).
-    pub fn driver(&self) -> ExhaustiveDriver {
-        ExhaustiveDriver {
-            limits: self.limits,
-            levels: Vec::new(),
-            level: 0,
-            total_states: 1,
-            expansions: 0,
-            done: false,
-            outcome: SearchOutcome::empty(),
-        }
-    }
-
-    /// The fixed buffer the enumeration runs under.
-    fn buffer(ctx: &SearchContext<'_>) -> BufferConfig {
-        match ctx.space {
-            crate::objective::BufferSpace::Fixed(c) => c,
-            _ => *ctx
-                .space
-                .grid()
-                .last()
-                // cocco-audit: allow(R1) CapacityRange is non-empty by construction, so every grid() has entries
-                .expect("buffer space has at least one configuration"),
-        }
-    }
-}
-
-impl Searcher for Exhaustive {
-    fn name(&self) -> &'static str {
-        "Enumeration"
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut self.driver(), ctx)
-    }
-}
-
 /// One serialized downset state: the downset bits, its best cost (always
 /// finite) and the back-pointer `(parent downset, executed subgraph)`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -161,12 +88,34 @@ pub struct ExhaustiveState {
     outcome: SearchOutcome,
 }
 
-/// The downset-DP enumeration as a step-driven state machine: each step
-/// expands every state of one popcount level (states processed in sorted
-/// downset order, so the run — including abort boundaries and equal-cost
-/// tie-breaks — is deterministic across processes); the final step
-/// reconstructs the optimal execution chain. Analytic: no step consumes
-/// budget.
+/// The exact enumeration baseline as a step-driven state machine.
+/// Deterministic, fixed hardware only.
+///
+/// Each step expands every state of one popcount level (states processed
+/// in sorted downset order, so the run — including abort boundaries and
+/// equal-cost tie-breaks — is deterministic across processes); the final
+/// step reconstructs the optimal execution chain. Analytic: no step
+/// consumes budget.
+///
+/// # Examples
+///
+/// ```
+/// use cocco_search::{BufferSpace, Objective, SearchContext, SearchMethod};
+/// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
+///
+/// let g = cocco_graph::models::chain(4);
+/// let eval = Evaluator::new(&g, AcceleratorConfig::default());
+/// let ctx = SearchContext::new(
+///     &g,
+///     &eval,
+///     BufferSpace::fixed(BufferConfig::shared(8 << 20)),
+///     Objective::partition_only(CostMetric::Ema),
+///     0,
+/// );
+/// let outcome = SearchMethod::exhaustive().run(&ctx);
+/// assert!(outcome.completed);
+/// assert_eq!(outcome.best.unwrap().partition.num_subgraphs(), 1);
+/// ```
 #[derive(Debug)]
 pub struct ExhaustiveDriver {
     limits: ExhaustiveLimits,
@@ -188,6 +137,19 @@ impl std::fmt::Debug for StateInfo {
 }
 
 impl ExhaustiveDriver {
+    /// A fresh driver under `limits`.
+    pub fn new(limits: ExhaustiveLimits) -> Self {
+        Self {
+            limits,
+            levels: Vec::new(),
+            level: 0,
+            total_states: 1,
+            expansions: 0,
+            done: false,
+            outcome: SearchOutcome::empty(),
+        }
+    }
+
     /// Resumes a driver from a serialized state.
     pub fn from_state(limits: ExhaustiveLimits, state: ExhaustiveState) -> Self {
         Self {
@@ -223,7 +185,7 @@ impl ExhaustiveDriver {
     /// Finalizes after an abort or a completed sweep.
     fn finalize(&mut self, ctx: &SearchContext<'_>, aborted: bool) -> Step {
         let graph = ctx.graph();
-        let buffer = Exhaustive::buffer(ctx);
+        let buffer = ctx.space.baseline_buffer();
         let n = graph.len();
         let words = n.div_ceil(64);
         self.done = true;
@@ -277,7 +239,7 @@ impl SearchDriver for ExhaustiveDriver {
             return Step::Done;
         }
         let graph = ctx.graph();
-        let buffer = Exhaustive::buffer(ctx);
+        let buffer = ctx.space.baseline_buffer();
         let n = graph.len();
         let words = n.div_ceil(64);
         if self.levels.is_empty() {
@@ -586,6 +548,7 @@ impl SubgraphEnumerator<'_, '_> {
 mod tests {
     use super::*;
     use crate::objective::{BufferSpace, Objective};
+    use crate::SearchMethod;
     use cocco_sim::{AcceleratorConfig, CostMetric, Evaluator};
 
     fn run_on(graph: &Graph, buffer: BufferConfig) -> SearchOutcome {
@@ -597,7 +560,7 @@ mod tests {
             Objective::partition_only(CostMetric::Ema),
             0,
         );
-        Exhaustive::default().run(&ctx)
+        SearchMethod::exhaustive().run(&ctx)
     }
 
     #[test]
@@ -665,7 +628,7 @@ mod tests {
             Objective::partition_only(CostMetric::Ema),
             0,
         );
-        let out = Exhaustive::new(ExhaustiveLimits {
+        let out = SearchMethod::Exhaustive(ExhaustiveLimits {
             max_states: 10,
             max_expansions: 1_000,
         })

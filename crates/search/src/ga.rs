@@ -1,11 +1,9 @@
 //! The Cocco genetic co-exploration engine (paper §4.3-§4.4, Figure 9).
 
 use crate::context::{EvalCandidate, EvalHint, SearchContext};
-use crate::driver::{
-    rng_from_state, rng_state, run_driver, DriverState, EvalBatch, SearchDriver, Step,
-};
+use crate::driver::{rng_from_state, rng_state, DriverState, EvalBatch, SearchDriver, Step};
 use crate::genome::Genome;
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::outcome::SearchOutcome;
 use cocco_engine::EvalMemo;
 use cocco_graph::Graph;
 use cocco_partition::{LayoutArena, Partition, PartitionDelta, QuotientSuccessors};
@@ -51,7 +49,7 @@ impl Default for MutationRates {
     }
 }
 
-/// Configuration of [`CoccoGa`].
+/// Configuration of the genetic algorithm ([`GaDriver`]).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GaConfig {
     /// Genomes per generation.
@@ -81,85 +79,6 @@ impl Default for GaConfig {
             seed: 0xC0CC0,
             initial: Vec::new(),
         }
-    }
-}
-
-/// The Cocco genetic algorithm: co-explores graph partitions and memory
-/// configurations with the paper's customized crossover and mutations,
-/// in-situ capacity repair and tournament selection.
-///
-/// Each generation is one driver step, scored by one
-/// [`evaluate_chunks`](SearchContext::evaluate_chunks) dispatch, so the
-/// fitness evaluation spreads over the context's engine pool (DiGamma-style
-/// population parallelism) while staying bit-identical to a serial run.
-///
-/// # Examples
-///
-/// ```
-/// use cocco_search::{BufferSpace, CoccoGa, Objective, SearchContext, Searcher};
-/// use cocco_sim::{AcceleratorConfig, CostMetric, Evaluator};
-///
-/// let g = cocco_graph::models::diamond();
-/// let eval = Evaluator::new(&g, AcceleratorConfig::default());
-/// let ctx = SearchContext::new(
-///     &g,
-///     &eval,
-///     BufferSpace::paper_shared(),
-///     Objective::paper_energy_capacity(),
-///     1_000,
-/// );
-/// let outcome = CoccoGa::default().with_seed(42).run(&ctx);
-/// assert!(outcome.best.is_some());
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct CoccoGa {
-    config: GaConfig,
-}
-
-impl CoccoGa {
-    /// Creates the engine from an explicit configuration.
-    pub fn new(config: GaConfig) -> Self {
-        Self { config }
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &GaConfig {
-        &self.config
-    }
-
-    /// Sets the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the population size.
-    pub fn with_population(mut self, population: usize) -> Self {
-        self.config.population = population.max(2);
-        self
-    }
-
-    /// Warm-starts the population with existing partitions.
-    pub fn with_initial(mut self, initial: Vec<Partition>) -> Self {
-        self.config.initial = initial;
-        self
-    }
-}
-
-impl CoccoGa {
-    /// The GA as a resumable [`SearchDriver`].
-    pub fn driver(&self) -> GaDriver {
-        GaDriver::new(self.config.clone())
-    }
-}
-
-impl Searcher for CoccoGa {
-    fn name(&self) -> &'static str {
-        "Cocco (GA)"
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut self.driver(), ctx)
     }
 }
 
@@ -194,12 +113,43 @@ pub struct GaState {
     outcome: SearchOutcome,
 }
 
-/// The genetic algorithm as a step-driven state machine: one
+/// The Cocco genetic algorithm: co-explores graph partitions and memory
+/// configurations with the paper's customized crossover and mutations,
+/// in-situ capacity repair and tournament selection.
+///
+/// As a step-driven state machine, one
 /// [`next_batch`](SearchDriver::next_batch) builds one generation (the
-/// seed population first), one [`absorb`](SearchDriver::absorb) folds the
-/// scored generation and runs survivor selection. RNG draws happen in the
-/// exact order of the former monolithic loop, so `CoccoGa::run`, manual
-/// stepping and a checkpoint-resumed run are bit-identical.
+/// seed population first) and one [`absorb`](SearchDriver::absorb) folds
+/// the scored generation and runs survivor selection. Each generation is
+/// scored by one [`evaluate_chunks`](SearchContext::evaluate_chunks)
+/// dispatch, so the fitness evaluation spreads over the context's engine
+/// pool (DiGamma-style population parallelism) while staying
+/// bit-identical to a serial run. RNG draws follow one fixed order, so a
+/// full run, manual stepping and a checkpoint-resumed run are
+/// bit-identical.
+///
+/// # Examples
+///
+/// ```
+/// use cocco_search::{BufferSpace, GaConfig, Objective, SearchContext, SearchMethod};
+/// use cocco_sim::{AcceleratorConfig, Evaluator};
+///
+/// let g = cocco_graph::models::diamond();
+/// let eval = Evaluator::new(&g, AcceleratorConfig::default());
+/// let ctx = SearchContext::new(
+///     &g,
+///     &eval,
+///     BufferSpace::paper_shared(),
+///     Objective::paper_energy_capacity(),
+///     1_000,
+/// );
+/// let ga = SearchMethod::Ga(GaConfig {
+///     population: 50,
+///     ..GaConfig::default()
+/// });
+/// let outcome = ga.with_seed(42).run(&ctx);
+/// assert!(outcome.best.is_some());
+/// ```
 #[derive(Debug)]
 pub struct GaDriver {
     config: GaConfig,
@@ -651,7 +601,16 @@ pub(crate) fn mutate_with_delta(
 mod tests {
     use super::*;
     use crate::objective::{BufferSpace, Objective};
+    use crate::SearchMethod;
     use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
+
+    fn ga(population: usize, seed: u64) -> SearchMethod {
+        SearchMethod::Ga(GaConfig {
+            population,
+            ..GaConfig::default()
+        })
+        .with_seed(seed)
+    }
 
     fn ctx_fixed<'a>(graph: &'a Graph, eval: &'a Evaluator<'a>, budget: u64) -> SearchContext<'a> {
         SearchContext::new(
@@ -676,7 +635,7 @@ mod tests {
             Objective::partition_only(CostMetric::Ema),
             2_000,
         );
-        let outcome = CoccoGa::default().with_seed(1).run(&ctx);
+        let outcome = SearchMethod::ga().with_seed(1).run(&ctx);
         let best = outcome.best.unwrap();
         assert_eq!(best.partition.num_subgraphs(), 1);
         let floor = g.total_weight_elements()
@@ -691,7 +650,7 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let run = |seed| {
             let ctx = ctx_fixed(&g, &eval, 500);
-            CoccoGa::default().with_seed(seed).run(&ctx).best_cost
+            SearchMethod::ga().with_seed(seed).run(&ctx).best_cost
         };
         assert_eq!(run(7), run(7));
     }
@@ -710,10 +669,7 @@ mod tests {
                 600,
             )
             .with_engine(EngineConfig::with_threads(threads));
-            let out = CoccoGa::default()
-                .with_population(24)
-                .with_seed(13)
-                .run(&ctx);
+            let out = ga(24, 13).run(&ctx);
             (out.best_cost, out.best, ctx.trace().points())
         };
         let serial = run(1);
@@ -752,10 +708,7 @@ mod tests {
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let ctx = ctx_fixed(&g, &eval, 300);
-        let outcome = CoccoGa::default()
-            .with_seed(11)
-            .with_population(20)
-            .run(&ctx);
+        let outcome = ga(20, 11).run(&ctx);
         let best = outcome.best.unwrap();
         assert!(best.partition.validate(&g).is_ok());
     }
@@ -771,10 +724,7 @@ mod tests {
             Objective::paper_energy_capacity(),
             1_500,
         );
-        let outcome = CoccoGa::default()
-            .with_seed(2)
-            .with_population(30)
-            .run(&ctx);
+        let outcome = ga(30, 2).run(&ctx);
         let best = outcome.best.unwrap();
         // Formula 2 punishes the 3 MB extreme; the chosen size should be
         // strictly inside the range.
@@ -788,11 +738,13 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let ctx = ctx_fixed(&g, &eval, 50);
         let warm = Partition::whole(g.len());
-        let outcome = CoccoGa::default()
-            .with_seed(3)
-            .with_population(4)
-            .with_initial(vec![warm])
-            .run(&ctx);
+        let outcome = SearchMethod::Ga(GaConfig {
+            population: 4,
+            initial: vec![warm],
+            ..GaConfig::default()
+        })
+        .with_seed(3)
+        .run(&ctx);
         // The whole-graph partition fits in 1 MB and is optimal here, so
         // the warm start's cost must be the final answer.
         assert_eq!(outcome.best.unwrap().partition.num_subgraphs(), 1);
@@ -803,7 +755,7 @@ mod tests {
         let g = cocco_graph::models::diamond();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let ctx = ctx_fixed(&g, &eval, 37);
-        let outcome = CoccoGa::default().with_seed(5).run(&ctx);
+        let outcome = SearchMethod::ga().with_seed(5).run(&ctx);
         assert_eq!(outcome.samples, 37);
         assert_eq!(ctx.budget().used(), 37);
         assert_eq!(ctx.trace().len(), 37);

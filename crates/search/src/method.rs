@@ -1,16 +1,17 @@
-//! The method registry: every searcher of the crate behind one
+//! The method registry: every search method of the crate behind one
 //! serializable, seedable selector.
 //!
 //! [`SearchMethod`] is the method-agnostic entry point of the exploration
 //! API: each variant carries the typed configuration of one search method,
-//! and the enum itself implements [`Searcher`], so any method runs through
-//! the exact same trait path — same [`SearchContext`], same budget, same
-//! trace — as invoking the underlying searcher directly.
+//! [`driver`](SearchMethod::driver) builds that method's [`SearchDriver`],
+//! and [`run`](SearchMethod::run) steps the driver to completion. Every
+//! method therefore runs through the same path — same [`SearchContext`],
+//! same budget, same trace.
 //!
 //! # Examples
 //!
 //! ```
-//! use cocco_search::{BufferSpace, Objective, SearchContext, SearchMethod, Searcher};
+//! use cocco_search::{BufferSpace, Objective, SearchContext, SearchMethod};
 //! use cocco_sim::{AcceleratorConfig, Evaluator};
 //!
 //! let graph = cocco_graph::models::diamond();
@@ -30,15 +31,15 @@
 //! ```
 
 use crate::context::SearchContext;
-use crate::dp::DepthDp;
+use crate::dp::{DepthDp, DpDriver};
 use crate::driver::{run_driver, DriverState, SearchDriver};
-use crate::exhaustive::{Exhaustive, ExhaustiveLimits};
-use crate::ga::{CoccoGa, GaConfig, GaDriver};
-use crate::greedy::{GreedyDriver, GreedyFusion};
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::exhaustive::{ExhaustiveDriver, ExhaustiveLimits};
+use crate::ga::{GaConfig, GaDriver};
+use crate::greedy::GreedyDriver;
+use crate::outcome::SearchOutcome;
 use crate::portfolio::{Portfolio, PortfolioDriver};
-use crate::sa::{SaConfig, SimulatedAnnealing};
-use crate::twostep::{CapacitySampling, TwoStep, TwoStepDriver};
+use crate::sa::{SaConfig, SaDriver};
+use crate::twostep::{TwoStep, TwoStepDriver};
 use serde::{Deserialize, Serialize};
 
 /// Selects a search method together with its typed configuration.
@@ -191,30 +192,30 @@ impl SearchMethod {
         }
     }
 
-    /// Instantiates the underlying searcher — the registry lookup.
-    pub fn build(&self) -> Box<dyn Searcher + Send + Sync> {
-        match self {
-            SearchMethod::Ga(cfg) => Box::new(CoccoGa::new(cfg.clone())),
-            SearchMethod::Sa(cfg) => Box::new(SimulatedAnnealing::new(*cfg)),
-            SearchMethod::Greedy => Box::new(GreedyFusion::new()),
-            SearchMethod::DepthDp(cfg) => Box::new(cfg.clone()),
-            SearchMethod::Exhaustive(limits) => Box::new(Exhaustive::new(*limits)),
-            SearchMethod::TwoStep(cfg) => Box::new(cfg.clone()),
-            SearchMethod::Portfolio(cfg) => Box::new(cfg.clone()),
-        }
+    /// A short display name (used in experiment tables) — the name of the
+    /// method's driver.
+    pub fn name(&self) -> &'static str {
+        self.driver().name()
     }
 
-    /// Instantiates the method's resumable [`SearchDriver`] — the stepped
-    /// registry lookup (`Searcher::run` is a thin loop over this).
+    /// Runs the method against `ctx`, drawing from its budget and
+    /// recording its trace.
+    pub fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
+        run_driver(&mut *self.driver(), ctx)
+    }
+
+    /// Instantiates the method's resumable [`SearchDriver`] — the
+    /// registry lookup ([`run`](SearchMethod::run) is a thin loop over
+    /// this).
     pub fn driver(&self) -> Box<dyn SearchDriver> {
         match self {
-            SearchMethod::Ga(cfg) => Box::new(CoccoGa::new(cfg.clone()).driver()),
-            SearchMethod::Sa(cfg) => Box::new(SimulatedAnnealing::new(*cfg).driver()),
-            SearchMethod::Greedy => Box::new(GreedyFusion::new().driver()),
-            SearchMethod::DepthDp(cfg) => Box::new(cfg.driver()),
-            SearchMethod::Exhaustive(limits) => Box::new(Exhaustive::new(*limits).driver()),
-            SearchMethod::TwoStep(cfg) => Box::new(cfg.driver()),
-            SearchMethod::Portfolio(cfg) => Box::new(cfg.driver()),
+            SearchMethod::Ga(cfg) => Box::new(GaDriver::new(cfg.clone())),
+            SearchMethod::Sa(cfg) => Box::new(SaDriver::new(*cfg)),
+            SearchMethod::Greedy => Box::new(GreedyDriver::default()),
+            SearchMethod::DepthDp(cfg) => Box::new(DpDriver::new(cfg.clone())),
+            SearchMethod::Exhaustive(limits) => Box::new(ExhaustiveDriver::new(*limits)),
+            SearchMethod::TwoStep(cfg) => Box::new(TwoStepDriver::new(cfg.clone())),
+            SearchMethod::Portfolio(cfg) => Box::new(PortfolioDriver::new(cfg.clone())),
         }
     }
 
@@ -227,17 +228,17 @@ impl SearchMethod {
                 Some(Box::new(GaDriver::from_state(cfg.clone(), s.clone())))
             }
             (SearchMethod::Sa(cfg), DriverState::Sa(s)) => {
-                Some(Box::new(crate::sa::SaDriver::from_state(*cfg, s.clone())))
+                Some(Box::new(SaDriver::from_state(*cfg, s.clone())))
             }
             (SearchMethod::Greedy, DriverState::Greedy(s)) => {
                 Some(Box::new(GreedyDriver::from_state(s.clone())))
             }
-            (SearchMethod::DepthDp(cfg), DriverState::DepthDp(s)) => Some(Box::new(
-                crate::dp::DpDriver::from_state(cfg.clone(), s.clone()),
-            )),
-            (SearchMethod::Exhaustive(limits), DriverState::Exhaustive(s)) => Some(Box::new(
-                crate::exhaustive::ExhaustiveDriver::from_state(*limits, s.clone()),
-            )),
+            (SearchMethod::DepthDp(cfg), DriverState::DepthDp(s)) => {
+                Some(Box::new(DpDriver::from_state(cfg.clone(), s.clone())))
+            }
+            (SearchMethod::Exhaustive(limits), DriverState::Exhaustive(s)) => {
+                Some(Box::new(ExhaustiveDriver::from_state(*limits, s.clone())))
+            }
             (SearchMethod::TwoStep(cfg), DriverState::TwoStep(s)) => {
                 Some(Box::new(TwoStepDriver::from_state(cfg.clone(), s.clone())))
             }
@@ -254,27 +255,6 @@ impl Default for SearchMethod {
     /// The paper's default engine: the genetic algorithm.
     fn default() -> Self {
         Self::ga()
-    }
-}
-
-impl Searcher for SearchMethod {
-    fn name(&self) -> &'static str {
-        match self {
-            SearchMethod::Ga(_) => "Cocco (GA)",
-            SearchMethod::Sa(_) => "SA",
-            SearchMethod::Greedy => "Halide (greedy)",
-            SearchMethod::DepthDp(_) => "Irregular-NN (DP)",
-            SearchMethod::Exhaustive(_) => "Enumeration",
-            SearchMethod::TwoStep(cfg) => match cfg.sampling {
-                CapacitySampling::Random => "RS+GA",
-                CapacitySampling::Grid => "GS+GA",
-            },
-            SearchMethod::Portfolio(_) => "Portfolio",
-        }
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut *self.driver(), ctx)
     }
 }
 
@@ -296,9 +276,16 @@ mod tests {
 
     #[test]
     fn names_match_underlying_searchers() {
-        for method in SearchMethod::all() {
-            assert_eq!(method.name(), method.build().name());
+        let mut methods = SearchMethod::all();
+        methods.push(SearchMethod::TwoStep(TwoStep::grid()));
+        methods.push(SearchMethod::portfolio());
+        let mut names: Vec<&str> = methods.iter().map(SearchMethod::name).collect();
+        for (method, name) in methods.iter().zip(&names) {
+            assert_eq!(*name, method.driver().name());
         }
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), methods.len(), "display names must differ");
     }
 
     #[test]
@@ -328,11 +315,11 @@ mod tests {
                 250,
             )
         };
-        let direct = CoccoGa::default().with_seed(3).run(&make_ctx());
         let cfg = GaConfig {
             seed: 3,
             ..GaConfig::default()
         };
+        let direct = run_driver(&mut GaDriver::new(cfg.clone()), &make_ctx());
         let via_enum = SearchMethod::Ga(cfg).run(&make_ctx());
         assert_eq!(direct.best_cost, via_enum.best_cost);
         assert_eq!(direct.best, via_enum.best);

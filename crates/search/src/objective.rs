@@ -132,6 +132,20 @@ impl BufferSpace {
             BufferSpace::Shared(r) => r.iter().map(BufferConfig::shared).collect(),
         }
     }
+
+    /// The one configuration the fixed-hardware baselines (greedy, DP,
+    /// enumeration) run under: the space's single configuration, or the
+    /// largest grid point of a non-fixed space.
+    pub(crate) fn baseline_buffer(&self) -> BufferConfig {
+        match self {
+            BufferSpace::Fixed(c) => *c,
+            _ => *self
+                .grid()
+                .last()
+                // cocco-audit: allow(R1) CapacityRange is non-empty by construction, so every grid() has entries
+                .expect("buffer space has at least one configuration"),
+        }
+    }
 }
 
 fn split(c: BufferConfig) -> (u64, u64) {

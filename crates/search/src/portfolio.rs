@@ -10,9 +10,9 @@
 //! retire after their analytic steps.
 
 use crate::context::SearchContext;
-use crate::driver::{run_driver, DriverState, EvalBatch, SearchDriver, Step};
+use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
 use crate::method::SearchMethod;
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::outcome::SearchOutcome;
 use serde::{Deserialize, Serialize};
 
 /// When the portfolio stops.
@@ -31,9 +31,7 @@ pub enum PortfolioPolicy {
 /// # Examples
 ///
 /// ```
-/// use cocco_search::{
-///     BufferSpace, Objective, Portfolio, SearchContext, SearchMethod, Searcher,
-/// };
+/// use cocco_search::{BufferSpace, Objective, Portfolio, SearchContext, SearchMethod};
 /// use cocco_sim::{AcceleratorConfig, Evaluator};
 ///
 /// let g = cocco_graph::models::diamond();
@@ -46,7 +44,7 @@ pub enum PortfolioPolicy {
 ///     400,
 /// );
 /// let portfolio = Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()]);
-/// let outcome = portfolio.run(&ctx);
+/// let outcome = SearchMethod::Portfolio(portfolio).run(&ctx);
 /// assert!(outcome.best.is_some());
 /// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -93,24 +91,6 @@ impl Portfolio {
             .map(|(i, m)| m.clone().with_seed(self.seed.wrapping_add(i as u64)))
             .collect()
     }
-
-    /// The portfolio as a resumable [`SearchDriver`].
-    pub fn driver(&self) -> PortfolioDriver {
-        PortfolioDriver {
-            config: self.clone(),
-            members: self
-                .seeded_members()
-                .iter()
-                .map(|m| MemberSlot {
-                    driver: m.driver(),
-                    done: false,
-                })
-                .collect(),
-            pending_map: Vec::new(),
-            done: false,
-            outcome: SearchOutcome::empty(),
-        }
-    }
 }
 
 /// One serialized portfolio member.
@@ -155,6 +135,25 @@ pub struct PortfolioDriver {
 }
 
 impl PortfolioDriver {
+    /// A fresh driver racing `config`'s members.
+    pub fn new(config: Portfolio) -> Self {
+        let members = config
+            .seeded_members()
+            .iter()
+            .map(|m| MemberSlot {
+                driver: m.driver(),
+                done: false,
+            })
+            .collect();
+        Self {
+            config,
+            members,
+            pending_map: Vec::new(),
+            done: false,
+            outcome: SearchOutcome::empty(),
+        }
+    }
+
     /// Resumes a driver from a serialized state. Returns `None` when the
     /// member states don't match the configured methods (a checkpoint
     /// from a different portfolio).
@@ -276,16 +275,6 @@ impl SearchDriver for PortfolioDriver {
     }
 }
 
-impl Searcher for Portfolio {
-    fn name(&self) -> &'static str {
-        "Portfolio"
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut self.driver(), ctx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,7 +305,7 @@ mod tests {
             SearchMethod::sa(),
         ])
         .with_seed(7);
-        let out = portfolio.run(&ctx(&g, &eval, 400));
+        let out = SearchMethod::Portfolio(portfolio).run(&ctx(&g, &eval, 400));
         let best = out.best.expect("portfolio found nothing");
         assert!(best.partition.validate(&g).is_ok());
         // Greedy alone (it consumes no samples) can never beat the
@@ -336,7 +325,7 @@ mod tests {
         let portfolio = Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()])
             .first_to_target(f64::MAX)
             .with_seed(3);
-        let out = portfolio.run(&ctx(&g, &eval, 100_000));
+        let out = SearchMethod::Portfolio(portfolio).run(&ctx(&g, &eval, 100_000));
         assert!(out.best.is_some());
         assert!(
             out.samples < 100_000,
@@ -356,7 +345,7 @@ mod tests {
         let portfolio = Portfolio::new(vec![member])
             .first_to_target(f64::MAX)
             .with_seed(6);
-        let out = portfolio.run(&ctx(&g, &eval, 50_000));
+        let out = SearchMethod::Portfolio(portfolio).run(&ctx(&g, &eval, 50_000));
         assert!(out.best.is_some());
         assert!(
             out.samples < 10_000,
@@ -373,9 +362,9 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let run = |threads: u32| {
             let ctx = ctx(&g, &eval, 300).with_engine(EngineConfig::with_threads(threads));
-            let out = Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()])
-                .with_seed(11)
-                .run(&ctx);
+            let portfolio =
+                Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()]).with_seed(11);
+            let out = SearchMethod::Portfolio(portfolio).run(&ctx);
             (out.best_cost, out.best, out.samples, ctx.trace().points())
         };
         let serial = run(1);
@@ -389,9 +378,9 @@ mod tests {
         let g = cocco_graph::models::diamond();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let ctx = ctx(&g, &eval, 5_000);
-        let mut driver = Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()])
-            .with_seed(1)
-            .driver();
+        let mut driver = PortfolioDriver::new(
+            Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()]).with_seed(1),
+        );
         // Round 1: GA seed population + SA seed state in one batch.
         let step = loop {
             match driver.next_batch(&ctx) {

@@ -1,12 +1,10 @@
 //! Simulated-annealing baseline (paper §4.2.4).
 
 use crate::context::{EvalCandidate, EvalHint, SearchContext};
-use crate::driver::{
-    rng_from_state, rng_state, run_driver, DriverState, EvalBatch, SearchDriver, Step,
-};
+use crate::driver::{rng_from_state, rng_state, DriverState, EvalBatch, SearchDriver, Step};
 use crate::ga::{mutate_with_delta, MutationRates, MutationScratch};
 use crate::genome::Genome;
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::outcome::SearchOutcome;
 use cocco_engine::EvalMemo;
 use cocco_partition::PartitionDelta;
 use rand::rngs::StdRng;
@@ -14,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Configuration of [`SimulatedAnnealing`].
+/// Configuration of simulated annealing ([`SaDriver`]).
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SaConfig {
     /// Initial temperature, as a fraction of the initial cost (the accept
@@ -50,69 +48,6 @@ impl Default for SaConfig {
     }
 }
 
-/// Simulated annealing over genomes, using the same mutation operators and
-/// repair pipeline as [`CoccoGa`](crate::CoccoGa) — the paper's co-optimizing
-/// baseline, "not as stable as the genetic algorithm in a range of
-/// benchmarks".
-///
-/// Neighbors are proposed [`neighbor_batch`](SaConfig::neighbor_batch) at a
-/// time and scored as one engine batch, so the annealing chain benefits
-/// from the worker pool while the accept/reject sequence stays
-/// seed-deterministic at any thread count.
-///
-/// # Examples
-///
-/// ```
-/// use cocco_search::{BufferSpace, Objective, SearchContext, Searcher, SimulatedAnnealing};
-/// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
-///
-/// let g = cocco_graph::models::diamond();
-/// let eval = Evaluator::new(&g, AcceleratorConfig::default());
-/// let ctx = SearchContext::new(
-///     &g,
-///     &eval,
-///     BufferSpace::fixed(BufferConfig::shared(1 << 20)),
-///     Objective::partition_only(CostMetric::Ema),
-///     500,
-/// );
-/// let outcome = SimulatedAnnealing::default().run(&ctx);
-/// assert!(outcome.best_cost.is_finite());
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct SimulatedAnnealing {
-    config: SaConfig,
-}
-
-impl SimulatedAnnealing {
-    /// Creates the searcher from an explicit configuration.
-    pub fn new(config: SaConfig) -> Self {
-        Self { config }
-    }
-
-    /// Sets the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-}
-
-impl SimulatedAnnealing {
-    /// The annealer as a resumable [`SearchDriver`].
-    pub fn driver(&self) -> SaDriver {
-        SaDriver::new(self.config)
-    }
-}
-
-impl Searcher for SimulatedAnnealing {
-    fn name(&self) -> &'static str {
-        "SA"
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut self.driver(), ctx)
-    }
-}
-
 /// Where the annealing state machine stands.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 enum SaPhase {
@@ -136,11 +71,37 @@ pub struct SaState {
     outcome: SearchOutcome,
 }
 
-/// Simulated annealing as a step-driven state machine: one
-/// [`next_batch`](SearchDriver::next_batch) proposes a neighbor batch of
-/// the current state, one [`absorb`](SearchDriver::absorb) runs the
-/// Metropolis scan in proposal order. RNG draws match the former
-/// monolithic loop exactly.
+/// Simulated annealing over genomes, using the same mutation operators and
+/// repair pipeline as the genetic algorithm ([`GaDriver`](crate::GaDriver))
+/// — the paper's co-optimizing baseline, "not as stable as the genetic
+/// algorithm in a range of benchmarks".
+///
+/// As a step-driven state machine, one
+/// [`next_batch`](SearchDriver::next_batch) proposes
+/// [`neighbor_batch`](SaConfig::neighbor_batch) neighbors of the current
+/// state, scored as one engine batch, and one
+/// [`absorb`](SearchDriver::absorb) runs the Metropolis scan in proposal
+/// order. The annealing chain thus uses the worker pool while the
+/// accept/reject sequence stays seed-deterministic at any thread count.
+///
+/// # Examples
+///
+/// ```
+/// use cocco_search::{BufferSpace, Objective, SearchContext, SearchMethod};
+/// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
+///
+/// let g = cocco_graph::models::diamond();
+/// let eval = Evaluator::new(&g, AcceleratorConfig::default());
+/// let ctx = SearchContext::new(
+///     &g,
+///     &eval,
+///     BufferSpace::fixed(BufferConfig::shared(1 << 20)),
+///     Objective::partition_only(CostMetric::Ema),
+///     500,
+/// );
+/// let outcome = SearchMethod::sa().run(&ctx);
+/// assert!(outcome.best_cost.is_finite());
+/// ```
 #[derive(Debug)]
 pub struct SaDriver {
     config: SaConfig,
@@ -329,6 +290,7 @@ impl SearchDriver for SaDriver {
 mod tests {
     use super::*;
     use crate::objective::{BufferSpace, Objective};
+    use crate::SearchMethod;
     use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
 
     #[test]
@@ -342,7 +304,7 @@ mod tests {
             Objective::partition_only(CostMetric::Ema),
             1_500,
         );
-        let outcome = SimulatedAnnealing::default().with_seed(4).run(&ctx);
+        let outcome = SearchMethod::sa().with_seed(4).run(&ctx);
         let curve = ctx.trace().best_curve();
         assert!(curve.len() > 1, "SA never improved");
         assert!(outcome.best_cost < curve[0].1);
@@ -360,10 +322,7 @@ mod tests {
                 Objective::paper_energy_capacity(),
                 300,
             );
-            SimulatedAnnealing::default()
-                .with_seed(seed)
-                .run(&ctx)
-                .best_cost
+            SearchMethod::sa().with_seed(seed).run(&ctx).best_cost
         };
         assert_eq!(run(9), run(9));
     }
@@ -379,7 +338,7 @@ mod tests {
             Objective::partition_only(CostMetric::Ema),
             200,
         );
-        let outcome = SimulatedAnnealing::default().with_seed(1).run(&ctx);
+        let outcome = SearchMethod::sa().with_seed(1).run(&ctx);
         assert!(outcome.best.unwrap().partition.validate(&g).is_ok());
     }
 }

@@ -2,11 +2,11 @@
 //! partition-only GA (paper §5.1.3, "RS+GA" and "GS+GA").
 
 use crate::context::SearchContext;
-use crate::driver::{run_driver, DriverState, EvalBatch, SearchDriver, Step};
+use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
 use crate::ga::{GaConfig, GaDriver, GaState};
 use crate::genome::Genome;
 use crate::objective::{BufferSpace, Objective};
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::outcome::SearchOutcome;
 use cocco_partition::Partition;
 use cocco_sim::BufferConfig;
 use rand::rngs::StdRng;
@@ -56,7 +56,7 @@ pub enum CapacitySampling {
 /// # Examples
 ///
 /// ```
-/// use cocco_search::{BufferSpace, CapacitySampling, Objective, SearchContext, Searcher, TwoStep};
+/// use cocco_search::{BufferSpace, Objective, SearchContext, SearchMethod, TwoStep};
 /// use cocco_sim::{AcceleratorConfig, CostMetric, Evaluator};
 ///
 /// let g = cocco_graph::models::diamond();
@@ -68,7 +68,8 @@ pub enum CapacitySampling {
 ///     Objective::co_exploration(CostMetric::Energy, 0.002),
 ///     1_000,
 /// );
-/// let outcome = TwoStep::random().with_per_candidate(200).run(&ctx);
+/// let two_step = SearchMethod::TwoStep(TwoStep::random().with_per_candidate(200));
+/// let outcome = two_step.run(&ctx);
 /// assert!(outcome.best.is_some());
 /// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -127,33 +128,6 @@ impl TwoStep {
     pub fn sequential(mut self) -> Self {
         self.interleave = false;
         self
-    }
-
-    /// The scheme as a resumable [`SearchDriver`].
-    pub fn driver(&self) -> TwoStepDriver {
-        TwoStepDriver {
-            config: self.clone(),
-            phase: TsPhase::Init,
-            candidates: Vec::new(),
-            next_candidate: 0,
-            slots: Vec::new(),
-            pending_map: Vec::new(),
-            alpha: None,
-            outcome: SearchOutcome::empty(),
-        }
-    }
-}
-
-impl Searcher for TwoStep {
-    fn name(&self) -> &'static str {
-        match self.sampling {
-            CapacitySampling::Random => "RS+GA",
-            CapacitySampling::Grid => "GS+GA",
-        }
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut self.driver(), ctx)
     }
 }
 
@@ -233,6 +207,20 @@ pub struct TwoStepDriver {
 }
 
 impl TwoStepDriver {
+    /// A fresh driver under `config`.
+    pub fn new(config: TwoStep) -> Self {
+        Self {
+            config,
+            phase: TsPhase::Init,
+            candidates: Vec::new(),
+            next_candidate: 0,
+            slots: Vec::new(),
+            pending_map: Vec::new(),
+            alpha: None,
+            outcome: SearchOutcome::empty(),
+        }
+    }
+
     /// Resumes a driver from a serialized state (slices re-materialize
     /// with their remaining capacity on the first step).
     pub fn from_state(config: TwoStep, state: TwoStepState) -> Self {
@@ -564,6 +552,7 @@ impl SearchDriver for TwoStepDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SearchMethod;
     use cocco_sim::{AcceleratorConfig, CostMetric, Evaluator};
 
     fn ctx<'a>(
@@ -584,8 +573,8 @@ mod tests {
     fn rs_and_gs_produce_valid_results() {
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        for method in [TwoStep::random(), TwoStep::grid()] {
-            let method = method.with_per_candidate(150);
+        for config in [TwoStep::random(), TwoStep::grid()] {
+            let method = SearchMethod::TwoStep(config.with_per_candidate(150));
             let name = method.name();
             let ctx = ctx(&g, &eval, 600);
             let out = method.run(&ctx);
@@ -600,26 +589,26 @@ mod tests {
     fn sequential_mode_is_available_and_valid() {
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let method = TwoStep::random().with_per_candidate(150).sequential();
-        assert!(!method.interleave);
+        let config = TwoStep::random().with_per_candidate(150).sequential();
+        assert!(!config.interleave);
         let ctx = ctx(&g, &eval, 450);
-        let out = method.run(&ctx);
+        let out = SearchMethod::TwoStep(config).run(&ctx);
         assert!(out.best.expect("sequential").partition.validate(&g).is_ok());
         assert_eq!(out.samples, ctx.budget().used());
     }
 
     #[test]
     fn grid_traverses_large_to_small() {
-        let ts = TwoStep::grid();
-        assert_eq!(ts.name(), "GS+GA");
-        assert_eq!(TwoStep::random().name(), "RS+GA");
+        let name = |config: TwoStep| TwoStepDriver::new(config).name();
+        assert_eq!(name(TwoStep::grid()), "GS+GA");
+        assert_eq!(name(TwoStep::random()), "RS+GA");
     }
 
     #[test]
     fn respects_global_budget() {
         let g = cocco_graph::models::diamond();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        for method in [
+        for config in [
             TwoStep::random().with_per_candidate(40),
             TwoStep::random().with_per_candidate(40).sequential(),
         ] {
@@ -630,7 +619,7 @@ mod tests {
                 Objective::co_exploration(CostMetric::Ema, 0.01),
                 100,
             );
-            let out = method.run(&ctx);
+            let out = SearchMethod::TwoStep(config).run(&ctx);
             assert!(ctx.budget().used() <= 100);
             assert_eq!(out.samples, ctx.budget().used());
         }
@@ -644,7 +633,7 @@ mod tests {
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let ctx = ctx(&g, &eval, 400);
-        let mut driver = TwoStep::random().with_per_candidate(100).driver();
+        let mut driver = TwoStepDriver::new(TwoStep::random().with_per_candidate(100));
         loop {
             match driver.next_batch(&ctx) {
                 Step::Evaluate(mut batch) => {
@@ -670,7 +659,7 @@ mod tests {
         let g = cocco_graph::models::diamond();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let ctx = ctx(&g, &eval, 200);
-        let mut driver = TwoStep::random().with_per_candidate(50).driver();
+        let mut driver = TwoStepDriver::new(TwoStep::random().with_per_candidate(50));
         // Step until the driver hands out an evaluation batch.
         let batch = loop {
             match driver.next_batch(&ctx) {
@@ -691,7 +680,7 @@ mod tests {
         );
         // Total conservation: a fresh run on the same context can still
         // consume the full limit.
-        let out = TwoStep::random().with_per_candidate(50).run(&ctx);
+        let out = SearchMethod::TwoStep(TwoStep::random().with_per_candidate(50)).run(&ctx);
         assert_eq!(out.samples, ctx.budget().used());
         assert_eq!(ctx.budget().used(), 200, "refunded samples were stranded");
     }

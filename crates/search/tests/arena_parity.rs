@@ -1,7 +1,7 @@
 //! Batch-evaluation parity property test.
 //!
 //! Drives seeded random mutation / repair / crossover walks through
-//! `SearchContext::evaluate_candidates` — the same operator shapes the GA
+//! `SearchContext::evaluate_chunks` — the same operator shapes the GA
 //! uses, including repair-seeding [`EvalHint`]s — and asserts that every
 //! dispatch shape the engine can take ({1, 4} worker threads × {chunk 1,
 //! auto} × {inline threshold 0, default}) is **bit-identical** to serial
@@ -13,7 +13,9 @@
 use cocco_engine::{CacheSnapshot, ChunkSize, EngineConfig, EvalMemo, TracePoint};
 use cocco_graph::{Graph, NodeId};
 use cocco_partition::{Partition, PartitionDelta};
-use cocco_search::{BufferSpace, EvalCandidate, EvalHint, Genome, Objective, SearchContext};
+use cocco_search::{
+    BufferSpace, EvalBatch, EvalCandidate, EvalHint, Genome, Objective, SearchContext,
+};
 use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, EvalOptions, Evaluator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,7 +60,7 @@ fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
     let mut memos: Vec<Option<Arc<EvalMemo>>> = vec![None; POP];
     let mut costs = Vec::new();
     for _ in 0..ROUNDS {
-        let mut candidates: Vec<EvalCandidate> = (0..POP)
+        let candidates: Vec<EvalCandidate> = (0..POP)
             .map(|i| match rng.gen_range(0..3u32) {
                 0 => {
                     // Move-node mutation with the GA's member-set delta
@@ -101,7 +103,10 @@ fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
                 _ => EvalCandidate::new(genomes[i].clone()),
             })
             .collect();
-        let round = ctx.evaluate_candidates(&mut candidates);
+        let mut batch = EvalBatch::single(candidates);
+        ctx.evaluate_chunks(&mut batch);
+        let candidates = batch.chunks.remove(0).candidates;
+        let round: Vec<Option<f64>> = candidates.iter().map(|c| c.cost).collect();
         for (candidate, cost) in candidates.iter().zip(&round) {
             // The test oracle: the whole-partition evaluator on the
             // repaired genome.

@@ -16,8 +16,11 @@ fn ga_is_bit_identical_at_any_thread_count() {
             1_200,
         )
         .with_engine(EngineConfig::with_threads(threads));
-        let ga = CoccoGa::default().with_population(40).with_seed(11);
-        let out = ga.run(&ctx);
+        let ga = SearchMethod::Ga(GaConfig {
+            population: 40,
+            ..GaConfig::default()
+        });
+        let out = ga.with_seed(11).run(&ctx);
         (out.best_cost, out.best, out.samples, ctx.trace().points())
     };
     let serial = run(1);
@@ -80,10 +83,7 @@ fn sa_and_twostep_reproduce() {
             Objective::paper_energy_capacity(),
             400,
         );
-        SimulatedAnnealing::default()
-            .with_seed(seed)
-            .run(&ctx)
-            .best_cost
+        SearchMethod::sa().with_seed(seed).run(&ctx).best_cost
     };
     assert_eq!(sa(3), sa(3));
     let ts = |seed| {
@@ -94,8 +94,7 @@ fn sa_and_twostep_reproduce() {
             Objective::paper_energy_capacity(),
             400,
         );
-        TwoStep::random()
-            .with_per_candidate(100)
+        SearchMethod::TwoStep(TwoStep::random().with_per_candidate(100))
             .with_seed(seed)
             .run(&ctx)
             .best_cost

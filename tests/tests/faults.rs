@@ -68,10 +68,7 @@ fn transparent_faults_complete_bit_identically() {
 #[test]
 fn worker_panic_degrades_to_structured_error_with_salvage() {
     let dir = temp_dir("panic");
-    // The largest model: the facade writes its first checkpoint only
-    // after 100 ms, so the seeded fault (at sample 900) must strike
-    // later than that even in a release build.
-    let model = cocco::graph::models::nasnet();
+    let model = cocco::graph::models::googlenet();
     let ckpt = dir.join("run.ckpt.json");
     // A panic rate low enough that the search completes a few
     // generations first (seeded, so the failing step is deterministic).

@@ -26,8 +26,8 @@ fn cocco_matches_or_beats_greedy() {
     for model in ["resnet50", "googlenet"] {
         let g = cocco::graph::models::by_name(model).unwrap();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let greedy = GreedyFusion::default().run(&partition_ctx(&g, &eval, buffer, 0));
-        let ga = CoccoGa::default()
+        let greedy = SearchMethod::greedy().run(&partition_ctx(&g, &eval, buffer, 0));
+        let ga = SearchMethod::ga()
             .with_seed(0xC0CC0)
             .run(&partition_ctx(&g, &eval, buffer, 12_000));
         assert!(
@@ -46,8 +46,8 @@ fn cocco_matches_or_beats_dp_on_randwire() {
     let g = cocco::graph::models::randwire_a();
     let eval = Evaluator::new(&g, AcceleratorConfig::default());
     let buffer = BufferConfig::separate(1 << 20, 1152 << 10);
-    let dp = DepthDp::default().run(&partition_ctx(&g, &eval, buffer, 0));
-    let ga = CoccoGa::default()
+    let dp = SearchMethod::depth_dp().run(&partition_ctx(&g, &eval, buffer, 0));
+    let ga = SearchMethod::ga()
         .with_seed(0xC0CC0)
         .run(&partition_ctx(&g, &eval, buffer, 12_000));
     assert!(
@@ -67,23 +67,25 @@ fn enumeration_is_a_lower_bound() {
     let members3: Vec<_> = g.node_ids().take(3).collect();
     let stats = eval.subgraph_stats(&members3).unwrap();
     let buffer = BufferConfig::shared(stats.act_footprint_bytes + stats.wgt_footprint_bytes);
-    let exhaustive = Exhaustive::default().run(&partition_ctx(&g, &eval, buffer, 0));
+    let exhaustive = SearchMethod::exhaustive().run(&partition_ctx(&g, &eval, buffer, 0));
     assert!(exhaustive.completed);
     for (name, out) in [
         (
             "greedy",
-            GreedyFusion::default().run(&partition_ctx(&g, &eval, buffer, 0)),
+            SearchMethod::greedy().run(&partition_ctx(&g, &eval, buffer, 0)),
         ),
         (
             "dp",
-            DepthDp::default().run(&partition_ctx(&g, &eval, buffer, 0)),
+            SearchMethod::depth_dp().run(&partition_ctx(&g, &eval, buffer, 0)),
         ),
         (
             "ga",
-            CoccoGa::default()
-                .with_population(24)
-                .with_seed(2)
-                .run(&partition_ctx(&g, &eval, buffer, 3_000)),
+            SearchMethod::Ga(GaConfig {
+                population: 24,
+                ..GaConfig::default()
+            })
+            .with_seed(2)
+            .run(&partition_ctx(&g, &eval, buffer, 3_000)),
         ),
     ] {
         assert!(
@@ -94,7 +96,7 @@ fn enumeration_is_a_lower_bound() {
         );
     }
     // On a plain chain the DP is also exact: they must agree.
-    let dp = DepthDp::default().run(&partition_ctx(&g, &eval, buffer, 0));
+    let dp = SearchMethod::depth_dp().run(&partition_ctx(&g, &eval, buffer, 0));
     assert!((dp.best_cost - exhaustive.best_cost).abs() < 1e-6);
 }
 
@@ -113,7 +115,7 @@ fn co_exploration_beats_bad_fixed_choices() {
         Objective::co_exploration(CostMetric::Energy, alpha),
         8_000,
     );
-    let coopt = CoccoGa::default().with_seed(5).run(&coopt_ctx);
+    let coopt = SearchMethod::ga().with_seed(5).run(&coopt_ctx);
     // The largest buffer is a bad Formula-2 choice for GoogleNet.
     let large = BufferConfig::shared(3072 << 10);
     let ctx = SearchContext::new(
@@ -123,7 +125,7 @@ fn co_exploration_beats_bad_fixed_choices() {
         Objective::partition_only(CostMetric::Energy),
         4_000,
     );
-    let fixed = CoccoGa::default().with_seed(5).run(&ctx);
+    let fixed = SearchMethod::ga().with_seed(5).run(&ctx);
     let fixed_cost = large.total_bytes() as f64 + alpha * fixed.best_cost;
     assert!(
         coopt.best_cost < fixed_cost,
@@ -139,11 +141,13 @@ fn warm_started_ga_refines_greedy() {
     let g = cocco::graph::models::googlenet();
     let eval = Evaluator::new(&g, AcceleratorConfig::default());
     let buffer = BufferConfig::separate(1 << 20, 1152 << 10);
-    let greedy = GreedyFusion::default().run(&partition_ctx(&g, &eval, buffer, 0));
+    let greedy = SearchMethod::greedy().run(&partition_ctx(&g, &eval, buffer, 0));
     let warm = greedy.best.as_ref().unwrap().partition.clone();
-    let ga = CoccoGa::default()
-        .with_seed(6)
-        .with_initial(vec![warm])
-        .run(&partition_ctx(&g, &eval, buffer, 3_000));
+    let ga = SearchMethod::Ga(GaConfig {
+        initial: vec![warm],
+        ..GaConfig::default()
+    })
+    .with_seed(6)
+    .run(&partition_ctx(&g, &eval, buffer, 3_000));
     assert!(ga.best_cost <= greedy.best_cost);
 }

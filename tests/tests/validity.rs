@@ -14,16 +14,18 @@ fn check_valid(model: &str, buffer: BufferConfig, budget: u64) {
             budget,
         )
     };
-    let methods: Vec<(&str, Box<dyn Searcher>)> = vec![
-        ("greedy", Box::new(GreedyFusion::default())),
-        ("dp", Box::new(DepthDp::default())),
-        (
-            "ga",
-            Box::new(CoccoGa::default().with_population(24).with_seed(1)),
-        ),
-        ("sa", Box::new(SimulatedAnnealing::default().with_seed(1))),
+    let ga = GaConfig {
+        population: 24,
+        ..GaConfig::default()
+    };
+    let methods = [
+        SearchMethod::greedy(),
+        SearchMethod::depth_dp(),
+        SearchMethod::Ga(ga).with_seed(1),
+        SearchMethod::sa().with_seed(1),
     ];
-    for (name, method) in methods {
+    for method in methods {
+        let name = method.key();
         let out = method.run(&make_ctx());
         let best = out
             .best
@@ -84,7 +86,7 @@ fn exhaustive_is_valid_where_it_completes() {
             Objective::partition_only(CostMetric::Ema),
             0,
         );
-        let out = Exhaustive::default().run(&ctx);
+        let out = SearchMethod::exhaustive().run(&ctx);
         assert!(out.completed, "{model} enumeration did not complete");
         assert!(out.best.unwrap().partition.validate(&g).is_ok());
     }
