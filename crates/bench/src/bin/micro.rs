@@ -10,7 +10,9 @@
 //! * `... micro -- --smoke [--threads <n>]` — the CI smoke: thread parity
 //!   of a seeded GA (serial, `n` threads, live telemetry sink: identical
 //!   results and engine counters, zero hot-path allocations), the fault
-//!   matrix, no roll-up cache sweep on the cold 20k-sample GA, stepped
+//!   matrix, no cache sweep (roll-ups or statistics) on the cold
+//!   20k-sample GA, nasnet greedy and DP with no statistics fallback and
+//!   greedy under its subgraph-term ceiling, stepped
 //!   (JSON-resumed) vs monolithic parity, the interleaved two-step's
 //!   higher cross-candidate hit rate, the telemetry overhead ceiling on a
 //!   cached probe, and the audit gate.
@@ -585,7 +587,7 @@ fn twostep_bench(smoke: bool, threads: u32) {
 }
 
 /// Bounds what telemetry may cost on the engine's hottest leaf: a warmed
-/// `score_single` call (a stats-cache hit plus one `eval_subgraph` term).
+/// statistics-cache hit plus one `score_single` term.
 /// Probes the same subgraph 20 000 times through a disabled handle and
 /// through a live sink; both must stay under the same generous 5 µs/probe
 /// ceiling, which catches a regression that puts a clock read, lock
@@ -605,16 +607,17 @@ fn telemetry_overhead_check() {
         ("enabled", Telemetry::enabled()),
     ] {
         let engine = Engine::with_telemetry(EngineConfig::serial(), telemetry.clone());
+        let probe = || {
+            let stats = evaluator
+                .subgraph_stats(&members)
+                .expect("a connected prefix has statistics");
+            engine.score_single(&evaluator, &stats, &buffer, EvalOptions::default())
+        };
         // Warm the evaluator's stats cache so every timed probe is a hit.
-        engine.score_single(&evaluator, &members, &buffer, EvalOptions::default());
+        probe();
         let start = Stopwatch::start();
         for _ in 0..PROBES {
-            std::hint::black_box(engine.score_single(
-                &evaluator,
-                &members,
-                &buffer,
-                EvalOptions::default(),
-            ));
+            std::hint::black_box(probe());
         }
         let per_probe_ns = start.elapsed().as_secs_f64() * 1e9 / f64::from(PROBES);
         assert!(
@@ -636,27 +639,86 @@ fn telemetry_overhead_check() {
 }
 
 /// The cold workload at default cache capacities: a default-config GA on
-/// `randwire-a`, 20 000 samples, seed 1. A roll-up cache sweep that finds
-/// more live entries than its budget sheds touched entries as readily as
-/// stale ones; this pins that no sweep fires at all on this run.
+/// `randwire-a`, 20 000 samples, seed 1, on the evaluator and session the
+/// facade builds (paper accelerator, shared-buffer space, Formula-2
+/// objective). A cache sweep that finds more live entries than its budget
+/// sheds touched entries as readily as stale ones; this pins that no
+/// sweep fires at all on this run, in the engine's roll-up cache or in
+/// the evaluator's statistics cache.
 fn cache_sweep_check(threads: u32) {
     let model = cocco::graph::models::randwire_a();
-    let result = Cocco::new()
-        .with_budget(20_000)
-        .with_seed(1)
-        .with_engine(EngineConfig::with_threads(threads))
-        .explore(&model)
-        .expect("the cold GA run completes");
-    let stats = result.stats;
+    let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
+    let ctx = SearchContext::new(
+        &model,
+        &evaluator,
+        BufferSpace::paper_shared(),
+        Objective::paper_energy_capacity(),
+        20_000,
+    )
+    .with_engine(EngineConfig::with_threads(threads));
+    let outcome = SearchMethod::ga().with_seed(1).run(&ctx);
+    assert!(outcome.best.is_some(), "the cold GA run finds a design");
+    let stats = ctx.engine().stats();
     assert_eq!(
         stats.cache_evictions, 0,
         "the roll-up cache swept at default capacity ({} entries)",
         stats.cache_entries
     );
-    println!(
-        "cache sweep          : 0 evictions at default capacity ({} roll-ups, {threads} threads)",
-        stats.cache_entries
+    assert_eq!(
+        evaluator.stats_cache_evictions(),
+        0,
+        "the statistics cache swept at default capacity ({} derivations)",
+        evaluator.stats_cache_misses()
     );
+    println!(
+        "cache sweep          : 0 evictions at default capacity ({} roll-ups, {} statistics, {threads} threads)",
+        stats.cache_entries,
+        evaluator.stats_cache_misses()
+    );
+}
+
+/// The analytic baselines on `nasnet`, the largest registry graph, under
+/// the facade's defaults — deterministic counts, so a regression shows
+/// without timing noise. Neither method may hit the statistics
+/// canonicalize fallback (both hand the cache ascending member lists),
+/// and greedy fusion, which memoizes member-set costs across its steps,
+/// must score at most `MAX_GREEDY_TERMS` subgraph terms (it scored
+/// 258,826 when every step re-scored every quotient edge).
+fn baselines_check(threads: u32) {
+    const MAX_GREEDY_TERMS: u64 = 10_000;
+    let model = cocco::graph::models::nasnet();
+    for method in [SearchMethod::greedy(), SearchMethod::depth_dp()] {
+        let name = method.name();
+        let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
+        let ctx = SearchContext::new(
+            &model,
+            &evaluator,
+            BufferSpace::paper_shared(),
+            Objective::paper_energy_capacity(),
+            0,
+        )
+        .with_engine(EngineConfig::with_threads(threads));
+        let outcome = method.run(&ctx);
+        assert!(outcome.best.is_some(), "{name} finds a design on nasnet");
+        let stats = ctx.engine().stats();
+        assert_eq!(
+            evaluator.stats_canonicalize_fallbacks(),
+            0,
+            "{name} handed the statistics cache an unsorted member list"
+        );
+        if matches!(method, SearchMethod::Greedy) {
+            assert!(
+                stats.subgraph_scorings <= MAX_GREEDY_TERMS,
+                "{name} scored {} subgraph terms on nasnet (at most {MAX_GREEDY_TERMS})",
+                stats.subgraph_scorings
+            );
+        }
+        println!(
+            "baseline {name:<18}: nasnet, {} subgraph terms, {} derivations, 0 fallbacks",
+            stats.subgraph_scorings,
+            evaluator.stats_cache_misses()
+        );
+    }
 }
 
 /// Runs the workspace determinism audit in-process and prints its wall
@@ -708,6 +770,7 @@ fn main() {
         println!();
         fault_matrix_check(threads);
         cache_sweep_check(threads);
+        baselines_check(threads);
         stepped_parity_check(threads);
         twostep_bench(true, threads);
         telemetry_overhead_check();

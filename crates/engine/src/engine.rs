@@ -13,7 +13,7 @@ use crate::arena::{EvalArena, ScratchPool};
 use crate::cache::{EvalCache, EvalKey};
 use crate::config::EngineConfig;
 use crate::pool::EnginePool;
-use cocco_graph::{NodeId, NodeSetFp};
+use cocco_graph::NodeSetFp;
 use cocco_partition::{Partition, PartitionDelta, PartitionLayout};
 use cocco_sim::{BufferConfig, CostMetric, EvalOptions, Evaluator, SubgraphReport, SubgraphStats};
 use cocco_telemetry::{Histogram, MetricsSnapshot, Stopwatch, Telemetry};
@@ -500,20 +500,19 @@ impl Engine {
     }
 
     /// Scores one subgraph as a standalone single-subgraph partition
-    /// (`next_wgt = 0`) from its evaluator-cached statistics, without
-    /// allocating an owned partition — the additive Formula-1 term used by
-    /// the greedy/DP/enumeration hot loops.
+    /// (`next_wgt = 0`) from statistics the caller already holds (from
+    /// `Evaluator::subgraph_stats`), without allocating an owned partition
+    /// — the additive Formula-1 term used by the greedy/DP/enumeration hot
+    /// loops, which read the statistics once for the fit check and the
+    /// term alike.
     pub fn score_single(
         &self,
         evaluator: &Evaluator<'_>,
-        members: &[NodeId],
+        stats: &SubgraphStats,
         buffer: &BufferConfig,
         options: EvalOptions,
     ) -> ScoredEval {
-        let Ok(stats) = evaluator.subgraph_stats(members) else {
-            return ScoredEval::errored(buffer);
-        };
-        let part = self.eval_term(evaluator, &stats, 0, buffer, options);
+        let part = self.eval_term(evaluator, stats, 0, buffer, options);
         ScoredEval {
             ema_bytes: part.ema_bytes,
             energy_pj: part.energy_pj,
@@ -758,6 +757,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cocco_graph::NodeId;
     use cocco_sim::AcceleratorConfig;
 
     #[test]
@@ -885,7 +885,8 @@ mod tests {
         let engine = Engine::new(EngineConfig::serial());
         let members: Vec<NodeId> = g.node_ids().collect();
         let buffer = BufferConfig::shared(1 << 20);
-        let single = engine.score_single(&eval, &members, &buffer, EvalOptions::default());
+        let stats = eval.subgraph_stats(&members).unwrap();
+        let single = engine.score_single(&eval, &stats, &buffer, EvalOptions::default());
         let whole = Partition::from_assignment(vec![0; g.len()]);
         let (via_partition, _) =
             engine.score_partition(&eval, &whole, &buffer, EvalOptions::default());
@@ -893,11 +894,6 @@ mod tests {
         // Each route computed its term fresh from the cached statistics.
         assert_eq!(engine.stats().subgraph_scorings, 2);
         assert_eq!(eval.stats_cache_misses(), 1);
-        assert!(
-            engine
-                .score_single(&eval, &[], &buffer, EvalOptions::default())
-                .error
-        );
     }
 
     #[test]
@@ -1071,11 +1067,15 @@ mod tests {
         let engine = Engine::with_telemetry(EngineConfig::serial(), telemetry.clone());
         let members: Vec<NodeId> = g.node_ids().collect();
         let buffer = BufferConfig::shared(1 << 20);
-        engine.score_single(&eval, &members, &buffer, EvalOptions::default());
+        let probe = || {
+            let stats = eval.subgraph_stats(&members).unwrap();
+            engine.score_single(&eval, &stats, &buffer, EvalOptions::default());
+        };
+        probe();
         let events_before = telemetry.events().len();
         let snap_before = telemetry.snapshot();
         for _ in 0..100 {
-            engine.score_single(&eval, &members, &buffer, EvalOptions::default());
+            probe();
         }
         assert_eq!(telemetry.events().len(), events_before);
         assert_eq!(telemetry.snapshot(), snap_before);

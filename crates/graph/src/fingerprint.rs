@@ -97,6 +97,26 @@ impl NodeSetFp {
         self.lo = self.lo.wrapping_sub(lo);
         self.hi = self.hi.wrapping_sub(hi);
     }
+
+    /// The fingerprint of the union of two **disjoint** sets: equal to
+    /// inserting every member of `other` into `self`.
+    ///
+    /// ```
+    /// use cocco_graph::{NodeId, NodeSetFp};
+    ///
+    /// let [a, b, c] = [1, 4, 9].map(NodeId::from_index);
+    /// let ab = NodeSetFp::of_members(&[a, b]);
+    /// let c_fp = NodeSetFp::of_members(&[c]);
+    /// assert_eq!(ab.disjoint_union(c_fp), NodeSetFp::of_members(&[a, b, c]));
+    /// ```
+    #[inline]
+    #[must_use]
+    pub fn disjoint_union(self, other: NodeSetFp) -> NodeSetFp {
+        NodeSetFp {
+            lo: self.lo.wrapping_add(other.lo),
+            hi: self.hi.wrapping_add(other.hi),
+        }
+    }
 }
 
 /// A pass-through hasher for keys that *are already* uniform hashes
@@ -104,8 +124,8 @@ impl NodeSetFp {
 /// SipHash over the words, it folds them with two cheap operations. Using
 /// it as a `HashMap` build-hasher removes the per-probe hash walk that a
 /// default-hashed map would pay.
-#[derive(Clone, Default)]
-pub(crate) struct FpHasher {
+#[derive(Clone, Debug, Default)]
+pub struct FpHasher {
     state: u64,
 }
 
@@ -130,7 +150,7 @@ impl Hasher for FpHasher {
 }
 
 /// The `BuildHasher` for fingerprint-keyed maps.
-pub(crate) type BuildFpHasher = BuildHasherDefault<FpHasher>;
+pub type BuildFpHasher = BuildHasherDefault<FpHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -46,7 +46,7 @@ mod shape;
 
 pub use builder::GraphBuilder;
 pub use error::GraphError;
-pub use fingerprint::{mix64, NodeSetFp};
+pub use fingerprint::{mix64, BuildFpHasher, FpHasher, NodeSetFp};
 pub use fpcache::{FpCache, FpKey};
 pub use graph::{Graph, NodeId, NodeIter};
 pub use layer::{EdgeReq, Kernel, LayerOp, Node};

@@ -11,7 +11,7 @@ use cocco_engine::{
 use cocco_faults::{FaultPlan, FaultSite};
 use cocco_graph::{Graph, NodeId};
 use cocco_partition::{repair_seeded, ParentSeed, Partition, PartitionDelta};
-use cocco_sim::{BufferConfig, EvalOptions, Evaluator};
+use cocco_sim::{BufferConfig, EvalOptions, Evaluator, SimError, SubgraphStats};
 use cocco_telemetry::{Stopwatch, Telemetry};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -293,18 +293,21 @@ impl<'a> SearchContext<'a> {
     /// visible in the outcome.
     pub fn fits(&self, members: &[NodeId], buffer: &BufferConfig) -> bool {
         match self.evaluator.subgraph_stats(members) {
-            Ok(stats) => {
-                let wgt = stats
-                    .wgt_resident_bytes
-                    .div_ceil(u64::from(self.options.cores()));
-                buffer.fits(stats.act_footprint_bytes, wgt)
-                    && stats.regions <= self.evaluator.config().max_regions
-            }
+            Ok(stats) => self.stats_fit(&stats, buffer),
             Err(_) => {
                 self.trace.record_infeasible_error();
                 false
             }
         }
+    }
+
+    /// The fit test of [`fits`](Self::fits) on statistics already in hand.
+    fn stats_fit(&self, stats: &SubgraphStats, buffer: &BufferConfig) -> bool {
+        let wgt = stats
+            .wgt_resident_bytes
+            .div_ceil(u64::from(self.options.cores()));
+        buffer.fits(stats.act_footprint_bytes, wgt)
+            && stats.regions <= self.evaluator.config().max_regions
     }
 
     /// Evaluates a driver's [`EvalBatch`] — every chunk of every candidate
@@ -655,21 +658,34 @@ impl<'a> SearchContext<'a> {
     /// The additive Formula-1 term of a single subgraph under `buffer`
     /// (`None` when it does not fit). Used by the greedy, DP and
     /// enumeration baselines; does not consume budget, but shares the
-    /// evaluator's statistics cache.
+    /// evaluator's statistics cache. Evaluator errors count as "does not
+    /// fit" and increment the trace's `infeasible_errors` counter, as in
+    /// [`fits`](Self::fits).
     pub fn subgraph_cost(&self, members: &[NodeId], buffer: &BufferConfig) -> Option<f64> {
-        if !self.fits(members, buffer) {
-            return None;
+        self.subgraph_term(members, buffer).unwrap_or_else(|_| {
+            self.trace.record_infeasible_error();
+            None
+        })
+    }
+
+    /// [`subgraph_cost`](Self::subgraph_cost) without recording an
+    /// evaluator error, for callers that memoize the outcome and record
+    /// it on every lookup themselves. One statistics probe serves both
+    /// the fit check and the term; members should ascend (what the
+    /// statistics derivation expects, so no sorted copy is made).
+    pub(crate) fn subgraph_term(
+        &self,
+        members: &[NodeId],
+        buffer: &BufferConfig,
+    ) -> Result<Option<f64>, SimError> {
+        let stats = self.evaluator.subgraph_stats(members)?;
+        if !self.stats_fit(&stats, buffer) {
+            return Ok(None);
         }
-        // score_single borrows `members` directly — no owned partition is
-        // allocated in this (greedy/DP/enumeration) hot loop.
         let scored = self
             .engine
-            .score_single(self.evaluator, members, buffer, self.options);
-        if scored.error {
-            self.trace.record_infeasible_error();
-            return None;
-        }
-        Some(scored.metric(self.objective.metric))
+            .score_single(self.evaluator, &stats, buffer, self.options);
+        Ok(Some(scored.metric(self.objective.metric)))
     }
 
     /// The full objective cost of a valid partition under `buffer`, without

@@ -74,6 +74,12 @@ pub struct DpState {
 /// fills one row of the table (`dp[i]` = best cost covering the first `i`
 /// nodes of the depth order); the final step reconstructs and scores the
 /// run boundaries. Analytic: no step consumes budget.
+///
+/// Row `i` grows one candidate run `order[j..i]` node by node as `j`
+/// walks down: the members stay ascending (each node is inserted in
+/// place), so each run is costed without a sorted copy, and connectivity
+/// is the component count of a union-find over the run instead of a
+/// search over it.
 #[derive(Debug)]
 pub struct DpDriver {
     config: DepthDp,
@@ -85,6 +91,8 @@ pub struct DpDriver {
     /// graph, so it never travels in a snapshot; rebuilt lazily on
     /// resume).
     order: Vec<usize>,
+    /// The run the current row grows (scratch, never serialized).
+    run: Run,
     done: bool,
     outcome: SearchOutcome,
 }
@@ -98,6 +106,7 @@ impl DpDriver {
             back: Vec::new(),
             row: 0,
             order: Vec::new(),
+            run: Run::default(),
             done: false,
             outcome: SearchOutcome::empty(),
         }
@@ -115,6 +124,7 @@ impl DpDriver {
                 .collect(),
             row: state.row as usize,
             order: Vec::new(),
+            run: Run::default(),
             done: state.done,
             outcome: state.outcome,
         }
@@ -148,16 +158,16 @@ impl SearchDriver for DpDriver {
         if self.row <= n {
             let i = self.row;
             let lo = i.saturating_sub(self.config.max_run);
+            self.run.clear(n);
             for j in (lo..i).rev() {
+                self.run.push(graph, NodeId::from_index(order[j]));
                 if !self.dp[j].is_finite() {
                     continue;
                 }
-                let members: Vec<NodeId> =
-                    order[j..i].iter().map(|&k| NodeId::from_index(k)).collect();
-                if !graph.is_connected_subset(&members) {
+                if !self.run.is_connected() {
                     continue;
                 }
-                let Some(cost) = ctx.subgraph_cost(&members, &buffer) else {
+                let Some(cost) = ctx.subgraph_cost(self.run.members(), &buffer) else {
                     // Weights grow monotonically with the run: once a run
                     // stops fitting, longer runs cannot fit either.
                     break;
@@ -212,6 +222,76 @@ impl SearchDriver for DpDriver {
             done: self.done,
             outcome: self.outcome.clone(),
         })
+    }
+}
+
+/// A run of the depth order grown one node at a time: its members in
+/// ascending order, a per-node stamp marking membership in the current
+/// run, and a union-find over the members with a component count. The
+/// buffers are graph-sized and reused across rows; [`clear`](Run::clear)
+/// starts a new run by moving to a fresh stamp.
+#[derive(Debug, Default)]
+struct Run {
+    members: Vec<NodeId>,
+    /// `stamp[v] == epoch` iff node `v` is in the current run.
+    stamp: Vec<usize>,
+    epoch: usize,
+    /// Union-find parents, meaningful for current members only.
+    parent: Vec<u32>,
+    components: usize,
+}
+
+impl Run {
+    /// Starts an empty run over a graph of `n` nodes.
+    fn clear(&mut self, n: usize) {
+        if self.stamp.len() != n {
+            self.stamp = vec![0; n];
+            self.parent = vec![0; n];
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.members.clear();
+        self.components = 0;
+    }
+
+    /// Adds `node` (not yet a member), joining it to every neighbour
+    /// already in the run.
+    fn push(&mut self, graph: &cocco_graph::Graph, node: NodeId) {
+        let v = node.index();
+        let at = self.members.partition_point(|&m| m < node);
+        self.members.insert(at, node);
+        self.stamp[v] = self.epoch;
+        self.parent[v] = v as u32;
+        self.components += 1;
+        for &u in graph.producers(node).iter().chain(graph.consumers(node)) {
+            if self.stamp[u.index()] == self.epoch {
+                let (ru, rv) = (self.root(u.index()), self.root(v));
+                if ru != rv {
+                    self.parent[ru] = rv as u32;
+                    self.components -= 1;
+                }
+            }
+        }
+    }
+
+    /// The union-find root of member `v` (path halving).
+    fn root(&mut self, mut v: usize) -> usize {
+        while self.parent[v] as usize != v {
+            let grand = self.parent[self.parent[v] as usize];
+            self.parent[v] = grand;
+            v = grand as usize;
+        }
+        v
+    }
+
+    /// Whether the run is one weakly connected subgraph.
+    fn is_connected(&self) -> bool {
+        self.components == 1
+    }
+
+    /// The members, ascending.
+    fn members(&self) -> &[NodeId] {
+        &self.members
     }
 }
 
@@ -276,6 +356,46 @@ mod tests {
                 ranks.windows(2).all(|w| w[1] == w[0] + 1),
                 "non-contiguous run {ranks:?}"
             );
+        }
+    }
+
+    #[test]
+    fn grown_runs_match_the_connectivity_oracle() {
+        // Every run the DP can visit under the paper's shared buffer:
+        // order[j..i] for each row i, j walking down the max-run window
+        // until the first connected run that does not fit.
+        let max_run = DepthDp::default().max_run;
+        let mut run = Run::default();
+        for &(name, build) in cocco_graph::models::registry() {
+            let g = build();
+            let eval = Evaluator::new(&g, AcceleratorConfig::default());
+            let ctx = SearchContext::new(
+                &g,
+                &eval,
+                BufferSpace::paper_shared(),
+                Objective::paper_energy_capacity(),
+                0,
+            );
+            let buffer = ctx.space.baseline_buffer();
+            let order = depth_order(&g);
+            for i in 1..=g.len() {
+                run.clear(g.len());
+                for j in (i.saturating_sub(max_run)..i).rev() {
+                    run.push(&g, NodeId::from_index(order[j]));
+                    let mut expected: Vec<NodeId> =
+                        order[j..i].iter().map(|&k| NodeId::from_index(k)).collect();
+                    expected.sort_unstable();
+                    assert_eq!(run.members(), &expected[..], "{name} run {j}..{i}");
+                    assert_eq!(
+                        run.is_connected(),
+                        g.is_connected_subset(&expected),
+                        "{name} run {j}..{i}"
+                    );
+                    if run.is_connected() && !ctx.fits(run.members(), &buffer) {
+                        break;
+                    }
+                }
+            }
         }
     }
 

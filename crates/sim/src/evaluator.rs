@@ -156,6 +156,12 @@ impl<'g> Evaluator<'g> {
         self.cache.misses()
     }
 
+    /// Statistics-cache entries dropped by generation sweeps (0 while the
+    /// cache stays under its capacity).
+    pub fn stats_cache_evictions(&self) -> u64 {
+        self.cache.evictions()
+    }
+
     /// Statistics misses that had to canonicalize (sort a copy of) an
     /// out-of-order member list before derivation. 0 on every production
     /// path — the smoke benchmark asserts it via

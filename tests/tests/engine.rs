@@ -70,6 +70,42 @@ fn infeasible_errors_count_silent_evaluator_failures() {
     let members: Vec<NodeId> = g.node_ids().collect();
     assert!(ctx.fits(&members, &buffer));
     assert_eq!(ctx.trace().infeasible_errors(), 1);
+    // The baselines' subgraph term counts the same error once per call.
+    assert_eq!(ctx.subgraph_cost(&[], &buffer), None);
+    assert_eq!(ctx.trace().infeasible_errors(), 2);
+    assert!(ctx.subgraph_cost(&members, &buffer).is_some());
+    assert_eq!(ctx.trace().infeasible_errors(), 2);
+}
+
+/// Greedy fusion and depth-DP hand the statistics cache ascending member
+/// lists on every registry model (no canonicalize fallback: the sort the
+/// derivation keeps for order-agnostic callers never runs), and neither
+/// outgrows the cache at its default capacity.
+#[test]
+fn baselines_need_no_stats_fallback_or_eviction_on_any_model() {
+    for &(name, build) in cocco::graph::models::registry() {
+        let g = build();
+        for method in [SearchMethod::greedy(), SearchMethod::depth_dp()] {
+            let eval = Evaluator::new(&g, AcceleratorConfig::default());
+            let ctx = SearchContext::new(
+                &g,
+                &eval,
+                BufferSpace::paper_shared(),
+                Objective::paper_energy_capacity(),
+                0,
+            );
+            let outcome = method.run(&ctx);
+            let what = format!("{name} {}", method.name());
+            assert!(outcome.best_cost.is_finite(), "{what}");
+            assert_eq!(eval.stats_canonicalize_fallbacks(), 0, "{what}");
+            assert_eq!(
+                ctx.engine().stats().stats_canonicalize_fallbacks,
+                0,
+                "{what}"
+            );
+            assert_eq!(eval.stats_cache_evictions(), 0, "{what}");
+        }
+    }
 }
 
 #[test]
