@@ -10,8 +10,9 @@
 //! * `... micro -- --smoke [--threads <n>]` — the CI smoke: thread parity
 //!   of a seeded GA (serial, `n` threads, live telemetry sink: identical
 //!   results and engine counters, zero hot-path allocations), the fault
-//!   matrix, no cache sweep (roll-ups or statistics) on the cold
-//!   20k-sample GA, nasnet greedy and DP with no statistics fallback and
+//!   matrix, on the cold 20k-sample GA no cache sweep (roll-ups or
+//!   statistics) and pinned work (`fits` calls, subgraph terms, bounded
+//!   arena growth), nasnet greedy and DP with no statistics fallback and
 //!   greedy under its subgraph-term ceiling, stepped
 //!   (JSON-resumed) vs monolithic parity, the interleaved two-step's
 //!   higher cross-candidate hit rate, the telemetry overhead ceiling on a
@@ -641,13 +642,12 @@ fn telemetry_overhead_check() {
 /// The cold workload at default cache capacities: a default-config GA on
 /// `randwire-a`, 20 000 samples, seed 1, on the evaluator and session the
 /// facade builds (paper accelerator, shared-buffer space, Formula-2
-/// objective). A cache sweep that finds more live entries than its budget
-/// sheds touched entries as readily as stale ones; this pins that no
-/// sweep fires at all on this run, in the engine's roll-up cache or in
-/// the evaluator's statistics cache.
-fn cache_sweep_check(threads: u32) {
+/// objective), with a live telemetry sink (observation only). One run
+/// feeds two checks: [`cache_sweep_check`] and [`repair_work_check`].
+fn cold_ga_checks(threads: u32) {
     let model = cocco::graph::models::randwire_a();
     let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
+    let telemetry = Telemetry::enabled();
     let ctx = SearchContext::new(
         &model,
         &evaluator,
@@ -655,9 +655,18 @@ fn cache_sweep_check(threads: u32) {
         Objective::paper_energy_capacity(),
         20_000,
     )
-    .with_engine(EngineConfig::with_threads(threads));
+    .with_engine_telemetry(EngineConfig::with_threads(threads), &telemetry);
     let outcome = SearchMethod::ga().with_seed(1).run(&ctx);
     assert!(outcome.best.is_some(), "the cold GA run finds a design");
+    cache_sweep_check(&ctx, &evaluator, threads);
+    repair_work_check(&ctx.engine().metrics(), threads);
+}
+
+/// A cache sweep that finds more live entries than its budget sheds
+/// touched entries as readily as stale ones; this pins that no sweep
+/// fires at all on the cold run, in the engine's roll-up cache or in the
+/// evaluator's statistics cache.
+fn cache_sweep_check(ctx: &SearchContext<'_>, evaluator: &Evaluator<'_>, threads: u32) {
     let stats = ctx.engine().stats();
     assert_eq!(
         stats.cache_evictions, 0,
@@ -674,6 +683,31 @@ fn cache_sweep_check(threads: u32) {
         "cache sweep          : 0 evictions at default capacity ({} roll-ups, {} statistics, {threads} threads)",
         stats.cache_entries,
         evaluator.stats_cache_misses()
+    );
+}
+
+/// Work pins of the cold run's per-candidate path — deterministic counts,
+/// so a work regression shows without timing noise: the `fits` calls
+/// repair makes and the subgraph terms scoring computes (both the same at
+/// every thread count), and layout-arena growth bounded by warm-up, a few
+/// grows per scratch slot however many candidates the slots serve.
+fn repair_work_check(metrics: &MetricsSnapshot, threads: u32) {
+    const FITS_CALLS: u64 = 279_434;
+    const SUBGRAPH_SCORINGS: u64 = 815_212;
+    const GROWS_PER_SLOT: u64 = 4;
+    let fits_calls = metrics.counter("sim.fits_calls");
+    let scorings = metrics.counter("engine.subgraph.scorings");
+    let grows = metrics.counter("engine.arena.grows");
+    let slots = u64::from(threads) + 1;
+    assert_eq!(fits_calls, FITS_CALLS, "repair's fits calls moved");
+    assert_eq!(scorings, SUBGRAPH_SCORINGS, "scored subgraph terms moved");
+    assert!(
+        grows <= GROWS_PER_SLOT * slots,
+        "{grows} layout-arena grows over {slots} slots (at most {GROWS_PER_SLOT} each)"
+    );
+    println!(
+        "repair work          : {fits_calls} fits calls, {scorings} subgraph terms, {grows} arena grows, {} parent repairs skipped ({threads} threads)",
+        metrics.counter("engine.arena.repair_skips")
     );
 }
 
@@ -769,7 +803,7 @@ fn main() {
         engine_bench(true, threads);
         println!();
         fault_matrix_check(threads);
-        cache_sweep_check(threads);
+        cold_ga_checks(threads);
         baselines_check(threads);
         stepped_parity_check(threads);
         twostep_bench(true, threads);

@@ -1,16 +1,17 @@
 //! Per-worker evaluation scratch: the reusable buffers that make a warmed
-//! scoring dispatch allocation-free, plus the cache entries a batch job
+//! candidate job allocation-free, plus the cache entries a batch job
 //! computed and has not published yet.
 //!
-//! Every scoring entry point that materializes a partition claims one
-//! [`EvalArena`] slot from the engine's [`ScratchPool`] for the duration of
-//! the call. A slot bundles the flat [`LayoutArena`] a candidate partition
-//! is materialized into, the per-position subgraph fingerprints of the
-//! probe and the [`Staged`] entries awaiting the batch-end publication —
-//! all cleared (capacity kept) between uses and grown monotonically, so
-//! the steady state touches the allocator only for values that escape
-//! into long-lived structures (memos, a miss's fingerprints, cache
-//! inserts).
+//! A candidate job runs inside one [`EvalArena`] slot claimed from the
+//! engine's [`ScratchPool`]: repair works in the slot's
+//! [`RepairScratch`] and leaves the result's flat layout and subgraph
+//! fingerprints there, the probe folds its key from those fingerprints,
+//! and a miss is scored from that layout and staged in the slot for the
+//! batch-end publication. Entry points that score a given partition lay it
+//! out into the same scratch first. Every buffer is cleared (capacity
+//! kept) between uses and grown monotonically, so the steady state touches
+//! the allocator only for values that escape into long-lived structures
+//! (memos, repaired partitions, cache inserts).
 //!
 //! Slots never affect results: scratch contents are fully overwritten
 //! before each read, staged entries are published in funding order no
@@ -24,8 +25,7 @@
 
 use crate::cache::EvalKey;
 use crate::engine::ScoredEval;
-use cocco_graph::NodeSetFp;
-use cocco_partition::LayoutArena;
+use cocco_partition::RepairScratch;
 use std::mem::size_of;
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
@@ -41,34 +41,42 @@ use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 /// chunking and slot assignment.
 pub(crate) type Staged = (u64, EvalKey, ScoredEval);
 
-/// One reusable scratch slot: a layout arena, the probe's subgraph
-/// fingerprints and the staged cache entries.
+/// One reusable scratch slot: the repair scratch a candidate is repaired
+/// (or laid out) in, and the staged cache entries.
 #[derive(Debug, Default)]
 pub struct EvalArena {
-    /// Flat-layout storage the candidate partition is built into.
-    pub(crate) layout: LayoutArena,
-    /// Subgraph fingerprint per layout position (the cache key material).
-    pub(crate) fps: Vec<NodeSetFp>,
+    /// Repair buffers; after a repair or a `describe`, the layout and
+    /// subgraph fingerprints scoring reads.
+    pub(crate) repair: RepairScratch,
     /// Entries the slot's batch jobs computed, awaiting publication.
     pub(crate) staged: Vec<Staged>,
 }
 
 impl EvalArena {
+    /// The slot's repair scratch: repair a candidate here, then score it
+    /// with [`Engine::score_slot`](crate::Engine::score_slot).
+    pub fn repair_scratch(&mut self) -> &mut RepairScratch {
+        &mut self.repair
+    }
+
     /// Bytes of heap capacity currently owned by this slot.
     pub fn bytes(&self) -> u64 {
-        self.layout.bytes()
-            + (self.fps.capacity() * size_of::<NodeSetFp>()) as u64
-            + (self.staged.capacity() * size_of::<Staged>()) as u64
+        self.repair.bytes() + (self.staged.capacity() * size_of::<Staged>()) as u64
     }
 
     /// Layout builds served entirely from existing capacity.
     pub fn reuses(&self) -> u64 {
-        self.layout.reuses()
+        self.repair.reuses()
     }
 
     /// Layout builds that had to grow a buffer.
     pub fn grows(&self) -> u64 {
-        self.layout.grows()
+        self.repair.grows()
+    }
+
+    /// Repairs that returned a fitted, clean candidate untouched.
+    pub fn repair_skips(&self) -> u64 {
+        self.repair.skips()
     }
 }
 
@@ -143,20 +151,42 @@ impl ScratchPool {
     pub fn grows(&self) -> u64 {
         self.sum(EvalArena::grows)
     }
+
+    /// Total repairs that returned a fitted, clean candidate untouched.
+    pub fn repair_skips(&self) -> u64 {
+        self.sum(EvalArena::repair_skips)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A staged entry carrying `token` (its contents never matter here).
+    fn staged(token: u64) -> Staged {
+        let key = EvalKey {
+            fingerprint: token,
+            lo: !token,
+            hi: token,
+        };
+        let scored = ScoredEval {
+            ema_bytes: token,
+            energy_pj: 0.0,
+            buffer_bytes: 0,
+            fits: true,
+            error: false,
+        };
+        (token, key, scored)
+    }
+
     #[test]
     fn slots_are_exclusive_and_reusable() {
         let pool = ScratchPool::new(2);
         pool.with_slot(|a| {
-            a.fps.push(NodeSetFp::EMPTY);
+            a.staged.push(staged(1));
             // A nested claim from another logical task still succeeds:
             // the second slot is free.
-            pool.with_slot(|b| b.fps.push(NodeSetFp::EMPTY));
+            pool.with_slot(|b| b.staged.push(staged(2)));
         });
         // Scratch persists across claims (capacity reuse is the point).
         let total: u64 = pool.bytes();
@@ -168,7 +198,7 @@ mod tests {
     fn empty_pool_clamps_to_one_slot() {
         let pool = ScratchPool::new(0);
         let inside = pool.with_slot(|arena| {
-            arena.fps.reserve(8);
+            arena.staged.reserve(8);
             arena.bytes()
         });
         assert_eq!(pool.bytes(), inside);
@@ -183,8 +213,8 @@ mod tests {
         }));
         assert!(caught.is_err());
         // Slot 0 is free again, so the next claim takes it.
-        pool.with_slot(|arena| arena.fps.push(NodeSetFp::EMPTY));
-        assert_eq!(lock(&pool.slots[0]).fps, [NodeSetFp::EMPTY]);
+        pool.with_slot(|arena| arena.staged.push(staged(3)));
+        assert_eq!(lock(&pool.slots[0]).staged, [staged(3)]);
         // The quiescent sums behind the engine metrics still work.
         assert!(pool.bytes() > 0);
         assert_eq!(pool.reuses() + pool.grows(), 0);
@@ -212,21 +242,11 @@ mod tests {
                     for _ in 0..CLAIMS_PER_BATCH {
                         let token = next_token.fetch_add(1, Ordering::Relaxed);
                         pool.with_slot(|arena| {
-                            arena.fps.clear();
-                            arena.fps.push(NodeSetFp {
-                                lo: token,
-                                hi: !token,
-                            });
-                            arena.layout.build_from_partition(&partition);
+                            arena.staged.clear();
+                            arena.staged.push(staged(token));
+                            arena.repair.describe(&partition);
                             std::thread::yield_now();
-                            assert_eq!(
-                                arena.fps,
-                                [NodeSetFp {
-                                    lo: token,
-                                    hi: !token
-                                }],
-                                "slot aliased across claims"
-                            );
+                            assert_eq!(arena.staged, [staged(token)], "slot aliased across claims");
                         });
                     }
                 });

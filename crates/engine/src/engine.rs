@@ -6,16 +6,22 @@
 //! `Evaluator::eval_subgraph` gives its term. The fold runs in execution
 //! order, so every score is bit-identical to `Evaluator::eval_partition`.
 //! Whole-partition roll-ups are memoized in the [`EvalCache`] under a key
-//! folded from each subgraph's 128-bit [`NodeSetFp`], derived from scratch
-//! per probe without allocating a key or re-hashing it.
+//! folded from each subgraph's 128-bit [`NodeSetFp`].
+//!
+//! Every scoring path reads the layout and the fingerprints from a slot's
+//! [`RepairScratch`](cocco_partition::RepairScratch): a batch candidate's
+//! repair leaves them there ([`Engine::with_slot`], then
+//! [`Engine::score_slot`]), and the entry points that take a partition lay
+//! it out into the scratch first. Nothing is laid out or fingerprinted
+//! twice, and nothing is copied out of the slot.
 
 use crate::arena::{EvalArena, ScratchPool};
 use crate::cache::{EvalCache, EvalKey};
 use crate::config::EngineConfig;
 use crate::pool::EnginePool;
 use cocco_graph::NodeSetFp;
-use cocco_partition::{Partition, PartitionDelta, PartitionLayout};
-use cocco_sim::{BufferConfig, CostMetric, EvalOptions, Evaluator, SubgraphReport, SubgraphStats};
+use cocco_partition::{Partition, PartitionDelta, PartitionLayout, RepairScratch};
+use cocco_sim::{BufferConfig, CostMetric, EvalOptions, Evaluator, SubgraphStats};
 use cocco_telemetry::{Histogram, MetricsSnapshot, Stopwatch, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,15 +113,13 @@ pub enum PartitionProbe {
     Miss(PreparedEval),
 }
 
-/// Key material carried from a [`Engine::prepare_partition`] miss to the
-/// [`Engine::score_prepared`] call that computes it: the cache key and the
-/// per-position subgraph fingerprints (the stats-cache keys of the fold)
-/// are derived exactly once, and the shared-cache miss was counted exactly
-/// once (`score_prepared` recomputes without re-probing).
+/// The cache key carried from a [`Engine::prepare_partition`] miss to the
+/// [`Engine::score_prepared`] call that computes it: the shared-cache miss
+/// was counted exactly once (`score_prepared` computes without
+/// re-probing).
 #[derive(Debug)]
 pub struct PreparedEval {
     key: EvalKey,
-    fps: Vec<NodeSetFp>,
 }
 
 /// Renders a panic payload as text (the same downcasts the std hook uses).
@@ -204,7 +208,7 @@ pub struct EngineStats {
     /// member list (see `Evaluator::stats_canonicalize_fallbacks`) — the
     /// hot-path allocation tripwire: 0 on every production path, asserted
     /// by the CI smoke benchmark. (Values that *escape* the dispatch —
-    /// memos, a miss's fingerprints, cache inserts — are inherent and not
+    /// memos, repaired partitions, cache inserts — are inherent and not
     /// counted.)
     pub stats_canonicalize_fallbacks: u64,
     /// Wall-clock milliseconds spent inside batch evaluation.
@@ -275,9 +279,10 @@ pub struct Engine {
     config: EngineConfig,
     pool: EnginePool,
     cache: EvalCache,
-    /// Per-worker scoring scratch (layout arenas, fingerprint buffers and
-    /// staged cache entries); one more slot than worker threads, claimed
-    /// per scoring call.
+    /// Per-worker scratch (repair buffers with the layout and
+    /// fingerprints scoring reads, and staged cache entries); one more
+    /// slot than worker threads, claimed per candidate job or scoring
+    /// call.
     scratch: ScratchPool,
     wall_nanos: AtomicU64,
     /// Subgraph terms computed fresh (`engine.subgraph.scorings`).
@@ -380,9 +385,9 @@ impl Engine {
     }
 
     /// Scores a [`Partition`] under `buffer`/`options`, memoized, and
-    /// publishes a fresh result to the cache at once. The member lists are
-    /// materialized into this call's scratch slot as a flat
-    /// [`PartitionLayout`] built without per-candidate allocations.
+    /// publishes a fresh result to the cache at once. The partition is laid
+    /// out into this call's scratch slot (as a flat [`PartitionLayout`]
+    /// plus fingerprints) without per-candidate allocations.
     ///
     /// Evaluator errors are folded into the result (`error = true`, so
     /// [`ScoredEval::cost`] is infinite) and memoized like any other
@@ -397,31 +402,79 @@ impl Engine {
         options: EvalOptions,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
         self.scratch.with_slot(|arena| {
-            let EvalArena { layout, fps, .. } = arena;
-            let layout = layout.build_from_partition(partition);
-            let key = Self::fingerprint(evaluator, &layout, buffer, options, fps);
-            let scored = match self.cache.get(&key) {
-                Some(cached) => cached,
-                None => {
-                    let scored = self.compose(evaluator, &layout, fps, buffer, options);
-                    self.cache.insert(key, scored);
-                    scored
-                }
-            };
-            self.note_stats_fallbacks(evaluator);
-            (scored, EvalMemo::of(evaluator, buffer, options, &scored))
+            arena.repair.describe(partition);
+            self.score_laid_out(arena, None, evaluator, buffer, options)
         })
     }
 
-    /// The probe half of scoring a batch candidate: derives the
-    /// partition's subgraph fingerprints and cache key and probes the
-    /// shared cache. A [`PartitionProbe::Hit`] is the finished score. A
-    /// [`PartitionProbe::Miss`] carries the derived key material to
+    /// Runs `f` with an exclusive scratch slot: the home of one batch
+    /// candidate's whole job. Repair the candidate in the slot's
+    /// [`EvalArena::repair_scratch`], then score it with
+    /// [`score_slot`](Self::score_slot) — the probe and a miss's fold read
+    /// the layout and fingerprints repair left there. Do not claim another
+    /// slot inside `f`.
+    pub fn with_slot<R>(&self, f: impl FnOnce(&mut EvalArena) -> R) -> R {
+        self.scratch.with_slot(f)
+    }
+
+    /// Scores the partition whose layout and fingerprints `slot`'s repair
+    /// scratch holds (left by `RepairScratch::repair` or
+    /// `RepairScratch::describe`) as batch job `seq`: probes the shared
+    /// cache and, on a miss, folds the score from the slot and stages the
+    /// entry under `seq` — the candidate's funding-order sequence number —
+    /// for publication at the end of the enclosing
+    /// [`dispatch`](Self::dispatch). Call it only from jobs running under
+    /// `dispatch`/[`try_dispatch`](Self::try_dispatch).
+    pub fn score_slot(
+        &self,
+        slot: &mut EvalArena,
+        seq: u64,
+        evaluator: &Evaluator<'_>,
+        buffer: &BufferConfig,
+        options: EvalOptions,
+    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
+        self.score_laid_out(slot, Some(seq), evaluator, buffer, options)
+    }
+
+    /// The scoring core: probes for the partition laid out in `slot` and,
+    /// on a miss, composes it and publishes the entry — staged under the
+    /// given sequence number, or at once without one.
+    fn score_laid_out(
+        &self,
+        slot: &mut EvalArena,
+        staged_as: Option<u64>,
+        evaluator: &Evaluator<'_>,
+        buffer: &BufferConfig,
+        options: EvalOptions,
+    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
+        let EvalArena { repair, staged } = slot;
+        let scored = match self.probe(repair, evaluator, buffer, options) {
+            Ok(cached) => cached,
+            Err(key) => {
+                let scored = self.compose(evaluator, repair, buffer, options);
+                match staged_as {
+                    Some(seq) => staged.push((seq, key, scored)),
+                    None => {
+                        self.cache.insert(key, scored);
+                    }
+                }
+                scored
+            }
+        };
+        self.note_stats_fallbacks(evaluator);
+        (scored, EvalMemo::of(evaluator, buffer, options, &scored))
+    }
+
+    /// The probe half of scoring a batch candidate, for callers that hold
+    /// a [`Partition`] rather than a slot: lays the partition out and
+    /// probes the shared cache. A [`PartitionProbe::Hit`] is the finished
+    /// score. A [`PartitionProbe::Miss`] carries the key to
     /// [`score_prepared`](Self::score_prepared), which computes without
-    /// re-probing (the miss was counted here, once).
+    /// re-probing (the miss was counted here, once). Production jobs use
+    /// [`with_slot`](Self::with_slot) and [`score_slot`](Self::score_slot)
+    /// instead, which lay a candidate out once.
     ///
-    /// `hint` is ignored: every key is derived from scratch. The parameter
-    /// stays for existing callers; production passes `None`.
+    /// `hint` is ignored; the parameter stays for existing callers.
     pub fn prepare_partition(
         &self,
         evaluator: &Evaluator<'_>,
@@ -431,33 +484,27 @@ impl Engine {
         _hint: Option<(&EvalMemo, &PartitionDelta)>,
     ) -> PartitionProbe {
         self.scratch.with_slot(|arena| {
-            let EvalArena { layout, fps, .. } = arena;
-            let layout = layout.build_from_partition(partition);
-            let key = Self::fingerprint(evaluator, &layout, buffer, options, fps);
-            match self.cache.get(&key) {
-                Some(cached) => {
+            arena.repair.describe(partition);
+            match self.probe(&arena.repair, evaluator, buffer, options) {
+                Ok(cached) => {
                     self.note_stats_fallbacks(evaluator);
                     PartitionProbe::Hit(cached, EvalMemo::of(evaluator, buffer, options, &cached))
                 }
-                None => PartitionProbe::Miss(PreparedEval {
-                    key,
-                    fps: fps.clone(),
-                }),
+                Err(key) => PartitionProbe::Miss(PreparedEval { key }),
             }
         })
     }
 
     /// The compute half of scoring a batch candidate: finishes a
     /// [`PartitionProbe::Miss`] from
-    /// [`prepare_partition`](Self::prepare_partition), reusing its key and
-    /// fingerprints, and stages the entry it computes under `seq` — the
-    /// candidate's funding-order sequence number — for publication at the
-    /// end of the enclosing [`dispatch`](Self::dispatch). Call it only from
-    /// jobs running under `dispatch`/[`try_dispatch`](Self::try_dispatch).
+    /// [`prepare_partition`](Self::prepare_partition) under its key, and
+    /// stages the entry it computes under `seq`, as
+    /// [`score_slot`](Self::score_slot) does. Call it only from jobs
+    /// running under `dispatch`/[`try_dispatch`](Self::try_dispatch).
     ///
-    /// `partition` must be the value the probe was prepared from; the
-    /// layout is rebuilt into this call's slot. `hint` is ignored, like
-    /// `prepare_partition`'s; production passes `None`.
+    /// `partition` must be the value the probe was prepared from; it is
+    /// laid out again into this call's slot. `hint` is ignored, like
+    /// `prepare_partition`'s.
     #[allow(clippy::too_many_arguments)]
     pub fn score_prepared(
         &self,
@@ -469,34 +516,32 @@ impl Engine {
         _hint: Option<&EvalMemo>,
         prepared: PreparedEval,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let PreparedEval { key, fps } = prepared;
         self.scratch.with_slot(|arena| {
-            let layout = arena.layout.build_from_partition(partition);
-            let scored = self.compose(evaluator, &layout, &fps, buffer, options);
-            arena.staged.push((seq, key, scored));
+            arena.repair.describe(partition);
+            let scored = self.compose(evaluator, &arena.repair, buffer, options);
+            arena.staged.push((seq, prepared.key, scored));
             self.note_stats_fallbacks(evaluator);
             (scored, EvalMemo::of(evaluator, buffer, options, &scored))
         })
     }
 
-    /// Fingerprints every subgraph of `layout` into `fps` (aligned with
-    /// its positions) and folds them into the roll-up cache key. This is
-    /// the only place key material is derived.
-    fn fingerprint(
+    /// Folds the roll-up key from the fingerprints in `repair` and probes
+    /// the shared cache: the cached score, or the key a miss computes
+    /// under. This is the only place a roll-up key is derived.
+    fn probe(
+        &self,
+        repair: &RepairScratch,
         evaluator: &Evaluator<'_>,
-        layout: &PartitionLayout<'_>,
         buffer: &BufferConfig,
         options: EvalOptions,
-        fps: &mut Vec<NodeSetFp>,
-    ) -> EvalKey {
-        fps.clear();
-        fps.extend(layout.iter().map(NodeSetFp::of_members));
-        EvalKey::partition(
+    ) -> Result<ScoredEval, EvalKey> {
+        let key = EvalKey::partition(
             evaluator.fingerprint(),
-            fps.iter().copied(),
+            repair.fingerprints().iter().copied(),
             buffer,
             options,
-        )
+        );
+        self.cache.get(&key).ok_or(key)
     }
 
     /// Scores one subgraph as a standalone single-subgraph partition
@@ -512,7 +557,8 @@ impl Engine {
         buffer: &BufferConfig,
         options: EvalOptions,
     ) -> ScoredEval {
-        let part = self.eval_term(evaluator, stats, 0, buffer, options);
+        self.scorings.fetch_add(1, Ordering::Relaxed);
+        let part = evaluator.eval_subgraph(stats, 0, buffer, options);
         ScoredEval {
             ema_bytes: part.ema_bytes,
             energy_pj: part.energy_pj,
@@ -533,66 +579,26 @@ impl Engine {
         }
     }
 
-    /// Computes one `eval_subgraph` term, counted as a subgraph scoring.
-    fn eval_term(
-        &self,
-        evaluator: &Evaluator<'_>,
-        stats: &SubgraphStats,
-        next_wgt: u64,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-    ) -> SubgraphReport {
-        self.scorings.fetch_add(1, Ordering::Relaxed);
-        evaluator.eval_subgraph(stats, next_wgt, buffer, options)
-    }
-
-    /// Composes a partition score in one walk over `layout`: each
-    /// position's statistics come from the evaluator's stats cache (keyed
-    /// by its fingerprint in `fps`), its `next_wgt` is the next position's
-    /// weight footprint, and its term comes from `eval_subgraph`. The fold
-    /// runs in execution order, so the sums are bit-identical to
-    /// `Evaluator::eval_partition`.
+    /// Composes the score of the partition laid out in `repair`, counting
+    /// its `eval_subgraph` terms as subgraph scorings once.
     fn compose(
         &self,
         evaluator: &Evaluator<'_>,
-        layout: &PartitionLayout<'_>,
-        fps: &[NodeSetFp],
+        repair: &RepairScratch,
         buffer: &BufferConfig,
         options: EvalOptions,
     ) -> ScoredEval {
-        let n = layout.num_subgraphs();
-        let stats_at = |i: usize| evaluator.subgraph_stats_keyed(fps[i], layout.subgraph(i));
-        if n == 0 {
-            return ScoredEval::errored(buffer);
-        }
-        let Ok(mut stats) = stats_at(0) else {
-            return ScoredEval::errored(buffer);
-        };
-        let mut ema_bytes: u64 = 0;
-        let mut energy_pj: f64 = 0.0;
-        let mut fits = true;
-        for i in 0..n {
-            let next = match (i + 1 < n).then(|| stats_at(i + 1)) {
-                Some(Ok(next)) => Some(next),
-                Some(Err(_)) => return ScoredEval::errored(buffer),
-                None => None,
-            };
-            let next_wgt = next.map_or(0, |s| s.ema_wgt_bytes);
-            let part = self.eval_term(evaluator, &stats, next_wgt, buffer, options);
-            ema_bytes += part.ema_bytes;
-            energy_pj += part.energy_pj;
-            fits &= part.fits;
-            if let Some(next) = next {
-                stats = next;
-            }
-        }
-        ScoredEval {
-            ema_bytes,
-            energy_pj,
-            buffer_bytes: buffer.total_bytes(),
-            fits,
-            error: false,
-        }
+        let mut terms = 0;
+        let scored = fold(
+            evaluator,
+            &repair.layout(),
+            repair.fingerprints(),
+            buffer,
+            options,
+            &mut terms,
+        );
+        self.scorings.fetch_add(terms, Ordering::Relaxed);
+        scored
     }
 
     /// Runs `job(i)` for every `i` in `0..jobs` on the worker pool, then
@@ -699,7 +705,7 @@ impl Engine {
     /// the engine's own counters absorbed under their metric names —
     /// `engine.evals`, `engine.cache.partition.*`, `engine.subgraph.scorings`,
     /// `engine.stats_canonicalize_fallbacks`,
-    /// `engine.arena.{bytes,reuses,grows}`, `engine.pool.*`,
+    /// `engine.arena.{bytes,reuses,grows,repair_skips}`, `engine.pool.*`,
     /// `engine.threads`, `engine.batch.wall_ns`. Works with telemetry
     /// disabled (the absorbed names are always present).
     pub fn metrics(&self) -> MetricsSnapshot {
@@ -723,6 +729,7 @@ impl Engine {
         m.set_gauge("engine.arena.bytes", self.scratch.bytes());
         m.set_counter("engine.arena.reuses", self.scratch.reuses());
         m.set_counter("engine.arena.grows", self.scratch.grows());
+        m.set_counter("engine.arena.repair_skips", self.scratch.repair_skips());
         m.set_counter(
             "engine.pool.dispatched",
             self.dispatched.load(Ordering::Relaxed),
@@ -743,6 +750,56 @@ impl Engine {
     /// of [`metrics`](Self::metrics).
     pub fn stats(&self) -> EngineStats {
         EngineStats::from_metrics(&self.metrics())
+    }
+}
+
+/// Composes a partition score in one walk over `layout`: each position's
+/// statistics come from the evaluator's stats cache (keyed by its
+/// fingerprint in `fps`), its `next_wgt` is the next position's weight
+/// footprint, and its term comes from `eval_subgraph`, counted in `terms`.
+/// The fold runs in execution order, so the sums are bit-identical to
+/// `Evaluator::eval_partition`.
+fn fold(
+    evaluator: &Evaluator<'_>,
+    layout: &PartitionLayout<'_>,
+    fps: &[NodeSetFp],
+    buffer: &BufferConfig,
+    options: EvalOptions,
+    terms: &mut u64,
+) -> ScoredEval {
+    let n = layout.num_subgraphs();
+    let stats_at = |i: usize| evaluator.subgraph_stats_keyed(fps[i], layout.subgraph(i));
+    if n == 0 {
+        return ScoredEval::errored(buffer);
+    }
+    let Ok(mut stats) = stats_at(0) else {
+        return ScoredEval::errored(buffer);
+    };
+    let mut ema_bytes: u64 = 0;
+    let mut energy_pj: f64 = 0.0;
+    let mut fits = true;
+    for i in 0..n {
+        let next = match (i + 1 < n).then(|| stats_at(i + 1)) {
+            Some(Ok(next)) => Some(next),
+            Some(Err(_)) => return ScoredEval::errored(buffer),
+            None => None,
+        };
+        let next_wgt = next.map_or(0, |s| s.ema_wgt_bytes);
+        *terms += 1;
+        let part = evaluator.eval_subgraph(&stats, next_wgt, buffer, options);
+        ema_bytes += part.ema_bytes;
+        energy_pj += part.energy_pj;
+        fits &= part.fits;
+        if let Some(next) = next {
+            stats = next;
+        }
+    }
+    ScoredEval {
+        ema_bytes,
+        energy_pj,
+        buffer_bytes: buffer.total_bytes(),
+        fits,
+        error: false,
     }
 }
 
@@ -1123,6 +1180,45 @@ mod tests {
             });
         }
         assert_eq!(engine.cache().snapshot(), two_phase.cache().snapshot());
+    }
+
+    #[test]
+    fn score_slot_scores_what_repair_left_in_the_slot() {
+        // A candidate job: repair a broken partition in the slot, then
+        // score it from the slot. The score, the published entry and the
+        // counters equal scoring the repaired partition directly.
+        let g = cocco_graph::models::googlenet();
+        let eval = Evaluator::new(&g, AcceleratorConfig::default());
+        let buffer = BufferConfig::shared(1 << 20);
+        let options = EvalOptions::default();
+        let jobs = Engine::new(EngineConfig::with_threads(2));
+        let direct = Engine::new(EngineConfig::serial());
+        let broken: Vec<u32> = (0..g.len() as u32).map(|i| i % 7).collect();
+        let repaired = std::sync::Mutex::new(None);
+        jobs.dispatch(1, |_| {
+            jobs.with_slot(|slot| {
+                let mut delta = PartitionDelta::all(g.len());
+                let p = slot.repair_scratch().repair(
+                    &g,
+                    Partition::from_assignment(broken.clone()),
+                    &|_| true,
+                    &mut delta,
+                    None,
+                );
+                let scored = jobs.score_slot(slot, 0, &eval, &buffer, options);
+                *repaired.lock().unwrap() = Some((p, scored));
+            });
+        });
+        let (p, (scored, memo)) = repaired.into_inner().unwrap().unwrap();
+        let (want, want_memo) = direct.score_partition(&eval, &p, &buffer, options);
+        assert_eq!(scored, want);
+        assert_eq!(memo.is_some(), want_memo.is_some());
+        assert_eq!(jobs.cache().snapshot(), direct.cache().snapshot());
+        let (a, b) = (jobs.stats(), direct.stats());
+        assert_eq!(
+            (a.evals, a.cache_hits, a.subgraph_scorings),
+            (b.evals, b.cache_hits, b.subgraph_scorings)
+        );
     }
 
     #[test]

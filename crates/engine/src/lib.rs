@@ -21,8 +21,10 @@
 //! * [`Engine`] — pool + cache + [`EngineStats`], the object a search
 //!   context shares across threads. It scores a partition directly
 //!   ([`Engine::score_partition`]), a single subgraph
-//!   ([`Engine::score_single`]), or a batch candidate in two halves
-//!   ([`Engine::prepare_partition`] then [`Engine::score_prepared`]). Every
+//!   ([`Engine::score_single`]), or a batch candidate as one job in one
+//!   [`EvalArena`] slot ([`Engine::with_slot`]: repair into the slot's
+//!   repair scratch, then [`Engine::score_slot`] reads the layout and
+//!   fingerprints repair left there). Every
 //!   successful score, hit or miss, comes with an [`EvalMemo`] — the
 //!   coordinates it was scored under, which repair reads to seed the
 //!   genome's offspring;
@@ -71,6 +73,7 @@ mod engine;
 mod pool;
 mod trace;
 
+pub use arena::EvalArena;
 pub use budget::{SampleBudget, SampleReservation};
 pub use cache::{eval_key, CacheSnapshot, EvalCache, EvalKey, SNAPSHOT_VERSION};
 pub use config::{ChunkSize, EngineConfig, ThreadCount};

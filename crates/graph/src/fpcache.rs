@@ -2,7 +2,9 @@
 //! per-subgraph statistics and the engine's partition roll-ups.
 //!
 //! Keys are already uniform hashes, so one word picks one of 16 shards and
-//! the maps use a pass-through hasher. A shard over its budget runs a
+//! the maps use a pass-through hasher. Each shard keeps its own hit and
+//! miss counters on its own cache line, so workers probing different
+//! shards never write to a shared line. A shard over its budget runs a
 //! **generation sweep**: it evicts every entry not touched since the
 //! previous sweep and, if the live entries still overflow, sheds the
 //! smallest keys down to half the budget, so sweeps stay rare. Victims
@@ -47,6 +49,15 @@ struct Shard<K, V> {
     gen: u64,
 }
 
+/// A shard's lock and its lookup counters, alone on their cache line(s).
+#[derive(Debug)]
+#[repr(align(64))]
+struct Lane<K, V> {
+    shard: RwLock<Shard<K, V>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
 /// A bounded, sharded map from fingerprint keys to values, with hit, miss
 /// and eviction counters.
 ///
@@ -55,11 +66,9 @@ struct Shard<K, V> {
 /// deterministic values, so the duplicate insert is idempotent.
 #[derive(Debug)]
 pub struct FpCache<K, V> {
-    shards: [RwLock<Shard<K, V>>; SHARDS],
+    lanes: [Lane<K, V>; SHARDS],
     /// Entry budget per shard.
     shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -68,37 +77,45 @@ impl<K: FpKey, V: Clone> FpCache<K, V> {
     /// clamped so every shard holds at least one entry.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            shards: std::array::from_fn(|_| {
-                RwLock::new(Shard {
+            lanes: std::array::from_fn(|_| Lane {
+                shard: RwLock::new(Shard {
                     map: HashMap::default(),
                     gen: 0,
-                })
+                }),
+                hits: AtomicU64::new(0),
+                misses: AtomicU64::new(0),
             }),
             shard_capacity: (capacity / SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
+    fn lane(&self, key: &K) -> &Lane<K, V> {
+        &self.lanes[(key.shard_word() % SHARDS as u64) as usize]
+    }
+
     fn shard(&self, key: &K) -> &RwLock<Shard<K, V>> {
-        &self.shards[(key.shard_word() % SHARDS as u64) as usize]
+        &self.lane(key).shard
     }
 
     /// Looks `key` up, counting a hit or a miss. A hit marks the entry live
-    /// in the current generation, so the next sweep keeps it.
+    /// in the current generation, so the next sweep keeps it; an entry
+    /// already marked is not written again.
     pub fn get(&self, key: &K) -> Option<V> {
+        let lane = self.lane(key);
         let found = {
-            let shard = read(self.shard(key));
+            let shard = read(&lane.shard);
             shard.map.get(key).map(|slot| {
-                slot.gen.store(shard.gen, Ordering::Relaxed);
+                if slot.gen.load(Ordering::Relaxed) != shard.gen {
+                    slot.gen.store(shard.gen, Ordering::Relaxed);
+                }
                 slot.value.clone()
             })
         };
         let counter = if found.is_some() {
-            &self.hits
+            &lane.hits
         } else {
-            &self.misses
+            &lane.misses
         };
         counter.fetch_add(1, Ordering::Relaxed);
         found
@@ -142,9 +159,9 @@ impl<K: FpKey, V: Clone> FpCache<K, V> {
     /// Every entry, sorted by key.
     pub fn entries(&self) -> Vec<(K, V)> {
         let mut entries = Vec::new();
-        for shard in &self.shards {
+        for lane in &self.lanes {
             // cocco-audit: allow(D1) the entries are sorted by key below, so map order never escapes
-            for (key, slot) in read(shard).map.iter() {
+            for (key, slot) in read(&lane.shard).map.iter() {
                 entries.push((*key, slot.value.clone()));
             }
         }
@@ -154,7 +171,7 @@ impl<K: FpKey, V: Clone> FpCache<K, V> {
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| read(s).map.len()).sum()
+        self.lanes.iter().map(|l| read(&l.shard).map.len()).sum()
     }
 
     /// `true` when nothing is cached.
@@ -164,12 +181,18 @@ impl<K: FpKey, V: Clone> FpCache<K, V> {
 
     /// Lookups answered from the cache.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.lanes
+            .iter()
+            .map(|l| l.hits.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Lookups that found nothing.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.lanes
+            .iter()
+            .map(|l| l.misses.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Entries evicted by generation sweeps.
@@ -254,6 +277,22 @@ mod tests {
         sorted.sort_unstable();
         let kept: Vec<NodeSetFp> = forward.1.iter().map(|e| e.0).collect();
         assert_eq!(kept, sorted[5..]);
+    }
+
+    #[test]
+    fn per_shard_counters_sum_to_every_lookup() {
+        let cache = FpCache::with_capacity(1 << 12);
+        for i in 0..64 {
+            cache.insert(key(i), i);
+        }
+        // 64 keys spread over the shards: each is hit twice, and as many
+        // absent keys miss once.
+        for i in 0..128 {
+            assert_eq!(cache.get(&key(i % 64)), Some(i % 64));
+            assert_eq!(cache.get(&key(1000 + i)), None);
+        }
+        assert_eq!((cache.hits(), cache.misses()), (128, 128));
+        assert!(std::mem::align_of::<Lane<NodeSetFp, usize>>() >= 64);
     }
 
     #[test]

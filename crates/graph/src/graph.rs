@@ -47,7 +47,11 @@ impl fmt::Display for NodeId {
 pub struct Graph {
     name: String,
     nodes: Vec<Node>,
-    consumers: Vec<Vec<NodeId>>,
+    /// Consumer lists as one compressed sparse row: node `i`'s consumers
+    /// are `consumer_list[consumer_offsets[i]..consumer_offsets[i + 1]]`,
+    /// in ascending order.
+    consumer_offsets: Vec<u32>,
+    consumer_list: Vec<NodeId>,
     weight_elems: Vec<u64>,
     macs: Vec<u64>,
     edge_count: usize,
@@ -58,8 +62,9 @@ impl Graph {
         if nodes.is_empty() {
             return Err(GraphError::Empty);
         }
-        let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); nodes.len()];
-        let mut edge_count = 0;
+        // Counting sort of the edges by producer: count, prefix-sum, then
+        // scatter consumers in node order, so every row ascends.
+        let mut consumer_offsets = vec![0u32; nodes.len() + 2];
         for (idx, node) in nodes.iter().enumerate() {
             for &input in &node.inputs {
                 if input.index() >= idx {
@@ -67,10 +72,22 @@ impl Graph {
                         node: node.name.clone(),
                     });
                 }
-                consumers[input.index()].push(NodeId::from_index(idx));
-                edge_count += 1;
+                consumer_offsets[input.index() + 2] += 1;
             }
         }
+        for i in 2..consumer_offsets.len() {
+            consumer_offsets[i] += consumer_offsets[i - 1];
+        }
+        let edge_count = consumer_offsets[nodes.len() + 1] as usize;
+        let mut consumer_list = vec![NodeId::from_index(0); edge_count];
+        for (idx, node) in nodes.iter().enumerate() {
+            for &input in &node.inputs {
+                let cursor = &mut consumer_offsets[input.index() + 1];
+                consumer_list[*cursor as usize] = NodeId::from_index(idx);
+                *cursor += 1;
+            }
+        }
+        consumer_offsets.truncate(nodes.len() + 1);
         if !nodes.iter().any(|n| n.op.is_input()) {
             return Err(GraphError::NoInput);
         }
@@ -91,7 +108,8 @@ impl Graph {
         Ok(Self {
             name,
             nodes,
-            consumers,
+            consumer_offsets,
+            consumer_list,
             weight_elems,
             macs,
             edge_count,
@@ -143,7 +161,9 @@ impl Graph {
 
     /// Consumers of `id` (nodes that read its output tensor).
     pub fn consumers(&self, id: NodeId) -> &[NodeId] {
-        &self.consumers[id.index()]
+        let i = id.index();
+        &self.consumer_list
+            [self.consumer_offsets[i] as usize..self.consumer_offsets[i + 1] as usize]
     }
 
     /// Producers of `id` (its input nodes, in argument order).
@@ -342,6 +362,26 @@ mod tests {
             for &p in g.producers(id) {
                 assert!(g.consumers(p).contains(&id));
             }
+        }
+    }
+
+    #[test]
+    fn consumer_rows_match_the_per_node_lists_on_every_model() {
+        // The nested lists the flat rows replaced: one push per input
+        // argument, in node order (so a repeated input repeats).
+        for (name, build) in crate::models::registry() {
+            let g = build();
+            let mut nested = vec![Vec::new(); g.len()];
+            for (id, node) in g.iter() {
+                for p in node.inputs() {
+                    nested[p.index()].push(id);
+                }
+            }
+            for id in g.node_ids() {
+                assert_eq!(g.consumers(id), nested[id.index()], "{name}: {id}");
+            }
+            let edges: usize = nested.iter().map(Vec::len).sum();
+            assert_eq!(g.edge_count(), edges, "{name}");
         }
     }
 

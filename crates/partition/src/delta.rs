@@ -2,7 +2,7 @@
 //! seeds an offspring's repair from its parent.
 
 use crate::partition::Partition;
-use cocco_graph::{NodeId, NodeSetFp};
+use cocco_graph::NodeId;
 
 /// Records which **nodes** of a partition had their subgraph membership
 /// changed by a sequence of edits (mutations, repair passes).
@@ -60,9 +60,10 @@ impl PartitionDelta {
 
     /// The delta from `before` to `after`, two partitions of the same
     /// nodes: a node is dirty iff its subgraph's member set in `after` is
-    /// not a member set of `before`. One pass fingerprints every label's
-    /// set in each assignment; each `after` label is then checked once,
-    /// against the `before` set holding the label's first node.
+    /// not a member set of `before`. Each `after` label is compared with
+    /// the `before` label of its first node: the sets are equal iff every
+    /// member of the `after` label carries that `before` label and the two
+    /// labels hold equally many nodes. Two counting passes, no hashing.
     ///
     /// # Panics
     ///
@@ -92,17 +93,26 @@ impl PartitionDelta {
             after.len(),
             "partitions cover different graphs"
         );
-        let before_fps = label_fingerprints(before.assignment());
-        let after_fps = label_fingerprints(after.assignment());
-        // Nodes ascend, so a label's first visit is at its first node.
-        let mut changed: Vec<Option<bool>> = vec![None; after_fps.len()];
+        let (before, after) = (before.assignment(), after.assignment());
+        let before_sizes = label_sizes(before);
+        let after_sizes = label_sizes(after);
+        // Per `after` label: the `before` label of its first node, and
+        // whether every later member carries it too.
+        let mut anchor = vec![u32::MAX; after_sizes.len()];
+        let mut uniform = vec![true; after_sizes.len()];
+        for (&a, &b) in after.iter().zip(before) {
+            let anchor = &mut anchor[a as usize];
+            if *anchor == u32::MAX {
+                *anchor = b;
+            } else if *anchor != b {
+                uniform[a as usize] = false;
+            }
+        }
         let dirty = after
-            .assignment()
             .iter()
-            .zip(before.assignment())
-            .map(|(&a, &b)| {
-                *changed[a as usize]
-                    .get_or_insert_with(|| after_fps[a as usize] != before_fps[b as usize])
+            .map(|&a| {
+                let a = a as usize;
+                !uniform[a] || after_sizes[a] != before_sizes[anchor[a] as usize]
             })
             .collect();
         Self { dirty }
@@ -221,15 +231,14 @@ impl PartitionDelta {
     }
 }
 
-/// The member-set fingerprint of every label of `assignment`, indexed by
-/// label (unused labels hold the empty set's).
-fn label_fingerprints(assignment: &[u32]) -> Vec<NodeSetFp> {
+/// The member count of every label of `assignment`, indexed by label.
+fn label_sizes(assignment: &[u32]) -> Vec<u32> {
     let max = assignment.iter().copied().max().map_or(0, |m| m as usize);
-    let mut fps = vec![NodeSetFp::EMPTY; max + 1];
-    for (i, &a) in assignment.iter().enumerate() {
-        fps[a as usize].insert(NodeId::from_index(i));
+    let mut sizes = vec![0u32; max + 1];
+    for &a in assignment {
+        sizes[a as usize] += 1;
     }
-    fps
+    sizes
 }
 
 #[cfg(test)]
@@ -305,11 +314,61 @@ mod tests {
     #[test]
     fn between_catches_same_anchor_different_members() {
         // {0,1,2} keeps its first node when it shrinks to {0,1}: the first
-        // node alone must not make it look clean — the fingerprint does
+        // node alone must not make it look clean — the member counts do
         // the discriminating.
         let before = Partition::from_assignment(vec![0, 0, 0, 1]);
         let after = Partition::from_assignment(vec![0, 0, 1, 1]);
         let delta = PartitionDelta::between(&before, &after);
         assert!(delta.is_all(), "both member sets changed");
+    }
+
+    /// The hashing `between` the counting one replaced: fingerprint every
+    /// label's set in both assignments, then compare each `after` label
+    /// with the `before` set holding its first node.
+    fn between_by_fingerprints(before: &Partition, after: &Partition) -> PartitionDelta {
+        use cocco_graph::NodeSetFp;
+        let fps = |assignment: &[u32]| {
+            let max = assignment.iter().copied().max().map_or(0, |m| m as usize);
+            let mut fps = vec![NodeSetFp::EMPTY; max + 1];
+            for (i, &a) in assignment.iter().enumerate() {
+                fps[a as usize].insert(NodeId::from_index(i));
+            }
+            fps
+        };
+        let (b, a) = (fps(before.assignment()), fps(after.assignment()));
+        let dirty = after
+            .assignment()
+            .iter()
+            .zip(before.assignment())
+            .map(|(&x, &y)| a[x as usize] != b[y as usize])
+            .collect();
+        PartitionDelta { dirty }
+    }
+
+    #[test]
+    fn between_matches_the_fingerprint_oracle_on_random_edits() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xde17a);
+        for _ in 0..500 {
+            let n = rng.gen_range(1..40usize);
+            let k = rng.gen_range(1..=8u32);
+            let before: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k)).collect();
+            // Relabel (sometimes sparsely), then move a few nodes.
+            let spread = rng.gen_range(1..=3u32);
+            let mut after: Vec<u32> = before.iter().map(|&x| (k - 1 - x) * spread).collect();
+            for _ in 0..rng.gen_range(0..3) {
+                after[rng.gen_range(0..n)] = rng.gen_range(0..k + 1) * spread;
+            }
+            let (before, after) = (
+                Partition::from_assignment(before),
+                Partition::from_assignment(after),
+            );
+            assert_eq!(
+                PartitionDelta::between(&before, &after),
+                between_by_fingerprints(&before, &after),
+                "{before:?} -> {after:?}"
+            );
+        }
     }
 }

@@ -152,11 +152,21 @@ impl LayoutArena {
     /// [`build_from_partition`](Self::build_from_partition) over a raw
     /// assignment (subgraph id per node).
     pub(crate) fn build_from_assignment(&mut self, assignment: &[u32]) -> PartitionLayout<'_> {
-        let n = assignment.len();
         let max = assignment.iter().copied().max().map_or(0, |m| m as usize);
-        self.begin(n, max + 2, max + 1);
+        self.build_from_labels(assignment, max + 1)
+    }
+
+    /// [`build_from_assignment`](Self::build_from_assignment) for an
+    /// assignment whose ids are all below `bound`.
+    pub(crate) fn build_from_labels(
+        &mut self,
+        assignment: &[u32],
+        bound: usize,
+    ) -> PartitionLayout<'_> {
+        let n = assignment.len();
+        self.begin(n, bound + 1, bound);
         self.counts.clear();
-        self.counts.resize(max + 1, 0);
+        self.counts.resize(bound, 0);
         for &a in assignment {
             self.counts[a as usize] += 1;
         }

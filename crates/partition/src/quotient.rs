@@ -3,7 +3,7 @@
 //! compressed-sparse-row adjacency and an iterative Tarjan.
 
 use crate::partition::Partition;
-use cocco_graph::Graph;
+use cocco_graph::{Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -136,15 +136,8 @@ impl Quotient {
 }
 
 /// Rewrites `ids` in place to compact ids — each id's rank among the
-/// distinct ids, ascending — and returns the distinct ids.
-pub(crate) fn compact_ids(ids: &mut [u32]) -> Vec<u32> {
-    let mut originals = Vec::new();
-    compact_ids_into(ids, &mut originals, &mut Vec::new());
-    originals
-}
-
-/// [`compact_ids`] into reusable buffers: the distinct ids go to
-/// `originals`, and `table` is scratch. Ids up to a few times the length
+/// distinct ids, ascending — using reusable buffers: the distinct ids go
+/// to `originals`, and `table` is scratch. Ids up to a few times the length
 /// (what every producer in the workspace emits) compact through a
 /// direct-indexed table; sparser ids through a sorted copy.
 pub(crate) fn compact_ids_into(ids: &mut [u32], originals: &mut Vec<u32>, table: &mut Vec<u32>) {
@@ -218,8 +211,9 @@ impl QuotientSuccessors {
         self.compact.clear();
         self.compact.extend_from_slice(partition.assignment());
         compact_ids_into(&mut self.compact, &mut self.originals, &mut self.table);
+        // The compaction table is spent: it takes the unused in-degrees.
         self.succs
-            .build_quotient(graph, &self.compact, self.originals.len());
+            .build_quotient(graph, &self.compact, self.originals.len(), &mut self.table);
         self.succs.sort_dedup_rows();
     }
 
@@ -246,12 +240,20 @@ impl QuotientSuccessors {
 pub(crate) struct Csr {
     offsets: Vec<u32>,
     targets: Vec<u32>,
+    /// Build scratch: the crossing edges as `(from, to)`.
+    pairs: Vec<(u32, u32)>,
 }
 
 impl Csr {
     /// Number of rows (vertices).
     pub(crate) fn rows(&self) -> usize {
         self.offsets.len().saturating_sub(1)
+    }
+
+    /// Bytes of heap capacity owned.
+    pub(crate) fn bytes(&self) -> u64 {
+        let u32s = self.offsets.capacity() + self.targets.capacity() + 2 * self.pairs.capacity();
+        (u32s * std::mem::size_of::<u32>()) as u64
     }
 
     /// Row `r`'s targets.
@@ -266,17 +268,31 @@ impl Csr {
 
     /// The quotient of `labels` (one label in `0..k` per node): one entry
     /// `from -> to` per graph edge crossing two labels, rows filled in
-    /// node order. Parallel edges are kept — Kahn and Tarjan are
-    /// indifferent to them — so this is two passes over the edges and no
-    /// sort.
-    pub(crate) fn build_quotient(&mut self, graph: &Graph, labels: &[u32], k: usize) {
+    /// node order, and each label's in-degree (entries targeting it) in
+    /// `indegree`. Parallel edges are kept — Kahn and Tarjan are
+    /// indifferent to them — so this is one pass over the edges, one over
+    /// the crossing ones, and no sort.
+    pub(crate) fn build_quotient(
+        &mut self,
+        graph: &Graph,
+        labels: &[u32],
+        k: usize,
+        indegree: &mut Vec<u32>,
+    ) {
         self.offsets.clear();
         self.offsets.resize(k + 2, 0);
-        for u in graph.node_ids() {
-            let from = labels[u.index()];
-            for &c in graph.consumers(u) {
-                if labels[c.index()] != from {
+        indegree.clear();
+        indegree.resize(k, 0);
+        // The crossing edges, in node order, are kept as pairs, so the
+        // fill scatters them without walking the graph again.
+        self.pairs.clear();
+        for (u, &from) in labels.iter().enumerate() {
+            for &c in graph.consumers(NodeId::from_index(u)) {
+                let to = labels[c.index()];
+                if to != from {
                     self.offsets[from as usize + 2] += 1;
+                    indegree[to as usize] += 1;
+                    self.pairs.push((from, to));
                 }
             }
         }
@@ -286,17 +302,11 @@ impl Csr {
             self.offsets[r] += self.offsets[r - 1];
         }
         self.targets.clear();
-        self.targets.resize(self.offsets[k + 1] as usize, 0);
-        for u in graph.node_ids() {
-            let from = labels[u.index()];
-            for &c in graph.consumers(u) {
-                let to = labels[c.index()];
-                if to != from {
-                    let cursor = &mut self.offsets[from as usize + 1];
-                    self.targets[*cursor as usize] = to;
-                    *cursor += 1;
-                }
-            }
+        self.targets.resize(self.pairs.len(), 0);
+        for &(from, to) in &self.pairs {
+            let cursor = &mut self.offsets[from as usize + 1];
+            self.targets[*cursor as usize] = to;
+            *cursor += 1;
         }
         self.offsets.truncate(k + 1);
     }
@@ -360,6 +370,14 @@ pub(crate) struct Tarjan {
 }
 
 impl Tarjan {
+    /// Bytes of heap capacity owned.
+    pub(crate) fn bytes(&self) -> u64 {
+        let u32s = self.index.capacity() + self.lowlink.capacity() + self.stack.capacity();
+        (u32s * std::mem::size_of::<u32>()
+            + self.on_stack.capacity()
+            + self.call.capacity() * std::mem::size_of::<(u32, usize)>()) as u64
+    }
+
     /// Labels every vertex of `graph` with its strongly connected
     /// component, numbered in completion order (reverse topological order
     /// of the condensation), and returns the component count. DFS roots

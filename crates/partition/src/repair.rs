@@ -7,11 +7,13 @@
 //! (see [`ParentSeed`]). Renumbering alone (canonicalization) emits no
 //! dirt: node-level deltas survive id remapping by construction.
 //!
-//! All passes of one call share one dense scratch: per-node labels, a
+//! All passes share one dense [`RepairScratch`]: per-node labels, a
 //! union-find, one compressed-sparse-row quotient and a flat member
-//! layout, allocated once per call. A connectivity pass labels weakly connected components in
-//! first-node order, builds one quotient over them and runs Kahn with ties
-//! broken by label — which is the smallest-member rule of
+//! layout. The scratch outlives the call — the evaluation engine keeps one
+//! in every worker slot — so a warmed repair allocates nothing but the
+//! partition it returns. A connectivity pass labels weakly connected
+//! components in first-node order, builds one quotient over them and runs
+//! Kahn with ties broken by label — which is the smallest-member rule of
 //! [`Quotient::topo_order`](crate::Quotient::topo_order), so Kahn's order
 //! *is* the canonical renumbering. Only a cyclic quotient pays for an SCC
 //! merge and another pass.
@@ -23,18 +25,23 @@
 //! round-by-round splitting reaches; only the order of the `fits` calls
 //! differs, and `fits` is pure. The result is relabelled and ranked once.
 //!
+//! Every repair leaves the result's flat layout, in execution order, and
+//! each subgraph's [`NodeSetFp`] in the scratch
+//! ([`RepairScratch::layout`], [`RepairScratch::fingerprints`]), which is
+//! what scoring reads, so a repaired candidate is never laid out twice.
+//!
 //! A candidate derived from a valid parent states what the parent proved
 //! through a [`ParentSeed`]: its clean subgraphs are connected, and may be
 //! known to fit. The seeded passes skip that work and return the same
-//! partition and delta.
+//! partition and delta; a fitted candidate with a clean delta is the
+//! parent itself and skips repair altogether.
 
 use crate::delta::PartitionDelta;
-use crate::layout::LayoutArena;
+use crate::layout::{LayoutArena, PartitionLayout};
 use crate::partition::Partition;
-use crate::quotient::{compact_ids, Csr, Tarjan};
-use cocco_graph::{Graph, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::quotient::{compact_ids_into, Csr, Tarjan};
+use cocco_graph::{Graph, NodeId, NodeSetFp};
+use std::mem::size_of;
 
 /// Restores validity after arbitrary assignment edits:
 ///
@@ -92,6 +99,15 @@ pub fn repair_with_delta(
 /// member-set invariant of [`PartitionDelta`] relative to that parent:
 /// every subgraph with no dirty node is then one of the parent's
 /// subgraphs.
+///
+/// A seeded candidate whose delta is **clean** must moreover *be* the
+/// parent's partition, label for label, as repair returned it. A
+/// [`Fitted`](Self::Fitted) candidate with a clean delta is returned
+/// untouched on that promise (debug builds check it against the full
+/// pipeline). Operators that leave the partition alone keep it by
+/// construction; one that rebuilds an assignment whose member sets all
+/// equal the parent's (a crossover can) must hand over the parent's
+/// partition instead.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ParentSeed {
     /// Every clean subgraph is a parent subgraph, hence connected, so the
@@ -108,7 +124,8 @@ pub enum ParentSeed {
 /// `seed` states what the parent proved (`None` repairs from scratch).
 /// The partition and the recorded delta equal [`repair_with_delta`]'s; a
 /// seed only skips `fits` calls and union work whose outcome it already
-/// knows.
+/// knows. Runs on a fresh [`RepairScratch`]; hot loops keep one and call
+/// [`RepairScratch::repair`].
 ///
 /// # Panics
 ///
@@ -120,16 +137,31 @@ pub fn repair_seeded(
     delta: &mut PartitionDelta,
     seed: Option<ParentSeed>,
 ) -> Partition {
-    assert_eq!(delta.len(), graph.len(), "delta does not cover the graph");
-    let mut repair = Repair::new(graph, partition);
-    repair.connectivity(delta, seed.is_some());
-    repair.capacity(fits, delta, seed == Some(ParentSeed::Fitted));
-    repair.finish()
+    RepairScratch::new().repair(graph, partition, fits, delta, seed)
 }
 
-/// The buffers of one repair call. Every pass overwrites what it reads.
+/// The buffers of repair, reused across calls, and what the last call
+/// hands on: the flat layout of its result and each subgraph's
+/// fingerprint. Every pass overwrites what it reads, so one scratch serves
+/// graphs of any size in any order.
+///
+/// # Examples
+///
+/// ```
+/// use cocco_graph::NodeSetFp;
+/// use cocco_partition::{Partition, PartitionDelta, RepairScratch};
+///
+/// let g = cocco_graph::models::diamond();
+/// let mut scratch = RepairScratch::new();
+/// let mut delta = PartitionDelta::all(g.len());
+/// let broken = Partition::from_assignment(vec![0, 0, 0, 1, 0]);
+/// let fixed = scratch.repair(&g, broken, &|_| true, &mut delta, None);
+/// assert_eq!(scratch.layout().to_nested(), fixed.subgraphs());
+/// let fps: Vec<NodeSetFp> = fixed.subgraphs().iter().map(|m| NodeSetFp::of_members(m)).collect();
+/// assert_eq!(scratch.fingerprints(), fps);
+/// ```
 #[derive(Debug, Default)]
-struct Scratch {
+pub struct RepairScratch {
     /// A pass's new label per node (components, before renumbering).
     comp: Vec<u32>,
     /// Union-find forest; every root is its component's smallest node.
@@ -139,22 +171,227 @@ struct Scratch {
     first: Vec<u32>,
     /// Per-label flag: the subgraph split, or holds a dirty node.
     flag: Vec<bool>,
+    /// Distinct input ids and the direct-indexed table compacting them.
+    originals: Vec<u32>,
+    table: Vec<u32>,
     quotient: Csr,
     indegree: Vec<u32>,
-    ready: BinaryHeap<Reverse<u32>>,
+    ready: ReadySet,
     /// Execution position per component label.
     rank: Vec<u32>,
     tarjan: Tarjan,
     scc: Vec<u32>,
     /// Flat member layout of the labels (labels are dense, so subgraph `s`
-    /// of the layout is label `s`).
+    /// of the layout is label `s`); after a call, the result's layout.
     layout: LayoutArena,
+    /// Fingerprint per layout position of the result.
+    fps: Vec<NodeSetFp>,
     /// Member lists of the pieces one capacity split is working on.
     pieces: Vec<NodeId>,
     /// Counting-sort buffer of one half's components.
     sorted: Vec<NodeId>,
     /// `(start, end)` ranges of `pieces` that failed `fits`.
     failed: Vec<(u32, u32)>,
+    /// Calls that returned a fitted, clean candidate untouched.
+    skips: u64,
+}
+
+impl RepairScratch {
+    /// An empty scratch (the first calls grow it to the graph's size).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Repairs `partition` as [`repair_seeded`] does, in this scratch,
+    /// and leaves the result's [`layout`](Self::layout) and
+    /// [`fingerprints`](Self::fingerprints) behind. A
+    /// [`ParentSeed::Fitted`] candidate with a clean delta is the parent
+    /// (see [`ParentSeed`]) and comes back untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the partition or the delta does not cover the graph.
+    pub fn repair(
+        &mut self,
+        graph: &Graph,
+        partition: Partition,
+        fits: &dyn Fn(&[NodeId]) -> bool,
+        delta: &mut PartitionDelta,
+        seed: Option<ParentSeed>,
+    ) -> Partition {
+        assert_eq!(delta.len(), graph.len(), "delta does not cover the graph");
+        assert_eq!(
+            partition.len(),
+            graph.len(),
+            "partition does not cover the graph"
+        );
+        if seed == Some(ParentSeed::Fitted) && delta.is_clean() {
+            #[cfg(debug_assertions)]
+            {
+                let mut full_delta = delta.clone();
+                let full = RepairScratch::new().run(
+                    graph,
+                    partition.clone(),
+                    &|_| true,
+                    &mut full_delta,
+                    seed,
+                );
+                assert_eq!(
+                    full, partition,
+                    "a fitted candidate with a clean delta is not its repaired parent"
+                );
+                assert!(full_delta.is_clean(), "the parent's repair moved a node");
+            }
+            self.skips += 1;
+            self.describe(&partition);
+            return partition;
+        }
+        self.run(graph, partition, fits, delta, seed)
+    }
+
+    /// The full pipeline: connectivity, then capacity, then the hand-over.
+    fn run(
+        &mut self,
+        graph: &Graph,
+        partition: Partition,
+        fits: &dyn Fn(&[NodeId]) -> bool,
+        delta: &mut PartitionDelta,
+        seed: Option<ParentSeed>,
+    ) -> Partition {
+        let n = graph.len();
+        let mut ids = partition.into_assignment();
+        // The passes index per-label arrays by input id, so only ids too
+        // sparse for that are compacted first.
+        let max = ids.iter().copied().max().map_or(0, |m| m as usize);
+        let k = if max > 4 * n + 64 {
+            compact_ids_into(&mut ids, &mut self.originals, &mut self.table);
+            self.originals.len()
+        } else {
+            max + 1
+        };
+        self.comp.clear();
+        self.comp.resize(n, 0);
+        self.parent.clear();
+        self.parent.resize(n, 0);
+        let mut repair = Repair {
+            graph,
+            ids,
+            k,
+            s: self,
+        };
+        repair.connectivity(delta, seed.is_some());
+        repair.capacity(fits, delta, seed == Some(ParentSeed::Fitted));
+        Partition::from_assignment(repair.ids)
+    }
+
+    /// Lays out any partition (sparse ids allowed) into this scratch, with
+    /// its fingerprints, as if a repair had returned it.
+    pub fn describe(&mut self, partition: &Partition) {
+        self.layout.build_from_partition(partition);
+        self.fingerprint_layout();
+    }
+
+    /// [`describe`](Self::describe) of a repair's own labels, `0..k`.
+    fn describe_dense(&mut self, ids: &[u32], k: usize) {
+        self.layout.build_from_labels(ids, k);
+        self.fingerprint_layout();
+    }
+
+    /// Fingerprints every subgraph of the current layout into `fps`.
+    fn fingerprint_layout(&mut self) {
+        self.fps.clear();
+        self.fps
+            .extend(self.layout.layout().iter().map(NodeSetFp::of_members));
+    }
+
+    /// The flat layout of the last result, subgraphs in execution order
+    /// (empty before the first call).
+    pub fn layout(&self) -> PartitionLayout<'_> {
+        self.layout.layout()
+    }
+
+    /// The fingerprint of every subgraph of the last result, aligned with
+    /// [`layout`](Self::layout)'s positions.
+    pub fn fingerprints(&self) -> &[NodeSetFp] {
+        &self.fps
+    }
+
+    /// Bytes of heap capacity the scratch owns.
+    pub fn bytes(&self) -> u64 {
+        let u32s = self.comp.capacity()
+            + self.parent.capacity()
+            + self.first.capacity()
+            + self.originals.capacity()
+            + self.table.capacity()
+            + self.indegree.capacity()
+            + self.rank.capacity()
+            + self.scc.capacity()
+            + 2 * self.failed.capacity();
+        (u32s * size_of::<u32>()
+            + self.flag.capacity()
+            + (self.pieces.capacity() + self.sorted.capacity()) * size_of::<NodeId>()
+            + self.fps.capacity() * size_of::<NodeSetFp>()) as u64
+            + self.quotient.bytes()
+            + self.ready.bytes()
+            + self.tarjan.bytes()
+            + self.layout.bytes()
+    }
+
+    /// Layout builds served entirely from existing capacity.
+    pub fn reuses(&self) -> u64 {
+        self.layout.reuses()
+    }
+
+    /// Layout builds that had to grow a buffer.
+    pub fn grows(&self) -> u64 {
+        self.layout.grows()
+    }
+
+    /// Repairs that returned a [`ParentSeed::Fitted`] candidate with a
+    /// clean delta untouched.
+    pub fn skips(&self) -> u64 {
+        self.skips
+    }
+}
+
+/// Kahn's ready set over labels `0..k`: a bitset that pops its smallest
+/// member first — a min-heap's order without its sifting. `low` is a word
+/// below which no bit is set.
+#[derive(Debug, Default)]
+struct ReadySet {
+    words: Vec<u64>,
+    low: usize,
+}
+
+impl ReadySet {
+    /// Empties the set and sizes it for labels `0..k`.
+    fn reset(&mut self, k: usize) {
+        self.words.clear();
+        self.words.resize(k.div_ceil(64), 0);
+        self.low = self.words.len();
+    }
+
+    fn insert(&mut self, label: u32) {
+        let word = label as usize / 64;
+        self.words[word] |= 1 << (label % 64);
+        self.low = self.low.min(word);
+    }
+
+    /// Removes and returns the smallest label.
+    fn pop(&mut self) -> Option<u32> {
+        while let Some(&word) = self.words.get(self.low) {
+            if word != 0 {
+                self.words[self.low] = word & (word - 1);
+                return Some(self.low as u32 * 64 + word.trailing_zeros());
+            }
+            self.low += 1;
+        }
+        None
+    }
+
+    fn bytes(&self) -> u64 {
+        (self.words.capacity() * size_of::<u64>()) as u64
+    }
 }
 
 /// Root of `x`'s union-find tree (with path compression).
@@ -181,50 +418,51 @@ fn union(parent: &mut [u32], a: u32, b: u32) {
 }
 
 /// One repair call: the labels being repaired and the scratch every pass
-/// shares. Labels are always dense (`0..k`).
-struct Repair<'g> {
+/// shares. Labels are below `k`, and dense once connectivity has run.
+struct Repair<'g, 's> {
     graph: &'g Graph,
     /// Current subgraph label per node.
     ids: Vec<u32>,
-    /// Number of labels in `ids`.
+    /// A bound on the labels in `ids`: the input's largest id plus one,
+    /// then the number of labels.
     k: usize,
-    s: Scratch,
+    s: &'s mut RepairScratch,
 }
 
-impl<'g> Repair<'g> {
-    fn new(graph: &'g Graph, partition: Partition) -> Self {
-        assert_eq!(
-            partition.len(),
-            graph.len(),
-            "partition does not cover the graph"
-        );
-        let n = graph.len();
-        let mut ids = partition.into_assignment();
-        let k = compact_ids(&mut ids).len();
-        let s = Scratch {
-            comp: vec![0; n],
-            parent: vec![0; n],
-            ..Scratch::default()
-        };
-        Self { graph, ids, k, s }
-    }
-
-    fn finish(self) -> Partition {
-        Partition::from_assignment(self.ids)
-    }
-
+impl Repair<'_, '_> {
     /// Restores connectivity and acyclicity, leaving `ids` canonical.
-    /// At most two passes: an SCC merge yields connected subgraphs whose
-    /// quotient is the (acyclic) condensation. `seeded` says every label
-    /// with no dirty node is connected.
+    /// `seeded` says every label with no dirty node is connected. An SCC
+    /// merge yields connected subgraphs (the components of an SCC are
+    /// joined by its quotient edges) whose quotient is the acyclic
+    /// condensation, so after a merge the sets only need relabelling in
+    /// first-node order and ranking.
     fn connectivity(&mut self, delta: &mut PartitionDelta, seeded: bool) {
-        loop {
-            let k = self.split_components(delta, seeded);
-            if self.renumber(k) {
-                return;
-            }
-            self.merge_sccs(k, delta);
+        let k = self.split_components(delta, seeded);
+        if self.renumber(k) {
+            return;
         }
+        self.merge_sccs(k, delta);
+        let k = self.relabel_by_first_node(self.k);
+        let acyclic = self.renumber(k);
+        debug_assert!(acyclic, "the condensation of a quotient has a cycle");
+    }
+
+    /// Relabels the sets of `ids` (labels below `labels`) into `comp` in
+    /// first-node order and returns their count.
+    fn relabel_by_first_node(&mut self, labels: usize) -> usize {
+        let s = &mut *self.s;
+        s.first.clear();
+        s.first.resize(labels, u32::MAX);
+        let mut k = 0u32;
+        for (c, &label) in s.comp.iter_mut().zip(&self.ids) {
+            let first = &mut s.first[label as usize];
+            if *first == u32::MAX {
+                *first = k;
+                k += 1;
+            }
+            *c = *first;
+        }
+        k as usize
     }
 
     /// Labels the weakly connected components of every subgraph into
@@ -234,7 +472,7 @@ impl<'g> Repair<'g> {
     /// with no dirty node is connected: it becomes a star on its first
     /// node, and only labels holding a dirty node union along their edges.
     fn split_components(&mut self, delta: &mut PartitionDelta, seeded: bool) -> usize {
-        let s = &mut self.s;
+        let s = &mut *self.s;
         let ids = &self.ids;
         if seeded {
             s.first.clear();
@@ -271,31 +509,32 @@ impl<'g> Repair<'g> {
             }
         }
         // A root opens the next label, any other node copies its root's.
+        // An input label whose nodes land in more than one component has
+        // split, and all its members are marked.
+        s.first.clear();
+        s.first.resize(self.k, u32::MAX);
+        s.flag.clear();
+        s.flag.resize(self.k, false);
+        let mut split = false;
         let mut k = 0u32;
-        for i in 0..ids.len() {
+        for (i, &old) in ids.iter().enumerate() {
             let root = find(&mut s.parent, i as u32);
-            s.comp[i] = if root == i as u32 {
+            let c = if root == i as u32 {
                 k += 1;
                 k - 1
             } else {
                 s.comp[root as usize]
             };
-        }
-        // Every subgraph holds at least one component, so equal counts
-        // mean nothing split.
-        if k as usize > self.k {
-            s.first.clear();
-            s.first.resize(self.k, u32::MAX);
-            s.flag.clear();
-            s.flag.resize(self.k, false);
-            for (&old, &c) in ids.iter().zip(&s.comp) {
-                let first = &mut s.first[old as usize];
-                if *first == u32::MAX {
-                    *first = c;
-                } else if *first != c {
-                    s.flag[old as usize] = true;
-                }
+            s.comp[i] = c;
+            let first = &mut s.first[old as usize];
+            if *first == u32::MAX {
+                *first = c;
+            } else if *first != c {
+                s.flag[old as usize] = true;
+                split = true;
             }
+        }
+        if split {
             for (i, &old) in ids.iter().enumerate() {
                 if s.flag[old as usize] {
                     delta.touch(NodeId::from_index(i));
@@ -309,29 +548,25 @@ impl<'g> Repair<'g> {
     /// smallest label first. When acyclic, writes the execution position
     /// of every node's label into `ids` and returns `true`.
     fn renumber(&mut self, k: usize) -> bool {
-        let s = &mut self.s;
-        s.quotient.build_quotient(self.graph, &s.comp, k);
-        s.indegree.clear();
-        s.indegree.resize(k, 0);
-        for &t in s.quotient.targets() {
-            s.indegree[t as usize] += 1;
-        }
-        s.ready.clear();
+        let s = &mut *self.s;
+        s.quotient
+            .build_quotient(self.graph, &s.comp, k, &mut s.indegree);
+        s.ready.reset(k);
         for (c, &d) in s.indegree.iter().enumerate() {
             if d == 0 {
-                s.ready.push(Reverse(c as u32));
+                s.ready.insert(c as u32);
             }
         }
         s.rank.clear();
         s.rank.resize(k, 0);
         let mut position = 0u32;
-        while let Some(Reverse(c)) = s.ready.pop() {
+        while let Some(c) = s.ready.pop() {
             s.rank[c as usize] = position;
             position += 1;
             for &t in s.quotient.row(c) {
                 s.indegree[t as usize] -= 1;
                 if s.indegree[t as usize] == 0 {
-                    s.ready.push(Reverse(t));
+                    s.ready.insert(t);
                 }
             }
         }
@@ -349,7 +584,7 @@ impl<'g> Repair<'g> {
     /// quotient [`renumber`](Self::renumber) just built) into one
     /// subgraph, marking the members of every non-trivial SCC.
     fn merge_sccs(&mut self, k: usize, delta: &mut PartitionDelta) {
-        let s = &mut self.s;
+        let s = &mut *self.s;
         let count = s.tarjan.run(&s.quotient, &mut s.scc);
         debug_assert_eq!(s.scc.len(), k);
         s.first.clear();
@@ -375,15 +610,17 @@ impl<'g> Repair<'g> {
     /// to pieces that fit or are single nodes. `skip_clean` takes every
     /// subgraph with no dirty node as fitting. When anything was halved,
     /// relabels the final sets in first-node order and ranks them once.
+    /// Either way, leaves the result's layout and fingerprints in the
+    /// scratch.
     fn capacity(
         &mut self,
         fits: &dyn Fn(&[NodeId]) -> bool,
         delta: &mut PartitionDelta,
         skip_clean: bool,
     ) {
-        let s = &mut self.s;
+        let s = &mut *self.s;
         let ids = &mut self.ids;
-        let layout = s.layout.build_from_assignment(ids);
+        let layout = s.layout.build_from_labels(ids, self.k);
         // Halves and final pieces take fresh labels from `k` up.
         let mut next = self.k as u32;
         for label in 0..self.k {
@@ -469,25 +706,18 @@ impl<'g> Repair<'g> {
             }
         }
         if next as usize == self.k {
+            // Nothing split: the layout built above is the result's.
+            s.fingerprint_layout();
             return;
         }
         // Relabel the final sets in first-node order, then rank them.
-        s.first.clear();
-        s.first.resize(next as usize, u32::MAX);
-        let mut k = 0u32;
-        for (c, &label) in s.comp.iter_mut().zip(ids.iter()) {
-            let first = &mut s.first[label as usize];
-            if *first == u32::MAX {
-                *first = k;
-                k += 1;
-            }
-            *c = *first;
-        }
-        let acyclic = self.renumber(k as usize);
+        let k = self.relabel_by_first_node(next as usize);
+        let acyclic = self.renumber(k);
         debug_assert!(
             acyclic,
             "halving along the topological order closed a cycle"
         );
+        self.s.describe_dense(&self.ids, self.k);
     }
 }
 
@@ -803,6 +1033,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::LayoutArena;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::cell::RefCell;
@@ -1036,6 +1267,8 @@ mod tests {
         ];
         let mut rng = StdRng::seed_from_u64(0x00c0_cc0a);
         let mut skipped = 0;
+        // One scratch across every model, as an engine slot keeps it.
+        let mut scratch = RepairScratch::new();
         for (name, build) in cocco_graph::models::registry() {
             let g = build();
             for (pred_name, pred) in predicates {
@@ -1054,9 +1287,10 @@ mod tests {
                         ref_calls.borrow_mut().push(m.to_vec());
                         pred(m)
                     };
-                    let got = repair_with_delta(&g, p.clone(), &fits_new, &mut d_new);
+                    let got = scratch.repair(&g, p.clone(), &fits_new, &mut d_new, None);
                     let want = reference::repair_with_delta(&g, p.clone(), &fits_ref, &mut d_ref);
                     assert_eq!(got, want, "{context}: partitions differ");
+                    assert_handed_over(&scratch, &got, &context);
                     assert_eq!(d_new, d_ref, "{context}: deltas differ");
                     let unasked = unasked(&calls.borrow(), &ref_calls.borrow(), &context);
                     assert!(unasked.is_empty(), "{context}: never asked {unasked:?}");
@@ -1116,7 +1350,8 @@ mod tests {
             ("always", &|_| true, &|_| true, ParentSeed::Fitted),
         ];
         let mut rng = StdRng::seed_from_u64(0x005e_eded);
-        let mut skipped = 0;
+        let (mut skipped, mut parents_returned) = (0, 0);
+        let mut scratch = RepairScratch::new();
         for (name, build) in cocco_graph::models::registry() {
             let g = build();
             for (case, parent_fits, child_fits, seed) in cases {
@@ -1131,6 +1366,11 @@ mod tests {
                     if rng.gen_bool(0.3) {
                         delta.touch(NodeId::from_index(rng.gen_range(0..g.len())));
                     }
+                    // The clean-delta contract: a clean child is the parent.
+                    if delta.is_clean() {
+                        child = parent.clone();
+                        parents_returned += 1;
+                    }
                     let (mut d_new, mut d_ref) = (delta.clone(), delta);
                     let (calls, ref_calls) = (RefCell::new(Vec::new()), RefCell::new(Vec::new()));
                     let fits_new = |m: &[NodeId]| {
@@ -1141,9 +1381,10 @@ mod tests {
                         ref_calls.borrow_mut().push(m.to_vec());
                         child_fits(m)
                     };
-                    let got = repair_seeded(&g, child.clone(), &fits_new, &mut d_new, Some(seed));
+                    let got = scratch.repair(&g, child.clone(), &fits_new, &mut d_new, Some(seed));
                     let want = reference::repair_with_delta(&g, child, &fits_ref, &mut d_ref);
                     assert_eq!(got, want, "{context}: partitions differ");
+                    assert_handed_over(&scratch, &got, &context);
                     assert_eq!(d_new, d_ref, "{context}: deltas differ");
                     let unasked = unasked(&calls.borrow(), &ref_calls.borrow(), &context);
                     for set in &unasked {
@@ -1159,5 +1400,185 @@ mod tests {
             }
         }
         assert!(skipped > 0, "no clean set's fits call was skipped");
+        assert!(
+            parents_returned > 0,
+            "no walk step left the parent as it was"
+        );
+    }
+
+    /// Asserts `scratch` handed over `partition`'s flat layout and the
+    /// fingerprint of each of its subgraphs.
+    fn assert_handed_over(scratch: &RepairScratch, partition: &Partition, context: &str) {
+        let mut arena = LayoutArena::new();
+        let layout = arena.build_from_partition(partition);
+        assert_eq!(scratch.layout(), layout, "{context}: layouts differ");
+        let fps: Vec<NodeSetFp> = layout.iter().map(NodeSetFp::of_members).collect();
+        assert_eq!(
+            scratch.fingerprints(),
+            fps,
+            "{context}: fingerprints differ"
+        );
+    }
+
+    /// A crossover child in the shape of the GA's (paper Fig. 9b): each
+    /// undecided node, in order, reproduces the whole subgraph it has in a
+    /// random parent; a collision makes the undecided rest a new subgraph
+    /// or joins it to a decided member's.
+    fn crossover(dad: &Partition, mom: &Partition, rng: &mut StdRng) -> Partition {
+        const UNDECIDED: u32 = u32::MAX;
+        let n = dad.len();
+        let mut child = vec![UNDECIDED; n];
+        let mut next = 0;
+        for v in 0..n {
+            if child[v] != UNDECIDED {
+                continue;
+            }
+            let parent = if rng.gen_bool(0.5) { dad } else { mom }.assignment();
+            let group: Vec<usize> = (0..n).filter(|&u| parent[u] == parent[v]).collect();
+            let decided: Vec<u32> = group
+                .iter()
+                .map(|&u| child[u])
+                .filter(|&c| c != UNDECIDED)
+                .collect();
+            let target = if decided.is_empty() || rng.gen_bool(0.5) {
+                next += 1;
+                next - 1
+            } else {
+                decided[rng.gen_range(0..decided.len())]
+            };
+            for &u in &group {
+                if child[u] == UNDECIDED {
+                    child[u] = target;
+                }
+            }
+        }
+        Partition::from_assignment(child)
+    }
+
+    #[test]
+    fn seeded_repair_of_crossover_children_matches_the_reference() {
+        let mut rng = StdRng::seed_from_u64(0x0c40_55ed);
+        let mut scratch = RepairScratch::new();
+        let (mut dads_returned, mut repaired) = (0, 0);
+        for (name, build) in cocco_graph::models::registry() {
+            let g = build();
+            let fits = |m: &[NodeId]| hashed_fits(m) && m.len() <= 12;
+            let mut parents: Vec<Partition> = (2..6)
+                .map(|l| repair(&g, Partition::connected_groups(&g, l), &fits))
+                .collect();
+            for step in 0..16 {
+                let context = format!("{name}/step {step}");
+                let dad = rng.gen_range(0..parents.len());
+                // Identical parents breed a child with the dad's member
+                // sets under first-node labels: a clean delta.
+                let mom = if rng.gen_bool(0.3) {
+                    dad
+                } else {
+                    rng.gen_range(0..parents.len())
+                };
+                let mut child = crossover(&parents[dad], &parents[mom], &mut rng);
+                let mut delta = PartitionDelta::between(&parents[dad], &child);
+                if delta.is_clean() {
+                    child = parents[dad].clone();
+                    dads_returned += 1;
+                } else {
+                    repaired += 1;
+                }
+                let mut d_ref = delta.clone();
+                let got = scratch.repair(
+                    &g,
+                    child.clone(),
+                    &fits,
+                    &mut delta,
+                    Some(ParentSeed::Fitted),
+                );
+                let want = reference::repair_with_delta(&g, child, &fits, &mut d_ref);
+                assert_eq!(got, want, "{context}: partitions differ");
+                assert_eq!(delta, d_ref, "{context}: deltas differ");
+                assert_handed_over(&scratch, &got, &context);
+                parents[dad] = got;
+            }
+        }
+        assert!(
+            dads_returned > 0 && repaired > 0,
+            "{dads_returned} clean, {repaired} repaired"
+        );
+    }
+
+    #[test]
+    fn one_scratch_serves_graphs_of_any_size_in_any_order() {
+        let mut rng = StdRng::seed_from_u64(0x5c7a);
+        let mut scratch = RepairScratch::new();
+        use cocco_graph::models::{diamond, nasnet, randwire_a};
+        for g in [diamond(), nasnet(), randwire_a(), diamond()] {
+            let name = g.name().to_string();
+            for _ in 0..6 {
+                let k = rng.gen_range(1..=24u32);
+                let p =
+                    Partition::from_assignment((0..g.len()).map(|_| rng.gen_range(0..k)).collect());
+                let fits = |m: &[NodeId]| m.len() <= 7;
+                let (mut d_reused, mut d_fresh) =
+                    (PartitionDelta::all(g.len()), PartitionDelta::all(g.len()));
+                let mut fresh = RepairScratch::new();
+                let reused = scratch.repair(&g, p.clone(), &fits, &mut d_reused, None);
+                assert_eq!(
+                    reused,
+                    fresh.repair(&g, p, &fits, &mut d_fresh, None),
+                    "{name}"
+                );
+                assert_eq!(d_reused, d_fresh, "{name}");
+                assert_eq!(scratch.layout(), fresh.layout(), "{name}");
+                assert_eq!(scratch.fingerprints(), fresh.fingerprints(), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn bitset_ready_set_pops_in_heap_order_past_one_word() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        // Kahn's discipline: each label enters at most once, and may enter
+        // below labels already popped.
+        let mut rng = StdRng::seed_from_u64(0xb175);
+        let mut ready = ReadySet::default();
+        for k in [65usize, 130, 200] {
+            ready.reset(k);
+            let mut heap = BinaryHeap::new();
+            let mut unseen: Vec<u32> = (0..k as u32).collect();
+            let mut popped = Vec::new();
+            while !unseen.is_empty() || !heap.is_empty() {
+                for _ in 0..rng.gen_range(0..4) {
+                    if !unseen.is_empty() {
+                        let label = unseen.swap_remove(rng.gen_range(0..unseen.len()));
+                        ready.insert(label);
+                        heap.push(Reverse(label));
+                    }
+                }
+                let want = heap.pop().map(|Reverse(label)| label);
+                assert_eq!(ready.pop(), want, "k = {k}");
+                popped.extend(want);
+            }
+            assert_eq!(popped.len(), k);
+            assert!(popped.iter().any(|&label| label >= 64));
+        }
+        // On whole graphs: the canonical order of singleton labels (over
+        // 64 of them) is the heap-ordered topological order.
+        for name in ["nasnet", "randwire-a", "resnet152"] {
+            let g = cocco_graph::models::by_name(name).unwrap();
+            let singletons = Partition::singletons(g.len());
+            let order = crate::Quotient::build(&g, &singletons)
+                .topo_order()
+                .unwrap();
+            let mut by_rank = vec![0u32; g.len()];
+            for (rank, &label) in order.iter().enumerate() {
+                by_rank[label as usize] = rank as u32;
+            }
+            let fixed = repair(
+                &g,
+                Partition::from_assignment((0..g.len() as u32).rev().collect()),
+                &|_| true,
+            );
+            assert_eq!(fixed.assignment(), by_rank, "{name}");
+        }
     }
 }

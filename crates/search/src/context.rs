@@ -5,12 +5,11 @@ use crate::driver::EvalBatch;
 use crate::genome::Genome;
 use crate::objective::{BufferSpace, Objective};
 use cocco_engine::{
-    Engine, EngineConfig, EvalMemo, PartitionProbe, SampleBudget, SampleReservation, ScoredEval,
-    Trace, TracePoint,
+    Engine, EngineConfig, EvalMemo, SampleBudget, SampleReservation, ScoredEval, Trace, TracePoint,
 };
 use cocco_faults::{FaultPlan, FaultSite};
 use cocco_graph::{Graph, NodeId};
-use cocco_partition::{repair_seeded, ParentSeed, Partition, PartitionDelta};
+use cocco_partition::{ParentSeed, Partition, PartitionDelta, RepairScratch};
 use cocco_sim::{BufferConfig, EvalOptions, Evaluator, SimError, SubgraphStats};
 use cocco_telemetry::{Stopwatch, Telemetry};
 use std::cell::Cell;
@@ -20,7 +19,8 @@ use std::sync::{Arc, Mutex};
 /// What a mutation operator knows about the genome it produced: the
 /// coordinates its parent was scored under ([`EvalMemo`]) plus the
 /// [`PartitionDelta`] naming which nodes the operator moved. Hints seed
-/// repair only; scoring derives every key from scratch.
+/// repair only; scoring reads the layout and fingerprints of the repaired
+/// partition.
 ///
 /// The delta **must** satisfy the member-set invariant documented on
 /// [`PartitionDelta`] relative to the parent's partition: repair takes
@@ -29,6 +29,13 @@ use std::sync::{Arc, Mutex};
 /// the buffer did not shrink; see `ParentSeed`). Operators of unknown
 /// extent derive an honest delta with [`PartitionDelta::between`] instead
 /// of guessing.
+///
+/// A **clean** delta means more: the genome's partition is the parent's,
+/// label for label, as evaluation returned it. A fitting candidate with a
+/// clean delta skips repair and keeps its partition as it is. Operators
+/// that leave the partition alone satisfy this by construction; one that
+/// rebuilds an assignment whose member sets all equal the parent's (a
+/// crossover can) hands over the parent's partition instead.
 #[derive(Debug)]
 pub struct EvalHint {
     /// The coordinates the parent genome was scored under.
@@ -436,11 +443,12 @@ impl<'a> SearchContext<'a> {
             Some(_) => (0..jobs.len()).map(|_| Default::default()).collect(),
             None => Vec::new(),
         };
-        // One pool job per funded candidate: repair, probe, score on a
-        // miss, record. Fault injection wraps this same job: a drawn
-        // worker panic fires before the body runs, and a drawn evaluator
-        // error evaluates the candidate once more, discarding the first
-        // result.
+        // One pool job per funded candidate, in one engine scratch slot:
+        // repair, probe and score on a miss, all reading the layout and
+        // fingerprints repair left in the slot, then record. Fault
+        // injection wraps this same job: a drawn worker panic fires before
+        // the body runs, and a drawn evaluator error scores the candidate
+        // once more, discarding the first result.
         let dispatched = self.engine.try_dispatch(jobs.len(), |i| {
             let (eval_error, worker_panic) = injections.get(i).copied().unwrap_or_default();
             if worker_panic {
@@ -448,22 +456,29 @@ impl<'a> SearchContext<'a> {
             }
             let (slot, objective, sample) = &jobs[i];
             let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
-            let timer = tallies.get(i).map(|slot| (slot, Stopwatch::start()));
-            let fits_calls = self.take_hint_and_repair(candidate);
-            if let Some(([ns, calls], sw)) = timer {
-                ns.store(sw.elapsed_nanos(), Ordering::Relaxed);
-                calls.store(fits_calls, Ordering::Relaxed);
-            }
-            if eval_error {
-                // Injected transient evaluator failure: the first attempt's
-                // result is discarded. Scoring is a pure function of its
-                // inputs, so the retry is bit-identical to the fault-free
-                // run.
-                let _ = self.score_candidate(i, &candidate.genome);
-                self.faults.log().note_eval_rescore();
-            }
-            let (scored, memo) = self.score_candidate(i, &candidate.genome);
-            self.finish_scored(&results, i, *objective, *sample, candidate, scored, memo);
+            let buffer = candidate.genome.buffer;
+            self.engine.with_slot(|arena| {
+                let timer = tallies.get(i).map(|slot| (slot, Stopwatch::start()));
+                let fits_calls = self.take_hint_and_repair(arena.repair_scratch(), candidate);
+                if let Some(([ns, calls], sw)) = timer {
+                    ns.store(sw.elapsed_nanos(), Ordering::Relaxed);
+                    calls.store(fits_calls, Ordering::Relaxed);
+                }
+                let mut score = || {
+                    self.engine
+                        .score_slot(arena, i as u64, self.evaluator, &buffer, self.options)
+                };
+                if eval_error {
+                    // Injected transient evaluator failure: the first
+                    // attempt's result is discarded. Scoring is a pure
+                    // function of its inputs, so the retry is
+                    // bit-identical to the fault-free run.
+                    let _ = score();
+                    self.faults.log().note_eval_rescore();
+                }
+                let (scored, memo) = score();
+                self.finish_scored(&results, i, *objective, *sample, candidate, scored, memo);
+            });
         });
         if let Some((repair_ns, fits_calls)) = counters {
             let sum = |k: usize| tallies.iter().map(|t| t[k].load(Ordering::Relaxed)).sum();
@@ -495,10 +510,15 @@ impl<'a> SearchContext<'a> {
     }
 
     /// The per-candidate evaluation prologue: consume the hint and repair
-    /// the genome in place, seeded with what the parent proved. Pure per
-    /// candidate, so it runs inside the candidate's pool job. Returns how
-    /// many `fits` calls the repair made.
-    fn take_hint_and_repair(&self, candidate: &mut EvalCandidate) -> u64 {
+    /// the genome in place, in the job slot's `scratch`, seeded with what
+    /// the parent proved. Pure per candidate, so it runs inside the
+    /// candidate's pool job. Returns how many `fits` calls the repair
+    /// made.
+    fn take_hint_and_repair(
+        &self,
+        scratch: &mut RepairScratch,
+        candidate: &mut EvalCandidate,
+    ) -> u64 {
         let buffer = candidate.genome.buffer;
         let (parent_memo, mut delta) = match candidate.hint.take() {
             Some(hint) => (Some(hint.memo), hint.delta),
@@ -512,7 +532,7 @@ impl<'a> SearchContext<'a> {
         };
         let partition =
             std::mem::replace(&mut candidate.genome.partition, Partition::singletons(0));
-        candidate.genome.partition = repair_seeded(self.graph, partition, &fits, &mut delta, seed);
+        candidate.genome.partition = scratch.repair(self.graph, partition, &fits, &mut delta, seed);
         calls.get()
     }
 
@@ -540,28 +560,6 @@ impl<'a> SearchContext<'a> {
         } else {
             ParentSeed::Connected
         })
-    }
-
-    /// Scores one repaired candidate as batch job `seq`: probe the cache,
-    /// and on a miss compute from the probe's key material, staging the
-    /// new entry for the engine's batch-end funding-order publication.
-    fn score_candidate(&self, seq: usize, genome: &Genome) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let (partition, buffer) = (&genome.partition, &genome.buffer);
-        match self
-            .engine
-            .prepare_partition(self.evaluator, partition, buffer, self.options, None)
-        {
-            PartitionProbe::Hit(scored, memo) => (scored, memo),
-            PartitionProbe::Miss(prepared) => self.engine.score_prepared(
-                seq as u64,
-                self.evaluator,
-                partition,
-                buffer,
-                self.options,
-                None,
-                prepared,
-            ),
-        }
     }
 
     /// The per-candidate evaluation epilogue: store the memo and cost on

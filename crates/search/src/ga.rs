@@ -281,6 +281,12 @@ impl GaDriver {
                     &mut delta,
                     &mut self.scratch,
                 );
+                // A clean delta promises the dad's partition label for
+                // label (see `EvalHint`); a child with the dad's member
+                // sets under its own labels takes the dad's.
+                if delta.is_clean() {
+                    child.partition.clone_from(&dad.partition);
+                }
                 let hint = self.population[dad_idx]
                     .memo
                     .clone()
@@ -701,6 +707,87 @@ mod tests {
         let mut child = crossover(&g, &p, &p, &mut rng);
         child.canonicalize(&g);
         assert_eq!(child, p);
+    }
+
+    /// `p`'s labels renumbered in first-node order — what a crossover of
+    /// `p` with itself assigns.
+    fn first_node_labels(p: &Partition) -> Vec<u32> {
+        let mut map = std::collections::BTreeMap::new();
+        p.assignment()
+            .iter()
+            .map(|&a| {
+                let next = map.len() as u32;
+                *map.entry(a).or_insert(next)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn clean_crossover_children_carry_the_dads_partition() {
+        // A population of one repaired partition whose execution order is
+        // not its first-node order: every crossover child has the dad's
+        // member sets under first-node labels, so its delta is clean and
+        // it must carry the dad's partition, label for label.
+        // Diamond (input, a, l, r, add): {l, add} waits for {r}, whose
+        // first node comes later.
+        let g = cocco_graph::models::diamond();
+        let p =
+            cocco_partition::repair(&g, Partition::from_assignment(vec![0, 0, 1, 2, 1]), &|_| {
+                true
+            });
+        assert_eq!(p.assignment(), [0, 0, 2, 1, 2]);
+        assert_ne!(first_node_labels(&p), p.assignment());
+        let eval = Evaluator::new(&g, AcceleratorConfig::default());
+        let ctx = ctx_fixed(&g, &eval, 100);
+        let population = 4;
+        let still = MutationRates {
+            modify_node: 0.0,
+            split_subgraph: 0.0,
+            merge_subgraph: 0.0,
+            dse: 0.0,
+            dse_sigma: 0.0,
+        };
+        let mut ga = GaDriver::new(GaConfig {
+            population,
+            crossover_fraction: 1.0,
+            mutation: still,
+            initial: vec![p.clone(); population],
+            ..GaConfig::default()
+        });
+        let Step::Evaluate(mut seeds) = ga.next_batch(&ctx) else {
+            panic!("the seed generation is evaluated");
+        };
+        ctx.evaluate_chunks(&mut seeds);
+        ga.absorb(&ctx, seeds);
+        let children = ga.offspring_batch(&ctx);
+        assert_eq!(children.len(), population);
+        for child in &children {
+            let hint = child.hint.as_ref().expect("a scored dad hands out a memo");
+            assert!(hint.delta.is_clean(), "the child has the dad's member sets");
+            assert_eq!(
+                child.genome.partition, p,
+                "the child carries the dad's labels"
+            );
+        }
+    }
+
+    #[test]
+    fn seeded_ga_runs_skip_the_repair_of_unchanged_fitted_children() {
+        let g = cocco_graph::models::googlenet();
+        let eval = Evaluator::new(&g, AcceleratorConfig::default());
+        let ctx = SearchContext::new(
+            &g,
+            &eval,
+            BufferSpace::paper_shared(),
+            Objective::paper_energy_capacity(),
+            2_000,
+        );
+        ga(40, 3).run(&ctx);
+        let skips = ctx.engine().metrics().counter("engine.arena.repair_skips");
+        assert!(
+            skips > 0,
+            "no fitted child with a clean delta skipped repair"
+        );
     }
 
     #[test]

@@ -83,17 +83,22 @@ fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
                 }
                 1 => {
                     // Single-point assignment crossover; the delta is the
-                    // honest member-set diff against the parent.
+                    // honest member-set diff against the parent, and a
+                    // clean one hands over the parent's partition (the
+                    // clean-delta contract of `EvalHint`).
                     let j = rng.gen_range(0..POP);
                     let cut = rng.gen_range(0..=model.len());
                     let a = genomes[i].partition.assignment();
                     let b = genomes[j].partition.assignment();
                     let mut assignment = a[..cut].to_vec();
                     assignment.extend_from_slice(&b[cut..]);
-                    let child = Genome::new(Partition::from_assignment(assignment), BUFFER);
+                    let mut child = Genome::new(Partition::from_assignment(assignment), BUFFER);
                     let hint = memos[i].clone().map(|memo| {
                         let delta =
                             PartitionDelta::between(&genomes[i].partition, &child.partition);
+                        if delta.is_clean() {
+                            child.partition = genomes[i].partition.clone();
+                        }
                         EvalHint { memo, delta }
                     });
                     EvalCandidate::with_hint(child, hint)
