@@ -19,8 +19,8 @@ const EXIT_USAGE: u8 = 2;
 /// An existing cache or checkpoint file was unusable (I/O or parse).
 const EXIT_IO: u8 = 3;
 /// Degraded outcome: the run produced a usable result but carries scar
-/// tissue — a worker panic with salvaged best-so-far, a revoked budget,
-/// or a failed cache/checkpoint save.
+/// tissue — a worker panic with salvaged best-so-far or a failed
+/// cache/checkpoint save.
 const EXIT_DEGRADED: u8 = 4;
 
 struct Args {
@@ -104,8 +104,7 @@ fn usage() -> String {
            2  usage error (bad flags or unknown model)\n\
            3  cache/checkpoint file unusable (I/O or parse failure)\n\
            4  degraded: a usable result with recovery scars (worker panic\n\
-              with salvaged best-so-far, revoked budget, or a failed\n\
-              cache/checkpoint save)",
+              with salvaged best-so-far or a failed cache/checkpoint save)",
         models.join(" ")
     )
 }
@@ -486,8 +485,8 @@ fn main() -> ExitCode {
             return ExitCode::from(code);
         }
     };
-    // A run that completed with recovery scars (failed saves, revoked
-    // budget, quarantine) still prints its result, but exits 4 so
+    // A run that completed with recovery scars (failed saves,
+    // quarantine) still prints its result, but exits 4 so
     // harnesses can tell "clean" from "degraded but usable".
     let exit = if result.is_degraded() {
         ExitCode::from(EXIT_DEGRADED)
@@ -587,11 +586,10 @@ fn main() -> ExitCode {
     }
     if result.health.faults_seen() > 0 || result.health.recoveries() > 0 {
         println!(
-            "fault recovery     : {} faults seen, {} recoveries ({} rescores, \
-             {} refunded samples, {} save retries, {} salvaged entries)",
+            "fault recovery     : {} faults seen, {} recoveries ({} refunded samples, \
+             {} save retries, {} salvaged entries)",
             result.health.faults_seen(),
             result.health.recoveries(),
-            result.health.eval_rescores,
             result.health.refunded_samples,
             result.health.save_retries,
             result.health.salvaged_entries,

@@ -58,17 +58,17 @@ pub struct Exploration {
     pub checkpoint_save_error: Option<String>,
     /// Fault and recovery accounting for the run: injected faults (all
     /// zero unless a [`Cocco::with_faults`] plan was armed) next to the
-    /// recovery work the pipeline actually performed — eval re-scores,
-    /// quarantines, refunds, save retries, snapshot salvage.
+    /// recovery work the pipeline actually performed — quarantines,
+    /// refunds, save retries, snapshot salvage.
     pub health: HealthReport,
 }
 
 impl Exploration {
     /// `true` when the run completed but carries visible scar tissue: a
-    /// revoked budget, a quarantined batch, an exhausted save retry, or a
-    /// failed cache/checkpoint save. Transparent recoveries (successful
-    /// save retries, eval re-scores, snapshot salvage) do not count —
-    /// they changed nothing the caller can observe besides counters.
+    /// quarantined batch, an exhausted save retry, or a failed
+    /// cache/checkpoint save. Transparent recoveries (successful save
+    /// retries, snapshot salvage) do not count — they changed nothing the
+    /// caller can observe besides counters.
     pub fn is_degraded(&self) -> bool {
         self.health.is_degraded()
             || self.cache_save_error.is_some()
@@ -200,10 +200,10 @@ impl Cocco {
         self
     }
 
-    /// Arms a seeded fault-injection plan: evaluation, checkpoint and
-    /// cache-snapshot seams then draw from the plan's RNG and exercise
+    /// Arms a seeded fault-injection plan: batch-evaluation, checkpoint
+    /// and cache-snapshot seams then draw from the plan's RNG and exercise
     /// the recovery paths ([`Error::WorkerPanic`] quarantine, bounded
-    /// save retries, snapshot salvage, budget revocation). The default
+    /// save retries, snapshot salvage). The default
     /// disabled plan never draws and perturbs nothing; keep a clone of
     /// the handle to read [`FaultPlan::health`] after the run — the same
     /// report lands on [`Exploration::health`].
@@ -384,7 +384,6 @@ impl Cocco {
                     self.faults.injected(site),
                 );
             }
-            publish("engine.faults.eval_rescores".into(), log.eval_rescores());
             publish(
                 "engine.faults.quarantined_batches".into(),
                 log.quarantined_batches(),
@@ -392,10 +391,6 @@ impl Cocco {
             publish(
                 "engine.faults.refunded_samples".into(),
                 log.refunded_samples(),
-            );
-            publish(
-                "engine.faults.budget_revocations".into(),
-                log.budget_revocations(),
             );
             publish("engine.faults.save_retries".into(), log.save_retries());
             publish("engine.faults.save_failures".into(), log.save_failures());

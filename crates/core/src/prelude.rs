@@ -16,7 +16,7 @@ pub use cocco_engine::{
     CacheSnapshot, ChunkSize, Engine, EngineConfig, EngineStats, EvalMemo, SampleBudget,
     SampleReservation, ScoredEval, ThreadCount,
 };
-pub use cocco_faults::{FaultPlan, FaultRates, FaultSchedule, FaultSite, HealthReport};
+pub use cocco_faults::{FaultPlan, FaultRates, FaultSite, HealthReport};
 pub use cocco_graph::{
     Dims2, Graph, GraphBuilder, Kernel, LayerOp, NodeId, NodeSetFp, TensorShape,
 };

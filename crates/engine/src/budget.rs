@@ -1,6 +1,11 @@
 //! Shared sample-budget accounting.
+//!
+//! Remaining capacity shrinks as evaluations are funded and grows back
+//! only through refunds. Refunds have two callers: a [`SampleReservation`] dropped with
+//! samples un-taken, and a batch quarantined after a worker panic, whose
+//! funded samples go back to their slice, reservation and the root pool.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A thread-safe evaluation budget shared by (sub-)searches, so "samples"
@@ -46,9 +51,6 @@ pub struct SampleBudget {
     /// refunds.
     issued: AtomicU64,
     limit: u64,
-    /// Set by [`SampleBudget::revoke`]: the budget stops granting samples
-    /// while `spent`/`used` keep reflecting real consumption.
-    revoked: AtomicBool,
     parent: Option<Arc<SampleBudget>>,
 }
 
@@ -59,7 +61,6 @@ impl SampleBudget {
             spent: AtomicU64::new(0),
             issued: AtomicU64::new(0),
             limit,
-            revoked: AtomicBool::new(false),
             parent: None,
         }
     }
@@ -72,7 +73,6 @@ impl SampleBudget {
             spent: AtomicU64::new(0),
             issued: AtomicU64::new(0),
             limit: cap,
-            revoked: AtomicBool::new(false),
             parent: Some(parent),
         }
     }
@@ -88,32 +88,10 @@ impl SampleBudget {
         self.spent.load(Ordering::Relaxed).min(self.limit)
     }
 
-    /// Withdraws the budget's remaining capacity, as when a tenant's quota
-    /// is revoked mid-run: every subsequent grant is denied while `used`
-    /// keeps reflecting real consumption (so trace-length conservation
-    /// holds). Returns the capacity denied, or 0 if already revoked.
-    /// Idempotent; refunds of already-granted samples still land.
-    pub fn revoke(&self) -> u64 {
-        if self.revoked.swap(true, Ordering::Relaxed) {
-            0
-        } else {
-            self.limit - self.used()
-        }
-    }
-
-    /// True once [`SampleBudget::revoke`] has been called on this budget
-    /// (ancestor revocations surface through denied grants instead).
-    pub fn is_revoked(&self) -> bool {
-        self.revoked.load(Ordering::Relaxed)
-    }
-
     /// Charges one local sample against the limit, exactly (CAS loop: a
     /// concurrent failure never overshoots and a refund is never
-    /// double-spent). Revoked budgets deny every charge.
+    /// double-spent).
     fn charge(&self) -> bool {
-        if self.revoked.load(Ordering::Relaxed) {
-            return false;
-        }
         let mut spent = self.spent.load(Ordering::Relaxed);
         loop {
             if spent >= self.limit {
@@ -201,21 +179,15 @@ impl SampleBudget {
         }
     }
 
-    /// `true` once the limit — or any ancestor pool — has been reached,
-    /// or the budget has been revoked.
+    /// `true` once the limit — or any ancestor pool — has been reached.
     pub fn is_exhausted(&self) -> bool {
-        self.revoked.load(Ordering::Relaxed)
-            || self.spent.load(Ordering::Relaxed) >= self.limit
+        self.spent.load(Ordering::Relaxed) >= self.limit
             || self.parent.as_ref().is_some_and(|p| p.is_exhausted())
     }
 
-    /// Remaining evaluations (0 once revoked).
+    /// Remaining evaluations.
     pub fn remaining(&self) -> u64 {
-        if self.revoked.load(Ordering::Relaxed) {
-            0
-        } else {
-            self.limit - self.used()
-        }
+        self.limit - self.used()
     }
 }
 
@@ -492,36 +464,6 @@ mod tests {
             rest += 1;
         }
         assert_eq!(taken + rest, 100, "budget not conserved");
-    }
-
-    #[test]
-    fn revoke_denies_grants_but_keeps_consumption_visible() {
-        let b = SampleBudget::new(10);
-        assert_eq!(b.try_consume(), Some(0));
-        assert_eq!(b.try_consume(), Some(1));
-        assert_eq!(b.revoke(), 8, "remaining capacity is denied");
-        assert_eq!(b.revoke(), 0, "idempotent");
-        assert!(b.is_revoked());
-        assert!(b.is_exhausted());
-        assert_eq!(b.remaining(), 0);
-        assert_eq!(b.try_consume(), None);
-        assert_eq!(b.used(), 2, "real consumption stays visible");
-        // Refunds of already-granted samples still land.
-        b.refund(1);
-        assert_eq!(b.used(), 1);
-        assert_eq!(b.try_consume(), None, "still revoked after refund");
-    }
-
-    #[test]
-    fn revoked_parent_denies_slices() {
-        let parent = std::sync::Arc::new(SampleBudget::new(10));
-        let slice = SampleBudget::slice(parent.clone(), 5);
-        assert_eq!(slice.try_consume(), Some(0));
-        parent.revoke();
-        assert_eq!(slice.try_consume(), None, "parent revocation binds");
-        assert!(slice.is_exhausted(), "exhaustion surfaces via the chain");
-        assert!(!slice.is_revoked(), "the slice itself was not revoked");
-        assert_eq!(slice.used(), 1);
     }
 
     #[test]

@@ -1,23 +1,25 @@
 //! # cocco-faults — seeded fault injection + recovery bookkeeping
 //!
-//! Long co-exploration runs meet real faults: flaky evaluators, panicking
-//! workers, full disks, torn snapshot writes, budgets yanked mid-step. This
-//! crate provides the two halves of surviving them reproducibly:
+//! Long co-exploration runs meet real faults: panicking workers, full
+//! disks, torn or corrupted snapshot writes. Every injection site guards a
+//! recovery path that production runs on such a real failure. This crate
+//! provides the two halves of surviving them reproducibly:
 //!
 //! 1. **A seeded injector.** A [`FaultPlan`] is a cheap cloneable handle
 //!    (the same shape as `cocco_telemetry::Telemetry`: `Option<Arc<…>>`,
 //!    disabled by default, one branch when off) wrapping a seeded `StdRng`
 //!    and per-site probabilities ([`FaultRates`]). Instrumented seams ask
 //!    [`FaultPlan::should_inject`] whether to fail *this* time; because the
-//!    generator is seeded and every draw happens in serial code, a
-//!    [`FaultSchedule`] replays the exact same fault sequence at any thread
-//!    count or pool mode — faults are part of the experiment, not noise.
+//!    generator is seeded and every draw happens in serial code,
+//!    [`FaultPlan::seeded`] with the same seed and rates reproduces the
+//!    exact same fault sequence at any thread count — faults are part of
+//!    the experiment, not noise.
 //! 2. **A recovery log.** Every graceful-degradation path (batch
-//!    quarantine, sample refund, bounded save retry, snapshot salvage,
-//!    budget revocation) notes what it did on the [`FaultLog`], whether or
-//!    not the fault was injected — real faults count too. [`HealthReport`]
-//!    snapshots both halves for the `Exploration` result and the
-//!    `engine.faults.*` telemetry counters.
+//!    quarantine, sample refund, bounded save retry, snapshot salvage)
+//!    notes what it did on the [`FaultLog`], whether or not the fault was
+//!    injected — real faults count too. [`HealthReport`] snapshots both
+//!    halves for the `Exploration` result and the `engine.faults.*`
+//!    telemetry counters.
 //!
 //! Determinism rules, both load-bearing:
 //!
@@ -39,10 +41,9 @@
 //! // One in five saves fails transiently; nothing else is injected.
 //! let rates = FaultRates::none().with(FaultSite::SaveWrite, 0.2);
 //! let plan = FaultPlan::seeded(7, rates);
-//! let schedule = plan.schedule().expect("seeded plans serialize");
 //!
-//! // A replica built from the schedule injects the identical sequence.
-//! let replica = FaultPlan::from_schedule(&schedule);
+//! // A plan seeded alike injects the identical sequence.
+//! let replica = FaultPlan::seeded(7, rates);
 //! for _ in 0..100 {
 //!     assert_eq!(
 //!         plan.should_inject(FaultSite::SaveWrite),
@@ -65,9 +66,6 @@ pub use save::{atomic_save, MAX_SAVE_ATTEMPTS};
 /// The instrumented seams where a fault can be injected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultSite {
-    /// A transient evaluator error on one funded candidate (recovered by
-    /// re-scoring — evaluation is pure, so the retry is bit-identical).
-    EvalError,
     /// A panic inside one pool worker job (recovered by quarantining the
     /// whole batch and refunding its samples).
     WorkerPanic,
@@ -80,44 +78,35 @@ pub enum FaultSite {
     /// A corrupted write: the rename lands but a region of the JSON is
     /// garbage (recovered at the next load by salvage).
     SaveCorrupt,
-    /// The sample budget is revoked mid-step, as if the tenant's quota
-    /// were withdrawn (recovered by winding down with best-so-far).
-    BudgetRevoke,
 }
 
 impl FaultSite {
     /// Every site, in declaration order (the order of [`FaultRates`]
     /// fields and the injected-counter array).
-    pub const ALL: [FaultSite; 6] = [
-        FaultSite::EvalError,
+    pub const ALL: [FaultSite; 4] = [
         FaultSite::WorkerPanic,
         FaultSite::SaveWrite,
         FaultSite::SaveTorn,
         FaultSite::SaveCorrupt,
-        FaultSite::BudgetRevoke,
     ];
 
     /// Stable index into per-site counter arrays.
     fn index(self) -> usize {
         match self {
-            FaultSite::EvalError => 0,
-            FaultSite::WorkerPanic => 1,
-            FaultSite::SaveWrite => 2,
-            FaultSite::SaveTorn => 3,
-            FaultSite::SaveCorrupt => 4,
-            FaultSite::BudgetRevoke => 5,
+            FaultSite::WorkerPanic => 0,
+            FaultSite::SaveWrite => 1,
+            FaultSite::SaveTorn => 2,
+            FaultSite::SaveCorrupt => 3,
         }
     }
 
     /// The site's `snake_case` name, used in telemetry counter paths.
     pub fn name(self) -> &'static str {
         match self {
-            FaultSite::EvalError => "eval_error",
             FaultSite::WorkerPanic => "worker_panic",
             FaultSite::SaveWrite => "save_write",
             FaultSite::SaveTorn => "save_torn",
             FaultSite::SaveCorrupt => "save_corrupt",
-            FaultSite::BudgetRevoke => "budget_revoke",
         }
     }
 }
@@ -125,8 +114,6 @@ impl FaultSite {
 /// Per-site injection probabilities in `[0, 1]`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultRates {
-    /// Probability of [`FaultSite::EvalError`] per funded candidate.
-    pub eval_error: f64,
     /// Probability of [`FaultSite::WorkerPanic`] per funded candidate.
     pub worker_panic: f64,
     /// Probability of [`FaultSite::SaveWrite`] per save attempt.
@@ -135,8 +122,6 @@ pub struct FaultRates {
     pub save_torn: f64,
     /// Probability of [`FaultSite::SaveCorrupt`] per save attempt.
     pub save_corrupt: f64,
-    /// Probability of [`FaultSite::BudgetRevoke`] per evaluation step.
-    pub budget_revoke: f64,
 }
 
 impl FaultRates {
@@ -148,12 +133,10 @@ impl FaultRates {
     /// Builder: sets one site's rate.
     pub fn with(mut self, site: FaultSite, rate: f64) -> Self {
         match site {
-            FaultSite::EvalError => self.eval_error = rate,
             FaultSite::WorkerPanic => self.worker_panic = rate,
             FaultSite::SaveWrite => self.save_write = rate,
             FaultSite::SaveTorn => self.save_torn = rate,
             FaultSite::SaveCorrupt => self.save_corrupt = rate,
-            FaultSite::BudgetRevoke => self.budget_revoke = rate,
         }
         self
     }
@@ -161,34 +144,10 @@ impl FaultRates {
     /// The rate configured for `site`.
     pub fn rate(&self, site: FaultSite) -> f64 {
         match site {
-            FaultSite::EvalError => self.eval_error,
             FaultSite::WorkerPanic => self.worker_panic,
             FaultSite::SaveWrite => self.save_write,
             FaultSite::SaveTorn => self.save_torn,
             FaultSite::SaveCorrupt => self.save_corrupt,
-            FaultSite::BudgetRevoke => self.budget_revoke,
-        }
-    }
-}
-
-/// A serializable snapshot of an enabled [`FaultPlan`]: the generator's
-/// raw state words plus the rates. Round-trips mid-stream — a plan built
-/// via [`FaultPlan::from_schedule`] continues the exact same sequence.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct FaultSchedule {
-    /// xoshiro256** state words (4 of them; a short vector reseeds from
-    /// the first word, mirroring search checkpoint snapshots).
-    pub rng: Vec<u64>,
-    /// Per-site injection probabilities.
-    pub rates: FaultRates,
-}
-
-impl FaultSchedule {
-    /// A schedule starting from `seed` with the given rates.
-    pub fn seeded(seed: u64, rates: FaultRates) -> Self {
-        Self {
-            rng: StdRng::seed_from_u64(seed).state().to_vec(),
-            rates,
         }
     }
 }
@@ -198,10 +157,8 @@ impl FaultSchedule {
 /// genuinely corrupt snapshot salvages the same way an injected one does).
 #[derive(Debug, Default)]
 pub struct FaultLog {
-    eval_rescores: AtomicU64,
     quarantined_batches: AtomicU64,
     refunded_samples: AtomicU64,
-    budget_revocations: AtomicU64,
     save_retries: AtomicU64,
     save_failures: AtomicU64,
     salvaged_entries: AtomicU64,
@@ -209,11 +166,6 @@ pub struct FaultLog {
 }
 
 impl FaultLog {
-    /// A candidate whose first scoring attempt errored was re-scored.
-    pub fn note_eval_rescore(&self) {
-        self.eval_rescores.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A dispatch panicked; the whole batch was discarded.
     pub fn note_quarantined_batch(&self) {
         self.quarantined_batches.fetch_add(1, Ordering::Relaxed);
@@ -222,11 +174,6 @@ impl FaultLog {
     /// `n` funded samples were refunded to their budget source.
     pub fn note_refunded_samples(&self, n: u64) {
         self.refunded_samples.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The sample budget was revoked mid-run.
-    pub fn note_budget_revocation(&self) {
-        self.budget_revocations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A failed save attempt was retried.
@@ -249,11 +196,6 @@ impl FaultLog {
         self.dropped_entries.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Candidates re-scored after a transient evaluator error.
-    pub fn eval_rescores(&self) -> u64 {
-        self.eval_rescores.load(Ordering::Relaxed)
-    }
-
     /// Batches discarded after a worker panic.
     pub fn quarantined_batches(&self) -> u64 {
         self.quarantined_batches.load(Ordering::Relaxed)
@@ -262,11 +204,6 @@ impl FaultLog {
     /// Samples refunded from quarantined batches.
     pub fn refunded_samples(&self) -> u64 {
         self.refunded_samples.load(Ordering::Relaxed)
-    }
-
-    /// Mid-run budget revocations.
-    pub fn budget_revocations(&self) -> u64 {
-        self.budget_revocations.load(Ordering::Relaxed)
     }
 
     /// Save attempts that failed and were retried.
@@ -295,16 +232,12 @@ impl FaultLog {
 /// counters.
 ///
 /// **Degraded vs. transparent.** Recoveries that provably cannot change
-/// the result — a successful save retry, a re-scored pure evaluation, a
-/// salvage that only *warms* a cache — are informational. The run is
-/// *degraded* only when the output envelope actually shrank: the budget
-/// was revoked (fewer samples than requested), a batch was quarantined
-/// (its evaluations were discarded), or a save never landed (state on
-/// disk is stale). [`HealthReport::is_degraded`] draws exactly that line.
+/// the result — a successful save retry, a salvage that only *warms* a
+/// cache — are informational. The run is *degraded* only when the output
+/// envelope actually shrank: a batch was quarantined (its evaluations were
+/// discarded), or a save never landed (state on disk is stale). [`HealthReport::is_degraded`] draws exactly that line.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct HealthReport {
-    /// Faults injected at [`FaultSite::EvalError`].
-    pub injected_eval_errors: u64,
     /// Faults injected at [`FaultSite::WorkerPanic`].
     pub injected_worker_panics: u64,
     /// Faults injected at [`FaultSite::SaveWrite`].
@@ -313,16 +246,10 @@ pub struct HealthReport {
     pub injected_save_torn: u64,
     /// Faults injected at [`FaultSite::SaveCorrupt`].
     pub injected_save_corrupt: u64,
-    /// Faults injected at [`FaultSite::BudgetRevoke`].
-    pub injected_budget_revokes: u64,
-    /// Candidates re-scored after a transient evaluator error.
-    pub eval_rescores: u64,
     /// Batches discarded after a worker panic.
     pub quarantined_batches: u64,
     /// Samples refunded from quarantined batches.
     pub refunded_samples: u64,
-    /// Mid-run budget revocations.
-    pub budget_revocations: u64,
     /// Save attempts that failed and were retried.
     pub save_retries: u64,
     /// Saves that failed after every bounded attempt.
@@ -336,39 +263,31 @@ pub struct HealthReport {
 impl HealthReport {
     /// Total faults injected across every site.
     pub fn faults_seen(&self) -> u64 {
-        self.injected_eval_errors
-            + self.injected_worker_panics
+        self.injected_worker_panics
             + self.injected_save_writes
             + self.injected_save_torn
             + self.injected_save_corrupt
-            + self.injected_budget_revokes
     }
 
     /// Total recovery actions taken (transparent and degrading alike).
     pub fn recoveries(&self) -> u64 {
-        self.eval_rescores
-            + self.quarantined_batches
-            + self.budget_revocations
-            + self.save_retries
-            + self.salvaged_entries
+        self.quarantined_batches + self.save_retries + self.salvaged_entries
     }
 
-    /// True when a recovery shrank the output envelope (revoked budget,
-    /// quarantined batch, or a save that never landed) — as opposed to
-    /// transparent recoveries that provably leave results bit-identical.
+    /// True when a recovery shrank the output envelope (a quarantined
+    /// batch or a save that never landed) — as opposed to transparent
+    /// recoveries that provably leave results bit-identical.
     pub fn is_degraded(&self) -> bool {
-        self.budget_revocations > 0 || self.quarantined_batches > 0 || self.save_failures > 0
+        self.quarantined_batches > 0 || self.save_failures > 0
     }
 
     /// The injected count for `site`.
     pub fn injected(&self, site: FaultSite) -> u64 {
         match site {
-            FaultSite::EvalError => self.injected_eval_errors,
             FaultSite::WorkerPanic => self.injected_worker_panics,
             FaultSite::SaveWrite => self.injected_save_writes,
             FaultSite::SaveTorn => self.injected_save_torn,
             FaultSite::SaveCorrupt => self.injected_save_corrupt,
-            FaultSite::BudgetRevoke => self.injected_budget_revokes,
         }
     }
 }
@@ -378,7 +297,7 @@ impl HealthReport {
 struct Injector {
     rng: Mutex<StdRng>,
     rates: FaultRates,
-    injected: [AtomicU64; 6],
+    injected: [AtomicU64; 4],
 }
 
 /// A cheap cloneable fault-injection handle, threaded through the stack
@@ -399,23 +318,9 @@ impl FaultPlan {
 
     /// An enabled plan drawing from `seed` with the given rates.
     pub fn seeded(seed: u64, rates: FaultRates) -> Self {
-        Self::from_rng(StdRng::seed_from_u64(seed), rates)
-    }
-
-    /// Rebuilds a plan from a [`FaultSchedule`], continuing its exact
-    /// injection sequence (fresh counters and log).
-    pub fn from_schedule(schedule: &FaultSchedule) -> Self {
-        let rng = match <[u64; 4]>::try_from(schedule.rng.as_slice()) {
-            Ok(state) => StdRng::from_state(state),
-            Err(_) => StdRng::seed_from_u64(schedule.rng.first().copied().unwrap_or(0)),
-        };
-        Self::from_rng(rng, schedule.rates)
-    }
-
-    fn from_rng(rng: StdRng, rates: FaultRates) -> Self {
         Self {
             injector: Some(Arc::new(Injector {
-                rng: Mutex::new(rng),
+                rng: Mutex::new(StdRng::seed_from_u64(seed)),
                 rates,
                 injected: Default::default(),
             })),
@@ -428,22 +333,10 @@ impl FaultPlan {
         self.injector.is_some()
     }
 
-    /// The plan's current schedule (generator state + rates), or `None`
-    /// for a disabled plan. Capturing and restoring mid-stream continues
-    /// the same sequence.
-    pub fn schedule(&self) -> Option<FaultSchedule> {
-        let injector = self.injector.as_ref()?;
-        let rng = injector.rng.lock().unwrap();
-        Some(FaultSchedule {
-            rng: rng.state().to_vec(),
-            rates: injector.rates,
-        })
-    }
-
     /// Decides whether to inject a fault at `site` *this* time.
     ///
     /// Must only be called from serial sections — the draw order defines
-    /// the schedule, and calling from pool workers would make it depend
+    /// the injection sequence, and calling from pool workers would make it depend
     /// on thread interleaving. Sites with rate `0.0` return `false`
     /// without consuming anything from the generator.
     pub fn should_inject(&self, site: FaultSite) -> bool {
@@ -477,16 +370,12 @@ impl FaultPlan {
     /// Snapshots injected counts and recovery counters.
     pub fn health(&self) -> HealthReport {
         HealthReport {
-            injected_eval_errors: self.injected(FaultSite::EvalError),
             injected_worker_panics: self.injected(FaultSite::WorkerPanic),
             injected_save_writes: self.injected(FaultSite::SaveWrite),
             injected_save_torn: self.injected(FaultSite::SaveTorn),
             injected_save_corrupt: self.injected(FaultSite::SaveCorrupt),
-            injected_budget_revokes: self.injected(FaultSite::BudgetRevoke),
-            eval_rescores: self.log.eval_rescores(),
             quarantined_batches: self.log.quarantined_batches(),
             refunded_samples: self.log.refunded_samples(),
-            budget_revocations: self.log.budget_revocations(),
             save_retries: self.log.save_retries(),
             save_failures: self.log.save_failures(),
             salvaged_entries: self.log.salvaged_entries(),
@@ -503,7 +392,6 @@ mod tests {
     fn disabled_plan_never_injects_and_still_logs() {
         let plan = FaultPlan::disabled();
         assert!(!plan.is_enabled());
-        assert!(plan.schedule().is_none());
         for site in FaultSite::ALL {
             assert!(!plan.should_inject(site));
             assert_eq!(plan.injected(site), 0);
@@ -518,14 +406,14 @@ mod tests {
     #[test]
     fn seeded_plans_inject_the_same_sequence() {
         let rates = FaultRates::none()
-            .with(FaultSite::EvalError, 0.3)
+            .with(FaultSite::WorkerPanic, 0.3)
             .with(FaultSite::SaveWrite, 0.5);
         let a = FaultPlan::seeded(11, rates);
         let b = FaultPlan::seeded(11, rates);
         for _ in 0..200 {
             assert_eq!(
-                a.should_inject(FaultSite::EvalError),
-                b.should_inject(FaultSite::EvalError)
+                a.should_inject(FaultSite::WorkerPanic),
+                b.should_inject(FaultSite::WorkerPanic)
             );
             assert_eq!(
                 a.should_inject(FaultSite::SaveWrite),
@@ -545,7 +433,7 @@ mod tests {
             // Interleave zero-rate queries on `a` only; the sequences on
             // the enabled site must stay aligned.
             assert!(!a.should_inject(FaultSite::SaveCorrupt));
-            assert!(!a.should_inject(FaultSite::BudgetRevoke));
+            assert!(!a.should_inject(FaultSite::SaveTorn));
             assert_eq!(
                 a.should_inject(FaultSite::WorkerPanic),
                 b.should_inject(FaultSite::WorkerPanic)
@@ -555,72 +443,36 @@ mod tests {
 
     #[test]
     fn rate_one_always_injects() {
-        let plan = FaultPlan::seeded(1, FaultRates::none().with(FaultSite::BudgetRevoke, 1.0));
+        let plan = FaultPlan::seeded(1, FaultRates::none().with(FaultSite::SaveCorrupt, 1.0));
         for _ in 0..50 {
-            assert!(plan.should_inject(FaultSite::BudgetRevoke));
+            assert!(plan.should_inject(FaultSite::SaveCorrupt));
         }
-        assert_eq!(plan.injected(FaultSite::BudgetRevoke), 50);
-        assert_eq!(plan.health().injected_budget_revokes, 50);
-    }
-
-    #[test]
-    fn schedule_round_trips_mid_stream() {
-        let rates = FaultRates::none().with(FaultSite::SaveTorn, 0.4);
-        let plan = FaultPlan::seeded(23, rates);
-        for _ in 0..17 {
-            plan.should_inject(FaultSite::SaveTorn);
-        }
-        let schedule = plan.schedule().expect("enabled");
-        let json = serde_json::to_string(&schedule).expect("serialize");
-        let parsed: FaultSchedule = serde_json::from_str(&json).expect("parse");
-        assert_eq!(parsed, schedule);
-        let replica = FaultPlan::from_schedule(&parsed);
-        for _ in 0..100 {
-            assert_eq!(
-                plan.should_inject(FaultSite::SaveTorn),
-                replica.should_inject(FaultSite::SaveTorn)
-            );
-        }
-    }
-
-    #[test]
-    fn short_schedule_state_falls_back_to_reseeding() {
-        let schedule = FaultSchedule {
-            rng: vec![42],
-            rates: FaultRates::none().with(FaultSite::EvalError, 1.0),
-        };
-        let plan = FaultPlan::from_schedule(&schedule);
-        let reseeded = FaultPlan::seeded(42, schedule.rates);
-        assert_eq!(plan.schedule(), reseeded.schedule());
+        assert_eq!(plan.injected(FaultSite::SaveCorrupt), 50);
+        assert_eq!(plan.health().injected_save_corrupt, 50);
     }
 
     #[test]
     fn clones_share_generator_counters_and_log() {
-        let plan = FaultPlan::seeded(3, FaultRates::none().with(FaultSite::EvalError, 1.0));
+        let plan = FaultPlan::seeded(3, FaultRates::none().with(FaultSite::WorkerPanic, 1.0));
         let clone = plan.clone();
-        assert!(clone.should_inject(FaultSite::EvalError));
-        clone.log().note_eval_rescore();
-        assert_eq!(plan.injected(FaultSite::EvalError), 1);
-        assert_eq!(plan.log().eval_rescores(), 1);
+        assert!(clone.should_inject(FaultSite::WorkerPanic));
+        clone.log().note_quarantined_batch();
+        assert_eq!(plan.injected(FaultSite::WorkerPanic), 1);
+        assert_eq!(plan.log().quarantined_batches(), 1);
     }
 
     #[test]
     fn degraded_line_matches_the_documented_envelope() {
         let transparent = HealthReport {
-            eval_rescores: 4,
             save_retries: 2,
             salvaged_entries: 9,
             dropped_entries: 1,
-            injected_eval_errors: 4,
+            injected_save_writes: 2,
             ..HealthReport::default()
         };
         assert!(!transparent.is_degraded());
-        assert_eq!(transparent.recoveries(), 15);
+        assert_eq!(transparent.recoveries(), 11);
         for degraded in [
-            HealthReport {
-                budget_revocations: 1,
-                ..HealthReport::default()
-            },
             HealthReport {
                 quarantined_batches: 1,
                 ..HealthReport::default()

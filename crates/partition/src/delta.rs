@@ -153,11 +153,6 @@ impl PartitionDelta {
         }
     }
 
-    /// Marks everything dirty.
-    pub fn touch_all(&mut self) {
-        self.dirty.fill(true);
-    }
-
     /// Whether `node` is marked dirty.
     ///
     /// # Panics

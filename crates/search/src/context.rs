@@ -361,13 +361,6 @@ impl<'a> SearchContext<'a> {
                 }
             })
             .collect();
-        // Injected budget exhaustion: revoke the pool *before* funding,
-        // so this batch degrades exactly like a naturally dry budget
-        // (unfunded candidates, no trace points, no stranded samples).
-        if self.faults.should_inject(FaultSite::BudgetRevoke) {
-            self.budget.revoke();
-            self.faults.log().note_budget_revocation();
-        }
         // Pin sample indices to input order before any worker runs.
         let mut funded_per_group = Vec::with_capacity(groups.len());
         let mut samples = Vec::new();
@@ -413,18 +406,13 @@ impl<'a> SearchContext<'a> {
                 }
             }
         }
-        // Per-job fault draws happen here, in the serial funding-order
+        // Per-job panic draws happen here, in the serial funding-order
         // section, so injection points are a pure function of the plan's
         // seed and the funding sequence — bit-identical at any thread
         // count. The disabled-plan hot path allocates nothing.
-        let injections: Vec<(bool, bool)> = if self.faults.is_enabled() {
+        let panics: Vec<bool> = if self.faults.is_enabled() {
             (0..jobs.len())
-                .map(|_| {
-                    (
-                        self.faults.should_inject(FaultSite::EvalError),
-                        self.faults.should_inject(FaultSite::WorkerPanic),
-                    )
-                })
+                .map(|_| self.faults.should_inject(FaultSite::WorkerPanic))
                 .collect()
         } else {
             Vec::new()
@@ -447,11 +435,9 @@ impl<'a> SearchContext<'a> {
         // repair, probe and score on a miss, all reading the layout and
         // fingerprints repair left in the slot, then record. Fault
         // injection wraps this same job: a drawn worker panic fires before
-        // the body runs, and a drawn evaluator error scores the candidate
-        // once more, discarding the first result.
+        // the body runs.
         let dispatched = self.engine.try_dispatch(jobs.len(), |i| {
-            let (eval_error, worker_panic) = injections.get(i).copied().unwrap_or_default();
-            if worker_panic {
+            if panics.get(i).copied().unwrap_or_default() {
                 panic!("cocco-faults: injected worker panic");
             }
             let (slot, objective, sample) = &jobs[i];
@@ -464,19 +450,9 @@ impl<'a> SearchContext<'a> {
                     ns.store(sw.elapsed_nanos(), Ordering::Relaxed);
                     calls.store(fits_calls, Ordering::Relaxed);
                 }
-                let mut score = || {
+                let (scored, memo) =
                     self.engine
-                        .score_slot(arena, i as u64, self.evaluator, &buffer, self.options)
-                };
-                if eval_error {
-                    // Injected transient evaluator failure: the first
-                    // attempt's result is discarded. Scoring is a pure
-                    // function of its inputs, so the retry is
-                    // bit-identical to the fault-free run.
-                    let _ = score();
-                    self.faults.log().note_eval_rescore();
-                }
-                let (scored, memo) = score();
+                        .score_slot(arena, i as u64, self.evaluator, &buffer, self.options);
                 self.finish_scored(&results, i, *objective, *sample, candidate, scored, memo);
             });
         });
@@ -708,6 +684,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cocco_engine::EngineStats;
     use cocco_sim::{AcceleratorConfig, CostMetric};
 
     fn context<'a>(
@@ -949,46 +926,11 @@ mod tests {
     }
 
     #[test]
-    fn injected_eval_errors_rescore_bit_identically() {
-        let g = cocco_graph::models::googlenet();
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let genomes = || -> Vec<Genome> {
-            (0..24)
-                .map(|i| {
-                    Genome::new(
-                        Partition::connected_groups(&g, 2 + i % 5),
-                        BufferConfig::shared(1 << 20),
-                    )
-                })
-                .collect()
-        };
-        let plain_ctx = context(&g, &eval, 24);
-        let mut plain_genomes = genomes();
-        let plain = (
-            evaluate_plain(&plain_ctx, &mut plain_genomes),
-            plain_ctx.trace().points(),
-        );
-        let rates = cocco_faults::FaultRates::none().with(FaultSite::EvalError, 0.5);
-        let faulty_ctx = context(&g, &eval, 24).with_faults(FaultPlan::seeded(7, rates));
-        let mut faulty_genomes = genomes();
-        let faulty = (
-            evaluate_plain(&faulty_ctx, &mut faulty_genomes),
-            faulty_ctx.trace().points(),
-        );
-        assert_eq!(
-            plain, faulty,
-            "transient eval errors must not change results"
-        );
-        assert_eq!(plain_genomes, faulty_genomes);
-        assert!(faulty_ctx.faults().log().eval_rescores() > 0);
-        assert!(faulty_ctx.fault_abort().is_none());
-    }
-
-    #[test]
-    fn injected_eval_errors_dispatch_like_production() {
-        // The fault seam wraps the production job: a transparent
-        // evaluator-error schedule hands the pool exactly the jobs the
-        // fault-free run does, including on a warm second batch.
+    fn enabled_fault_plans_dispatch_like_production() {
+        // The fault seam wraps the production job: an armed plan that
+        // never fires hands the pool exactly the jobs the fault-free run
+        // does and leaves the same engine counters, including on a warm
+        // second batch.
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let dispatched = |faults: FaultPlan| {
@@ -1006,13 +948,22 @@ mod tests {
                     .collect();
                 evaluate_plain(&ctx, &mut genomes);
             }
-            ctx.engine().metrics().counter("engine.pool.dispatched")
+            let stats = ctx.engine().stats();
+            (
+                ctx.engine().metrics().counter("engine.pool.dispatched"),
+                EngineStats {
+                    wall_ms: 0.0,
+                    ..stats
+                },
+                ctx.trace().points(),
+            )
         };
-        let rates = cocco_faults::FaultRates::none().with(FaultSite::EvalError, 0.5);
-        assert_eq!(
-            dispatched(FaultPlan::disabled()),
-            dispatched(FaultPlan::seeded(7, rates))
-        );
+        let rates = cocco_faults::FaultRates::none().with(FaultSite::WorkerPanic, 0.0);
+        let armed = FaultPlan::seeded(7, rates);
+        assert!(armed.is_enabled());
+        let plain = dispatched(FaultPlan::disabled());
+        assert!(plain.0 > 0 && plain.1.cache_hits > 0, "{plain:?}");
+        assert_eq!(plain, dispatched(armed));
     }
 
     #[test]
@@ -1054,29 +1005,33 @@ mod tests {
     }
 
     #[test]
-    fn injected_budget_revocation_degrades_like_exhaustion() {
-        let g = cocco_graph::models::diamond();
+    fn worker_panic_refunds_sliced_and_reserved_funding_to_the_root_pool() {
+        // Two-step funds its chunks from budget slices (sequential) or from
+        // reservations on them (interleaved). A panic after some progress
+        // must return every funded sample of the quarantined batch through
+        // the slice to the root pool, so the pool's count matches the trace.
+        let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let rates = cocco_faults::FaultRates::none().with(FaultSite::BudgetRevoke, 1.0);
-        let ctx = context(&g, &eval, 100).with_faults(FaultPlan::seeded(5, rates));
-        let mut genomes: Vec<Genome> = (0..3)
-            .map(|_| {
-                Genome::new(
-                    Partition::singletons(g.len()),
-                    BufferConfig::shared(1 << 20),
-                )
-            })
-            .collect();
-        let costs = evaluate_plain(&ctx, &mut genomes);
-        assert!(
-            costs.iter().all(Option::is_none),
-            "revoked budget funds nothing"
-        );
-        assert!(ctx.budget().is_revoked());
-        assert_eq!(ctx.budget().remaining(), 0);
-        assert_eq!(ctx.trace().len() as u64, ctx.budget().used());
-        assert_eq!(ctx.faults().log().budget_revocations(), 1);
-        assert!(ctx.fault_abort().is_none(), "revocation is not an abort");
+        let mut interleaved = crate::TwoStep::random().with_per_candidate(100);
+        interleaved.ga.population = 20;
+        for config in [interleaved.clone(), interleaved.sequential()] {
+            let rates = cocco_faults::FaultRates::none().with(FaultSite::WorkerPanic, 0.002);
+            let ctx = SearchContext::new(
+                &g,
+                &eval,
+                BufferSpace::paper_shared(),
+                Objective::co_exploration(CostMetric::Energy, 0.002),
+                400,
+            )
+            .with_faults(FaultPlan::seeded(0, rates));
+            crate::SearchMethod::TwoStep(config.clone()).run(&ctx);
+            assert!(ctx.fault_abort().is_some(), "no panic fired ({config:?})");
+            let log = ctx.faults().log();
+            assert_eq!(log.quarantined_batches(), 1);
+            assert!(log.refunded_samples() > 0);
+            assert!(!ctx.trace().is_empty(), "panic before any progress");
+            assert_eq!(ctx.budget().used(), ctx.trace().len() as u64);
+        }
     }
 
     #[test]

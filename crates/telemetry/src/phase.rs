@@ -141,11 +141,6 @@ impl PhaseSnapshot {
             ("serialize", self.serialize_ms),
         ]
     }
-
-    /// Sum over all phases (remember `Eval` ⊂ `Search`).
-    pub fn total_ms(&self) -> f64 {
-        self.setup_ms + self.search_ms + self.cache_ms + self.serialize_ms
-    }
 }
 
 #[cfg(test)]

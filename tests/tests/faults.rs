@@ -39,10 +39,9 @@ fn transparent_faults_complete_bit_identically() {
             .unwrap()
     };
     let plain = session(FaultPlan::disabled(), "plain");
-    // Transient evaluator errors (re-scored) and save-path faults
-    // (bounded retry) are transparent: same cost, genome and trace.
+    // Save-path faults (bounded retry, torn files left for the next load
+    // to salvage) are transparent: same cost, genome and trace.
     let rates = FaultRates::none()
-        .with(FaultSite::EvalError, 0.2)
         .with(FaultSite::SaveWrite, 0.2)
         .with(FaultSite::SaveTorn, 0.1);
     let plan = FaultPlan::seeded(11, rates);
@@ -56,7 +55,7 @@ fn transparent_faults_complete_bit_identically() {
         health.faults_seen() > 0,
         "the plan must actually have fired"
     );
-    assert!(health.eval_rescores > 0, "eval faults must be re-scored");
+    assert!(health.save_retries > 0, "save faults must be retried");
     assert!(
         stale_temps(&dir).is_empty(),
         "injected save failures must not leak temp files: {:?}",
@@ -121,48 +120,78 @@ fn worker_panic_degrades_to_structured_error_with_salvage() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every injection site guards a recovery path production runs on a real
+/// failure. Each site fires through the facade and takes the recovery the
+/// README's fault table promises.
 #[test]
-fn budget_revocation_degrades_but_completes() {
-    let model = cocco::graph::models::diamond();
-    let rates = FaultRates::none().with(FaultSite::BudgetRevoke, 0.05);
-    let plan = FaultPlan::seeded(4, rates);
-    let result = Cocco::new()
-        .with_budget(5_000)
-        .with_seed(3)
-        .with_faults(plan.clone())
-        .explore(&model)
-        .unwrap();
-    assert!(result.cost.is_finite());
-    assert!(
-        result.samples < 5_000,
-        "a revoked budget must cut the run short ({} samples)",
-        result.samples
-    );
-    assert_eq!(
-        result.trace.len() as u64,
-        result.samples,
-        "no stranded samples"
-    );
-    assert!(result.is_degraded());
-    assert_eq!(result.health.budget_revocations, 1);
-    assert_eq!(result.health, plan.health());
-}
-
-#[test]
-fn fault_schedule_round_trips_and_replays_identically() {
-    let rates = FaultRates::none()
-        .with(FaultSite::EvalError, 0.3)
-        .with(FaultSite::WorkerPanic, 0.01);
-    let plan = FaultPlan::seeded(42, rates);
-    let schedule = plan.schedule().expect("enabled plan has a schedule");
-    let json = serde_json::to_string(&schedule).unwrap();
-    let back: FaultSchedule = serde_json::from_str(&json).unwrap();
-    let replay = FaultPlan::from_schedule(&back);
-    for _ in 0..200 {
-        for site in FaultSite::ALL {
-            assert_eq!(plan.should_inject(site), replay.should_inject(site));
+fn every_fault_site_fires_and_recovers_through_the_facade() {
+    let dir = temp_dir("sites");
+    let model = cocco::graph::models::googlenet();
+    let session = |tag: &str| {
+        Cocco::new()
+            .with_budget(300)
+            .with_seed(5)
+            .with_cache_file(dir.join(format!("{tag}.cache.json")))
+            .with_checkpoint_file(dir.join(format!("{tag}.ckpt.json")))
+            .with_checkpoint_every(1)
+    };
+    let plain = session("plain").explore(&model).unwrap();
+    let matches_plain = |run: &Exploration, tag: &str| {
+        assert_eq!(plain.cost, run.cost, "{tag}");
+        assert_eq!(plain.genome, run.genome, "{tag}");
+        assert_eq!(plain.trace, run.trace, "{tag}");
+    };
+    for site in FaultSite::ALL {
+        let tag = site.name();
+        let rate = match site {
+            FaultSite::WorkerPanic => 0.005,
+            FaultSite::SaveWrite => 0.5,
+            FaultSite::SaveTorn | FaultSite::SaveCorrupt => 1.0,
+        };
+        let plan = FaultPlan::seeded(2, FaultRates::none().with(site, rate));
+        let run = session(tag).with_faults(plan.clone()).explore(&model);
+        assert!(plan.injected(site) > 0, "{tag} never fired");
+        let health = plan.health();
+        match site {
+            // Quarantine: the batch's samples are refunded and the run
+            // aborts with its best-so-far, keeping the last checkpoint so
+            // a disarmed resume completes.
+            FaultSite::WorkerPanic => {
+                let Err(Error::WorkerPanic { salvage, .. }) = run else {
+                    panic!("{tag}: expected a WorkerPanic error");
+                };
+                assert!(salvage.is_some(), "{tag}: nothing salvaged");
+                assert_eq!(health.quarantined_batches, 1);
+                assert!(health.refunded_samples > 0);
+                assert!(health.is_degraded());
+                let ckpt = dir.join(format!("{tag}.ckpt.json"));
+                assert!(ckpt.exists(), "{tag}: checkpoint lost");
+                let resumed = session(tag).explore(&model).unwrap();
+                assert_eq!(resumed.trace.len() as u64, resumed.samples);
+                assert!(!ckpt.exists(), "{tag}: resume kept its checkpoint");
+            }
+            // Bounded retry: transparent, and a save that exhausts its
+            // attempts degrades the result instead of failing the run.
+            FaultSite::SaveWrite => {
+                let run = run.unwrap();
+                matches_plain(&run, tag);
+                assert!(health.save_retries > 0, "{tag}: no retry");
+                assert_eq!(run.is_degraded(), health.save_failures > 0, "{tag}");
+            }
+            // The damaged cache file lands; the next load salvages the
+            // entries that still parse and the warm rerun is unchanged.
+            FaultSite::SaveTorn | FaultSite::SaveCorrupt => {
+                let run = run.unwrap();
+                matches_plain(&run, tag);
+                assert!(!run.is_degraded(), "{tag}");
+                let rerun = session(tag).explore(&model).unwrap();
+                matches_plain(&rerun, tag);
+                assert!(rerun.health.salvaged_entries > 0, "{tag}: no salvage");
+            }
         }
     }
+    assert!(stale_temps(&dir).is_empty(), "{:?}", stale_temps(&dir));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
