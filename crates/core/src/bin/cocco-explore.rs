@@ -16,7 +16,8 @@ use std::str::FromStr;
 const EXIT_SEARCH_FAILED: u8 = 1;
 /// Bad invocation: unknown flags/values or an unknown model.
 const EXIT_USAGE: u8 = 2;
-/// An existing cache or checkpoint file was unusable (I/O or parse).
+/// An existing cache or checkpoint file was unusable (I/O or parse), or
+/// stdout could not be written.
 const EXIT_IO: u8 = 3;
 /// Degraded outcome: the run produced a usable result but carries scar
 /// tissue — a worker panic with salvaged best-so-far or a failed
@@ -44,67 +45,73 @@ struct Args {
     dot: bool,
 }
 
+/// The `--help` text after the model list. One literal per line, so each
+/// wrapped description keeps its column (a `\` line continuation would
+/// strip the next line's leading spaces).
+const OPTIONS_AND_EXIT_CODES: &str = concat!(
+    "options:\n",
+    "  --method <m>       ga | sa | greedy | dp | exhaustive | twostep | portfolio\n",
+    "                     (default ga)\n",
+    "  --portfolio <ms>   race a comma-separated list of methods round-robin on\n",
+    "                     one budget/engine (e.g. `--portfolio ga,sa,twostep`;\n",
+    "                     overrides --method)\n",
+    "  --target <cost>    stop a portfolio as soon as any member reaches this\n",
+    "                     Formula-2 cost (default: run to exhaustion)\n",
+    "  --budget <n>       evaluation samples (default 20000)\n",
+    "  --space <s>        shared | separate (default shared)\n",
+    "  --metric <m>       energy | ema (default energy)\n",
+    "  --alpha <a>        Formula-2 preference factor (default 0.002)\n",
+    "  --seed <n>         RNG seed (default 0xC0CC0)\n",
+    "  --cores <n>        NPU cores (default 1)\n",
+    "  --batch <n>        batch size (default 1)\n",
+    "  --threads <n>      evaluation worker threads, or `auto` (default auto);\n",
+    "                     results are identical at any thread count\n",
+    "  --chunk <n|auto>   jobs handed to a worker per pool dispatch (default\n",
+    "                     auto: batch size / (threads * 4)); results are\n",
+    "                     identical at any chunk size\n",
+    "  --cache-capacity <n>  bound the evaluation cache to <n> partition\n",
+    "                     roll-ups (default 16384; generation-sweep\n",
+    "                     eviction; results unchanged)\n",
+    "  --cache-file <p>   persist the evaluation cache at <p>: repeated\n",
+    "                     explorations warm-start from it (results are\n",
+    "                     unchanged; entries of other models/accelerator\n",
+    "                     configs are kept but never reused); the file is\n",
+    "                     rewritten only when a run adds an entry or had to\n",
+    "                     salvage or upgrade it\n",
+    "  --checkpoint-file <p>  run step-driven and checkpoint the search to <p>;\n",
+    "                     an existing snapshot resumes the interrupted run\n",
+    "                     bit-identically (removed on completion)\n",
+    "  --checkpoint-every <n>  driver steps between checkpoint saves\n",
+    "                     (default 16; a GA step is one generation)\n",
+    "  --stats-json <p>   write engine stats + metrics + phase profile to <p>\n",
+    "                     as JSON (enables telemetry; results unchanged)\n",
+    "  --telemetry-jsonl <p>  write every telemetry event to <p>, one JSON\n",
+    "                     object per line (enables telemetry)\n",
+    "  --telemetry-report print a summary table of counters, latency\n",
+    "                     histograms (p50/p90/p99) and per-phase wall time\n",
+    "                     (enables telemetry)\n",
+    "  --json             print the full exploration result as JSON\n",
+    "  --dot              print the partitioned graph in Graphviz DOT\n",
+    "  --list             list available models and exit\n",
+    "\n",
+    "exit codes:\n",
+    "  0  success\n",
+    "  1  search failed (no feasible solution, method gave up, or a\n",
+    "     worker panic with nothing to salvage)\n",
+    "  2  usage error (bad flags or unknown model)\n",
+    "  3  cache/checkpoint file unusable (I/O or parse failure), or\n",
+    "     stdout not writable\n",
+    "  4  degraded: a usable result with recovery scars (worker panic\n",
+    "     with salvaged best-so-far or a failed cache/checkpoint save)",
+);
+
 fn usage() -> String {
     let models: Vec<&str> = cocco::graph::models::registry()
         .iter()
         .map(|(name, _)| *name)
         .collect();
     format!(
-        "usage: cocco-explore <model> [options]\n\
-         \n\
-         models: {}\n\
-         \n\
-         options:\n\
-           --method <m>       ga | sa | greedy | dp | exhaustive | twostep | portfolio\n\
-                              (default ga)\n\
-           --portfolio <ms>   race a comma-separated list of methods round-robin on\n\
-                              one budget/engine (e.g. `--portfolio ga,sa,twostep`;\n\
-                              overrides --method)\n\
-           --target <cost>    stop a portfolio as soon as any member reaches this\n\
-                              Formula-2 cost (default: run to exhaustion)\n\
-           --budget <n>       evaluation samples (default 20000)\n\
-           --space <s>        shared | separate (default shared)\n\
-           --metric <m>       energy | ema (default energy)\n\
-           --alpha <a>        Formula-2 preference factor (default 0.002)\n\
-           --seed <n>         RNG seed (default 0xC0CC0)\n\
-           --cores <n>        NPU cores (default 1)\n\
-           --batch <n>        batch size (default 1)\n\
-           --threads <n>      evaluation worker threads, or `auto` (default auto);\n\
-                              results are identical at any thread count\n\
-           --chunk <n|auto>   jobs handed to a worker per pool dispatch (default\n\
-                              auto: batch size / (threads * 4)); results are\n\
-                              identical at any chunk size\n\
-           --cache-capacity <n>  bound the evaluation cache to <n> partition\n\
-                              roll-ups (default 16384; generation-sweep\n\
-                              eviction; results unchanged)\n\
-           --cache-file <p>   persist the evaluation cache at <p>: repeated\n\
-                              explorations warm-start from it (results are\n\
-                              unchanged; entries of other models/accelerator\n\
-                              configs are kept but never reused)\n\
-           --checkpoint-file <p>  run step-driven and checkpoint the search to <p>;\n\
-                              an existing snapshot resumes the interrupted run\n\
-                              bit-identically (removed on completion)\n\
-           --checkpoint-every <n>  driver steps between checkpoint saves\n\
-                              (default 16; a GA step is one generation)\n\
-           --stats-json <p>   write engine stats + metrics + phase profile to <p>\n\
-                              as JSON (enables telemetry; results unchanged)\n\
-           --telemetry-jsonl <p>  write every telemetry event to <p>, one JSON\n\
-                              object per line (enables telemetry)\n\
-           --telemetry-report print a summary table of counters, latency\n\
-                              histograms (p50/p90/p99) and per-phase wall time\n\
-                              (enables telemetry)\n\
-           --json             print the full exploration result as JSON\n\
-           --dot              print the partitioned graph in Graphviz DOT\n\
-           --list             list available models and exit\n\
-         \n\
-         exit codes:\n\
-           0  success\n\
-           1  search failed (no feasible solution, method gave up, or a\n\
-              worker panic with nothing to salvage)\n\
-           2  usage error (bad flags or unknown model)\n\
-           3  cache/checkpoint file unusable (I/O or parse failure)\n\
-           4  degraded: a usable result with recovery scars (worker panic\n\
-              with salvaged best-so-far or a failed cache/checkpoint save)",
+        "usage: cocco-explore <model> [options]\n\nmodels: {}\n\n{OPTIONS_AND_EXIT_CODES}",
         models.join(" ")
     )
 }
@@ -405,15 +412,34 @@ fn telemetry_report(telemetry: &Telemetry) -> String {
     out
 }
 
+/// Writes `text` to stdout and returns `code`. A reader that went away
+/// (`cocco-explore --help | head`, a closed pipe) is a quiet exit: there
+/// is nobody left to tell. Any other write failure is an I/O error.
+fn print_stdout(text: &str, code: ExitCode) -> ExitCode {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => code,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => code,
+        Err(e) => {
+            eprintln!("error: could not write stdout: {e}");
+            ExitCode::from(EXIT_IO)
+        }
+    }
+}
+
 fn main() -> ExitCode {
+    use std::fmt::Write as _;
     let args = match parse(std::env::args()) {
         Ok(a) => a,
         Err(msg) => {
             // An empty message is `--help`: the usage text is the
             // requested output, not an error.
             if msg.is_empty() {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
+                return print_stdout(&format!("{}\n", usage()), ExitCode::SUCCESS);
             }
             eprintln!("error: {msg}\n");
             eprintln!("{}", usage());
@@ -421,10 +447,11 @@ fn main() -> ExitCode {
         }
     };
     if args.list {
+        let mut names = String::new();
         for (name, _) in cocco::graph::models::registry() {
-            println!("{name}");
+            let _ = writeln!(names, "{name}");
         }
-        return ExitCode::SUCCESS;
+        return print_stdout(&names, ExitCode::SUCCESS);
     }
     let Some(name) = args.model else {
         eprintln!("{}", usage());
@@ -526,41 +553,53 @@ fn main() -> ExitCode {
             method,
             exploration: result,
         };
-        match serde_json::to_string_pretty(&report) {
-            Ok(text) => println!("{text}"),
+        return match serde_json::to_string_pretty(&report) {
+            Ok(text) => print_stdout(&format!("{text}\n"), exit),
             Err(e) => {
                 eprintln!("error: {}", cocco::Error::Serde(e));
-                return ExitCode::from(EXIT_SEARCH_FAILED);
+                ExitCode::from(EXIT_SEARCH_FAILED)
             }
-        }
-        return exit;
+        };
     }
-    println!("model: {model}");
-    println!("method             : {}", method.name());
+    let mut out = String::new();
+    let _ = writeln!(out, "model: {model}");
+    let _ = writeln!(out, "method             : {}", method.name());
     let buffer = match result.genome.buffer {
         BufferConfig::Separate { glb, wgt } => {
             format!("GLB {} KB + WGT {} KB", glb >> 10, wgt >> 10)
         }
         BufferConfig::Shared { total } => format!("{} KB shared", total >> 10),
     };
-    println!("recommended buffer : {buffer}");
-    println!(
+    let _ = writeln!(out, "recommended buffer : {buffer}");
+    let _ = writeln!(
+        out,
         "subgraphs          : {}",
         result.genome.partition.num_subgraphs()
     );
-    println!("cost (Formula 2)   : {:.4e}", result.cost);
-    println!(
+    let _ = writeln!(out, "cost (Formula 2)   : {:.4e}", result.cost);
+    let _ = writeln!(
+        out,
         "EMA                : {:.2} MB",
         result.report.ema_bytes as f64 / (1 << 20) as f64
     );
-    println!("energy             : {:.3} mJ", result.report.energy_mj());
-    println!(
+    let _ = writeln!(
+        out,
+        "energy             : {:.3} mJ",
+        result.report.energy_mj()
+    );
+    let _ = writeln!(
+        out,
         "latency            : {:.3} ms",
         result.report.latency_ms(1.0)
     );
-    println!("avg bandwidth      : {:.2} GB/s", result.report.avg_bw_gbps);
-    println!("samples used       : {}", result.samples);
-    println!(
+    let _ = writeln!(
+        out,
+        "avg bandwidth      : {:.2} GB/s",
+        result.report.avg_bw_gbps
+    );
+    let _ = writeln!(out, "samples used       : {}", result.samples);
+    let _ = writeln!(
+        out,
         "engine             : {} threads, {} evals, {} cache hits ({:.0}%), {:.1} ms",
         result.stats.threads,
         result.stats.evals,
@@ -568,12 +607,14 @@ fn main() -> ExitCode {
         result.stats.hit_rate() * 100.0,
         result.stats.wall_ms,
     );
-    println!(
+    let _ = writeln!(
+        out,
         "subgraph terms     : {} scored",
         result.stats.subgraph_scorings,
     );
     if result.stats.cache_evictions > 0 {
-        println!(
+        let _ = writeln!(
+            out,
             "cache evictions    : {} roll-ups (bounded cache)",
             result.stats.cache_evictions,
         );
@@ -585,7 +626,8 @@ fn main() -> ExitCode {
         eprintln!("warning            : could not save checkpoint ({save_error})");
     }
     if result.health.faults_seen() > 0 || result.health.recoveries() > 0 {
-        println!(
+        let _ = writeln!(
+            out,
             "fault recovery     : {} faults seen, {} recoveries ({} refunded samples, \
              {} save retries, {} salvaged entries)",
             result.health.faults_seen(),
@@ -596,23 +638,60 @@ fn main() -> ExitCode {
         );
     }
     if result.infeasible_errors > 0 {
-        println!(
+        let _ = writeln!(
+            out,
             "warning            : {} evaluator errors were folded into infeasibility",
             result.infeasible_errors
         );
     }
     if !result.completed {
-        println!("note               : method did not complete (limits hit)");
+        let _ = writeln!(
+            out,
+            "note               : method did not complete (limits hit)"
+        );
     }
     if args.telemetry_report {
-        print!("{}", telemetry_report(&telemetry));
+        out.push_str(&telemetry_report(&telemetry));
     }
     if args.dot {
         let partition = &result.genome.partition;
-        println!(
+        let _ = writeln!(
+            out,
             "{}",
             model.to_dot(|id| Some(partition.subgraph_of(id) as usize))
         );
     }
-    exit
+    print_stdout(&out, exit)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_continuation_lines_keep_their_column() {
+        let text = usage();
+        let lines: Vec<&str> = text.lines().collect();
+        // Each entry's description starts at the column of `first_word`;
+        // the entry's wrapped lines must start there too.
+        for (entry, first_word) in [
+            ("  --cache-file <p>", "persist"),
+            ("  1  search failed", "search"),
+            ("  3  cache/checkpoint", "cache/checkpoint"),
+            ("  4  degraded", "degraded"),
+        ] {
+            let at = lines
+                .iter()
+                .position(|line| line.starts_with(entry))
+                .unwrap_or_else(|| panic!("no `{entry}` entry in:\n{text}"));
+            let column = lines[at].find(first_word).unwrap();
+            let next = lines[at + 1];
+            let indent = next.len() - next.trim_start().len();
+            assert!(indent > 0, "`{entry}` continues flush left: {next:?}");
+            assert_eq!(
+                indent, column,
+                "`{entry}` continues out of column: {next:?}"
+            );
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! The end-to-end framework driver (paper Figure 10).
 
 use crate::error::{Error, SalvagedBest};
-use cocco_engine::{CacheSnapshot, EngineConfig, EngineStats};
+use cocco_engine::{CacheSnapshot, EngineConfig, EngineStats, EvalKey, SnapshotOrigin};
 use cocco_faults::{FaultPlan, FaultSite, HealthReport};
 use cocco_graph::Graph;
 use cocco_search::{
@@ -9,7 +9,7 @@ use cocco_search::{
     SearchSnapshot, Trace, CHECKPOINT_VERSION,
 };
 use cocco_sim::{AcceleratorConfig, EvalOptions, Evaluator, PartitionReport};
-use cocco_telemetry::{Phase, Telemetry};
+use cocco_telemetry::{Phase, Stopwatch, Telemetry};
 use serde::{Deserialize, Serialize};
 
 pub use cocco_search::Genome;
@@ -214,7 +214,10 @@ impl Cocco {
 
     /// Persists the evaluation cache across runs: before exploring, the
     /// engine warm-starts from `path` (if it exists); afterwards the
-    /// merged cache is written back.
+    /// merged cache is written back — but only when the run added an
+    /// entry the file lacks, or loading had to salvage a corrupt file or
+    /// upgrade an old version. A run that adds nothing leaves the file
+    /// untouched (same bytes, same modification time).
     ///
     /// Entries are keyed by the evaluator's `(model, accelerator config)`
     /// fingerprint, so changing the accelerator configuration — or the
@@ -316,19 +319,34 @@ impl Cocco {
             .with_faults(self.faults.clone());
         drop(setup_phase);
         // Warm-start from the cache file: restore this evaluator's entries,
-        // carry everyone else's through to the save below.
+        // carry everyone else's through to the save below. A file that
+        // loaded as-is keeps its sorted keys, so a run that adds none
+        // leaves it untouched.
         let mut foreign = CacheSnapshot::default();
+        let mut file_keys: Option<Vec<EvalKey>> = None;
         if let Some(path) = &self.cache_file {
             if path.exists() {
                 let _cache_phase = self.telemetry.phase(Phase::Cache);
-                let snapshot =
+                let timer = self
+                    .telemetry
+                    .counter("core.cache_load_ns")
+                    .map(|ns| (ns, Stopwatch::start()));
+                let (snapshot, origin) =
                     CacheSnapshot::load_with(path, &self.faults).map_err(|e| Error::CacheFile {
                         path: path.display().to_string(),
                         reason: e.to_string(),
                     })?;
+                if origin == SnapshotOrigin::Current {
+                    let mut keys: Vec<EvalKey> = snapshot.partition.iter().map(|e| e.0).collect();
+                    keys.sort_unstable();
+                    file_keys = Some(keys);
+                }
                 let (mine, rest) = snapshot.split_fingerprint(evaluator.fingerprint());
                 ctx.engine().cache().restore(&mine);
                 foreign = rest;
+                if let Some((ns, sw)) = timer {
+                    ns.add(sw.elapsed_nanos());
+                }
             }
         }
         let mut checkpoint_save_error = None;
@@ -408,21 +426,42 @@ impl Cocco {
         let mut cache_save_error = None;
         if let Some(path) = &self.cache_file {
             let _cache_phase = self.telemetry.phase(Phase::Cache);
+            let timer = self
+                .telemetry
+                .counter("core.cache_save_ns")
+                .map(|ns| (ns, Stopwatch::start()));
             let mut snapshot = ctx.engine().cache().snapshot();
-            snapshot.merge(foreign);
-            // Concurrent explorations can share one sweep-wide file; fold
-            // in whatever landed on disk since our load so the last rename
-            // doesn't drop another run's entries (best effort — merging of
-            // identical keys is value-identical, so order cannot corrupt).
-            if let Ok(on_disk) = CacheSnapshot::load_with(path, &self.faults) {
-                snapshot.merge(on_disk);
-            }
-            if let Err(e) = snapshot.save_with(path, &self.faults) {
-                cache_save_error = Some(format!("{}: {e}", path.display()));
+            // Cached values are exact, so a file that loaded as-is and
+            // already holds every key the run has needs no rewrite: the
+            // rewrite would produce the same entries.
+            let adds = file_keys.as_ref().is_none_or(|keys| {
+                snapshot
+                    .partition
+                    .iter()
+                    .any(|(key, _)| keys.binary_search(key).is_err())
+            });
+            if adds {
+                snapshot.merge(foreign);
+                // Concurrent explorations can share one sweep-wide file;
+                // fold in whatever landed on disk since our load so the
+                // last rename doesn't drop another run's entries (best
+                // effort — merging of identical keys is value-identical,
+                // so order cannot corrupt). A salvage here mostly re-reads
+                // the file the load above already salvaged and counted, so
+                // it reports to a throwaway log.
+                if let Ok((on_disk, _)) = CacheSnapshot::load_with(path, &FaultPlan::disabled()) {
+                    snapshot.merge(on_disk);
+                }
+                if let Err(e) = snapshot.save_with(path, &self.faults) {
+                    cache_save_error = Some(format!("{}: {e}", path.display()));
+                }
+                if let Some((ns, sw)) = timer {
+                    ns.add(sw.elapsed_nanos());
+                }
             }
         }
         // A worker panic quarantined a batch and latched the abort. The
-        // cache file above was still written (warm-start survives), the
+        // cache file above was still saved (warm-start survives), the
         // engine/budget/trace are consistent (quarantined samples were
         // refunded), and whatever the run had already found is salvaged
         // onto the structured error.

@@ -25,6 +25,24 @@ fn list_enumerates_the_model_registry() {
 }
 
 #[test]
+fn help_and_list_exit_quietly_into_a_closed_pipe() {
+    for flag in ["--help", "--list"] {
+        // The read end is gone before the binary starts, so its first
+        // write to stdout fails with a broken pipe.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_cocco-explore"))
+            .arg(flag)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{flag}: {:?}\n{stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{flag}:\n{stderr}");
+    }
+}
+
+#[test]
 fn json_output_round_trips_into_result_types() {
     let out = explore(&["vgg16", "--method", "greedy", "--budget", "50", "--json"]);
     assert!(

@@ -155,6 +155,20 @@ pub struct CacheSnapshot {
 /// load as empty.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
+/// How [`CacheSnapshot::load_with`] read a snapshot out of its document.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum SnapshotOrigin {
+    /// A well-formed document of the current version: the snapshot holds
+    /// exactly the file's entries.
+    Current,
+    /// A well-formed version-1 document whose keys were re-derived.
+    Upgraded,
+    /// A corrupt document whose parsable entries were recovered.
+    Salvaged,
+    /// A document of an unknown version, loaded as empty.
+    UnknownVersion,
+}
+
 /// The version-1 on-disk shape: keys were flattened `u64` sequences
 /// (`[fingerprint, buffer tag, b1, b2, cores, batch, ...members...]`).
 #[derive(Deserialize)]
@@ -274,7 +288,7 @@ impl CacheSnapshot {
     /// Returns filesystem errors as-is and malformed JSON as
     /// [`std::io::ErrorKind::InvalidData`].
     pub fn load(path: &Path) -> std::io::Result<CacheSnapshot> {
-        Self::load_with(path, &FaultPlan::disabled())
+        Self::load_with(path, &FaultPlan::disabled()).map(|(snapshot, _)| snapshot)
     }
 
     /// Like [`load`](Self::load), but a corrupt document — truncated by a
@@ -283,8 +297,13 @@ impl CacheSnapshot {
     /// is recovered, and only a document yielding zero entries is reported
     /// as `InvalidData`. Salvaged and dropped entry counts land on the
     /// [`FaultPlan`]'s log — including for disabled plans, so real
-    /// corruption is always visible in health reports.
-    pub fn load_with(path: &Path, faults: &FaultPlan) -> std::io::Result<CacheSnapshot> {
+    /// corruption is always visible in health reports. The returned
+    /// [`SnapshotOrigin`] says whether the snapshot is the file as-is or
+    /// had to be upgraded, salvaged or dropped.
+    pub fn load_with(
+        path: &Path,
+        faults: &FaultPlan,
+    ) -> std::io::Result<(CacheSnapshot, SnapshotOrigin)> {
         let text = std::fs::read_to_string(path)?;
         let empty = CacheSnapshot {
             version: SNAPSHOT_VERSION,
@@ -292,9 +311,9 @@ impl CacheSnapshot {
         };
         if let Ok(snap) = serde_json::from_str::<CacheSnapshot>(&text) {
             return Ok(if snap.version == SNAPSHOT_VERSION {
-                snap
+                (snap, SnapshotOrigin::Current)
             } else {
-                empty
+                (empty, SnapshotOrigin::UnknownVersion)
             });
         }
         // Not the current shape: a v1 document (upgrade it), or a corrupt
@@ -302,13 +321,15 @@ impl CacheSnapshot {
         let v1: SnapshotV1 = match serde_json::from_str(&text) {
             Ok(v1) => v1,
             Err(e) => {
-                return salvage(&text, faults).ok_or_else(|| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                });
+                return salvage(&text, faults)
+                    .map(|snap| (snap, SnapshotOrigin::Salvaged))
+                    .ok_or_else(|| {
+                        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+                    });
             }
         };
         if v1.version != 1 {
-            return Ok(empty);
+            return Ok((empty, SnapshotOrigin::UnknownVersion));
         }
         let mut out = empty;
         for (words, value) in v1.partition {
@@ -317,7 +338,7 @@ impl CacheSnapshot {
             }
         }
         out.partition.sort_by_key(|entry| entry.0);
-        Ok(out)
+        Ok((out, SnapshotOrigin::Upgraded))
     }
 }
 
@@ -677,7 +698,9 @@ mod tests {
             },
         );
         cache.snapshot().save(&path).unwrap();
-        let snap = CacheSnapshot::load(&path).unwrap();
+        let plan = FaultPlan::disabled();
+        let (snap, origin) = CacheSnapshot::load_with(&path, &plan).unwrap();
+        assert_eq!(origin, SnapshotOrigin::Current);
         assert_eq!(snap.len(), 1);
         let restored = empty();
         restored.restore(&snap);
@@ -701,7 +724,9 @@ mod tests {
             )],
         };
         stale.save(&path).unwrap();
-        assert!(CacheSnapshot::load(&path).unwrap().is_empty());
+        let (snap, origin) = CacheSnapshot::load_with(&path, &plan).unwrap();
+        assert!(snap.is_empty());
+        assert_eq!(origin, SnapshotOrigin::UnknownVersion);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -733,7 +758,8 @@ mod tests {
             max = max,
         );
         std::fs::write(&path, text).unwrap();
-        let snap = CacheSnapshot::load(&path).unwrap();
+        let (snap, origin) = CacheSnapshot::load_with(&path, &FaultPlan::disabled()).unwrap();
+        assert_eq!(origin, SnapshotOrigin::Upgraded);
         assert_eq!(snap.version, SNAPSHOT_VERSION);
         assert_eq!(snap.len(), 1);
         let expected_pkey = eval_key(9, &sg(&[&[0, 1], &[2]]), &buffer, options);
@@ -798,7 +824,8 @@ mod tests {
             cocco_faults::FaultPlan::seeded(2, FaultRates::none().with(FaultSite::SaveTorn, 1.0));
         full.save_with(&path, &plan).expect("torn saves still land");
         let load_plan = cocco_faults::FaultPlan::disabled();
-        let salvaged = CacheSnapshot::load_with(&path, &load_plan).expect("salvage");
+        let (salvaged, origin) = CacheSnapshot::load_with(&path, &load_plan).expect("salvage");
+        assert_eq!(origin, SnapshotOrigin::Salvaged);
         assert!(!salvaged.is_empty(), "torn snapshot must salvage entries");
         assert!(salvaged.len() < full.len(), "the tail was lost");
         assert_eq!(load_plan.log().salvaged_entries(), salvaged.len() as u64);
@@ -853,7 +880,7 @@ mod tests {
         .unwrap();
         let plan = cocco_faults::FaultPlan::disabled();
         match CacheSnapshot::load_with(&path, &plan) {
-            Ok(snap) => {
+            Ok((snap, _)) => {
                 assert!(!snap.is_empty());
                 assert!(plan.log().salvaged_entries() > 0);
             }
@@ -930,7 +957,8 @@ mod tests {
         let cut = text.rfind("\"energy_pj\":2.5").unwrap();
         std::fs::write(&path, &text[..cut]).unwrap();
         let plan = cocco_faults::FaultPlan::disabled();
-        let salvaged = CacheSnapshot::load_with(&path, &plan).expect("salvage");
+        let (salvaged, origin) = CacheSnapshot::load_with(&path, &plan).expect("salvage");
+        assert_eq!(origin, SnapshotOrigin::Salvaged);
         assert_eq!(salvaged, snap);
         assert_eq!(plan.log().salvaged_entries(), 2);
         std::fs::remove_dir_all(&dir).ok();

@@ -75,7 +75,7 @@ mod trace;
 
 pub use arena::EvalArena;
 pub use budget::{SampleBudget, SampleReservation};
-pub use cache::{eval_key, CacheSnapshot, EvalCache, EvalKey, SNAPSHOT_VERSION};
+pub use cache::{eval_key, CacheSnapshot, EvalCache, EvalKey, SnapshotOrigin, SNAPSHOT_VERSION};
 pub use config::{ChunkSize, EngineConfig, ThreadCount};
 pub use engine::{
     DispatchPanic, Engine, EngineStats, EvalMemo, PartitionProbe, PreparedEval, ScoredEval,

@@ -144,11 +144,13 @@ impl PartitionDelta {
         }
     }
 
-    /// Marks every node currently assigned to `subgraph` in `partition`.
-    pub fn touch_subgraph(&mut self, partition: &Partition, subgraph: u32) {
-        for (i, &a) in partition.assignment().iter().enumerate() {
-            if a == subgraph {
-                self.dirty[i] = true;
+    /// Marks every node currently assigned to subgraph `a` or `b` in
+    /// `partition` (one pass): the two member sets a move between `a` and
+    /// `b` changes. Pass `a == b` to mark one subgraph.
+    pub fn touch_subgraphs(&mut self, partition: &Partition, a: u32, b: u32) {
+        for (dirty, &s) in self.dirty.iter_mut().zip(partition.assignment()) {
+            if s == a || s == b {
+                *dirty = true;
             }
         }
     }
@@ -256,12 +258,21 @@ mod tests {
         let p = Partition::from_assignment(vec![0, 0, 3, 3, 7]);
         let mut delta = PartitionDelta::clean(5);
         delta.touch(NodeId::from_index(4));
-        delta.touch_subgraph(&p, 3);
+        delta.touch_subgraphs(&p, 3, 3);
         assert!(delta.is_dirty(NodeId::from_index(2)));
         assert!(delta.is_dirty(NodeId::from_index(3)));
         assert!(delta.is_dirty(NodeId::from_index(4)));
         assert!(!delta.is_dirty(NodeId::from_index(0)));
         assert_eq!(delta.dirty_count(), 3);
+        let mut pair = PartitionDelta::clean(5);
+        pair.touch_subgraphs(&p, 0, 7);
+        assert_eq!(pair.dirty_count(), 3);
+        assert!(pair.is_dirty(NodeId::from_index(1)));
+        assert!(!pair.is_dirty(NodeId::from_index(2)));
+        // A fresh (unused) label marks nothing of its own.
+        let mut fresh = PartitionDelta::clean(5);
+        fresh.touch_subgraphs(&p, 3, p.fresh_id());
+        assert_eq!(fresh.dirty_count(), 2);
     }
 
     #[test]

@@ -27,5 +27,5 @@ pub use delta::PartitionDelta;
 pub use error::PartitionError;
 pub use layout::{LayoutArena, PartitionLayout};
 pub use partition::Partition;
-pub use quotient::{Quotient, QuotientSuccessors};
+pub use quotient::Quotient;
 pub use repair::{repair, repair_seeded, repair_with_delta, ParentSeed, RepairScratch};

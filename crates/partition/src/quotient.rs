@@ -43,14 +43,18 @@ impl Quotient {
     ///
     /// Panics if the partition length does not match the graph.
     pub fn build(graph: &Graph, partition: &Partition) -> Self {
-        let mut successors = QuotientSuccessors::default();
-        successors.build(graph, partition);
-        let QuotientSuccessors {
-            compact,
-            originals,
-            succs,
-            ..
-        } = successors;
+        assert_eq!(
+            partition.len(),
+            graph.len(),
+            "partition does not cover the graph"
+        );
+        let mut compact = partition.assignment().to_vec();
+        let (mut originals, mut table) = (Vec::new(), Vec::new());
+        compact_ids_into(&mut compact, &mut originals, &mut table);
+        // The compaction table is spent: it takes the unused in-degrees.
+        let mut succs = Csr::default();
+        succs.build_quotient(graph, &compact, originals.len(), &mut table);
+        succs.sort_dedup_rows();
         // Node ids ascend, so the first node seen per compact id is its
         // smallest member.
         let mut min_member = vec![u32::MAX; originals.len()];
@@ -169,70 +173,6 @@ pub(crate) fn compact_ids_into(ids: &mut [u32], originals: &mut Vec<u32>, table:
     }
 }
 
-/// The successor rows of a partition's quotient alone — what an operator
-/// walking quotient edges needs, without the predecessor rows and member
-/// minima of a full [`Quotient`]. Compact ids and rows match
-/// [`Quotient::build`]'s (ascending, no duplicates). Each build clears the
-/// buffers and keeps their capacity, so a warmed value builds without
-/// allocating.
-///
-/// # Examples
-///
-/// ```
-/// use cocco_partition::{Partition, QuotientSuccessors};
-///
-/// let g = cocco_graph::models::chain(3);
-/// let mut q = QuotientSuccessors::default();
-/// q.build(&g, &Partition::from_assignment(vec![4, 4, 9, 9]));
-/// assert_eq!(q.num_subgraphs(), 2);
-/// assert_eq!(q.succs(0), &[1]);
-/// assert_eq!(q.num_edges(), 1);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct QuotientSuccessors {
-    compact: Vec<u32>,
-    originals: Vec<u32>,
-    table: Vec<u32>,
-    succs: Csr,
-}
-
-impl QuotientSuccessors {
-    /// Contracts `partition` over `graph` into this value's buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partition length does not match the graph.
-    pub fn build(&mut self, graph: &Graph, partition: &Partition) {
-        assert_eq!(
-            partition.len(),
-            graph.len(),
-            "partition does not cover the graph"
-        );
-        self.compact.clear();
-        self.compact.extend_from_slice(partition.assignment());
-        compact_ids_into(&mut self.compact, &mut self.originals, &mut self.table);
-        // The compaction table is spent: it takes the unused in-degrees.
-        self.succs
-            .build_quotient(graph, &self.compact, self.originals.len(), &mut self.table);
-        self.succs.sort_dedup_rows();
-    }
-
-    /// Number of subgraphs (quotient vertices) of the last build.
-    pub fn num_subgraphs(&self) -> usize {
-        self.originals.len()
-    }
-
-    /// Successor subgraphs of compact id `id`.
-    pub fn succs(&self, id: u32) -> &[u32] {
-        self.succs.row(id)
-    }
-
-    /// Number of quotient edges.
-    pub fn num_edges(&self) -> usize {
-        self.succs.targets().len()
-    }
-}
-
 /// Compressed sparse rows over vertices `0..rows()`: row `r` is
 /// `targets[offsets[r]..offsets[r + 1]]`. Buffers are cleared, capacity
 /// kept, between builds.
@@ -259,11 +199,6 @@ impl Csr {
     /// Row `r`'s targets.
     pub(crate) fn row(&self, r: u32) -> &[u32] {
         &self.targets[self.offsets[r as usize] as usize..self.offsets[r as usize + 1] as usize]
-    }
-
-    /// Every target of every row, row after row.
-    pub(crate) fn targets(&self) -> &[u32] {
-        &self.targets
     }
 
     /// The quotient of `labels` (one label in `0..k` per node): one entry
@@ -516,7 +451,6 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
-        let mut succs = QuotientSuccessors::default();
         for (name, build) in cocco_graph::models::registry() {
             let g = build();
             for _ in 0..8 {
@@ -535,11 +469,6 @@ mod tests {
                     assert_eq!(q.compact_id(id), r.compact_id(id), "{name}");
                 }
                 assert_eq!(q.topo_order(), r.topo_order(), "{name}");
-                succs.build(&g, &p);
-                assert_eq!(succs.num_subgraphs(), q.num_subgraphs(), "{name}");
-                for c in 0..q.num_subgraphs() as u32 {
-                    assert_eq!(succs.succs(c), q.succs(c), "{name}: successors of {c}");
-                }
                 assert_eq!(q.sccs(), r.sccs(), "{name}");
             }
         }

@@ -5,8 +5,8 @@ use crate::driver::{rng_from_state, rng_state, DriverState, EvalBatch, SearchDri
 use crate::genome::Genome;
 use crate::outcome::SearchOutcome;
 use cocco_engine::EvalMemo;
-use cocco_graph::Graph;
-use cocco_partition::{LayoutArena, Partition, PartitionDelta, QuotientSuccessors};
+use cocco_graph::{Graph, NodeId};
+use cocco_partition::{Partition, PartitionDelta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -465,7 +465,7 @@ pub(crate) fn crossover(
         } else {
             (mom, &mom_members)
         };
-        let sg = parent.subgraph_of(cocco_graph::NodeId::from_index(v)) as usize;
+        let sg = parent.subgraph_of(NodeId::from_index(v)) as usize;
         let (offsets, members) = members;
         let group = &members[offsets[sg]..offsets[sg + 1]];
         let decided = group.iter().filter(|&&u| child[u] != UNDECIDED).count();
@@ -497,12 +497,17 @@ pub(crate) fn crossover(
     Partition::from_assignment(child)
 }
 
-/// The reusable buffers of the mutation operators: one flat member layout
-/// and the quotient's successor rows. Their contents never reach a result.
+/// The reusable buffers of the mutation operators. Their contents never
+/// reach a result.
 #[derive(Debug, Default)]
 pub(crate) struct MutationScratch {
-    layout: LayoutArena,
-    succs: QuotientSuccessors,
+    /// modify-node's candidate target labels.
+    candidates: Vec<u32>,
+    /// split-subgraph's member count per label.
+    counts: Vec<u32>,
+    /// merge-subgraph's crossing `(from, to)` label pairs, packed
+    /// `from << 32 | to`.
+    pairs: Vec<u64>,
 }
 
 /// Applies the four customized mutations, each with its own probability
@@ -515,6 +520,10 @@ pub(crate) struct MutationScratch {
 /// take it for the parent's. A DSE (buffer) perturbation marks no nodes —
 /// repair compares the buffer against the parent memo's itself and asks
 /// `fits` again when any component shrank.
+///
+/// Subgraphs are addressed by label: "the k-th subgraph" counts labels in
+/// ascending order, which is also the order of [`Partition::subgraphs`]
+/// and of the quotient's compact ids.
 pub(crate) fn mutate_with_delta(
     ctx: &SearchContext<'_>,
     graph: &Graph,
@@ -525,46 +534,60 @@ pub(crate) fn mutate_with_delta(
     scratch: &mut MutationScratch,
 ) {
     let n = graph.len();
+    let partition = &mut genome.partition;
     if rng.gen_bool(rates.modify_node.clamp(0.0, 1.0)) {
         // modify-node: reassign one node to a neighbouring subgraph (the
         // subgraph of one of its producers/consumers, keeping the move
         // local as in paper Fig. 9c) or to a fresh one.
-        let node = cocco_graph::NodeId::from_index(rng.gen_range(0..n));
-        let mut candidates: Vec<u32> = graph
-            .producers(node)
-            .iter()
-            .chain(graph.consumers(node).iter())
-            .map(|&v| genome.partition.subgraph_of(v))
-            .filter(|&sg| sg != genome.partition.subgraph_of(node))
-            .collect();
+        let node = NodeId::from_index(rng.gen_range(0..n));
+        let donor = partition.subgraph_of(node);
+        let candidates = &mut scratch.candidates;
+        candidates.clear();
+        candidates.extend(
+            graph
+                .producers(node)
+                .iter()
+                .chain(graph.consumers(node))
+                .map(|&v| partition.subgraph_of(v))
+                .filter(|&sg| sg != donor),
+        );
         candidates.sort_unstable();
         candidates.dedup();
-        candidates.push(genome.partition.fresh_id());
+        candidates.push(partition.fresh_id());
         let target = candidates[rng.gen_range(0..candidates.len())];
         // Both the donor's and the receiver's member sets change.
-        delta.touch_subgraph(&genome.partition, genome.partition.subgraph_of(node));
-        delta.touch_subgraph(&genome.partition, target);
-        delta.touch(node);
-        genome.partition.assign(node, target);
+        delta.touch_subgraphs(partition, donor, target);
+        partition.assign(node, target);
     }
-    // One flat member layout serves both structural operators; subgraph
-    // `i` of the layout is compact quotient id `i` (both ascend by id).
-    let MutationScratch {
-        layout: arena,
-        succs,
-    } = scratch;
     if rng.gen_bool(rates.split_subgraph.clamp(0.0, 1.0)) {
-        // split-subgraph: cut one subgraph at a random topological point.
-        let layout = arena.build_from_partition(&genome.partition);
-        let splittable = || layout.iter().filter(|g| g.len() >= 2);
+        // split-subgraph: cut one subgraph at a random topological point
+        // (members ascend by node id, a topological order).
+        let fresh = partition.fresh_id();
+        let counts = &mut scratch.counts;
+        counts.clear();
+        counts.resize(fresh as usize, 0);
+        for &a in partition.assignment() {
+            counts[a as usize] += 1;
+        }
+        let splittable = || {
+            (0u32..)
+                .zip(counts.iter())
+                .filter_map(|(label, &size)| (size >= 2).then_some((label, size)))
+        };
         let count = splittable().count();
         if count > 0 {
-            if let Some(group) = splittable().nth(rng.gen_range(0..count)) {
-                let cut = rng.gen_range(1..group.len());
-                let fresh = genome.partition.fresh_id();
-                delta.touch_members(group);
-                for &m in &group[cut..] {
-                    genome.partition.assign(m, fresh);
+            if let Some((label, size)) = splittable().nth(rng.gen_range(0..count)) {
+                let cut = rng.gen_range(1..size);
+                let mut rank = 0;
+                for i in 0..n {
+                    let node = NodeId::from_index(i);
+                    if partition.subgraph_of(node) == label {
+                        delta.touch(node);
+                        if rank >= cut {
+                            partition.assign(node, fresh);
+                        }
+                        rank += 1;
+                    }
                 }
             }
         }
@@ -572,29 +595,30 @@ pub(crate) fn mutate_with_delta(
     if rng.gen_bool(rates.merge_subgraph.clamp(0.0, 1.0)) {
         // merge-subgraph: merge across a random quotient edge (merging
         // non-adjacent subgraphs would only trigger a bigger SCC repair).
-        // Edges are numbered source-major, targets ascending.
-        succs.build(graph, &genome.partition);
-        let edges = succs.num_edges();
-        if edges > 0 {
-            let mut pick = rng.gen_range(0..edges);
-            let layout = arena.build_from_partition(&genome.partition);
-            for a in 0..succs.num_subgraphs() as u32 {
-                let succs = succs.succs(a);
-                if pick >= succs.len() {
-                    pick -= succs.len();
-                    continue;
+        // Edges are numbered by `(from, to)` label, lexicographically.
+        let pairs = &mut scratch.pairs;
+        pairs.clear();
+        for (u, &from) in partition.assignment().iter().enumerate() {
+            for &c in graph.consumers(NodeId::from_index(u)) {
+                let to = partition.subgraph_of(c);
+                if to != from {
+                    pairs.push(u64::from(from) << 32 | u64::from(to));
                 }
-                let (from, into) = (
-                    layout.subgraph(succs[pick] as usize),
-                    layout.subgraph(a as usize),
-                );
-                let target = genome.partition.subgraph_of(into[0]);
-                delta.touch_members(into);
-                delta.touch_members(from);
-                for &m in from {
-                    genome.partition.assign(m, target);
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        if !pairs.is_empty() {
+            let pair = pairs[rng.gen_range(0..pairs.len())];
+            let (into, from) = ((pair >> 32) as u32, pair as u32);
+            // The edge's target subgraph joins its source.
+            for i in 0..n {
+                let node = NodeId::from_index(i);
+                let label = partition.subgraph_of(node);
+                if label == into || label == from {
+                    delta.touch(node);
+                    partition.assign(node, into);
                 }
-                break;
             }
         }
     }
@@ -788,6 +812,130 @@ mod tests {
             skips > 0,
             "no fitted child with a clean delta skipped repair"
         );
+    }
+
+    /// The mutation operators over member lists and the quotient's
+    /// compact successor rows; `mutate_with_delta` must match them draw
+    /// for draw.
+    fn reference_mutate(
+        graph: &Graph,
+        p: &mut Partition,
+        rates: &MutationRates,
+        rng: &mut StdRng,
+        delta: &mut PartitionDelta,
+    ) {
+        if rng.gen_bool(rates.modify_node) {
+            let node = NodeId::from_index(rng.gen_range(0..graph.len()));
+            let own = p.subgraph_of(node);
+            let mut candidates: Vec<u32> = graph
+                .producers(node)
+                .iter()
+                .chain(graph.consumers(node))
+                .map(|&v| p.subgraph_of(v))
+                .filter(|&sg| sg != own)
+                .collect();
+            candidates.sort_unstable();
+            candidates.dedup();
+            candidates.push(p.fresh_id());
+            let target = candidates[rng.gen_range(0..candidates.len())];
+            for group in p.subgraphs() {
+                let label = p.subgraph_of(group[0]);
+                if label == own || label == target {
+                    delta.touch_members(&group);
+                }
+            }
+            p.assign(node, target);
+        }
+        if rng.gen_bool(rates.split_subgraph) {
+            let groups = p.subgraphs();
+            let splittable: Vec<_> = groups.iter().filter(|g| g.len() >= 2).collect();
+            if !splittable.is_empty() {
+                let group = splittable[rng.gen_range(0..splittable.len())];
+                let cut = rng.gen_range(1..group.len());
+                let fresh = p.fresh_id();
+                delta.touch_members(group);
+                for &m in &group[cut..] {
+                    p.assign(m, fresh);
+                }
+            }
+        }
+        if rng.gen_bool(rates.merge_subgraph) {
+            let quotient = cocco_partition::Quotient::build(graph, p);
+            let groups = p.subgraphs();
+            let edges: Vec<(usize, usize)> = (0..quotient.num_subgraphs() as u32)
+                .flat_map(|a| {
+                    quotient
+                        .succs(a)
+                        .iter()
+                        .map(move |&b| (a as usize, b as usize))
+                })
+                .collect();
+            if !edges.is_empty() {
+                let (a, b) = edges[rng.gen_range(0..edges.len())];
+                let target = p.subgraph_of(groups[a][0]);
+                delta.touch_members(&groups[a]);
+                delta.touch_members(&groups[b]);
+                for &m in &groups[b] {
+                    p.assign(m, target);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mutations_match_the_member_list_reference_on_every_model() {
+        // Same partitions, same deltas and the same RNG draws as the
+        // reference, over walks long enough to leave labels sparse.
+        let mut walk_rng = StdRng::seed_from_u64(17);
+        let mut scratch = MutationScratch::default();
+        for (name, build) in cocco_graph::models::registry() {
+            let g = build();
+            let eval = Evaluator::new(&g, AcceleratorConfig::default());
+            let ctx = ctx_fixed(&g, &eval, 1);
+            let k = walk_rng.gen_range(1..=12u32);
+            let assignment = (0..g.len()).map(|_| walk_rng.gen_range(0..k)).collect();
+            let mut genome = Genome::new(
+                Partition::from_assignment(assignment),
+                BufferConfig::shared(1 << 20),
+            );
+            for step in 0..60 {
+                let rates = MutationRates {
+                    modify_node: walk_rng.gen_range(0.0..1.0),
+                    split_subgraph: walk_rng.gen_range(0.0..1.0),
+                    merge_subgraph: walk_rng.gen_range(0.0..1.0),
+                    ..MutationRates::default()
+                };
+                let seed = walk_rng.gen();
+                let (mut rng, mut reference_rng) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let mut expected = genome.partition.clone();
+                let mut expected_delta = PartitionDelta::clean(g.len());
+                reference_mutate(
+                    &g,
+                    &mut expected,
+                    &rates,
+                    &mut reference_rng,
+                    &mut expected_delta,
+                );
+                let mut delta = PartitionDelta::clean(g.len());
+                mutate_with_delta(
+                    &ctx,
+                    &g,
+                    &mut genome,
+                    &rates,
+                    &mut rng,
+                    &mut delta,
+                    &mut scratch,
+                );
+                assert_eq!(genome.partition, expected, "{name} step {step}");
+                assert_eq!(delta, expected_delta, "{name} step {step}");
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    reference_rng.gen::<u64>(),
+                    "{name} step {step}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -73,9 +73,8 @@ fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
                         let target = child
                             .partition
                             .subgraph_of(ids[rng.gen_range(0..ids.len())]);
-                        delta.touch_subgraph(&child.partition, child.partition.subgraph_of(node));
-                        delta.touch_subgraph(&child.partition, target);
-                        delta.touch(node);
+                        let donor = child.partition.subgraph_of(node);
+                        delta.touch_subgraphs(&child.partition, donor, target);
                         child.partition.assign(node, target);
                     }
                     let hint = memos[i].clone().map(|memo| EvalHint { memo, delta });

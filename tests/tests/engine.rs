@@ -258,3 +258,162 @@ fn engine_counters_are_thread_count_invariant() {
         );
     }
 }
+
+/// A fresh scratch directory for one cache-file test.
+fn cache_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("cocco-cache-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn cached_session(path: &std::path::Path, budget: u64) -> Cocco {
+    Cocco::new()
+        .with_budget(budget)
+        .with_seed(5)
+        .with_cache_file(path)
+}
+
+#[test]
+fn warm_run_that_adds_nothing_leaves_the_cache_file_alone() {
+    let dir = cache_dir("warm-skip");
+    let path = dir.join("cache.json");
+    let model = cocco::graph::models::googlenet();
+    let cold_telemetry = Telemetry::enabled();
+    let cold = cached_session(&path, 300)
+        .with_telemetry(cold_telemetry.clone())
+        .explore(&model)
+        .unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+    // Every save attempt would fail, so any attempt shows up as an
+    // injected fault and a save error.
+    let plan = FaultPlan::seeded(3, FaultRates::none().with(FaultSite::SaveWrite, 1.0));
+    let telemetry = Telemetry::enabled();
+    let warm = cached_session(&path, 300)
+        .with_faults(plan.clone())
+        .with_telemetry(telemetry.clone())
+        .explore(&model)
+        .unwrap();
+    assert_eq!(warm.stats.cache_hits, warm.stats.evals, "every probe hits");
+    assert_eq!(cold.cost, warm.cost);
+    assert_eq!(cold.trace, warm.trace);
+    assert_eq!(plan.injected(FaultSite::SaveWrite), 0, "no save attempted");
+    assert_eq!(warm.cache_save_error, None);
+    assert!(!warm.is_degraded());
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        bytes,
+        "the file is unchanged"
+    );
+    assert_eq!(
+        std::fs::metadata(&path).unwrap().modified().unwrap(),
+        modified
+    );
+    // The layer counters show the skip: a load, but no save time.
+    let (cold, warm) = (cold_telemetry.snapshot(), telemetry.snapshot());
+    assert!(cold.counter("core.cache_save_ns") > 0);
+    assert!(warm.counter("core.cache_load_ns") > 0);
+    assert_eq!(warm.counter("core.cache_save_ns"), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn warm_run_with_new_entries_extends_the_cache_file() {
+    let dir = cache_dir("warm-grow");
+    let path = dir.join("cache.json");
+    let model = cocco::graph::models::googlenet();
+    cached_session(&path, 300).explore(&model).unwrap();
+    let before = CacheSnapshot::load(&path).unwrap();
+    let larger = cached_session(&path, 600).explore(&model).unwrap();
+    assert!(
+        larger.stats.cache_hits < larger.stats.evals,
+        "the run computed"
+    );
+    assert_eq!(larger.cache_save_error, None);
+    let after = CacheSnapshot::load(&path).unwrap();
+    assert!(after.len() > before.len(), "the new entries were saved");
+    for (key, value) in &before.partition {
+        let kept = after.partition.iter().find(|(k, _)| k == key);
+        assert_eq!(kept.map(|(_, v)| v), Some(value), "old entry {key:?} kept");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn salvaged_cache_files_are_rewritten_even_when_nothing_is_new() {
+    let dir = cache_dir("salvage-rewrite");
+    let path = dir.join("cache.json");
+    let model = cocco::graph::models::googlenet();
+    cached_session(&path, 300).explore(&model).unwrap();
+    let valid = std::fs::read_to_string(&path).unwrap();
+    let entries = CacheSnapshot::load(&path).unwrap().len() as u64;
+    // Without its closing brace the document no longer parses, but
+    // salvage recovers every entry, so the run adds nothing.
+    std::fs::write(&path, &valid[..valid.len() - 1]).unwrap();
+    let salvaged = cached_session(&path, 300).explore(&model).unwrap();
+    assert_eq!(salvaged.health.salvaged_entries, entries);
+    assert_eq!(salvaged.stats.cache_hits, salvaged.stats.evals);
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        valid,
+        "rewritten whole"
+    );
+    let next = cached_session(&path, 300).explore(&model).unwrap();
+    assert_eq!(next.health.salvaged_entries, 0, "nothing left to salvage");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn v1_cache_files_are_rewritten_as_v2_even_when_nothing_is_new() {
+    // On a two-node chain under one fixed buffer the only partitions are
+    // "whole" and "split", so the v1 document below can hold every entry
+    // a run needs.
+    let dir = cache_dir("v1-rewrite");
+    let path = dir.join("cache.json");
+    let model = cocco::graph::models::chain(1);
+    let buffer = BufferConfig::shared(1 << 20);
+    let session = || {
+        Cocco::new()
+            .with_space(BufferSpace::fixed(buffer))
+            .with_objective(Objective::partition_only(CostMetric::Ema))
+            .with_budget(40)
+            .with_seed(5)
+            .with_cache_file(&path)
+    };
+    session().explore(&model).unwrap();
+    let v2 = std::fs::read_to_string(&path).unwrap();
+    let snapshot = CacheSnapshot::load(&path).unwrap();
+    let fingerprint = Evaluator::new(&model, AcceleratorConfig::default()).fingerprint();
+    let node = NodeId::from_index;
+    let max = u64::MAX;
+    let mut v1_entries = Vec::new();
+    for (subgraphs, words) in [
+        (vec![vec![node(0), node(1)]], vec![0, 1, max]),
+        (vec![vec![node(0)], vec![node(1)]], vec![0, max, 1, max]),
+    ] {
+        let key = cocco::engine::eval_key(fingerprint, &subgraphs, &buffer, EvalOptions::default());
+        if let Some((_, value)) = snapshot.partition.iter().find(|(k, _)| *k == key) {
+            let mut v1_key = vec![fingerprint, 0, 1 << 20, 0, 1, 1];
+            v1_key.extend(words);
+            v1_entries.push(serde_json::to_string(&(v1_key, value)).unwrap());
+        }
+    }
+    assert_eq!(
+        v1_entries.len(),
+        snapshot.len(),
+        "the v1 file holds every entry"
+    );
+    let v1 = format!("{{\"version\":1,\"partition\":[{}]}}", v1_entries.join(","));
+    std::fs::write(&path, v1).unwrap();
+    let warm = session().explore(&model).unwrap();
+    assert_eq!(
+        warm.stats.cache_hits, warm.stats.evals,
+        "the upgrade warm-starts"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        v2,
+        "rewritten as v2"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -27,9 +27,7 @@ fn random_edit(g: &Graph, p: &mut Partition, delta: &mut PartitionDelta, rng: &m
             candidates.dedup();
             candidates.push(p.fresh_id());
             let target = candidates[rng.gen_range(0..candidates.len())];
-            delta.touch_subgraph(p, p.subgraph_of(node));
-            delta.touch_subgraph(p, target);
-            delta.touch(node);
+            delta.touch_subgraphs(p, p.subgraph_of(node), target);
             p.assign(node, target);
         }
         1 => {
