@@ -37,13 +37,13 @@ fn main() {
                 // Consumption-centric: channel-weighted resident tiles.
                 consumption += scheme
                     .iter()
-                    .map(|(id, s)| s.tile.area() * u64::from(model.node(id).out_shape().c))
+                    .map(|(id, s)| s.tiling.tile.area() * u64::from(model.node(id).out_shape().c))
                     .sum::<u64>();
                 // Production-centric: feed the same boundary tile forward.
                 let input_tile = scheme
                     .iter()
-                    .filter(|(_, s)| s.boundary_input)
-                    .map(|(_, s)| s.tile)
+                    .filter(|(_, s)| s.tiling.boundary_input)
+                    .map(|(_, s)| s.tiling.tile)
                     .fold(Dims2::new(4, 4), |acc, t| {
                         Dims2::new(acc.h.max(t.h), acc.w.max(t.w))
                     });

@@ -49,8 +49,8 @@ fn main() {
     for (id, s) in scheme.iter() {
         table.row(&[
             paper_name(g.node(id).name()).to_string(),
-            s.delta.h.to_string(),
-            s.tile.h.to_string(),
+            s.tiling.delta.h.to_string(),
+            s.tiling.tile.h.to_string(),
             s.upd_num.h.to_string(),
         ]);
     }

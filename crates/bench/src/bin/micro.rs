@@ -12,8 +12,9 @@
 //!   results and engine counters, zero hot-path allocations), the fault
 //!   matrix (`{io, panic}` schedules), on the cold 20k-sample GA no cache sweep (roll-ups or
 //!   statistics) and pinned work (`fits` calls, subgraph terms, bounded
-//!   arena growth), nasnet greedy and DP with no statistics fallback and
-//!   greedy under its subgraph-term ceiling, stepped
+//!   arena growth, statistics derivations, no stage-3 fallback), nasnet
+//!   greedy and DP with no statistics fallback (canonicalize or stage 3)
+//!   and greedy under its subgraph-term ceiling, stepped
 //!   (JSON-resumed) vs monolithic parity, the interleaved two-step's
 //!   higher cross-candidate hit rate, the telemetry overhead ceiling on a
 //!   cached probe, and the audit gate.
@@ -513,7 +514,7 @@ fn twostep_run(
         start.elapsed(),
         outcome.best_cost,
         evaluator.stats_cache_hit_rate(),
-        evaluator.stats_cache_misses(),
+        evaluator.stats_derivations(),
     )
 }
 
@@ -628,6 +629,7 @@ fn cold_ga_checks(threads: u32) {
     assert!(outcome.best.is_some(), "the cold GA run finds a design");
     cache_sweep_check(&ctx, &evaluator, threads);
     repair_work_check(&ctx.engine().metrics(), threads);
+    stats_work_check(&evaluator, threads);
 }
 
 /// A cache sweep that finds more live entries than its budget sheds
@@ -645,11 +647,33 @@ fn cache_sweep_check(ctx: &SearchContext<'_>, evaluator: &Evaluator<'_>, threads
         evaluator.stats_cache_evictions(),
         0,
         "the statistics cache swept at default capacity ({} derivations)",
-        evaluator.stats_cache_misses()
+        evaluator.stats_derivations()
     );
     println!(
         "cache sweep          : 0 evictions at default capacity ({} roll-ups, {} statistics, {threads} threads)",
         stats.cache_entries,
+        evaluator.stats_derivations()
+    );
+}
+
+/// Statistics work pins of the cold run: workers that miss the same entry
+/// derive it once, so the derivation count is the same at every thread
+/// count, and the rate proof covers every derivation, so none runs stage
+/// 3's propagation.
+fn stats_work_check(evaluator: &Evaluator<'_>, threads: u32) {
+    const STATS_DERIVATIONS: u64 = 2_727;
+    assert_eq!(
+        evaluator.stats_derivations(),
+        STATS_DERIVATIONS,
+        "statistics derivations moved"
+    );
+    assert_eq!(
+        evaluator.stats_rate_fallbacks(),
+        0,
+        "a derivation fell back to stage 3's propagation"
+    );
+    println!(
+        "statistics work      : {STATS_DERIVATIONS} derivations ({} lookups missed), 0 stage-3 fallbacks ({threads} threads)",
         evaluator.stats_cache_misses()
     );
 }
@@ -682,7 +706,8 @@ fn repair_work_check(metrics: &MetricsSnapshot, threads: u32) {
 /// The analytic baselines on `nasnet`, the largest registry graph, under
 /// the facade's defaults — deterministic counts, so a regression shows
 /// without timing noise. Neither method may hit the statistics
-/// canonicalize fallback (both hand the cache ascending member lists),
+/// canonicalize fallback (both hand the cache ascending member lists) or
+/// run stage 3's rate propagation (the rate proof covers their sets),
 /// and greedy fusion, which memoizes member-set costs across its steps,
 /// must score at most `MAX_GREEDY_TERMS` subgraph terms (it scored
 /// 258,826 when every step re-scored every quotient edge).
@@ -708,6 +733,11 @@ fn baselines_check(threads: u32) {
             0,
             "{name} handed the statistics cache an unsorted member list"
         );
+        assert_eq!(
+            evaluator.stats_rate_fallbacks(),
+            0,
+            "{name} fell back to stage 3's propagation"
+        );
         if matches!(method, SearchMethod::Greedy) {
             assert!(
                 stats.subgraph_scorings <= MAX_GREEDY_TERMS,
@@ -718,7 +748,7 @@ fn baselines_check(threads: u32) {
         println!(
             "baseline {name:<18}: nasnet, {} subgraph terms, {} derivations, 0 fallbacks",
             stats.subgraph_scorings,
-            evaluator.stats_cache_misses()
+            evaluator.stats_derivations()
         );
     }
 }

@@ -425,10 +425,22 @@ fn print_stdout(text: &str, code: ExitCode) -> ExitCode {
         Ok(()) => code,
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => code,
         Err(e) => {
-            eprintln!("error: could not write stdout: {e}");
+            print_stderr(&format!("error: could not write stdout: {e}\n"));
             ExitCode::from(EXIT_IO)
         }
     }
+}
+
+/// Writes `text` to stderr under [`print_stdout`]'s rule: a reader that
+/// went away is a quiet exit, never a panic. A write to stderr that fails
+/// has no channel left to report on, whatever the failure.
+fn print_stderr(text: &str) {
+    use std::io::Write as _;
+    let mut stderr = std::io::stderr().lock();
+    // cocco-audit: allow(R2) stderr is the last channel; a failure to write it cannot be reported
+    let _ = stderr
+        .write_all(text.as_bytes())
+        .and_then(|()| stderr.flush());
 }
 
 fn main() -> ExitCode {
@@ -441,8 +453,7 @@ fn main() -> ExitCode {
             if msg.is_empty() {
                 return print_stdout(&format!("{}\n", usage()), ExitCode::SUCCESS);
             }
-            eprintln!("error: {msg}\n");
-            eprintln!("{}", usage());
+            print_stderr(&format!("error: {msg}\n\n{}\n", usage()));
             return ExitCode::from(EXIT_USAGE);
         }
     };
@@ -454,11 +465,11 @@ fn main() -> ExitCode {
         return print_stdout(&names, ExitCode::SUCCESS);
     }
     let Some(name) = args.model else {
-        eprintln!("{}", usage());
+        print_stderr(&format!("{}\n", usage()));
         return ExitCode::from(EXIT_USAGE);
     };
     let Some(model) = cocco::graph::models::by_name(&name) else {
-        eprintln!("error: {}", cocco::Error::UnknownModel { name });
+        print_stderr(&format!("error: {}\n", cocco::Error::UnknownModel { name }));
         return ExitCode::from(EXIT_USAGE);
     };
     let method = args.method.with_seed(args.seed);
@@ -490,20 +501,20 @@ fn main() -> ExitCode {
     let result = match session.explore(&model) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("error: {e}");
+            print_stderr(&format!("error: {e}\n"));
             let code = match &e {
                 cocco::Error::WorkerPanic {
                     salvage: Some(salvage),
                     ..
                 } => {
-                    eprintln!(
+                    print_stderr(&format!(
                         "salvaged best-so-far: cost {:.4e} after {} samples \
-                         ({} subgraphs, {} KB buffer)",
+                         ({} subgraphs, {} KB buffer)\n",
                         salvage.cost,
                         salvage.samples,
                         salvage.genome.partition.num_subgraphs(),
                         salvage.genome.buffer.total_bytes() >> 10,
-                    );
+                    ));
                     EXIT_DEGRADED
                 }
                 cocco::Error::CacheFile { .. } | cocco::Error::Checkpoint { .. } => EXIT_IO,
@@ -533,19 +544,23 @@ fn main() -> ExitCode {
             .map_err(|e| e.to_string())
             .and_then(|text| std::fs::write(path, text).map_err(|e| e.to_string()));
         if let Err(e) = outcome {
-            eprintln!("warning: could not write --stats-json {path}: {e}");
+            print_stderr(&format!(
+                "warning: could not write --stats-json {path}: {e}\n"
+            ));
         }
     }
     if let Some(path) = &args.telemetry_jsonl {
         let outcome =
             std::fs::File::create(path).and_then(|mut file| telemetry.export_jsonl(&mut file));
         if let Err(e) = outcome {
-            eprintln!("warning: could not write --telemetry-jsonl {path}: {e}");
+            print_stderr(&format!(
+                "warning: could not write --telemetry-jsonl {path}: {e}\n"
+            ));
         }
     }
     if args.telemetry_report && args.json {
         // The JSON document owns stdout; the table goes to stderr.
-        eprint!("{}", telemetry_report(&telemetry));
+        print_stderr(&telemetry_report(&telemetry));
     }
     if args.json {
         let report = JsonReport {
@@ -556,7 +571,7 @@ fn main() -> ExitCode {
         return match serde_json::to_string_pretty(&report) {
             Ok(text) => print_stdout(&format!("{text}\n"), exit),
             Err(e) => {
-                eprintln!("error: {}", cocco::Error::Serde(e));
+                print_stderr(&format!("error: {}\n", cocco::Error::Serde(e)));
                 ExitCode::from(EXIT_SEARCH_FAILED)
             }
         };
@@ -620,10 +635,14 @@ fn main() -> ExitCode {
         );
     }
     if let Some(save_error) = &result.cache_save_error {
-        eprintln!("warning            : could not save cache file ({save_error})");
+        print_stderr(&format!(
+            "warning            : could not save cache file ({save_error})\n"
+        ));
     }
     if let Some(save_error) = &result.checkpoint_save_error {
-        eprintln!("warning            : could not save checkpoint ({save_error})");
+        print_stderr(&format!(
+            "warning            : could not save checkpoint ({save_error})\n"
+        ));
     }
     if result.health.faults_seen() > 0 || result.health.recoveries() > 0 {
         let _ = writeln!(

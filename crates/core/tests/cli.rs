@@ -43,6 +43,22 @@ fn help_and_list_exit_quietly_into_a_closed_pipe() {
 }
 
 #[test]
+fn usage_errors_exit_2_into_a_closed_stderr() {
+    for args in [&["bogus-model"][..], &["vgg16", "--method", "bogus"]] {
+        // Usage errors are reported on stderr alone; its read end is gone,
+        // so that write fails with a broken pipe. A panic would exit 101.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_cocco-explore"))
+            .args(args)
+            .stderr(writer)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
+}
+
+#[test]
 fn json_output_round_trips_into_result_types() {
     let out = explore(&["vgg16", "--method", "greedy", "--budget", "50", "--json"]);
     assert!(

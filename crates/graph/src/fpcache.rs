@@ -10,11 +10,14 @@
 //! smallest keys down to half the budget, so sweeps stay rare. Victims
 //! depend on the keys alone, never on map order, so identical runs keep
 //! identical contents.
+//!
+//! [`FpCache::get_or_try_insert_with`] computes each missing value once
+//! however many workers miss it together (single flight).
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::fingerprint::{BuildFpHasher, NodeSetFp};
 
@@ -58,18 +61,27 @@ struct Lane<K, V> {
     misses: AtomicU64,
 }
 
+/// The value one [`FpCache::get_or_try_insert_with`] leader publishes to
+/// the callers waiting on its key: `None` when its computation failed.
+type Flight<V> = Arc<OnceLock<Option<V>>>;
+
 /// A bounded, sharded map from fingerprint keys to values, with hit, miss
 /// and eviction counters.
 ///
-/// Lookups take a shard read lock, inserts a shard write lock. Two workers
-/// racing on the same missing key may both compute it; callers store
-/// deterministic values, so the duplicate insert is idempotent.
+/// Lookups take a shard read lock, inserts a shard write lock. Workers
+/// that miss the same key through
+/// [`get_or_try_insert_with`](Self::get_or_try_insert_with) compute it
+/// once; callers that [`insert`](Self::insert) directly store
+/// deterministic values, so a duplicate insert is idempotent.
 #[derive(Debug)]
 pub struct FpCache<K, V> {
     lanes: [Lane<K, V>; SHARDS],
     /// Entry budget per shard.
     shard_capacity: usize,
     evictions: AtomicU64,
+    /// Keys some caller is computing, each with the cell its waiters
+    /// block on.
+    flights: Mutex<HashMap<K, Flight<V>, BuildFpHasher>>,
 }
 
 impl<K: FpKey, V: Clone> FpCache<K, V> {
@@ -87,6 +99,7 @@ impl<K: FpKey, V: Clone> FpCache<K, V> {
             }),
             shard_capacity: (capacity / SHARDS).max(1),
             evictions: AtomicU64::new(0),
+            flights: Mutex::new(HashMap::default()),
         }
     }
 
@@ -103,15 +116,7 @@ impl<K: FpKey, V: Clone> FpCache<K, V> {
     /// already marked is not written again.
     pub fn get(&self, key: &K) -> Option<V> {
         let lane = self.lane(key);
-        let found = {
-            let shard = read(&lane.shard);
-            shard.map.get(key).map(|slot| {
-                if slot.gen.load(Ordering::Relaxed) != shard.gen {
-                    slot.gen.store(shard.gen, Ordering::Relaxed);
-                }
-                slot.value.clone()
-            })
-        };
+        let found = self.peek(key);
         let counter = if found.is_some() {
             &lane.hits
         } else {
@@ -119,6 +124,70 @@ impl<K: FpKey, V: Clone> FpCache<K, V> {
         };
         counter.fetch_add(1, Ordering::Relaxed);
         found
+    }
+
+    /// [`get`](Self::get) without counting the lookup.
+    fn peek(&self, key: &K) -> Option<V> {
+        let shard = read(self.shard(key));
+        shard.map.get(key).map(|slot| {
+            if slot.gen.load(Ordering::Relaxed) != shard.gen {
+                slot.gen.store(shard.gen, Ordering::Relaxed);
+            }
+            slot.value.clone()
+        })
+    }
+
+    /// The value under `key`, or the one `compute` returns, which is then
+    /// inserted. Callers that miss the same key together compute it once:
+    /// the first runs `compute` and the rest wait for its value. A hit
+    /// takes only the shard read lock [`get`](Self::get) takes, and no
+    /// shard lock is held while `compute` runs.
+    ///
+    /// An error is returned to the caller whose `compute` failed and is
+    /// not cached; a caller that waited on that computation runs its own
+    /// `compute`. If `compute` panics, the next caller of the key computes
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `compute` returns.
+    pub fn get_or_try_insert_with<E>(
+        &self,
+        key: K,
+        mut compute: impl FnMut() -> Result<V, E>,
+    ) -> Result<V, E> {
+        if let Some(value) = self.get(&key) {
+            return Ok(value);
+        }
+        let flight = {
+            let mut flights = lock(&self.flights);
+            // A leader inserts before it leaves the flights, so a value
+            // published since the miss above is in its shard now.
+            if let Some(value) = self.peek(&key) {
+                return Ok(value);
+            }
+            Arc::clone(flights.entry(key).or_default())
+        };
+        let mut led = None;
+        let published = flight
+            .get_or_init(|| {
+                let result = compute();
+                let value = result.as_ref().ok().cloned();
+                if let Some(value) = &value {
+                    self.insert(key, value.clone());
+                }
+                led = Some(result);
+                value
+            })
+            .clone();
+        if let Some(result) = led {
+            lock(&self.flights).remove(&key);
+            return result;
+        }
+        match published {
+            Some(value) => Ok(value),
+            None => compute(),
+        }
     }
 
     /// Inserts `value` under `key`. When the insert ran a sweep, returns
@@ -209,6 +278,13 @@ fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// Takes the flights lock, tolerating poisoning: every update inserts or
+/// removes one whole entry, and a flight left behind by a panic is taken
+/// over by the next caller of its key.
+fn lock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Takes a shard's write lock, tolerating poisoning (see [`read`]).
 fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write()
@@ -293,6 +369,57 @@ mod tests {
         }
         assert_eq!((cache.hits(), cache.misses()), (128, 128));
         assert!(std::mem::align_of::<Lane<NodeSetFp, usize>>() >= 64);
+    }
+
+    #[test]
+    fn callers_that_miss_together_compute_once() {
+        use std::sync::mpsc::channel;
+        let cache: FpCache<NodeSetFp, usize> = FpCache::with_capacity(64);
+        let computed = AtomicU64::new(0);
+        let (started, leader_started) = channel();
+        let (release, leader_released) = channel::<()>();
+        let (cache_ref, computed_ref) = (&cache, &computed);
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(move || {
+                cache_ref.get_or_try_insert_with(key(7), || {
+                    computed_ref.fetch_add(1, Ordering::Relaxed);
+                    started.send(()).map_err(|_| "no test thread")?;
+                    leader_released.recv().map_err(|_| "no test thread")?;
+                    Ok::<_, &str>(7)
+                })
+            });
+            leader_started.recv().expect("the leader computes");
+            let waiter = scope.spawn(|| {
+                cache.get_or_try_insert_with(key(7), || {
+                    computed.fetch_add(1, Ordering::Relaxed);
+                    Ok::<_, &str>(0)
+                })
+            });
+            // The waiter has missed once the miss counter reads 2; the
+            // leader is still computing, so the waiter finds its flight.
+            while cache.misses() < 2 {
+                std::thread::yield_now();
+            }
+            release.send(()).expect("the leader waits");
+            assert_eq!(leader.join().expect("leader"), Ok(7));
+            assert_eq!(waiter.join().expect("waiter"), Ok(7));
+        });
+        assert_eq!(computed.load(Ordering::Relaxed), 1);
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 2, 1));
+        // A hit computes nothing; an error is returned and not cached.
+        assert_eq!(
+            cache.get_or_try_insert_with(key(7), || Err("computed")),
+            Ok(7)
+        );
+        assert_eq!(
+            cache.get_or_try_insert_with(key(8), || Err("failed")),
+            Err::<usize, _>("failed")
+        );
+        assert_eq!(
+            cache.get_or_try_insert_with(key(8), || Ok::<_, &str>(8)),
+            Ok(8)
+        );
+        assert!(lock(&cache.flights).is_empty());
     }
 
     #[test]

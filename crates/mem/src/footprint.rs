@@ -7,7 +7,7 @@
 //! breakdown.
 
 use cocco_graph::{Graph, NodeId};
-use cocco_tiling::{ExecutionScheme, NodeScheme};
+use cocco_tiling::{ExecutionScheme, NodeTiling};
 use serde::{Deserialize, Serialize};
 
 /// Byte footprint of one node's regions.
@@ -46,10 +46,10 @@ impl NodeFootprint {
 /// let members: Vec<_> = g.node_ids().collect();
 /// let scheme = derive_scheme(&g, &members, &Mapper::default()).unwrap();
 /// for (id, s) in scheme.iter() {
-///     assert!(node_footprint(&g, id, s, 1).main_bytes > 0);
+///     assert!(node_footprint(&g, id, &s.tiling, 1).main_bytes > 0);
 /// }
 /// ```
-pub fn node_footprint(graph: &Graph, id: NodeId, s: &NodeScheme, elem_bytes: u64) -> NodeFootprint {
+pub fn node_footprint(graph: &Graph, id: NodeId, s: &NodeTiling, elem_bytes: u64) -> NodeFootprint {
     let shape = graph.node(id).out_shape();
     let c = u64::from(shape.c);
     let main = u64::from(s.tile.h) * u64::from(s.tile.w) * c * elem_bytes;
@@ -117,7 +117,7 @@ pub fn subgraph_footprint(
     let mut regions = 0usize;
     let mut per_node = Vec::with_capacity(scheme.len());
     for (id, s) in scheme.iter() {
-        let node = node_footprint(graph, id, s, elem_bytes);
+        let node = node_footprint(graph, id, &s.tiling, elem_bytes);
         regions += node.regions();
         activation += node.total();
         per_node.push((id, node));

@@ -144,6 +144,7 @@ impl BufferRegionManager {
             regions: Vec::with_capacity(scheme.len()),
         };
         for (id, s) in scheme.iter() {
+            let s = &s.tiling;
             let shape = graph.node(id).out_shape();
             let c = u64::from(shape.c);
             let main = u64::from(s.tile.h) * u64::from(s.tile.w) * c * elem_bytes;

@@ -66,13 +66,13 @@ pub fn replay(graph: &Graph, scheme: &ExecutionScheme, ops: u32) -> Vec<OpSnapsh
             let h = graph.node(*id).out_shape().h;
             for _ in 0..s.upd_num.h.max(1) {
                 *t += 1;
-                let from = (*t - 1) * s.delta.h;
+                let from = (*t - 1) * s.tiling.delta.h;
                 if from >= h {
                     // Tensor exhausted; no further updates occur.
                     *t -= 1;
                     break;
                 }
-                let to = (from + s.tile.h - 1).min(h - 1);
+                let to = (from + s.tiling.tile.h - 1).min(h - 1);
                 updates.push(UpdateEvent {
                     node: *id,
                     update: *t,

@@ -8,8 +8,9 @@ use crate::report::{PartitionReport, SubgraphReport};
 use cocco_graph::{EdgeReq, FpCache, Graph, LayerOp, NodeId, NodeSetFp};
 use cocco_mem::footprint::node_footprint;
 use cocco_telemetry::{Histogram, Stopwatch, Telemetry};
-use cocco_tiling::derive_scheme;
+use cocco_tiling::{derive_tiling, RateProof, TilingError};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Evaluates partitions of one computation graph on one accelerator
 /// configuration, caching the buffer-independent per-subgraph statistics.
@@ -47,8 +48,18 @@ pub struct Evaluator<'g> {
     /// allocates a key vector nor re-hashes the member list. Bounded to
     /// [`DEFAULT_STATS_CAPACITY`](Self::DEFAULT_STATS_CAPACITY) entries by
     /// the cache's generation sweeps, so a long exploration keeps its
-    /// working set while stale subgraphs are shed.
+    /// working set while stale subgraphs are shed. Workers that miss the
+    /// same entry together derive it once.
     cache: FpCache<NodeSetFp, SubgraphStats>,
+    /// The graph's stage-3 rate proof, made by the first derivation (a
+    /// run that only hits never pays for it).
+    rate_proof: OnceLock<RateProof>,
+    /// Fresh statistics derivations.
+    stats_derivations: AtomicU64,
+    /// Derivations that could not prove stage 3 consistent and ran its
+    /// rate propagation. 0 on every registry model in production; the
+    /// smoke benchmark asserts it.
+    stats_rate_fallbacks: AtomicU64,
     /// Misses whose member list arrived out of ascending order and had to
     /// be sorted into a temporary before derivation. Every production
     /// path (arena layouts, `Partition::subgraphs`) produces ascending
@@ -107,6 +118,9 @@ impl<'g> Evaluator<'g> {
             is_input,
             fingerprint: h,
             cache: FpCache::with_capacity(Self::DEFAULT_STATS_CAPACITY),
+            rate_proof: OnceLock::new(),
+            stats_derivations: AtomicU64::new(0),
+            stats_rate_fallbacks: AtomicU64::new(0),
             stats_canon_fallbacks: AtomicU64::new(0),
             stats_latency: None,
         }
@@ -151,9 +165,22 @@ impl<'g> Evaluator<'g> {
         self.cache.hits()
     }
 
-    /// Statistics-cache lookups that required a fresh derivation.
+    /// Statistics-cache lookups that found no entry. A lookup that waits
+    /// for another worker's derivation of the same entry counts here too.
     pub fn stats_cache_misses(&self) -> u64 {
         self.cache.misses()
+    }
+
+    /// Fresh statistics derivations: one per missed entry, however many
+    /// workers missed it together.
+    pub fn stats_derivations(&self) -> u64 {
+        self.stats_derivations.load(Ordering::Relaxed)
+    }
+
+    /// Derivations that ran stage 3's rate propagation because they could
+    /// not prove it consistent (see [`derive_tiling`]).
+    pub fn stats_rate_fallbacks(&self) -> u64 {
+        self.stats_rate_fallbacks.load(Ordering::Relaxed)
     }
 
     /// Statistics-cache entries dropped by generation sweeps (0 while the
@@ -203,11 +230,15 @@ impl<'g> Evaluator<'g> {
         members: &[NodeId],
     ) -> Result<SubgraphStats, SimError> {
         debug_assert_eq!(fp, NodeSetFp::of_members(members), "stale fingerprint");
-        if let Some(stats) = self.cache.get(&fp) {
-            return Ok(stats);
-        }
+        self.cache
+            .get_or_try_insert_with(fp, || self.derive_stats(members))
+    }
+
+    /// One fresh derivation of a missed entry, timed when telemetry is on.
+    fn derive_stats(&self, members: &[NodeId]) -> Result<SubgraphStats, SimError> {
+        self.stats_derivations.fetch_add(1, Ordering::Relaxed);
         let derivation = self.stats_latency.as_ref().map(|_| Stopwatch::start());
-        // Miss: the derivation expects members in ascending (topological)
+        // The derivation expects members in ascending (topological)
         // order. Every production caller guarantees it by construction —
         // `Partition::subgraphs` and arena layouts both emit ascending
         // members — so the sort below is a counted slow path kept only for
@@ -228,18 +259,27 @@ impl<'g> Evaluator<'g> {
         if let (Some(hist), Some(sw)) = (&self.stats_latency, derivation) {
             hist.record(sw.elapsed_nanos());
         }
-        self.cache.insert(fp, stats);
         Ok(stats)
     }
 
     /// Derives the statistics of the ascending member list `members` from
-    /// its execution scheme, which already lists the distinct boundary
+    /// its stage 1–2 tiling, which already lists the distinct boundary
     /// producers; membership is a binary search over `members`, so nothing
     /// graph-sized is allocated.
     fn compute_stats(&self, members: &[NodeId]) -> Result<SubgraphStats, SimError> {
         let graph = self.graph;
         let elem = self.config.elem_bytes;
-        let scheme = derive_scheme(graph, members, &self.config.mapper)?;
+        let proof = self.rate_proof.get_or_init(|| RateProof::of(graph));
+        let tiling = derive_tiling(graph, members, &self.config.mapper, proof);
+        // Only stage 3's propagation reports inconsistent rates.
+        let propagated = match &tiling {
+            Ok(tiling) => tiling.rates_propagated(),
+            Err(e) => matches!(e, TilingError::InconsistentRates { .. }),
+        };
+        if propagated {
+            self.stats_rate_fallbacks.fetch_add(1, Ordering::Relaxed);
+        }
+        let tiling = tiling?;
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
         let is_member = |id: NodeId| members.binary_search(&id).is_ok();
 
@@ -280,8 +320,8 @@ impl<'g> Evaluator<'g> {
         stats.wgt_footprint_bytes = stats.ema_wgt_bytes;
 
         // Covered nodes: buffer regions, boundary-input loads, on-chip
-        // traffic and multi-core halo, from the execution scheme.
-        for (id, s) in scheme.iter() {
+        // traffic and multi-core halo, from the tiling.
+        for (id, s) in tiling.iter() {
             let i = id.index();
             let footprint = node_footprint(graph, id, s, elem);
             stats.act_footprint_bytes += footprint.total();
@@ -504,6 +544,7 @@ mod tests {
     use super::*;
     use crate::cost::CostMetric;
     use cocco_mem::footprint::subgraph_footprint;
+    use cocco_tiling::derive_scheme;
 
     fn per_layer(g: &Graph) -> Vec<Vec<NodeId>> {
         g.node_ids().map(|id| vec![id]).collect()
@@ -581,6 +622,7 @@ mod tests {
 
         // On-chip traffic and multi-core halo, from the execution scheme.
         for (id, s) in scheme.iter() {
+            let s = &s.tiling;
             // Every covered tensor streams through the global buffer once.
             stats.glb_access_bytes += eval.out_bytes[id.index()];
             if s.interior_consumed {

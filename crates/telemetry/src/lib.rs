@@ -41,7 +41,7 @@
 //!   `engine.subgraph.scorings` (subgraph terms computed)
 //! - `search.step_ns` (span), `search.improvement` (event),
 //!   `search.budget.used` (gauge)
-//! - `sim.subgraph_stats_ns` (derivation latency on stats-cache misses)
+//! - `sim.subgraph_stats_ns` (latency of each fresh statistics derivation)
 
 mod clock;
 mod metrics;

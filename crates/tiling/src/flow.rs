@@ -3,7 +3,7 @@
 //! [`derive_scheme`] works over dense *positions* in the subgraph's
 //! extended node set, the members plus their boundary producers:
 //!
-//! * the extended set is one ascending array of scheme entries, so
+//! * the extended set is one ascending array of tiling entries, so
 //!   position order is topological order; one per-call `u32` map takes a
 //!   node id to its position (it also validates the member list, in the
 //!   reference's error precedence);
@@ -18,11 +18,14 @@
 //! That `BTreeMap` derivation survives verbatim as the test-only
 //! `reference` module, the oracle the property tests hold the dense one
 //! to, schemes and errors alike.
+//!
+//! [`derive_tiling`] runs the same stages 1–2 and runs stage 3's
+//! propagation only where it cannot prove that propagation succeeds.
 
 use crate::error::TilingError;
 use crate::mapper::Mapper;
-use crate::ratio::{gcd, lcm, Ratio};
-use crate::scheme::{ExecutionScheme, NodeScheme};
+use crate::ratio::{checked_lcm, gcd, lcm, Ratio};
+use crate::scheme::{ExecutionScheme, NodeScheme, NodeTiling, SubgraphTiling};
 use cocco_graph::{Dims2, EdgeReq, Graph, NodeId};
 
 /// Per-dimension view of an [`EdgeReq`] used by the backward derivation.
@@ -73,7 +76,7 @@ fn dim_reqs(req: EdgeReq) -> (DimReq, DimReq) {
 /// # Examples
 ///
 /// ```
-/// use cocco_tiling::{derive_scheme, Mapper, MapperPolicy};
+/// use cocco_tiling::{derive_scheme, Mapper};
 ///
 /// let g = cocco_graph::models::branchy();
 /// let members: Vec<_> = g.node_ids().collect();
@@ -87,112 +90,210 @@ pub fn derive_scheme(
     mapper: &Mapper,
 ) -> Result<ExecutionScheme, TilingError> {
     let mut ext = Extended::build(graph, members)?;
-
-    // Stages 1-2: backward pass in reverse topological (= position) order.
-    let mut exact = true;
-    for u in (0..ext.entries.len()).rev() {
-        let id = ext.entries[u].0;
-        let shape = graph.node(id).out_shape();
-        let extent = Dims2::new(shape.h, shape.w);
-        let consumers = ext.consumers(u);
-        let (delta, tile) = if consumers.is_empty() {
-            let t = mapper.output_tile(shape);
-            (t, t)
-        } else {
-            // Accumulate the unclamped LCM requirement per dimension; a
-            // `Full` consumption edge demands the whole extent.
-            let mut d = (1u64, 1u64);
-            let mut full_edge = (false, false);
-            for &(v, req) in consumers {
-                let (rh, rw) = dim_reqs(req);
-                let vs = ext.entries[v as usize].1;
-                match rh {
-                    DimReq::Full => full_edge.0 = true,
-                    DimReq::Sliding { s, .. } => {
-                        d.0 = lcm(d.0, u64::from(vs.delta.h).saturating_mul(u64::from(s)));
-                    }
-                }
-                match rw {
-                    DimReq::Full => full_edge.1 = true,
-                    DimReq::Sliding { s, .. } => {
-                        d.1 = lcm(d.1, u64::from(vs.delta.w).saturating_mul(u64::from(s)));
-                    }
-                }
-            }
-            // Truncation (LCM overshooting the tensor) and full-consumption
-            // edges break the exact `upd_num` relation (paper footnote on
-            // the co-prime solution); natural Δ = extent does not.
-            if d.0 > u64::from(extent.h) || d.1 > u64::from(extent.w) {
-                exact = false;
-            }
-            if full_edge.0 || full_edge.1 {
-                exact = false;
-            }
-            let dh = if full_edge.0 {
-                extent.h
-            } else {
-                d.0.min(u64::from(extent.h)) as u32
-            };
-            let dw = if full_edge.1 {
-                extent.w
-            } else {
-                d.1.min(u64::from(extent.w)) as u32
-            };
-            let d = Dims2::new(dh.max(1), dw.max(1));
-            let mut t = d;
-            for &(_, req) in consumers {
-                let (rh, rw) = dim_reqs(req);
-                match rh {
-                    DimReq::Full => t.h = extent.h,
-                    DimReq::Sliding { f, s } => {
-                        // χ = f_v(Δ(u)/s) = F + (Δ(u)/s − 1)·s = F − s + Δ(u)
-                        let chi = f.saturating_sub(s).saturating_add(d.h);
-                        t.h = t.h.max(chi.min(extent.h));
-                    }
-                }
-                match rw {
-                    DimReq::Full => t.w = extent.w,
-                    DimReq::Sliding { f, s } => {
-                        let chi = f.saturating_sub(s).saturating_add(d.w);
-                        t.w = t.w.max(chi.min(extent.w));
-                    }
-                }
-            }
-            (d, t)
-        };
-        let interior_consumed = !consumers.is_empty();
-        // Reaching the tensor extent means "fully buffered" in that dim.
-        let s = &mut ext.entries[u].1;
-        s.full_h = delta.h >= extent.h;
-        s.full_w = delta.w >= extent.w;
-        s.delta = Dims2::new(delta.h.min(extent.h), delta.w.min(extent.w));
-        s.tile = Dims2::new(
-            tile.h.min(extent.h).max(s.delta.h),
-            tile.w.min(extent.w).max(s.delta.w),
-        );
-        s.interior_consumed = interior_consumed;
-    }
+    let mut exact = ext.derive_tiles(graph, mapper);
 
     // Stage 3: co-prime upd_num per dimension via rational propagation.
     let strict = exact;
     let mut scratch = UpdScratch::default();
+    let mut upd = vec![Dims2::new(1, 1); ext.entries.len()];
     for dim in [Dim::H, Dim::W] {
-        if let Err(e) = solve_upd(graph, &mut ext, dim, strict, &mut scratch) {
-            if strict {
-                return Err(e);
-            }
-            exact = false;
+        match propagate_rates(graph, &ext, dim, strict, &mut scratch) {
+            Ok(()) => scale_upd(&ext, dim, &mut scratch, &mut upd),
+            Err(e) if strict => return Err(e),
+            Err(_) => exact = false,
         }
     }
 
-    Ok(ExecutionScheme::new(ext.entries, exact))
+    let entries = ext
+        .entries
+        .into_iter()
+        .zip(upd)
+        .map(|((id, tiling), upd_num)| (id, NodeScheme { tiling, upd_num }))
+        .collect();
+    Ok(ExecutionScheme::new(entries, exact))
 }
 
-/// A scheme entry before stages 1–3 fill it in.
-const UNDERIVED: NodeScheme = NodeScheme {
+/// Whether stage 3 can fail anywhere on one graph: the per-graph half of
+/// the proof that lets [`derive_tiling`] skip it.
+///
+/// Stage 3's equations on any subgraph are a subset of the graph's whole
+/// stride-rate system (`rate(p) = rate(v)·s` on every sliding edge
+/// `p → v`), so where that system is consistent, so is every subgraph's.
+///
+/// # Examples
+///
+/// ```
+/// use cocco_tiling::RateProof;
+///
+/// assert!(RateProof::of(&cocco_graph::models::resnet50()).holds());
+/// ```
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct RateProof {
+    /// Node count of the proved graph, checked by [`derive_tiling`] in
+    /// debug builds.
+    nodes: usize,
+    /// Per dimension (height, width): the graph's stride-rate system is
+    /// consistent, and its least integer solution times the largest stride
+    /// fits in a `u64`, so stage 3's `Ratio` operations on any subgraph
+    /// are exact.
+    consistent: [bool; 2],
+}
+
+impl RateProof {
+    /// Proves, per dimension, whether `graph`'s stride-rate system is
+    /// consistent: one pass over its nodes and edges.
+    pub fn of(graph: &Graph) -> Self {
+        Self {
+            nodes: graph.len(),
+            consistent: [Dim::H, Dim::W].map(|dim| globally_consistent(graph, dim)),
+        }
+    }
+
+    /// `true` when the system is consistent in both dimensions.
+    pub fn holds(&self) -> bool {
+        self.consistent == [true, true]
+    }
+}
+
+/// Derives the stage 1–2 [`SubgraphTiling`] of the subgraph formed by
+/// `members`: Δ, x and the flags, which is all the cost model reads.
+/// `proof` must be [`RateProof::of`]`(graph)`.
+///
+/// Stage 3 never changes them. It can only fail, with
+/// [`TilingError::InconsistentRates`], and only in a *strict* scheme (one
+/// stage 2 left exact). This returns exactly the result of
+/// [`derive_scheme`] minus `upd_num`, errors included, and skips stage 3
+/// per dimension where it provably succeeds:
+///
+/// * the scheme is not strict; or
+/// * `proof` holds in that dimension, and every edge into a boundary entry
+///   that stage 3 walks joins two entries already joined by walked
+///   member-consumer edges. Stage 3 walks such an edge only backward from
+///   its boundary end, so one that joined two components could compare
+///   rates the traversal scaled independently; with none, every check
+///   stays inside one component of a consistent system.
+///
+/// Otherwise it runs stage 3's propagation and returns its error.
+///
+/// # Errors
+///
+/// Exactly the errors of [`derive_scheme`]`(graph, members, mapper)`.
+///
+/// # Examples
+///
+/// ```
+/// use cocco_tiling::{derive_scheme, derive_tiling, Mapper, RateProof};
+///
+/// let g = cocco_graph::models::resnet50();
+/// let proof = RateProof::of(&g);
+/// let members: Vec<_> = g.node_ids().take(8).collect();
+/// let tiling = derive_tiling(&g, &members, &Mapper::default(), &proof).unwrap();
+/// let scheme = derive_scheme(&g, &members, &Mapper::default()).unwrap();
+/// assert!(tiling.iter().zip(scheme.iter()).all(|(t, s)| *t.1 == s.1.tiling));
+/// assert!(!tiling.rates_propagated());
+/// ```
+pub fn derive_tiling(
+    graph: &Graph,
+    members: &[NodeId],
+    mapper: &Mapper,
+    proof: &RateProof,
+) -> Result<SubgraphTiling, TilingError> {
+    debug_assert_eq!(proof.nodes, graph.len(), "a rate proof of another graph");
+    let mut ext = Extended::build(graph, members)?;
+    let strict = ext.derive_tiles(graph, mapper);
+    let mut propagated = false;
+    if strict {
+        let mut scratch = UpdScratch::default();
+        for (dim, consistent) in [Dim::H, Dim::W].into_iter().zip(proof.consistent) {
+            if !(consistent && ext.boundary_edges_joined(graph, dim)) {
+                propagated = true;
+                propagate_rates(graph, &ext, dim, true, &mut scratch)?;
+            }
+        }
+    }
+    Ok(SubgraphTiling::new(ext.entries, propagated))
+}
+
+/// `true` when every sliding edge `p → v` of `graph` admits positive rates
+/// with `rate(p) = rate(v)·s` in `dim`, and the least integer solution of
+/// every weakly connected component, times the largest stride, fits in a
+/// `u64`. Any checked operation that overflows fails the proof.
+///
+/// A subgraph's stage-3 rates relative to its traversal start are then
+/// `r(u)/r(start)` of that solution `r`, so no numerator or denominator
+/// exceeds the bound before [`Ratio`] reduces it.
+fn globally_consistent(graph: &Graph, dim: Dim) -> bool {
+    let n = graph.len();
+    let mut rate: Vec<Option<Ratio>> = vec![None; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut component: Vec<usize> = Vec::new();
+    let mut max_rate = 1u64;
+    let mut max_stride = 1u64;
+    for start in 0..n {
+        if rate[start].is_some() {
+            continue;
+        }
+        rate[start] = Some(Ratio::from_int(1));
+        stack.push(start);
+        component.clear();
+        while let Some(u) = stack.pop() {
+            component.push(u);
+            let Some(ru) = rate[u] else { continue }; // stacked nodes have rates
+            let id = NodeId::from_index(u);
+            let forward = graph
+                .consumers(id)
+                .iter()
+                .map(|&v| (v, graph.edge_req(id, v), false));
+            let backward = graph
+                .producers(id)
+                .iter()
+                .map(|&p| (p, graph.edge_req(p, id), true));
+            for (w, req, upstream) in forward.chain(backward) {
+                let Some(s) = dim.stride(req) else {
+                    continue;
+                };
+                let s = u64::from(s.max(1));
+                max_stride = max_stride.max(s);
+                let rw = if upstream {
+                    ru.checked_mul_int(s)
+                } else {
+                    ru.checked_div_int(s)
+                };
+                let Some(rw) = rw else { return false };
+                match rate[w.index()] {
+                    None => {
+                        rate[w.index()] = Some(rw);
+                        stack.push(w.index());
+                    }
+                    Some(existing) if existing != rw => return false,
+                    Some(_) => {}
+                }
+            }
+        }
+        // The component's least integer solution.
+        let scale = component
+            .iter()
+            .try_fold(1u64, |acc, &u| checked_lcm(acc, rate[u]?.den));
+        let Some(scale) = scale else { return false };
+        let mut all_gcd = 0u64;
+        let mut largest = 0u64;
+        for &u in &component {
+            let Some(r) = rate[u] else { return false };
+            let Some(v) = r.num.checked_mul(scale / r.den) else {
+                return false;
+            };
+            all_gcd = gcd(all_gcd, v);
+            largest = largest.max(v);
+        }
+        max_rate = max_rate.max(largest / all_gcd.max(1));
+    }
+    max_rate.checked_mul(max_stride).is_some()
+}
+
+/// A tiling entry before stages 1–2 fill it in.
+const UNDERIVED: NodeTiling = NodeTiling {
     delta: Dims2 { h: 1, w: 1 },
     tile: Dims2 { h: 1, w: 1 },
-    upd_num: Dims2 { h: 1, w: 1 },
     full_h: false,
     full_w: false,
     boundary_input: false,
@@ -209,8 +310,8 @@ const BOUNDARY: u32 = u32::MAX - 2;
 /// The extended node set of one subgraph, by position.
 struct Extended {
     /// Members and boundary producers, ascending by id; each entry's
-    /// `boundary_input` is set from the start, the rest by stages 1–3.
-    entries: Vec<(NodeId, NodeScheme)>,
+    /// `boundary_input` is set from the start, the rest by stages 1–2.
+    entries: Vec<(NodeId, NodeTiling)>,
     /// Position of every graph node in `entries`, or [`ABSENT`].
     pos: Vec<u32>,
     /// CSR row offsets into `consumers`, one row per position.
@@ -250,7 +351,7 @@ impl Extended {
         }
         // Ascending ids are topological order.
         ids.sort_unstable();
-        let entries: Vec<(NodeId, NodeScheme)> = ids
+        let entries: Vec<(NodeId, NodeTiling)> = ids
             .iter()
             .enumerate()
             .map(|(i, &id)| {
@@ -258,7 +359,7 @@ impl Extended {
                 pos[id.index()] = i as u32;
                 (
                     id,
-                    NodeScheme {
+                    NodeTiling {
                         boundary_input,
                         ..UNDERIVED
                     },
@@ -302,6 +403,147 @@ impl Extended {
     fn consumers(&self, u: usize) -> &[(u32, EdgeReq)] {
         &self.consumers[self.row_start[u] as usize..self.row_start[u + 1] as usize]
     }
+
+    /// Stages 1–2: the backward pass in reverse topological (= position)
+    /// order. Returns `true` when the scheme stays exact (no LCM clamped
+    /// at a tensor extent, no full-consumption edge), which makes stage 3
+    /// strict.
+    fn derive_tiles(&mut self, graph: &Graph, mapper: &Mapper) -> bool {
+        let mut exact = true;
+        for u in (0..self.entries.len()).rev() {
+            let id = self.entries[u].0;
+            let shape = graph.node(id).out_shape();
+            let extent = Dims2::new(shape.h, shape.w);
+            let consumers = self.consumers(u);
+            let (delta, tile) = if consumers.is_empty() {
+                let t = mapper.output_tile(shape);
+                (t, t)
+            } else {
+                // Accumulate the unclamped LCM requirement per dimension; a
+                // `Full` consumption edge demands the whole extent.
+                let mut d = (1u64, 1u64);
+                let mut full_edge = (false, false);
+                for &(v, req) in consumers {
+                    let (rh, rw) = dim_reqs(req);
+                    let vs = self.entries[v as usize].1;
+                    match rh {
+                        DimReq::Full => full_edge.0 = true,
+                        DimReq::Sliding { s, .. } => {
+                            d.0 = lcm(d.0, u64::from(vs.delta.h).saturating_mul(u64::from(s)));
+                        }
+                    }
+                    match rw {
+                        DimReq::Full => full_edge.1 = true,
+                        DimReq::Sliding { s, .. } => {
+                            d.1 = lcm(d.1, u64::from(vs.delta.w).saturating_mul(u64::from(s)));
+                        }
+                    }
+                }
+                // Truncation (LCM overshooting the tensor) and full-consumption
+                // edges break the exact `upd_num` relation (paper footnote on
+                // the co-prime solution); natural Δ = extent does not.
+                if d.0 > u64::from(extent.h) || d.1 > u64::from(extent.w) {
+                    exact = false;
+                }
+                if full_edge.0 || full_edge.1 {
+                    exact = false;
+                }
+                let dh = if full_edge.0 {
+                    extent.h
+                } else {
+                    d.0.min(u64::from(extent.h)) as u32
+                };
+                let dw = if full_edge.1 {
+                    extent.w
+                } else {
+                    d.1.min(u64::from(extent.w)) as u32
+                };
+                let d = Dims2::new(dh.max(1), dw.max(1));
+                let mut t = d;
+                for &(_, req) in consumers {
+                    let (rh, rw) = dim_reqs(req);
+                    match rh {
+                        DimReq::Full => t.h = extent.h,
+                        DimReq::Sliding { f, s } => {
+                            // χ = f_v(Δ(u)/s) = F + (Δ(u)/s − 1)·s = F − s + Δ(u)
+                            let chi = f.saturating_sub(s).saturating_add(d.h);
+                            t.h = t.h.max(chi.min(extent.h));
+                        }
+                    }
+                    match rw {
+                        DimReq::Full => t.w = extent.w,
+                        DimReq::Sliding { f, s } => {
+                            let chi = f.saturating_sub(s).saturating_add(d.w);
+                            t.w = t.w.max(chi.min(extent.w));
+                        }
+                    }
+                }
+                (d, t)
+            };
+            let interior_consumed = !consumers.is_empty();
+            // Reaching the tensor extent means "fully buffered" in that dim.
+            let s = &mut self.entries[u].1;
+            s.full_h = delta.h >= extent.h;
+            s.full_w = delta.w >= extent.w;
+            s.delta = Dims2::new(delta.h.min(extent.h), delta.w.min(extent.w));
+            s.tile = Dims2::new(
+                tile.h.min(extent.h).max(s.delta.h),
+                tile.w.min(extent.w).max(s.delta.w),
+            );
+            s.interior_consumed = interior_consumed;
+        }
+        exact
+    }
+
+    /// `true` when stage 3 walks the member-consumer edge or boundary edge
+    /// `u → v` in `dim`: neither end is fully buffered there and the edge
+    /// slides.
+    fn walks(&self, u: usize, v: usize, req: EdgeReq, dim: Dim) -> bool {
+        !dim.full(&self.entries[u].1) && !dim.full(&self.entries[v].1) && dim.stride(req).is_some()
+    }
+
+    /// `true` when every edge `p → b` into a boundary entry `b` that stage 3
+    /// walks in `dim` joins two positions already joined by walked
+    /// member-consumer edges (a union-find over those edges).
+    fn boundary_edges_joined(&self, graph: &Graph, dim: Dim) -> bool {
+        let mut into_boundary: Vec<(usize, usize)> = Vec::new();
+        for (b, &(id, t)) in self.entries.iter().enumerate() {
+            if !t.boundary_input {
+                continue;
+            }
+            for &p in graph.producers(id) {
+                if let Some(pp) = self.position(p) {
+                    if self.walks(pp, b, graph.edge_req(p, id), dim) {
+                        into_boundary.push((pp, b));
+                    }
+                }
+            }
+        }
+        if into_boundary.is_empty() {
+            return true;
+        }
+        let mut parent: Vec<u32> = (0..self.entries.len() as u32).collect();
+        for u in 0..self.entries.len() {
+            for &(v, req) in self.consumers(u) {
+                if self.walks(u, v as usize, req, dim) {
+                    let (a, b) = (find(&mut parent, u), find(&mut parent, v as usize));
+                    parent[a] = b as u32;
+                }
+            }
+        }
+        into_boundary
+            .iter()
+            .all(|&(p, b)| find(&mut parent, p) == find(&mut parent, b))
+    }
+}
+
+/// The union-find root of `x`, halving the path on the way.
+fn find(parent: &mut [u32], mut x: usize) -> usize {
+    while parent[x] as usize != x {
+        parent[x] = parent[parent[x] as usize];
+        x = parent[x] as usize;
+    }
+    x
 }
 
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -311,41 +553,31 @@ enum Dim {
 }
 
 impl Dim {
-    fn delta(self, s: &NodeScheme) -> u32 {
+    fn of(self, d: Dims2) -> u32 {
         match self {
-            Dim::H => s.delta.h,
-            Dim::W => s.delta.w,
+            Dim::H => d.h,
+            Dim::W => d.w,
         }
     }
 
-    fn full(self, s: &NodeScheme) -> bool {
+    fn full(self, s: &NodeTiling) -> bool {
         match self {
             Dim::H => s.full_h,
             Dim::W => s.full_w,
         }
     }
 
-    fn upd(self, s: &NodeScheme) -> u32 {
+    fn set(self, d: &mut Dims2, value: u32) {
         match self {
-            Dim::H => s.upd_num.h,
-            Dim::W => s.upd_num.w,
-        }
-    }
-
-    fn set_upd(self, s: &mut NodeScheme, value: u32) {
-        match self {
-            Dim::H => s.upd_num.h = value,
-            Dim::W => s.upd_num.w = value,
+            Dim::H => d.h = value,
+            Dim::W => d.w = value,
         }
     }
 
     fn stride(self, req: EdgeReq) -> Option<u32> {
         match req {
             EdgeReq::Full => None,
-            EdgeReq::Sliding(k) => Some(match self {
-                Dim::H => k.stride.h,
-                Dim::W => k.stride.w,
-            }),
+            EdgeReq::Sliding(k) => Some(self.of(k.stride)),
         }
     }
 }
@@ -361,23 +593,24 @@ struct UpdScratch {
     upd: Vec<Ratio>,
 }
 
-/// Solves `upd(u)·Δ(u) = upd(v)·Δ(v)·s(v)` for every internal edge `u → v`
-/// of one dimension and writes the unique co-prime positive solution into
-/// `ext`'s `upd_num` (nothing is written on an error).
-fn solve_upd(
+/// Propagates `rate(u) = upd(u)·Δ(u)` over every internal edge `u → v` of
+/// one dimension (`rate(u) = rate(v)·s(v)`) into `scratch.rate`. In strict
+/// mode an edge whose two ends already disagree is an error.
+fn propagate_rates(
     graph: &Graph,
-    ext: &mut Extended,
+    ext: &Extended,
     dim: Dim,
     strict: bool,
     scratch: &mut UpdScratch,
 ) -> Result<(), TilingError> {
-    let UpdScratch { rate, stack, upd } = scratch;
+    let UpdScratch { rate, stack, .. } = scratch;
     let len = ext.entries.len();
-    // rate(u) = upd(u)·Δ(u), determined up to one scalar per weakly
-    // connected component. Edges touching fully-buffered nodes are skipped
-    // (their update pattern is "once per elementary op").
+    // rate(u) is determined up to one scalar per weakly connected
+    // component. Edges touching fully-buffered nodes are skipped (their
+    // update pattern is "once per elementary op").
     rate.clear();
     rate.resize(len, None);
+    stack.clear();
     for start in 0..len {
         if rate[start].is_some() {
             continue;
@@ -436,33 +669,40 @@ fn solve_upd(
             }
         }
     }
+    Ok(())
+}
 
+/// Writes the unique co-prime positive solution of one dimension into
+/// `upd`, from the rates [`propagate_rates`] left in `scratch`.
+fn scale_upd(ext: &Extended, dim: Dim, scratch: &mut UpdScratch, upd: &mut [Dims2]) {
+    let UpdScratch {
+        rate, upd: ratios, ..
+    } = scratch;
     // upd(u) = rate(u) / Δ(u); scale to the least common integer solution.
     // Every position started a traversal if none reached it, so every
     // rate is set.
-    upd.clear();
+    ratios.clear();
     let mut scale = 1u64;
     for (&r, (_, s)) in rate.iter().zip(&ext.entries) {
         match r {
             Some(r) if !dim.full(s) => {
-                let r = r.div_int(u64::from(dim.delta(s).max(1)));
+                let r = r.div_int(u64::from(dim.of(s.delta).max(1)));
                 scale = lcm(scale, r.den);
-                upd.push(r);
+                ratios.push(r);
             }
-            _ => upd.push(Ratio::from_int(1)),
+            _ => ratios.push(Ratio::from_int(1)),
         }
     }
     let mut all_gcd = 0u64;
-    for (r, (_, s)) in upd.iter().zip(&mut ext.entries) {
+    for (r, u) in ratios.iter().zip(upd.iter_mut()) {
         let v = r.num.saturating_mul(scale / r.den);
         all_gcd = gcd(all_gcd, v);
-        dim.set_upd(s, v as u32);
+        dim.set(u, v as u32);
     }
     let g = all_gcd.max(1);
-    for (_, s) in &mut ext.entries {
-        dim.set_upd(s, (u64::from(dim.upd(s)) / g).max(1) as u32);
+    for u in upd.iter_mut() {
+        dim.set(u, (u64::from(dim.of(*u)) / g).max(1) as u32);
     }
-    Ok(())
 }
 
 /// The `BTreeMap`-keyed derivation the dense [`derive_scheme`] replaced,
@@ -473,7 +713,7 @@ pub(crate) mod reference {
     use crate::error::TilingError;
     use crate::mapper::Mapper;
     use crate::ratio::{gcd, lcm, Ratio};
-    use crate::scheme::{ExecutionScheme, NodeScheme};
+    use crate::scheme::{ExecutionScheme, NodeScheme, NodeTiling};
     use cocco_graph::{Dims2, Graph, NodeId};
     use std::collections::BTreeMap;
 
@@ -542,7 +782,7 @@ pub(crate) mod reference {
                 let mut full_edge = (false, false);
                 for &v in consumers {
                     let (rh, rw) = dim_reqs(graph.edge_req(u, v));
-                    let vs = schemes[&v];
+                    let vs = schemes[&v].tiling;
                     match rh {
                         DimReq::Full => full_edge.0 = true,
                         DimReq::Sliding { s, .. } => {
@@ -608,13 +848,15 @@ pub(crate) mod reference {
             schemes.insert(
                 u,
                 NodeScheme {
-                    delta,
-                    tile,
+                    tiling: NodeTiling {
+                        delta,
+                        tile,
+                        full_h,
+                        full_w,
+                        boundary_input: !is_member[u.index()],
+                        interior_consumed: !consumers.is_empty(),
+                    },
                     upd_num: Dims2::new(1, 1),
-                    full_h,
-                    full_w,
-                    boundary_input: !is_member[u.index()],
-                    interior_consumed: !consumers.is_empty(),
                 },
             );
         }
@@ -668,7 +910,7 @@ pub(crate) mod reference {
                 let ru = rate[&u];
                 // Forward edges u -> v (v consumes u): rate(v) = rate(u) / s(v).
                 for &v in &cons_in[&u] {
-                    if dim.full(&schemes[&u]) || dim.full(&schemes[&v]) {
+                    if dim.full(&schemes[&u].tiling) || dim.full(&schemes[&v].tiling) {
                         continue;
                     }
                     let Some(s) = dim.stride(graph.edge_req(u, v)) else {
@@ -689,7 +931,7 @@ pub(crate) mod reference {
                 // Backward edges p -> u (u consumes p): rate(p) = rate(u) · s(u-edge).
                 for &p in graph.producers(u) {
                     let Some(ps) = schemes.get(&p) else { continue };
-                    if dim.full(ps) || dim.full(&schemes[&u]) {
+                    if dim.full(&ps.tiling) || dim.full(&schemes[&u].tiling) {
                         continue;
                     }
                     let Some(s) = dim.stride(graph.edge_req(p, u)) else {
@@ -714,12 +956,12 @@ pub(crate) mod reference {
         let mut upd_ratio: Vec<(NodeId, Ratio)> = Vec::with_capacity(ext.len());
         let mut scale = 1u64;
         for &u in ext {
-            let s = &schemes[&u];
+            let s = &schemes[&u].tiling;
             if dim.full(s) {
                 upd_ratio.push((u, Ratio::from_int(1)));
                 continue;
             }
-            let r = rate[&u].div_int(u64::from(dim.delta(s).max(1)));
+            let r = rate[&u].div_int(u64::from(dim.of(s.delta).max(1)));
             scale = lcm(scale, r.den);
             upd_ratio.push((u, r));
         }
@@ -784,25 +1026,25 @@ mod tests {
         // Output nodes: Δ = x = 2 (stage 1).
         for out in ["n0", "n1", "n2"] {
             let s = by_name(out);
-            assert_eq!(s.delta.h, 2, "{out}");
-            assert_eq!(s.tile.h, 2, "{out}");
+            assert_eq!(s.tiling.delta.h, 2, "{out}");
+            assert_eq!(s.tiling.tile.h, 2, "{out}");
         }
         // The halves of node(1) inherit its published Δ(1) = x(1) = 2.
         for half in ["n1a", "n1b"] {
             let s = by_name(half);
-            assert_eq!(s.delta.h, 2, "{half}");
-            assert_eq!(s.tile.h, 2, "{half}");
+            assert_eq!(s.tiling.delta.h, 2, "{half}");
+            assert_eq!(s.tiling.tile.h, 2, "{half}");
         }
         // Node(-2): Δ = lcm{Δ(0)s(0), Δ(1)s(1)} = lcm{4, 2} = 4;
         //           x = max{f0(2)=5, f1(4)=6} = 6.
         let in2 = by_name("input");
-        assert_eq!(in2.delta.h, 4);
-        assert_eq!(in2.tile.h, 6);
+        assert_eq!(in2.tiling.delta.h, 4);
+        assert_eq!(in2.tiling.tile.h, 6);
         // Node(-1): Δ = lcm{Δ(1)s(1), Δ(2)s(2)} = 2;
         //           x = max{f1(2)=4, f2(2)=2} = 4.
         let in1 = by_name("input1");
-        assert_eq!(in1.delta.h, 2);
-        assert_eq!(in1.tile.h, 4);
+        assert_eq!(in1.tiling.delta.h, 2);
+        assert_eq!(in1.tiling.tile.h, 4);
         // upd_num: the unique co-prime solution {1, 2, 1, 2, 2} of the
         // paper — node(-2) and node(0) update once per elementary
         // operation, all other nodes twice.
@@ -825,7 +1067,7 @@ mod tests {
         // so x grows by exactly 2 per backward step until clamped.
         let tiles: Vec<u32> = g
             .node_ids()
-            .map(|id| scheme.get(id).unwrap().tile.h)
+            .map(|id| scheme.get(id).unwrap().tiling.tile.h)
             .collect();
         assert_eq!(tiles, vec![3, 3, 3, 3, 1]);
     }
@@ -839,9 +1081,9 @@ mod tests {
         let scheme = derive_scheme(&g, &members, &Mapper::default()).unwrap();
         assert_eq!(scheme.len(), 3);
         let boundary = scheme.get(ids[2]).unwrap();
-        assert!(boundary.boundary_input);
-        assert!(boundary.interior_consumed);
-        assert!(!scheme.get(ids[4]).unwrap().interior_consumed);
+        assert!(boundary.tiling.boundary_input);
+        assert!(boundary.tiling.interior_consumed);
+        assert!(!scheme.get(ids[4]).unwrap().tiling.interior_consumed);
     }
 
     #[test]
@@ -856,8 +1098,8 @@ mod tests {
         let scheme = derive_scheme(&g, &members, &Mapper::default()).unwrap();
         let c_id = g.iter().find(|(_, n)| n.name() == "c").unwrap().0;
         let s = scheme.get(c_id).unwrap();
-        assert!(s.full_h && s.full_w);
-        assert_eq!(s.tile, Dims2::new(16, 16));
+        assert!(s.tiling.fully_buffered());
+        assert_eq!(s.tiling.tile, Dims2::new(16, 16));
         assert!(!scheme.exact_upd());
     }
 
@@ -872,9 +1114,9 @@ mod tests {
         let mapper = Mapper::new(MapperPolicy::Tile { rows: 2, cols: 4 });
         let scheme = derive_scheme(&g, &members, &mapper).unwrap();
         let input = scheme.get(g.input_ids()[0]).unwrap();
-        assert_eq!(input.delta.h, 4); // 2 rows out × stride 2
-        assert_eq!(input.tile.h, 5); // F − s + Δ = 3 − 2 + 4
-        assert_eq!(input.tile.w, 9); // 3 − 2 + 8
+        assert_eq!(input.tiling.delta.h, 4); // 2 rows out × stride 2
+        assert_eq!(input.tiling.tile.h, 5); // F − s + Δ = 3 − 2 + 4
+        assert_eq!(input.tiling.tile.w, 9); // 3 − 2 + 8
     }
 
     #[test]
@@ -914,7 +1156,7 @@ mod tests {
         let members: Vec<_> = g.node_ids().collect();
         let scheme = derive_scheme(&g, &members, &Mapper::default()).unwrap();
         for (id, s) in scheme.iter() {
-            if s.full_h || !s.interior_consumed {
+            if s.tiling.full_h || !s.tiling.interior_consumed {
                 continue;
             }
             let max_overlap = g
@@ -927,9 +1169,9 @@ mod tests {
                 .max()
                 .unwrap_or(0);
             assert!(
-                s.overlap_rows() <= max_overlap,
+                s.tiling.overlap_rows() <= max_overlap,
                 "node {id}: overlap {} > max F−s {max_overlap}",
-                s.overlap_rows()
+                s.tiling.overlap_rows()
             );
         }
     }
@@ -1006,6 +1248,50 @@ mod tests {
         }
         assert!(checked > 10_000, "only {checked} member sets checked");
         assert!(errors > 0 && errors < checked);
+    }
+
+    #[test]
+    fn tiling_matches_the_scheme() {
+        // The stage 1-2 path returns the scheme's tilings and errors on
+        // every family, the random disconnected subsets included.
+        let mappers = [
+            Mapper::default(),
+            Mapper::new(MapperPolicy::Tile { rows: 2, cols: 4 }),
+        ];
+        let (mut checked, mut propagated, mut inconsistent) = (0usize, 0usize, 0usize);
+        for (k, (name, build)) in cocco_graph::models::registry().iter().enumerate() {
+            let g = build();
+            let proof = RateProof::of(&g);
+            for members in member_families(&g, 0x5eed ^ k as u64) {
+                for mapper in &mappers {
+                    let got = derive_tiling(&g, &members, mapper, &proof);
+                    let want = derive_scheme(&g, &members, mapper);
+                    match (&got, &want) {
+                        (Ok(got), Ok(want)) => {
+                            let want: Vec<_> = want.iter().map(|(id, s)| (id, s.tiling)).collect();
+                            let got: Vec<_> = got.iter().map(|(id, t)| (id, *t)).collect();
+                            assert_eq!(got, want, "{name}: members {members:?}");
+                        }
+                        _ => assert_eq!(
+                            got.as_ref().err(),
+                            want.as_ref().err(),
+                            "{name}: members {members:?}"
+                        ),
+                    }
+                    checked += 1;
+                    propagated += usize::from(got.is_ok_and(|t| t.rates_propagated()));
+                    inconsistent +=
+                        usize::from(matches!(want, Err(TilingError::InconsistentRates { .. })));
+                }
+            }
+        }
+        assert!(checked > 10_000, "only {checked} member sets checked");
+        // Both outcomes of the propagation the proof could not skip occur.
+        assert!(propagated > 0, "no consistent set needed the propagation");
+        assert!(
+            inconsistent > 0,
+            "no family reaches an inconsistent rate system"
+        );
     }
 
     #[test]

@@ -19,6 +19,18 @@
 //!   `x(u) = max_v f_v(Δ(u)/s(v))` with `f_v(t) = F(v) + (t−1)·s(v)`;
 //! * stage 3 — `upd_num` via exact rational propagation.
 //!
+//! # Who needs stage 3
+//!
+//! Δ, x and the flags ([`NodeTiling`]) size the buffer; only `upd_num`
+//! schedules elementary operations. So stage 3 is needed by whoever
+//! replays operations: the [`schedule`] checker, buffer snapshots and the
+//! paper's Figure 5 table call [`derive_scheme`]. The cost model reads
+//! only [`NodeTiling`]s, so subgraph statistics call [`derive_tiling`],
+//! which runs stages 1–2 and returns the same result and the same errors
+//! without `upd_num`: stage 3 can only fail, and [`derive_tiling`] runs
+//! its propagation only where it cannot prove that propagation succeeds
+//! (with a [`RateProof`] made once per graph).
+//!
 //! The crate also implements the *production-centric* forward derivation of
 //! paper Figure 4(a) ([`production`]) so the two schemes can be compared.
 //!
@@ -45,6 +57,6 @@ pub mod schedule;
 mod scheme;
 
 pub use error::TilingError;
-pub use flow::derive_scheme;
+pub use flow::{derive_scheme, derive_tiling, RateProof};
 pub use mapper::{Mapper, MapperPolicy};
-pub use scheme::{ExecutionScheme, NodeScheme};
+pub use scheme::{ExecutionScheme, NodeScheme, NodeTiling, SubgraphTiling};

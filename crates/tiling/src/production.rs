@@ -304,7 +304,7 @@ mod tests {
         let prod = derive_production(&g, &members, Dims2::square(5)).unwrap();
         let mapper = crate::Mapper::new(crate::MapperPolicy::Tile { rows: 1, cols: 1 });
         let cons = crate::derive_scheme(&g, &members, &mapper).unwrap();
-        let cons_total: u64 = cons.iter().map(|(_, s)| s.tile.area()).sum();
+        let cons_total: u64 = cons.iter().map(|(_, s)| s.tiling.tile.area()).sum();
         assert!(
             prod.total_buffered() > cons_total,
             "production {} should exceed consumption {}",

@@ -1,4 +1,5 @@
-//! Minimal exact rational arithmetic for the `upd_num` derivation (stage 3).
+//! Minimal exact rational arithmetic for the `upd_num` derivation (stage 3)
+//! and the per-graph proof that lets statistics skip it.
 
 /// Greatest common divisor (Euclid). `gcd(0, n) = n`.
 pub(crate) fn gcd(a: u64, b: u64) -> u64 {
@@ -17,6 +18,14 @@ pub(crate) fn lcm(a: u64, b: u64) -> u64 {
         return 0;
     }
     (a / gcd(a, b)).saturating_mul(b)
+}
+
+/// Least common multiple, or `None` on overflow.
+pub(crate) fn checked_lcm(a: u64, b: u64) -> Option<u64> {
+    if a == 0 || b == 0 {
+        return Some(0);
+    }
+    (a / gcd(a, b)).checked_mul(b)
 }
 
 /// An exact non-negative rational, always kept in lowest terms.
@@ -48,6 +57,17 @@ impl Ratio {
         assert!(k != 0);
         Ratio::new(self.num, self.den.saturating_mul(k))
     }
+
+    /// [`mul_int`](Self::mul_int), or `None` where it would saturate.
+    pub fn checked_mul_int(self, k: u64) -> Option<Self> {
+        Some(Ratio::new(self.num.checked_mul(k)?, self.den))
+    }
+
+    /// [`div_int`](Self::div_int), or `None` where it would saturate.
+    pub fn checked_div_int(self, k: u64) -> Option<Self> {
+        assert!(k != 0);
+        Some(Ratio::new(self.num, self.den.checked_mul(k)?))
+    }
 }
 
 #[cfg(test)]
@@ -67,6 +87,17 @@ mod tests {
         assert_eq!(lcm(4, 6), 12);
         assert_eq!(lcm(2, 2), 2);
         assert_eq!(lcm(0, 3), 0);
+    }
+
+    #[test]
+    fn checked_ops_refuse_to_saturate() {
+        assert_eq!(checked_lcm(4, 6), Some(12));
+        assert_eq!(checked_lcm(u64::MAX, u64::MAX - 1), None);
+        let r = Ratio::new(3, 4);
+        assert_eq!(r.checked_mul_int(8), Some(r.mul_int(8)));
+        assert_eq!(r.checked_div_int(3), Some(r.div_int(3)));
+        assert_eq!(Ratio::new(u64::MAX, 1).checked_mul_int(2), None);
+        assert_eq!(Ratio::new(1, u64::MAX).checked_div_int(2), None);
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl Program {
                             continue;
                         }
                         let (lo, _) = needed_rows(graph, step, idx, p);
-                        let resident_lo = got.saturating_sub(ps.tile.h);
+                        let resident_lo = got.saturating_sub(ps.tiling.tile.h);
                         if lo < resident_lo {
                             worst = worst.max(resident_lo - lo);
                         }
@@ -216,7 +216,7 @@ pub fn generate_program(
             let s = scheme.get(id).expect("covered");
             let h = graph.node(id).out_shape().h;
             let node = graph.node(id);
-            let is_load = s.boundary_input || node.op().is_input();
+            let is_load = s.tiling.boundary_input || node.op().is_input();
             let kind = if is_load {
                 StepKind::DramLoad
             } else {
@@ -237,9 +237,9 @@ pub fn generate_program(
                 let target = if !is_load && got == 0 {
                     h
                 } else if got == 0 {
-                    s.tile.h.min(h)
+                    s.tiling.tile.h.min(h)
                 } else {
-                    (got + s.delta.h).min(h)
+                    (got + s.tiling.delta.h).min(h)
                 };
                 // Dataflow bound: rows computable from producer data.
                 let producible = if is_load {

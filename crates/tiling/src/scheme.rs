@@ -3,18 +3,17 @@
 use cocco_graph::{Dims2, Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
-/// Per-node result of the consumption-centric derivation (paper Fig. 5).
+/// Per-node result of stages 1–2 of the consumption-centric derivation
+/// (paper Fig. 5): everything buffer sizing reads.
 ///
 /// All quantities are expressed in the node's *output* coordinate system,
 /// independently for the height and width dimensions.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NodeScheme {
+pub struct NodeTiling {
     /// Update offset `Δ`: fresh output rows/columns per memory update.
     pub delta: Dims2,
     /// Buffered tile size `x`: rows/columns that must stay resident.
     pub tile: Dims2,
-    /// Memory updates per elementary operation (stage 3, co-prime solution).
-    pub upd_num: Dims2,
     /// The whole height extent is resident (`Δ.h` reached the tensor height).
     pub full_h: bool,
     /// The whole width extent is resident.
@@ -26,7 +25,7 @@ pub struct NodeScheme {
     pub interior_consumed: bool,
 }
 
-impl NodeScheme {
+impl NodeTiling {
     /// `true` when the whole tensor is resident in both dimensions.
     pub fn fully_buffered(&self) -> bool {
         self.full_h && self.full_w
@@ -36,6 +35,47 @@ impl NodeScheme {
     /// dimension) — the SIDE-region depth of paper Figure 7.
     pub fn overlap_rows(&self) -> u32 {
         self.tile.h.saturating_sub(self.delta.h)
+    }
+}
+
+/// Per-node result of all three stages: the node's [`NodeTiling`] plus the
+/// memory updates it performs per elementary operation.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct NodeScheme {
+    /// Stages 1–2: update offset, tile size and flags.
+    pub tiling: NodeTiling,
+    /// Memory updates per elementary operation (stage 3, co-prime solution).
+    pub upd_num: Dims2,
+}
+
+/// The stage 1–2 result of one subgraph: a [`NodeTiling`] for every member
+/// and every boundary producer, with no `upd_num`.
+///
+/// Created by [`derive_tiling`](crate::derive_tiling), which returns an
+/// error exactly when [`derive_scheme`](crate::derive_scheme) does.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SubgraphTiling {
+    entries: Vec<(NodeId, NodeTiling)>,
+    propagated: bool,
+}
+
+impl SubgraphTiling {
+    pub(crate) fn new(entries: Vec<(NodeId, NodeTiling)>, propagated: bool) -> Self {
+        Self {
+            entries,
+            propagated,
+        }
+    }
+
+    /// Iterates over `(id, tiling)` in ascending node order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (NodeId, &NodeTiling)> {
+        self.entries.iter().map(|(id, t)| (*id, t))
+    }
+
+    /// `true` when the derivation could not prove stage 3 consistent and
+    /// ran its rate propagation to decide the result.
+    pub fn rates_propagated(&self) -> bool {
+        self.propagated
     }
 }
 
@@ -54,7 +94,7 @@ impl NodeScheme {
 /// let mapper = Mapper::new(MapperPolicy::FullWidthRows { rows: 1 });
 /// let scheme = derive_scheme(&graph, &members, &mapper).unwrap();
 /// for (_, s) in scheme.iter() {
-///     assert!(s.tile.h >= s.delta.h);
+///     assert!(s.tiling.tile.h >= s.tiling.delta.h);
 /// }
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -109,12 +149,13 @@ impl ExecutionScheme {
     pub fn elementary_ops(&self, graph: &Graph) -> Dims2 {
         let mut ops = Dims2::new(1, 1);
         for (id, s) in self.iter() {
-            if s.boundary_input || s.interior_consumed {
+            let t = &s.tiling;
+            if t.boundary_input || t.interior_consumed {
                 continue; // only output nodes define the op count
             }
             let shape = graph.node(id).out_shape();
-            let per_op_h = s.upd_num.h.saturating_mul(s.delta.h).max(1);
-            let per_op_w = s.upd_num.w.saturating_mul(s.delta.w).max(1);
+            let per_op_h = s.upd_num.h.saturating_mul(t.delta.h).max(1);
+            let per_op_w = s.upd_num.w.saturating_mul(t.delta.w).max(1);
             ops.h = ops.h.max(shape.h.div_ceil(per_op_h));
             ops.w = ops.w.max(shape.w.div_ceil(per_op_w));
         }
@@ -128,13 +169,15 @@ mod tests {
 
     fn dummy(delta: u32, tile: u32) -> NodeScheme {
         NodeScheme {
-            delta: Dims2::square(delta),
-            tile: Dims2::square(tile),
+            tiling: NodeTiling {
+                delta: Dims2::square(delta),
+                tile: Dims2::square(tile),
+                full_h: false,
+                full_w: false,
+                boundary_input: false,
+                interior_consumed: false,
+            },
             upd_num: Dims2::square(1),
-            full_h: false,
-            full_w: false,
-            boundary_input: false,
-            interior_consumed: false,
         }
     }
 
@@ -147,15 +190,15 @@ mod tests {
             ],
             true,
         );
-        assert_eq!(scheme.get(NodeId::from_index(2)).unwrap().delta.h, 2);
-        assert_eq!(scheme.get(NodeId::from_index(5)).unwrap().tile.h, 3);
+        assert_eq!(scheme.get(NodeId::from_index(2)).unwrap().tiling.delta.h, 2);
+        assert_eq!(scheme.get(NodeId::from_index(5)).unwrap().tiling.tile.h, 3);
         assert!(scheme.get(NodeId::from_index(3)).is_none());
         assert_eq!(scheme.len(), 2);
     }
 
     #[test]
     fn overlap_rows_saturate() {
-        assert_eq!(dummy(4, 2).overlap_rows(), 0);
-        assert_eq!(dummy(1, 3).overlap_rows(), 2);
+        assert_eq!(dummy(4, 2).tiling.overlap_rows(), 0);
+        assert_eq!(dummy(1, 3).tiling.overlap_rows(), 2);
     }
 }

@@ -59,10 +59,10 @@ fn main() -> Result<(), cocco::Error> {
         println!(
             "{:<22} {:>10} {:>10} {:>8} {:>8}",
             model.node(id).name(),
-            format!("{},{}", s.delta.h, s.delta.w),
-            format!("{},{}", s.tile.h, s.tile.w),
+            format!("{},{}", s.tiling.delta.h, s.tiling.delta.w),
+            format!("{},{}", s.tiling.tile.h, s.tiling.tile.w),
             format!("{}x{}", s.upd_num.h, s.upd_num.w),
-            if s.interior_consumed && s.overlap_rows() > 0 {
+            if s.tiling.interior_consumed && s.tiling.overlap_rows() > 0 {
                 "yes"
             } else {
                 "-"

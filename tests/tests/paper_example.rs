@@ -38,12 +38,12 @@ fn figure5_derivation_matches_paper() {
         *scheme.get(id).unwrap()
     };
     // Δ(-2)=4, x(-2)=6, upd(-2)=1
-    assert_eq!(s("input").delta.h, 4);
-    assert_eq!(s("input").tile.h, 6);
+    assert_eq!(s("input").tiling.delta.h, 4);
+    assert_eq!(s("input").tiling.tile.h, 6);
     assert_eq!(s("input").upd_num.h, 1);
     // Δ(-1)=2, x(-1)=4, upd(-1)=2
-    assert_eq!(s("input1").delta.h, 2);
-    assert_eq!(s("input1").tile.h, 4);
+    assert_eq!(s("input1").tiling.delta.h, 2);
+    assert_eq!(s("input1").tiling.tile.h, 4);
     assert_eq!(s("input1").upd_num.h, 2);
     // outputs: Δ=x=2; upd(0)=1, upd(1)=upd(2)=2 — the co-prime {1,2,1,2,2}.
     assert_eq!(s("n0").upd_num.h, 1);
@@ -124,7 +124,7 @@ fn figure4_production_centric_extra_data() {
     // And the consumption-centric scheme avoids exactly that overhead.
     let mapper = Mapper::new(MapperPolicy::Tile { rows: 1, cols: 1 });
     let scheme = derive_scheme(&g, &members, &mapper).unwrap();
-    let consumption_total: u64 = scheme.iter().map(|(_, s)| s.tile.area()).sum();
+    let consumption_total: u64 = scheme.iter().map(|(_, s)| s.tiling.tile.area()).sum();
     assert!(report.total_buffered() > consumption_total);
 }
 

@@ -110,6 +110,7 @@ fn tiling_invariants() {
         let members: Vec<_> = graph.node_ids().collect();
         let scheme = derive_scheme(&graph, &members, &Mapper::default()).unwrap();
         for (id, s) in scheme.iter() {
+            let s = &s.tiling;
             assert!(s.tile.h >= s.delta.h, "case {case}");
             assert!(s.tile.w >= s.delta.w, "case {case}");
             let shape = graph.node(id).out_shape();
