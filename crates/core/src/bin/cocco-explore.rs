@@ -64,8 +64,9 @@ const OPTIONS_AND_EXIT_CODES: &str = concat!(
     "  --seed <n>         RNG seed (default 0xC0CC0)\n",
     "  --cores <n>        NPU cores (default 1)\n",
     "  --batch <n>        batch size (default 1)\n",
-    "  --threads <n>      evaluation worker threads, or `auto` (default auto);\n",
-    "                     results are identical at any thread count\n",
+    "  --threads <n>      threads that run evaluation jobs, this one included,\n",
+    "                     or `auto` (default auto); results are identical at\n",
+    "                     any thread count\n",
     "  --chunk <n|auto>   jobs handed to a worker per pool dispatch (default\n",
     "                     auto: batch size / (threads * 4)); results are\n",
     "                     identical at any chunk size\n",

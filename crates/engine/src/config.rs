@@ -3,7 +3,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// How many worker threads the engine uses for batch evaluation.
+/// How many worker threads the engine uses for batch evaluation: the
+/// dispatching thread plus `threads − 1` pool helpers.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ThreadCount {
     /// Use the machine's available parallelism (capped at

@@ -662,12 +662,13 @@ impl Engine {
     /// worker dying on a poisoned invariant, an injected fault — is caught
     /// and returned as a structured [`DispatchPanic`] instead of unwinding
     /// through the caller. The pool delivers worker panics to the
-    /// dispatching thread (inline batches panic in place; persistent
-    /// workers forward the payload and stay alive), and the engine stays
-    /// fully usable afterwards: the pool keeps its threads, the cache
-    /// tolerates poisoned shards, and the failed batch's staged entries
-    /// are discarded, so the cache holds exactly what it held before the
-    /// batch, at any thread count.
+    /// dispatching thread (inline batches panic in place; a parallel batch
+    /// re-raises the first payload once every worker, the caller and the
+    /// persistent helpers, has finished, and the helpers stay alive), and
+    /// the engine stays fully usable afterwards: the pool keeps its
+    /// threads, the cache tolerates poisoned shards, and the failed
+    /// batch's staged entries are discarded, so the cache holds exactly
+    /// what it held before the batch, at any thread count.
     pub fn try_dispatch(
         &self,
         jobs: usize,

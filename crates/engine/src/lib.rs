@@ -6,9 +6,10 @@
 //! parallel at the batch level. This crate factors that hot path out of the
 //! individual searchers into one engine:
 //!
-//! * [`EnginePool`] — a worker pool with a **persistent** thread set
-//!   (spawned lazily, channel-fed, joined on drop; [`EngineConfig`]:
-//!   `auto` or a fixed count, `1` ⇒ fully serial);
+//! * [`EnginePool`] — a worker pool in which the caller works its batch
+//!   beside a **persistent** set of `threads − 1` helpers (spawned
+//!   lazily, channel-fed, joined on drop; [`EngineConfig`]: `auto` or a
+//!   fixed count, `1` ⇒ fully serial);
 //! * [`EvalCache`] — a sharded, **bounded** memoization cache of plain
 //!   whole-partition [`ScoredEval`] roll-ups. Keys are fixed-size
 //!   [`EvalKey`] fingerprints folded from 128-bit subgraph content hashes;

@@ -1,6 +1,7 @@
 //! The buffer-region manager of paper Figure 8.
 
 use crate::error::MemError;
+use crate::footprint::node_footprint;
 use crate::region::{Region, RegionKind};
 use cocco_graph::{Graph, NodeId};
 use cocco_tiling::ExecutionScheme;
@@ -126,8 +127,9 @@ impl BufferRegionManager {
         self.cursor = 0;
     }
 
-    /// Allocates MAIN and SIDE regions for every node of `scheme` and
-    /// returns the resulting plan. The manager is reset first.
+    /// Allocates MAIN and SIDE regions for every node of `scheme`, sized by
+    /// [`node_footprint`], and returns the resulting plan. The manager is
+    /// reset first.
     ///
     /// # Errors
     ///
@@ -144,29 +146,17 @@ impl BufferRegionManager {
             regions: Vec::with_capacity(scheme.len()),
         };
         for (id, s) in scheme.iter() {
-            let s = &s.tiling;
-            let shape = graph.node(id).out_shape();
-            let c = u64::from(shape.c);
-            let main = u64::from(s.tile.h) * u64::from(s.tile.w) * c * elem_bytes;
-            match self.allocate(id, RegionKind::Main, main) {
-                Ok(r) => plan.regions.push(r),
-                Err(e) => {
-                    self.reset();
-                    return Err(e);
-                }
-            }
-            if s.interior_consumed {
-                let side = u64::from(s.overlap_rows())
-                    * u64::from(shape.w.saturating_sub(s.tile.w))
-                    * c
-                    * elem_bytes;
-                if side > 0 {
-                    match self.allocate(id, RegionKind::Side, side) {
-                        Ok(r) => plan.regions.push(r),
-                        Err(e) => {
-                            self.reset();
-                            return Err(e);
-                        }
+            let node = node_footprint(graph, id, &s.tiling, elem_bytes);
+            let regions = [
+                (RegionKind::Main, node.main_bytes),
+                (RegionKind::Side, node.side_bytes),
+            ];
+            for (kind, bytes) in regions.into_iter().take(node.regions()) {
+                match self.allocate(id, kind, bytes) {
+                    Ok(r) => plan.regions.push(r),
+                    Err(e) => {
+                        self.reset();
+                        return Err(e);
                     }
                 }
             }

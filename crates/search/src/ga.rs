@@ -367,18 +367,34 @@ impl SearchDriver for GaDriver {
                         memo: candidate.memo,
                     });
                 }
-                let mut next: Vec<Member> = Vec::with_capacity(cfg.population);
+                // Draw every survivor's index first, then move each kept
+                // member out of the pool at its last pick and clone it
+                // only for earlier repeats.
+                let mut picks: Vec<usize> = Vec::with_capacity(cfg.population);
                 if let Some(best_idx) = pool
                     .iter()
                     .enumerate()
                     .min_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
                     .map(|(i, _)| i)
                 {
-                    next.push(pool[best_idx].clone());
+                    picks.push(best_idx);
                 }
-                while next.len() < cfg.population && !pool.is_empty() {
-                    let w = tournament(&pool, cfg.tournament, &mut self.rng);
-                    next.push(pool[w].clone());
+                while picks.len() < cfg.population && !pool.is_empty() {
+                    picks.push(tournament(&pool, cfg.tournament, &mut self.rng));
+                }
+                let mut left = vec![0u32; pool.len()];
+                for &i in &picks {
+                    left[i] += 1;
+                }
+                let mut pool: Vec<Option<Member>> = pool.into_iter().map(Some).collect();
+                let mut next: Vec<Member> = Vec::with_capacity(picks.len());
+                for i in picks {
+                    left[i] -= 1;
+                    next.extend(if left[i] == 0 {
+                        pool[i].take()
+                    } else {
+                        pool[i].clone()
+                    });
                 }
                 self.population = next;
             }

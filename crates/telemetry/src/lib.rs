@@ -30,7 +30,9 @@
 //!
 //! - `engine.batch.latency_ns` (one batch dispatch: every candidate's
 //!   repair, cache probe and scoring plus the funding-order publish of
-//!   the entries it computed), `engine.pool.queue_wait_ns`
+//!   the entries it computed), `engine.pool.queue_wait_ns` (submit to
+//!   the first helper's claim: a helper's wake latency, one sample per
+//!   parallel batch — the caller works its batch and claims at once)
 //! - `engine.batch.wall_ns` (gauge: summed batch wall time, repair
 //!   included — the facade's `eval` phase) and `engine.batch.alloc_bytes`
 //!   (scratch growth per batch)

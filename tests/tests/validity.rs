@@ -91,3 +91,43 @@ fn exhaustive_is_valid_where_it_completes() {
         assert!(out.best.unwrap().partition.validate(&g).is_ok());
     }
 }
+
+#[test]
+fn region_plans_match_the_footprint_on_greedy_partitions() {
+    // The region manager and the statistics size regions with one
+    // formula: on every registry model, each subgraph of the greedy
+    // partition plans exactly the footprint's bytes and regions.
+    use cocco::mem::{footprint::subgraph_footprint, BufferRegionManager};
+    let buffer = BufferConfig::shared(2 << 20);
+    for &(name, build) in cocco::graph::models::registry() {
+        let g = build();
+        let config = AcceleratorConfig::default();
+        let eval = Evaluator::new(&g, config.clone());
+        let ctx = SearchContext::new(
+            &g,
+            &eval,
+            BufferSpace::fixed(buffer),
+            Objective::partition_only(CostMetric::Ema),
+            300,
+        );
+        let best = SearchMethod::greedy()
+            .run(&ctx)
+            .best
+            .unwrap_or_else(|| panic!("{name}: no greedy solution"));
+        let mut mgr = BufferRegionManager::new(1 << 40, 1 << 16);
+        for members in best.partition.subgraphs() {
+            let scheme = cocco::tiling::derive_scheme(&g, &members, &config.mapper)
+                .unwrap_or_else(|e| panic!("{name}: {members:?}: {e}"));
+            let fp = subgraph_footprint(&g, &members, &scheme, config.elem_bytes);
+            let plan = mgr
+                .allocate_subgraph(&g, &scheme, config.elem_bytes)
+                .unwrap_or_else(|e| panic!("{name}: {members:?}: {e}"));
+            assert_eq!(
+                plan.total_bytes(),
+                fp.activation_bytes,
+                "{name}: {members:?}"
+            );
+            assert_eq!(plan.regions().len(), fp.regions, "{name}: {members:?}");
+        }
+    }
+}
