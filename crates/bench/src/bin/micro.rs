@@ -707,12 +707,17 @@ fn repair_work_check(metrics: &MetricsSnapshot, threads: u32) {
 /// the facade's defaults — deterministic counts, so a regression shows
 /// without timing noise. Neither method may hit the statistics
 /// canonicalize fallback (both hand the cache ascending member lists) or
-/// run stage 3's rate propagation (the rate proof covers their sets),
-/// and greedy fusion, which memoizes member-set costs across its steps,
-/// must score at most `MAX_GREEDY_TERMS` subgraph terms (it scored
-/// 258,826 when every step re-scored every quotient edge).
+/// run stage 3's rate propagation, in a derivation or a grown run (the
+/// rate proof covers their sets); greedy fusion, which memoizes
+/// member-set costs across its steps, must score at most
+/// `MAX_GREEDY_TERMS` subgraph terms (it scored 258,826 when every step
+/// re-scored every quotient edge); and depth-DP must grow each of its
+/// `DP_GROWN_RUNS` runs' statistics from the last run's, deriving from
+/// scratch only the `DP_SUBGRAPHS` subgraphs of its result.
 fn baselines_check(threads: u32) {
     const MAX_GREEDY_TERMS: u64 = 10_000;
+    const DP_GROWN_RUNS: u64 = 4_101;
+    const DP_SUBGRAPHS: u64 = 142;
     let model = cocco::graph::models::nasnet();
     for method in [SearchMethod::greedy(), SearchMethod::depth_dp()] {
         let name = method.name();
@@ -744,11 +749,23 @@ fn baselines_check(threads: u32) {
                 "{name} scored {} subgraph terms on nasnet (at most {MAX_GREEDY_TERMS})",
                 stats.subgraph_scorings
             );
+        } else {
+            assert_eq!(
+                evaluator.stats_grown(),
+                DP_GROWN_RUNS,
+                "{name} grew a different number of runs' statistics on nasnet"
+            );
+            assert_eq!(
+                evaluator.stats_derivations(),
+                DP_SUBGRAPHS,
+                "{name} derived statistics from scratch beyond its result's subgraphs"
+            );
         }
         println!(
-            "baseline {name:<18}: nasnet, {} subgraph terms, {} derivations, 0 fallbacks",
+            "baseline {name:<18}: nasnet, {} subgraph terms, {} derivations, {} grown, 0 fallbacks",
             stats.subgraph_scorings,
-            evaluator.stats_derivations()
+            evaluator.stats_derivations(),
+            evaluator.stats_grown()
         );
     }
 }

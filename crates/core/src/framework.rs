@@ -552,6 +552,10 @@ impl Cocco {
                     snapshot.budget_limit, self.budget
                 )));
             }
+            snapshot
+                .driver
+                .check(ctx.graph())
+                .map_err(|reason| checkpoint_error(format!("driver state unusable: {reason}")))?;
             snapshot.replay_into(ctx);
             method
                 .driver_from_state(&snapshot.driver)

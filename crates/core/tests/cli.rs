@@ -242,3 +242,172 @@ fn telemetry_report_shows_repair_as_a_share_of_eval() {
     let value: u64 = counter.split_whitespace().nth(1).unwrap().parse().unwrap();
     assert!(value > 0, "{counter}");
 }
+
+/// The checkpoint `cocco-explore nasnet --method dp` writes (default
+/// accelerator, buffer space, objective and budget) after `steps` driver
+/// steps, or once the driver is done, as a JSON tree.
+fn nasnet_dp_checkpoint(steps: usize) -> serde_json::Value {
+    use cocco::prelude::*;
+    let g = cocco::graph::models::nasnet();
+    let eval = Evaluator::new(&g, AcceleratorConfig::default());
+    let ctx = SearchContext::new(
+        &g,
+        &eval,
+        BufferSpace::paper_shared(),
+        Objective::co_exploration(CostMetric::Energy, 0.002),
+        20_000,
+    );
+    let method = SearchMethod::depth_dp();
+    let mut driver = method.driver();
+    for _ in 0..steps {
+        if !cocco::search::drive_step(&mut *driver, &ctx) {
+            break;
+        }
+    }
+    serde_json::to_value(&SearchSnapshot::capture(&method, &*driver, &ctx))
+}
+
+/// Field `key` of the JSON object `value`.
+fn field_mut<'v>(value: &'v mut serde_json::Value, key: &str) -> &'v mut serde_json::Value {
+    let serde_json::Value::Object(fields) = value else {
+        panic!("not an object");
+    };
+    &mut fields.iter_mut().find(|(name, _)| name == key).unwrap().1
+}
+
+/// Element `i` of the JSON array `value`.
+fn item_mut(value: &mut serde_json::Value, i: usize) -> &mut serde_json::Value {
+    let serde_json::Value::Array(items) = value else {
+        panic!("not an array");
+    };
+    &mut items[i]
+}
+
+/// The `DepthDp` state inside a checkpoint tree.
+fn dp_state(checkpoint: &mut serde_json::Value) -> &mut serde_json::Value {
+    field_mut(field_mut(checkpoint, "driver"), "DepthDp")
+}
+
+#[test]
+fn a_mid_run_dp_checkpoint_resumes_to_the_uninterrupted_result() {
+    let dir = std::env::temp_dir().join(format!("cocco-cli-dp-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("dp.ckpt");
+    let checkpoint = nasnet_dp_checkpoint(240);
+    std::fs::write(&path, serde_json::to_string(&checkpoint).unwrap()).unwrap();
+    let path_arg = path.to_str().unwrap();
+    let resumed = explore(&[
+        "nasnet",
+        "--method",
+        "dp",
+        "--json",
+        "--checkpoint-file",
+        path_arg,
+    ]);
+    assert!(
+        resumed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert!(!path.exists(), "a finished run removes its checkpoint");
+    let plain = explore(&["nasnet", "--method", "dp", "--json"]);
+    assert!(plain.status.success());
+    let exploration = |out: &std::process::Output| {
+        let value: serde_json::Value =
+            serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+        value.get("exploration").unwrap().clone()
+    };
+    let (resumed, plain) = (exploration(&resumed), exploration(&plain));
+    for key in ["cost", "genome", "report", "samples", "trace"] {
+        assert_eq!(resumed.get(key), plain.get(key), "{key}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn dp_checkpoints_the_driver_cannot_run_exit_3() {
+    use serde_json::Value;
+    let valid = nasnet_dp_checkpoint(240);
+    let n = cocco::graph::models::nasnet().len();
+    // A row the valid table has filled with a finite cost.
+    let finite_row = {
+        let mut checkpoint = valid.clone();
+        let dp = field_mut(dp_state(&mut checkpoint), "dp");
+        (1..240)
+            .rev()
+            .find(|&i| matches!(item_mut(dp, i), Value::F64(_)))
+            .unwrap()
+    };
+    type Mutation = Box<dyn Fn(&mut Value)>;
+    let cases: Vec<(&str, Mutation)> = vec![
+        (
+            "a table cut to 10 entries",
+            Box::new(|state| {
+                for key in ["dp", "back"] {
+                    let Value::Array(items) = field_mut(state, key) else {
+                        panic!("{key}");
+                    };
+                    items.truncate(10);
+                }
+            }),
+        ),
+        (
+            "a finished table whose last back-pointer points past its row",
+            Box::new(move |state| {
+                *field_mut(state, "row") = Value::U64(n as u64 + 1);
+                *item_mut(field_mut(state, "dp"), n) = Value::F64(1.0);
+                *item_mut(field_mut(state, "back"), n) = Value::U64(n as u64 + 1);
+            }),
+        ),
+        (
+            "a row past the table",
+            Box::new(|state| *field_mut(state, "row") = Value::U64(1_000_000)),
+        ),
+        (
+            "a finite cost pointing back to its own row",
+            Box::new(move |state| {
+                *item_mut(field_mut(state, "back"), finite_row) = Value::U64(finite_row as u64);
+            }),
+        ),
+        (
+            "a nonzero cost for the empty prefix",
+            Box::new(|state| *item_mut(field_mut(state, "dp"), 0) = Value::F64(1.0)),
+        ),
+    ];
+    let finished = nasnet_dp_checkpoint(usize::MAX);
+    let short_best = |state: &mut Value| {
+        let best = field_mut(field_mut(state, "outcome"), "best");
+        let Value::Array(assignment) = field_mut(field_mut(best, "partition"), "assignment") else {
+            panic!("assignment");
+        };
+        assignment.truncate(10);
+    };
+    let cases: Vec<(&str, &Value, Mutation)> = cases
+        .into_iter()
+        .map(|(case, mutate)| (case, &valid, mutate))
+        .chain([(
+            "a finished run whose best design covers 10 nodes",
+            &finished,
+            Box::new(short_best) as Mutation,
+        )])
+        .collect();
+    let dir = std::env::temp_dir().join(format!("cocco-cli-dp-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (k, (case, checkpoint, mutate)) in cases.iter().enumerate() {
+        let mut checkpoint = (*checkpoint).clone();
+        mutate(dp_state(&mut checkpoint));
+        let path = dir.join(format!("bad-{k}.ckpt"));
+        std::fs::write(&path, serde_json::to_string(&checkpoint).unwrap()).unwrap();
+        let out = explore(&[
+            "nasnet",
+            "--method",
+            "dp",
+            "--checkpoint-file",
+            path.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{case}: {stderr}");
+        assert!(stderr.contains("driver state unusable"), "{case}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -636,30 +636,48 @@ impl<'a> SearchContext<'a> {
     /// fit" and increment the trace's `infeasible_errors` counter, as in
     /// [`fits`](Self::fits).
     pub fn subgraph_cost(&self, members: &[NodeId], buffer: &BufferConfig) -> Option<f64> {
-        self.subgraph_term(members, buffer).unwrap_or_else(|_| {
-            self.trace.record_infeasible_error();
-            None
-        })
+        self.stats_cost(self.evaluator.subgraph_stats(members), buffer)
+    }
+
+    /// [`subgraph_cost`](Self::subgraph_cost) of statistics already in
+    /// hand (a grown subgraph's), recording an evaluator error the same
+    /// way.
+    pub(crate) fn stats_cost(
+        &self,
+        stats: Result<SubgraphStats, SimError>,
+        buffer: &BufferConfig,
+    ) -> Option<f64> {
+        match stats {
+            Ok(stats) => self.stats_term(&stats, buffer),
+            Err(_) => {
+                self.trace.record_infeasible_error();
+                None
+            }
+        }
     }
 
     /// [`subgraph_cost`](Self::subgraph_cost) without recording an
     /// evaluator error, for callers that memoize the outcome and record
-    /// it on every lookup themselves. One statistics probe serves both
-    /// the fit check and the term; members should ascend (what the
+    /// it on every lookup themselves. Members should ascend (what the
     /// statistics derivation expects, so no sorted copy is made).
     pub(crate) fn subgraph_term(
         &self,
         members: &[NodeId],
         buffer: &BufferConfig,
     ) -> Result<Option<f64>, SimError> {
-        let stats = self.evaluator.subgraph_stats(members)?;
-        if !self.stats_fit(&stats, buffer) {
-            return Ok(None);
+        Ok(self.stats_term(&self.evaluator.subgraph_stats(members)?, buffer))
+    }
+
+    /// The term of one subgraph's statistics: one fit check, then the
+    /// engine's single-subgraph scoring.
+    fn stats_term(&self, stats: &SubgraphStats, buffer: &BufferConfig) -> Option<f64> {
+        if !self.stats_fit(stats, buffer) {
+            return None;
         }
         let scored = self
             .engine
-            .score_single(self.evaluator, &stats, buffer, self.options);
-        Ok(Some(scored.metric(self.objective.metric)))
+            .score_single(self.evaluator, stats, buffer, self.options);
+        Some(scored.metric(self.objective.metric))
     }
 
     /// The full objective cost of a valid partition under `buffer`, without

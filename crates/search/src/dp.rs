@@ -4,7 +4,7 @@ use crate::context::SearchContext;
 use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
 use crate::genome::Genome;
 use crate::outcome::SearchOutcome;
-use cocco_graph::NodeId;
+use cocco_graph::{Graph, NodeId};
 use cocco_partition::Partition;
 use serde::{Deserialize, Serialize};
 
@@ -52,7 +52,7 @@ impl Default for DepthDp {
 /// The depth order (ties by id) — the "arrange the layers based on their
 /// depth" step. Recomputed deterministically from the graph, so it never
 /// travels in a snapshot.
-fn depth_order(graph: &cocco_graph::Graph) -> Vec<usize> {
+fn depth_order(graph: &Graph) -> Vec<usize> {
     let depths = graph.depths();
     let mut order: Vec<usize> = (0..graph.len()).collect();
     order.sort_by_key(|&i| (depths[i], i));
@@ -70,16 +70,81 @@ pub struct DpState {
     outcome: SearchOutcome,
 }
 
+impl DpState {
+    /// Checks the state against a graph of `graph.len()` = n nodes:
+    ///
+    /// * a best design found so far is a valid partition of the graph;
+    /// * `dp` and `back` both have n + 1 entries, or are both empty at
+    ///   row 0 (a table not yet initialized);
+    /// * the next row to fill is at most n + 1;
+    /// * `dp[0]` is 0;
+    /// * every finite `dp[i]` with i ≥ 1 points back to a j = `back[i]`
+    ///   below i with a finite `dp[j]`, so reconstruction walks finite
+    ///   entries down to 0.
+    pub(crate) fn check(&self, graph: &Graph) -> Result<(), String> {
+        if let Some(best) = &self.outcome.best {
+            best.partition.validate(graph).map_err(|e| {
+                format!("depth-DP best design is not a partition of the graph: {e}")
+            })?;
+        }
+        let n = graph.len();
+        let (dp, back) = (&self.dp, &self.back);
+        if dp.len() != back.len() {
+            return Err(format!(
+                "depth-DP table has {} costs but {} back-pointers",
+                dp.len(),
+                back.len()
+            ));
+        }
+        if dp.is_empty() && self.row == 0 {
+            return Ok(());
+        }
+        if dp.len() != n + 1 {
+            return Err(format!(
+                "depth-DP table has {} rows at row {}; the graph needs {}",
+                dp.len(),
+                self.row,
+                n + 1
+            ));
+        }
+        if self.row > n as u64 + 1 {
+            return Err(format!(
+                "depth-DP row {} is past the last row {}",
+                self.row,
+                n + 1
+            ));
+        }
+        if dp[0] != 0.0 {
+            return Err(format!("depth-DP cost dp[0] is {}, not 0", dp[0]));
+        }
+        for i in 1..=n {
+            if !dp[i].is_finite() {
+                continue;
+            }
+            let j = back[i];
+            if j >= i as u64 || !dp[j as usize].is_finite() {
+                return Err(format!(
+                    "depth-DP row {i} has a finite cost but points back to {j}, \
+                     not to an earlier row with a finite cost"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The depth-ordered chain DP as a step-driven state machine: each step
 /// fills one row of the table (`dp[i]` = best cost covering the first `i`
 /// nodes of the depth order); the final step reconstructs and scores the
 /// run boundaries. Analytic: no step consumes budget.
 ///
 /// Row `i` grows one candidate run `order[j..i]` node by node as `j`
-/// walks down: the members stay ascending (each node is inserted in
-/// place), so each run is costed without a sorted copy, and connectivity
-/// is the component count of a union-find over the run instead of a
-/// search over it.
+/// walks down. No run member produces the node added next, which is no
+/// deeper than any of them, so the run's statistics grow producer-side
+/// ([`StatsGrowth`](cocco_sim::StatsGrowth)): each run extends the last
+/// by one layer instead of being re-derived. Connectivity is the
+/// component count of a union-find over the run instead of a search over
+/// it.
 #[derive(Debug)]
 pub struct DpDriver {
     config: DepthDp,
@@ -158,16 +223,21 @@ impl SearchDriver for DpDriver {
         if self.row <= n {
             let i = self.row;
             let lo = i.saturating_sub(self.config.max_run);
+            // Each run adds a shallower node, which no run member
+            // produces, so the statistics grow producer-side.
+            let mut grown = ctx.evaluator().grow();
             self.run.clear(n);
             for j in (lo..i).rev() {
-                self.run.push(graph, NodeId::from_index(order[j]));
+                let node = NodeId::from_index(order[j]);
+                self.run.push(graph, node);
+                grown.push(node);
                 if !self.dp[j].is_finite() {
                     continue;
                 }
                 if !self.run.is_connected() {
                     continue;
                 }
-                let Some(cost) = ctx.subgraph_cost(self.run.members(), &buffer) else {
+                let Some(cost) = ctx.stats_cost(grown.stats(), &buffer) else {
                     // Weights grow monotonically with the run: once a run
                     // stops fitting, longer runs cannot fit either.
                     break;
@@ -225,14 +295,13 @@ impl SearchDriver for DpDriver {
     }
 }
 
-/// A run of the depth order grown one node at a time: its members in
-/// ascending order, a per-node stamp marking membership in the current
-/// run, and a union-find over the members with a component count. The
-/// buffers are graph-sized and reused across rows; [`clear`](Run::clear)
-/// starts a new run by moving to a fresh stamp.
+/// The connectivity of a run of the depth order grown one node at a
+/// time: a per-node stamp marking membership in the current run, and a
+/// union-find over the members with a component count. The buffers are
+/// graph-sized and reused across rows; [`clear`](Run::clear) starts a new
+/// run by moving to a fresh stamp.
 #[derive(Debug, Default)]
 struct Run {
-    members: Vec<NodeId>,
     /// `stamp[v] == epoch` iff node `v` is in the current run.
     stamp: Vec<usize>,
     epoch: usize,
@@ -250,16 +319,13 @@ impl Run {
             self.epoch = 0;
         }
         self.epoch += 1;
-        self.members.clear();
         self.components = 0;
     }
 
     /// Adds `node` (not yet a member), joining it to every neighbour
     /// already in the run.
-    fn push(&mut self, graph: &cocco_graph::Graph, node: NodeId) {
+    fn push(&mut self, graph: &Graph, node: NodeId) {
         let v = node.index();
-        let at = self.members.partition_point(|&m| m < node);
-        self.members.insert(at, node);
         self.stamp[v] = self.epoch;
         self.parent[v] = v as u32;
         self.components += 1;
@@ -287,11 +353,6 @@ impl Run {
     /// Whether the run is one weakly connected subgraph.
     fn is_connected(&self) -> bool {
         self.components == 1
-    }
-
-    /// The members, ascending.
-    fn members(&self) -> &[NodeId] {
-        &self.members
     }
 }
 
@@ -360,12 +421,15 @@ mod tests {
     }
 
     #[test]
-    fn grown_runs_match_the_connectivity_oracle() {
+    fn grown_runs_match_the_connectivity_and_statistics_oracles() {
         // Every run the DP can visit under the paper's shared buffer:
         // order[j..i] for each row i, j walking down the max-run window
-        // until the first connected run that does not fit.
+        // until the first connected run that does not fit. Connected or
+        // not, each run's grown statistics (or error) equal a
+        // from-scratch derivation of its members, bit for bit.
         let max_run = DepthDp::default().max_run;
         let mut run = Run::default();
+        let mut compared = 0usize;
         for &(name, build) in cocco_graph::models::registry() {
             let g = build();
             let eval = Evaluator::new(&g, AcceleratorConfig::default());
@@ -380,23 +444,40 @@ mod tests {
             let order = depth_order(&g);
             for i in 1..=g.len() {
                 run.clear(g.len());
+                let mut grown = eval.grow();
                 for j in (i.saturating_sub(max_run)..i).rev() {
-                    run.push(&g, NodeId::from_index(order[j]));
+                    let node = NodeId::from_index(order[j]);
+                    run.push(&g, node);
+                    grown.push(node);
                     let mut expected: Vec<NodeId> =
                         order[j..i].iter().map(|&k| NodeId::from_index(k)).collect();
                     expected.sort_unstable();
-                    assert_eq!(run.members(), &expected[..], "{name} run {j}..{i}");
+                    let mut members = grown.members().to_vec();
+                    members.reverse();
+                    assert_eq!(members, expected, "{name} run {j}..{i}");
                     assert_eq!(
                         run.is_connected(),
                         g.is_connected_subset(&expected),
                         "{name} run {j}..{i}"
                     );
-                    if run.is_connected() && !ctx.fits(run.members(), &buffer) {
+                    let got = grown.stats();
+                    let want = eval.subgraph_stats(&expected);
+                    assert_eq!(got, want, "{name} run {j}..{i}");
+                    if let (Ok(got), Ok(want)) = (&got, &want) {
+                        assert_eq!(
+                            got.compute_cycles.to_bits(),
+                            want.compute_cycles.to_bits(),
+                            "{name} run {j}..{i}"
+                        );
+                    }
+                    compared += 1;
+                    if run.is_connected() && !ctx.fits(&expected, &buffer) {
                         break;
                     }
                 }
             }
         }
+        assert!(compared > 10_000, "only {compared} runs compared");
     }
 
     #[test]

@@ -39,6 +39,7 @@ use crate::portfolio::PortfolioState;
 use crate::sa::SaState;
 use crate::twostep::TwoStepState;
 use cocco_engine::{SampleBudget, SampleReservation, TracePoint};
+use cocco_graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -159,6 +160,23 @@ pub enum DriverState {
     TwoStep(TwoStepState),
     /// Portfolio meta-driver.
     Portfolio(PortfolioState),
+}
+
+impl DriverState {
+    /// Checks a state read from a checkpoint against the graph it will
+    /// resume on, before a driver is built from it, so a state the driver
+    /// cannot run is reported instead of panicking or looping. So far the
+    /// depth-ordered DP checks its table; other states pass unchecked.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first rule the state breaks.
+    pub fn check(&self, graph: &Graph) -> Result<(), String> {
+        match self {
+            DriverState::DepthDp(state) => state.check(graph),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Advances `driver` by exactly one step — `next_batch`, evaluate (one

@@ -8,7 +8,7 @@ use crate::report::{PartitionReport, SubgraphReport};
 use cocco_graph::{EdgeReq, FpCache, Graph, LayerOp, NodeId, NodeSetFp};
 use cocco_mem::footprint::node_footprint;
 use cocco_telemetry::{Histogram, Stopwatch, Telemetry};
-use cocco_tiling::{derive_tiling, RateProof, TilingError};
+use cocco_tiling::{NodeTiling, RateProof, TilingError, TilingGrowth};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -51,14 +51,16 @@ pub struct Evaluator<'g> {
     /// working set while stale subgraphs are shed. Workers that miss the
     /// same entry together derive it once.
     cache: FpCache<NodeSetFp, SubgraphStats>,
-    /// The graph's stage-3 rate proof, made by the first derivation (a
-    /// run that only hits never pays for it).
+    /// The graph's stage-3 rate proof, made by the first statistics
+    /// derived or grown (a run that only hits never pays for it).
     rate_proof: OnceLock<RateProof>,
     /// Fresh statistics derivations.
     stats_derivations: AtomicU64,
-    /// Derivations that could not prove stage 3 consistent and ran its
-    /// rate propagation. 0 on every registry model in production; the
-    /// smoke benchmark asserts it.
+    /// Statistics read from a [`StatsGrowth`].
+    stats_grown: AtomicU64,
+    /// Derivations and grown statistics that could not prove stage 3
+    /// consistent and ran its rate propagation. 0 on every registry model
+    /// in production; the smoke benchmark asserts it.
     stats_rate_fallbacks: AtomicU64,
     /// Misses whose member list arrived out of ascending order and had to
     /// be sorted into a temporary before derivation. Every production
@@ -120,6 +122,7 @@ impl<'g> Evaluator<'g> {
             cache: FpCache::with_capacity(Self::DEFAULT_STATS_CAPACITY),
             rate_proof: OnceLock::new(),
             stats_derivations: AtomicU64::new(0),
+            stats_grown: AtomicU64::new(0),
             stats_rate_fallbacks: AtomicU64::new(0),
             stats_canon_fallbacks: AtomicU64::new(0),
             stats_latency: None,
@@ -177,8 +180,14 @@ impl<'g> Evaluator<'g> {
         self.stats_derivations.load(Ordering::Relaxed)
     }
 
-    /// Derivations that ran stage 3's rate propagation because they could
-    /// not prove it consistent (see [`derive_tiling`]).
+    /// Statistics read from grown subgraphs ([`StatsGrowth::stats`]).
+    pub fn stats_grown(&self) -> u64 {
+        self.stats_grown.load(Ordering::Relaxed)
+    }
+
+    /// Derivations and grown statistics that ran stage 3's rate
+    /// propagation because they could not prove it consistent (see
+    /// [`TilingGrowth::check_rates`]).
     pub fn stats_rate_fallbacks(&self) -> u64 {
         self.stats_rate_fallbacks.load(Ordering::Relaxed)
     }
@@ -263,107 +272,96 @@ impl<'g> Evaluator<'g> {
     }
 
     /// Derives the statistics of the ascending member list `members` from
-    /// its stage 1–2 tiling, which already lists the distinct boundary
-    /// producers; membership is a binary search over `members`, so nothing
-    /// graph-sized is allocated.
+    /// scratch: one [`grow`](Self::grow) over the set in descending id
+    /// order.
     fn compute_stats(&self, members: &[NodeId]) -> Result<SubgraphStats, SimError> {
+        let mut growth = self.grow();
+        growth.tiling.validate(members)?;
+        for &m in members.iter().rev() {
+            growth.push(m);
+        }
+        growth.derive()
+    }
+
+    /// An empty subgraph whose statistics grow producer-side, one node at
+    /// a time: see [`StatsGrowth`]. Grown statistics bypass the statistics
+    /// cache and count in [`stats_grown`](Self::stats_grown), not in
+    /// [`stats_derivations`](Self::stats_derivations).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cocco_sim::{AcceleratorConfig, Evaluator};
+    ///
+    /// let g = cocco_graph::models::chain(4);
+    /// let eval = Evaluator::new(&g, AcceleratorConfig::default());
+    /// let ids: Vec<_> = g.node_ids().collect();
+    /// let mut growth = eval.grow();
+    /// // Consumers first: the last layer, then the last two, ...
+    /// for k in (1..ids.len()).rev() {
+    ///     growth.push(ids[k]);
+    ///     let grown = growth.stats().unwrap();
+    ///     assert_eq!(grown, eval.subgraph_stats(&ids[k..]).unwrap());
+    /// }
+    /// assert_eq!(eval.stats_grown(), 4);
+    /// ```
+    pub fn grow(&self) -> StatsGrowth<'_, 'g> {
+        StatsGrowth {
+            eval: self,
+            tiling: TilingGrowth::new(self.graph, self.config.mapper),
+            boundary: Vec::new(),
+            sum: Terms::default(),
+        }
+    }
+
+    /// The terms a covered node (member or boundary producer) with tiling
+    /// `s` adds: its buffer regions, its boundary-input load, its pass
+    /// through the global buffer, its multi-core halo and its
+    /// weight-stationary weight re-reads.
+    fn covered_terms(&self, id: NodeId, s: &NodeTiling) -> Terms {
         let graph = self.graph;
         let elem = self.config.elem_bytes;
-        let proof = self.rate_proof.get_or_init(|| RateProof::of(graph));
-        let tiling = derive_tiling(graph, members, &self.config.mapper, proof);
-        // Only stage 3's propagation reports inconsistent rates.
-        let propagated = match &tiling {
-            Ok(tiling) => tiling.rates_propagated(),
-            Err(e) => matches!(e, TilingError::InconsistentRates { .. }),
-        };
-        if propagated {
-            self.stats_rate_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-        let tiling = tiling?;
-        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
-        let is_member = |id: NodeId| members.binary_search(&id).is_ok();
-
-        let mut stats = SubgraphStats::default();
-        // Members: weights, compute (the f64 sum in member order),
-        // model-input loads, boundary outputs, and the window reads of
-        // each distinct producer's tensor.
-        let mut producers: Vec<NodeId> = Vec::new();
-        for &m in members {
-            let i = m.index();
-            stats.ema_wgt_bytes += self.weight_bytes[i];
-            stats.macs += self.macs[i];
-            stats.compute_cycles += self.cycles[i];
-            if self.is_input[i] {
-                stats.ema_in_bytes += self.out_bytes[i];
-            }
-            let consumers = graph.consumers(m);
-            if consumers.is_empty() || consumers.iter().any(|&c| !is_member(c)) {
-                stats.ema_out_bytes += self.out_bytes[i];
-            }
-            producers.clear();
-            producers.extend_from_slice(graph.producers(m));
-            producers.sort_unstable();
-            producers.dedup();
-            for &p in &producers {
-                let reuse = match graph.edge_req(p, m) {
-                    EdgeReq::Sliding(k) => {
-                        let rh = f64::from(k.size.h) / f64::from(k.stride.h.max(1));
-                        let rw = f64::from(k.size.w) / f64::from(k.stride.w.max(1));
-                        (rh * rw).max(1.0)
-                    }
-                    EdgeReq::Full => f64::from(graph.node(m).out_shape().h).max(1.0),
-                };
-                stats.glb_access_bytes += (self.out_bytes[p.index()] as f64 * reuse) as u64;
-            }
-        }
-        // The weight footprint is exactly the members' weights.
-        stats.wgt_footprint_bytes = stats.ema_wgt_bytes;
-
-        // Covered nodes: buffer regions, boundary-input loads, on-chip
-        // traffic and multi-core halo, from the tiling.
-        for (id, s) in tiling.iter() {
-            let i = id.index();
-            let footprint = node_footprint(graph, id, s, elem);
-            stats.act_footprint_bytes += footprint.total();
-            stats.regions += footprint.regions();
-            // Boundary inputs are exactly the distinct outside producers.
-            if s.boundary_input {
-                stats.ema_in_bytes += self.out_bytes[i];
-            }
+        let i = id.index();
+        let footprint = node_footprint(graph, id, s, elem);
+        let mut t = Terms {
+            act_footprint: footprint.total(),
+            regions: footprint.regions(),
             // Every covered tensor streams through the global buffer once.
-            stats.glb_access_bytes += self.out_bytes[i];
-            if s.interior_consumed {
-                let shape = graph.node(id).out_shape();
-                stats.halo_bytes_per_cut +=
-                    u64::from(s.overlap_rows()) * u64::from(shape.w) * u64::from(shape.c) * elem;
-            }
-            // Weight-stationary tiling re-reads a layer's weights once per
-            // tile of its own output.
-            if !s.boundary_input && self.weight_bytes[i] > 0 {
-                let shape = graph.node(id).out_shape();
-                let tiles = u64::from(shape.h.div_ceil(s.delta.h.max(1)))
-                    * u64::from(shape.w.div_ceil(s.delta.w.max(1)));
-                stats.wgt_access_bytes += self.weight_bytes[i].saturating_mul(tiles.max(1));
-            }
-        }
-
-        // Minimal weight residency: a lone layer streams weights one
-        // output-channel slice (mac_cols wide) at a time.
-        stats.wgt_resident_bytes = if members.len() == 1 {
-            let m = members[0];
-            let slice = match graph.node(m).op() {
-                LayerOp::Conv { kernel, c_out } => {
-                    let c_in = graph.in_shapes(m).first().map_or(0, |s| u64::from(s.c));
-                    let per_out = kernel.size.area() * c_in * elem;
-                    per_out * u64::from((*c_out).min(self.config.mac_cols))
-                }
-                _ => self.weight_bytes[m.index()],
-            };
-            slice.min(self.weight_bytes[m.index()])
-        } else {
-            stats.wgt_footprint_bytes
+            glb: self.out_bytes[i],
+            ..Terms::default()
         };
-        Ok(stats)
+        // Boundary inputs are exactly the distinct outside producers.
+        if s.boundary_input {
+            t.ema_in = self.out_bytes[i];
+        }
+        if s.interior_consumed {
+            let shape = graph.node(id).out_shape();
+            t.halo = u64::from(s.overlap_rows()) * u64::from(shape.w) * u64::from(shape.c) * elem;
+        }
+        // Weight-stationary tiling re-reads a layer's weights once per
+        // tile of its own output.
+        if !s.boundary_input && self.weight_bytes[i] > 0 {
+            let shape = graph.node(id).out_shape();
+            let tiles = u64::from(shape.h.div_ceil(s.delta.h.max(1)))
+                * u64::from(shape.w.div_ceil(s.delta.w.max(1)));
+            t.wgt_access = self.weight_bytes[i].saturating_mul(tiles.max(1));
+        }
+        t
+    }
+
+    /// Minimal weight residency of the lone layer `m`: it streams its
+    /// weights one output-channel slice (mac_cols wide) at a time.
+    fn single_layer_residency(&self, m: NodeId) -> u64 {
+        let graph = self.graph;
+        let slice = match graph.node(m).op() {
+            LayerOp::Conv { kernel, c_out } => {
+                let c_in = graph.in_shapes(m).first().map_or(0, |s| u64::from(s.c));
+                let per_out = kernel.size.area() * c_in * self.config.elem_bytes;
+                per_out * u64::from((*c_out).min(self.config.mac_cols))
+            }
+            _ => self.weight_bytes[m.index()],
+        };
+        slice.min(self.weight_bytes[m.index()])
     }
 
     /// Scores one subgraph under a buffer configuration — the pure
@@ -487,6 +485,191 @@ impl<'g> Evaluator<'g> {
             *buffer,
             self.config.freq_ghz,
         ))
+    }
+}
+
+/// The statistics of one subgraph grown producer-side: created by
+/// [`Evaluator::grow`], extended by [`push`](Self::push) and read by
+/// [`stats`](Self::stats) at any point.
+///
+/// **Contract:** a node is pushed only after every member that consumes
+/// it (descending id or depth order; see [`TilingGrowth`]). A pushed
+/// member's tiling and terms are then final, so each push adds that
+/// member's terms once, and only boundary producers a new consumer joined
+/// are re-tiled, their terms replaced by difference. The `u64` sums are
+/// exact in any order, so grown statistics equal a from-scratch
+/// [`Evaluator::subgraph_stats`] of the same members bit for bit; the one
+/// `f64` sum, `compute_cycles`, is re-summed in ascending member order.
+#[derive(Debug)]
+pub struct StatsGrowth<'e, 'g> {
+    eval: &'e Evaluator<'g>,
+    tiling: TilingGrowth<'g>,
+    /// The terms each boundary entry contributes to `sum`, by entry index
+    /// (zero for members and for entries not yet tiled).
+    boundary: Vec<Terms>,
+    /// Every member's and boundary entry's terms.
+    sum: Terms,
+}
+
+impl StatsGrowth<'_, '_> {
+    /// Adds `node`: in the graph, not yet a member, and consumed by no
+    /// member pushed later.
+    pub fn push(&mut self, node: NodeId) {
+        let eval = self.eval;
+        let graph = eval.graph;
+        let at = self.tiling.push(node);
+        if let Some(old) = self.boundary.get_mut(at) {
+            // It was a boundary producer: its boundary terms go.
+            self.sum.sub(old);
+            *old = Terms::default();
+        }
+        let i = node.index();
+        let mut t = eval.covered_terms(node, self.tiling.entry(at).1);
+        t.ema_wgt = eval.weight_bytes[i];
+        t.macs = eval.macs[i];
+        // Model-input loads.
+        if eval.is_input[i] {
+            t.ema_in += eval.out_bytes[i];
+        }
+        // Boundary outputs: every member consumer is already in.
+        let consumers = graph.consumers(node);
+        if consumers.is_empty() || consumers.iter().any(|&c| !self.tiling.is_member(c)) {
+            t.ema_out = eval.out_bytes[i];
+        }
+        // The window reads of each distinct producer's tensor.
+        let producers = graph.producers(node);
+        for (k, &p) in producers.iter().enumerate() {
+            if producers[..k].contains(&p) {
+                continue;
+            }
+            let reuse = match graph.edge_req(p, node) {
+                EdgeReq::Sliding(k) => {
+                    let rh = f64::from(k.size.h) / f64::from(k.stride.h.max(1));
+                    let rw = f64::from(k.size.w) / f64::from(k.stride.w.max(1));
+                    (rh * rw).max(1.0)
+                }
+                EdgeReq::Full => f64::from(graph.node(node).out_shape().h).max(1.0),
+            };
+            t.glb += (eval.out_bytes[p.index()] as f64 * reuse) as u64;
+        }
+        self.sum.add(&t);
+    }
+
+    /// The members, in descending id order.
+    pub fn members(&self) -> &[NodeId] {
+        self.tiling.members()
+    }
+
+    /// The statistics of the current member set, counted in
+    /// [`Evaluator::stats_grown`].
+    ///
+    /// # Errors
+    ///
+    /// The errors [`Evaluator::subgraph_stats`] returns for the same
+    /// members: an empty set, or stage 3's inconsistent rates.
+    pub fn stats(&mut self) -> Result<SubgraphStats, SimError> {
+        self.eval.stats_grown.fetch_add(1, Ordering::Relaxed);
+        self.derive()
+    }
+
+    /// Re-tiles the stale boundary producers, decides stage 3 and sums up.
+    fn derive(&mut self) -> Result<SubgraphStats, SimError> {
+        let eval = self.eval;
+        let Self {
+            tiling,
+            boundary,
+            sum,
+            ..
+        } = self;
+        if tiling.is_empty() {
+            return Err(TilingError::EmptySubgraph.into());
+        }
+        boundary.resize(tiling.len(), Terms::default());
+        tiling.settle(|b, id, s| {
+            let new = eval.covered_terms(id, s);
+            sum.sub(&boundary[b]);
+            sum.add(&new);
+            boundary[b] = new;
+        });
+        let proof = eval.rate_proof.get_or_init(|| RateProof::of(eval.graph));
+        let rates = tiling.check_rates(proof);
+        // Only stage 3's propagation reports inconsistent rates.
+        let propagated = match &rates {
+            Ok(propagated) => *propagated,
+            Err(e) => matches!(e, TilingError::InconsistentRates { .. }),
+        };
+        if propagated {
+            eval.stats_rate_fallbacks.fetch_add(1, Ordering::Relaxed);
+        }
+        rates?;
+        let members = tiling.members();
+        // The f64 sum in ascending member order.
+        let compute_cycles = members
+            .iter()
+            .rev()
+            .fold(0.0, |acc, m| acc + eval.cycles[m.index()]);
+        // The weight footprint is exactly the members' weights; a lone
+        // layer needs only one slice of them resident.
+        let wgt_resident_bytes = match members {
+            [m] => eval.single_layer_residency(*m),
+            _ => sum.ema_wgt,
+        };
+        Ok(SubgraphStats {
+            ema_wgt_bytes: sum.ema_wgt,
+            ema_in_bytes: sum.ema_in,
+            ema_out_bytes: sum.ema_out,
+            macs: sum.macs,
+            glb_access_bytes: sum.glb,
+            wgt_access_bytes: sum.wgt_access,
+            act_footprint_bytes: sum.act_footprint,
+            wgt_footprint_bytes: sum.ema_wgt,
+            wgt_resident_bytes,
+            regions: sum.regions,
+            compute_cycles,
+            halo_bytes_per_cut: sum.halo,
+        })
+    }
+}
+
+/// The integer terms of [`SubgraphStats`] that covered nodes add up.
+/// Sums wrap like release-build `+=`, so adding and removing terms by
+/// difference is exact in any order.
+#[derive(Copy, Clone, Debug, Default)]
+struct Terms {
+    ema_wgt: u64,
+    ema_in: u64,
+    ema_out: u64,
+    macs: u64,
+    glb: u64,
+    wgt_access: u64,
+    act_footprint: u64,
+    regions: usize,
+    halo: u64,
+}
+
+impl Terms {
+    fn add(&mut self, t: &Terms) {
+        self.ema_wgt = self.ema_wgt.wrapping_add(t.ema_wgt);
+        self.ema_in = self.ema_in.wrapping_add(t.ema_in);
+        self.ema_out = self.ema_out.wrapping_add(t.ema_out);
+        self.macs = self.macs.wrapping_add(t.macs);
+        self.glb = self.glb.wrapping_add(t.glb);
+        self.wgt_access = self.wgt_access.wrapping_add(t.wgt_access);
+        self.act_footprint = self.act_footprint.wrapping_add(t.act_footprint);
+        self.regions = self.regions.wrapping_add(t.regions);
+        self.halo = self.halo.wrapping_add(t.halo);
+    }
+
+    fn sub(&mut self, t: &Terms) {
+        self.ema_wgt = self.ema_wgt.wrapping_sub(t.ema_wgt);
+        self.ema_in = self.ema_in.wrapping_sub(t.ema_in);
+        self.ema_out = self.ema_out.wrapping_sub(t.ema_out);
+        self.macs = self.macs.wrapping_sub(t.macs);
+        self.glb = self.glb.wrapping_sub(t.glb);
+        self.wgt_access = self.wgt_access.wrapping_sub(t.wgt_access);
+        self.act_footprint = self.act_footprint.wrapping_sub(t.act_footprint);
+        self.regions = self.regions.wrapping_sub(t.regions);
+        self.halo = self.halo.wrapping_sub(t.halo);
     }
 }
 
@@ -729,6 +912,142 @@ mod tests {
             }
         }
         assert!(checked > 5_000, "only {checked} member sets checked");
+    }
+
+    /// Two paths from one input into an eltwise whose stride products
+    /// differ (1 vs 2) while their output extents agree: no consistent
+    /// update rate exists.
+    fn skew() -> Graph {
+        use cocco_graph::{Dims2, GraphBuilder, Kernel, TensorShape};
+        let mut b = GraphBuilder::new("skew");
+        let i = b.input(TensorShape::new(32, 32, 4));
+        let wide = LayerOp::Conv {
+            kernel: Kernel::new(Dims2::square(17), Dims2::square(1), Dims2::square(0)),
+            c_out: 4,
+        };
+        let a = b.add("a", wide, &[i]).unwrap();
+        let s2 = b.conv("s2", i, 4, Kernel::square_same(3, 2)).unwrap();
+        b.eltwise("e", &[a, s2]).unwrap();
+        b.finish().unwrap()
+    }
+
+    /// A chain of 63 layers of height stride 2: consistent, but past the
+    /// rate proof's bound. The input is tall enough, and the width stride
+    /// 1, that sets of the first layers stay exact, so stage 3 must run.
+    fn deep_stride() -> Graph {
+        use cocco_graph::{Dims2, GraphBuilder, Kernel, TensorShape};
+        let mut b = GraphBuilder::new("deep-stride");
+        let mut x = b.input(TensorShape::new(1 << 31, 1, 1));
+        let halve = LayerOp::Conv {
+            kernel: Kernel::new(Dims2::new(3, 1), Dims2::new(2, 1), Dims2::new(1, 0)),
+            c_out: 1,
+        };
+        for i in 0..63 {
+            x = b.add(format!("s{i}"), halve.clone(), &[x]).unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    /// Seeded random connected member sets of `g`, ascending: each grown
+    /// from a random node by random neighbours.
+    fn connected_sets(g: &Graph, seed: u64, count: usize) -> Vec<Vec<NodeId>> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let n = g.len();
+        (0..count)
+            .map(|_| {
+                let size = 1 + (next() % (n as u64).min(48)) as usize;
+                let mut set = vec![NodeId::from_index((next() % n as u64) as usize)];
+                for _ in 0..4 * size {
+                    if set.len() == size {
+                        break;
+                    }
+                    let at = set[(next() % set.len() as u64) as usize];
+                    let neighbours: Vec<NodeId> = g
+                        .producers(at)
+                        .iter()
+                        .chain(g.consumers(at))
+                        .copied()
+                        .filter(|v| !set.contains(v))
+                        .collect();
+                    if !neighbours.is_empty() {
+                        set.push(neighbours[(next() % neighbours.len() as u64) as usize]);
+                    }
+                }
+                set.sort_unstable();
+                set
+            })
+            .collect()
+    }
+
+    #[test]
+    fn grown_statistics_match_from_scratch_derivations() {
+        // Each set is pushed in descending id order; after every push the
+        // grown statistics (or error) equal a from-scratch derivation of
+        // the members so far, bit for bit, and both ran stage 3's
+        // propagation on the same sets.
+        let tile_1x1 = AcceleratorConfig {
+            mapper: cocco_tiling::Mapper::new(cocco_tiling::MapperPolicy::Tile {
+                rows: 1,
+                cols: 1,
+            }),
+            ..AcceleratorConfig::default()
+        };
+        let mut cases: Vec<(String, Graph, AcceleratorConfig)> = cocco_graph::models::registry()
+            .iter()
+            .map(|(name, build)| (name.to_string(), build(), AcceleratorConfig::default()))
+            .collect();
+        cases.push(("skew".into(), skew(), tile_1x1.clone()));
+        cases.push(("deep-stride".into(), deep_stride(), tile_1x1));
+        let (mut compared, mut errors) = (0u64, 0usize);
+        for (k, (name, g, config)) in cases.iter().enumerate() {
+            let compared_before = compared;
+            let grown_eval = Evaluator::new(g, config.clone());
+            let scratch_eval = Evaluator::new(g, config.clone());
+            let mut sets = connected_sets(g, 0x6e0e ^ k as u64, 40);
+            sets.push(g.node_ids().collect());
+            for set in sets {
+                let mut growth = grown_eval.grow();
+                for (pushed, &m) in set.iter().rev().enumerate() {
+                    growth.push(m);
+                    let members = &set[set.len() - 1 - pushed..];
+                    let got = growth.stats();
+                    let want = scratch_eval.compute_stats(members);
+                    assert_eq!(got, want, "{name}: members {members:?}");
+                    if let (Ok(got), Ok(want)) = (&got, &want) {
+                        assert_eq!(
+                            got.compute_cycles.to_bits(),
+                            want.compute_cycles.to_bits(),
+                            "{name}: members {members:?}"
+                        );
+                    }
+                    compared += 1;
+                    errors += usize::from(want.is_err());
+                }
+            }
+            assert_eq!(
+                grown_eval.stats_rate_fallbacks(),
+                scratch_eval.stats_rate_fallbacks(),
+                "{name}"
+            );
+            assert_eq!(
+                grown_eval.stats_grown(),
+                compared - compared_before,
+                "{name}"
+            );
+            assert_eq!(grown_eval.stats_derivations(), 0, "{name}");
+            if name == "skew" || name == "deep-stride" {
+                // Stage 3 must run on these graphs: the proof declines.
+                assert!(grown_eval.stats_rate_fallbacks() > 0, "{name}");
+            }
+        }
+        assert!(compared > 5_000, "only {compared} sets compared");
+        assert!(errors > 0, "no set reached an inconsistent rate system");
     }
 
     #[test]

@@ -41,5 +41,5 @@ pub use config::{AcceleratorConfig, BufferConfig, CapacityRange, EvalOptions};
 pub use cost::{CostMetric, SubgraphStats};
 pub use energy::EnergyModel;
 pub use error::SimError;
-pub use evaluator::Evaluator;
+pub use evaluator::{Evaluator, StatsGrowth};
 pub use report::{PartitionReport, SubgraphReport};

@@ -19,14 +19,17 @@
 //! `reference` module, the oracle the property tests hold the dense one
 //! to, schemes and errors alike.
 //!
-//! [`derive_tiling`] runs the same stages 1–2 and runs stage 3's
-//! propagation only where it cannot prove that propagation succeeds.
+//! Stages 1–2 are one per-node rule, `tile_node`, which the producer-side
+//! [`TilingGrowth`] applies too; [`derive_tiling`] is a growth over the
+//! member set, and falls back to stage 3's propagation over the extended
+//! set only where the growth cannot prove that propagation succeeds.
 
 use crate::error::TilingError;
+use crate::growth::TilingGrowth;
 use crate::mapper::Mapper;
 use crate::ratio::{checked_lcm, gcd, lcm, Ratio};
 use crate::scheme::{ExecutionScheme, NodeScheme, NodeTiling, SubgraphTiling};
-use cocco_graph::{Dims2, EdgeReq, Graph, NodeId};
+use cocco_graph::{Dims2, EdgeReq, Graph, NodeId, TensorShape};
 
 /// Per-dimension view of an [`EdgeReq`] used by the backward derivation.
 #[derive(Copy, Clone, Debug)]
@@ -153,27 +156,28 @@ impl RateProof {
     pub fn holds(&self) -> bool {
         self.consistent == [true, true]
     }
+
+    /// Whether the system is consistent in `dim`.
+    pub(crate) fn consistent(&self, dim: Dim) -> bool {
+        self.consistent[dim as usize]
+    }
+
+    /// Node count of the proved graph.
+    pub(crate) fn nodes(&self) -> usize {
+        self.nodes
+    }
 }
 
 /// Derives the stage 1–2 [`SubgraphTiling`] of the subgraph formed by
 /// `members`: Δ, x and the flags, which is all the cost model reads.
 /// `proof` must be [`RateProof::of`]`(graph)`.
 ///
-/// Stage 3 never changes them. It can only fail, with
-/// [`TilingError::InconsistentRates`], and only in a *strict* scheme (one
-/// stage 2 left exact). This returns exactly the result of
-/// [`derive_scheme`] minus `upd_num`, errors included, and skips stage 3
-/// per dimension where it provably succeeds:
-///
-/// * the scheme is not strict; or
-/// * `proof` holds in that dimension, and every edge into a boundary entry
-///   that stage 3 walks joins two entries already joined by walked
-///   member-consumer edges. Stage 3 walks such an edge only backward from
-///   its boundary end, so one that joined two components could compare
-///   rates the traversal scaled independently; with none, every check
-///   stays inside one component of a consistent system.
-///
-/// Otherwise it runs stage 3's propagation and returns its error.
+/// It grows a [`TilingGrowth`] over `members` in descending id order (any
+/// member order is accepted) and returns its tiling. Stage 3 never changes
+/// the tilings. It can only fail, with [`TilingError::InconsistentRates`],
+/// and only in a *strict* scheme (one stage 2 left exact), so this returns
+/// exactly the result of [`derive_scheme`] minus `upd_num`, errors
+/// included; see [`TilingGrowth::check_rates`] for when stage 3 runs.
 ///
 /// # Errors
 ///
@@ -198,20 +202,16 @@ pub fn derive_tiling(
     mapper: &Mapper,
     proof: &RateProof,
 ) -> Result<SubgraphTiling, TilingError> {
-    debug_assert_eq!(proof.nodes, graph.len(), "a rate proof of another graph");
-    let mut ext = Extended::build(graph, members)?;
-    let strict = ext.derive_tiles(graph, mapper);
-    let mut propagated = false;
-    if strict {
-        let mut scratch = UpdScratch::default();
-        for (dim, consistent) in [Dim::H, Dim::W].into_iter().zip(proof.consistent) {
-            if !(consistent && ext.boundary_edges_joined(graph, dim)) {
-                propagated = true;
-                propagate_rates(graph, &ext, dim, true, &mut scratch)?;
-            }
-        }
+    let mut growth = TilingGrowth::new(graph, *mapper);
+    growth.validate(members)?;
+    let mut order = members.to_vec();
+    order.sort_unstable_by(|a, b| b.cmp(a));
+    for &m in &order {
+        growth.push(m);
     }
-    Ok(SubgraphTiling::new(ext.entries, propagated))
+    growth.settle(|_, _, _| {});
+    let propagated = growth.check_rates(proof)?;
+    Ok(SubgraphTiling::new(growth.sorted_entries(), propagated))
 }
 
 /// `true` when every sliding edge `p → v` of `graph` admits positive rates
@@ -291,7 +291,7 @@ fn globally_consistent(graph: &Graph, dim: Dim) -> bool {
 }
 
 /// A tiling entry before stages 1–2 fill it in.
-const UNDERIVED: NodeTiling = NodeTiling {
+pub(crate) const UNDERIVED: NodeTiling = NodeTiling {
     delta: Dims2 { h: 1, w: 1 },
     tile: Dims2 { h: 1, w: 1 },
     full_h: false,
@@ -412,147 +412,149 @@ impl Extended {
         let mut exact = true;
         for u in (0..self.entries.len()).rev() {
             let id = self.entries[u].0;
-            let shape = graph.node(id).out_shape();
-            let extent = Dims2::new(shape.h, shape.w);
-            let consumers = self.consumers(u);
-            let (delta, tile) = if consumers.is_empty() {
-                let t = mapper.output_tile(shape);
-                (t, t)
-            } else {
-                // Accumulate the unclamped LCM requirement per dimension; a
-                // `Full` consumption edge demands the whole extent.
-                let mut d = (1u64, 1u64);
-                let mut full_edge = (false, false);
-                for &(v, req) in consumers {
-                    let (rh, rw) = dim_reqs(req);
-                    let vs = self.entries[v as usize].1;
-                    match rh {
-                        DimReq::Full => full_edge.0 = true,
-                        DimReq::Sliding { s, .. } => {
-                            d.0 = lcm(d.0, u64::from(vs.delta.h).saturating_mul(u64::from(s)));
-                        }
-                    }
-                    match rw {
-                        DimReq::Full => full_edge.1 = true,
-                        DimReq::Sliding { s, .. } => {
-                            d.1 = lcm(d.1, u64::from(vs.delta.w).saturating_mul(u64::from(s)));
-                        }
-                    }
-                }
-                // Truncation (LCM overshooting the tensor) and full-consumption
-                // edges break the exact `upd_num` relation (paper footnote on
-                // the co-prime solution); natural Δ = extent does not.
-                if d.0 > u64::from(extent.h) || d.1 > u64::from(extent.w) {
-                    exact = false;
-                }
-                if full_edge.0 || full_edge.1 {
-                    exact = false;
-                }
-                let dh = if full_edge.0 {
-                    extent.h
-                } else {
-                    d.0.min(u64::from(extent.h)) as u32
-                };
-                let dw = if full_edge.1 {
-                    extent.w
-                } else {
-                    d.1.min(u64::from(extent.w)) as u32
-                };
-                let d = Dims2::new(dh.max(1), dw.max(1));
-                let mut t = d;
-                for &(_, req) in consumers {
-                    let (rh, rw) = dim_reqs(req);
-                    match rh {
-                        DimReq::Full => t.h = extent.h,
-                        DimReq::Sliding { f, s } => {
-                            // χ = f_v(Δ(u)/s) = F + (Δ(u)/s − 1)·s = F − s + Δ(u)
-                            let chi = f.saturating_sub(s).saturating_add(d.h);
-                            t.h = t.h.max(chi.min(extent.h));
-                        }
-                    }
-                    match rw {
-                        DimReq::Full => t.w = extent.w,
-                        DimReq::Sliding { f, s } => {
-                            let chi = f.saturating_sub(s).saturating_add(d.w);
-                            t.w = t.w.max(chi.min(extent.w));
-                        }
-                    }
-                }
-                (d, t)
-            };
-            let interior_consumed = !consumers.is_empty();
-            // Reaching the tensor extent means "fully buffered" in that dim.
+            let consumers = self
+                .consumers(u)
+                .iter()
+                .map(|&(v, req)| (req, self.entries[v as usize].1.delta));
+            let (tiling, node_exact) = tile_node(graph.node(id).out_shape(), mapper, consumers);
+            exact &= node_exact;
             let s = &mut self.entries[u].1;
-            s.full_h = delta.h >= extent.h;
-            s.full_w = delta.w >= extent.w;
-            s.delta = Dims2::new(delta.h.min(extent.h), delta.w.min(extent.w));
-            s.tile = Dims2::new(
-                tile.h.min(extent.h).max(s.delta.h),
-                tile.w.min(extent.w).max(s.delta.w),
-            );
-            s.interior_consumed = interior_consumed;
+            *s = NodeTiling {
+                boundary_input: s.boundary_input,
+                ..tiling
+            };
         }
         exact
     }
+}
 
-    /// `true` when stage 3 walks the member-consumer edge or boundary edge
-    /// `u → v` in `dim`: neither end is fully buffered there and the edge
-    /// slides.
-    fn walks(&self, u: usize, v: usize, req: EdgeReq, dim: Dim) -> bool {
-        !dim.full(&self.entries[u].1) && !dim.full(&self.entries[v].1) && dim.stride(req).is_some()
-    }
-
-    /// `true` when every edge `p → b` into a boundary entry `b` that stage 3
-    /// walks in `dim` joins two positions already joined by walked
-    /// member-consumer edges (a union-find over those edges).
-    fn boundary_edges_joined(&self, graph: &Graph, dim: Dim) -> bool {
-        let mut into_boundary: Vec<(usize, usize)> = Vec::new();
-        for (b, &(id, t)) in self.entries.iter().enumerate() {
-            if !t.boundary_input {
-                continue;
+/// Stages 1–2 for one node of output shape `shape`: its Δ and x from its
+/// member consumers, given as each consuming edge's requirement and the
+/// consumer's Δ, or the mapper's output tile when it has none. Returns
+/// the tiling with `boundary_input` unset, and `false` when the node
+/// breaks exactness (an LCM clamped at the tensor extent or a
+/// full-consumption edge), which makes stage 3 lenient.
+///
+/// The one copy of the rule: [`derive_scheme`] applies it in reverse
+/// position order, and [`TilingGrowth`](crate::TilingGrowth) as nodes join.
+pub(crate) fn tile_node(
+    shape: TensorShape,
+    mapper: &Mapper,
+    consumers: impl Iterator<Item = (EdgeReq, Dims2)> + Clone,
+) -> (NodeTiling, bool) {
+    let extent = Dims2::new(shape.h, shape.w);
+    let interior_consumed = consumers.clone().next().is_some();
+    let mut exact = true;
+    let (delta, tile) = if !interior_consumed {
+        let t = mapper.output_tile(shape);
+        (t, t)
+    } else {
+        // Accumulate the unclamped LCM requirement per dimension; a
+        // `Full` consumption edge demands the whole extent.
+        let mut d = (1u64, 1u64);
+        let mut full_edge = (false, false);
+        for (req, vd) in consumers.clone() {
+            let (rh, rw) = dim_reqs(req);
+            match rh {
+                DimReq::Full => full_edge.0 = true,
+                DimReq::Sliding { s, .. } => {
+                    d.0 = lcm(d.0, u64::from(vd.h).saturating_mul(u64::from(s)));
+                }
             }
-            for &p in graph.producers(id) {
-                if let Some(pp) = self.position(p) {
-                    if self.walks(pp, b, graph.edge_req(p, id), dim) {
-                        into_boundary.push((pp, b));
-                    }
+            match rw {
+                DimReq::Full => full_edge.1 = true,
+                DimReq::Sliding { s, .. } => {
+                    d.1 = lcm(d.1, u64::from(vd.w).saturating_mul(u64::from(s)));
                 }
             }
         }
-        if into_boundary.is_empty() {
-            return true;
+        // Truncation (LCM overshooting the tensor) and full-consumption
+        // edges break the exact `upd_num` relation (paper footnote on
+        // the co-prime solution); natural Δ = extent does not.
+        if d.0 > u64::from(extent.h) || d.1 > u64::from(extent.w) {
+            exact = false;
         }
-        let mut parent: Vec<u32> = (0..self.entries.len() as u32).collect();
-        for u in 0..self.entries.len() {
-            for &(v, req) in self.consumers(u) {
-                if self.walks(u, v as usize, req, dim) {
-                    let (a, b) = (find(&mut parent, u), find(&mut parent, v as usize));
-                    parent[a] = b as u32;
+        if full_edge.0 || full_edge.1 {
+            exact = false;
+        }
+        let dh = if full_edge.0 {
+            extent.h
+        } else {
+            d.0.min(u64::from(extent.h)) as u32
+        };
+        let dw = if full_edge.1 {
+            extent.w
+        } else {
+            d.1.min(u64::from(extent.w)) as u32
+        };
+        let d = Dims2::new(dh.max(1), dw.max(1));
+        let mut t = d;
+        for (req, _) in consumers {
+            let (rh, rw) = dim_reqs(req);
+            match rh {
+                DimReq::Full => t.h = extent.h,
+                DimReq::Sliding { f, s } => {
+                    // χ = f_v(Δ(u)/s) = F + (Δ(u)/s − 1)·s = F − s + Δ(u)
+                    let chi = f.saturating_sub(s).saturating_add(d.h);
+                    t.h = t.h.max(chi.min(extent.h));
+                }
+            }
+            match rw {
+                DimReq::Full => t.w = extent.w,
+                DimReq::Sliding { f, s } => {
+                    let chi = f.saturating_sub(s).saturating_add(d.w);
+                    t.w = t.w.max(chi.min(extent.w));
                 }
             }
         }
-        into_boundary
-            .iter()
-            .all(|&(p, b)| find(&mut parent, p) == find(&mut parent, b))
-    }
+        (d, t)
+    };
+    // Reaching the tensor extent means "fully buffered" in that dim.
+    let delta_c = Dims2::new(delta.h.min(extent.h), delta.w.min(extent.w));
+    let tiling = NodeTiling {
+        delta: delta_c,
+        tile: Dims2::new(
+            tile.h.min(extent.h).max(delta_c.h),
+            tile.w.min(extent.w).max(delta_c.w),
+        ),
+        full_h: delta.h >= extent.h,
+        full_w: delta.w >= extent.w,
+        boundary_input: false,
+        interior_consumed,
+    };
+    (tiling, exact)
 }
 
-/// The union-find root of `x`, halving the path on the way.
-fn find(parent: &mut [u32], mut x: usize) -> usize {
-    while parent[x] as usize != x {
-        parent[x] = parent[parent[x] as usize];
-        x = parent[x] as usize;
+/// Stage 3's strict propagation over the extended set of `members` in
+/// each of `dims`: the fallback for a consistent tiling the
+/// [`RateProof`] cannot cover. Returns the first inconsistency, in the
+/// traversal order of [`derive_scheme`].
+pub(crate) fn propagate_strict(
+    graph: &Graph,
+    members: &[NodeId],
+    mapper: &Mapper,
+    dims: impl Iterator<Item = Dim>,
+) -> Result<(), TilingError> {
+    let mut ext = Extended::build(graph, members)?;
+    ext.derive_tiles(graph, mapper);
+    let mut scratch = UpdScratch::default();
+    for dim in dims {
+        propagate_rates(graph, &ext, dim, true, &mut scratch)?;
     }
-    x
+    Ok(())
 }
 
+/// One of the two tiled dimensions; `as usize` indexes per-dimension
+/// arrays (height first).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum Dim {
+pub(crate) enum Dim {
     H,
     W,
 }
 
 impl Dim {
+    pub(crate) const BOTH: [Dim; 2] = [Dim::H, Dim::W];
+
     fn of(self, d: Dims2) -> u32 {
         match self {
             Dim::H => d.h,
@@ -560,7 +562,7 @@ impl Dim {
         }
     }
 
-    fn full(self, s: &NodeTiling) -> bool {
+    pub(crate) fn full(self, s: &NodeTiling) -> bool {
         match self {
             Dim::H => s.full_h,
             Dim::W => s.full_w,

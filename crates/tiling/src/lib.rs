@@ -25,11 +25,26 @@
 //! schedules elementary operations. So stage 3 is needed by whoever
 //! replays operations: the [`schedule`] checker, buffer snapshots and the
 //! paper's Figure 5 table call [`derive_scheme`]. The cost model reads
-//! only [`NodeTiling`]s, so subgraph statistics call [`derive_tiling`],
-//! which runs stages 1–2 and returns the same result and the same errors
-//! without `upd_num`: stage 3 can only fail, and [`derive_tiling`] runs
-//! its propagation only where it cannot prove that propagation succeeds
-//! (with a [`RateProof`] made once per graph).
+//! only [`NodeTiling`]s, so subgraph statistics grow a [`TilingGrowth`]
+//! (of which [`derive_tiling`] is one whole-set run): stages 1–2, with
+//! the same result and the same errors as [`derive_scheme`] minus
+//! `upd_num`. Stage 3 can only fail, and
+//! [`TilingGrowth::check_rates`] runs its propagation only where it cannot
+//! prove that propagation succeeds (with a [`RateProof`] made once per
+//! graph).
+//!
+//! # Producer-side push order
+//!
+//! A node's Δ and x depend only on its member consumers. A
+//! [`TilingGrowth`] therefore takes nodes *consumers first*: a node joins
+//! only after every member that consumes it. Its tiling is then final on
+//! arrival, and only boundary producers are re-tiled, when one of their
+//! consumers joins. Descending id order satisfies this, since ids are
+//! topological. So does the descending depth order in which the
+//! depth-ordered DP (paper §4.2.3) grows each run: every producer is
+//! strictly shallower than its consumers, so each layer the run adds is
+//! consumed by no member yet to come, and the DP extends one run's tiling
+//! to the next by one layer instead of re-deriving it.
 //!
 //! The crate also implements the *production-centric* forward derivation of
 //! paper Figure 4(a) ([`production`]) so the two schemes can be compared.
@@ -50,6 +65,7 @@
 
 mod error;
 mod flow;
+mod growth;
 mod mapper;
 pub mod production;
 mod ratio;
@@ -58,5 +74,6 @@ mod scheme;
 
 pub use error::TilingError;
 pub use flow::{derive_scheme, derive_tiling, RateProof};
+pub use growth::TilingGrowth;
 pub use mapper::{Mapper, MapperPolicy};
 pub use scheme::{ExecutionScheme, NodeScheme, NodeTiling, SubgraphTiling};
