@@ -708,14 +708,16 @@ fn repair_work_check(metrics: &MetricsSnapshot, threads: u32) {
 /// without timing noise. Neither method may hit the statistics
 /// canonicalize fallback (both hand the cache ascending member lists) or
 /// run stage 3's rate propagation, in a derivation or a grown run (the
-/// rate proof covers their sets); greedy fusion, which memoizes
-/// member-set costs across its steps, must score at most
-/// `MAX_GREEDY_TERMS` subgraph terms (it scored 258,826 when every step
-/// re-scored every quotient edge); and depth-DP must grow each of its
-/// `DP_GROWN_RUNS` runs' statistics from the last run's, deriving from
-/// scratch only the `DP_SUBGRAPHS` subgraphs of its result.
+/// rate proof covers their sets); greedy fusion, which keeps its groups'
+/// and edges' terms across its steps, must score exactly `GREEDY_TERMS`
+/// subgraph terms and derive exactly `GREEDY_DERIVATIONS` statistics (it
+/// scored 258,826 terms when every step re-scored every quotient edge);
+/// and depth-DP must grow each of its `DP_GROWN_RUNS` runs' statistics
+/// from the last run's, deriving from scratch only the `DP_SUBGRAPHS`
+/// subgraphs of its result.
 fn baselines_check(threads: u32) {
-    const MAX_GREEDY_TERMS: u64 = 10_000;
+    const GREEDY_TERMS: u64 = 3_804;
+    const GREEDY_DERIVATIONS: u64 = 3_999;
     const DP_GROWN_RUNS: u64 = 4_101;
     const DP_SUBGRAPHS: u64 = 142;
     let model = cocco::graph::models::nasnet();
@@ -744,10 +746,14 @@ fn baselines_check(threads: u32) {
             "{name} fell back to stage 3's propagation"
         );
         if matches!(method, SearchMethod::Greedy) {
-            assert!(
-                stats.subgraph_scorings <= MAX_GREEDY_TERMS,
-                "{name} scored {} subgraph terms on nasnet (at most {MAX_GREEDY_TERMS})",
-                stats.subgraph_scorings
+            assert_eq!(
+                stats.subgraph_scorings, GREEDY_TERMS,
+                "{name} scored a different number of subgraph terms on nasnet"
+            );
+            assert_eq!(
+                evaluator.stats_derivations(),
+                GREEDY_DERIVATIONS,
+                "{name} derived a different number of statistics on nasnet"
             );
         } else {
             assert_eq!(

@@ -89,8 +89,8 @@ const OPTIONS_AND_EXIT_CODES: &str = concat!(
     "  --telemetry-jsonl <p>  write every telemetry event to <p>, one JSON\n",
     "                     object per line (enables telemetry)\n",
     "  --telemetry-report print a summary table of counters, latency\n",
-    "                     histograms (p50/p90/p99) and per-phase wall time\n",
-    "                     (enables telemetry)\n",
+    "                     histograms (mean/p50/p90/p99) and per-phase\n",
+    "                     wall time (enables telemetry)\n",
     "  --json             print the full exploration result as JSON\n",
     "  --dot              print the partitioned graph in Graphviz DOT\n",
     "  --list             list available models and exit\n",
@@ -367,15 +367,16 @@ fn telemetry_report(telemetry: &Telemetry) -> String {
     if !snap.histograms.is_empty() {
         let _ = writeln!(
             out,
-            "  histograms:{:>30} {:>9} {:>9} {:>9}",
-            "count", "p50", "p90", "p99"
+            "  histograms:{:>30} {:>9} {:>9} {:>9} {:>9}",
+            "count", "mean", "p50", "p90", "p99"
         );
         for h in &snap.histograms {
             let _ = writeln!(
                 out,
-                "    {:<34} {:>6} {:>9} {:>9} {:>9}",
+                "    {:<34} {:>6} {:>9} {:>9} {:>9} {:>9}",
                 h.name,
                 h.count,
+                fmt_metric(&h.name, h.mean()),
                 fmt_metric(&h.name, h.p50() as f64),
                 fmt_metric(&h.name, h.p90() as f64),
                 fmt_metric(&h.name, h.p99() as f64),

@@ -200,18 +200,21 @@ fn telemetry_report_prints_byte_histograms_in_bytes() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).unwrap();
+    let header = stdout
+        .lines()
+        .find(|line| line.trim_start().starts_with("histograms:"))
+        .unwrap_or_else(|| panic!("no histogram header in:\n{stdout}"));
+    let columns: Vec<&str> = header.split_whitespace().skip(1).collect();
+    assert_eq!(columns, ["count", "mean", "p50", "p90", "p99"], "{header}");
     let row = stdout
         .lines()
         .find(|line| line.trim_start().starts_with("engine.batch.alloc_bytes"))
         .unwrap_or_else(|| panic!("no alloc_bytes row in:\n{stdout}"));
-    // name, count, then p50/p90/p99 — each with a byte unit.
-    let percentiles: Vec<&str> = row.split_whitespace().skip(2).collect();
-    assert_eq!(percentiles.len(), 3, "{row}");
-    for value in percentiles {
-        assert!(
-            value.ends_with('B'),
-            "percentile `{value}` lacks a byte unit: {row}"
-        );
+    // name, count, then mean and p50/p90/p99 — each with a byte unit.
+    let values: Vec<&str> = row.split_whitespace().skip(2).collect();
+    assert_eq!(values.len(), 4, "{row}");
+    for value in values {
+        assert!(value.ends_with('B'), "`{value}` lacks a byte unit: {row}");
     }
 }
 
@@ -243,10 +246,10 @@ fn telemetry_report_shows_repair_as_a_share_of_eval() {
     assert!(value > 0, "{counter}");
 }
 
-/// The checkpoint `cocco-explore nasnet --method dp` writes (default
-/// accelerator, buffer space, objective and budget) after `steps` driver
-/// steps, or once the driver is done, as a JSON tree.
-fn nasnet_dp_checkpoint(steps: usize) -> serde_json::Value {
+/// The checkpoint `cocco-explore nasnet --method <method>` writes
+/// (default accelerator, buffer space, objective and budget) after `steps`
+/// driver steps, or once the driver is done, as a JSON tree.
+fn nasnet_checkpoint(method: cocco::prelude::SearchMethod, steps: usize) -> serde_json::Value {
     use cocco::prelude::*;
     let g = cocco::graph::models::nasnet();
     let eval = Evaluator::new(&g, AcceleratorConfig::default());
@@ -257,7 +260,6 @@ fn nasnet_dp_checkpoint(steps: usize) -> serde_json::Value {
         Objective::co_exploration(CostMetric::Energy, 0.002),
         20_000,
     );
-    let method = SearchMethod::depth_dp();
     let mut driver = method.driver();
     for _ in 0..steps {
         if !cocco::search::drive_step(&mut *driver, &ctx) {
@@ -265,6 +267,16 @@ fn nasnet_dp_checkpoint(steps: usize) -> serde_json::Value {
         }
     }
     serde_json::to_value(&SearchSnapshot::capture(&method, &*driver, &ctx))
+}
+
+/// The depth-DP checkpoint of nasnet after `steps` steps.
+fn nasnet_dp_checkpoint(steps: usize) -> serde_json::Value {
+    nasnet_checkpoint(cocco::prelude::SearchMethod::depth_dp(), steps)
+}
+
+/// The greedy-fusion checkpoint of nasnet after `steps` steps.
+fn nasnet_greedy_checkpoint(steps: usize) -> serde_json::Value {
+    nasnet_checkpoint(cocco::prelude::SearchMethod::greedy(), steps)
 }
 
 /// Field `key` of the JSON object `value`.
@@ -288,18 +300,25 @@ fn dp_state(checkpoint: &mut serde_json::Value) -> &mut serde_json::Value {
     field_mut(field_mut(checkpoint, "driver"), "DepthDp")
 }
 
-#[test]
-fn a_mid_run_dp_checkpoint_resumes_to_the_uninterrupted_result() {
-    let dir = std::env::temp_dir().join(format!("cocco-cli-dp-resume-{}", std::process::id()));
+/// The `Greedy` state inside a checkpoint tree.
+fn greedy_state(checkpoint: &mut serde_json::Value) -> &mut serde_json::Value {
+    field_mut(field_mut(checkpoint, "driver"), "Greedy")
+}
+
+/// Resumes `checkpoint` with `cocco-explore nasnet --method <method>
+/// --json` and asserts the result equals the uninterrupted run's, and
+/// that the finished run removed the checkpoint file.
+fn assert_resumes_to_the_uninterrupted_result(method: &str, checkpoint: &serde_json::Value) {
+    let dir =
+        std::env::temp_dir().join(format!("cocco-cli-{method}-resume-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("dp.ckpt");
-    let checkpoint = nasnet_dp_checkpoint(240);
-    std::fs::write(&path, serde_json::to_string(&checkpoint).unwrap()).unwrap();
+    let path = dir.join(format!("{method}.ckpt"));
+    std::fs::write(&path, serde_json::to_string(checkpoint).unwrap()).unwrap();
     let path_arg = path.to_str().unwrap();
     let resumed = explore(&[
         "nasnet",
         "--method",
-        "dp",
+        method,
         "--json",
         "--checkpoint-file",
         path_arg,
@@ -310,7 +329,7 @@ fn a_mid_run_dp_checkpoint_resumes_to_the_uninterrupted_result() {
         String::from_utf8_lossy(&resumed.stderr)
     );
     assert!(!path.exists(), "a finished run removes its checkpoint");
-    let plain = explore(&["nasnet", "--method", "dp", "--json"]);
+    let plain = explore(&["nasnet", "--method", method, "--json"]);
     assert!(plain.status.success());
     let exploration = |out: &std::process::Output| {
         let value: serde_json::Value =
@@ -322,6 +341,59 @@ fn a_mid_run_dp_checkpoint_resumes_to_the_uninterrupted_result() {
         assert_eq!(resumed.get(key), plain.get(key), "{key}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An edit of a driver state inside a checkpoint tree.
+type Mutation = Box<dyn Fn(&mut serde_json::Value)>;
+
+/// Writes each mutated checkpoint, runs `cocco-explore nasnet --method
+/// <method>` against it and asserts it exits 3, reporting the driver
+/// state unusable. `state` picks the driver state out of a checkpoint.
+fn assert_unusable_driver_states_exit_3(
+    method: &str,
+    state: fn(&mut serde_json::Value) -> &mut serde_json::Value,
+    cases: &[(&str, &serde_json::Value, Mutation)],
+) {
+    let dir = std::env::temp_dir().join(format!("cocco-cli-{method}-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (k, (case, checkpoint, mutate)) in cases.iter().enumerate() {
+        let mut checkpoint = (*checkpoint).clone();
+        mutate(state(&mut checkpoint));
+        let path = dir.join(format!("bad-{k}.ckpt"));
+        std::fs::write(&path, serde_json::to_string(&checkpoint).unwrap()).unwrap();
+        let out = explore(&[
+            "nasnet",
+            "--method",
+            method,
+            "--checkpoint-file",
+            path.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{case}: {stderr}");
+        assert!(stderr.contains("driver state unusable"), "{case}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Cuts the best design's assignment of a finished state to 10 entries.
+fn cut_best_design(state: &mut serde_json::Value) {
+    let best = field_mut(field_mut(state, "outcome"), "best");
+    let serde_json::Value::Array(assignment) =
+        field_mut(field_mut(best, "partition"), "assignment")
+    else {
+        panic!("assignment");
+    };
+    assignment.truncate(10);
+}
+
+#[test]
+fn a_mid_run_dp_checkpoint_resumes_to_the_uninterrupted_result() {
+    assert_resumes_to_the_uninterrupted_result("dp", &nasnet_dp_checkpoint(240));
+}
+
+#[test]
+fn a_mid_run_greedy_checkpoint_resumes_to_the_uninterrupted_result() {
+    assert_resumes_to_the_uninterrupted_result("greedy", &nasnet_greedy_checkpoint(200));
 }
 
 #[test]
@@ -338,7 +410,6 @@ fn dp_checkpoints_the_driver_cannot_run_exit_3() {
             .find(|&i| matches!(item_mut(dp, i), Value::F64(_)))
             .unwrap()
     };
-    type Mutation = Box<dyn Fn(&mut Value)>;
     let cases: Vec<(&str, Mutation)> = vec![
         (
             "a table cut to 10 entries",
@@ -375,39 +446,49 @@ fn dp_checkpoints_the_driver_cannot_run_exit_3() {
         ),
     ];
     let finished = nasnet_dp_checkpoint(usize::MAX);
-    let short_best = |state: &mut Value| {
-        let best = field_mut(field_mut(state, "outcome"), "best");
-        let Value::Array(assignment) = field_mut(field_mut(best, "partition"), "assignment") else {
-            panic!("assignment");
-        };
-        assignment.truncate(10);
-    };
     let cases: Vec<(&str, &Value, Mutation)> = cases
         .into_iter()
         .map(|(case, mutate)| (case, &valid, mutate))
         .chain([(
             "a finished run whose best design covers 10 nodes",
             &finished,
-            Box::new(short_best) as Mutation,
+            Box::new(cut_best_design) as Mutation,
         )])
         .collect();
-    let dir = std::env::temp_dir().join(format!("cocco-cli-dp-bad-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    for (k, (case, checkpoint, mutate)) in cases.iter().enumerate() {
-        let mut checkpoint = (*checkpoint).clone();
-        mutate(dp_state(&mut checkpoint));
-        let path = dir.join(format!("bad-{k}.ckpt"));
-        std::fs::write(&path, serde_json::to_string(&checkpoint).unwrap()).unwrap();
-        let out = explore(&[
-            "nasnet",
-            "--method",
-            "dp",
-            "--checkpoint-file",
-            path.to_str().unwrap(),
-        ]);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(3), "{case}: {stderr}");
-        assert!(stderr.contains("driver state unusable"), "{case}: {stderr}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
+    assert_unusable_driver_states_exit_3("dp", dp_state, &cases);
+}
+
+#[test]
+fn greedy_checkpoints_the_driver_cannot_run_exit_3() {
+    use serde_json::Value;
+    let valid = nasnet_greedy_checkpoint(200);
+    let finished = nasnet_greedy_checkpoint(usize::MAX);
+    let n = cocco::graph::models::nasnet().len();
+    let cases: Vec<(&str, &Value, Mutation)> = vec![
+        (
+            "an assignment cut to 10 entries",
+            &valid,
+            Box::new(|state| {
+                let Value::Array(assignment) = field_mut(state, "assignment") else {
+                    panic!("assignment");
+                };
+                assignment.truncate(10);
+            }),
+        ),
+        (
+            "the output layer relabelled into the input layer's subgraph",
+            &valid,
+            Box::new(move |state| {
+                let assignment = field_mut(state, "assignment");
+                let input = item_mut(assignment, 0).clone();
+                *item_mut(assignment, n - 1) = input;
+            }),
+        ),
+        (
+            "a finished run whose best design covers 10 nodes",
+            &finished,
+            Box::new(cut_best_design),
+        ),
+    ];
+    assert_unusable_driver_states_exit_3("greedy", greedy_state, &cases);
 }

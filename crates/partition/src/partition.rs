@@ -1,7 +1,7 @@
 //! The partition type.
 
 use crate::error::PartitionError;
-use crate::quotient::Quotient;
+use crate::quotient::{compact_ids_into, Quotient};
 use cocco_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -232,11 +232,18 @@ impl Partition {
                 expected: graph.len(),
             });
         }
-        for members in self.subgraphs() {
-            if !graph.is_connected_subset(&members) {
-                return Err(PartitionError::Disconnected {
-                    subgraph: self.assignment[members[0].index()],
-                });
+        // Members grouped by compacted id: an assignment read from a file
+        // may carry any label, and none may size an allocation.
+        let mut compact = self.assignment.clone();
+        let (mut labels, mut table) = (Vec::new(), Vec::new());
+        compact_ids_into(&mut compact, &mut labels, &mut table);
+        let mut subgraphs: Vec<Vec<NodeId>> = vec![Vec::new(); labels.len()];
+        for (i, &c) in compact.iter().enumerate() {
+            subgraphs[c as usize].push(NodeId::from_index(i));
+        }
+        for (members, &subgraph) in subgraphs.iter().zip(&labels) {
+            if !graph.is_connected_subset(members) {
+                return Err(PartitionError::Disconnected { subgraph });
             }
         }
         let quotient = Quotient::build(graph, self);
@@ -286,6 +293,19 @@ mod tests {
         assert_eq!(
             p.validate(&g),
             Err(PartitionError::Disconnected { subgraph: 1 })
+        );
+    }
+
+    #[test]
+    fn huge_labels_validate_without_a_label_sized_table() {
+        let g = cocco_graph::models::diamond(); // input, a, l, r, add
+        let big = 4_000_000_000;
+        let p = Partition::from_assignment(vec![big, big, 1, 2, 3]);
+        assert_eq!(p.validate(&g), Ok(()));
+        let p = Partition::from_assignment(vec![0, 0, big, big, 2]);
+        assert_eq!(
+            p.validate(&g),
+            Err(PartitionError::Disconnected { subgraph: big })
         );
     }
 

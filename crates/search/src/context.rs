@@ -8,7 +8,7 @@ use cocco_engine::{
     Engine, EngineConfig, EvalMemo, SampleBudget, SampleReservation, ScoredEval, Trace, TracePoint,
 };
 use cocco_faults::{FaultPlan, FaultSite};
-use cocco_graph::{Graph, NodeId};
+use cocco_graph::{Graph, NodeId, NodeSetFp};
 use cocco_partition::{ParentSeed, Partition, PartitionDelta, RepairScratch};
 use cocco_sim::{BufferConfig, EvalOptions, Evaluator, SimError, SubgraphStats};
 use cocco_telemetry::{Stopwatch, Telemetry};
@@ -658,14 +658,16 @@ impl<'a> SearchContext<'a> {
 
     /// [`subgraph_cost`](Self::subgraph_cost) without recording an
     /// evaluator error, for callers that memoize the outcome and record
-    /// it on every lookup themselves. Members should ascend (what the
+    /// it on every lookup themselves. `fp` is the member set's
+    /// fingerprint, kept by the caller. Members should ascend (what the
     /// statistics derivation expects, so no sorted copy is made).
     pub(crate) fn subgraph_term(
         &self,
+        fp: NodeSetFp,
         members: &[NodeId],
         buffer: &BufferConfig,
     ) -> Result<Option<f64>, SimError> {
-        Ok(self.stats_term(&self.evaluator.subgraph_stats(members)?, buffer))
+        Ok(self.stats_term(&self.evaluator.subgraph_stats_keyed(fp, members)?, buffer))
     }
 
     /// The term of one subgraph's statistics: one fit check, then the

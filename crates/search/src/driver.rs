@@ -166,7 +166,8 @@ impl DriverState {
     /// Checks a state read from a checkpoint against the graph it will
     /// resume on, before a driver is built from it, so a state the driver
     /// cannot run is reported instead of panicking or looping. So far the
-    /// depth-ordered DP checks its table; other states pass unchecked.
+    /// depth-ordered DP checks its table and greedy fusion its assignment;
+    /// other states pass unchecked.
     ///
     /// # Errors
     ///
@@ -174,6 +175,7 @@ impl DriverState {
     pub fn check(&self, graph: &Graph) -> Result<(), String> {
         match self {
             DriverState::DepthDp(state) => state.check(graph),
+            DriverState::Greedy(state) => state.check(graph),
             _ => Ok(()),
         }
     }

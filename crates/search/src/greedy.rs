@@ -1,14 +1,19 @@
 //! Halide-style greedy fusion baseline (paper §4.2.2).
+//!
+//! The driver keeps its working state between steps: the live groups with
+//! their members, fingerprints and terms, and the quotient over them as
+//! ascending adjacency lists whose edges carry the term of the merge across
+//! them. A merge edits only the two groups it consumes and their neighbours,
+//! so a step derives terms only for the edges the previous merge created.
 
 use crate::context::SearchContext;
 use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
 use crate::genome::Genome;
 use crate::outcome::SearchOutcome;
-use cocco_graph::{BuildFpHasher, NodeId, NodeSetFp};
+use cocco_graph::{Graph, NodeId, NodeSetFp};
 use cocco_partition::{Partition, Quotient};
 use cocco_sim::BufferConfig;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Serializable state of a [`GreedyDriver`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -17,6 +22,25 @@ pub struct GreedyState {
     assignment: Option<Vec<u32>>,
     done: bool,
     outcome: SearchOutcome,
+}
+
+impl GreedyState {
+    /// Checks the state against the graph it resumes on: while running, the
+    /// current assignment (the driver rebuilds its quotient from it) must
+    /// be a valid partition of the graph, and so must a best design.
+    pub(crate) fn check(&self, graph: &Graph) -> Result<(), String> {
+        if let (false, Some(assignment)) = (self.done, &self.assignment) {
+            Partition::from_assignment(assignment.clone())
+                .validate(graph)
+                .map_err(|e| format!("greedy assignment is not a partition of the graph: {e}"))?;
+        }
+        if let Some(best) = &self.outcome.best {
+            best.partition
+                .validate(graph)
+                .map_err(|e| format!("greedy best design is not a partition of the graph: {e}"))?;
+        }
+        Ok(())
+    }
 }
 
 /// Greedy grouping as in Halide's auto-scheduler: start from one subgraph
@@ -31,23 +55,28 @@ pub struct GreedyState {
 ///
 /// As a step-driven state machine, each step applies the one feasible
 /// merge with the greatest benefit (a scan over every quotient edge in
-/// ascending source order, ties kept by the first); the final step scores
-/// the converged partition. Analytic: no step consumes budget.
+/// ascending (source label, target label) order, ties kept by the first);
+/// the final step scores the converged partition. Analytic: no step
+/// consumes budget.
 ///
-/// A step pays only for what the previous merge changed:
+/// A step pays only for what the previous merge changed. The driver keeps,
+/// per live group, its ascending members, their [`NodeSetFp`] and the
+/// group's cost term, and the quotient as ascending successor and
+/// predecessor lists; each edge stores the term of the merge across it
+/// once derived. Merging `b` into `a` merges the member lists, splices
+/// `b`'s adjacency into `a`'s, re-points `b`'s neighbours at `a`, and
+/// forgets only the edge terms incident to `a` or `b` — the merged pair's
+/// term becomes the group's. Every other term stays, so a step derives
+/// terms only for the new group's edges.
 ///
-/// * **Legality** — merging across edge `a → b` would close a cycle iff
-///   another path `a ⇝ b` exists. One pass in reverse topological order
-///   builds a descendant bitset per quotient vertex, and the edge is
-///   illegal iff `b` is reachable from `a` by two or more edges.
-/// * **Costs** — a group's cost and a merge's cost are pure functions of
-///   the member set, memoized by its [`NodeSetFp`]. A merge changes two
-///   groups only, so every other group and edge answers from the memo;
-///   the merged member list is built only on a miss. The memo holds only
-///   the live groups and merges across live edges: a merge drops the
-///   entries of the two groups it consumes, and the merged pair's entry
-///   becomes the new group's. It is never serialized — a resumed driver
-///   rebuilds it on demand.
+/// Legality stays a global pass: merging across `a → b` would close a
+/// cycle iff another path `a ⇝ b` exists, and a merge elsewhere can create
+/// one for an edge it does not touch (`x → b`, `a → y` and `x → y` make
+/// `x → ab → y`). So every step runs one reachability pass over the kept
+/// adjacency, in reverse topological order, into reused bitsets.
+///
+/// Nothing of this is serialized: [`GreedyState`] holds the assignment,
+/// and a resumed driver rebuilds the structure from it on its first step.
 ///
 /// # Examples
 ///
@@ -69,20 +98,23 @@ pub struct GreedyState {
 /// ```
 #[derive(Debug)]
 pub struct GreedyDriver {
-    partition: Option<Partition>,
+    /// The assignment a resumed driver continues from, until its first
+    /// step builds the kept state from it.
+    resumed: Option<Partition>,
+    /// The kept state: `None` before the first step and once done.
+    fusion: Option<Fusion>,
     outcome: SearchOutcome,
     done: bool,
-    costs: CostMemo,
 }
 
 impl Default for GreedyDriver {
     /// A fresh driver, starting from one subgraph per layer.
     fn default() -> Self {
         Self {
-            partition: None,
+            resumed: None,
+            fusion: None,
             outcome: SearchOutcome::empty(),
             done: false,
-            costs: CostMemo::default(),
         }
     }
 }
@@ -91,10 +123,10 @@ impl GreedyDriver {
     /// Resumes a driver from a serialized state.
     pub fn from_state(state: GreedyState) -> Self {
         Self {
-            partition: state.assignment.map(Partition::from_assignment),
+            resumed: state.assignment.map(Partition::from_assignment),
+            fusion: None,
             outcome: state.outcome,
             done: state.done,
-            costs: CostMemo::default(),
         }
     }
 }
@@ -110,58 +142,25 @@ impl SearchDriver for GreedyDriver {
         }
         let graph = ctx.graph();
         let buffer = ctx.space.baseline_buffer();
-        let mut partition = self
-            .partition
-            .take()
-            .unwrap_or_else(|| Partition::singletons(graph.len()));
-        // Per-subgraph additive cost; infinity when a subgraph cannot fit.
-        let groups = partition.subgraphs();
-        let fps: Vec<NodeSetFp> = groups.iter().map(|m| NodeSetFp::of_members(m)).collect();
-        let group_cost: Vec<f64> = groups
-            .iter()
-            .zip(&fps)
-            .map(|(m, &fp)| {
-                self.costs
-                    .cost(ctx, &buffer, fp, m, &[])
-                    .unwrap_or(f64::INFINITY)
-            })
-            .collect();
-        let quotient = Quotient::build(graph, &partition);
-        let legality = MergeLegality::new(&quotient);
-        let mut best: Option<(f64, u32, u32)> = None; // (benefit, a, b)
-        for a in 0..quotient.num_subgraphs() as u32 {
-            for &b in quotient.succs(a) {
-                if !legality.is_legal(a, b) {
-                    continue;
-                }
-                let (a_i, b_i) = (a as usize, b as usize);
-                let merged_fp = fps[a_i].disjoint_union(fps[b_i]);
-                let Some(merged_cost) =
-                    self.costs
-                        .cost(ctx, &buffer, merged_fp, &groups[a_i], &groups[b_i])
-                else {
-                    continue; // does not fit
-                };
-                let benefit = group_cost[a_i] + group_cost[b_i] - merged_cost;
-                if benefit > 0.0 && best.is_none_or(|(bb, _, _)| benefit > bb) {
-                    best = Some((benefit, a, b));
-                }
+        let mut fusion = match self.fusion.take() {
+            Some(fusion) => fusion,
+            None => {
+                let start = self
+                    .resumed
+                    .take()
+                    .unwrap_or_else(|| Partition::singletons(graph.len()));
+                Fusion::new(graph, start)
             }
-        }
-        match best {
-            Some((_, a, b)) => {
-                self.costs.forget_merged(&quotient, &fps, a, b);
-                // Relabel b's members into a's subgraph; another round next
-                // step.
-                let target = partition.subgraph_of(groups[a as usize][0]);
-                for &m in &groups[b as usize] {
-                    partition.assign(m, target);
-                }
-                self.partition = Some(partition);
+        };
+        match fusion.best_merge(ctx, &buffer) {
+            Some((a, b)) => {
+                fusion.merge(a, b);
+                self.fusion = Some(fusion);
                 Step::Continue
             }
             None => {
                 // Converged: score the result.
+                let mut partition = fusion.partition;
                 partition.canonicalize(graph);
                 let cost = ctx.partition_cost(&partition, &buffer);
                 self.outcome.consider(&Genome::new(partition, buffer), cost);
@@ -178,8 +177,12 @@ impl SearchDriver for GreedyDriver {
     }
 
     fn state(&self) -> DriverState {
+        let partition = match &self.fusion {
+            Some(fusion) => Some(&fusion.partition),
+            None => self.resumed.as_ref(),
+        };
         DriverState::Greedy(GreedyState {
-            assignment: self.partition.as_ref().map(|p| p.assignment().to_vec()),
+            assignment: partition.map(|p| p.assignment().to_vec()),
             done: self.done,
             outcome: self.outcome.clone(),
         })
@@ -187,7 +190,7 @@ impl SearchDriver for GreedyDriver {
 }
 
 /// What costing one member set under the baseline buffer gave.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Term {
     /// The subgraph fits, with this additive cost.
     Cost(f64),
@@ -197,51 +200,28 @@ enum Term {
     Error,
 }
 
-/// The greedy driver's memo of member-set costs, keyed by fingerprint:
-/// the live groups and the merges across live quotient edges.
-#[derive(Debug, Default)]
-struct CostMemo {
-    terms: HashMap<NodeSetFp, Term, BuildFpHasher>,
-    /// Scratch for the merged member list of a miss.
-    merged: Vec<NodeId>,
-}
-
-impl CostMemo {
-    /// The cost of the member set `a ∪ b` (fingerprint `fp`; `a` and `b`
-    /// ascending and disjoint, `b` empty for a lone group), or `None` when
-    /// it does not fit. A set the evaluator rejects records an infeasible
-    /// error on the trace at every lookup, exactly as an unmemoized
+impl Term {
+    /// Derives the term of the ascending member set `members` (fingerprint
+    /// `fp`). An evaluator error is not recorded here: the caller records
+    /// one at every lookup, exactly as an unmemoized
     /// [`SearchContext::subgraph_cost`] call would.
-    fn cost(
-        &mut self,
+    fn derive(
         ctx: &SearchContext<'_>,
         buffer: &BufferConfig,
         fp: NodeSetFp,
-        a: &[NodeId],
-        b: &[NodeId],
-    ) -> Option<f64> {
-        let term = match self.terms.get(&fp) {
-            Some(&term) => term,
-            None => {
-                let members = if b.is_empty() {
-                    a
-                } else {
-                    self.merged.clear();
-                    self.merged.extend_from_slice(a);
-                    self.merged.extend_from_slice(b);
-                    self.merged.sort_unstable();
-                    &self.merged
-                };
-                let term = match ctx.subgraph_term(members, buffer) {
-                    Ok(Some(cost)) => Term::Cost(cost),
-                    Ok(None) => Term::TooBig,
-                    Err(_) => Term::Error,
-                };
-                self.terms.insert(fp, term);
-                term
-            }
-        };
-        match term {
+        members: &[NodeId],
+    ) -> Self {
+        match ctx.subgraph_term(fp, members, buffer) {
+            Ok(Some(cost)) => Term::Cost(cost),
+            Ok(None) => Term::TooBig,
+            Err(_) => Term::Error,
+        }
+    }
+
+    /// The additive cost, or `None` when the set does not fit or the
+    /// evaluator rejected it (recording the error on the trace).
+    fn cost(self, ctx: &SearchContext<'_>) -> Option<f64> {
+        match self {
             Term::Cost(cost) => Some(cost),
             Term::TooBig => None,
             Term::Error => {
@@ -250,86 +230,511 @@ impl CostMemo {
             }
         }
     }
+}
 
-    /// Drops the entries a merge of quotient vertices `a` and `b` makes
-    /// stale: the two groups and their merges with every other neighbour.
-    /// The entry of `a ∪ b` stays — it is the new group's cost.
-    fn forget_merged(&mut self, quotient: &Quotient, fps: &[NodeSetFp], a: u32, b: u32) {
-        for (x, other) in [(a, b), (b, a)] {
-            let fp = fps[x as usize];
-            self.terms.remove(&fp);
-            for &n in quotient.succs(x).iter().chain(quotient.preds(x)) {
-                if n != other {
-                    self.terms.remove(&fp.disjoint_union(fps[n as usize]));
+/// A quotient edge, with the term of the merge across it once derived.
+#[derive(Clone, Copy, Debug)]
+struct Edge {
+    to: u32,
+    term: Option<Term>,
+}
+
+/// One group of the kept quotient. A group merged away is left empty.
+#[derive(Debug, Default)]
+struct Group {
+    /// Members, ascending (topologically ordered).
+    members: Vec<NodeId>,
+    fp: NodeSetFp,
+    /// The group's own term, once derived.
+    term: Option<Term>,
+    /// Successor groups, ascending.
+    succs: Vec<Edge>,
+    /// Predecessor groups, ascending.
+    preds: Vec<u32>,
+}
+
+impl Group {
+    fn is_live(&self) -> bool {
+        !self.members.is_empty()
+    }
+
+    /// The group's additive cost; infinity when it cannot fit.
+    fn cost(&self) -> f64 {
+        match self.term {
+            Some(Term::Cost(cost)) => cost,
+            _ => f64::INFINITY,
+        }
+    }
+}
+
+/// The working state greedy fusion keeps between steps.
+#[derive(Debug)]
+struct Fusion {
+    /// The current assignment; a merge relabels the consumed group's
+    /// members with the surviving group's label.
+    partition: Partition,
+    /// One slot per group of the partition the state was built from, in
+    /// ascending label order. A merge keeps the first group's slot and
+    /// label, so slot order stays label order.
+    groups: Vec<Group>,
+    legality: Legality,
+    /// Scratch for a merged member list.
+    merged: Vec<NodeId>,
+}
+
+impl Fusion {
+    /// Builds the state of `partition`, a valid partition of `graph`, with
+    /// no term derived yet.
+    fn new(graph: &Graph, partition: Partition) -> Self {
+        let quotient = Quotient::build(graph, &partition);
+        let mut groups: Vec<Group> = (0..quotient.num_subgraphs() as u32)
+            .map(|c| Group {
+                succs: quotient
+                    .succs(c)
+                    .iter()
+                    .map(|&to| Edge { to, term: None })
+                    .collect(),
+                preds: quotient.preds(c).to_vec(),
+                ..Group::default()
+            })
+            .collect();
+        for (node, &label) in partition.assignment().iter().enumerate() {
+            let group = &mut groups[quotient.compact_id(label) as usize];
+            let node = NodeId::from_index(node);
+            group.members.push(node);
+            group.fp.insert(node);
+        }
+        Self {
+            partition,
+            groups,
+            legality: Legality::default(),
+            merged: Vec::new(),
+        }
+    }
+
+    /// The legal, fitting merge `(a, b)` across edge `a → b` with the
+    /// greatest positive benefit, first in edge order on ties. Derives
+    /// the terms still missing — groups first, then edges in scan order —
+    /// and records an infeasible error for every rejected group and every
+    /// rejected legal edge.
+    fn best_merge(&mut self, ctx: &SearchContext<'_>, buffer: &BufferConfig) -> Option<(u32, u32)> {
+        for group in self.groups.iter_mut().filter(|g| g.is_live()) {
+            let term = group
+                .term
+                .get_or_insert_with(|| Term::derive(ctx, buffer, group.fp, &group.members));
+            term.cost(ctx);
+        }
+        self.legality.run(&self.groups);
+        let mut best: Option<(f64, u32, u32)> = None; // (benefit, a, b)
+        for a in 0..self.groups.len() {
+            let a_cost = self.groups[a].cost();
+            for i in 0..self.groups[a].succs.len() {
+                let Edge { to: b, term } = self.groups[a].succs[i];
+                if !self.legality.is_legal(a, i) {
+                    continue;
                 }
+                let (group_a, group_b) = (&self.groups[a], &self.groups[b as usize]);
+                let term = match term {
+                    Some(term) => term,
+                    None => {
+                        merge_ascending(&mut self.merged, &group_a.members, &group_b.members);
+                        let fp = group_a.fp.disjoint_union(group_b.fp);
+                        let term = Term::derive(ctx, buffer, fp, &self.merged);
+                        self.groups[a].succs[i].term = Some(term);
+                        term
+                    }
+                };
+                let Some(merged_cost) = term.cost(ctx) else {
+                    continue;
+                };
+                let benefit = a_cost + self.groups[b as usize].cost() - merged_cost;
+                if benefit > 0.0 && best.is_none_or(|(bb, _, _)| benefit > bb) {
+                    best = Some((benefit, a as u32, b));
+                }
+            }
+        }
+        best.map(|(_, a, b)| (a, b))
+    }
+
+    /// Merges group `b` into group `a` across the edge `a → b`: the edge's
+    /// term becomes the group's, and every edge of the merged group loses
+    /// its term (its merged set changed).
+    fn merge(&mut self, a: u32, b: u32) {
+        let gone = std::mem::take(&mut self.groups[b as usize]);
+        let group = &mut self.groups[a as usize];
+        let label = self.partition.subgraph_of(group.members[0]);
+        for &m in &gone.members {
+            self.partition.assign(m, label);
+        }
+        merge_ascending(&mut self.merged, &group.members, &gone.members);
+        std::mem::swap(&mut group.members, &mut self.merged);
+        group.fp = group.fp.disjoint_union(gone.fp);
+        group.term = group
+            .succs
+            .binary_search_by_key(&b, |e| e.to)
+            .ok()
+            .and_then(|i| group.succs[i].term);
+        group.succs.retain(|e| e.to != b);
+        group.succs.extend_from_slice(&gone.succs);
+        group.succs.sort_unstable_by_key(|e| e.to);
+        group.succs.dedup_by_key(|e| e.to);
+        for edge in &mut group.succs {
+            edge.term = None;
+        }
+        group.preds.extend(gone.preds.iter().filter(|&&p| p != a));
+        group.preds.sort_unstable();
+        group.preds.dedup();
+        // Re-point the neighbours at `a`, forgetting their edge terms.
+        for i in 0..self.groups[a as usize].succs.len() {
+            let s = self.groups[a as usize].succs[i].to;
+            let preds = &mut self.groups[s as usize].preds;
+            if let Ok(j) = preds.binary_search(&b) {
+                preds.remove(j);
+            }
+            if let Err(j) = preds.binary_search(&a) {
+                preds.insert(j, a);
+            }
+        }
+        for i in 0..self.groups[a as usize].preds.len() {
+            let p = self.groups[a as usize].preds[i];
+            let succs = &mut self.groups[p as usize].succs;
+            if let Ok(j) = succs.binary_search_by_key(&b, |e| e.to) {
+                succs.remove(j);
+            }
+            match succs.binary_search_by_key(&a, |e| e.to) {
+                Ok(j) => succs[j].term = None,
+                Err(j) => succs.insert(j, Edge { to: a, term: None }),
             }
         }
     }
 }
 
-/// Which quotient edges a merge may cross without closing a cycle, from
-/// one reachability pass: `far` holds, per vertex, a bitset of the
-/// vertices it reaches by two or more edges. Merging across `a → b` is
-/// legal iff `b` is not among them — a path `a ⇝ b` other than the edge
-/// itself must leave through some successor `s ≠ b` (in a DAG, `s = b`
-/// would need a cycle `b ⇝ b`).
-struct MergeLegality {
-    words: usize,
-    far: Vec<u64>,
+/// Merges the ascending, disjoint member lists `a` and `b` into `out`.
+fn merge_ascending(out: &mut Vec<NodeId>, a: &[NodeId], b: &[NodeId]) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
-impl MergeLegality {
-    /// Runs the pass over `quotient` in reverse topological order. A
-    /// cyclic quotient (never reached from a valid partition) allows no
-    /// merge.
-    fn new(quotient: &Quotient) -> Self {
-        let k = quotient.num_subgraphs();
-        let words = k.div_ceil(64);
-        let Some(order) = quotient.topo_order() else {
-            return Self {
-                words,
-                far: vec![u64::MAX; k * words],
+/// Which kept quotient edges a merge may cross without closing a cycle,
+/// from one reachability pass in reverse topological order. Merging across
+/// `a → b` is legal iff no other successor of `a` reaches `b` — a path
+/// `a ⇝ b` other than the edge itself must leave through some successor
+/// `s ≠ b` (in a DAG, `s = b` would need a cycle `b ⇝ b`). The buffers are
+/// reused across steps.
+#[derive(Debug, Default)]
+struct Legality {
+    /// Live groups in a topological order.
+    order: Vec<u32>,
+    /// Per group: its position in `order`, and during the sort, how many
+    /// of its predecessors are not placed yet.
+    pos: Vec<u32>,
+    /// Per group: the index of its first edge in scan order (the groups'
+    /// successor lists in slot order, end to end).
+    first_edge: Vec<u32>,
+    /// Per edge in scan order: whether a merge may cross it. All `false`
+    /// when the quotient is cyclic (never reached from a valid partition).
+    legal: Vec<bool>,
+    /// Per position, a bitset of the positions it reaches.
+    reach: Vec<u64>,
+}
+
+impl Legality {
+    /// Runs the pass over the live groups of `groups`.
+    fn run(&mut self, groups: &[Group]) {
+        self.order.clear();
+        self.first_edge.clear();
+        self.pos.resize(groups.len(), 0);
+        let (mut live, mut edges) = (0, 0);
+        for (v, group) in groups.iter().enumerate() {
+            self.first_edge.push(edges);
+            edges += group.succs.len() as u32;
+            if group.is_live() {
+                live += 1;
+                self.pos[v] = group.preds.len() as u32;
+                if group.preds.is_empty() {
+                    self.order.push(v as u32);
+                }
+            }
+        }
+        self.legal.clear();
+        self.legal.resize(edges as usize, false);
+        let mut next = 0;
+        while let Some(&v) = self.order.get(next) {
+            next += 1;
+            for edge in &groups[v as usize].succs {
+                let pending = &mut self.pos[edge.to as usize];
+                *pending -= 1;
+                if *pending == 0 {
+                    self.order.push(edge.to);
+                }
+            }
+        }
+        if self.order.len() != live {
+            return;
+        }
+        for (p, &v) in self.order.iter().enumerate() {
+            self.pos[v as usize] = p as u32;
+        }
+        let words = live.div_ceil(64);
+        self.reach.resize(live * words, 0);
+        for (p, &v) in self.order.iter().enumerate().rev() {
+            // A position reaches only later positions, so the words of a
+            // row before its first later position would be zero: the pass
+            // leaves them stale and never reads them.
+            let lo = (p + 1) / 64;
+            let (head, later) = self.reach.split_at_mut((p + 1) * words);
+            let row = &mut head[p * words + lo..];
+            row.fill(0);
+            let succs = &groups[v as usize].succs;
+            for edge in succs {
+                let s = self.pos[edge.to as usize] as usize;
+                let s_lo = (s + 1) / 64;
+                let s_row = &later[(s - p - 1) * words + s_lo..(s - p) * words];
+                for (r, &x) in row[s_lo - lo..].iter_mut().zip(s_row) {
+                    *r |= x;
+                }
+            }
+            // Before its own bit is set, the row holds what the other
+            // successors reach.
+            let first = self.first_edge[v as usize] as usize;
+            for (legal, edge) in self.legal[first..].iter_mut().zip(succs) {
+                let s = self.pos[edge.to as usize] as usize;
+                let bit = 1 << (s % 64);
+                *legal = row[s / 64 - lo] & bit == 0;
+                row[s / 64 - lo] |= bit;
+            }
+        }
+    }
+
+    /// Whether merging across edge `i` of group `a`'s successor list keeps
+    /// the quotient acyclic.
+    fn is_legal(&self, a: usize, i: usize) -> bool {
+        self.legal[self.first_edge[a] as usize + i]
+    }
+}
+
+/// The reference step the kept-state driver is checked against, step by
+/// step: it re-derives the groups, their fingerprints and the quotient
+/// from the assignment on every merge, and looks every term up in a
+/// fingerprint-keyed memo that drops the entries a merge makes stale.
+#[cfg(test)]
+mod reference {
+    use super::Term;
+    use crate::context::SearchContext;
+    use crate::driver::Step;
+    use crate::genome::Genome;
+    use crate::outcome::SearchOutcome;
+    use cocco_graph::{BuildFpHasher, NodeId, NodeSetFp};
+    use cocco_partition::{Partition, Quotient};
+    use cocco_sim::BufferConfig;
+    use std::collections::HashMap;
+
+    /// The reference driver: the assignment, the memo and the outcome.
+    #[derive(Debug)]
+    pub(super) struct ReferenceGreedy {
+        pub(super) partition: Option<Partition>,
+        pub(super) outcome: SearchOutcome,
+        done: bool,
+        costs: CostMemo,
+    }
+
+    impl ReferenceGreedy {
+        pub(super) fn new() -> Self {
+            Self {
+                partition: None,
+                outcome: SearchOutcome::empty(),
+                done: false,
+                costs: CostMemo::default(),
+            }
+        }
+
+        /// One step: apply the best merge, or score the converged result.
+        pub(super) fn step(&mut self, ctx: &SearchContext<'_>) -> Step {
+            if self.done {
+                return Step::Done;
+            }
+            let graph = ctx.graph();
+            let buffer = ctx.space.baseline_buffer();
+            let mut partition = self
+                .partition
+                .take()
+                .unwrap_or_else(|| Partition::singletons(graph.len()));
+            let groups = partition.subgraphs();
+            let fps: Vec<NodeSetFp> = groups.iter().map(|m| NodeSetFp::of_members(m)).collect();
+            let group_cost: Vec<f64> = groups
+                .iter()
+                .zip(&fps)
+                .map(|(m, &fp)| {
+                    self.costs
+                        .cost(ctx, &buffer, fp, m, &[])
+                        .unwrap_or(f64::INFINITY)
+                })
+                .collect();
+            let quotient = Quotient::build(graph, &partition);
+            let legality = MergeLegality::new(&quotient);
+            let mut best: Option<(f64, u32, u32)> = None;
+            for a in 0..quotient.num_subgraphs() as u32 {
+                for &b in quotient.succs(a) {
+                    if !legality.is_legal(a, b) {
+                        continue;
+                    }
+                    let (a_i, b_i) = (a as usize, b as usize);
+                    let merged_fp = fps[a_i].disjoint_union(fps[b_i]);
+                    let Some(merged_cost) =
+                        self.costs
+                            .cost(ctx, &buffer, merged_fp, &groups[a_i], &groups[b_i])
+                    else {
+                        continue;
+                    };
+                    let benefit = group_cost[a_i] + group_cost[b_i] - merged_cost;
+                    if benefit > 0.0 && best.is_none_or(|(bb, _, _)| benefit > bb) {
+                        best = Some((benefit, a, b));
+                    }
+                }
+            }
+            match best {
+                Some((_, a, b)) => {
+                    self.costs.forget_merged(&quotient, &fps, a, b);
+                    let target = partition.subgraph_of(groups[a as usize][0]);
+                    for &m in &groups[b as usize] {
+                        partition.assign(m, target);
+                    }
+                    self.partition = Some(partition);
+                    Step::Continue
+                }
+                None => {
+                    partition.canonicalize(graph);
+                    let cost = ctx.partition_cost(&partition, &buffer);
+                    self.outcome.consider(&Genome::new(partition, buffer), cost);
+                    self.done = true;
+                    Step::Done
+                }
+            }
+        }
+    }
+
+    /// Member-set terms keyed by fingerprint: the live groups and the
+    /// merges across live quotient edges.
+    #[derive(Debug, Default)]
+    struct CostMemo {
+        terms: HashMap<NodeSetFp, Term, BuildFpHasher>,
+        merged: Vec<NodeId>,
+    }
+
+    impl CostMemo {
+        /// The cost of `a ∪ b` (fingerprint `fp`; `b` empty for a lone
+        /// group), or `None` when it does not fit or was rejected.
+        fn cost(
+            &mut self,
+            ctx: &SearchContext<'_>,
+            buffer: &BufferConfig,
+            fp: NodeSetFp,
+            a: &[NodeId],
+            b: &[NodeId],
+        ) -> Option<f64> {
+            let term = match self.terms.get(&fp) {
+                Some(&term) => term,
+                None => {
+                    let members = if b.is_empty() {
+                        a
+                    } else {
+                        self.merged.clear();
+                        self.merged.extend_from_slice(a);
+                        self.merged.extend_from_slice(b);
+                        self.merged.sort_unstable();
+                        &self.merged
+                    };
+                    let term = Term::derive(ctx, buffer, fp, members);
+                    self.terms.insert(fp, term);
+                    term
+                }
             };
-        };
-        // reach[v] = far[v] ∪ succs(v): everything v reaches.
-        let mut reach = vec![0u64; k * words];
-        let mut far = vec![0u64; k * words];
-        for &v in order.iter().rev() {
-            let row = v as usize * words..(v as usize + 1) * words;
-            for &s in quotient.succs(v) {
-                let s_row = &reach[s as usize * words..(s as usize + 1) * words];
-                for (f, &r) in far[row.clone()].iter_mut().zip(s_row) {
-                    *f |= r;
+            term.cost(ctx)
+        }
+
+        /// Drops the entries a merge of quotient vertices `a` and `b`
+        /// makes stale; the entry of `a ∪ b` stays as the new group's.
+        fn forget_merged(&mut self, quotient: &Quotient, fps: &[NodeSetFp], a: u32, b: u32) {
+            for (x, other) in [(a, b), (b, a)] {
+                let fp = fps[x as usize];
+                self.terms.remove(&fp);
+                for &n in quotient.succs(x).iter().chain(quotient.preds(x)) {
+                    if n != other {
+                        self.terms.remove(&fp.disjoint_union(fps[n as usize]));
+                    }
                 }
             }
-            let dst = &mut reach[row.clone()];
-            dst.copy_from_slice(&far[row]);
-            for &s in quotient.succs(v) {
-                dst[s as usize / 64] |= 1 << (s % 64);
-            }
         }
-        Self { words, far }
     }
 
-    /// Whether merging across the quotient edge `a → b` keeps the
-    /// quotient acyclic.
-    fn is_legal(&self, a: u32, b: u32) -> bool {
-        self.far[a as usize * self.words + b as usize / 64] & (1 << (b % 64)) == 0
+    /// Merge legality over a freshly built quotient: per vertex, the
+    /// vertices it reaches by two or more edges.
+    struct MergeLegality {
+        words: usize,
+        far: Vec<u64>,
+    }
+
+    impl MergeLegality {
+        fn new(quotient: &Quotient) -> Self {
+            let k = quotient.num_subgraphs();
+            let words = k.div_ceil(64);
+            let Some(order) = quotient.topo_order() else {
+                return Self {
+                    words,
+                    far: vec![u64::MAX; k * words],
+                };
+            };
+            let mut reach = vec![0u64; k * words];
+            let mut far = vec![0u64; k * words];
+            for &v in order.iter().rev() {
+                let row = v as usize * words..(v as usize + 1) * words;
+                for &s in quotient.succs(v) {
+                    let s_row = &reach[s as usize * words..(s as usize + 1) * words];
+                    for (f, &r) in far[row.clone()].iter_mut().zip(s_row) {
+                        *f |= r;
+                    }
+                }
+                let dst = &mut reach[row.clone()];
+                dst.copy_from_slice(&far[row]);
+                for &s in quotient.succs(v) {
+                    dst[s as usize / 64] |= 1 << (s % 64);
+                }
+            }
+            Self { words, far }
+        }
+
+        fn is_legal(&self, a: u32, b: u32) -> bool {
+            self.far[a as usize * self.words + b as usize / 64] & (1 << (b % 64)) == 0
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::ReferenceGreedy;
     use super::*;
     use crate::objective::{BufferSpace, Objective};
     use crate::SearchMethod;
+    use cocco_graph::{Dims2, GraphBuilder, Kernel, LayerOp, TensorShape};
     use cocco_partition::repair;
     use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
+    use cocco_tiling::{Mapper, MapperPolicy};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     /// Is there a path `a ⇝ b` in the quotient other than the direct edge?
-    /// The DFS oracle of [`MergeLegality`].
+    /// The DFS oracle of [`Legality`].
     fn has_indirect_path(quotient: &Quotient, a: u32, b: u32) -> bool {
         let mut seen = vec![false; quotient.num_subgraphs()];
         let mut stack: Vec<u32> = quotient
@@ -355,23 +760,42 @@ mod tests {
         false
     }
 
-    /// Asserts that [`MergeLegality`] agrees with the DFS oracle on every
-    /// quotient edge of `partition`; returns how many edges are illegal.
-    fn assert_legality_matches_oracle(
+    /// Asserts that the kept state is the one its partition defines —
+    /// members, fingerprints, labels and adjacency equal to a freshly built
+    /// quotient's — and that [`Legality`] agrees with the DFS oracle on
+    /// every edge; returns how many edges are illegal.
+    fn assert_kept_state_matches_oracle(
         graph: &cocco_graph::Graph,
-        partition: &Partition,
+        fusion: &mut Fusion,
         what: &str,
     ) -> usize {
-        let q = Quotient::build(graph, partition);
-        let legality = MergeLegality::new(&q);
+        let q = Quotient::build(graph, &fusion.partition);
+        let subgraphs = fusion.partition.subgraphs();
+        // Live slots ascend by label, as compact ids do.
+        let live: Vec<u32> = (0..fusion.groups.len() as u32)
+            .filter(|&v| fusion.groups[v as usize].is_live())
+            .collect();
+        assert_eq!(live.len(), q.num_subgraphs(), "{what}: group count");
+        let compact = |slot: u32| live.binary_search(&slot).unwrap() as u32;
+        for (c, &v) in live.iter().enumerate() {
+            let group = &fusion.groups[v as usize];
+            assert_eq!(group.members, subgraphs[c], "{what}: members of {v}");
+            assert_eq!(group.fp, NodeSetFp::of_members(&group.members), "{what}");
+            let succs: Vec<u32> = group.succs.iter().map(|e| compact(e.to)).collect();
+            let preds: Vec<u32> = group.preds.iter().map(|&p| compact(p)).collect();
+            assert_eq!(succs, q.succs(c as u32), "{what}: successors of {v}");
+            assert_eq!(preds, q.preds(c as u32), "{what}: predecessors of {v}");
+        }
+        fusion.legality.run(&fusion.groups);
         let mut illegal = 0;
-        for a in 0..q.num_subgraphs() as u32 {
-            for &b in q.succs(a) {
-                let indirect = has_indirect_path(&q, a, b);
+        for &a in &live {
+            for (i, edge) in fusion.groups[a as usize].succs.iter().enumerate() {
+                let indirect = has_indirect_path(&q, compact(a), compact(edge.to));
                 assert_eq!(
-                    legality.is_legal(a, b),
+                    fusion.legality.is_legal(a as usize, i),
                     !indirect,
-                    "{what}: edge {a} -> {b}"
+                    "{what}: edge {a} -> {}",
+                    edge.to
                 );
                 illegal += usize::from(indirect);
             }
@@ -386,8 +810,9 @@ mod tests {
         for &(name, build) in cocco_graph::models::registry() {
             let g = build();
             let n = g.len();
-            illegal += assert_legality_matches_oracle(&g, &Partition::singletons(n), name);
-            // The partition after every greedy step.
+            let mut singletons = Fusion::new(&g, Partition::singletons(n));
+            illegal += assert_kept_state_matches_oracle(&g, &mut singletons, name);
+            // The kept state after every greedy step.
             let eval = Evaluator::new(&g, AcceleratorConfig::default());
             let ctx = SearchContext::new(
                 &g,
@@ -399,9 +824,9 @@ mod tests {
             let mut driver = GreedyDriver::default();
             let mut steps = 0;
             while matches!(driver.next_batch(&ctx), Step::Continue) {
-                let partition = driver.partition.as_ref().unwrap();
+                let fusion = driver.fusion.as_mut().unwrap();
                 illegal +=
-                    assert_legality_matches_oracle(&g, partition, &format!("{name} step {steps}"));
+                    assert_kept_state_matches_oracle(&g, fusion, &format!("{name} step {steps}"));
                 steps += 1;
             }
             assert!(steps > 0, "{name}: greedy merged nothing");
@@ -411,14 +836,123 @@ mod tests {
                 let labels = rng.gen_range(2..=n as u32);
                 let assignment = (0..n).map(|_| rng.gen_range(0..labels)).collect();
                 let partition = repair(&g, Partition::from_assignment(assignment), &|_| true);
-                illegal += assert_legality_matches_oracle(
+                let mut fusion = Fusion::new(&g, partition);
+                illegal += assert_kept_state_matches_oracle(
                     &g,
-                    &partition,
+                    &mut fusion,
                     &format!("{name} random {round}"),
                 );
             }
         }
         assert!(illegal > 0, "no partition had an illegal merge to check");
+    }
+
+    /// Which term branches a run met, and in how many merges.
+    #[derive(Debug, Default)]
+    struct Branches {
+        merges: usize,
+        too_big: bool,
+        errors: u64,
+    }
+
+    /// Steps the kept-state driver and [`ReferenceGreedy`] side by side,
+    /// each on its own evaluator, and asserts after every step that both
+    /// hold the same partition and have done the same work: infeasible
+    /// errors recorded, statistics derived and subgraph terms scored.
+    fn assert_matches_reference(
+        graph: &cocco_graph::Graph,
+        config: &AcceleratorConfig,
+        space: BufferSpace,
+        what: &str,
+    ) -> Branches {
+        let eval = Evaluator::new(graph, config.clone());
+        let ref_eval = Evaluator::new(graph, config.clone());
+        let objective = Objective::paper_energy_capacity();
+        let ctx = SearchContext::new(graph, &eval, space, objective, 0);
+        let ref_ctx = SearchContext::new(graph, &ref_eval, space, objective, 0);
+        let work = |ctx: &SearchContext<'_>, eval: &Evaluator<'_>| {
+            (
+                ctx.trace().infeasible_errors(),
+                eval.stats_derivations(),
+                ctx.engine().stats().subgraph_scorings,
+            )
+        };
+        let mut driver = GreedyDriver::default();
+        let mut reference = ReferenceGreedy::new();
+        let mut seen = Branches::default();
+        loop {
+            let step = (driver.next_batch(&ctx), reference.step(&ref_ctx));
+            let at = format!("{what} step {}", seen.merges);
+            assert_eq!(
+                work(&ctx, &eval),
+                work(&ref_ctx, &ref_eval),
+                "{at}: (infeasible errors, derivations, scorings)"
+            );
+            match step {
+                (Step::Continue, Step::Continue) => {
+                    let fusion = driver.fusion.as_ref().unwrap();
+                    assert_eq!(
+                        Some(&fusion.partition),
+                        reference.partition.as_ref(),
+                        "{at}"
+                    );
+                    seen.too_big |= fusion.groups.iter().any(|g| {
+                        g.term == Some(Term::TooBig)
+                            || g.succs.iter().any(|e| e.term == Some(Term::TooBig))
+                    });
+                    seen.merges += 1;
+                }
+                (Step::Done, Step::Done) => {
+                    assert_eq!(driver.outcome, reference.outcome, "{at}");
+                    seen.errors = ctx.trace().infeasible_errors();
+                    return seen;
+                }
+                (step, ref_step) => panic!("{at}: kept {step:?}, reference {ref_step:?}"),
+            }
+        }
+    }
+
+    /// Two paths from one input into an eltwise whose stride products
+    /// differ, so a set holding both has no consistent update rate.
+    fn skew() -> cocco_graph::Graph {
+        let mut b = GraphBuilder::new("skew");
+        let i = b.input(TensorShape::new(32, 32, 4));
+        let wide = LayerOp::Conv {
+            kernel: Kernel::new(Dims2::square(17), Dims2::square(1), Dims2::square(0)),
+            c_out: 4,
+        };
+        let a = b.add("a", wide, &[i]).unwrap();
+        let s2 = b.conv("s2", i, 4, Kernel::square_same(3, 2)).unwrap();
+        b.eltwise("e", &[a, s2]).unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn kept_state_matches_the_reference_step_by_step() {
+        let config = AcceleratorConfig::default();
+        let tight = BufferSpace::fixed(BufferConfig::shared(512 << 10));
+        for &(name, build) in cocco_graph::models::registry() {
+            let g = build();
+            for (space_name, space) in [
+                ("shared", BufferSpace::paper_shared()),
+                ("separate", BufferSpace::paper_separate()),
+                ("tight", tight),
+            ] {
+                let seen =
+                    assert_matches_reference(&g, &config, space, &format!("{name} {space_name}"));
+                assert!(seen.merges > 0, "{name} {space_name}: nothing merged");
+                if space_name == "tight" {
+                    assert!(seen.too_big, "{name}: the tight buffer rejected no set");
+                }
+            }
+        }
+        let skew_config = AcceleratorConfig {
+            mapper: Mapper::new(MapperPolicy::Tile { rows: 1, cols: 1 }),
+            ..AcceleratorConfig::default()
+        };
+        let seen =
+            assert_matches_reference(&skew(), &skew_config, BufferSpace::paper_shared(), "skew");
+        assert!(seen.errors > 0, "skew: no set was rejected ({seen:?})");
     }
 
     fn run_on(graph: &cocco_graph::Graph, buffer: BufferConfig) -> (SearchOutcome, f64) {
