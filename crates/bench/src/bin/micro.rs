@@ -14,7 +14,8 @@
 //!   statistics) and pinned work (`fits` calls, subgraph terms, bounded
 //!   arena growth, statistics derivations, no stage-3 fallback), nasnet
 //!   greedy and DP with no statistics fallback (canonicalize or stage 3)
-//!   and greedy under its subgraph-term ceiling, stepped
+//!   and pinned work (greedy's subgraph terms, derivations and driver
+//!   steps; DP's grown runs and derivations), stepped
 //!   (JSON-resumed) vs monolithic parity, the interleaved two-step's
 //!   higher cross-candidate hit rate, the telemetry overhead ceiling on a
 //!   cached probe, and the audit gate.
@@ -711,19 +712,23 @@ fn repair_work_check(metrics: &MetricsSnapshot, threads: u32) {
 /// rate proof covers their sets); greedy fusion, which keeps its groups'
 /// and edges' terms across its steps, must score exactly `GREEDY_TERMS`
 /// subgraph terms and derive exactly `GREEDY_DERIVATIONS` statistics (it
-/// scored 258,826 terms when every step re-scored every quotient edge);
+/// scored 258,826 terms when every step re-scored every quotient edge) in
+/// exactly `GREEDY_STEPS` driver steps (`search.step_ns` spans);
 /// and depth-DP must grow each of its `DP_GROWN_RUNS` runs' statistics
 /// from the last run's, deriving from scratch only the `DP_SUBGRAPHS`
 /// subgraphs of its result.
 fn baselines_check(threads: u32) {
     const GREEDY_TERMS: u64 = 3_804;
     const GREEDY_DERIVATIONS: u64 = 3_999;
+    // One step per merge, plus the step that scores the converged result.
+    const GREEDY_STEPS: u64 = 431;
     const DP_GROWN_RUNS: u64 = 4_101;
     const DP_SUBGRAPHS: u64 = 142;
     let model = cocco::graph::models::nasnet();
     for method in [SearchMethod::greedy(), SearchMethod::depth_dp()] {
         let name = method.name();
         let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
+        let telemetry = Telemetry::enabled();
         let ctx = SearchContext::new(
             &model,
             &evaluator,
@@ -731,8 +736,12 @@ fn baselines_check(threads: u32) {
             Objective::paper_energy_capacity(),
             0,
         )
-        .with_engine(EngineConfig::with_threads(threads));
+        .with_engine_telemetry(EngineConfig::with_threads(threads), &telemetry);
         let outcome = method.run(&ctx);
+        let steps = telemetry
+            .snapshot()
+            .histogram("search.step_ns")
+            .map_or(0, |h| h.count);
         assert!(outcome.best.is_some(), "{name} finds a design on nasnet");
         let stats = ctx.engine().stats();
         assert_eq!(
@@ -755,6 +764,10 @@ fn baselines_check(threads: u32) {
                 GREEDY_DERIVATIONS,
                 "{name} derived a different number of statistics on nasnet"
             );
+            assert_eq!(
+                steps, GREEDY_STEPS,
+                "{name} took a different number of driver steps on nasnet"
+            );
         } else {
             assert_eq!(
                 evaluator.stats_grown(),
@@ -768,7 +781,7 @@ fn baselines_check(threads: u32) {
             );
         }
         println!(
-            "baseline {name:<18}: nasnet, {} subgraph terms, {} derivations, {} grown, 0 fallbacks",
+            "baseline {name:<18}: nasnet, {steps} steps, {} subgraph terms, {} derivations, {} grown, 0 fallbacks",
             stats.subgraph_scorings,
             evaluator.stats_derivations(),
             evaluator.stats_grown()

@@ -238,20 +238,44 @@ fn telemetry_report_shows_repair_as_a_share_of_eval() {
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("no fits call count in {row}"));
     assert!(fits_calls > 0, "{row}");
-    let counter = stdout
+    // The driver's own time sits next to repair's in the counters (rows
+    // of a name and a value), which print in name order.
+    let counters: Vec<(&str, u64)> = stdout
         .lines()
-        .find(|line| line.trim_start().starts_with("search.repair_ns"))
-        .unwrap_or_else(|| panic!("no search.repair_ns counter in:\n{stdout}"));
-    let value: u64 = counter.split_whitespace().nth(1).unwrap().parse().unwrap();
-    assert!(value > 0, "{counter}");
+        .filter_map(
+            |line| match line.split_whitespace().collect::<Vec<_>>()[..] {
+                [name, value] if name.starts_with("search.") && name.ends_with("_ns") => {
+                    Some((name, value.parse().ok()?))
+                }
+                _ => None,
+            },
+        )
+        .collect();
+    let names: Vec<&str> = counters.iter().map(|&(name, _)| name).collect();
+    assert_eq!(
+        names,
+        [
+            "search.absorb_ns",
+            "search.next_batch_ns",
+            "search.repair_ns"
+        ],
+        "{stdout}"
+    );
+    for (name, value) in counters {
+        assert!(value > 0, "{name} is 0 in:\n{stdout}");
+    }
 }
 
-/// The checkpoint `cocco-explore nasnet --method <method>` writes
-/// (default accelerator, buffer space, objective and budget) after `steps`
-/// driver steps, or once the driver is done, as a JSON tree.
-fn nasnet_checkpoint(method: cocco::prelude::SearchMethod, steps: usize) -> serde_json::Value {
+/// The checkpoint `cocco-explore <model> --method <method>` writes
+/// (default accelerator, buffer space, objective, budget and seed) after
+/// `steps` driver steps, or once the driver is done, as a JSON tree.
+fn checkpoint(
+    model: &str,
+    method: cocco::prelude::SearchMethod,
+    steps: usize,
+) -> serde_json::Value {
     use cocco::prelude::*;
-    let g = cocco::graph::models::nasnet();
+    let g = cocco::graph::models::by_name(model).unwrap();
     let eval = Evaluator::new(&g, AcceleratorConfig::default());
     let ctx = SearchContext::new(
         &g,
@@ -271,12 +295,12 @@ fn nasnet_checkpoint(method: cocco::prelude::SearchMethod, steps: usize) -> serd
 
 /// The depth-DP checkpoint of nasnet after `steps` steps.
 fn nasnet_dp_checkpoint(steps: usize) -> serde_json::Value {
-    nasnet_checkpoint(cocco::prelude::SearchMethod::depth_dp(), steps)
+    checkpoint("nasnet", cocco::prelude::SearchMethod::depth_dp(), steps)
 }
 
 /// The greedy-fusion checkpoint of nasnet after `steps` steps.
 fn nasnet_greedy_checkpoint(steps: usize) -> serde_json::Value {
-    nasnet_checkpoint(cocco::prelude::SearchMethod::greedy(), steps)
+    checkpoint("nasnet", cocco::prelude::SearchMethod::greedy(), steps)
 }
 
 /// Field `key` of the JSON object `value`.
@@ -303,6 +327,11 @@ fn dp_state(checkpoint: &mut serde_json::Value) -> &mut serde_json::Value {
 /// The `Greedy` state inside a checkpoint tree.
 fn greedy_state(checkpoint: &mut serde_json::Value) -> &mut serde_json::Value {
     field_mut(field_mut(checkpoint, "driver"), "Greedy")
+}
+
+/// The `Ga` state inside a checkpoint tree.
+fn ga_state(checkpoint: &mut serde_json::Value) -> &mut serde_json::Value {
+    field_mut(field_mut(checkpoint, "driver"), "Ga")
 }
 
 /// Resumes `checkpoint` with `cocco-explore nasnet --method <method>
@@ -346,10 +375,11 @@ fn assert_resumes_to_the_uninterrupted_result(method: &str, checkpoint: &serde_j
 /// An edit of a driver state inside a checkpoint tree.
 type Mutation = Box<dyn Fn(&mut serde_json::Value)>;
 
-/// Writes each mutated checkpoint, runs `cocco-explore nasnet --method
+/// Writes each mutated checkpoint, runs `cocco-explore <model> --method
 /// <method>` against it and asserts it exits 3, reporting the driver
 /// state unusable. `state` picks the driver state out of a checkpoint.
 fn assert_unusable_driver_states_exit_3(
+    model: &str,
     method: &str,
     state: fn(&mut serde_json::Value) -> &mut serde_json::Value,
     cases: &[(&str, &serde_json::Value, Mutation)],
@@ -362,7 +392,7 @@ fn assert_unusable_driver_states_exit_3(
         let path = dir.join(format!("bad-{k}.ckpt"));
         std::fs::write(&path, serde_json::to_string(&checkpoint).unwrap()).unwrap();
         let out = explore(&[
-            "nasnet",
+            model,
             "--method",
             method,
             "--checkpoint-file",
@@ -455,7 +485,7 @@ fn dp_checkpoints_the_driver_cannot_run_exit_3() {
             Box::new(cut_best_design) as Mutation,
         )])
         .collect();
-    assert_unusable_driver_states_exit_3("dp", dp_state, &cases);
+    assert_unusable_driver_states_exit_3("nasnet", "dp", dp_state, &cases);
 }
 
 #[test]
@@ -490,5 +520,43 @@ fn greedy_checkpoints_the_driver_cannot_run_exit_3() {
             Box::new(cut_best_design),
         ),
     ];
-    assert_unusable_driver_states_exit_3("greedy", greedy_state, &cases);
+    assert_unusable_driver_states_exit_3("nasnet", "greedy", greedy_state, &cases);
+}
+
+#[test]
+fn ga_checkpoints_the_driver_cannot_run_exit_3() {
+    use serde_json::Value;
+    // The seed generation and one evolved generation.
+    let valid = checkpoint("googlenet", cocco::prelude::SearchMethod::ga(), 2);
+    /// The assignment of the first population member's genome.
+    fn first_assignment(state: &mut Value) -> &mut Value {
+        let member = item_mut(field_mut(state, "population"), 0);
+        field_mut(
+            field_mut(field_mut(member, "genome"), "partition"),
+            "assignment",
+        )
+    }
+    let cases: Vec<(&str, &Value, Mutation)> = vec![
+        (
+            "a genome cut one entry short",
+            &valid,
+            Box::new(|state| {
+                let Value::Array(assignment) = first_assignment(state) else {
+                    panic!("assignment");
+                };
+                assignment.pop();
+            }),
+        ),
+        (
+            "a genome with a label of 10^9",
+            &valid,
+            Box::new(|state| *item_mut(first_assignment(state), 1) = Value::U64(1_000_000_000)),
+        ),
+        (
+            "an empty population mid-run",
+            &valid,
+            Box::new(|state| *field_mut(state, "population") = Value::Array(Vec::new())),
+        ),
+    ];
+    assert_unusable_driver_states_exit_3("googlenet", "ga", ga_state, &cases);
 }

@@ -112,7 +112,8 @@ impl Trace {
     }
 
     /// Counts `n` evaluator errors at once — checkpoint replay restoring
-    /// a snapshot's accumulated count.
+    /// a snapshot's accumulated count, or a searcher that keeps count of
+    /// the rejected sets it looks up again.
     pub fn add_infeasible_errors(&self, n: u64) {
         self.infeasible_errors.fetch_add(n, Ordering::Relaxed);
     }

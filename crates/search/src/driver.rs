@@ -40,6 +40,7 @@ use crate::sa::SaState;
 use crate::twostep::TwoStepState;
 use cocco_engine::{SampleBudget, SampleReservation, TracePoint};
 use cocco_graph::Graph;
+use cocco_telemetry::{Stopwatch, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -166,8 +167,9 @@ impl DriverState {
     /// Checks a state read from a checkpoint against the graph it will
     /// resume on, before a driver is built from it, so a state the driver
     /// cannot run is reported instead of panicking or looping. So far the
-    /// depth-ordered DP checks its table and greedy fusion its assignment;
-    /// other states pass unchecked.
+    /// depth-ordered DP checks its table, greedy fusion its assignment and
+    /// the GA its population, pending partitions and best design; other
+    /// states pass unchecked.
     ///
     /// # Errors
     ///
@@ -176,20 +178,23 @@ impl DriverState {
         match self {
             DriverState::DepthDp(state) => state.check(graph),
             DriverState::Greedy(state) => state.check(graph),
+            DriverState::Ga(state) => state.check(graph),
             _ => Ok(()),
         }
     }
 }
 
 /// Advances `driver` by exactly one step — `next_batch`, evaluate (one
-/// engine dispatch), `absorb` — under a `search.step_ns` telemetry span.
-/// Returns `false` once the driver reported [`Step::Done`]. Both
-/// [`run_driver`] and the facade's checkpointed loop are loops over this
-/// function, so stepping and instrumentation stay one code path.
+/// engine dispatch), `absorb` — under a `search.step_ns` telemetry span,
+/// adding the driver's own time to the `search.next_batch_ns` and
+/// `search.absorb_ns` counters. Returns `false` once the driver reported
+/// [`Step::Done`]. Both [`run_driver`] and the facade's checkpointed loop
+/// are loops over this function, so stepping and instrumentation stay one
+/// code path.
 pub fn drive_step(driver: &mut dyn SearchDriver, ctx: &SearchContext<'_>) -> bool {
     let telemetry = ctx.telemetry();
     let span = telemetry.span("search.step_ns");
-    match driver.next_batch(ctx) {
+    match timed(telemetry, "search.next_batch_ns", || driver.next_batch(ctx)) {
         Step::Evaluate(mut batch) => {
             let candidates = batch.len();
             ctx.evaluate_chunks(&mut batch);
@@ -201,7 +206,7 @@ pub fn drive_step(driver: &mut dyn SearchDriver, ctx: &SearchContext<'_>) -> boo
                 // refunds any un-taken reservation capacity.
                 return false;
             }
-            driver.absorb(ctx, batch);
+            timed(telemetry, "search.absorb_ns", || driver.absorb(ctx, batch));
             let name = driver.name();
             drop(span);
             telemetry.emit("search.step", || {
@@ -212,6 +217,18 @@ pub fn drive_step(driver: &mut dyn SearchDriver, ctx: &SearchContext<'_>) -> boo
         Step::Continue => true,
         Step::Done => false,
     }
+}
+
+/// Runs `work`, adding its wall time to `counter` when `telemetry` is on;
+/// when it is off, no clock is read.
+fn timed<T>(telemetry: &Telemetry, counter: &str, work: impl FnOnce() -> T) -> T {
+    let Some(counter) = telemetry.counter(counter) else {
+        return work();
+    };
+    let clock = Stopwatch::start();
+    let out = work();
+    counter.add(clock.elapsed_nanos());
+    out
 }
 
 /// The default run loop: [`drive_step`] until done. `SearchMethod::run` is

@@ -113,6 +113,53 @@ pub struct GaState {
     outcome: SearchOutcome,
 }
 
+impl GaState {
+    /// Checks the state against the graph it resumes on, before any table
+    /// is sized by one of its labels: every population genome, every
+    /// pending partition and a best design must be a partition of the
+    /// graph with every label below its node count (the operators size
+    /// tables by label, and a run's partitions are canonical); a cost must
+    /// be non-negative — finite, or infinite for a design that does not
+    /// fit — and a best design's finite; and a population in `Evolve` must
+    /// not be empty, or the run would end with its budget unspent.
+    pub(crate) fn check(&self, graph: &Graph) -> Result<(), String> {
+        if self.phase == GaPhase::Evolve && self.population.is_empty() {
+            return Err("GA population is empty mid-run".to_string());
+        }
+        for (i, member) in self.population.iter().enumerate() {
+            check_partition(graph, &member.genome.partition)
+                .map_err(|e| format!("GA population member {i}: {e}"))?;
+            if member.cost.is_nan() || member.cost < 0.0 {
+                return Err(format!("GA population member {i} costs {}", member.cost));
+            }
+        }
+        for (i, partition) in self.pending.iter().enumerate() {
+            check_partition(graph, partition)
+                .map_err(|e| format!("GA pending partition {i}: {e}"))?;
+        }
+        if let Some(best) = &self.outcome.best {
+            check_partition(graph, &best.partition).map_err(|e| format!("GA best design: {e}"))?;
+            let cost = self.outcome.best_cost;
+            if !cost.is_finite() || cost < 0.0 {
+                return Err(format!("GA best design costs {cost}"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Checks that `partition`, read from a checkpoint, is a partition of
+/// `graph` whose labels are all below the node count.
+fn check_partition(graph: &Graph, partition: &Partition) -> Result<(), String> {
+    let n = graph.len();
+    if let Some(label) = partition.assignment().iter().find(|&&l| l as usize >= n) {
+        return Err(format!("label {label} is not below the node count {n}"));
+    }
+    partition
+        .validate(graph)
+        .map_err(|e| format!("not a partition of the graph: {e}"))
+}
+
 /// The Cocco genetic algorithm: co-explores graph partitions and memory
 /// configurations with the paper's customized crossover and mutations,
 /// in-situ capacity repair and tournament selection.

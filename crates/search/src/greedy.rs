@@ -1,10 +1,13 @@
 //! Halide-style greedy fusion baseline (paper §4.2.2).
 //!
 //! The driver keeps its working state between steps: the live groups with
-//! their members, fingerprints and terms, and the quotient over them as
+//! their members, fingerprints and terms, the quotient over them as
 //! ascending adjacency lists whose edges carry the term of the merge across
-//! them. A merge edits only the two groups it consumes and their neighbours,
-//! so a step derives terms only for the edges the previous merge created.
+//! them, a topological order of the groups, and the mergeable edges ordered
+//! by benefit. A merge edits only the two groups it consumes, their
+//! neighbours and the groups ordered between them, so a step derives terms
+//! only for the edges the previous merge created and tests legality only
+//! for the edges it consults.
 
 use crate::context::SearchContext;
 use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
@@ -14,6 +17,8 @@ use cocco_graph::{Graph, NodeId, NodeSetFp};
 use cocco_partition::{Partition, Quotient};
 use cocco_sim::BufferConfig;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 
 /// Serializable state of a [`GreedyDriver`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -54,8 +59,8 @@ impl GreedyState {
 /// Cocco against.
 ///
 /// As a step-driven state machine, each step applies the one feasible
-/// merge with the greatest benefit (a scan over every quotient edge in
-/// ascending (source label, target label) order, ties kept by the first);
+/// merge with the greatest benefit (the first maximum of a scan over every
+/// legal quotient edge in ascending (source label, target label) order);
 /// the final step scores the converged partition. Analytic: no step
 /// consumes budget.
 ///
@@ -69,11 +74,17 @@ impl GreedyState {
 /// term becomes the group's. Every other term stays, so a step derives
 /// terms only for the new group's edges.
 ///
-/// Legality stays a global pass: merging across `a → b` would close a
-/// cycle iff another path `a ⇝ b` exists, and a merge elsewhere can create
-/// one for an edge it does not touch (`x → b`, `a → y` and `x → y` make
-/// `x → ab → y`). So every step runs one reachability pass over the kept
-/// adjacency, in reverse topological order, into reused bitsets.
+/// Merging across `a → b` would close a cycle iff another path `a ⇝ b`
+/// exists. The driver keeps a topological order of the groups, so such a
+/// path only visits groups ordered between `a` and `b`, and a bounded
+/// search answers for one edge. A merge repairs the order locally
+/// (Pearce–Kelly): only groups ordered between the merged pair move. It
+/// tests only the edges a step consults: the new group's edges before
+/// their terms are derived, and the best candidates, popped in benefit
+/// order until one is legal. An edge a merge does not touch can only lose
+/// legality — any path `x ⇝ y` that avoided it still exists, through the
+/// merged group — so a candidate found illegal is dropped until a merge
+/// touches it and re-derives it.
 ///
 /// Nothing of this is serialized: [`GreedyState`] holds the assignment,
 /// and a resumed driver rebuilds the structure from it on its first step.
@@ -149,7 +160,9 @@ impl SearchDriver for GreedyDriver {
                     .resumed
                     .take()
                     .unwrap_or_else(|| Partition::singletons(graph.len()));
-                Fusion::new(graph, start)
+                let mut fusion = Fusion::new(graph, start);
+                fusion.derive_all(ctx, &buffer);
+                fusion
             }
         };
         match fusion.best_merge(ctx, &buffer) {
@@ -202,9 +215,10 @@ enum Term {
 
 impl Term {
     /// Derives the term of the ascending member set `members` (fingerprint
-    /// `fp`). An evaluator error is not recorded here: the caller records
-    /// one at every lookup, exactly as an unmemoized
-    /// [`SearchContext::subgraph_cost`] call would.
+    /// `fp`). An evaluator error is not recorded here: every step records
+    /// one per live group and per legal edge with an error term, exactly
+    /// as an unmemoized [`SearchContext::subgraph_cost`] call per lookup
+    /// would.
     fn derive(
         ctx: &SearchContext<'_>,
         buffer: &BufferConfig,
@@ -215,19 +229,6 @@ impl Term {
             Ok(Some(cost)) => Term::Cost(cost),
             Ok(None) => Term::TooBig,
             Err(_) => Term::Error,
-        }
-    }
-
-    /// The additive cost, or `None` when the set does not fit or the
-    /// evaluator rejected it (recording the error on the trace).
-    fn cost(self, ctx: &SearchContext<'_>) -> Option<f64> {
-        match self {
-            Term::Cost(cost) => Some(cost),
-            Term::TooBig => None,
-            Term::Error => {
-                ctx.trace().record_infeasible_error();
-                None
-            }
         }
     }
 }
@@ -254,6 +255,7 @@ struct Group {
 }
 
 impl Group {
+    #[cfg(test)]
     fn is_live(&self) -> bool {
         !self.members.is_empty()
     }
@@ -267,6 +269,11 @@ impl Group {
     }
 }
 
+/// A mergeable edge `(a, b)` in the candidate order: benefit descending
+/// (the bits of a positive `f64` ascend with its value), then source and
+/// target slot ascending — the scan's first maximum comes first.
+type Candidate = (Reverse<u64>, u32, u32);
+
 /// The working state greedy fusion keeps between steps.
 #[derive(Debug)]
 struct Fusion {
@@ -277,16 +284,33 @@ struct Fusion {
     /// ascending label order. A merge keeps the first group's slot and
     /// label, so slot order stays label order.
     groups: Vec<Group>,
-    legality: Legality,
+    /// Per slot: the live group's position in a topological order of the
+    /// quotient. A merge frees one position, so positions need not be
+    /// contiguous; a merged-away slot's is stale.
+    pos: Vec<u32>,
+    /// The edges with a `Cost` term and a positive benefit, best first.
+    /// An edge found illegal leaves the set until a merge touches it: it
+    /// cannot become legal before that.
+    candidates: BTreeSet<Candidate>,
+    /// How many live groups have an `Error` term.
+    error_groups: u64,
+    /// The edges with an `Error` term, each legal when last tested.
+    error_edges: Vec<(u32, u32)>,
+    /// The group the last merge made, whose edges have no terms yet.
+    fresh: Option<u32>,
+    walk: Walk,
     /// Scratch for a merged member list.
     merged: Vec<NodeId>,
 }
 
 impl Fusion {
     /// Builds the state of `partition`, a valid partition of `graph`, with
-    /// no term derived yet.
+    /// no term derived yet. A cyclic quotient (no valid partition has one)
+    /// keeps no edges, so nothing merges.
     fn new(graph: &Graph, partition: Partition) -> Self {
         let quotient = Quotient::build(graph, &partition);
+        let order = quotient.topo_order().unwrap_or_default();
+        let acyclic = order.len() == quotient.num_subgraphs();
         let mut groups: Vec<Group> = (0..quotient.num_subgraphs() as u32)
             .map(|c| Group {
                 succs: quotient
@@ -298,68 +322,160 @@ impl Fusion {
                 ..Group::default()
             })
             .collect();
+        if !acyclic {
+            for group in &mut groups {
+                group.succs.clear();
+                group.preds.clear();
+            }
+        }
         for (node, &label) in partition.assignment().iter().enumerate() {
             let group = &mut groups[quotient.compact_id(label) as usize];
             let node = NodeId::from_index(node);
             group.members.push(node);
             group.fp.insert(node);
         }
+        let mut pos = vec![0; groups.len()];
+        for (p, &v) in order.iter().enumerate() {
+            pos[v as usize] = p as u32;
+        }
         Self {
             partition,
             groups,
-            legality: Legality::default(),
+            pos,
+            candidates: BTreeSet::new(),
+            error_groups: 0,
+            error_edges: Vec::new(),
+            fresh: None,
+            walk: Walk::default(),
             merged: Vec::new(),
         }
     }
 
-    /// The legal, fitting merge `(a, b)` across edge `a → b` with the
-    /// greatest positive benefit, first in edge order on ties. Derives
-    /// the terms still missing — groups first, then edges in scan order —
-    /// and records an infeasible error for every rejected group and every
-    /// rejected legal edge.
-    fn best_merge(&mut self, ctx: &SearchContext<'_>, buffer: &BufferConfig) -> Option<(u32, u32)> {
-        for group in self.groups.iter_mut().filter(|g| g.is_live()) {
-            let term = group
-                .term
-                .get_or_insert_with(|| Term::derive(ctx, buffer, group.fp, &group.members));
-            term.cost(ctx);
+    /// Derives every term of a state [`new`](Self::new) built: the groups
+    /// in slot order, then the legal edges in scan order.
+    fn derive_all(&mut self, ctx: &SearchContext<'_>, buffer: &BufferConfig) {
+        for group in &mut self.groups {
+            let term = Term::derive(ctx, buffer, group.fp, &group.members);
+            group.term = Some(term);
+            self.error_groups += u64::from(term == Term::Error);
         }
-        self.legality.run(&self.groups);
-        let mut best: Option<(f64, u32, u32)> = None; // (benefit, a, b)
-        for a in 0..self.groups.len() {
-            let a_cost = self.groups[a].cost();
-            for i in 0..self.groups[a].succs.len() {
-                let Edge { to: b, term } = self.groups[a].succs[i];
-                if !self.legality.is_legal(a, i) {
-                    continue;
-                }
-                let (group_a, group_b) = (&self.groups[a], &self.groups[b as usize]);
-                let term = match term {
-                    Some(term) => term,
-                    None => {
-                        merge_ascending(&mut self.merged, &group_a.members, &group_b.members);
-                        let fp = group_a.fp.disjoint_union(group_b.fp);
-                        let term = Term::derive(ctx, buffer, fp, &self.merged);
-                        self.groups[a].succs[i].term = Some(term);
-                        term
-                    }
-                };
-                let Some(merged_cost) = term.cost(ctx) else {
-                    continue;
-                };
-                let benefit = a_cost + self.groups[b as usize].cost() - merged_cost;
-                if benefit > 0.0 && best.is_none_or(|(bb, _, _)| benefit > bb) {
-                    best = Some((benefit, a as u32, b));
-                }
+        for a in 0..self.groups.len() as u32 {
+            for i in 0..self.groups[a as usize].succs.len() {
+                let b = self.groups[a as usize].succs[i].to;
+                self.derive_edge(ctx, buffer, a, b);
             }
         }
-        best.map(|(_, a, b)| (a, b))
     }
 
-    /// Merges group `b` into group `a` across the edge `a → b`: the edge's
-    /// term becomes the group's, and every edge of the merged group loses
-    /// its term (its merged set changed).
+    /// The legal, fitting merge `(a, b)` across edge `a → b` with the
+    /// greatest positive benefit, first in edge order on ties. First
+    /// derives the terms of the last merge's legal edges in scan order,
+    /// then records an infeasible error for every rejected group and every
+    /// rejected legal edge.
+    fn best_merge(&mut self, ctx: &SearchContext<'_>, buffer: &BufferConfig) -> Option<(u32, u32)> {
+        if let Some(v) = self.fresh.take() {
+            // Scan order: (p, v) for predecessors p < v, then (v, s), then
+            // (p, v) for p > v.
+            let split = self.groups[v as usize].preds.partition_point(|&p| p < v);
+            for i in 0..split {
+                let p = self.groups[v as usize].preds[i];
+                self.derive_edge(ctx, buffer, p, v);
+            }
+            for i in 0..self.groups[v as usize].succs.len() {
+                let s = self.groups[v as usize].succs[i].to;
+                self.derive_edge(ctx, buffer, v, s);
+            }
+            for i in split..self.groups[v as usize].preds.len() {
+                let p = self.groups[v as usize].preds[i];
+                self.derive_edge(ctx, buffer, p, v);
+            }
+        }
+        let mut errors = self.error_groups;
+        let mut i = 0;
+        while let Some(&(a, b)) = self.error_edges.get(i) {
+            if self.is_legal(a, b) {
+                errors += 1;
+                i += 1;
+            } else {
+                self.error_edges.swap_remove(i);
+            }
+        }
+        ctx.trace().add_infeasible_errors(errors);
+        while let Some(&(_, a, b)) = self.candidates.first() {
+            if self.is_legal(a, b) {
+                return Some((a, b));
+            }
+            self.candidates.pop_first();
+        }
+        None
+    }
+
+    /// Derives the term of the merge across edge `a → b` if it is legal,
+    /// and files the edge by its term. An illegal edge keeps no term: it
+    /// can only become legal through a merge that touches it.
+    fn derive_edge(&mut self, ctx: &SearchContext<'_>, buffer: &BufferConfig, a: u32, b: u32) {
+        if !self.is_legal(a, b) {
+            return;
+        }
+        let (group_a, group_b) = (&self.groups[a as usize], &self.groups[b as usize]);
+        merge_ascending(&mut self.merged, &group_a.members, &group_b.members);
+        let fp = group_a.fp.disjoint_union(group_b.fp);
+        let term = Term::derive(ctx, buffer, fp, &self.merged);
+        if let Ok(i) = group_a.succs.binary_search_by_key(&b, |e| e.to) {
+            self.groups[a as usize].succs[i].term = Some(term);
+        }
+        match term {
+            Term::Cost(_) => self.candidates.extend(self.candidate(a, b, Some(term))),
+            Term::Error => self.error_edges.push((a, b)),
+            Term::TooBig => {}
+        }
+    }
+
+    /// The candidate key of edge `a → b` with `term`: `None` unless the
+    /// term is a cost and the merge's benefit is positive.
+    fn candidate(&self, a: u32, b: u32, term: Option<Term>) -> Option<Candidate> {
+        let Some(Term::Cost(merged_cost)) = term else {
+            return None;
+        };
+        let benefit = self.groups[a as usize].cost() + self.groups[b as usize].cost() - merged_cost;
+        (benefit > 0.0).then_some((Reverse(benefit.to_bits()), a, b))
+    }
+
+    /// Whether merging across the edge `a → b` keeps the quotient acyclic.
+    fn is_legal(&mut self, a: u32, b: u32) -> bool {
+        let legal = !self.walk.other_path(&self.groups, &self.pos, a, b);
+        #[cfg(test)]
+        tests::VERDICTS.with(|v| v.borrow_mut().push((a, b, legal)));
+        legal
+    }
+
+    /// Merges group `b` into group `a` across the legal edge `a → b`: the
+    /// edge's term becomes the group's, and every edge of the merged group
+    /// loses its term (its merged set changed) until the next step derives
+    /// it again.
     fn merge(&mut self, a: u32, b: u32) {
+        for v in [a, b] {
+            let group = &self.groups[v as usize];
+            for e in &group.succs {
+                if let Some(key) = self.candidate(v, e.to, e.term) {
+                    self.candidates.remove(&key);
+                }
+            }
+            for &p in &group.preds {
+                let succs = &self.groups[p as usize].succs;
+                let term = succs
+                    .binary_search_by_key(&v, |e| e.to)
+                    .ok()
+                    .and_then(|i| succs[i].term);
+                if let Some(key) = self.candidate(p, v, term) {
+                    self.candidates.remove(&key);
+                }
+            }
+            self.error_groups -= u64::from(group.term == Some(Term::Error));
+        }
+        self.error_edges
+            .retain(|&(x, y)| x != a && x != b && y != a && y != b);
+        self.reorder(a, b);
         let gone = std::mem::take(&mut self.groups[b as usize]);
         let group = &mut self.groups[a as usize];
         let label = self.partition.subgraph_of(group.members[0]);
@@ -406,6 +522,50 @@ impl Fusion {
                 Err(j) => succs.insert(j, Edge { to: a, term: None }),
             }
         }
+        self.fresh = Some(a);
+    }
+
+    /// Repairs the topological order for merging `b` into `a` across the
+    /// legal edge `a → b` (Pearce–Kelly). Of the groups ordered between
+    /// the pair, `b`'s ancestors must precede the merged group and `a`'s
+    /// descendants follow it; legality keeps the two sets apart. Together
+    /// with `a` and `b` they hand out their positions again, ascending:
+    /// the ancestors first, then the merged group, the descendants last.
+    /// Ancestors only move to earlier positions and descendants only to
+    /// later ones, so every edge to or from a group that keeps its
+    /// position still points forward.
+    fn reorder(&mut self, a: u32, b: u32) {
+        let walk = &mut self.walk;
+        let met = walk.other_path(&self.groups, &self.pos, b, a);
+        debug_assert!(!met, "merge across the illegal edge {a} -> {b}");
+        std::mem::swap(&mut walk.found, &mut walk.ancestors);
+        let met = walk.other_path(&self.groups, &self.pos, a, b);
+        debug_assert!(!met, "merge across the illegal edge {a} -> {b}");
+        let Walk {
+            found: descendants,
+            ancestors,
+            slots,
+            ..
+        } = walk;
+        let pos = &mut self.pos;
+        ancestors.sort_unstable_by_key(|&v| pos[v as usize]);
+        descendants.sort_unstable_by_key(|&v| pos[v as usize]);
+        slots.clear();
+        slots.extend(
+            ancestors
+                .iter()
+                .chain(descendants.iter())
+                .chain(&[a, b])
+                .map(|&v| pos[v as usize]),
+        );
+        slots.sort_unstable();
+        for (&v, &p) in ancestors.iter().zip(slots.iter()) {
+            pos[v as usize] = p;
+        }
+        pos[a as usize] = slots[ancestors.len()];
+        for (&v, &p) in descendants.iter().rev().zip(slots.iter().rev()) {
+            pos[v as usize] = p;
+        }
     }
 }
 
@@ -426,101 +586,64 @@ fn merge_ascending(out: &mut Vec<NodeId>, a: &[NodeId], b: &[NodeId]) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// Which kept quotient edges a merge may cross without closing a cycle,
-/// from one reachability pass in reverse topological order. Merging across
-/// `a → b` is legal iff no other successor of `a` reaches `b` — a path
-/// `a ⇝ b` other than the edge itself must leave through some successor
-/// `s ≠ b` (in a DAG, `s = b` would need a cycle `b ⇝ b`). The buffers are
-/// reused across steps.
+/// Bounded searches over the kept quotient, with reused buffers.
 #[derive(Debug, Default)]
-struct Legality {
-    /// Live groups in a topological order.
-    order: Vec<u32>,
-    /// Per group: its position in `order`, and during the sort, how many
-    /// of its predecessors are not placed yet.
-    pos: Vec<u32>,
-    /// Per group: the index of its first edge in scan order (the groups'
-    /// successor lists in slot order, end to end).
-    first_edge: Vec<u32>,
-    /// Per edge in scan order: whether a merge may cross it. All `false`
-    /// when the quotient is cyclic (never reached from a valid partition).
-    legal: Vec<bool>,
-    /// Per position, a bitset of the positions it reaches.
-    reach: Vec<u64>,
+struct Walk {
+    /// Per slot: the number of the search that last visited it.
+    seen: Vec<u32>,
+    /// The number of the current search.
+    search: u32,
+    stack: Vec<u32>,
+    /// The groups the last search visited.
+    found: Vec<u32>,
+    /// Scratch for the ancestors a reorder moves.
+    ancestors: Vec<u32>,
+    /// Scratch for the positions a reorder hands out.
+    slots: Vec<u32>,
 }
 
-impl Legality {
-    /// Runs the pass over the live groups of `groups`.
-    fn run(&mut self, groups: &[Group]) {
-        self.order.clear();
-        self.first_edge.clear();
-        self.pos.resize(groups.len(), 0);
-        let (mut live, mut edges) = (0, 0);
-        for (v, group) in groups.iter().enumerate() {
-            self.first_edge.push(edges);
-            edges += group.succs.len() as u32;
-            if group.is_live() {
-                live += 1;
-                self.pos[v] = group.preds.len() as u32;
-                if group.preds.is_empty() {
-                    self.order.push(v as u32);
+impl Walk {
+    /// Whether a path other than a direct edge joins `from` and `to`:
+    /// forward along successors when `from` precedes `to` in the order
+    /// `pos`, backward along predecessors otherwise. Such a path only
+    /// visits groups ordered strictly between the two, so the search
+    /// visits only those, collecting them in `found`.
+    fn other_path(&mut self, groups: &[Group], pos: &[u32], from: u32, to: u32) -> bool {
+        self.search = self.search.wrapping_add(1);
+        if self.search == 0 {
+            self.seen.fill(0);
+            self.search = 1;
+        }
+        self.seen.resize(groups.len(), 0);
+        let (from_pos, to_pos) = (pos[from as usize], pos[to as usize]);
+        let forward = from_pos < to_pos;
+        let (lo, hi) = (from_pos.min(to_pos), from_pos.max(to_pos));
+        self.found.clear();
+        self.stack.clear();
+        self.stack.push(from);
+        while let Some(v) = self.stack.pop() {
+            let group = &groups[v as usize];
+            let (succs, preds): (&[Edge], &[u32]) = if forward {
+                (&group.succs, &[])
+            } else {
+                (&[], &group.preds)
+            };
+            for n in succs.iter().map(|e| e.to).chain(preds.iter().copied()) {
+                if n == to {
+                    if v == from {
+                        continue;
+                    }
+                    return true;
+                }
+                let p = pos[n as usize];
+                if lo < p && p < hi && self.seen[n as usize] != self.search {
+                    self.seen[n as usize] = self.search;
+                    self.stack.push(n);
+                    self.found.push(n);
                 }
             }
         }
-        self.legal.clear();
-        self.legal.resize(edges as usize, false);
-        let mut next = 0;
-        while let Some(&v) = self.order.get(next) {
-            next += 1;
-            for edge in &groups[v as usize].succs {
-                let pending = &mut self.pos[edge.to as usize];
-                *pending -= 1;
-                if *pending == 0 {
-                    self.order.push(edge.to);
-                }
-            }
-        }
-        if self.order.len() != live {
-            return;
-        }
-        for (p, &v) in self.order.iter().enumerate() {
-            self.pos[v as usize] = p as u32;
-        }
-        let words = live.div_ceil(64);
-        self.reach.resize(live * words, 0);
-        for (p, &v) in self.order.iter().enumerate().rev() {
-            // A position reaches only later positions, so the words of a
-            // row before its first later position would be zero: the pass
-            // leaves them stale and never reads them.
-            let lo = (p + 1) / 64;
-            let (head, later) = self.reach.split_at_mut((p + 1) * words);
-            let row = &mut head[p * words + lo..];
-            row.fill(0);
-            let succs = &groups[v as usize].succs;
-            for edge in succs {
-                let s = self.pos[edge.to as usize] as usize;
-                let s_lo = (s + 1) / 64;
-                let s_row = &later[(s - p - 1) * words + s_lo..(s - p) * words];
-                for (r, &x) in row[s_lo - lo..].iter_mut().zip(s_row) {
-                    *r |= x;
-                }
-            }
-            // Before its own bit is set, the row holds what the other
-            // successors reach.
-            let first = self.first_edge[v as usize] as usize;
-            for (legal, edge) in self.legal[first..].iter_mut().zip(succs) {
-                let s = self.pos[edge.to as usize] as usize;
-                let bit = 1 << (s % 64);
-                *legal = row[s / 64 - lo] & bit == 0;
-                row[s / 64 - lo] |= bit;
-            }
-        }
-    }
-
-    /// Whether merging across edge `i` of group `a`'s successor list keeps
-    /// the quotient acyclic.
-    fn is_legal(&self, a: usize, i: usize) -> bool {
-        self.legal[self.first_edge[a] as usize + i]
+        false
     }
 }
 
@@ -634,7 +757,8 @@ mod reference {
 
     impl CostMemo {
         /// The cost of `a ∪ b` (fingerprint `fp`; `b` empty for a lone
-        /// group), or `None` when it does not fit or was rejected.
+        /// group), or `None` when it does not fit or was rejected (an
+        /// error is recorded on the trace at every lookup).
         fn cost(
             &mut self,
             ctx: &SearchContext<'_>,
@@ -660,7 +784,14 @@ mod reference {
                     term
                 }
             };
-            term.cost(ctx)
+            match term {
+                Term::Cost(cost) => Some(cost),
+                Term::TooBig => None,
+                Term::Error => {
+                    ctx.trace().record_infeasible_error();
+                    None
+                }
+            }
         }
 
         /// Drops the entries a merge of quotient vertices `a` and `b`
@@ -732,9 +863,22 @@ mod tests {
     use cocco_tiling::{Mapper, MapperPolicy};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Every legality verdict [`Fusion::is_legal`] gave on this
+        /// thread, as `(a, b, legal)`, for the oracle tests to check.
+        pub(super) static VERDICTS: RefCell<Vec<(u32, u32, bool)>> =
+            const { RefCell::new(Vec::new()) };
+    }
+
+    /// Takes the verdicts recorded on this thread so far.
+    fn take_verdicts() -> Vec<(u32, u32, bool)> {
+        VERDICTS.with(|v| std::mem::take(&mut *v.borrow_mut()))
+    }
 
     /// Is there a path `a ⇝ b` in the quotient other than the direct edge?
-    /// The DFS oracle of [`Legality`].
+    /// The DFS oracle of [`Fusion::is_legal`].
     fn has_indirect_path(quotient: &Quotient, a: u32, b: u32) -> bool {
         let mut seen = vec![false; quotient.num_subgraphs()];
         let mut stack: Vec<u32> = quotient
@@ -760,10 +904,34 @@ mod tests {
         false
     }
 
+    /// Asserts that the kept positions of the live groups are distinct
+    /// and order every kept edge forward.
+    fn assert_topological(fusion: &Fusion, what: &str) {
+        let mut positions = Vec::new();
+        for (a, group) in fusion.groups.iter().enumerate() {
+            if !group.is_live() {
+                continue;
+            }
+            positions.push(fusion.pos[a]);
+            for edge in &group.succs {
+                assert!(
+                    fusion.pos[a] < fusion.pos[edge.to as usize],
+                    "{what}: edge {a} -> {} points back in the order",
+                    edge.to
+                );
+            }
+        }
+        positions.sort_unstable();
+        let len = positions.len();
+        positions.dedup();
+        assert_eq!(positions.len(), len, "{what}: two groups share a position");
+    }
+
     /// Asserts that the kept state is the one its partition defines —
     /// members, fingerprints, labels and adjacency equal to a freshly built
-    /// quotient's — and that [`Legality`] agrees with the DFS oracle on
-    /// every edge; returns how many edges are illegal.
+    /// quotient's — that its positions are a topological order, and that
+    /// the bounded legality test agrees with the DFS oracle on every edge;
+    /// returns how many edges are illegal.
     fn assert_kept_state_matches_oracle(
         graph: &cocco_graph::Graph,
         fusion: &mut Fusion,
@@ -786,20 +954,17 @@ mod tests {
             assert_eq!(succs, q.succs(c as u32), "{what}: successors of {v}");
             assert_eq!(preds, q.preds(c as u32), "{what}: predecessors of {v}");
         }
-        fusion.legality.run(&fusion.groups);
+        assert_topological(fusion, what);
         let mut illegal = 0;
         for &a in &live {
-            for (i, edge) in fusion.groups[a as usize].succs.iter().enumerate() {
-                let indirect = has_indirect_path(&q, compact(a), compact(edge.to));
-                assert_eq!(
-                    fusion.legality.is_legal(a as usize, i),
-                    !indirect,
-                    "{what}: edge {a} -> {}",
-                    edge.to
-                );
+            for i in 0..fusion.groups[a as usize].succs.len() {
+                let b = fusion.groups[a as usize].succs[i].to;
+                let indirect = has_indirect_path(&q, compact(a), compact(b));
+                assert_eq!(fusion.is_legal(a, b), !indirect, "{what}: edge {a} -> {b}");
                 illegal += usize::from(indirect);
             }
         }
+        take_verdicts();
         illegal
     }
 
@@ -847,18 +1012,25 @@ mod tests {
         assert!(illegal > 0, "no partition had an illegal merge to check");
     }
 
-    /// Which term branches a run met, and in how many merges.
+    /// Which term branches a run met, in how many merges, and how many
+    /// legality verdicts the steps consulted.
     #[derive(Debug, Default)]
     struct Branches {
         merges: usize,
         too_big: bool,
         errors: u64,
+        verdicts: usize,
+        illegal: usize,
     }
 
     /// Steps the kept-state driver and [`ReferenceGreedy`] side by side,
     /// each on its own evaluator, and asserts after every step that both
-    /// hold the same partition and have done the same work: infeasible
-    /// errors recorded, statistics derived and subgraph terms scored.
+    /// chose the same merge (hold the same partition) and have done the
+    /// same work: infeasible errors recorded, statistics derived and
+    /// subgraph terms scored. Also asserts after every step that the kept
+    /// positions are a topological order, and that every legality verdict
+    /// the step consulted equals the DFS oracle's on the quotient the step
+    /// started from.
     fn assert_matches_reference(
         graph: &cocco_graph::Graph,
         config: &AcceleratorConfig,
@@ -880,7 +1052,12 @@ mod tests {
         let mut driver = GreedyDriver::default();
         let mut reference = ReferenceGreedy::new();
         let mut seen = Branches::default();
+        take_verdicts();
         loop {
+            let before = driver.fusion.as_ref().map_or_else(
+                || Partition::singletons(graph.len()),
+                |fusion| fusion.partition.clone(),
+            );
             let step = (driver.next_batch(&ctx), reference.step(&ref_ctx));
             let at = format!("{what} step {}", seen.merges);
             assert_eq!(
@@ -888,6 +1065,16 @@ mod tests {
                 work(&ref_ctx, &ref_eval),
                 "{at}: (infeasible errors, derivations, scorings)"
             );
+            // A fresh driver's slots are its labels.
+            let q = Quotient::build(graph, &before);
+            for (a, b, legal) in take_verdicts() {
+                let (a_c, b_c) = (q.compact_id(a), q.compact_id(b));
+                assert!(q.succs(a_c).contains(&b_c), "{at}: {a} -> {b} is no edge");
+                let indirect = has_indirect_path(&q, a_c, b_c);
+                assert_eq!(legal, !indirect, "{at}: verdict on {a} -> {b}");
+                seen.verdicts += 1;
+                seen.illegal += usize::from(indirect);
+            }
             match step {
                 (Step::Continue, Step::Continue) => {
                     let fusion = driver.fusion.as_ref().unwrap();
@@ -896,6 +1083,7 @@ mod tests {
                         reference.partition.as_ref(),
                         "{at}"
                     );
+                    assert_topological(fusion, &at);
                     seen.too_big |= fusion.groups.iter().any(|g| {
                         g.term == Some(Term::TooBig)
                             || g.succs.iter().any(|e| e.term == Some(Term::TooBig))
@@ -930,6 +1118,7 @@ mod tests {
     #[test]
     fn kept_state_matches_the_reference_step_by_step() {
         let config = AcceleratorConfig::default();
+        let mut illegal = 0;
         let tight = BufferSpace::fixed(BufferConfig::shared(512 << 10));
         for &(name, build) in cocco_graph::models::registry() {
             let g = build();
@@ -941,6 +1130,8 @@ mod tests {
                 let seen =
                     assert_matches_reference(&g, &config, space, &format!("{name} {space_name}"));
                 assert!(seen.merges > 0, "{name} {space_name}: nothing merged");
+                assert!(seen.verdicts > 0, "{name} {space_name}: no verdict checked");
+                illegal += seen.illegal;
                 if space_name == "tight" {
                     assert!(seen.too_big, "{name}: the tight buffer rejected no set");
                 }
@@ -953,6 +1144,7 @@ mod tests {
         let seen =
             assert_matches_reference(&skew(), &skew_config, BufferSpace::paper_shared(), "skew");
         assert!(seen.errors > 0, "skew: no set was rejected ({seen:?})");
+        assert!(illegal > 0, "no step consulted an illegal edge");
     }
 
     fn run_on(graph: &cocco_graph::Graph, buffer: BufferConfig) -> (SearchOutcome, f64) {
