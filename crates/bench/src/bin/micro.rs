@@ -16,9 +16,8 @@
 //!   greedy and DP with no statistics fallback (canonicalize or stage 3)
 //!   and pinned work (greedy's subgraph terms, derivations and driver
 //!   steps; DP's grown runs and derivations), stepped
-//!   (JSON-resumed) vs monolithic parity, the interleaved two-step's
-//!   higher cross-candidate hit rate, the telemetry overhead ceiling on a
-//!   cached probe, and the audit gate.
+//!   (JSON-resumed) vs monolithic parity, the telemetry overhead ceiling
+//!   on a cached probe, and the audit gate.
 
 use cocco::prelude::*;
 use cocco::telemetry::Stopwatch;
@@ -473,90 +472,6 @@ fn stepped_parity_check(threads: u32) {
     println!("stepped parity       : run() == stepped+JSON-resumed GA ✓ ({threads} threads)");
 }
 
-/// One timed two-step run (interleaved or sequential) with a fresh
-/// evaluator, so the evaluator's per-subgraph stats cache measures only
-/// this arm. Returns wall time, the best cost, the evaluator stats-cache
-/// hit rate (the cross-candidate reuse channel: statistics are
-/// buffer-independent, so elite partitions migrating between capacity
-/// candidates hit it) and the number of fresh derivations.
-fn twostep_run(
-    model: &Graph,
-    budget: u64,
-    interleave: bool,
-    threads: u32,
-) -> (Duration, f64, f64, u64) {
-    let evaluator = Evaluator::new(model, AcceleratorConfig::default());
-    let ctx = SearchContext::new(
-        model,
-        &evaluator,
-        BufferSpace::paper_shared(),
-        Objective::paper_energy_capacity(),
-        budget,
-    )
-    .with_engine(EngineConfig::with_threads(threads));
-    // A small inner population: each capacity candidate runs several
-    // generations within its slice, so elite migration has rounds to act
-    // across (with one or two generations per candidate the two arms
-    // barely differ).
-    let ga = GaConfig {
-        population: 24,
-        ..GaConfig::default()
-    };
-    let method = SearchMethod::TwoStep(TwoStep {
-        sampling: CapacitySampling::Random,
-        per_candidate: (budget / 4).max(1),
-        ga,
-        seed: 29,
-        interleave,
-    });
-    let start = Stopwatch::start();
-    let outcome = method.run(&ctx);
-    (
-        start.elapsed(),
-        outcome.best_cost,
-        evaluator.stats_cache_hit_rate(),
-        evaluator.stats_derivations(),
-    )
-}
-
-/// The interleaved-vs-sequential two-step comparison: same budget, same
-/// candidate count, same seeds. The interleaved scheme batches all inner
-/// GAs into shared engine dispatches and migrates elites across capacity
-/// candidates, so its cross-candidate subgraph (stats-cache) hit rate must
-/// be **strictly higher** than the sequential baseline's, with no more
-/// distinct derivations.
-fn twostep_bench(smoke: bool, threads: u32) {
-    let model = cocco::graph::models::resnet50();
-    let budget = if smoke { 600 } else { 2_000 };
-    let sequential = twostep_run(&model, budget, false, threads);
-    let interleaved = twostep_run(&model, budget, true, threads);
-    assert!(sequential.1.is_finite() && interleaved.1.is_finite());
-    assert!(
-        interleaved.2 > sequential.2,
-        "interleaved two-step must show a strictly higher cross-candidate subgraph hit rate \
-         than the sequential baseline (interleaved {:.6} vs sequential {:.6})",
-        interleaved.2,
-        sequential.2,
-    );
-    assert!(
-        interleaved.3 <= sequential.3,
-        "interleaved two-step must not derive more distinct subgraph statistics \
-         ({} vs sequential {})",
-        interleaved.3,
-        sequential.3,
-    );
-    for (arm, (wall, cost, hit_rate, misses)) in
-        [("sequential", sequential), ("interleaved", interleaved)]
-    {
-        println!(
-            "two-step {arm:<11} : {:>10}  (stats-cache hit rate {:.2}%, {misses} derivations, \
-             cost {cost:.4e})",
-            fmt_time(wall.as_secs_f64()),
-            hit_rate * 100.0,
-        );
-    }
-}
-
 /// Bounds what telemetry may cost on the engine's hottest leaf: a warmed
 /// statistics-cache hit plus one `score_single` term.
 /// Probes the same subgraph 20 000 times through a disabled handle and
@@ -840,7 +755,6 @@ fn main() {
         cold_ga_checks(threads);
         baselines_check(threads);
         stepped_parity_check(threads);
-        twostep_bench(true, threads);
         telemetry_overhead_check();
         audit_gate_check();
         println!("\nsmoke OK");
@@ -851,6 +765,5 @@ fn main() {
     println!();
     stepped_parity_check(threads);
     engine_bench(false, threads);
-    twostep_bench(false, threads);
     telemetry_overhead_check();
 }

@@ -50,13 +50,8 @@ struct Args {
 /// strip the next line's leading spaces).
 const OPTIONS_AND_EXIT_CODES: &str = concat!(
     "options:\n",
-    "  --method <m>       ga | sa | greedy | dp | exhaustive | twostep | portfolio\n",
+    "  --method <m>       ga | sa | greedy | dp | exhaustive | twostep\n",
     "                     (default ga)\n",
-    "  --portfolio <ms>   race a comma-separated list of methods round-robin on\n",
-    "                     one budget/engine (e.g. `--portfolio ga,sa,twostep`;\n",
-    "                     overrides --method)\n",
-    "  --target <cost>    stop a portfolio as soon as any member reaches this\n",
-    "                     Formula-2 cost (default: run to exhaustion)\n",
     "  --budget <n>       evaluation samples (default 20000)\n",
     "  --space <s>        shared | separate (default shared)\n",
     "  --metric <m>       energy | ema (default energy)\n",
@@ -143,8 +138,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
     let mut batch: u32 = 1;
     let mut chunk: Option<ChunkSize> = None;
     let mut cache_capacity: Option<usize> = None;
-    let mut portfolio: Option<Vec<SearchMethod>> = None;
-    let mut target: Option<f64> = None;
     let next_value =
         |argv: &mut std::env::Args, flag: &str| argv.next().ok_or(format!("{flag} needs a value"));
     while let Some(arg) = argv.next() {
@@ -175,31 +168,8 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
                 let key = next_value(&mut argv, "--method")?;
                 args.method = SearchMethod::parse(&key).ok_or(format!(
                     "unknown method `{key}` \
-                     (ga | sa | greedy | dp | exhaustive | twostep | portfolio)"
+                     (ga | sa | greedy | dp | exhaustive | twostep)"
                 ))?;
-            }
-            "--portfolio" => {
-                let list = next_value(&mut argv, "--portfolio")?;
-                let members = list
-                    .split(',')
-                    .map(|key| {
-                        SearchMethod::parse(key.trim()).ok_or(format!(
-                            "unknown portfolio member `{key}` \
-                             (ga | sa | greedy | dp | exhaustive | twostep)"
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if members.is_empty() {
-                    return Err("--portfolio needs at least one method".to_string());
-                }
-                portfolio = Some(members);
-            }
-            "--target" => {
-                target = Some(
-                    next_value(&mut argv, "--target")?
-                        .parse()
-                        .map_err(|e| format!("bad --target: {e}"))?,
-                );
             }
             "--checkpoint-file" => {
                 args.checkpoint_file = Some(next_value(&mut argv, "--checkpoint-file")?);
@@ -267,16 +237,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
     }
     if let Some(capacity) = cache_capacity {
         args.threads = args.threads.with_cache_capacity(capacity);
-    }
-    if let Some(members) = portfolio {
-        args.method = SearchMethod::Portfolio(Portfolio::new(members));
-    }
-    if let Some(target) = target {
-        // Applies to `--portfolio ...` and `--method portfolio` alike.
-        match &mut args.method {
-            SearchMethod::Portfolio(p) => p.policy = PortfolioPolicy::FirstToTarget(target),
-            _ => return Err("--target only applies to a portfolio run".to_string()),
-        }
     }
     Ok(args)
 }

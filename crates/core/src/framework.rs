@@ -940,20 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_explores_through_the_facade() {
-        let model = cocco_graph::models::diamond();
-        let result = Cocco::new()
-            .with_method(SearchMethod::portfolio())
-            .with_budget(600)
-            .with_seed(4)
-            .explore(&model)
-            .unwrap();
-        assert!(result.genome.partition.validate(&model).is_ok());
-        assert!(result.cost.is_finite());
-        assert!(result.samples <= 600);
-    }
-
-    #[test]
     fn two_step_without_alpha_is_rejected() {
         let model = cocco_graph::models::diamond();
         let err = Cocco::new()

@@ -334,6 +334,16 @@ fn ga_state(checkpoint: &mut serde_json::Value) -> &mut serde_json::Value {
     field_mut(field_mut(checkpoint, "driver"), "Ga")
 }
 
+/// The `Sa` state inside a checkpoint tree.
+fn sa_state(checkpoint: &mut serde_json::Value) -> &mut serde_json::Value {
+    field_mut(field_mut(checkpoint, "driver"), "Sa")
+}
+
+/// The `TwoStep` state inside a checkpoint tree.
+fn twostep_state(checkpoint: &mut serde_json::Value) -> &mut serde_json::Value {
+    field_mut(field_mut(checkpoint, "driver"), "TwoStep")
+}
+
 /// Resumes `checkpoint` with `cocco-explore nasnet --method <method>
 /// --json` and asserts the result equals the uninterrupted run's, and
 /// that the finished run removed the checkpoint file.
@@ -559,4 +569,86 @@ fn ga_checkpoints_the_driver_cannot_run_exit_3() {
         ),
     ];
     assert_unusable_driver_states_exit_3("googlenet", "ga", ga_state, &cases);
+}
+
+#[test]
+fn sa_checkpoints_the_driver_cannot_run_exit_3() {
+    use serde_json::Value;
+    // The random seed state and one annealing step.
+    let valid = checkpoint("googlenet", cocco::prelude::SearchMethod::sa(), 2);
+    /// The assignment of the current state.
+    fn current_assignment(state: &mut Value) -> &mut Value {
+        field_mut(
+            field_mut(field_mut(state, "current"), "partition"),
+            "assignment",
+        )
+    }
+    let cases: Vec<(&str, &Value, Mutation)> = vec![
+        (
+            "a current state cut one entry short",
+            &valid,
+            Box::new(|state| {
+                let Value::Array(assignment) = current_assignment(state) else {
+                    panic!("assignment");
+                };
+                assignment.pop();
+            }),
+        ),
+        (
+            "a current state with a label of 10^9",
+            &valid,
+            Box::new(|state| *item_mut(current_assignment(state), 1) = Value::U64(1_000_000_000)),
+        ),
+        (
+            "a negative current cost",
+            &valid,
+            Box::new(|state| *field_mut(state, "current_cost") = Value::F64(-1.0)),
+        ),
+        (
+            "a best design covering 10 nodes",
+            &valid,
+            Box::new(cut_best_design),
+        ),
+    ];
+    assert_unusable_driver_states_exit_3("googlenet", "sa", sa_state, &cases);
+}
+
+#[test]
+fn twostep_checkpoints_the_driver_cannot_run_exit_3() {
+    use serde_json::Value;
+    // Candidate sampling, then the live candidate's seed generation and
+    // one evolved generation.
+    let valid = checkpoint("googlenet", cocco::prelude::SearchMethod::two_step(), 3);
+    /// The assignment of the live inner GA's first population member.
+    fn live_assignment(state: &mut Value) -> &mut Value {
+        let ga = field_mut(field_mut(state, "live"), "ga");
+        let member = item_mut(field_mut(ga, "population"), 0);
+        field_mut(
+            field_mut(field_mut(member, "genome"), "partition"),
+            "assignment",
+        )
+    }
+    let cases: Vec<(&str, &Value, Mutation)> = vec![
+        (
+            "a live-slot genome cut one entry short",
+            &valid,
+            Box::new(|state| {
+                let Value::Array(assignment) = live_assignment(state) else {
+                    panic!("assignment");
+                };
+                assignment.pop();
+            }),
+        ),
+        (
+            "a live-slot genome with a label of 10^9",
+            &valid,
+            Box::new(|state| *item_mut(live_assignment(state), 1) = Value::U64(1_000_000_000)),
+        ),
+        (
+            "a next candidate past the candidate list",
+            &valid,
+            Box::new(|state| *field_mut(state, "next_candidate") = Value::U64(1_000_000)),
+        ),
+    ];
+    assert_unusable_driver_states_exit_3("googlenet", "twostep", twostep_state, &cases);
 }

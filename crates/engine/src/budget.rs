@@ -18,9 +18,9 @@ use std::sync::Arc;
 /// of the global 50 000.
 ///
 /// Consumption can also be *reserved up front*
-/// ([`SampleBudget::reserve`]): an interleaved driver draws its next
-/// batch's funding before dispatch, and if the step is abandoned — the
-/// driver dropped mid-step, a checkpointed run exiting — the unused
+/// ([`SampleBudget::reserve`]): a caller draws a batch's funding before
+/// dispatch, and if the batch is abandoned — dropped before its
+/// evaluation took every sample — the unused
 /// [`SampleReservation`] returns every unspent sample to the slice **and**
 /// the shared pool on drop, so no samples are silently stranded.
 ///

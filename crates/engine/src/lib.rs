@@ -31,9 +31,9 @@
 //!   genome's offspring;
 //! * [`SampleBudget`] — the thread-safe evaluation budget drawn on by every
 //!   searcher: sliceable for two-step inner runs, and reservable
-//!   ([`SampleBudget::reserve`] → [`SampleReservation`]) for interleaved
-//!   drivers that pre-fund a dispatch — abandoned reservations refund to
-//!   the slice and the shared pool on drop, so no samples are stranded;
+//!   ([`SampleBudget::reserve`] → [`SampleReservation`]) by a caller that
+//!   pre-funds a dispatch — abandoned reservations refund to the slice and
+//!   the shared pool on drop, so no samples are stranded;
 //! * [`Trace`]/[`TracePoint`] — thread-safe evaluation recording, plus the
 //!   `infeasible_errors` counter that keeps silent evaluator failures
 //!   visible.

@@ -330,9 +330,9 @@ impl<'a> SearchContext<'a> {
     /// Funding is drawn in chunk order, candidate order (a chunk whose
     /// budget runs dry leaves its remaining candidates unfunded and moves
     /// on to the next chunk, whose own budget may still have capacity).
-    /// Trace points follow that same funding order, so interleaved
-    /// sub-searches sharing one dispatch stay bit-identical at any thread
-    /// count.
+    /// Trace points follow that same funding order, so chunks of
+    /// different funding sources sharing one dispatch stay bit-identical
+    /// at any thread count.
     pub fn evaluate_chunks(&self, batch: &mut EvalBatch) {
         // A quarantined batch aborts the step family: once a worker panic
         // was caught, refuse further funding so the caller unwinds with
@@ -1026,32 +1026,53 @@ mod tests {
 
     #[test]
     fn worker_panic_refunds_sliced_and_reserved_funding_to_the_root_pool() {
-        // Two-step funds its chunks from budget slices (sequential) or from
-        // reservations on them (interleaved). A panic after some progress
-        // must return every funded sample of the quarantined batch through
-        // the slice to the root pool, so the pool's count matches the trace.
+        // A chunk draws its funding from a budget slice (the two-step's
+        // inner GA) or from a reservation on one, drawn ahead of dispatch
+        // (a hand-built chunk). A panic after some progress must return
+        // every funded sample of the quarantined batch through the slice
+        // to the root pool, so the pool's count matches the trace.
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let mut interleaved = crate::TwoStep::random().with_per_candidate(100);
-        interleaved.ga.population = 20;
-        for config in [interleaved.clone(), interleaved.sequential()] {
-            let rates = cocco_faults::FaultRates::none().with(FaultSite::WorkerPanic, 0.002);
-            let ctx = SearchContext::new(
+        let faulty = |rate| {
+            let rates = cocco_faults::FaultRates::none().with(FaultSite::WorkerPanic, rate);
+            SearchContext::new(
                 &g,
                 &eval,
                 BufferSpace::paper_shared(),
                 Objective::co_exploration(CostMetric::Energy, 0.002),
                 400,
             )
-            .with_faults(FaultPlan::seeded(0, rates));
-            crate::SearchMethod::TwoStep(config.clone()).run(&ctx);
-            assert!(ctx.fault_abort().is_some(), "no panic fired ({config:?})");
+            .with_faults(FaultPlan::seeded(0, rates))
+        };
+        let assert_refunded = |ctx: &SearchContext<'_>, leg: &str| {
+            assert!(ctx.fault_abort().is_some(), "{leg}: no panic fired");
             let log = ctx.faults().log();
-            assert_eq!(log.quarantined_batches(), 1);
-            assert!(log.refunded_samples() > 0);
-            assert!(!ctx.trace().is_empty(), "panic before any progress");
-            assert_eq!(ctx.budget().used(), ctx.trace().len() as u64);
+            assert_eq!(log.quarantined_batches(), 1, "{leg}");
+            assert!(log.refunded_samples() > 0, "{leg}");
+            assert!(!ctx.trace().is_empty(), "{leg}: panic before any progress");
+            assert_eq!(ctx.budget().used(), ctx.trace().len() as u64, "{leg}");
+        };
+
+        let mut two_step = crate::TwoStep::random().with_per_candidate(100);
+        two_step.ga.population = 20;
+        let sliced = faulty(0.002);
+        crate::SearchMethod::TwoStep(two_step).run(&sliced);
+        assert_refunded(&sliced, "sliced");
+
+        let reserved = faulty(0.02);
+        let slice = Arc::new(SampleBudget::slice(reserved.budget_handle(), 200));
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        while reserved.fault_abort().is_none() && !slice.is_exhausted() {
+            let candidates = (0..20)
+                .map(|_| EvalCandidate::new(Genome::random(&g, &reserved.space, &mut rng)))
+                .collect();
+            let mut chunk = crate::EvalChunk::new(candidates);
+            chunk.reservation = Some(slice.reserve(20));
+            reserved.evaluate_chunks(&mut EvalBatch {
+                chunks: vec![chunk],
+            });
         }
+        assert_refunded(&reserved, "reserved");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! 1. [`next_batch`](SearchDriver::next_batch) advances the method's
 //!    internal state machine and yields a [`Step`] — either a batch of
 //!    [`EvalCandidate`]s to evaluate (with per-chunk objective/budget
-//!    overrides, so sub-searches and interleaved schemes can share one
-//!    engine dispatch), an internal-work notification, or completion;
+//!    overrides, so a sub-search such as the two-step's inner GA runs on
+//!    the outer engine under its own objective and budget slice), an
+//!    internal-work notification, or completion;
 //! 2. the harness evaluates the batch as **one** engine dispatch
 //!    ([`SearchContext::evaluate_chunks`]);
 //! 3. [`absorb`](SearchDriver::absorb) feeds the evaluated candidates back,
@@ -23,10 +24,8 @@
 //! repair, so a resumed run asks `fits` a little more but never scores
 //! differently.
 //!
-//! [`run_driver`] is the loop `SearchMethod::run` steps a driver with; on
-//! top of the same uniform step surface sit the interleaved two-step
-//! scheme ([`TwoStepDriver`](crate::TwoStepDriver)) and the
-//! [`PortfolioDriver`](crate::PortfolioDriver) meta-driver.
+//! [`run_driver`] is the loop `SearchMethod::run` steps a driver with, and
+//! the facade's checkpointed loop steps the same [`drive_step`].
 
 use crate::context::{EvalCandidate, SearchContext};
 use crate::dp::DpState;
@@ -35,7 +34,6 @@ use crate::ga::GaState;
 use crate::greedy::GreedyState;
 use crate::objective::Objective;
 use crate::outcome::SearchOutcome;
-use crate::portfolio::PortfolioState;
 use crate::sa::SaState;
 use crate::twostep::TwoStepState;
 use cocco_engine::{SampleBudget, SampleReservation, TracePoint};
@@ -53,9 +51,10 @@ use std::sync::Arc;
 ///   two-step inner GA overrides it with the partition-only objective;
 /// * `budget` — `None` draws funding from the context budget; a sliced
 ///   sub-search points at its slice;
-/// * `reservation` — funding drawn **ahead of dispatch** (deterministic
-///   interleaving); takes precedence over `budget`. An abandoned batch
-///   refunds the unconsumed reservation to the shared pool on drop.
+/// * `reservation` — funding drawn **ahead of dispatch**; takes
+///   precedence over `budget`. An abandoned batch refunds the unconsumed
+///   reservation to the shared pool on drop. No driver of this crate sets
+///   it; a chunk built by hand may.
 #[derive(Debug)]
 pub struct EvalChunk {
     /// The candidates; repaired and scored in place by evaluation.
@@ -159,17 +158,16 @@ pub enum DriverState {
     Exhaustive(ExhaustiveState),
     /// Two-step capacity-then-partition scheme.
     TwoStep(TwoStepState),
-    /// Portfolio meta-driver.
-    Portfolio(PortfolioState),
 }
 
 impl DriverState {
     /// Checks a state read from a checkpoint against the graph it will
     /// resume on, before a driver is built from it, so a state the driver
-    /// cannot run is reported instead of panicking or looping. So far the
-    /// depth-ordered DP checks its table, greedy fusion its assignment and
-    /// the GA its population, pending partitions and best design; other
-    /// states pass unchecked.
+    /// cannot run is reported instead of panicking or looping: the
+    /// depth-ordered DP checks its table, greedy fusion its assignment,
+    /// the GA its population and best design, annealing its current state
+    /// and best design, and the two-step its live inner GA and candidate
+    /// cursor. Only the enumeration's state passes unchecked.
     ///
     /// # Errors
     ///
@@ -179,7 +177,9 @@ impl DriverState {
             DriverState::DepthDp(state) => state.check(graph),
             DriverState::Greedy(state) => state.check(graph),
             DriverState::Ga(state) => state.check(graph),
-            _ => Ok(()),
+            DriverState::Sa(state) => state.check(graph),
+            DriverState::TwoStep(state) => state.check(graph),
+            DriverState::Exhaustive(_) => Ok(()),
         }
     }
 }
@@ -241,8 +241,10 @@ pub fn run_driver(driver: &mut dyn SearchDriver, ctx: &SearchContext<'_>) -> Sea
 
 /// Current [`SearchSnapshot::version`]. Version 2 added
 /// [`SearchSnapshot::infeasible_errors`], so a resumed run's final
-/// error count matches the uninterrupted run's.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// error count matches the uninterrupted run's. Version 3 dropped the
+/// portfolio state, the GA's queued injections and the two-step's
+/// finished slots: a two-step state holds only its live inner GA.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// A whole-run checkpoint: the driver state plus everything the harness
 /// must restore around it (trace so far, budget consumption, and the

@@ -107,17 +107,13 @@ pub struct GaState {
     rng: Vec<u64>,
     phase: GaPhase,
     population: Vec<GaMember>,
-    /// Warm partitions queued for injection into the next generation
-    /// (cross-candidate elite migration in the interleaved two-step).
-    pending: Vec<Partition>,
     outcome: SearchOutcome,
 }
 
 impl GaState {
     /// Checks the state against the graph it resumes on, before any table
-    /// is sized by one of its labels: every population genome, every
-    /// pending partition and a best design must be a partition of the
-    /// graph with every label below its node count (the operators size
+    /// is sized by one of its labels: every population genome and a best
+    /// design must be a partition of the graph with every label below its node count (the operators size
     /// tables by label, and a run's partitions are canonical); a cost must
     /// be non-negative — finite, or infinite for a design that does not
     /// fit — and a best design's finite; and a population in `Evolve` must
@@ -133,10 +129,6 @@ impl GaState {
                 return Err(format!("GA population member {i} costs {}", member.cost));
             }
         }
-        for (i, partition) in self.pending.iter().enumerate() {
-            check_partition(graph, partition)
-                .map_err(|e| format!("GA pending partition {i}: {e}"))?;
-        }
         if let Some(best) = &self.outcome.best {
             check_partition(graph, &best.partition).map_err(|e| format!("GA best design: {e}"))?;
             let cost = self.outcome.best_cost;
@@ -150,7 +142,7 @@ impl GaState {
 
 /// Checks that `partition`, read from a checkpoint, is a partition of
 /// `graph` whose labels are all below the node count.
-fn check_partition(graph: &Graph, partition: &Partition) -> Result<(), String> {
+pub(crate) fn check_partition(graph: &Graph, partition: &Partition) -> Result<(), String> {
     let n = graph.len();
     if let Some(label) = partition.assignment().iter().find(|&&l| l as usize >= n) {
         return Err(format!("label {label} is not below the node count {n}"));
@@ -203,7 +195,6 @@ pub struct GaDriver {
     rng: StdRng,
     phase: GaPhase,
     population: Vec<Member>,
-    pending: Vec<Partition>,
     outcome: SearchOutcome,
     scratch: MutationScratch,
 }
@@ -217,7 +208,6 @@ impl GaDriver {
             rng,
             phase: GaPhase::Seed,
             population: Vec::new(),
-            pending: Vec::new(),
             outcome: SearchOutcome::empty(),
             scratch: MutationScratch::default(),
         }
@@ -239,18 +229,9 @@ impl GaDriver {
                     memo: None,
                 })
                 .collect(),
-            pending: state.pending,
             outcome: state.outcome,
             scratch: MutationScratch::default(),
         }
-    }
-
-    /// Queues a warm partition for injection into the next generation —
-    /// how the interleaved two-step migrates elites between capacity
-    /// candidates ("combining the information between different sizes",
-    /// the very ability the paper says the two-step scheme lacks).
-    pub fn inject(&mut self, partition: Partition) {
-        self.pending.push(partition);
     }
 
     /// Builds the seed population, drawing RNG in the legacy order
@@ -281,21 +262,12 @@ impl GaDriver {
         seeds.into_iter().map(EvalCandidate::new).collect()
     }
 
-    /// Builds one generation of offspring. Queued warm injections go
-    /// first (they displace random offspring, never grow the generation);
-    /// the rest is the paper's crossover/mutation mix.
+    /// Builds one generation of offspring: the paper's crossover/mutation
+    /// mix.
     fn offspring_batch(&mut self, ctx: &SearchContext<'_>) -> Vec<EvalCandidate> {
         let cfg = &self.config;
         let graph = ctx.graph();
         let mut offspring: Vec<EvalCandidate> = Vec::with_capacity(cfg.population);
-        for partition in self.pending.drain(..) {
-            if offspring.len() < cfg.population {
-                offspring.push(EvalCandidate::new(Genome::new(
-                    partition,
-                    ctx.space.sample(&mut self.rng),
-                )));
-            }
-        }
         while offspring.len() < cfg.population {
             let child = if self.rng.gen_bool(cfg.crossover_fraction.clamp(0.0, 1.0))
                 && self.population.len() >= 2
@@ -465,7 +437,6 @@ impl SearchDriver for GaDriver {
                     cost: m.cost,
                 })
                 .collect(),
-            pending: self.pending.clone(),
             outcome: self.outcome.clone(),
         })
     }

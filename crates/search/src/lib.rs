@@ -19,7 +19,6 @@
 //! | [`SearchMethod::DepthDp`] | [`DpDriver`] | §4.2.3 | Irregular-NN depth-ordered DP baseline |
 //! | [`SearchMethod::Exhaustive`] | [`ExhaustiveDriver`] | §4.2.1 | downset state-compression enumeration |
 //! | [`SearchMethod::TwoStep`] | [`TwoStepDriver`] | §5.1.3 | RS+GA / GS+GA capacity-then-partition |
-//! | [`SearchMethod::Portfolio`] | [`PortfolioDriver`] | — | methods racing on one budget |
 //!
 //! Every method draws evaluations from a shared [`SampleBudget`] so
 //! "samples" are comparable across methods, and records a [`Trace`] for the
@@ -72,7 +71,6 @@ mod greedy;
 mod method;
 mod objective;
 mod outcome;
-mod portfolio;
 mod sa;
 mod twostep;
 
@@ -98,6 +96,5 @@ pub use greedy::{GreedyDriver, GreedyState};
 pub use method::SearchMethod;
 pub use objective::{BufferSpace, Objective};
 pub use outcome::SearchOutcome;
-pub use portfolio::{Portfolio, PortfolioDriver, PortfolioPolicy, PortfolioState};
 pub use sa::{SaConfig, SaDriver, SaState};
 pub use twostep::{CapacitySampling, TwoStep, TwoStepDriver, TwoStepState};

@@ -37,7 +37,6 @@ use crate::exhaustive::{ExhaustiveDriver, ExhaustiveLimits};
 use crate::ga::{GaConfig, GaDriver};
 use crate::greedy::GreedyDriver;
 use crate::outcome::SearchOutcome;
-use crate::portfolio::{Portfolio, PortfolioDriver};
 use crate::sa::{SaConfig, SaDriver};
 use crate::twostep::{TwoStep, TwoStepDriver};
 use serde::{Deserialize, Serialize};
@@ -65,9 +64,6 @@ pub enum SearchMethod {
     Exhaustive(ExhaustiveLimits),
     /// Two-step capacity-then-partition scheme, RS+GA / GS+GA (§5.1.3).
     TwoStep(TwoStep),
-    /// A portfolio of methods racing round-robin on one budget/engine
-    /// (built on the step-driven [`SearchDriver`] surface).
-    Portfolio(Portfolio),
 }
 
 impl SearchMethod {
@@ -101,16 +97,6 @@ impl SearchMethod {
         SearchMethod::TwoStep(TwoStep::random())
     }
 
-    /// A default portfolio: the stochastic methods (GA, SA, two-step)
-    /// racing best-at-exhaustion on one budget.
-    pub fn portfolio() -> Self {
-        SearchMethod::Portfolio(Portfolio::new(vec![
-            Self::ga(),
-            Self::sa(),
-            Self::two_step(),
-        ]))
-    }
-
     /// One instance of every method, under default configurations
     /// (the order of the paper's method tables).
     pub fn all() -> Vec<SearchMethod> {
@@ -135,7 +121,6 @@ impl SearchMethod {
             SearchMethod::DepthDp(_) => "dp",
             SearchMethod::Exhaustive(_) => "exhaustive",
             SearchMethod::TwoStep(_) => "twostep",
-            SearchMethod::Portfolio(_) => "portfolio",
         }
     }
 
@@ -149,7 +134,6 @@ impl SearchMethod {
             "dp" => Some(Self::depth_dp()),
             "exhaustive" => Some(Self::exhaustive()),
             "twostep" => Some(Self::two_step()),
-            "portfolio" => Some(Self::portfolio()),
             _ => None,
         }
     }
@@ -162,22 +146,16 @@ impl SearchMethod {
             SearchMethod::Ga(cfg) => cfg.seed = seed,
             SearchMethod::Sa(cfg) => cfg.seed = seed,
             SearchMethod::TwoStep(cfg) => cfg.seed = seed,
-            SearchMethod::Portfolio(cfg) => cfg.seed = seed,
             SearchMethod::Greedy | SearchMethod::DepthDp(_) | SearchMethod::Exhaustive(_) => {}
         }
         self
     }
 
     /// `true` when the method only works under a Formula-2 objective
-    /// (currently the two-step scheme, whose first step scores capacity
-    /// candidates by `BUF_SIZE + α·cost` — and any portfolio containing
-    /// it).
+    /// (the two-step scheme, whose first step scores capacity candidates
+    /// by `BUF_SIZE + α·cost`).
     pub fn requires_formula2(&self) -> bool {
-        match self {
-            SearchMethod::TwoStep(_) => true,
-            SearchMethod::Portfolio(cfg) => cfg.members.iter().any(Self::requires_formula2),
-            _ => false,
-        }
+        matches!(self, SearchMethod::TwoStep(_))
     }
 
     /// `true` when the method can explore a non-fixed buffer space. The
@@ -185,11 +163,10 @@ impl SearchMethod {
     /// "cannot co-explore with DSE") — under a non-fixed space they pick
     /// the largest grid point.
     pub fn co_explores(&self) -> bool {
-        match self {
-            SearchMethod::Greedy | SearchMethod::DepthDp(_) | SearchMethod::Exhaustive(_) => false,
-            SearchMethod::Portfolio(cfg) => cfg.members.iter().any(Self::co_explores),
-            _ => true,
-        }
+        !matches!(
+            self,
+            SearchMethod::Greedy | SearchMethod::DepthDp(_) | SearchMethod::Exhaustive(_)
+        )
     }
 
     /// A short display name (used in experiment tables) — the name of the
@@ -215,13 +192,12 @@ impl SearchMethod {
             SearchMethod::DepthDp(cfg) => Box::new(DpDriver::new(cfg.clone())),
             SearchMethod::Exhaustive(limits) => Box::new(ExhaustiveDriver::new(*limits)),
             SearchMethod::TwoStep(cfg) => Box::new(TwoStepDriver::new(cfg.clone())),
-            SearchMethod::Portfolio(cfg) => Box::new(PortfolioDriver::new(cfg.clone())),
         }
     }
 
     /// Resumes a driver from a serialized [`DriverState`]. Returns `None`
     /// when the state does not belong to this method (e.g. a checkpoint
-    /// written by a different method or portfolio shape).
+    /// written by a different method).
     pub fn driver_from_state(&self, state: &DriverState) -> Option<Box<dyn SearchDriver>> {
         match (self, state) {
             (SearchMethod::Ga(cfg), DriverState::Ga(s)) => {
@@ -241,10 +217,6 @@ impl SearchMethod {
             }
             (SearchMethod::TwoStep(cfg), DriverState::TwoStep(s)) => {
                 Some(Box::new(TwoStepDriver::from_state(cfg.clone(), s.clone())))
-            }
-            (SearchMethod::Portfolio(cfg), DriverState::Portfolio(s)) => {
-                PortfolioDriver::from_state(cfg.clone(), s.clone())
-                    .map(|d| Box::new(d) as Box<dyn SearchDriver>)
             }
             _ => None,
         }
@@ -278,7 +250,6 @@ mod tests {
     fn names_match_underlying_searchers() {
         let mut methods = SearchMethod::all();
         methods.push(SearchMethod::TwoStep(TwoStep::grid()));
-        methods.push(SearchMethod::portfolio());
         let mut names: Vec<&str> = methods.iter().map(SearchMethod::name).collect();
         for (method, name) in methods.iter().zip(&names) {
             assert_eq!(*name, method.driver().name());

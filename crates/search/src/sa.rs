@@ -2,10 +2,11 @@
 
 use crate::context::{EvalCandidate, EvalHint, SearchContext};
 use crate::driver::{rng_from_state, rng_state, DriverState, EvalBatch, SearchDriver, Step};
-use crate::ga::{mutate_with_delta, MutationRates, MutationScratch};
+use crate::ga::{check_partition, mutate_with_delta, MutationRates, MutationScratch};
 use crate::genome::Genome;
 use crate::outcome::SearchOutcome;
 use cocco_engine::EvalMemo;
+use cocco_graph::Graph;
 use cocco_partition::PartitionDelta;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,6 +70,36 @@ pub struct SaState {
     temperature: f64,
     rejected: u64,
     outcome: SearchOutcome,
+}
+
+impl SaState {
+    /// Checks the state against the graph it resumes on, before any table
+    /// is sized by one of its labels: the current state and a best design
+    /// must be partitions of the graph with every label below its node
+    /// count; the current cost must be non-negative — finite, or infinite
+    /// for a design that does not fit — and a best design's finite; and a
+    /// chain in `Anneal` must have a current state to mutate.
+    pub(crate) fn check(&self, graph: &Graph) -> Result<(), String> {
+        match &self.current {
+            Some(current) => check_partition(graph, &current.partition)
+                .map_err(|e| format!("SA current state: {e}"))?,
+            None if self.phase == SaPhase::Anneal => {
+                return Err("SA has no current state mid-run".to_string());
+            }
+            None => {}
+        }
+        if self.current_cost.is_nan() || self.current_cost < 0.0 {
+            return Err(format!("SA current state costs {}", self.current_cost));
+        }
+        if let Some(best) = &self.outcome.best {
+            check_partition(graph, &best.partition).map_err(|e| format!("SA best design: {e}"))?;
+            let cost = self.outcome.best_cost;
+            if !cost.is_finite() || cost < 0.0 {
+                return Err(format!("SA best design costs {cost}"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Simulated annealing over genomes, using the same mutation operators and

@@ -3,11 +3,12 @@
 
 use crate::context::SearchContext;
 use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
-use crate::ga::{GaConfig, GaDriver, GaState};
+use crate::ga::{check_partition, GaConfig, GaDriver, GaState};
 use crate::genome::Genome;
 use crate::objective::{BufferSpace, Objective};
 use crate::outcome::SearchOutcome;
-use cocco_partition::Partition;
+use cocco_engine::SampleBudget;
+use cocco_graph::Graph;
 use cocco_sim::BufferConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,29 +30,13 @@ pub enum CapacitySampling {
 /// partition-only GA for each (a fixed per-candidate sample budget, 5 000
 /// in the paper), and keep the best Formula-2 cost.
 ///
-/// The paper's criticism — "the two-step scheme fails to combine the
-/// information between different sizes" — falls out of the classic
-/// construction: each inner GA restarts from scratch. Two modes:
-///
-/// * **Interleaved** (the default, [`interleave`](TwoStep::interleave)
-///   `= true`): every capacity candidate gets a deterministic
-///   [`SampleBudget`](cocco_engine::SampleBudget) slice up front, the
-///   inner GAs advance **round-robin**, and each round's generations are
-///   dispatched to the engine pool as *one* batch, so the memoized caches
-///   warm across candidates within one dispatch. On top of the shared
-///   schedule, the round's globally most promising partition (by
-///   Formula-2 cost) migrates into the other candidates' next generations
-///   — precisely the cross-size information flow the paper says the
-///   scheme lacks. Funding is pre-reserved per chunk, so a driver dropped
-///   mid-step refunds its unconsumed reservation to the shared pool.
-/// * **Sequential** ([`sequential`](TwoStep::sequential)): the historical
-///   construction — one candidate at a time, each inner GA from scratch —
-///   kept as the reference baseline arm.
-///
-/// Either way the inner GAs run on derived contexts, so their generation
-/// batches use the outer context's engine — same worker pool, one shared
-/// memoization cache (re-proposed partitions under the same buffer score
-/// for free).
+/// The candidates run one after another, each inner GA from scratch —
+/// which is why, in the paper's words, "the two-step scheme fails to
+/// combine the information between different sizes". Each inner GA draws
+/// from a [`SampleBudget`] slice of the outer budget and runs on a derived
+/// context, so its generation batches use the outer context's engine —
+/// same worker pool, one shared memoization cache (re-proposed partitions
+/// under the same buffer score for free).
 ///
 /// # Examples
 ///
@@ -82,11 +67,6 @@ pub struct TwoStep {
     pub ga: GaConfig,
     /// Seed for candidate sampling.
     pub seed: u64,
-    /// Round-robin the capacity candidates through deterministically
-    /// sliced budgets, sharing each engine dispatch and migrating elites
-    /// across candidates (`true`, the default) — or run them one at a
-    /// time, from scratch, as the paper's baseline (`false`).
-    pub interleave: bool,
 }
 
 impl TwoStep {
@@ -98,7 +78,6 @@ impl TwoStep {
             per_candidate: 5_000,
             ga: GaConfig::default(),
             seed: 0xC0CC0,
-            interleave: true,
         }
     }
 
@@ -122,12 +101,11 @@ impl TwoStep {
         self
     }
 
-    /// Selects the historical sequential construction: candidates run one
-    /// after another, each inner GA from scratch (the reference baseline
-    /// the interleaved mode is benchmarked against).
-    pub fn sequential(mut self) -> Self {
-        self.interleave = false;
-        self
+    /// The inner GA configuration of candidate `i`.
+    fn ga_config(&self, i: usize) -> GaConfig {
+        let mut cfg = self.ga.clone();
+        cfg.seed = self.seed.wrapping_add(i as u64 + 1);
+        cfg
     }
 }
 
@@ -142,31 +120,53 @@ enum TsPhase {
     Done,
 }
 
-/// One serialized inner-GA slot.
+/// The serialized live inner GA.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 struct TsSlotState {
     ga: GaState,
     buffer: BufferConfig,
     /// Slice capacity still unconsumed at snapshot time.
     remaining: u64,
-    done: bool,
-    last_elite: Option<Partition>,
 }
 
-/// Serializable state of a [`TwoStepDriver`], valid between any two steps
-/// (no in-flight reservations exist at step boundaries).
+/// Serializable state of a [`TwoStepDriver`], valid between any two steps.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TwoStepState {
     phase: TsPhase,
     candidates: Vec<BufferConfig>,
     next_candidate: u64,
-    slots: Vec<TsSlotState>,
+    live: Option<TsSlotState>,
     alpha: Option<f64>,
     outcome: SearchOutcome,
 }
 
-/// One live inner GA: its driver, capacity candidate, budget slice and
-/// migration bookkeeping.
+impl TwoStepState {
+    /// Checks the state against the graph it resumes on: the live inner
+    /// GA's state must pass the GA's own check, the next candidate must
+    /// not lie past the candidate list, and a best design must be a
+    /// partition of the graph.
+    pub(crate) fn check(&self, graph: &Graph) -> Result<(), String> {
+        if let Some(live) = &self.live {
+            live.ga
+                .check(graph)
+                .map_err(|e| format!("two-step live slot: {e}"))?;
+        }
+        if self.next_candidate > self.candidates.len() as u64 {
+            return Err(format!(
+                "two-step next candidate {} is past its {} candidates",
+                self.next_candidate,
+                self.candidates.len()
+            ));
+        }
+        if let Some(best) = &self.outcome.best {
+            check_partition(graph, &best.partition)
+                .map_err(|e| format!("two-step best design: {e}"))?;
+        }
+        Ok(())
+    }
+}
+
+/// The live inner GA: its driver, capacity candidate and budget slice.
 #[derive(Debug)]
 struct InnerSlot {
     ga: GaDriver,
@@ -174,35 +174,39 @@ struct InnerSlot {
     /// Remaining slice capacity until the slice is materialized (lazily,
     /// because slicing needs the context's budget handle).
     cap: u64,
-    slice: Option<Arc<cocco_engine::SampleBudget>>,
-    done: bool,
-    /// The elite partition last injected into this slot (migration skips
-    /// re-injecting an unchanged elite).
-    last_elite: Option<Partition>,
+    slice: Option<Arc<SampleBudget>>,
 }
 
-/// The two-step scheme as a step-driven state machine. In sequential mode
-/// it reproduces the historical run bit-identically; in interleaved mode
-/// each step gathers one generation from every live candidate into a
-/// single engine dispatch and migrates the globally best partition across
-/// candidates.
+impl InnerSlot {
+    /// Adds the inner GA's samples and its best design, scored under
+    /// Formula 2 with preference factor `alpha`, to `outcome`.
+    fn fold_into(&self, outcome: &mut SearchOutcome, alpha: f64) {
+        let sub = self.ga.outcome();
+        outcome.samples += sub.samples;
+        if let Some(best) = sub.best {
+            let cost = self.buffer.total_bytes() as f64 + alpha * sub.best_cost;
+            outcome.consider(&Genome::new(best.partition, self.buffer), cost);
+        }
+    }
+}
+
+/// The two-step scheme as a step-driven state machine: one capacity
+/// candidate at a time, each step one generation of its inner GA.
 #[derive(Debug)]
 pub struct TwoStepDriver {
     config: TwoStep,
     phase: TsPhase,
     candidates: Vec<BufferConfig>,
-    /// Next candidate to start (sequential mode).
+    /// Next candidate to start.
     next_candidate: usize,
-    slots: Vec<InnerSlot>,
-    /// Chunk distribution of the in-flight batch: `(slot, chunk count)`.
-    pending_map: Vec<(usize, usize)>,
+    /// The candidate whose inner GA is running, if any.
+    live: Option<InnerSlot>,
     /// The Formula-2 preference factor, captured at init so
-    /// [`outcome`](SearchDriver::outcome) can score live slots without a
-    /// context.
+    /// [`outcome`](SearchDriver::outcome) can score the live slot without
+    /// a context.
     alpha: Option<f64>,
-    /// Formula-2 bests and samples of **folded** (finished) slots; live
-    /// slots are merged in on every [`outcome`](SearchDriver::outcome)
-    /// call.
+    /// Formula-2 bests and samples of finished candidates; the live slot
+    /// is merged in on every [`outcome`](SearchDriver::outcome) call.
     outcome: SearchOutcome,
 }
 
@@ -214,41 +218,31 @@ impl TwoStepDriver {
             phase: TsPhase::Init,
             candidates: Vec::new(),
             next_candidate: 0,
-            slots: Vec::new(),
-            pending_map: Vec::new(),
+            live: None,
             alpha: None,
             outcome: SearchOutcome::empty(),
         }
     }
 
-    /// Resumes a driver from a serialized state (slices re-materialize
-    /// with their remaining capacity on the first step).
+    /// Resumes a driver from a serialized state (the live slice
+    /// re-materializes with its remaining capacity on the first step).
     pub fn from_state(config: TwoStep, state: TwoStepState) -> Self {
-        let ga_cfg = |i: usize| -> GaConfig {
-            let mut cfg = config.ga.clone();
-            cfg.seed = config.seed.wrapping_add(i as u64 + 1);
-            cfg
-        };
-        let slots = state
-            .slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| InnerSlot {
-                ga: GaDriver::from_state(ga_cfg(i), s.ga),
-                buffer: s.buffer,
-                cap: s.remaining,
-                slice: None,
-                done: s.done,
-                last_elite: s.last_elite,
-            })
-            .collect();
+        let live = state.live.map(|s| InnerSlot {
+            // The live slot is the candidate started last.
+            ga: GaDriver::from_state(
+                config.ga_config((state.next_candidate as usize).saturating_sub(1)),
+                s.ga,
+            ),
+            buffer: s.buffer,
+            cap: s.remaining,
+            slice: None,
+        });
         Self {
             config,
             phase: state.phase,
             candidates: state.candidates,
             next_candidate: state.next_candidate as usize,
-            slots,
-            pending_map: Vec::new(),
+            live,
             alpha: state.alpha,
             outcome: state.outcome,
         }
@@ -285,182 +279,53 @@ impl TwoStepDriver {
             }
         };
         self.phase = TsPhase::Run;
-        if self.config.interleave {
-            // Every candidate gets its slice up front; the shared pool is
-            // the binding constraint, drained in round-robin chunk order.
-            for (i, &buffer) in self.candidates.iter().enumerate() {
-                let mut ga_cfg = self.config.ga.clone();
-                ga_cfg.seed = self.config.seed.wrapping_add(i as u64 + 1);
-                self.slots.push(InnerSlot {
-                    ga: GaDriver::new(ga_cfg),
-                    buffer,
-                    cap: self.config.per_candidate,
-                    slice: None,
-                    done: false,
-                    last_elite: None,
-                });
-            }
-            self.next_candidate = self.candidates.len();
-        }
     }
 
-    /// Materializes slot `si`'s budget slice (needs the context handle).
-    fn ensure_slice(&mut self, ctx: &SearchContext<'_>, si: usize) {
-        if self.slots[si].slice.is_none() {
-            self.slots[si].slice = Some(Arc::new(cocco_engine::SampleBudget::slice(
-                ctx.budget_handle(),
-                self.slots[si].cap,
-            )));
-        }
-    }
-
-    /// The derived context slot `si`'s inner GA runs under: fixed buffer,
-    /// partition-only objective, the slot's slice as budget.
-    fn inner_ctx<'a>(&self, ctx: &SearchContext<'a>, si: usize) -> SearchContext<'a> {
-        let slot = &self.slots[si];
-        ctx.derive_with_budget(
-            BufferSpace::fixed(slot.buffer),
-            Objective::partition_only(ctx.objective.metric),
-            // cocco-audit: allow(R1) every caller runs ensure_slice(si) first
-            Arc::clone(slot.slice.as_ref().expect("slice materialized")),
-        )
-    }
-
-    /// Folds a finished inner GA into the Formula-2 outcome.
-    fn fold(&mut self, ctx: &SearchContext<'_>, si: usize) {
-        let alpha = Self::alpha(ctx);
-        let slot = &mut self.slots[si];
-        slot.done = true;
-        let sub = slot.ga.outcome();
-        self.outcome.samples += sub.samples;
-        if let Some(best) = sub.best {
-            let cost = slot.buffer.total_bytes() as f64 + alpha * sub.best_cost;
-            self.outcome
-                .consider(&Genome::new(best.partition, slot.buffer), cost);
-        }
-    }
-
-    /// Sequential mode: one candidate at a time, bit-identical to the
-    /// historical construction.
-    fn next_sequential(&mut self, ctx: &SearchContext<'_>) -> Step {
+    /// Step 2: one generation of the live candidate's inner GA, starting
+    /// the next candidate (or finishing) whenever the live one is done.
+    fn next_generation(&mut self, ctx: &SearchContext<'_>) -> Step {
+        let objective = Objective::partition_only(ctx.objective.metric);
         loop {
-            // Find (or start) the current live slot.
-            let live = self.slots.last().is_some_and(|s| !s.done);
-            if !live {
-                if self.next_candidate >= self.candidates.len() || ctx.budget().is_exhausted() {
-                    self.phase = TsPhase::Done;
-                    return Step::Done;
+            let slot = match &mut self.live {
+                Some(slot) => slot,
+                None => {
+                    if self.next_candidate >= self.candidates.len() || ctx.budget().is_exhausted() {
+                        self.phase = TsPhase::Done;
+                        return Step::Done;
+                    }
+                    let i = self.next_candidate;
+                    self.next_candidate += 1;
+                    self.live.insert(InnerSlot {
+                        ga: GaDriver::new(self.config.ga_config(i)),
+                        buffer: self.candidates[i],
+                        cap: self.config.per_candidate.min(ctx.budget().remaining()),
+                        slice: None,
+                    })
                 }
-                let i = self.next_candidate;
-                self.next_candidate += 1;
-                let remaining = ctx.budget().remaining();
-                let inner_budget = self.config.per_candidate.min(remaining);
-                let mut ga_cfg = self.config.ga.clone();
-                ga_cfg.seed = self.config.seed.wrapping_add(i as u64 + 1);
-                self.slots.push(InnerSlot {
-                    ga: GaDriver::new(ga_cfg),
-                    buffer: self.candidates[i],
-                    cap: inner_budget,
-                    slice: None,
-                    done: false,
-                    last_elite: None,
-                });
-            }
-            let si = self.slots.len() - 1;
-            self.ensure_slice(ctx, si);
-            let inner_ctx = self.inner_ctx(ctx, si);
-            match self.slots[si].ga.next_batch(&inner_ctx) {
+            };
+            let slice = Arc::clone(slot.slice.get_or_insert_with(|| {
+                Arc::new(SampleBudget::slice(ctx.budget_handle(), slot.cap))
+            }));
+            let inner_ctx = ctx.derive_with_budget(
+                BufferSpace::fixed(slot.buffer),
+                objective,
+                Arc::clone(&slice),
+            );
+            match slot.ga.next_batch(&inner_ctx) {
                 Step::Evaluate(mut batch) => {
-                    let objective = Objective::partition_only(ctx.objective.metric);
-                    // cocco-audit: allow(R1) ensure_slice(ctx, si) ran two lines above
-                    let slice = Arc::clone(self.slots[si].slice.as_ref().unwrap());
                     for chunk in &mut batch.chunks {
                         chunk.objective = Some(objective);
                         chunk.budget = Some(Arc::clone(&slice));
                     }
-                    self.pending_map = vec![(si, batch.chunks.len())];
                     return Step::Evaluate(batch);
                 }
                 Step::Continue => return Step::Continue,
                 Step::Done => {
-                    self.fold(ctx, si);
-                    // Loop: start the next candidate (or finish).
+                    // Fold the finished candidate; loop to start the next.
+                    slot.fold_into(&mut self.outcome, Self::alpha(ctx));
+                    self.live = None;
                 }
             }
-        }
-    }
-
-    /// Interleaved mode: gather one generation from every live candidate
-    /// into a single dispatch, funding each chunk from its slot's slice by
-    /// **reservation** (drawn now, in round-robin order — deterministic —
-    /// and refunded to slice and pool alike if the batch is dropped).
-    fn next_interleaved(&mut self, ctx: &SearchContext<'_>) -> Step {
-        if self.slots.iter().all(|s| s.done) {
-            self.phase = TsPhase::Done;
-            return Step::Done;
-        }
-        let objective = Objective::partition_only(ctx.objective.metric);
-        let mut batch = EvalBatch::default();
-        self.pending_map.clear();
-        for si in 0..self.slots.len() {
-            if self.slots[si].done {
-                continue;
-            }
-            self.ensure_slice(ctx, si);
-            let inner_ctx = self.inner_ctx(ctx, si);
-            match self.slots[si].ga.next_batch(&inner_ctx) {
-                Step::Evaluate(inner_batch) => {
-                    // cocco-audit: allow(R1) ensure_slice(ctx, si) ran two lines above
-                    let slice = Arc::clone(self.slots[si].slice.as_ref().unwrap());
-                    let mut count = 0usize;
-                    for mut chunk in inner_batch.chunks {
-                        chunk.objective = Some(objective);
-                        chunk.budget = None;
-                        chunk.reservation = Some(slice.reserve(chunk.candidates.len() as u64));
-                        batch.chunks.push(chunk);
-                        count += 1;
-                    }
-                    self.pending_map.push((si, count));
-                }
-                Step::Continue => {}
-                Step::Done => self.fold(ctx, si),
-            }
-        }
-        if batch.chunks.is_empty() {
-            return Step::Continue;
-        }
-        Step::Evaluate(batch)
-    }
-
-    /// Cross-candidate elite migration: the globally most promising
-    /// partition this round (by Formula-2 cost, so sizes are comparable)
-    /// is injected into every *other* live candidate's next generation —
-    /// the "information between different sizes" the sequential scheme
-    /// cannot combine. Re-injection of an unchanged elite is skipped.
-    fn migrate(&mut self, ctx: &SearchContext<'_>) {
-        let alpha = Self::alpha(ctx);
-        let mut best: Option<(f64, usize, Genome)> = None;
-        for (si, slot) in self.slots.iter().enumerate() {
-            let sub = slot.ga.outcome();
-            if let Some(genome) = sub.best {
-                let cost = slot.buffer.total_bytes() as f64 + alpha * sub.best_cost;
-                if best.as_ref().is_none_or(|(c, _, _)| cost < *c) {
-                    best = Some((cost, si, genome));
-                }
-            }
-        }
-        let Some((_, source, elite)) = best else {
-            return;
-        };
-        for si in 0..self.slots.len() {
-            if si == source || self.slots[si].done {
-                continue;
-            }
-            if self.slots[si].last_elite.as_ref() == Some(&elite.partition) {
-                continue;
-            }
-            self.slots[si].last_elite = Some(elite.partition.clone());
-            self.slots[si].ga.inject(elite.partition.clone());
         }
     }
 }
@@ -479,47 +344,30 @@ impl SearchDriver for TwoStepDriver {
                 self.init(ctx);
                 Step::Continue
             }
-            TsPhase::Run => {
-                if self.config.interleave {
-                    self.next_interleaved(ctx)
-                } else {
-                    self.next_sequential(ctx)
-                }
-            }
+            TsPhase::Run => self.next_generation(ctx),
             TsPhase::Done => Step::Done,
         }
     }
 
     fn absorb(&mut self, ctx: &SearchContext<'_>, batch: EvalBatch) {
-        let mut chunks = batch.chunks.into_iter();
-        let map = std::mem::take(&mut self.pending_map);
-        for (si, count) in map {
-            let inner_batch = EvalBatch {
-                chunks: chunks.by_ref().take(count).collect(),
-            };
-            let inner_ctx = self.inner_ctx(ctx, si);
-            self.slots[si].ga.absorb(&inner_ctx, inner_batch);
-        }
-        if self.config.interleave {
-            self.migrate(ctx);
-        }
+        let Some(slot) = &mut self.live else {
+            return;
+        };
+        let Some(slice) = &slot.slice else {
+            return;
+        };
+        let inner_ctx = ctx.derive_with_budget(
+            BufferSpace::fixed(slot.buffer),
+            Objective::partition_only(ctx.objective.metric),
+            Arc::clone(slice),
+        );
+        slot.ga.absorb(&inner_ctx, batch);
     }
 
     fn outcome(&self) -> SearchOutcome {
-        // Folded slots live in `self.outcome`; live slots are merged on
-        // the fly, so a meta-driver polling mid-run (portfolio
-        // first-to-target) sees every inner GA's best and samples as soon
-        // as they exist, not only at slice exhaustion.
         let mut outcome = self.outcome.clone();
-        if let Some(alpha) = self.alpha {
-            for slot in self.slots.iter().filter(|s| !s.done) {
-                let sub = slot.ga.outcome();
-                outcome.samples += sub.samples;
-                if let Some(best) = sub.best {
-                    let cost = slot.buffer.total_bytes() as f64 + alpha * sub.best_cost;
-                    outcome.consider(&Genome::new(best.partition, slot.buffer), cost);
-                }
-            }
+        if let (Some(slot), Some(alpha)) = (&self.live, self.alpha) {
+            slot.fold_into(&mut outcome, alpha);
         }
         outcome
     }
@@ -529,20 +377,14 @@ impl SearchDriver for TwoStepDriver {
             phase: self.phase,
             candidates: self.candidates.clone(),
             next_candidate: self.next_candidate as u64,
-            slots: self
-                .slots
-                .iter()
-                .map(|slot| TsSlotState {
-                    ga: match slot.ga.state() {
-                        DriverState::Ga(state) => state,
-                        _ => unreachable!("GA drivers produce GA states"),
-                    },
-                    buffer: slot.buffer,
-                    remaining: slot.slice.as_ref().map_or(slot.cap, |s| s.remaining()),
-                    done: slot.done,
-                    last_elite: slot.last_elite.clone(),
-                })
-                .collect(),
+            live: self.live.as_ref().map(|slot| TsSlotState {
+                ga: match slot.ga.state() {
+                    DriverState::Ga(state) => state,
+                    _ => unreachable!("GA drivers produce GA states"),
+                },
+                buffer: slot.buffer,
+                remaining: slot.slice.as_ref().map_or(slot.cap, |s| s.remaining()),
+            }),
             alpha: self.alpha,
             outcome: self.outcome.clone(),
         })
@@ -587,13 +429,21 @@ mod tests {
 
     #[test]
     fn sequential_mode_is_available_and_valid() {
+        // Candidates run one at a time: while the second candidate's GA
+        // runs, the first one is already folded, and only one slot lives.
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let config = TwoStep::random().with_per_candidate(150).sequential();
-        assert!(!config.interleave);
         let ctx = ctx(&g, &eval, 450);
-        let out = SearchMethod::TwoStep(config).run(&ctx);
-        assert!(out.best.expect("sequential").partition.validate(&g).is_ok());
+        let mut driver = TwoStepDriver::new(TwoStep::random().with_per_candidate(150));
+        while driver.next_candidate < 2 {
+            assert!(crate::drive_step(&mut driver, &ctx), "finished early");
+        }
+        assert!(driver.live.is_some());
+        assert_eq!(driver.outcome.samples, 150, "the first candidate is folded");
+        let out = crate::run_driver(&mut driver, &ctx);
+        assert!(driver.live.is_none());
+        assert_eq!(driver.next_candidate, driver.candidates.len());
+        assert!(out.best.expect("two-step").partition.validate(&g).is_ok());
         assert_eq!(out.samples, ctx.budget().used());
     }
 
@@ -608,80 +458,15 @@ mod tests {
     fn respects_global_budget() {
         let g = cocco_graph::models::diamond();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        for config in [
-            TwoStep::random().with_per_candidate(40),
-            TwoStep::random().with_per_candidate(40).sequential(),
-        ] {
-            let ctx = SearchContext::new(
-                &g,
-                &eval,
-                BufferSpace::paper_shared(),
-                Objective::co_exploration(CostMetric::Ema, 0.01),
-                100,
-            );
-            let out = SearchMethod::TwoStep(config).run(&ctx);
-            assert!(ctx.budget().used() <= 100);
-            assert_eq!(out.samples, ctx.budget().used());
-        }
-    }
-
-    #[test]
-    fn interleaved_migration_shares_elites_across_candidates() {
-        // The interleaved scheme's whole point: information flows between
-        // capacity candidates. After a few rounds, at least one slot must
-        // have received an elite injection.
-        let g = cocco_graph::models::googlenet();
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let ctx = ctx(&g, &eval, 400);
-        let mut driver = TwoStepDriver::new(TwoStep::random().with_per_candidate(100));
-        loop {
-            match driver.next_batch(&ctx) {
-                Step::Evaluate(mut batch) => {
-                    ctx.evaluate_chunks(&mut batch);
-                    driver.absorb(&ctx, batch);
-                }
-                Step::Continue => {}
-                Step::Done => break,
-            }
-        }
-        assert!(
-            driver.slots.iter().any(|s| s.last_elite.is_some()),
-            "no elite ever migrated between candidates"
+        let ctx = SearchContext::new(
+            &g,
+            &eval,
+            BufferSpace::paper_shared(),
+            Objective::co_exploration(CostMetric::Ema, 0.01),
+            100,
         );
-        assert!(driver.outcome().best.is_some());
-    }
-
-    #[test]
-    fn dropped_interleaved_step_refunds_its_reservations() {
-        // Satellite invariant: a driver dropped mid-step (its in-flight
-        // batch abandoned) strands no samples — the reservations flow back
-        // to the slices and the shared pool.
-        let g = cocco_graph::models::diamond();
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let ctx = ctx(&g, &eval, 200);
-        let mut driver = TwoStepDriver::new(TwoStep::random().with_per_candidate(50));
-        // Step until the driver hands out an evaluation batch.
-        let batch = loop {
-            match driver.next_batch(&ctx) {
-                Step::Evaluate(batch) => break batch,
-                Step::Continue => {}
-                Step::Done => panic!("driver finished before evaluating"),
-            }
-        };
-        let reserved = ctx.budget().used();
-        assert!(reserved > 0, "interleaved batches pre-reserve funding");
-        // Abandon the step: drop the batch (and the driver with it).
-        drop(batch);
-        drop(driver);
-        assert_eq!(
-            ctx.budget().used(),
-            0,
-            "unconsumed reservations must flow back to the pool"
-        );
-        // Total conservation: a fresh run on the same context can still
-        // consume the full limit.
-        let out = SearchMethod::TwoStep(TwoStep::random().with_per_candidate(50)).run(&ctx);
+        let out = SearchMethod::TwoStep(TwoStep::random().with_per_candidate(40)).run(&ctx);
+        assert!(ctx.budget().used() <= 100);
         assert_eq!(out.samples, ctx.budget().used());
-        assert_eq!(ctx.budget().used(), 200, "refunded samples were stranded");
     }
 }

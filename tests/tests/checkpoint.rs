@@ -6,9 +6,8 @@
 
 use cocco::prelude::*;
 
-/// The methods under test: all seven searchers (TwoStep in both its
-/// interleaved default and the sequential baseline, and both samplings)
-/// plus the portfolio meta-driver.
+/// The methods under test: every searcher of the registry, the two-step
+/// with both capacity samplings.
 fn methods() -> Vec<(SearchMethod, &'static str)> {
     vec![
         (SearchMethod::ga().with_seed(17), "ga"),
@@ -18,26 +17,11 @@ fn methods() -> Vec<(SearchMethod, &'static str)> {
         (SearchMethod::exhaustive(), "exhaustive"),
         (
             SearchMethod::TwoStep(TwoStep::random().with_per_candidate(120).with_seed(17)),
-            "twostep-interleaved",
+            "twostep-random",
         ),
         (
             SearchMethod::TwoStep(TwoStep::grid().with_per_candidate(120).with_seed(17)),
             "twostep-grid",
-        ),
-        (
-            SearchMethod::TwoStep(
-                TwoStep::random()
-                    .with_per_candidate(120)
-                    .with_seed(17)
-                    .sequential(),
-            ),
-            "twostep-sequential",
-        ),
-        (
-            SearchMethod::Portfolio(
-                Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()]).with_seed(17),
-            ),
-            "portfolio",
         ),
     ]
 }
@@ -203,4 +187,27 @@ fn driver_states_round_trip_through_json_for_every_method() {
             serde_json::from_str(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(state, back, "{name}: state changed across the round-trip");
     }
+}
+
+#[test]
+fn a_mid_run_two_step_checkpoint_holds_one_ga_state() {
+    // A finished capacity candidate is folded into the outcome, so however
+    // many candidates have run, a checkpoint carries only the live one's
+    // inner GA.
+    let g = cocco::graph::models::googlenet();
+    let eval = Evaluator::new(&g, AcceleratorConfig::default());
+    let method = SearchMethod::TwoStep(TwoStep::random().with_per_candidate(120).with_seed(17));
+    let ctx = make_ctx(&g, &eval, 1);
+    let mut driver = method.driver();
+    // Past two candidates' budgets: the third one is running.
+    while ctx.budget().used() <= 240 {
+        assert!(
+            cocco::search::drive_step(&mut *driver, &ctx),
+            "finished early"
+        );
+    }
+    let snapshot = SearchSnapshot::capture(&method, &*driver, &ctx);
+    // A GA state's population is a list; the GA configuration's a number.
+    let json = serde_json::to_string(&snapshot).unwrap();
+    assert_eq!(json.matches("\"population\":[").count(), 1, "{json}");
 }

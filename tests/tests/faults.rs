@@ -239,7 +239,45 @@ fn corrupt_checkpoints_are_structured_errors_never_panics() {
     let err = session().explore(&model).unwrap_err();
     assert!(matches!(err, Error::Checkpoint { .. }), "{err}");
     // Old snapshot version.
-    std::fs::write(&path, valid.replacen("\"version\":2", "\"version\":1", 1)).unwrap();
+    let version = |v: u32| format!("\"version\":{v}");
+    let current = version(cocco::search::CHECKPOINT_VERSION);
+    let old = version(cocco::search::CHECKPOINT_VERSION - 1);
+    assert!(valid.contains(&current));
+    std::fs::write(&path, valid.replacen(&current, &old, 1)).unwrap();
+    let err = session().explore(&model).unwrap_err();
+    assert!(matches!(err, Error::Checkpoint { .. }), "{err}");
+    // A version-2 file of the retired portfolio method: its method and
+    // driver state wrap the GA's in the old `Portfolio` shapes.
+    let ga_method = serde_json::to_string(&snapshot.method).unwrap();
+    let ga_state = serde_json::to_string(&snapshot.driver).unwrap();
+    let ga_outcome = serde_json::to_string(&driver.outcome()).unwrap();
+    let portfolio = valid
+        .replacen(&current, &version(2), 1)
+        .replacen(
+            &format!("\"method\":{ga_method}"),
+            &format!(
+                "\"method\":{{\"Portfolio\":{{\"members\":[{ga_method}],\
+                 \"policy\":\"BestAtExhaustion\",\"seed\":7}}}}"
+            ),
+            1,
+        )
+        .replacen(
+            &format!("\"driver\":{ga_state}"),
+            &format!(
+                "\"driver\":{{\"Portfolio\":{{\"members\":[{{\"state\":{ga_state},\
+                 \"done\":false}}],\"done\":false,\"outcome\":{ga_outcome}}}}}"
+            ),
+            1,
+        );
+    assert!(
+        portfolio.contains("\"driver\":{\"Portfolio\""),
+        "{portfolio}"
+    );
+    assert!(
+        portfolio.contains("\"method\":{\"Portfolio\""),
+        "{portfolio}"
+    );
+    std::fs::write(&path, portfolio).unwrap();
     let err = session().explore(&model).unwrap_err();
     assert!(matches!(err, Error::Checkpoint { .. }), "{err}");
     // Wrong evaluator fingerprint (different accelerator).

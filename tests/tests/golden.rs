@@ -33,8 +33,8 @@ fn methods() -> [(&'static str, SearchMethod); 5] {
     [
         ("ga", SearchMethod::Ga(ga.clone())),
         ("sa", SearchMethod::sa()),
-        // Small per-candidate slices, so several capacity candidates share
-        // each dispatch.
+        // Small per-candidate slices, so the budget covers several
+        // capacity candidates.
         (
             "twostep",
             SearchMethod::TwoStep(TwoStep {
