@@ -12,8 +12,8 @@
 //! for path-level policy, and the README "Determinism invariants"
 //! section for the narrative version.
 //!
-//! The crate is a library (so `cocco-bench`'s `micro` can time the gate
-//! in-process and tests can drive fixtures) plus a thin CLI binary.
+//! The crate is a library (so tests can audit the live workspace and
+//! drive fixtures in-process) plus a thin CLI binary.
 
 pub mod config;
 pub mod lexer;

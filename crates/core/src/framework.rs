@@ -216,7 +216,8 @@ impl Cocco {
     /// engine warm-starts from `path` (if it exists); afterwards the
     /// merged cache is written back — but only when the run added an
     /// entry the file lacks, or loading had to salvage a corrupt file or
-    /// upgrade an old version. A run that adds nothing leaves the file
+    /// dropped a foreign version's entries. A version-1 file holds no
+    /// entry of the current key shape and is refused as unusable. A run that adds nothing leaves the file
     /// untouched (same bytes, same modification time).
     ///
     /// Entries are keyed by the evaluator's `(model, accelerator config)`

@@ -339,6 +339,11 @@ fn sa_state(checkpoint: &mut serde_json::Value) -> &mut serde_json::Value {
     field_mut(field_mut(checkpoint, "driver"), "Sa")
 }
 
+/// The `Exhaustive` state inside a checkpoint tree.
+fn exhaustive_state(checkpoint: &mut serde_json::Value) -> &mut serde_json::Value {
+    field_mut(field_mut(checkpoint, "driver"), "Exhaustive")
+}
+
 /// The `TwoStep` state inside a checkpoint tree.
 fn twostep_state(checkpoint: &mut serde_json::Value) -> &mut serde_json::Value {
     field_mut(field_mut(checkpoint, "driver"), "TwoStep")
@@ -651,4 +656,50 @@ fn twostep_checkpoints_the_driver_cannot_run_exit_3() {
         ),
     ];
     assert_unusable_driver_states_exit_3("googlenet", "twostep", twostep_state, &cases);
+}
+
+#[test]
+fn exhaustive_checkpoints_the_driver_cannot_run_exit_3() {
+    use serde_json::Value;
+    // The table's initialization and the expansion of levels 0 to 2.
+    let valid = checkpoint("googlenet", cocco::prelude::SearchMethod::exhaustive(), 4);
+    let cases: Vec<(&str, &Value, Mutation)> = vec![
+        (
+            "a table one level short",
+            &valid,
+            Box::new(|state| {
+                let Value::Array(levels) = field_mut(state, "levels") else {
+                    panic!("levels");
+                };
+                levels.pop();
+            }),
+        ),
+        (
+            // Level 0's empty downset starts every reconstructed chain.
+            "the empty downset with one word dropped",
+            &valid,
+            Box::new(|state| {
+                let entry = item_mut(item_mut(field_mut(state, "levels"), 0), 0);
+                let Value::Array(words) = field_mut(entry, "downset") else {
+                    panic!("downset");
+                };
+                words.pop();
+            }),
+        ),
+        (
+            "a back-pointer member of 10^6",
+            &valid,
+            Box::new(|state| {
+                let entry = item_mut(item_mut(field_mut(state, "levels"), 1), 0);
+                let members = item_mut(field_mut(entry, "back"), 1);
+                *item_mut(members, 0) = Value::U64(1_000_000);
+            }),
+        ),
+        (
+            "a level cursor of 10^6",
+            &valid,
+            Box::new(|state| *field_mut(state, "level") = Value::U64(1_000_000)),
+        ),
+    ];
+    assert_unusable_driver_states_exit_3("googlenet", "exhaustive", exhaustive_state, &cases);
 }

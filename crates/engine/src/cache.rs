@@ -30,11 +30,10 @@
 //! evaluator fingerprint, so entries recorded under a different
 //! accelerator configuration (or model) can never produce a false hit;
 //! [`CacheSnapshot::split_fingerprint`] additionally lets callers restore
-//! only the entries of the evaluator at hand. Snapshots from the previous
-//! (v1, member-vector-keyed) format are upgraded on load by re-deriving
-//! each key's fingerprints, so `--cache-file` warm starts survive the
-//! re-keying. Older files may also carry a `subgraph` array of
-//! per-subgraph terms; loading ignores it.
+//! only the entries of the evaluator at hand. Files of the first
+//! (v1, member-vector-keyed) format hold no entry of the current key shape,
+//! so loading one fails as malformed. Older v2 files may also carry a
+//! `subgraph` array of per-subgraph terms; loading ignores it.
 
 use crate::engine::ScoredEval;
 use cocco_faults::{atomic_save, FaultPlan};
@@ -150,9 +149,9 @@ pub struct CacheSnapshot {
     pub partition: Vec<(EvalKey, ScoredEval)>,
 }
 
-/// Current [`CacheSnapshot::version`]. Version 1 (member-vector keys) is
-/// upgraded on load by re-deriving each key's fingerprints; other versions
-/// load as empty.
+/// Current [`CacheSnapshot::version`]. A well-formed document of another
+/// version loads as empty; a version-1 document (member-vector keys) does
+/// not parse under the current key shape and fails to load.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// How [`CacheSnapshot::load_with`] read a snapshot out of its document.
@@ -161,56 +160,10 @@ pub enum SnapshotOrigin {
     /// A well-formed document of the current version: the snapshot holds
     /// exactly the file's entries.
     Current,
-    /// A well-formed version-1 document whose keys were re-derived.
-    Upgraded,
     /// A corrupt document whose parsable entries were recovered.
     Salvaged,
     /// A document of an unknown version, loaded as empty.
     UnknownVersion,
-}
-
-/// The version-1 on-disk shape: keys were flattened `u64` sequences
-/// (`[fingerprint, buffer tag, b1, b2, cores, batch, ...members...]`).
-#[derive(Deserialize)]
-struct SnapshotV1 {
-    version: u32,
-    partition: Vec<(Vec<u64>, ScoredEval)>,
-}
-
-/// Re-derives a v2 partition key from a v1 one: the coordinate prefix,
-/// then member groups separated by `u64::MAX`.
-fn v1_partition_key(words: &[u64]) -> Option<EvalKey> {
-    if words.len() < 6 {
-        return None;
-    }
-    let buffer = match words[1] {
-        0 => BufferConfig::shared(words[2]),
-        1 => BufferConfig::separate(words[2], words[3]),
-        _ => return None,
-    };
-    let cores = u32::try_from(words[4]).ok()?;
-    let batch = u32::try_from(words[5]).ok()?;
-    let options = EvalOptions::new(cores, batch).ok()?;
-    let mut fps = Vec::new();
-    let mut current = NodeSetFp::EMPTY;
-    let mut members = 0usize;
-    for &w in &words[6..] {
-        if w == u64::MAX {
-            if members == 0 {
-                return None; // empty group: not a v1 writer's output
-            }
-            fps.push(current);
-            current = NodeSetFp::EMPTY;
-            members = 0;
-        } else {
-            current.insert(NodeId::from_index(usize::try_from(w).ok()?));
-            members += 1;
-        }
-    }
-    if members != 0 {
-        return None; // trailing members without a separator
-    }
-    Some(EvalKey::partition(words[0], fps, &buffer, options))
 }
 
 impl CacheSnapshot {
@@ -279,9 +232,8 @@ impl CacheSnapshot {
         atomic_save(path, &text, faults)
     }
 
-    /// Reads a snapshot from `path`. A version-1 snapshot is upgraded in
-    /// place (fingerprints re-derived from its member-vector keys); other
-    /// foreign versions load as empty (their keys must not be trusted).
+    /// Reads a snapshot from `path`. A well-formed document of a foreign
+    /// version loads as empty (its keys must not be trusted).
     ///
     /// # Errors
     ///
@@ -293,13 +245,14 @@ impl CacheSnapshot {
 
     /// Like [`load`](Self::load), but a corrupt document — truncated by a
     /// torn write, or with a garbage region — is **salvaged** instead of
-    /// rejected: every entry that still parses (current *or* v1 key shape)
-    /// is recovered, and only a document yielding zero entries is reported
-    /// as `InvalidData`. Salvaged and dropped entry counts land on the
+    /// rejected: every entry that still parses under the current key shape
+    /// is recovered, and only a document yielding zero entries (a
+    /// version-1 document among them) is reported as `InvalidData`.
+    /// Salvaged and dropped entry counts land on the
     /// [`FaultPlan`]'s log — including for disabled plans, so real
     /// corruption is always visible in health reports. The returned
     /// [`SnapshotOrigin`] says whether the snapshot is the file as-is or
-    /// had to be upgraded, salvaged or dropped.
+    /// had to be salvaged or dropped.
     pub fn load_with(
         path: &Path,
         faults: &FaultPlan,
@@ -309,43 +262,22 @@ impl CacheSnapshot {
             version: SNAPSHOT_VERSION,
             partition: Vec::new(),
         };
-        if let Ok(snap) = serde_json::from_str::<CacheSnapshot>(&text) {
-            return Ok(if snap.version == SNAPSHOT_VERSION {
-                (snap, SnapshotOrigin::Current)
-            } else {
-                (empty, SnapshotOrigin::UnknownVersion)
-            });
+        match serde_json::from_str::<CacheSnapshot>(&text) {
+            Ok(snap) if snap.version == SNAPSHOT_VERSION => Ok((snap, SnapshotOrigin::Current)),
+            Ok(_) => Ok((empty, SnapshotOrigin::UnknownVersion)),
+            // Not the current shape: a corrupt document (salvage what
+            // parses) or one with nothing to salvage (report it).
+            Err(e) => salvage(&text, faults)
+                .map(|snap| (snap, SnapshotOrigin::Salvaged))
+                .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())),
         }
-        // Not the current shape: a v1 document (upgrade it), or a corrupt
-        // one (salvage what parses), or hopeless garbage (report it).
-        let v1: SnapshotV1 = match serde_json::from_str(&text) {
-            Ok(v1) => v1,
-            Err(e) => {
-                return salvage(&text, faults)
-                    .map(|snap| (snap, SnapshotOrigin::Salvaged))
-                    .ok_or_else(|| {
-                        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                    });
-            }
-        };
-        if v1.version != 1 {
-            return Ok((empty, SnapshotOrigin::UnknownVersion));
-        }
-        let mut out = empty;
-        for (words, value) in v1.partition {
-            if let Some(key) = v1_partition_key(&words) {
-                out.partition.push((key, value));
-            }
-        }
-        out.partition.sort_by_key(|entry| entry.0);
-        Ok((out, SnapshotOrigin::Upgraded))
     }
 }
 
 /// Best-effort recovery of a corrupt snapshot document: extracts the
 /// top-level elements of the `"partition"` array textually (string- and
 /// nesting-aware, tolerant of truncation) and keeps every element that
-/// parses under the current key shape or upgrades from the v1 shape.
+/// parses under the current key shape.
 /// Returns `None` when nothing is recoverable. Entries are worth salvaging
 /// because cached values are *exact*: a warm start from a salvaged subset
 /// is bit-identical to one from the full file — the subset only changes
@@ -357,15 +289,9 @@ fn salvage(text: &str, faults: &FaultPlan) -> Option<CacheSnapshot> {
     };
     let mut dropped = 0u64;
     for element in extract_array_elements(text, "partition") {
-        if let Ok(entry) = serde_json::from_str::<(EvalKey, ScoredEval)>(element) {
-            out.partition.push(entry);
-        } else if let Ok((words, value)) = serde_json::from_str::<(Vec<u64>, ScoredEval)>(element) {
-            match v1_partition_key(&words) {
-                Some(key) => out.partition.push((key, value)),
-                None => dropped += 1,
-            }
-        } else {
-            dropped += 1;
+        match serde_json::from_str::<(EvalKey, ScoredEval)>(element) {
+            Ok(entry) => out.partition.push(entry),
+            Err(_) => dropped += 1,
         }
     }
     if out.is_empty() {
@@ -731,20 +657,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_upgrade_with_rederived_fingerprints() {
-        // A hand-written v1 document (flattened u64 keys, exactly the PR 3
-        // writer's layout) must load with keys equal to the ones the new
-        // constructors produce for the same coordinates.
+    fn v1_snapshots_are_refused_as_malformed() {
+        // A hand-written v1 document (flattened u64 keys, exactly the v1
+        // writer's layout, with its per-subgraph term array) holds no entry
+        // of the current key shape, so it fails to load as malformed
+        // instead of loading or panicking — and records nothing as
+        // salvaged.
         let dir = std::env::temp_dir().join(format!("cocco-cache-v1-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("v1.json");
-        let buffer = BufferConfig::shared(1 << 20);
-        let options = EvalOptions::default();
-        let max = u64::MAX;
-        // Partition key: fp=9, shared(1MiB), cores=1, batch=1,
-        // subgraphs {0,1} {2}. The v1 writer also stored per-subgraph
-        // terms (same coords, next_wgt=77, members {2}); loading ignores
-        // them.
         let text = format!(
             concat!(
                 "{{\"version\":1,",
@@ -755,20 +676,13 @@ mod tests {
                 "{{\"ema_bytes\":5,\"energy_pj\":2.5,\"fits\":true}}]]}}"
             ),
             total = 1u64 << 20,
-            max = max,
+            max = u64::MAX,
         );
         std::fs::write(&path, text).unwrap();
-        let (snap, origin) = CacheSnapshot::load_with(&path, &FaultPlan::disabled()).unwrap();
-        assert_eq!(origin, SnapshotOrigin::Upgraded);
-        assert_eq!(snap.version, SNAPSHOT_VERSION);
-        assert_eq!(snap.len(), 1);
-        let expected_pkey = eval_key(9, &sg(&[&[0, 1], &[2]]), &buffer, options);
-        assert_eq!(snap.partition[0].0, expected_pkey);
-        assert_eq!(snap.partition[0].1, scored(21));
-        // Restoring serves hits under the re-derived keys.
-        let cache = empty();
-        cache.restore(&snap);
-        assert_eq!(cache.get(&expected_pkey).unwrap(), scored(21));
+        let plan = FaultPlan::disabled();
+        let err = CacheSnapshot::load_with(&path, &plan).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(plan.log().salvaged_entries(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -965,13 +879,13 @@ mod tests {
     }
 
     #[test]
-    fn truncated_v1_documents_salvage_with_upgraded_keys() {
+    fn truncated_v1_documents_are_refused_as_malformed() {
         let dir = std::env::temp_dir().join(format!("cocco-cache-v1t-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("v1.json");
-        let max = u64::MAX;
-        // Two v1 partition entries; the document is cut inside the second,
-        // so only the first survives — under its re-derived v2 key.
+        // Two v1 partition entries, the document cut inside the second: the
+        // intact first entry has a v1 key, which the salvage pass does not
+        // read, so nothing is recovered and the load fails as malformed.
         let text = format!(
             concat!(
                 "{{\"version\":1,\"partition\":[",
@@ -982,19 +896,13 @@ mod tests {
                 "{{\"ema_bytes\":22,\"energy"
             ),
             total = 1u64 << 20,
-            max = max,
+            max = u64::MAX,
         );
         std::fs::write(&path, text).unwrap();
-        let snap = CacheSnapshot::load(&path).expect("salvage the intact entry");
-        assert_eq!(snap.partition.len(), 1);
-        let expected = eval_key(
-            9,
-            &sg(&[&[0, 1], &[2]]),
-            &BufferConfig::shared(1 << 20),
-            EvalOptions::default(),
-        );
-        assert_eq!(snap.partition[0].0, expected);
-        assert_eq!(snap.partition[0].1, scored(21));
+        let plan = FaultPlan::disabled();
+        let err = CacheSnapshot::load_with(&path, &plan).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(plan.log().salvaged_entries(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

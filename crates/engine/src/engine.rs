@@ -207,7 +207,7 @@ pub struct EngineStats {
     /// Statistics misses that had to sort a copy of an out-of-order
     /// member list (see `Evaluator::stats_canonicalize_fallbacks`) — the
     /// hot-path allocation tripwire: 0 on every production path, asserted
-    /// by the CI smoke benchmark. (Values that *escape* the dispatch —
+    /// by the thread-parity test in `tests/tests/determinism.rs`. (Values that *escape* the dispatch —
     /// memos, repaired partitions, cache inserts — are inherent and not
     /// counted.)
     pub stats_canonicalize_fallbacks: u64,

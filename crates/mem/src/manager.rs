@@ -181,11 +181,6 @@ impl AllocationPlan {
     pub fn total_bytes(&self) -> u64 {
         self.regions.iter().map(Region::len).sum()
     }
-
-    /// The regions owned by `node`.
-    pub fn regions_of(&self, node: NodeId) -> impl Iterator<Item = &Region> {
-        self.regions.iter().filter(move |r| r.node == node)
-    }
 }
 
 #[cfg(test)]

@@ -166,8 +166,8 @@ impl DriverState {
     /// cannot run is reported instead of panicking or looping: the
     /// depth-ordered DP checks its table, greedy fusion its assignment,
     /// the GA its population and best design, annealing its current state
-    /// and best design, and the two-step its live inner GA and candidate
-    /// cursor. Only the enumeration's state passes unchecked.
+    /// and best design, the enumeration its downset table and level
+    /// cursor, and the two-step its live inner GA and candidate cursor.
     ///
     /// # Errors
     ///
@@ -179,7 +179,7 @@ impl DriverState {
             DriverState::Ga(state) => state.check(graph),
             DriverState::Sa(state) => state.check(graph),
             DriverState::TwoStep(state) => state.check(graph),
-            DriverState::Exhaustive(_) => Ok(()),
+            DriverState::Exhaustive(state) => state.check(graph),
         }
     }
 }

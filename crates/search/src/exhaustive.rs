@@ -12,13 +12,14 @@
 
 use crate::context::SearchContext;
 use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
+use crate::ga::check_partition;
 use crate::genome::Genome;
 use crate::outcome::SearchOutcome;
 use cocco_graph::{Graph, NodeId};
 use cocco_partition::Partition;
 use cocco_sim::BufferConfig;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Abort thresholds for the enumeration.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,6 +87,101 @@ pub struct ExhaustiveState {
     expansions: u64,
     done: bool,
     outcome: SearchOutcome,
+}
+
+impl ExhaustiveState {
+    /// Checks the state against a graph of `graph.len()` = n nodes, whose
+    /// downsets take w = ⌈n / 64⌉ words:
+    ///
+    /// * a best design found so far is a partition of the graph;
+    /// * the table has one level per node count 0..=n, or none at level 0
+    ///   (a table not yet initialized);
+    /// * the next level to expand is at most n;
+    /// * every downset has w words, no bit at or past n, and as many bits
+    ///   as its level's index, and a finite cost;
+    /// * every back-pointer names a parent downset of the table and a
+    ///   non-empty member list below n, outside the parent, that the
+    ///   parent extends to the downset — so the chain reconstruction walks
+    ///   strictly smaller states down to the empty one.
+    pub(crate) fn check(&self, graph: &Graph) -> Result<(), String> {
+        if let Some(best) = &self.outcome.best {
+            check_partition(graph, &best.partition)
+                .map_err(|e| format!("enumeration best design: {e}"))?;
+        }
+        let n = graph.len();
+        let words = n.div_ceil(64);
+        if self.levels.is_empty() && self.level == 0 {
+            return Ok(());
+        }
+        if self.levels.len() != n + 1 {
+            return Err(format!(
+                "enumeration table has {} levels at level {}; the graph needs {}",
+                self.levels.len(),
+                self.level,
+                n + 1
+            ));
+        }
+        if self.level > n as u64 {
+            return Err(format!(
+                "enumeration level {} is past the last level {n}",
+                self.level
+            ));
+        }
+        let downset = |bits: &[u64]| -> Result<usize, String> {
+            if bits.len() != words {
+                return Err(format!(
+                    "a downset of {} words; the graph needs {words}",
+                    bits.len()
+                ));
+            }
+            if (n..words * 64).any(|i| bits_get(bits, i)) {
+                return Err(format!("a downset names a node at or past {n}"));
+            }
+            Ok(bits_count(bits))
+        };
+        let known: Vec<BTreeSet<&[u64]>> = self
+            .levels
+            .iter()
+            .map(|level| level.iter().map(|e| e.downset.as_slice()).collect())
+            .collect();
+        for (size, level) in self.levels.iter().enumerate() {
+            for entry in level {
+                let at = |e: String| format!("enumeration level {size}: {e}");
+                if downset(&entry.downset).map_err(at)? != size {
+                    return Err(at("a downset of another size".to_string()));
+                }
+                if !entry.cost.is_finite() {
+                    return Err(at(format!("a downset costs {}", entry.cost)));
+                }
+                let Some((parent, members)) = &entry.back else {
+                    continue;
+                };
+                let parent_size = downset(parent).map_err(at)?;
+                if !known[parent_size].contains(parent.as_slice()) {
+                    return Err(at(
+                        "a back-pointer to a downset not in the table".to_string()
+                    ));
+                }
+                let mut grown = parent.clone();
+                for &m in members {
+                    if m as usize >= n {
+                        return Err(at(format!("back-pointer member {m} is not below {n}")));
+                    }
+                    if bits_get(&grown, m as usize) {
+                        return Err(at(format!("back-pointer member {m} is already computed")));
+                    }
+                    bits_set(&mut grown, m as usize);
+                }
+                if members.is_empty() || grown != entry.downset {
+                    return Err(at(
+                        "a back-pointer whose members do not extend its parent to the downset"
+                            .to_string(),
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The exact enumeration baseline as a step-driven state machine.

@@ -60,13 +60,13 @@ pub struct Evaluator<'g> {
     stats_grown: AtomicU64,
     /// Derivations and grown statistics that could not prove stage 3
     /// consistent and ran its rate propagation. 0 on every registry model
-    /// in production; the smoke benchmark asserts it.
+    /// in production; `tests/tests/work_pins.rs` asserts it.
     stats_rate_fallbacks: AtomicU64,
     /// Misses whose member list arrived out of ascending order and had to
     /// be sorted into a temporary before derivation. Every production
     /// path (arena layouts, `Partition::subgraphs`) produces ascending
-    /// members by construction, so this counts a slow path the smoke
-    /// benchmark asserts never fires; debug builds additionally assert.
+    /// members by construction, so this counts a slow path the tests
+    /// assert never fires; debug builds additionally assert.
     stats_canon_fallbacks: AtomicU64,
     /// Fresh-derivation latency (`sim.subgraph_stats_ns`), recorded only
     /// on the miss path — the cached hit path (the engine's 47 ns leaf)
@@ -200,21 +200,11 @@ impl<'g> Evaluator<'g> {
 
     /// Statistics misses that had to canonicalize (sort a copy of) an
     /// out-of-order member list before derivation. 0 on every production
-    /// path — the smoke benchmark asserts it via
-    /// `EngineStats::stats_canonicalize_fallbacks`.
+    /// path — `tests/tests/determinism.rs` asserts it via
+    /// `EngineStats::stats_canonicalize_fallbacks`, and
+    /// `tests/tests/work_pins.rs` on greedy fusion and depth-DP.
     pub fn stats_canonicalize_fallbacks(&self) -> u64 {
         self.stats_canon_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of statistics lookups answered from the cache.
-    pub fn stats_cache_hit_rate(&self) -> f64 {
-        let hits = self.stats_cache_hits();
-        let total = hits + self.stats_cache_misses();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
     }
 
     /// Buffer-independent statistics of the subgraph `members` (sorted or
@@ -252,7 +242,7 @@ impl<'g> Evaluator<'g> {
         // `Partition::subgraphs` and arena layouts both emit ascending
         // members — so the sort below is a counted slow path kept only for
         // order-agnostic external callers. Debug builds assert it never
-        // fires; `micro --smoke` asserts the counter stays 0.
+        // fires; the tests assert the counter stays 0.
         let stats = if members.windows(2).all(|w| w[0] < w[1]) {
             self.compute_stats(members)?
         } else {

@@ -63,11 +63,6 @@ impl ProductionReport {
             .map(|(id, n)| n.produced.area() * channels(*id))
             .sum()
     }
-
-    /// Total extra (produced but not needed) elements across the subgraph.
-    pub fn total_extra(&self) -> u64 {
-        self.entries.iter().map(|(_, n)| n.extra_elements()).sum()
-    }
 }
 
 /// Runs the production-centric forward derivation over `members` with the

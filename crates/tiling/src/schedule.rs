@@ -67,11 +67,6 @@ impl Program {
         &self.ops
     }
 
-    /// Total number of steps across all operations.
-    pub fn step_count(&self) -> usize {
-        self.ops.iter().map(|op| op.steps.len()).sum()
-    }
-
     /// Rows loaded from DRAM by this program (height dimension).
     pub fn dram_load_rows(&self) -> u64 {
         self.ops

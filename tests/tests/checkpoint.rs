@@ -1,8 +1,8 @@
 //! Checkpoint/resume bit-identity: every method of the registry,
 //! interrupted mid-run at a pseudo-random step, with its `DriverState`
 //! round-tripped through JSON, resumes to the exact outcome (best cost,
-//! genome, trace) of the uninterrupted seeded run — at 1 and 4 worker
-//! threads.
+//! genome, trace) of the uninterrupted seeded run — at 1, 2, 3 and 8
+//! engine threads.
 
 use cocco::prelude::*;
 
@@ -107,7 +107,7 @@ fn every_method_resumes_bit_identically_mid_run() {
     let g = cocco::graph::models::googlenet();
     let eval = Evaluator::new(&g, AcceleratorConfig::default());
     for (method, name) in methods() {
-        for threads in [1u32, 4] {
+        for threads in cocco_tests::ENGINE_THREADS {
             let reference = run_to_completion(&method, &g, &eval, threads);
             // A cheap deterministic per-(method, threads) pseudo-random
             // interrupt point: somewhere in the first handful of steps,

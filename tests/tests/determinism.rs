@@ -2,34 +2,85 @@
 //! under parallel fitness evaluation.
 
 use cocco::prelude::*;
+use cocco_tests::ENGINE_THREADS;
 
+/// A seeded GA's best cost, genome, samples and trace, plus its engine
+/// counters, at `threads` engine threads on a fresh evaluator (cold
+/// caches), optionally under a live telemetry sink.
+fn ga_run(
+    model: &Graph,
+    budget: u64,
+    population: usize,
+    seed: u64,
+    threads: u32,
+    telemetry: Option<&Telemetry>,
+) -> ((f64, Option<Genome>, u64, Vec<TracePoint>), EngineStats) {
+    let eval = Evaluator::new(model, AcceleratorConfig::default());
+    let ctx = SearchContext::new(
+        model,
+        &eval,
+        BufferSpace::paper_shared(),
+        Objective::paper_energy_capacity(),
+        budget,
+    );
+    let engine = EngineConfig::with_threads(threads);
+    let ctx = match telemetry {
+        Some(t) => ctx.with_engine_telemetry(engine, t),
+        None => ctx.with_engine(engine),
+    };
+    let ga = SearchMethod::Ga(GaConfig {
+        population,
+        ..GaConfig::default()
+    });
+    let out = ga.with_seed(seed).run(&ctx);
+    let result = (out.best_cost, out.best, out.samples, ctx.trace().points());
+    (result, ctx.engine().stats())
+}
+
+/// Every batch job sees only the cache state from before its batch, so a
+/// seeded GA returns the same best cost, genome, samples and trace, with
+/// the same engine counters (all but the thread count and wall time), at
+/// every thread count, with or without a live telemetry sink; it hits the
+/// cache, scores subgraph terms, and never takes the statistics cache's
+/// allocating canonicalize fallback.
 #[test]
 fn ga_is_bit_identical_at_any_thread_count() {
-    let g = cocco::graph::models::googlenet();
-    let eval = Evaluator::new(&g, AcceleratorConfig::default());
-    let run = |threads: u32| {
-        let ctx = SearchContext::new(
-            &g,
-            &eval,
-            BufferSpace::paper_shared(),
-            Objective::paper_energy_capacity(),
-            1_200,
-        )
-        .with_engine(EngineConfig::with_threads(threads));
-        let ga = SearchMethod::Ga(GaConfig {
-            population: 40,
-            ..GaConfig::default()
-        });
-        let out = ga.with_seed(11).run(&ctx);
-        (out.best_cost, out.best, out.samples, ctx.trace().points())
+    let counters = |s: EngineStats| EngineStats {
+        threads: 0,
+        wall_ms: 0.0,
+        ..s
     };
-    let serial = run(1);
-    for threads in [2, 4] {
-        let parallel = run(threads);
-        assert_eq!(serial.0, parallel.0, "best cost at {threads} threads");
-        assert_eq!(serial.1, parallel.1, "best genome at {threads} threads");
-        assert_eq!(serial.2, parallel.2, "samples at {threads} threads");
-        assert_eq!(serial.3, parallel.3, "trace at {threads} threads");
+    for (model, budget, population, seed) in [
+        (cocco::graph::models::googlenet(), 1_200, 40, 11),
+        (cocco::graph::models::resnet50(), 600, 50, 42),
+    ] {
+        let name = model.name();
+        let (serial, serial_stats) = ga_run(&model, budget, population, seed, 1, None);
+        assert!(serial_stats.cache_hits > 0, "{name}: never hit the cache");
+        assert!(serial_stats.subgraph_scorings > 0, "{name}: no term scored");
+        assert_eq!(
+            serial_stats.stats_canonicalize_fallbacks, 0,
+            "{name}: the warmed scoring hot path must stay allocation-free"
+        );
+        for threads in ENGINE_THREADS {
+            let telemetry = Telemetry::enabled();
+            for (arm, sink) in [("plain", None), ("telemetry", Some(&telemetry))] {
+                let at = format!("{name}, {arm}, {threads} threads");
+                let (run, stats) = ga_run(&model, budget, population, seed, threads, sink);
+                assert_eq!(serial.0, run.0, "best cost ({at})");
+                assert_eq!(serial.1, run.1, "best genome ({at})");
+                assert_eq!(serial.2, run.2, "samples ({at})");
+                assert_eq!(serial.3, run.3, "trace ({at})");
+                assert_eq!(counters(serial_stats), counters(stats), "counters ({at})");
+            }
+            assert!(
+                telemetry
+                    .snapshot()
+                    .histogram("engine.batch.latency_ns")
+                    .is_some(),
+                "{name}: the live sink saw no batch at {threads} threads"
+            );
+        }
     }
 }
 

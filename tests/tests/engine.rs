@@ -364,11 +364,12 @@ fn salvaged_cache_files_are_rewritten_even_when_nothing_is_new() {
 }
 
 #[test]
-fn v1_cache_files_are_rewritten_as_v2_even_when_nothing_is_new() {
+fn v1_cache_files_are_refused_and_left_untouched() {
     // On a two-node chain under one fixed buffer the only partitions are
-    // "whole" and "split", so the v1 document below can hold every entry
-    // a run needs.
-    let dir = cache_dir("v1-rewrite");
+    // "whole" and "split", so the v1 document below holds every entry a
+    // run needs. The v1 format is not read: the run refuses the file as
+    // unusable, the CLI's exit 3, and leaves it as it was.
+    let dir = cache_dir("v1-refused");
     let path = dir.join("cache.json");
     let model = cocco::graph::models::chain(1);
     let buffer = BufferConfig::shared(1 << 20);
@@ -381,7 +382,6 @@ fn v1_cache_files_are_rewritten_as_v2_even_when_nothing_is_new() {
             .with_cache_file(&path)
     };
     session().explore(&model).unwrap();
-    let v2 = std::fs::read_to_string(&path).unwrap();
     let snapshot = CacheSnapshot::load(&path).unwrap();
     let fingerprint = Evaluator::new(&model, AcceleratorConfig::default()).fingerprint();
     let node = NodeId::from_index;
@@ -404,16 +404,13 @@ fn v1_cache_files_are_rewritten_as_v2_even_when_nothing_is_new() {
         "the v1 file holds every entry"
     );
     let v1 = format!("{{\"version\":1,\"partition\":[{}]}}", v1_entries.join(","));
-    std::fs::write(&path, v1).unwrap();
-    let warm = session().explore(&model).unwrap();
-    assert_eq!(
-        warm.stats.cache_hits, warm.stats.evals,
-        "the upgrade warm-starts"
-    );
+    std::fs::write(&path, &v1).unwrap();
+    let err = session().explore(&model).unwrap_err();
+    assert!(matches!(err, Error::CacheFile { .. }), "{err}");
     assert_eq!(
         std::fs::read_to_string(&path).unwrap(),
-        v2,
-        "rewritten as v2"
+        v1,
+        "left untouched"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,6 +5,7 @@
 //! hang, a stranded budget sample, or a stale temp file.
 
 use cocco::prelude::*;
+use cocco_tests::ENGINE_THREADS;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("cocco-faults-{tag}-{}", std::process::id()));
@@ -27,10 +28,11 @@ fn stale_temps(dir: &std::path::Path) -> Vec<String> {
 fn transparent_faults_complete_bit_identically() {
     let dir = temp_dir("transparent");
     let model = cocco::graph::models::googlenet();
-    let session = |faults: FaultPlan, tag: &str| {
+    let session = |threads: u32, faults: FaultPlan, tag: &str| {
         Cocco::new()
             .with_budget(300)
             .with_seed(5)
+            .with_engine(EngineConfig::with_threads(threads))
             .with_cache_file(dir.join(format!("{tag}.cache.json")))
             .with_checkpoint_file(dir.join(format!("{tag}.ckpt.json")))
             .with_checkpoint_every(1)
@@ -38,24 +40,39 @@ fn transparent_faults_complete_bit_identically() {
             .explore(&model)
             .unwrap()
     };
-    let plain = session(FaultPlan::disabled(), "plain");
+    let plain = session(1, FaultPlan::disabled(), "plain");
     // Save-path faults (bounded retry, torn files left for the next load
-    // to salvage) are transparent: same cost, genome and trace.
-    let rates = FaultRates::none()
-        .with(FaultSite::SaveWrite, 0.2)
-        .with(FaultSite::SaveTorn, 0.1);
-    let plan = FaultPlan::seeded(11, rates);
-    let faulty = session(plan.clone(), "faulty");
-    assert_eq!(plain.cost, faulty.cost);
-    assert_eq!(plain.genome, faulty.genome);
-    assert_eq!(plain.trace, faulty.trace);
-    assert_eq!(plain.samples, faulty.samples);
-    let health = plan.health();
-    assert!(
-        health.faults_seen() > 0,
-        "the plan must actually have fired"
-    );
-    assert!(health.save_retries > 0, "save faults must be retried");
+    // to salvage) are transparent: same cost, genome and trace. Save-path
+    // draws happen in serial code, so an identically seeded plan fires at
+    // the same points at every thread count.
+    for (write, torn) in [(0.2, 0.1), (0.3, 0.2)] {
+        let rates = FaultRates::none()
+            .with(FaultSite::SaveWrite, write)
+            .with(FaultSite::SaveTorn, torn);
+        for threads in ENGINE_THREADS {
+            let cell = format!("write {write}, torn {torn}, {threads} threads");
+            let plan = FaultPlan::seeded(11, rates);
+            let faulty = session(threads, plan.clone(), &format!("faulty-{write}-{threads}"));
+            assert_eq!(plain.cost, faulty.cost, "cost ({cell})");
+            assert_eq!(plain.genome, faulty.genome, "genome ({cell})");
+            assert_eq!(plain.trace, faulty.trace, "trace ({cell})");
+            assert_eq!(plain.samples, faulty.samples, "samples ({cell})");
+            assert_eq!(
+                faulty.trace.len() as u64,
+                faulty.samples,
+                "stranded budget samples ({cell})"
+            );
+            let health = plan.health();
+            assert!(
+                health.faults_seen() > 0,
+                "the plan must actually have fired ({cell})"
+            );
+            assert!(
+                health.save_retries > 0,
+                "save faults must be retried ({cell})"
+            );
+        }
+    }
     assert!(
         stale_temps(&dir).is_empty(),
         "injected save failures must not leak temp files: {:?}",
@@ -68,54 +85,71 @@ fn transparent_faults_complete_bit_identically() {
 fn worker_panic_degrades_to_structured_error_with_salvage() {
     let dir = temp_dir("panic");
     let model = cocco::graph::models::googlenet();
-    let ckpt = dir.join("run.ckpt.json");
-    // A panic rate low enough that the search completes a few
-    // generations first (seeded, so the failing step is deterministic).
-    let rates = FaultRates::none().with(FaultSite::WorkerPanic, 0.002);
-    let plan = FaultPlan::seeded(2, rates);
-    let err = Cocco::new()
-        .with_budget(2_000)
-        .with_seed(9)
-        .with_checkpoint_file(&ckpt)
-        .with_checkpoint_every(1)
-        .with_faults(plan.clone())
-        .explore(&model)
-        .unwrap_err();
-    let Error::WorkerPanic { message, salvage } = err else {
-        panic!("expected WorkerPanic, got {err}");
-    };
-    assert!(message.contains("injected worker panic"), "{message}");
-    let salvage = salvage.expect("generations before the fault produce a best-so-far");
-    assert!(salvage.cost.is_finite());
-    assert!(salvage.genome.partition.validate(&model).is_ok());
-    assert!(salvage.samples > 0);
-    let health = plan.health();
-    assert!(health.is_degraded());
-    assert_eq!(health.quarantined_batches, 1);
-    assert!(
-        health.refunded_samples > 0,
-        "quarantined funding must be refunded"
-    );
-    // The last between-steps checkpoint stays behind so the run can
-    // resume; resuming with faults disarmed completes cleanly.
-    assert!(ckpt.exists(), "an aborted run must keep its checkpoint");
-    let resumed = Cocco::new()
-        .with_budget(2_000)
-        .with_seed(9)
-        .with_checkpoint_file(&ckpt)
-        .explore(&model)
-        .unwrap();
-    assert!(resumed.cost.is_finite());
-    assert!(
-        resumed.cost <= salvage.cost,
-        "resume continues from salvaged progress"
-    );
-    assert_eq!(
-        resumed.trace.len() as u64,
-        resumed.samples,
-        "no stranded samples"
-    );
-    assert!(!ckpt.exists(), "a completed resume removes the checkpoint");
+    // Panic rates low enough that the search completes a few generations
+    // first (seeded, so the failing step is deterministic); at 0.0005 the
+    // fault lands at sample 2800, many generations in.
+    for (rate, budget) in [(0.002, 2_000), (0.0005, 8_000)] {
+        let mut reference: Option<(f64, u64)> = None;
+        for threads in ENGINE_THREADS {
+            let cell = format!("rate {rate}, {threads} threads");
+            let ckpt = dir.join(format!("run-{rate}-{threads}.ckpt.json"));
+            let plan = FaultPlan::seeded(2, FaultRates::none().with(FaultSite::WorkerPanic, rate));
+            let session = Cocco::new()
+                .with_budget(budget)
+                .with_seed(9)
+                .with_engine(EngineConfig::with_threads(threads))
+                .with_checkpoint_file(&ckpt);
+            let err = session
+                .clone()
+                .with_checkpoint_every(1)
+                .with_faults(plan.clone())
+                .explore(&model)
+                .unwrap_err();
+            let Error::WorkerPanic { message, salvage } = err else {
+                panic!("expected WorkerPanic, got {err} ({cell})");
+            };
+            assert!(message.contains("injected worker panic"), "{message}");
+            let salvage = salvage.expect("generations before the fault produce a best-so-far");
+            assert!(salvage.cost.is_finite(), "{cell}");
+            assert!(salvage.genome.partition.validate(&model).is_ok(), "{cell}");
+            assert!(salvage.samples > 0, "{cell}");
+            // The panic lands on the same sample at every thread count.
+            let observed = (salvage.cost, salvage.samples);
+            assert_eq!(
+                *reference.get_or_insert(observed),
+                observed,
+                "salvage drifted ({cell})"
+            );
+            let health = plan.health();
+            assert!(health.is_degraded(), "{cell}");
+            assert_eq!(health.quarantined_batches, 1, "{cell}");
+            assert!(
+                health.refunded_samples > 0,
+                "quarantined funding must be refunded ({cell})"
+            );
+            // The last between-steps checkpoint stays behind so the run can
+            // resume; resuming with faults disarmed completes cleanly.
+            assert!(
+                ckpt.exists(),
+                "an aborted run must keep its checkpoint ({cell})"
+            );
+            let resumed = session.explore(&model).unwrap();
+            assert!(resumed.cost.is_finite(), "{cell}");
+            assert!(
+                resumed.cost <= salvage.cost,
+                "resume continues from salvaged progress ({cell})"
+            );
+            assert_eq!(
+                resumed.trace.len() as u64,
+                resumed.samples,
+                "no stranded samples ({cell})"
+            );
+            assert!(
+                !ckpt.exists(),
+                "a completed resume removes the checkpoint ({cell})"
+            );
+        }
+    }
     assert!(stale_temps(&dir).is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,6 +1,7 @@
 //! Telemetry is observation-only: a seeded exploration serializes to the
 //! **byte-identical** JSON document with telemetry enabled or disabled,
-//! at any thread count (ISSUE: the zero-perturbation guarantee).
+//! at any thread count (the zero-perturbation guarantee), and a cached
+//! probe stays under a fixed overhead ceiling in optimized builds.
 
 use cocco::prelude::*;
 
@@ -60,5 +61,55 @@ fn seeded_runs_are_byte_identical_with_telemetry_on_off_across_threads() {
                 "{name}: no fits calls counted at {threads} threads"
             );
         }
+    }
+}
+
+/// Bounds what telemetry may cost on the engine's hottest leaf: a warmed
+/// statistics-cache hit plus one `score_single` term. Probes the same
+/// subgraph 20 000 times through a disabled handle and through a live
+/// sink; both must stay under the same generous 5 µs/probe ceiling, which
+/// catches a regression that puts a clock read, lock round-trip or
+/// allocation onto the cached path. The cached leaf must also stay
+/// silent: after every probe the live sink's event buffer is still empty.
+/// A timing check, so it is compiled only into optimized builds; CI runs
+/// it with `cargo test --release --test telemetry`.
+#[cfg(not(debug_assertions))]
+#[test]
+fn a_cached_probe_stays_under_the_telemetry_overhead_ceiling() {
+    use cocco::telemetry::Stopwatch;
+    const PROBES: u32 = 20_000;
+    const CEILING_NS: f64 = 5_000.0;
+    let model = cocco::graph::models::resnet50();
+    let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
+    let members: Vec<_> = model.node_ids().take(12).collect();
+    let buffer = BufferConfig::shared(2 << 20);
+    for (arm, telemetry) in [
+        ("disabled", Telemetry::disabled()),
+        ("enabled", Telemetry::enabled()),
+    ] {
+        let engine = Engine::with_telemetry(EngineConfig::serial(), telemetry.clone());
+        let probe = || {
+            let stats = evaluator
+                .subgraph_stats(&members)
+                .expect("a connected prefix has statistics");
+            engine.score_single(&evaluator, &stats, &buffer, EvalOptions::default())
+        };
+        // Warm the evaluator's statistics cache so every timed probe hits.
+        probe();
+        let start = Stopwatch::start();
+        for _ in 0..PROBES {
+            std::hint::black_box(probe());
+        }
+        let per_probe_ns = start.elapsed().as_secs_f64() * 1e9 / f64::from(PROBES);
+        assert!(
+            per_probe_ns < CEILING_NS,
+            "telemetry ({arm}): cached score_single probe costs {per_probe_ns:.0} ns — \
+             something put a clock, lock or allocation on the cached leaf \
+             (ceiling {CEILING_NS:.0} ns)"
+        );
+        assert!(
+            telemetry.events().is_empty(),
+            "telemetry ({arm}): the cached score_single leaf must emit no events"
+        );
     }
 }
